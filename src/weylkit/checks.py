@@ -169,8 +169,9 @@ def _c10_lattice_bijections(config):
     points, direct = lattices.enumerate_X_n(p, n)
     if len(points) != direct:
         raise WeylkitError(f"{len(points)} != {direct}")
-    for z in lattices.enumerate_isotropic(p, n):
-        if lattices.d_invariant(z) + lattices.d_of_complement(z) != 6:
+    for z in lattices.candidates(p, n):
+        if (lattices.d_invariant(z)
+                + lattices.d_invariant(lattices.sharp(z))) != 6 * n:
             raise WeylkitError("d-duality failed")
     return (f"|certified points| = |direct lattices| = {direct};"
             " d-duality holds")
@@ -203,7 +204,9 @@ SUITES = tuple(sorted({c.suite for c in REGISTRY}))
 
 def run_checks(config, suites=None):
     """Run the selected checks; returns rows
-    (check_id, anchor, status, witness)."""
+    (check_id, anchor, status, witness).  Any exception a check raises
+    ends in a FAIL row; one that is not a WeylkitError is reported as an
+    internal error naming its class."""
     rows = []
     for check in REGISTRY:
         if suites is not None and check.suite not in suites:
@@ -213,5 +216,8 @@ def run_checks(config, suites=None):
             rows.append((check.check_id, check.anchor, "PASS", witness))
         except WeylkitError as exc:
             rows.append((check.check_id, check.anchor, "FAIL", str(exc)))
+        except Exception as exc:
+            rows.append((check.check_id, check.anchor, "FAIL",
+                         f"internal error {type(exc).__name__}: {exc}"))
     rows.sort(key=lambda r: int(r[0][1:]))
     return rows

@@ -201,11 +201,19 @@ def _cmd_pgl2(args, config, out):
     return 0
 
 
+def _is_prime(k):
+    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+
+
 def _cmd_witt(args, config, out):
     rows = []
+    p = config.p if args.p is None else args.p
     if args.enum:
-        p = args.p or config.p
         n = config.n if args.n is None else args.n
+        if p == 2 or not _is_prime(p):
+            raise ConfigError(f"p={p} is not an odd prime")
+        if n < 0:
+            raise ConfigError(f"n={n} is negative")
         points, direct = lattices.enumerate_X_n(p, n)
         rows.append(("count", len(points)))
         rows.append(("direct_count", direct))
@@ -213,8 +221,11 @@ def _cmd_witt(args, config, out):
             rows.append(("point", ";".join(
                 ",".join(str(x) for x in row) for row in z.basis)))
     else:
-        p = args.p or config.p
-        m = args.m or 2
+        m = 2 if args.m is None else args.m
+        if not _is_prime(p):
+            raise ConfigError(f"p={p} is not a prime")
+        if m < 1:
+            raise ConfigError(f"m={m} is not positive")
         rows.append(("oracle", "PASS" if witt.oracle_check(p, m) else "FAIL"))
         rows.append(("one", witt.witt_one(p, m).render()))
         rows.append(("p_image", witt.from_integer(p, p, m).render()))

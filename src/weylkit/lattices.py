@@ -11,11 +11,20 @@ Lam = p^n L (in the L_0 basis), so that p^(2n) Z^3 <= Lam <= Z^3, and is
 canonicalized as the Hermite form of its generators together with
 p^(2n) times the identity.  The quotient Z = L / p^n L_0 is Lam modulo
 p^(2n); the deeper quotient Z_1 is Lam modulo p^(3n).
+
+The enumeration is integer-only.  Candidates are upper-triangular Hermite
+bases with p-power diagonal; membership of a vector in such a lattice
+(the containment of p^(2n) Z^3, and [u, v] in p^n Lam for bracket
+closure) is one integer back-substitution, and the dual `sharp` uses the
+integer cofactors and determinant of B GRAM.  Both routes to the points,
+the isotropic one and the direct self-dual one, read a single pass over
+the candidates, each of which is tested by both predicates.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import BudgetError, PreconditionError, StructuralError
@@ -127,11 +136,6 @@ def d_invariant(z):
     return sum(2 * z.n - k for k in z.smith_exponents())
 
 
-def d_of_complement(z):
-    """d of the ambient modulo the submodule."""
-    return sum(z.smith_exponents())
-
-
 def is_self_dual_isotropic(z):
     """Membership in the middle isotropic stratum: d equals n*RANK and
     the induced pairing vanishes identically."""
@@ -153,122 +157,126 @@ def is_lie_closed(z):
                for u in rows for v in rows for w in rows)
 
 
+def _cofactors(m):
+    """Cofactor matrix C and determinant of a 3x3 integer matrix, so
+    that m^-1 = transpose(C) / det."""
+    cof = tuple(
+        tuple(m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+              - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+              for j in range(3))
+        for i in range(3))
+    return cof, sum(m[0][j] * cof[0][j] for j in range(3))
+
+
 def sharp(z):
-    """The dual submodule under the Killing pairing; an involution."""
-    b = tuple(tuple(Fraction(x) for x in row) for row in z.basis)
-    bg = linalg.mat_mul(b, tuple(tuple(Fraction(x) for x in row)
-                                 for row in GRAM))
-    inv = linalg.mat_inv(bg)
+    """The dual submodule under the Killing pairing; an involution.
+
+    Row j of the dual is column j of p^(2n) (B GRAM)^-1, that is
+    p^(2n) times cofactor row j over the determinant.  Each entry must
+    have a denominator prime to p; it is reduced modulo p^(4n)."""
+    cof, det = _cofactors(linalg.mat_mul(z.basis, GRAM))
     scale = z.p ** (2 * z.n)
+    mod = scale * scale
     dual_rows = []
-    for j in range(RANK):
+    for cof_row in cof:
         row = []
-        for i in range(RANK):
-            entry = scale * inv[i][j]
-            den = entry.denominator
+        for c in cof_row:
+            num = scale * c
+            g = gcd(num, det)
+            num, den = num // g, det // g
+            if den < 0:
+                num, den = -num, -den
             if den % z.p == 0:
                 raise PreconditionError(
                     "dual lattice leaves the truncation window")
-            # reduce the prime-to-p denominator modulo p^(2n).
-            num = entry.numerator % (scale * den)
-            row.append((num * pow(den, -1, scale * scale)) % (scale * scale))
+            # reduce the prime-to-p denominator modulo p^(4n).
+            row.append((num % (scale * den)) * pow(den, -1, mod) % mod)
         dual_rows.append(tuple(row))
     return canonical(z.p, z.n, dual_rows)
 
 
+def _in_lattice(rows, v, mult=1):
+    """Whether v lies in the Z-span of mult * rows, for an upper-triangular
+    integer basis with nonzero diagonal: the back-substitution solving
+    x (mult B) = v must stay integral."""
+    coeffs = []
+    for j in range(RANK):
+        rest = v[j]
+        for i, c in enumerate(coeffs):
+            rest -= mult * c * rows[i][j]
+        q, r = divmod(rest, mult * rows[j][j])
+        if r:
+            return False
+        coeffs.append(q)
+    return True
+
+
 def _hermite_candidates(p, n):
     """All canonical upper-triangular candidate bases with p-power
-    diagonal, filtered for containing p^(2n) Z^3."""
+    diagonal, filtered for containing p^(2n) Z^3.  Off-diagonal entries
+    are reduced modulo the pivot below them, so every row set is already
+    in Hermite normal form."""
     scale = p ** (2 * n)
-    exps = range(2 * n + 1)
-    for a in itertools.product(exps, repeat=RANK):
+    targets = tuple(tuple(scale * x for x in row)
+                    for row in linalg.identity_mat(RANK))
+    for a in itertools.product(range(2 * n + 1), repeat=RANK):
         diag = [p ** e for e in a]
-        col_ranges = []
-        for j in range(RANK):
-            col_ranges.append([range(diag[j]) for _ in range(j)])
-        offdiag_sets = [
-            list(itertools.product(*col_ranges[j])) for j in range(RANK)
-        ]
-        for picks in itertools.product(*offdiag_sets):
-            mat = [[0] * RANK for _ in range(RANK)]
-            for i in range(RANK):
-                mat[i][i] = diag[i]
-            for j in range(RANK):
-                for i, value in enumerate(picks[j]):
-                    mat[i][j] = value
-            rows = tuple(tuple(r) for r in mat)
-            if _contains_scaled_identity(rows, scale):
+        # column j is (entries above the pivot) + pivot + zeros
+        below = [(diag[j],) + (0,) * (RANK - 1 - j) for j in range(RANK)]
+        for above in itertools.product(*(
+                itertools.product(range(diag[j]), repeat=j)
+                for j in range(RANK))):
+            rows = tuple(zip(*(x + y for x, y in zip(above, below))))
+            if all(_in_lattice(rows, t) for t in targets):
                 yield rows
 
 
-def _contains_scaled_identity(rows, scale):
-    frac = linalg.mat_inv(tuple(tuple(Fraction(x) for x in row)
-                                for row in rows))
-    for j in range(RANK):
-        for i in range(RANK):
-            val = Fraction(frac[i][j]) * scale
-            if val.denominator != 1:
-                return False
-    return True
+def candidates(p, n):
+    """Every lattice p^(2n) Z^3 <= Lam <= Z^3, one submodule per
+    canonical basis."""
+    for rows in _hermite_candidates(p, n):
+        yield LatticeSubmodule(p=p, n=n, basis=rows)
+
+
+def _scan(p, n, budget):
+    """One pass over the candidates, applying both strata predicates to
+    each; returns (isotropic, self_dual), each sorted by basis."""
+    check_datum(p)
+    isotropic = []
+    self_dual = []
+    for count, z in enumerate(candidates(p, n), start=1):
+        if count > budget:
+            raise BudgetError("lattice enumeration budget exceeded")
+        if is_self_dual_isotropic(z):
+            isotropic.append(z)
+        try:
+            if sharp(z).basis == z.basis:
+                self_dual.append(z)
+        except PreconditionError:
+            pass
+    isotropic.sort(key=lambda z: z.basis)
+    self_dual.sort(key=lambda z: z.basis)
+    return isotropic, self_dual
 
 
 def enumerate_self_dual(p, n, budget=200000):
     """All lattices Lam with p^(2n) Z^3 <= Lam <= Z^3 and sharp(Lam) =
     Lam, canonically presented (the direct route)."""
-    check_datum(p)
-    if n == 0:
-        return [canonical(p, 0, linalg.identity_mat(RANK))]
-    seen = set()
-    out = []
-    count = 0
-    for rows in _hermite_candidates(p, n):
-        count += 1
-        if count > budget:
-            raise BudgetError("lattice enumeration budget exceeded")
-        z = canonical(p, n, rows)
-        if z.basis in seen:
-            continue
-        seen.add(z.basis)
-        try:
-            dual = sharp(z)
-        except PreconditionError:
-            continue
-        if dual.basis == z.basis:
-            out.append(z)
-    out.sort(key=lambda z: z.basis)
-    return out
+    return _scan(p, n, budget)[1]
 
 
 def enumerate_isotropic(p, n, budget=200000):
     """All submodules in the middle isotropic stratum (the quotient-side
     route)."""
-    check_datum(p)
-    if n == 0:
-        return [canonical(p, 0, linalg.identity_mat(RANK))]
-    seen = set()
-    out = []
-    count = 0
-    for rows in _hermite_candidates(p, n):
-        count += 1
-        if count > budget:
-            raise BudgetError("lattice enumeration budget exceeded")
-        z = canonical(p, n, rows)
-        if z.basis in seen:
-            continue
-        seen.add(z.basis)
-        if is_self_dual_isotropic(z):
-            out.append(z)
-    out.sort(key=lambda z: z.basis)
-    return out
+    return _scan(p, n, budget)[0]
 
 
 def enumerate_X_n(p, n, budget=200000):
     """Certified bracket-closed points, cross-checked against the
     direct lattice enumeration; returns (points, direct_count)."""
-    isotropic = enumerate_isotropic(p, n, budget)
+    isotropic, self_dual = _scan(p, n, budget)
     points = [z for z in isotropic if is_lie_closed(z)]
-    direct = [z for z in enumerate_self_dual(p, n, budget)
-              if _lattice_bracket_closed(z)]
+    direct = [z for z in self_dual if _lattice_bracket_closed(z)]
     direct_keys = {z.basis for z in direct}
     point_keys = {z.basis for z in points}
     if direct_keys != point_keys:
@@ -278,33 +286,11 @@ def enumerate_X_n(p, n, budget=200000):
 
 def _lattice_bracket_closed(z):
     """[L, L] <= L for L = p^-n Lam: every [u, v] of basis rows must lie
-    in p^n Lam (a p-adic condition: prime-to-p denominators are units)."""
-    b = tuple(tuple(Fraction(x) for x in row) for row in z.basis)
-    inv = linalg.mat_inv(b)
+    in p^n Lam.  The index of Lam is a power of p, so integral membership
+    is the p-adic one: no prime-to-p denominator can occur."""
     pn = z.p ** z.n
-    for u in z.basis:
-        for v in z.basis:
-            w = bracket(u, v)
-            coords = linalg.mat_vec(linalg.transpose(inv),
-                                    tuple(Fraction(x) for x in w))
-            for c in coords:
-                if _frac_p_val(Fraction(c, pn), z.p) < 0:
-                    return False
-    return True
-
-
-def _p_val(k, p):
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
-
-
-def _frac_p_val(x, p):
-    if x == 0:
-        return 10 ** 9
-    return _p_val(x.numerator, p) - _p_val(x.denominator, p)
+    return all(_in_lattice(z.basis, bracket(u, v), pn)
+               for u in z.basis for v in z.basis)
 
 
 def borel_fiber_count(q, basis=None):

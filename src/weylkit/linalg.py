@@ -6,7 +6,6 @@ for ranks up to about nine.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def identity_mat(n):
@@ -31,10 +30,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def transpose(a):
@@ -270,7 +265,3 @@ def snf_diag(rows):
         diag.append(mat[top][top])
         top += 1
     return tuple(diag)
-
-
-def lcm(a, b):
-    return a * b // gcd(a, b)

@@ -3,7 +3,7 @@ stated (exact) tolerance under the default configuration."""
 
 import pytest
 
-from weylkit import checks
+from weylkit import checks, lattices
 from weylkit.cli import SuiteConfig
 
 CONFIG = SuiteConfig()
@@ -23,3 +23,13 @@ def test_full_registry_report_is_all_pass():
     assert [r[0] for r in rows] == [f"C{i}" for i in range(1, 12)]
     failures = [r for r in rows if r[2] != "PASS"]
     assert failures == []
+
+
+def test_c10_d_duality_fails_for_a_wrong_dual(monkeypatch):
+    # keep the route cross-check green so that the d-duality is reached
+    counts = lattices.enumerate_X_n(3, 1)
+    monkeypatch.setattr(lattices, "enumerate_X_n", lambda p, n: counts)
+    monkeypatch.setattr(lattices, "sharp", lambda z: z)
+    rows = checks.run_checks(CONFIG, suites=("witt",))
+    assert [r for r in rows if r[0] == "C10"] == [
+        ("C10", "lattice-bijections", "FAIL", "d-duality failed")]

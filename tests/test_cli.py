@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +141,40 @@ def test_witt_enum_subcommand():
     assert code == 0
     assert "count\t5" in out
     assert "direct_count\t5" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "--enum", "--p", "0"],
+    ["witt", "--enum", "--p", "2"],
+    ["witt", "--enum", "--n", "-1"],
+    ["witt", "--p", "0"],
+    ["witt", "--p", "4"],
+    ["witt", "--m", "0"],
+    ["witt", "--m", "-1"],
+])
+def test_witt_bad_values_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_check_error_is_a_fail_row(monkeypatch):
+    def broken(config):
+        raise ZeroDivisionError("singular matrix")
+
+    registry = tuple(
+        replace(c, run=broken) if c.check_id == "C5" else c
+        for c in checks.REGISTRY)
+    monkeypatch.setattr(checks, "REGISTRY", registry)
+    code, out, _ = run_cli(["verify", "--suite", "coxeter",
+                            "--suite", "fourier"])
+    assert code == 1
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [r[:3] for r in rows] == [["C1", "quotient-coxeter", "PASS"],
+                                     ["C5", "fourier-matrix", "FAIL"]]
+    assert rows[1][3] == "internal error ZeroDivisionError: singular matrix"
 
 
 def test_out_file_written(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weylkit import lattices
+from weylkit import lattices, linalg
 from weylkit.errors import PreconditionError
 
 
@@ -51,8 +52,17 @@ def test_base_lattice_is_a_fixed_point_of_sharp():
         assert lattices.d_invariant(base) == 3
 
 
+def test_sharp_rejects_a_dual_outside_the_window():
+    # p^3 Z + Z + Z does not contain p^2 Z^3, so its dual needs p^-1
+    z = lattices.LatticeSubmodule(p=3, n=1, basis=(
+        (27, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(PreconditionError):
+        lattices.sharp(z)
+
+
 def test_sharp_is_an_involution_on_enumerated_points():
-    for z in lattices.enumerate_isotropic(3, 1):
+    # every candidate, not only the fixed points of sharp
+    for z in lattices.candidates(3, 1):
         assert lattices.sharp(lattices.sharp(z)).basis == z.basis
 
 
@@ -63,16 +73,65 @@ def test_self_dual_points_are_fixed_by_sharp():
 
 def test_d_duality():
     for p in (3, 5):
-        for z in lattices.enumerate_isotropic(p, 1):
+        for z in lattices.candidates(p, 1):
             assert (lattices.d_invariant(z)
-                    + lattices.d_of_complement(z)) == 6
+                    + lattices.d_invariant(lattices.sharp(z))) == 6
 
 
 def test_counts_match_at_small_sizes():
-    for p, expected in ((3, 5), (5, 7)):
+    for p, candidates, expected in ((3, 445, 5), (5, 2607, 7)):
+        assert sum(1 for _ in lattices._hermite_candidates(p, 1)) == candidates
         points, direct = lattices.enumerate_X_n(p, 1)
         assert len(points) == expected
         assert direct == expected
+
+
+def test_candidates_are_already_canonical():
+    for rows in lattices._hermite_candidates(3, 1):
+        assert lattices.canonical(3, 1, rows).basis == rows
+
+
+def _in_lattice_by_inverse(rows, v, mult):
+    """Reference membership test: the coordinates v B^-1 / mult are
+    integers."""
+    inv = linalg.mat_inv(rows)
+    coords = linalg.mat_vec(linalg.transpose(inv), v)
+    return all((c / mult).denominator == 1 for c in coords)
+
+
+@st.composite
+def membership_queries(draw):
+    """(rows, v, mult): an upper-triangular basis with p-power diagonal,
+    and a vector that is in the Z-span of mult * rows about half the
+    time."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    diag = [p ** draw(st.integers(0, 3)) for _ in range(3)]
+    rows = tuple(
+        tuple(diag[i] if i == j else
+              draw(st.integers(-50, 50)) if j > i else 0
+              for j in range(3))
+        for i in range(3))
+    mult = p ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        x = [draw(st.integers(-20, 20)) for _ in range(3)]
+        v = tuple(mult * sum(x[i] * rows[i][j] for i in range(3))
+                  for j in range(3))
+    else:
+        v = tuple(draw(st.integers(-2000, 2000)) for _ in range(3))
+    return rows, v, mult
+
+
+@given(membership_queries())
+@settings(max_examples=300, deadline=None)
+def test_integer_membership_matches_fraction_inverse(query):
+    rows, v, mult = query
+    assert (lattices._in_lattice(rows, v, mult)
+            == _in_lattice_by_inverse(rows, v, mult))
+
+
+def test_routes_agree_at_p7():
+    points, direct = lattices.enumerate_X_n(7, 1)
+    assert direct == len(points)
 
 
 def test_every_isotropic_point_is_lie_closed_at_small_sizes():
