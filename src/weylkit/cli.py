@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import alcove, checks, fourier, lattices, laurent, pgl2, reps, weyl, witt
 from .cartan import cartan_datum
-from .errors import ConfigError, WeylkitError
+from .errors import ConfigError, PreconditionError, WeylkitError
 
 
 @dataclass(frozen=True)
@@ -186,15 +186,24 @@ def _cmd_fourier(args, config, out):
 
 
 def _cmd_pgl2(args, config, out):
-    q = args.q or config.q
-    matrix = laurent.parse_matrix(args.matrix, q)
+    q = config.q if args.q is None else args.q
+    if not _is_prime(q):
+        raise ConfigError(f"q={q} is not a prime")
+    try:
+        matrix = laurent.parse_matrix(args.matrix, q)
+    except PreconditionError as exc:
+        raise ConfigError(f"bad matrix {args.matrix!r}: {exc}")
+    cls = pgl2.iwahori_class(matrix)
+    if args.op in ("disc", "count") and cls != "I2":
+        raise ConfigError(f"op {args.op} needs an odd-coset (I2) matrix;"
+                          f" {args.matrix!r} is {cls}")
     rows = []
     if args.op in ("class", "all"):
-        rows.append(("class", pgl2.iwahori_class(matrix)))
-    if args.op in ("disc", "all") and pgl2.iwahori_class(matrix) == "I2":
+        rows.append(("class", cls))
+    if args.op in ("disc", "all") and cls == "I2":
         rows.append(("discriminant_valuation",
                      pgl2.discriminant_valuation(matrix)))
-    if args.op in ("count", "all") and pgl2.iwahori_class(matrix) == "I2":
+    if args.op in ("count", "all") and cls == "I2":
         rows.append(("fixed_point_count",
                      pgl2.fixed_point_count(matrix, prec=config.prec)))
     _emit(rows, ("result", "value"), config, out)

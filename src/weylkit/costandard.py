@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, omega as omega_mod, springer, weyl
-from .cartan import cartan_datum
 from .cyclotomic import Cyc
 from .errors import (
     PreconditionError,
@@ -137,7 +136,7 @@ def layer_labels(data):
     labels = []
     for idx, (a, span) in enumerate(chain):
         sub = chain[idx - 1][1] if idx > 0 else ()
-        layer_dim = linalg.rank(span) - (linalg.rank(sub) if sub else 0)
+        layer_dim = linalg.rank(span) - linalg.rank(sub)
         if layer_dim == 0:
             continue
         if layer_dim != 1:
@@ -168,18 +167,16 @@ def validate_costandard(data):
         raise TableRejectionError("filtration must end with the full space at 0",
                                   layer=0)
     # Invariance and descent of every step.
-    previous = None
+    previous = ()
     for a, span in chain:
-        for mat in data.generators:
-            for v in span:
-                if not linalg.in_span(span, linalg.mat_vec(mat, v)):
-                    raise TableRejectionError(
-                        f"filtration step {a} is not invariant", layer=a)
-        if previous is not None:
-            for v in previous:
-                if not linalg.in_span(span, v):
-                    raise TableRejectionError(
-                        f"filtration is not descending at {a}", layer=a)
+        basis = linalg.EchelonBasis(span)
+        if not all(basis.contains(linalg.mat_vec(mat, v))
+                   for mat in data.generators for v in span):
+            raise TableRejectionError(
+                f"filtration step {a} is not invariant", layer=a)
+        if not all(basis.contains(v) for v in previous):
+            raise TableRejectionError(
+                f"filtration is not descending at {a}", layer=a)
         previous = span
     # Identify the layers (curated: one-dimensional, sign or unit).
     labels = layer_labels(data)

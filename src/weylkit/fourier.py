@@ -285,15 +285,3 @@ def b2_transform(values):
     ]
     out_lookup = dict(zip(order, transformed))
     return tuple(out_lookup[(_B2_FOLD[x], s)] for x, s in B2_PAIRS)
-
-
-def m_set_1(gamma, center):
-    """Pairs whose character restricts trivially to the given central
-    subgroup (the M(Gamma)^1 selection)."""
-    out = []
-    for p in m_set(gamma):
-        chi = p.chi_dict()
-        dim = chi[gamma.identity]
-        if all(chi[z] == dim for z in center):
-            out.append(p)
-    return out

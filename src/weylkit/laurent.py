@@ -254,7 +254,10 @@ def parse_scalar(text, q, prec=math.inf):
     shift = 0
     if "@" in text:
         text, _, v = text.rpartition("@")
-        shift = int(v)
+        try:
+            shift = int(v)
+        except ValueError:
+            raise PreconditionError(f"cannot parse shift {v!r}") from None
     coeffs = {}
     for term in text.split("+"):
         term = term.strip()
@@ -318,7 +321,3 @@ def parse_matrix(text, q, prec=math.inf):
             raise PreconditionError("matrix rows need two entries")
         out.append(tuple(parse_scalar(e, q, prec) for e in entries))
     return tuple(out)
-
-
-def render_matrix(M):
-    return ";".join(",".join(x.render() for x in row) for row in M)

@@ -3,8 +3,19 @@
 Matrices are tuples of tuples (rows) so they can be hashed and used as
 dictionary keys; vectors are tuples.  Everything is dense and intended
 for ranks up to about nine.
+
+Span and rank questions go through `EchelonBasis`, an incremental row
+echelon basis over the integers: each incoming vector (int or Fraction
+entries, denominators cleared on entry) is reduced against the stored
+primitive pivot rows by cross-multiplication, fraction-free in the
+manner of Bareiss (1968), so a query costs one pass over the stored rows
+instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
+over it.  The Fraction Gauss-Jordan `row_reduce` remains only behind
+`nullspace` and `solve`, which need the reduced form itself.
 """
 
+import bisect
+import math
 from fractions import Fraction
 
 
@@ -22,10 +33,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u, v):
@@ -105,11 +112,54 @@ def row_reduce(rows):
     return tuple(tuple(row) for row in mat), tuple(pivots)
 
 
+class EchelonBasis:
+    """Row echelon basis of a growing span over Q, kept as primitive
+    integer rows with distinct pivot (leading) columns.
+
+    `add(v)` reduces v against the stored rows and stores the remainder
+    when it is nonzero; `contains(v)` reduces without storing; `len` is
+    the rank of everything added so far.
+    """
+
+    def __init__(self, rows=()):
+        self._rows = []  # (pivot column, primitive row), ascending pivots
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _reduce(self, v):
+        den = math.lcm(*(x.denominator for x in v))
+        vec = [x.numerator * (den // x.denominator) for x in v]
+        for col, row in self._rows:
+            c = vec[col]
+            if c:
+                g = math.gcd(row[col], c)
+                p, c = row[col] // g, c // g
+                vec = [p * x - c * y for x, y in zip(vec, row)]
+                g = math.gcd(*vec)
+                if g > 1:
+                    vec = [x // g for x in vec]
+        return vec
+
+    def contains(self, v):
+        """Whether v lies in the span of the rows added so far."""
+        return not any(self._reduce(v))
+
+    def add(self, v):
+        """Add v to the span; True when it was not already in it."""
+        vec = self._reduce(v)
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            return False
+        g = math.gcd(*vec) if vec[lead] > 0 else -math.gcd(*vec)
+        bisect.insort(self._rows, (lead, [x // g for x in vec]))
+        return True
+
+
 def rank(rows):
-    if not rows:
-        return 0
-    _, pivots = row_reduce(rows)
-    return len(pivots)
+    return len(EchelonBasis(rows))
 
 
 def nullspace(rows):
@@ -148,11 +198,7 @@ def solve(a, b):
 
 def in_span(rows, v):
     """Whether v lies in the row span of `rows`."""
-    if all(x == 0 for x in v):
-        return True
-    if not rows:
-        return False
-    return rank(list(rows) + [v]) == rank(rows)
+    return EchelonBasis(rows).contains(v)
 
 
 def hnf(rows):

@@ -14,7 +14,6 @@ below, and the two Iwahori-type subsets are
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import costandard, laurent, linalg
 from .errors import (
@@ -341,16 +340,19 @@ class RecurrenceModule:
 
     def action_matrix(self, i):
         size = 2 * self.N + 1
-        mat = [[Fraction(0)] * size for _ in range(size)]
+        mat = [[0] * size for _ in range(size)]
         for n in range(-self.N + 1, self.N):
             col = self._index(n)
             if (n - i) % 2 == 0:
-                mat[col][col] = Fraction(-1)
+                mat[col][col] = -1
             else:
-                mat[col][col] = Fraction(1)
-                mat[self._index(n - 1)][col] = Fraction(1)
-                mat[self._index(n + 1)][col] = Fraction(1)
+                mat[col][col] = 1
+                mat[self._index(n - 1)][col] = 1
+                mat[self._index(n + 1)][col] = 1
         return tuple(tuple(row) for row in mat)
+
+    def basis_vector(self, n):
+        return tuple(int(k == self._index(n)) for k in range(2 * self.N + 1))
 
 
 def module_generation_check(N):
@@ -361,38 +363,24 @@ def module_generation_check(N):
         raise PreconditionError("window must extend at least two steps")
     module = RecurrenceModule(N)
     mats = [module.action_matrix(1), module.action_matrix(2)]
-    size = 2 * N + 1
-    span = []
-    for n in (0, 1):
-        vec = [Fraction(0)] * size
-        vec[module._index(n)] = Fraction(1)
-        span.append(tuple(vec))
-    changed = True
-    while changed:
-        changed = False
-        for mat in mats:
-            for vec in list(span):
-                image = linalg.mat_vec(mat, vec)
-                if not linalg.in_span(span, image):
-                    span.append(image)
-                    changed = True
-    generated = True
-    for n in range(-N + 1, N):
-        probe = [Fraction(0)] * size
-        probe[module._index(n)] = Fraction(1)
-        if not linalg.in_span(span, tuple(probe)):
-            generated = False
-            break
+    # Closure under both involutions: every vector that enlarges the
+    # span is mapped through each action matrix exactly once.
+    span = linalg.EchelonBasis()
+    pending = [module.basis_vector(0), module.basis_vector(1)]
+    while pending:
+        vec = pending.pop()
+        if span.add(vec):
+            pending.extend(linalg.mat_vec(mat, vec) for mat in mats)
+    generated = all(span.contains(module.basis_vector(n))
+                    for n in range(-N + 1, N))
     # Coinvariants of the interior: quotient by (s_i - 1) images,
     # projected to interior coordinates.
-    interior = list(range(1, size - 1))
-    relations = []
-    eye = linalg.identity_mat(size)
-    for mat in mats:
-        for n in range(-N + 1, N):
-            col = module._index(n)
-            diff = tuple(mat[row][col] - eye[row][col] for row in range(size))
-            relations.append(tuple(diff[r] for r in interior))
+    interior = range(1, 2 * N)
+    eye = linalg.identity_mat(2 * N + 1)
+    relations = [
+        tuple(mat[row][col] - eye[row][col] for row in interior)
+        for mat in mats for col in interior
+    ]
     coinvariant_rank = len(interior) - linalg.rank(relations)
     return generated, coinvariant_rank
 

@@ -136,15 +136,6 @@ class QuotientGroup:
             frontier = sorted(next_frontier)
         return reps
 
-    def multiply_semidirect(self, a, b):
-        x = linalg.vec_add(a.lattice, self.act_lattice(a.finite, b.lattice))
-        return SemidirectElement(lattice=tuple(x),
-                                 finite=self.mul(a.finite, b.finite))
-
-
-def semidirect_mul(geo, a, b):
-    return QuotientGroup(geo).multiply_semidirect(a, b)
-
 
 @dataclass
 class FiniteDimRep:
@@ -347,53 +338,3 @@ def lift_characters(geo, letters):
             continue
         out.append(rho)
     return out
-
-
-@dataclass
-class OmegaInducedRep:
-    dimension: int
-    omega_list: tuple     # elements of Omega_J, coset representatives
-    gen_images: dict      # orbit K -> Cyc matrix
-    omega_images: dict    # automorphism -> Cyc matrix (permutation blocks)
-
-    def omega_character(self, xi):
-        return cyc_trace(self.omega_images[xi])
-
-    def gen_character(self, K):
-        return cyc_trace(self.gen_images[K])
-
-
-def omega_induce(gen_images, dim, omega_elements, orbit_of):
-    """Induce a module of the fixed subgroup to its Omega_J extension.
-
-    gen_images: orbit K -> matrix of ss_K; omega_elements: the elements
-    of Omega_J; orbit_of(xi, K): the orbit xi(K).  Basis is (coset of
-    xi) x (module basis).
-    """
-    omega_list = tuple(omega_elements)
-    size = len(omega_list)
-    total = size * dim
-    zero = Cyc.rational(0)
-
-    out_gens = {}
-    for K in gen_images:
-        mat = [[zero] * total for _ in range(total)]
-        for b, xi in enumerate(omega_list):
-            source = orbit_of(xi.inverse(), K)
-            block = gen_images[source]
-            for a in range(dim):
-                for c in range(dim):
-                    mat[b * dim + a][b * dim + c] = block[a][c]
-        out_gens[K] = tuple(tuple(r) for r in mat)
-
-    out_omega = {}
-    for xi0 in omega_list:
-        mat = [[zero] * total for _ in range(total)]
-        for b, xi in enumerate(omega_list):
-            target = omega_list.index(xi0 * xi)
-            for a in range(dim):
-                mat[target * dim + a][b * dim + a] = Cyc.rational(1)
-        out_omega[xi0] = tuple(tuple(r) for r in mat)
-
-    return OmegaInducedRep(dimension=total, omega_list=omega_list,
-                           gen_images=out_gens, omega_images=out_omega)

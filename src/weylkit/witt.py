@@ -153,14 +153,6 @@ def witt_one(p, m):
     return WittScalar(p, m, (1,) + (0,) * (m - 1))
 
 
-def witt_add(a, b):
-    return a + b
-
-
-def witt_mul(a, b):
-    return a * b
-
-
 def from_integer(k, p, m):
     """Image of the integer k under Z -> W_m(F_p)."""
     acc = witt_zero(p, m)

@@ -3,7 +3,7 @@ stated (exact) tolerance under the default configuration."""
 
 import pytest
 
-from weylkit import checks, lattices
+from weylkit import checks, lattices, pgl2
 from weylkit.cli import SuiteConfig
 
 CONFIG = SuiteConfig()
@@ -33,3 +33,13 @@ def test_c10_d_duality_fails_for_a_wrong_dual(monkeypatch):
     rows = checks.run_checks(CONFIG, suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL", "d-duality failed")]
+
+
+@pytest.mark.parametrize("result", [(True, 1), (False, 0)])
+def test_c8_fails_when_the_window_module_check_fails(monkeypatch, result):
+    monkeypatch.setattr(pgl2, "module_generation_check", lambda n: result)
+    rows = checks.run_checks(CONFIG, suites=("pgl2",))
+    generated, coinv = result
+    assert [r for r in rows if r[0] == "C8"] == [
+        ("C8", "recurrence-values", "FAIL",
+         f"window 6: generated={generated}, coinvariants={coinv}")]

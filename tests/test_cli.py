@@ -160,6 +160,22 @@ def test_witt_bad_values_are_usage_errors(argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pgl2", "--q", "0"],
+    ["pgl2", "--q", "4"],
+    ["pgl2", "--matrix", "garbage"],
+    ["pgl2", "--matrix", "1@x,0;0,1"],
+    ["pgl2", "--op", "count", "--matrix", "1,0;0,1"],
+    ["pgl2", "--op", "disc", "--matrix", "1,0;0,1"],
+])
+def test_pgl2_bad_values_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
 def test_unexpected_check_error_is_a_fail_row(monkeypatch):
     def broken(config):
         raise ZeroDivisionError("singular matrix")

@@ -1,0 +1,78 @@
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from weylkit import linalg
+
+_ints = st.integers(-4, 4)
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+def _pivot_count(rows):
+    return len(linalg.row_reduce(rows)[1]) if rows else 0
+
+
+def _combination(coeffs, rows, ncols):
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows))
+                 for j in range(ncols))
+
+
+@st.composite
+def _matrices(draw):
+    """(ncols, rows): a few random int or Fraction rows, then zero rows
+    and combinations of earlier rows, shuffled, so that rank-deficient
+    matrices are common."""
+    entries = draw(st.sampled_from((_ints, _fractions)))
+    ncols = draw(st.integers(1, 6))
+    row = st.tuples(*(entries for _ in range(ncols)))
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows or draw(st.booleans()):
+            rows.append((0,) * ncols)
+        else:
+            coeffs = draw(st.lists(entries, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append(_combination(coeffs, rows, ncols))
+    return ncols, draw(st.permutations(rows))
+
+
+@given(_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_row_reduce(matrix):
+    _, rows = matrix
+    assert linalg.rank(rows) == _pivot_count(rows)
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_in_span_matches_row_reduce(matrix, data):
+    ncols, rows = matrix
+    if rows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_fractions, min_size=len(rows),
+                                    max_size=len(rows)))
+        v = _combination(coeffs, rows, ncols)
+        assert linalg.in_span(rows, v)
+    else:
+        v = data.draw(st.tuples(*(_ints for _ in range(ncols))))
+    expected = _pivot_count(list(rows) + [v]) == _pivot_count(rows)
+    assert linalg.in_span(rows, v) == expected
+
+
+@given(_matrices())
+@settings(max_examples=100, deadline=None)
+def test_add_reports_exactly_the_rank_increases(matrix):
+    _, rows = matrix
+    basis = linalg.EchelonBasis()
+    for k, row in enumerate(rows):
+        grew = _pivot_count(rows[:k + 1]) > _pivot_count(rows[:k])
+        assert basis.add(row) == grew
+        assert basis.contains(row)
+        assert len(basis) == _pivot_count(rows[:k + 1])
+
+
+def test_zero_vectors_and_empty_spans():
+    assert linalg.rank([]) == 0
+    assert linalg.rank([(0, 0), (Fraction(0), 0)]) == 0
+    assert linalg.in_span([], (0, 0))
+    assert not linalg.in_span([], (0, 1))
+    assert not linalg.in_span([(0, 0)], (Fraction(1, 3), 0))

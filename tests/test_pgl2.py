@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from weylkit import laurent, pgl2
+from weylkit.errors import PreconditionError
 
 
 def test_iwahori_classes_of_standard_elements():
@@ -81,10 +84,11 @@ def test_regular_window_module_traces():
 
 
 def test_module_generation_and_coinvariants():
-    for n in (4, 6, 8, 10):
-        generated, coinv = pgl2.module_generation_check(n)
-        assert generated
-        assert coinv == 0
+    # the values of the former Fraction Gauss-Jordan closure at every N
+    for n in range(2, 15):
+        assert pgl2.module_generation_check(n) == (True, 0)
+    with pytest.raises(PreconditionError):
+        pgl2.module_generation_check(1)
 
 
 def test_recurrence_solution_space():

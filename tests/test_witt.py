@@ -17,9 +17,9 @@ def test_ring_identities_small():
     for p, m in ((3, 2), (5, 2), (3, 3)):
         zero = witt.witt_zero(p, m)
         one = witt.witt_one(p, m)
-        assert witt.witt_add(zero, one) == one
-        assert witt.witt_mul(one, one) == one
-        assert witt.witt_mul(zero, one) == zero
+        assert zero + one == one
+        assert one * one == one
+        assert zero * one == zero
 
 
 def test_oracle_isomorphism():
@@ -32,8 +32,7 @@ def test_from_integer_is_additive():
     p, m = 3, 2
     for a in range(9):
         for b in range(9):
-            left = witt.witt_add(witt.from_integer(a, p, m),
-                                 witt.from_integer(b, p, m))
+            left = witt.from_integer(a, p, m) + witt.from_integer(b, p, m)
             assert left == witt.from_integer(a + b, p, m)
 
 
@@ -41,8 +40,7 @@ def test_from_integer_is_multiplicative():
     p, m = 5, 2
     for a in range(25):
         for b in range(0, 25, 3):
-            left = witt.witt_mul(witt.from_integer(a, p, m),
-                                 witt.from_integer(b, p, m))
+            left = witt.from_integer(a, p, m) * witt.from_integer(b, p, m)
             assert left == witt.from_integer(a * b, p, m)
 
 
@@ -73,7 +71,6 @@ def test_component_validation():
 def test_random_triples_against_integer_oracle(a, b, c):
     p, m = 3, 2
     wa, wb, wc = (witt.from_integer(x, p, m) for x in (a, b, c))
-    assert witt.witt_add(wa, wb) == witt.from_integer(a + b, p, m)
-    assert witt.witt_mul(wa, wb) == witt.from_integer(a * b, p, m)
-    assert (witt.witt_mul(wa, witt.witt_add(wb, wc))
-            == witt.from_integer(a * (b + c), p, m))
+    assert wa + wb == witt.from_integer(a + b, p, m)
+    assert wa * wb == witt.from_integer(a * b, p, m)
+    assert wa * (wb + wc) == witt.from_integer(a * (b + c), p, m)
