@@ -14,7 +14,13 @@ from dataclasses import dataclass, fields, replace
 
 from . import alcove, checks, fourier, lattices, laurent, pgl2, reps, weyl, witt
 from .cartan import cartan_datum
-from .errors import ConfigError, PreconditionError, WeylkitError
+from .errors import (
+    ConfigError,
+    PreconditionError,
+    UnsupportedLabelError,
+    WeylkitError,
+)
+from .laurent import is_prime
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,12 @@ def render_config(config):
 def _load_config(path):
     if path is None:
         return SuiteConfig(), []
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}")
+    return parse_config(text)
 
 
 def _emit(rows, header, config, out_stream):
@@ -102,9 +112,20 @@ def _emit(rows, header, config, out_stream):
     lines += ["\t".join(str(x) for x in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {config.out!r}:"
+                              f" {exc.strerror}")
     out_stream.write(text)
+
+
+def _datum(label):
+    try:
+        return cartan_datum(label)
+    except UnsupportedLabelError as exc:
+        raise ConfigError(str(exc))
 
 
 def _cmd_verify(args, config, out):
@@ -115,7 +136,7 @@ def _cmd_verify(args, config, out):
 
 
 def _cmd_weyl(args, config, out):
-    datum = cartan_datum(args.type)
+    datum = _datum(args.type)
     J = tuple(int(x) for x in args.j.split()) if args.j else ()
     matrix = weyl.quotient_coxeter_matrix(datum, J, order_cap=config.order_cap)
     result = weyl.min_coset_generators(datum, J)
@@ -131,7 +152,7 @@ def _cmd_weyl(args, config, out):
 
 
 def _cmd_cells(args, config, out):
-    datum = cartan_datum(args.type)
+    datum = _datum(args.type)
     J = tuple(int(x) for x in args.j.split()) if args.j else ()
     grid = alcove.sample_grid(datum, J, config.denominator)
     rows = []
@@ -149,7 +170,7 @@ def _cmd_cells(args, config, out):
 
 
 def _cmd_reps(args, config, out):
-    datum = cartan_datum(args.type)
+    datum = _datum(args.type)
     J = tuple(int(x) for x in args.j.split()) if args.j else ()
     geo = alcove.geometry(datum, J)
     rows = []
@@ -187,7 +208,7 @@ def _cmd_fourier(args, config, out):
 
 def _cmd_pgl2(args, config, out):
     q = config.q if args.q is None else args.q
-    if not _is_prime(q):
+    if not is_prime(q):
         raise ConfigError(f"q={q} is not a prime")
     try:
         matrix = laurent.parse_matrix(args.matrix, q)
@@ -210,16 +231,12 @@ def _cmd_pgl2(args, config, out):
     return 0
 
 
-def _is_prime(k):
-    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
-
-
 def _cmd_witt(args, config, out):
     rows = []
     p = config.p if args.p is None else args.p
     if args.enum:
         n = config.n if args.n is None else args.n
-        if p == 2 or not _is_prime(p):
+        if p == 2 or not is_prime(p):
             raise ConfigError(f"p={p} is not an odd prime")
         if n < 0:
             raise ConfigError(f"n={n} is negative")
@@ -231,7 +248,7 @@ def _cmd_witt(args, config, out):
                 ",".join(str(x) for x in row) for row in z.basis)))
     else:
         m = 2 if args.m is None else args.m
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ConfigError(f"p={p} is not a prime")
         if m < 1:
             raise ConfigError(f"m={m} is not positive")

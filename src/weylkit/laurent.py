@@ -17,10 +17,24 @@ import re
 from .errors import IndeterminateError, PreconditionError, UnsupportedRegimeError
 
 
-def _check_prime(q):
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
-        raise UnsupportedRegimeError(f"{q} is not prime; only prime base fields"
-                                     " are supported")
+def is_prime(k):
+    """True iff the integer k is a prime (trial division)."""
+    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+
+
+def _new(q, coeffs, prec):
+    """A LaurentScalar for an already validated q and prec from
+    {exponent: integer}: reduces mod q and drops zeros and exponents at
+    or beyond prec in one loop."""
+    x = object.__new__(LaurentScalar)
+    x.q = q
+    x.prec = prec
+    if prec is math.inf:
+        x.coeffs = {e: r for e, c in coeffs.items() if (r := c % q)}
+    else:
+        x.coeffs = {e: r for e, c in coeffs.items()
+                    if (r := c % q) and e < prec}
+    return x
 
 
 class LaurentScalar:
@@ -29,18 +43,13 @@ class LaurentScalar:
     __slots__ = ("q", "coeffs", "prec")
     __hash__ = None
 
-    def __init__(self, q, coeffs, prec=math.inf):
-        _check_prime(q)
-        self.q = q
-        self.prec = prec
-        clean = {}
-        for exp, c in coeffs.items():
-            c %= q
-            if c and (prec is math.inf or exp < prec):
-                clean[exp] = c
-        self.coeffs = clean
+    def __new__(cls, q, coeffs, prec=math.inf):
+        if not is_prime(q):
+            raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
+                                         " fields are supported")
         if prec is not math.inf and not isinstance(prec, int):
             raise PreconditionError("precision must be an integer or infinite")
+        return _new(q, coeffs, prec)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -86,24 +95,23 @@ class LaurentScalar:
     # -- arithmetic ----------------------------------------------------
     def _compat(self, other):
         if not isinstance(other, LaurentScalar):
-            other = LaurentScalar.const(self.q, other)
+            return _new(self.q, {0: other}, math.inf)
         if other.q != self.q:
             raise PreconditionError("mismatched base fields")
         return other
 
     def __add__(self, other):
         other = self._compat(other)
-        prec = min(self.prec, other.prec)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) + c
-        return LaurentScalar(self.q, out, prec)
+        return _new(self.q, out, min(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar(self.q, {e: -c for e, c in self.coeffs.items()},
-                             self.prec)
+        return _new(self.q, {e: -c for e, c in self.coeffs.items()},
+                    self.prec)
 
     def __sub__(self, other):
         return self + (-self._compat(other))
@@ -113,22 +121,23 @@ class LaurentScalar:
 
     def __mul__(self, other):
         other = self._compat(other)
-        if self.is_exact() and not self.coeffs:
-            return LaurentScalar.zero(self.q)
-        if other.is_exact() and not other.coeffs:
-            return LaurentScalar.zero(self.q)
+        a, b = self.coeffs, other.coeffs
+        pa, pb = self.prec, other.prec
+        inf = math.inf
+        if (pa is inf and not a) or (pb is inf and not b):
+            return _new(self.q, {}, inf)
         # a = A + O(e^Pa), b = B + O(e^Pb):
         # ab = AB + O(e^(v(B)+Pa)) + O(e^(v(A)+Pb)) + O(e^(Pa+Pb)).
-        prec = math.inf
-        if other.prec is not math.inf:
-            prec = min(prec, self.val_lower_bound() + other.prec)
-        if self.prec is not math.inf:
-            prec = min(prec, other.val_lower_bound() + self.prec)
+        prec = inf
+        if pb is not inf:
+            prec = (min(a) if a else pa) + pb
+        if pa is not inf:
+            prec = min(prec, (min(b) if b else pb) + pa)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentScalar(self.q, out, prec)
+        return _new(self.q, out, prec)
 
     __rmul__ = __mul__
 
@@ -182,7 +191,7 @@ class LaurentScalar:
         if v_other is math.inf:
             raise PreconditionError("cannot invert zero")
         if not self.coeffs:
-            return LaurentScalar.zero(self.q)
+            return _new(self.q, {}, math.inf)
         rem = dict(self.coeffs)
         out = {}
         lead_inv = pow(other.coeffs[v_other], -1, self.q)
@@ -199,7 +208,7 @@ class LaurentScalar:
                 rem[k] = (rem.get(k, 0) - c * oc) % self.q
                 if rem[k] == 0:
                     del rem[k]
-        return LaurentScalar(self.q, out)
+        return _new(self.q, out, math.inf)
 
     def truncate(self, prec):
         return LaurentScalar(self.q, self.coeffs, min(self.prec, prec))
@@ -207,8 +216,7 @@ class LaurentScalar:
     def shift(self, n):
         """Multiply by e^n (exactly)."""
         prec = self.prec if self.prec is math.inf else self.prec + n
-        return LaurentScalar(self.q, {e + n: c for e, c in self.coeffs.items()},
-                             prec)
+        return _new(self.q, {e + n: c for e, c in self.coeffs.items()}, prec)
 
     def __eq__(self, other):
         """Equality on the common known window; raises if the values
@@ -278,12 +286,10 @@ def parse_scalar(text, q, prec=math.inf):
 # -- 2x2 matrices ------------------------------------------------------
 
 def mat_mul(A, B):
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(2)),
-                LaurentScalar.zero(A[0][0].q))
-            for j in range(2))
-        for i in range(2))
+    (a, b), (c, d) = A
+    (w, x), (y, z) = B
+    return ((a * w + b * y, a * x + b * z),
+            (c * w + d * y, c * x + d * z))
 
 
 def mat_det(M):

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedLabelError,
 )
-from .laurent import LaurentScalar
+from .laurent import LaurentScalar, is_prime
 
 
 def _val_ge(x, bound):
@@ -411,16 +411,15 @@ def steinberg_value(q):
 
 
 def _is_prime_power(q):
+    """True iff q = p^k for a prime p and k >= 1."""
     if q < 2:
         return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+    if is_prime(q):
+        return True
+    p = next(d for d in range(2, q) if q % d == 0)  # least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def almost_char_44(q):

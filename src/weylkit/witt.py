@@ -5,13 +5,15 @@ per (p, m) by ghost-component lifting over the integers: with
 w_n = sum_i p^i X_i^(p^(n-i)), the n-th structure polynomial is
 (w_n(result of the ghost operation) minus the lower contributions)
 divided exactly by p^n.  Evaluating them modulo p gives the ring
-W_m(F_p), which is checked elsewhere against the Z/p^m oracle.
+W_m(F_p), which is checked elsewhere against the Z/p^m oracle.  For
+evaluation each polynomial is compiled once per (p, m) into a list of
+terms with coefficients reduced mod p.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedRegimeError
-from .laurent import _check_prime
+from .laurent import is_prime
 
 
 # -- integer multivariate polynomials ({exponent tuple: coeff}) --------
@@ -64,12 +66,19 @@ def _p_divide_exact(a, c):
 
 
 _struct_cache = {}
+_compiled_cache = {}
+
+
+def _require_prime(p):
+    if not is_prime(p):
+        raise UnsupportedRegimeError(f"{p} is not prime; only prime base"
+                                     " fields are supported")
 
 
 def structure_polynomials(p, m):
     """(sum polynomials, product polynomials) in 2m variables
     x_0..x_{m-1}, y_0..y_{m-1}, one polynomial per component."""
-    _check_prime(p)
+    _require_prime(p)
     key = (p, m)
     if key in _struct_cache:
         return _struct_cache[key]
@@ -109,6 +118,40 @@ def _eval_mod(poly, values, p):
     return total
 
 
+def _compile(poly, p):
+    """A structure polynomial as a list of (coeff mod p, ((variable,
+    exponent), ...)) terms with nonzero exponents only; terms whose
+    coefficient is 0 mod p are dropped."""
+    terms = []
+    for exps, coeff in poly.items():
+        coeff %= p
+        if coeff:
+            terms.append((coeff, tuple((i, e) for i, e in enumerate(exps)
+                                       if e)))
+    return terms
+
+
+def _compiled_structure(p, m):
+    """(sum terms, product terms): structure_polynomials(p, m) compiled
+    for evaluation over F_p."""
+    key = (p, m)
+    if key not in _compiled_cache:
+        sums, prods = structure_polynomials(p, m)
+        _compiled_cache[key] = (tuple(_compile(s, p) for s in sums),
+                                tuple(_compile(s, p) for s in prods))
+    return _compiled_cache[key]
+
+
+def _eval_terms(terms, values, p):
+    """_eval_mod of a compiled polynomial."""
+    total = 0
+    for coeff, factors in terms:
+        for i, e in factors:
+            coeff = coeff * pow(values[i], e, p) % p
+        total += coeff
+    return total % p
+
+
 @dataclass(frozen=True)
 class WittScalar:
     p: int
@@ -116,7 +159,7 @@ class WittScalar:
     components: tuple
 
     def __post_init__(self):
-        _check_prime(self.p)
+        _require_prime(self.p)
         if len(self.components) != self.m:
             raise PreconditionError("wrong number of components")
         if any(not (0 <= c < self.p) for c in self.components):
@@ -129,20 +172,29 @@ class WittScalar:
 
     def __add__(self, other):
         self._compat(other)
-        sums, _ = structure_polynomials(self.p, self.m)
+        sums, _ = _compiled_structure(self.p, self.m)
         values = self.components + other.components
-        return WittScalar(self.p, self.m,
-                          tuple(_eval_mod(s, values, self.p) for s in sums))
+        return _new(self.p, self.m,
+                    tuple(_eval_terms(s, values, self.p) for s in sums))
 
     def __mul__(self, other):
         self._compat(other)
-        _, prods = structure_polynomials(self.p, self.m)
+        _, prods = _compiled_structure(self.p, self.m)
         values = self.components + other.components
-        return WittScalar(self.p, self.m,
-                          tuple(_eval_mod(s, values, self.p) for s in prods))
+        return _new(self.p, self.m,
+                    tuple(_eval_terms(s, values, self.p) for s in prods))
 
     def render(self):
         return "(" + ",".join(str(c) for c in self.components) + ")"
+
+
+def _new(p, m, components):
+    """A WittScalar for a validated (p, m) from components in [0, p)."""
+    w = object.__new__(WittScalar)
+    object.__setattr__(w, "p", p)
+    object.__setattr__(w, "m", m)
+    object.__setattr__(w, "components", components)
+    return w
 
 
 def witt_zero(p, m):
@@ -171,9 +223,13 @@ def parse_witt(text, p, m):
 
 def oracle_check(p, m):
     """Exhaustively verify W_m(F_p) is isomorphic to Z/p^m as a ring,
-    via k -> from_integer(k).  Returns True or raises."""
+    via k -> from_integer(k), built as image(k) = image(k-1) + 1.
+    Returns True or raises."""
     order = p ** m
-    images = [from_integer(k, p, m) for k in range(order)]
+    one = witt_one(p, m)
+    images = [witt_zero(p, m)]
+    for _ in range(order - 1):
+        images.append(images[-1] + one)
     if len({w.components for w in images}) != order:
         raise PreconditionError("integer images are not distinct")
     lookup = {w.components: k for k, w in enumerate(images)}

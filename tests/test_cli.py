@@ -202,6 +202,35 @@ def test_out_file_written(tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("command", ["weyl", "cells", "reps"])
+@pytest.mark.parametrize("label", ["Z9", "A99"])
+def test_bad_type_label_is_a_usage_error(command, label):
+    code, out, err = run_cli([command, "--type", label])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite coxeter\nout {tmp_path / 'missing' / 'x.tsv'}\n")
+    code, out, err = run_cli(["--config", str(cfg), "verify"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write report to ")
+    assert err.count("\n") == 1
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path):
+    code, out, err = run_cli(["--config", str(tmp_path / "absent.cfg"),
+                              "verify"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot read config ")
+    assert err.count("\n") == 1
+
+
 def test_registry_covers_all_suites():
     assert set(checks.SUITES) == {c.suite for c in checks.REGISTRY}
     ids = [c.check_id for c in checks.REGISTRY]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from weylkit.cyclotomic import Cyc, cyclotomic_polynomial
+from weylkit.cyclotomic import Cyc, _poly_divmod, _reduce, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials():
@@ -79,3 +79,33 @@ def test_conjugation_is_a_ring_map(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.conjugate().conjugate() == a
+
+
+_coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+
+
+@given(st.integers(1, 24), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_reduce_matches_division_by_phi(m, data):
+    coeffs = data.draw(st.lists(_coefficients, max_size=2 * m))
+    phi = cyclotomic_polynomial(m)
+    _, rem = _poly_divmod(coeffs, phi)
+    deg = len(phi) - 1
+    assert _reduce(coeffs, m) == tuple(rem) + (0,) * (deg - len(rem))
+
+
+def test_coefficients_stay_integers_without_division():
+    z = Cyc.zeta(12, 5) * Cyc.zeta(8, 3) + Cyc.zeta(5).conjugate()
+    assert all(type(c) is int for c in z.coeffs)
+    assert all(type(c) is int for c in Cyc.rational(Fraction(4, 2)).coeffs)
+    assert (z / 3).coeffs == tuple(Fraction(c, 3) for c in z.coeffs)
+
+
+@given(_coefficients)
+def test_to_fraction_returns_a_fraction(x):
+    value = (Cyc.rational(x) * Cyc.zeta(4) * Cyc.zeta(4)).to_fraction()
+    assert type(value) is Fraction
+    assert value == -x

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import laurent
-from weylkit.errors import IndeterminateError
+from weylkit.errors import IndeterminateError, UnsupportedRegimeError
 from weylkit.laurent import LaurentScalar
 
 
@@ -116,3 +116,66 @@ def test_pessimistic_multiplication_precision():
     b = laurent.parse_scalar("1+e", 3, prec=4)  # valuation 0, precision 4
     c = a * b
     assert c.prec == min(1 + 4, 0 + 5)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 500
+    sieve = [False, False] + [True] * (limit - 2)
+    for k in range(2, limit):
+        if sieve[k]:
+            for j in range(k * k, limit, k):
+                sieve[j] = False
+    assert [k for k in range(-3, limit) if laurent.is_prime(k)] == \
+        [k for k in range(limit) if sieve[k]]
+
+
+def test_non_prime_field_is_rejected():
+    with pytest.raises(UnsupportedRegimeError):
+        LaurentScalar(4, {0: 1})
+
+
+@st.composite
+def _windowed(draw):
+    """(q, a, b) with operands at exact or finite precision."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    def one():
+        prec = draw(st.one_of(st.just(math.inf), st.integers(-2, 6)))
+        coeffs = draw(st.dictionaries(st.integers(-4, 8),
+                                      st.integers(-10, 10), max_size=5))
+        return LaurentScalar(q, coeffs, prec)
+    return q, one(), one()
+
+
+def _assert_canonical(x, q, coeffs, prec):
+    """x holds exactly the reduced data of coeffs at prec, like a fresh
+    LaurentScalar, with no zero or out-of-window coefficient."""
+    fresh = LaurentScalar(q, coeffs, prec)
+    assert x.q == q
+    assert x.prec == prec
+    assert x.coeffs == fresh.coeffs
+    assert all(0 < c < q and e < prec for e, c in x.coeffs.items())
+
+
+@given(_windowed(), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_results_match_fresh_scalars(operands, n):
+    q, a, b = operands
+    total = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        total[e] = total.get(e, 0) + c
+    _assert_canonical(a + b, q, total, min(a.prec, b.prec))
+    _assert_canonical(-a, q, {e: -c for e, c in a.coeffs.items()}, a.prec)
+    _assert_canonical(a.shift(n), q, {e + n: c for e, c in a.coeffs.items()},
+                      a.prec if a.is_exact() else a.prec + n)
+    product = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    prec = math.inf
+    if a.coeffs or not a.is_exact():
+        if b.coeffs or not b.is_exact():
+            if not b.is_exact():
+                prec = a.val_lower_bound() + b.prec
+            if not a.is_exact():
+                prec = min(prec, b.val_lower_bound() + a.prec)
+    _assert_canonical(a * b, q, product, prec)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,3 +76,30 @@ def test_random_triples_against_integer_oracle(a, b, c):
     assert wa + wb == witt.from_integer(a + b, p, m)
     assert wa * wb == witt.from_integer(a * b, p, m)
     assert wa * (wb + wc) == witt.from_integer(a * (b + c), p, m)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_compiled_structure_matches_eval_mod_on_every_input(p, m):
+    polys = witt.structure_polynomials(p, m)
+    compiled = witt._compiled_structure(p, m)
+    for values in itertools.product(range(p), repeat=2 * m):
+        for poly_list, term_list in zip(polys, compiled):
+            for poly, terms in zip(poly_list, term_list):
+                assert witt._eval_terms(terms, values, p) == \
+                    witt._eval_mod(poly, values, p)
+
+
+def test_compiled_terms_are_reduced():
+    for p, m in ((3, 2), (5, 2), (3, 3)):
+        for term_list in witt._compiled_structure(p, m):
+            for terms in term_list:
+                for coeff, factors in terms:
+                    assert 0 < coeff < p
+                    assert all(e > 0 for _, e in factors)
+
+
+def test_non_prime_field_is_rejected():
+    with pytest.raises(UnsupportedRegimeError):
+        witt.WittScalar(4, 1, (1,))
+    with pytest.raises(UnsupportedRegimeError):
+        witt.structure_polynomials(9, 2)
