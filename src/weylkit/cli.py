@@ -128,6 +128,18 @@ def _datum(label):
         raise ConfigError(str(exc))
 
 
+def _nodes(datum, text):
+    """The --j node subset: integer node indices 0..n of the datum."""
+    try:
+        J = tuple(int(x) for x in text.split())
+    except ValueError:
+        raise ConfigError(f"--j needs integer node indices, got {text!r}")
+    for j in J:
+        if not 0 <= j <= datum.n:
+            raise ConfigError(f"--j node {j} is out of range 0..{datum.n}")
+    return J
+
+
 def _cmd_verify(args, config, out):
     suites = tuple(args.suite) if args.suite else config.suites
     rows = checks.run_checks(config, suites=suites)
@@ -137,7 +149,7 @@ def _cmd_verify(args, config, out):
 
 def _cmd_weyl(args, config, out):
     datum = _datum(args.type)
-    J = tuple(int(x) for x in args.j.split()) if args.j else ()
+    J = _nodes(datum, args.j)
     matrix = weyl.quotient_coxeter_matrix(datum, J, order_cap=config.order_cap)
     result = weyl.min_coset_generators(datum, J)
     rows = [("coxeter_row", i,
@@ -153,7 +165,7 @@ def _cmd_weyl(args, config, out):
 
 def _cmd_cells(args, config, out):
     datum = _datum(args.type)
-    J = tuple(int(x) for x in args.j.split()) if args.j else ()
+    J = _nodes(datum, args.j)
     grid = alcove.sample_grid(datum, J, config.denominator)
     rows = []
     for d in grid:
@@ -171,7 +183,7 @@ def _cmd_cells(args, config, out):
 
 def _cmd_reps(args, config, out):
     datum = _datum(args.type)
-    J = tuple(int(x) for x in args.j.split()) if args.j else ()
+    J = _nodes(datum, args.j)
     geo = alcove.geometry(datum, J)
     rows = []
     for d in alcove.sample_grid(datum, J, config.denominator):

@@ -142,80 +142,66 @@ def _strip_shift(M, m):
 
 # -- coset enumeration -------------------------------------------------
 
-def _gen_matrices(q):
-    one = LaurentScalar.one(q)
-    zero = LaurentScalar.zero(q)
-    eminus = LaurentScalar.eps(q, -1)
-    e1 = LaurentScalar.eps(q, 1)
-    n1 = ((zero, one), ((-one), zero))
-    n0 = ((zero, eminus), ((-e1), zero))
-    tau = ((zero, one), (e1, zero))
-    return n0, n1, tau
-
-
-def _unipotent(q, letter, value):
-    one = LaurentScalar.one(q)
-    zero = LaurentScalar.zero(q)
-    c = LaurentScalar.const(q, value)
-    if letter == 1:
-        return ((one, c), (zero, one))
-    return ((one, zero), (c.shift(1), one))
-
-
 def _exact_inverse(M):
     """Inverse of a matrix whose determinant is a monomial times a unit
-    constant (true for every enumerated representative)."""
+    constant."""
     det = laurent.mat_det(M)
     adj = ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
     return tuple(tuple(x / det for x in row) for row in adj)
 
 
-_cell_cache = {}
+def _step_conjugate(C, letter, t):
+    """s^-1 C s for one edge s = u_letter(t) n_letter of the word tree:
+    s = [[-t, 1], [-1, 0]] for letter 1 and [[0, e^-1], [-e, t]] for
+    letter 0, both of determinant 1, so only shifts, negation, addition
+    and scaling by the integer t appear."""
+    (a, b), (c, d) = C
+    if letter == 1:
+        tc = c * t
+        a1 = a - tc
+        d1 = d + tc
+        b1 = b + (a1 - d) * t
+        return ((d1, -c), (-b1, a1))
+    teb = (b * t).shift(1)
+    a1 = a + teb
+    d1 = d - teb
+    c1 = c + ((d1 - a) * t).shift(1)
+    return ((d1, -c1.shift(-2)), (-b.shift(2), a1))
 
 
-def _coset_level(q, length):
-    """Representatives of distinct cosets x I1 coming from words of the
-    given length, as (x, x^-1) pairs.  Each length-l word in the two
-    alternating letters contributes q^l representatives, each doubled by
-    the normalizing element tau.  Levels are built lazily and cached."""
-    state = _cell_cache.setdefault(
-        q, {"levels": [], "frontier": [(None, laurent.identity_matrix(q))]})
-    n0, n1, tau = _gen_matrices(q)
-    n_of = {0: n0, 1: n1}
-    while len(state["levels"]) <= length:
-        reps = []
-        for _, mat in state["frontier"]:
-            reps.append((mat, _exact_inverse(mat)))
-            with_tau = laurent.mat_mul(mat, tau)
-            reps.append((with_tau, _exact_inverse(with_tau)))
-        state["levels"].append(reps)
-        new_frontier = []
-        for last, mat in state["frontier"]:
-            for letter in (0, 1):
-                if letter == last:
-                    continue
-                for value in range(q):
-                    step = laurent.mat_mul(_unipotent(q, letter, value),
-                                           n_of[letter])
-                    new_frontier.append((letter, laurent.mat_mul(mat, step)))
-        state["frontier"] = new_frontier
-    return state["levels"][length]
+def _tau_conjugate(C):
+    """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]]."""
+    (a, b), (c, d) = C
+    return ((d, c.shift(-1)), (b.shift(1), a))
+
+
+def conjugate_levels(g):
+    """Yield, for word lengths 0, 1, 2, ..., the conjugates x^-1 g x over
+    that level's coset representatives x I1.  Each length-l word in the
+    two alternating letters contributes q^l representatives, each doubled
+    by tau; the walk carries x^-1 g x down the word tree, never x."""
+    q = g[0][0].q
+    frontier = [(None, g)]
+    while True:
+        yield [m for _, conj in frontier
+               for m in (conj, _tau_conjugate(conj))]
+        frontier = [(letter, _step_conjugate(conj, letter, t))
+                    for last, conj in frontier
+                    for letter in (0, 1) if letter != last
+                    for t in range(q)]
 
 
 def fixed_point_count(g, prec=6, max_length=8):
     """Number of cosets x I1 with x^-1 g x in I2, enumerated over
     truncated Bruhat-cell representatives.  Stabilization is declared
-    when the counts at word-length bounds L and L+2 agree."""
+    when the counts at word-length bounds L and L+2 agree.  The walk is
+    exact on g's own precision; `prec` is accepted and unused."""
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
-    q = g[0][0].q
     cumulative = []
     running = 0
-    for length in range(max_length + 1):
-        for x, x_inv in _coset_level(q, length):
-            conj = laurent.mat_mul(x_inv, laurent.mat_mul(g, x))
-            if iwahori_class(conj) == "I2":
-                running += 1
+    for _, level in zip(range(max_length + 1), conjugate_levels(g)):
+        running += sum(iwahori_class(conj) == "I2" for conj in level)
         cumulative.append(running)
         n = len(cumulative)
         if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:

@@ -212,6 +212,28 @@ def test_bad_type_label_is_a_usage_error(command, label):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["weyl", "cells", "reps"])
+def test_non_integer_node_is_a_usage_error(command):
+    code, out, err = run_cli([command, "--j", "x"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --j needs integer node indices, got 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--type", "C2", "--j", "7"],
+    ["weyl", "--type", "C2", "--j", "1 -1"],
+    ["cells", "--type", "A1", "--j", "5"],
+    ["reps", "--type", "A1", "--j", "2"],
+])
+def test_out_of_range_node_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --j node ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"suite coxeter\nout {tmp_path / 'missing' / 'x.tsv'}\n")

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from weylkit import laurent, pgl2
-from weylkit.errors import PreconditionError
+from weylkit.errors import IndeterminateError, PreconditionError
+from weylkit.laurent import LaurentScalar
 
 
 def test_iwahori_classes_of_standard_elements():
@@ -73,6 +75,128 @@ def test_fixed_point_count_stable_under_conjugation():
         for _ in range(5):
             h = pgl2.random_i1(q, rng)
             assert pgl2.fixed_point_count(pgl2.conjugate_exact(g, h)) == 2
+
+
+# -- an independent route to the coset conjugates ------------------------
+# Build every representative x from its word as an explicit product of
+# u_letter(t) n_letter factors (and tau), invert it through the adjugate
+# and the determinant, and conjugate g with two general products.
+
+def _words(q, length):
+    """Words of the given length in alternating letters, each letter
+    carrying a value t in range(q)."""
+    if length == 0:
+        return [()]
+    return [tuple(zip([(first + k) % 2 for k in range(length)], values))
+            for first in (0, 1)
+            for values in itertools.product(range(q), repeat=length)]
+
+
+def _word_matrix(q, word):
+    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    e = LaurentScalar.eps(q, 1)
+    x = laurent.identity_matrix(q)
+    for letter, t in word:
+        c = LaurentScalar.const(q, t)
+        if letter == 1:
+            u = ((one, c), (zero, one))
+            n = ((zero, one), (-one, zero))
+        else:
+            u = ((one, zero), (c * e, one))
+            n = ((zero, LaurentScalar.eps(q, -1)), (-e, zero))
+        x = laurent.mat_mul(x, laurent.mat_mul(u, n))
+    return x
+
+
+def _reference_level(g, length):
+    q = g[0][0].q
+    tau = ((LaurentScalar.zero(q), LaurentScalar.one(q)),
+           (LaurentScalar.eps(q, 1), LaurentScalar.zero(q)))
+    out = []
+    for word in _words(q, length):
+        x = _word_matrix(q, word)
+        for rep in (x, laurent.mat_mul(x, tau)):
+            det = laurent.mat_det(rep)
+            inv = ((rep[1][1] / det, -rep[0][1] / det),
+                   (-rep[1][0] / det, rep[0][0] / det))
+            out.append(laurent.mat_mul(inv, laurent.mat_mul(g, rep)))
+    return out
+
+
+def _reference_count(g, max_length=8):
+    if pgl2.iwahori_class(g) != "I2":
+        raise PreconditionError("not in the odd Iwahori coset")
+    cumulative = [0]
+    for length in range(max_length + 1):
+        cumulative.append(cumulative[-1] + sum(
+            pgl2.iwahori_class(m) == "I2" for m in _reference_level(g, length)))
+        if len(cumulative) >= 4 and cumulative[-3] == cumulative[-1]:
+            return cumulative[-1]
+    raise IndeterminateError("no stabilization", partial=cumulative[-1])
+
+
+def _key(M):
+    return tuple((tuple(sorted(x.coeffs.items())), x.prec)
+                 for row in M for x in row)
+
+
+def _truncated(g, prec):
+    return tuple(tuple(x.truncate(prec) for x in row) for row in g)
+
+
+def test_walk_levels_match_explicit_words():
+    for q in (2, 3, 5):
+        rng = random.Random(29 + q)
+        for _ in range(3):
+            g = pgl2.random_i2(q, rng)
+            for source in (g, _truncated(g, 5)):
+                levels = pgl2.conjugate_levels(source)
+                for length in range(4):
+                    walked = sorted(_key(m) for m in next(levels))
+                    assert len(walked) == 2 * len(_words(q, length))
+                    assert walked == sorted(
+                        _key(m) for m in _reference_level(source, length))
+
+
+def test_walk_cumulative_counts_per_level():
+    def cumulative(g, cls, levels):
+        counts, running = [], 0
+        for _, level in zip(range(levels), pgl2.conjugate_levels(g)):
+            running += sum(pgl2.iwahori_class(m) == cls for m in level)
+            counts.append(running)
+        return counts
+
+    rng = random.Random(31)
+    for q in (2, 3, 5):
+        assert cumulative(pgl2.random_i2(q, rng), "I2", 4) == [2, 2, 2, 2]
+    # a unipotent element of I1 fixes cosets at every level
+    for q, want in ((2, [2, 6, 10, 18]), (3, [2, 8, 14, 32]),
+                    (5, [2, 12, 22, 72])):
+        for text in ("1,1;0,1", "1,0;e,1"):
+            g = laurent.parse_matrix(text, q)
+            assert cumulative(g, "I1", 4) == want
+    assert cumulative(laurent.parse_matrix("1+e,1;e2,1", 3), "I1", 4) \
+        == [2, 8, 8, 8]
+
+
+def test_fixed_point_count_matches_explicit_words_under_truncation():
+    def outcome(count, g):
+        try:
+            return count(g)
+        except (IndeterminateError, PreconditionError) as exc:
+            return type(exc)
+
+    seen = set()
+    for q in (2, 3, 5):
+        rng = random.Random(37 + q)
+        for _ in range(4):
+            g = pgl2.random_i2(q, rng, degree=12)
+            for prec in range(3, 13):
+                source = _truncated(g, prec)
+                got = outcome(pgl2.fixed_point_count, source)
+                assert got == outcome(_reference_count, source)
+                seen.add(got)
+    assert seen == {2, IndeterminateError}
 
 
 def test_regular_window_module_traces():
