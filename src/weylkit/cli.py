@@ -30,15 +30,13 @@ class SuiteConfig:
     p: int = 3
     n: int = 1
     prec: int = 8
-    window: int = 6
     denominator: int = 6
     order_cap: int = 24
     out: str = ""
-    format: str = "tsv"
 
 
-_INT_KEYS = {"q", "p", "n", "prec", "window", "denominator", "order_cap"}
-_STR_KEYS = {"out", "format"}
+_INT_KEYS = {"q", "p", "n", "prec", "denominator", "order_cap"}
+_STR_KEYS = {"out"}
 
 
 def parse_config(text):
@@ -79,10 +77,8 @@ def parse_config(text):
 def _validate(config):
     if not pgl2._is_prime_power(config.q):
         raise ConfigError(f"q={config.q} is not a prime power")
-    if config.prec < 1 or config.window < 1 or config.denominator < 1:
+    if config.prec < 1 or config.denominator < 1:
         raise ConfigError("budgets must be positive")
-    if config.format not in ("tsv", "text"):
-        raise ConfigError(f"unknown format {config.format!r}")
 
 
 def render_config(config):
@@ -137,6 +133,18 @@ def _nodes(datum, text):
     for j in J:
         if not 0 <= j <= datum.n:
             raise ConfigError(f"--j node {j} is out of range 0..{datum.n}")
+    if len(set(J)) > datum.n:
+        raise ConfigError(f"--j must be a proper node subset, got {text!r}")
+    return J
+
+
+def _grid_nodes(datum, text):
+    """The --j node subset for the grid commands: alcove.sample_grid
+    needs exactly two nodes outside J."""
+    J = _nodes(datum, text)
+    if datum.n + 1 - len(set(J)) != 2:
+        raise ConfigError("grid sampling needs exactly two nodes outside"
+                          f" --j (a rank-1 configuration), got {text!r}")
     return J
 
 
@@ -165,7 +173,7 @@ def _cmd_weyl(args, config, out):
 
 def _cmd_cells(args, config, out):
     datum = _datum(args.type)
-    J = _nodes(datum, args.j)
+    J = _grid_nodes(datum, args.j)
     grid = alcove.sample_grid(datum, J, config.denominator)
     rows = []
     for d in grid:
@@ -183,7 +191,7 @@ def _cmd_cells(args, config, out):
 
 def _cmd_reps(args, config, out):
     datum = _datum(args.type)
-    J = _nodes(datum, args.j)
+    J = _grid_nodes(datum, args.j)
     geo = alcove.geometry(datum, J)
     rows = []
     for d in alcove.sample_grid(datum, J, config.denominator):

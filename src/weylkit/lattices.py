@@ -13,12 +13,17 @@ p^(2n) times the identity.  The quotient Z = L / p^n L_0 is Lam modulo
 p^(2n); the deeper quotient Z_1 is Lam modulo p^(3n).
 
 The enumeration is integer-only.  Candidates are upper-triangular Hermite
-bases with p-power diagonal; membership of a vector in such a lattice
-(the containment of p^(2n) Z^3, and [u, v] in p^n Lam for bracket
-closure) is one integer back-substitution, and the dual `sharp` uses the
-integer cofactors and determinant of B GRAM.  Both routes to the points,
-the isotropic one and the direct self-dual one, read a single pass over
-the candidates, each of which is tested by both predicates.
+bases with p-power diagonal; only off-diagonal entries that satisfy the
+congruences for containing p^(2n) Z^3 are ever formed, and `budget`
+bounds how many.  Membership of a vector in such a lattice ([u, v] in
+p^n Lam for bracket closure) is one integer back-substitution, d is read
+from the Hermite diagonal, and the dual `sharp` is a triangular
+back-substitution followed by a Hermite form modulo p^(2n).  Both routes
+to the points, the isotropic one and the direct self-dual one, read a
+single pass over the candidates, each of which is tested by both
+predicates.  At (p, n) = (3, 1) the pass sees 445 candidates and at
+(3, 2) 67,969, which run in seconds; (5, 2) has 2,890,693 and stops at
+the default budget of 200,000.
 """
 
 import itertools
@@ -105,35 +110,64 @@ class LatticeSubmodule:
     def modulus(self):
         return self.p ** (2 * self.n)
 
-    def smith_exponents(self):
-        diag = linalg.snf_diag(self.basis)
-        out = []
-        for d in diag:
-            k = 0
-            d = abs(d)
-            while d % self.p == 0:
-                d //= self.p
-                k += 1
-            if d != 1:
-                raise StructuralError("index has a factor prime to p")
-            out.append(k)
-        return tuple(out)
-
 
 def canonical(p, n, rows):
-    """Canonical basis of the lattice spanned by rows and p^(2n) Z^3."""
+    """Canonical basis of the lattice spanned by rows and p^(2n) Z^3.
+
+    Hermite normal form modulo D = p^(2n) (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4): the generators are the
+    rows reduced modulo D plus the implicit D e_c.  Column c starts its
+    pivot row at D e_c and folds in every generator with a nonzero entry
+    there by an extended-gcd step, a unimodular change of two generators,
+    so the spanned lattice never changes and entries past column c stay
+    reducible modulo D.  The pivots divide D; last, the entries above each
+    pivot are reduced into [0, pivot)."""
     scale = p ** (2 * n)
-    stack = [tuple(int(x) for x in row) for row in rows]
-    stack += [tuple(scale if i == j else 0 for j in range(RANK))
-              for i in range(RANK)]
-    h = linalg.hnf(tuple(stack))
-    return LatticeSubmodule(p=p, n=n, basis=h)
+    work = [[int(x) % scale for x in row] for row in rows]
+    basis = []
+    for c in range(RANK):
+        pivot = [0] * RANK
+        pivot[c] = scale
+        for row in work:
+            a = row[c]
+            if not a:
+                continue
+            top = pivot[c]
+            g = gcd(top, a)
+            # s * top + t * a = g, and (top/g, a/g) is the rest of a
+            # unimodular 2x2 transform.
+            u, v = top // g, a // g
+            t = pow(v, -1, u)
+            s = (g - t * a) // top
+            for k in range(c + 1, RANK):
+                pivot[k], row[k] = ((s * pivot[k] + t * row[k]) % scale,
+                                    (u * row[k] - v * pivot[k]) % scale)
+            pivot[c], row[c] = g, 0
+        basis.append(pivot)
+    for c in range(1, RANK):
+        for k in range(c):
+            q = basis[k][c] // basis[c][c]
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[c])]
+    return LatticeSubmodule(p=p, n=n, basis=tuple(map(tuple, basis)))
 
 
 def d_invariant(z):
     """d of the quotient Lam / p^(2n) Z^3: the co-exponent sum of the
-    Smith form."""
-    return sum(2 * z.n - k for k in z.smith_exponents())
+    Smith form.  The Smith exponents sum to log_p |det B|, as do the
+    exponents of the Hermite diagonal, which are read instead."""
+    d = 0
+    for i in range(RANK):
+        x = abs(z.basis[i][i])
+        if not x:
+            raise StructuralError("basis is not of full rank")
+        d += 2 * z.n
+        while x % z.p == 0:
+            x //= z.p
+            d -= 1
+        if x != 1:
+            raise StructuralError("index has a factor prime to p")
+    return d
 
 
 def is_self_dual_isotropic(z):
@@ -157,42 +191,42 @@ def is_lie_closed(z):
                for u in rows for v in rows for w in rows)
 
 
-def _cofactors(m):
-    """Cofactor matrix C and determinant of a 3x3 integer matrix, so
-    that m^-1 = transpose(C) / det."""
-    cof = tuple(
-        tuple(m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-              - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-              for j in range(3))
-        for i in range(3))
-    return cof, sum(m[0][j] * cof[0][j] for j in range(3))
+def _exact(num, den):
+    """num / den for a lattice that contains p^(2n) Z^3; a remainder means
+    it does not, and then its dual is not inside Z^3."""
+    q, r = divmod(num, den)
+    if r:
+        raise PreconditionError("dual lattice leaves the truncation window")
+    return q
 
 
 def sharp(z):
     """The dual submodule under the Killing pairing; an involution.
 
-    Row j of the dual is column j of p^(2n) (B GRAM)^-1, that is
-    p^(2n) times cofactor row j over the determinant.  Each entry must
-    have a denominator prime to p; it is reduced modulo p^(4n)."""
-    cof, det = _cofactors(linalg.mat_mul(z.basis, GRAM))
+    Row j of the dual is column j of p^(2n) (B GRAM)^-1, that is row j of
+    p^(2n) B^-T GRAM^-1.  B^-T is lower triangular and GRAM^-1 =
+    [[0,0,1/4],[0,1/8,0],[1/4,0,0]] reverses columns, so the dual rows
+    read bottom-up are upper triangular: with y_j = p^(2n) B^-1 e_j,
+    found by back-substitution, they are (y_2[2]/4, y_2[1]/8, y_2[0]/4),
+    (0, y_1[1]/8, y_1[0]/4) and (0, 0, y_0[0]/4).  The units 1/4 and 1/8
+    are reduced modulo p^(4n).  The basis is upper triangular with
+    p-power diagonal, as every canonical basis is; a back-substitution
+    that is not integral raises PreconditionError."""
+    (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
     scale = z.p ** (2 * z.n)
     mod = scale * scale
-    dual_rows = []
-    for cof_row in cof:
-        row = []
-        for c in cof_row:
-            num = scale * c
-            g = gcd(num, det)
-            num, den = num // g, det // g
-            if den < 0:
-                num, den = -num, -den
-            if den % z.p == 0:
-                raise PreconditionError(
-                    "dual lattice leaves the truncation window")
-            # reduce the prime-to-p denominator modulo p^(4n).
-            row.append((num % (scale * den)) * pow(den, -1, mod) % mod)
-        dual_rows.append(tuple(row))
-    return canonical(z.p, z.n, dual_rows)
+    quarter = pow(4, -1, mod)
+    eighth = pow(8, -1, mod)
+    y22 = _exact(scale, d2)
+    y21 = _exact(-x12 * y22, d1)
+    y20 = _exact(-x01 * y21 - x02 * y22, d0)
+    y11 = _exact(scale, d1)
+    y10 = _exact(-x01 * y11, d0)
+    y00 = _exact(scale, d0)
+    return canonical(z.p, z.n, (
+        (y22 * quarter % mod, y21 * eighth % mod, y20 * quarter % mod),
+        (0, y11 * eighth % mod, y10 * quarter % mod),
+        (0, 0, y00 * quarter % mod)))
 
 
 def _in_lattice(rows, v, mult=1):
@@ -211,30 +245,50 @@ def _in_lattice(rows, v, mult=1):
     return True
 
 
-def _hermite_candidates(p, n):
-    """All canonical upper-triangular candidate bases with p-power
-    diagonal, filtered for containing p^(2n) Z^3.  Off-diagonal entries
-    are reduced modulo the pivot below them, so every row set is already
-    in Hermite normal form."""
+def _hermite_candidates(p, n, budget=None):
+    """All upper-triangular Hermite bases B = [[d0, x01, x02], [0, d1,
+    x12], [0, 0, d2]] with p-power diagonal whose lattice contains
+    D Z^3, D = p^(2n): diagonal exponents outermost, then x01, x02 and
+    x12 ascending, each off-diagonal entry in [0, pivot below it).
+
+    Containment is the integrality of the back-substitution of D e_i
+    against B, three congruences (HNF modulo D, Cohen 2.4):
+      d1 | c0 x01 with c0 = D/d0,
+      d2 | (D/d1) x12,
+      d2 | c0 x02 + c1 x12 with c1 = -c0 x01/d1.
+    The first two make x01 and x12 run over the multiples of a step.  With
+    x12 = s12 y the third is A y = -c0 x02 mod d2, A = c1 s12, which is
+    solvable exactly when g = gcd(A, d2) divides c0 x02, and then its
+    solutions y form one class modulo d2/g.  Only these tuples are formed;
+    more than `budget` of them raises BudgetError."""
     scale = p ** (2 * n)
-    targets = tuple(tuple(scale * x for x in row)
-                    for row in linalg.identity_mat(RANK))
+    formed = 0
     for a in itertools.product(range(2 * n + 1), repeat=RANK):
-        diag = [p ** e for e in a]
-        # column j is (entries above the pivot) + pivot + zeros
-        below = [(diag[j],) + (0,) * (RANK - 1 - j) for j in range(RANK)]
-        for above in itertools.product(*(
-                itertools.product(range(diag[j]), repeat=j)
-                for j in range(RANK))):
-            rows = tuple(zip(*(x + y for x, y in zip(above, below))))
-            if all(_in_lattice(rows, t) for t in targets):
-                yield rows
+        d0, d1, d2 = (p ** e for e in a)
+        row2 = (0, 0, d2)
+        c0 = scale // d0
+        s01 = d1 // gcd(c0, d1)
+        s12 = d2 // gcd(scale // d1, d2)
+        for x01 in range(0, d1, s01):
+            c1 = -c0 * x01 // d1
+            g = gcd(c1 * s12, d2)
+            period = d2 // g
+            inverse = pow(c1 * s12 // g, -1, period)
+            for x02 in range(0, d2, g // gcd(g, c0)):
+                row0 = (d0, x01, x02)
+                y0 = -c0 * x02 // g * inverse % period
+                x12s = range(s12 * y0, d2, s12 * period)
+                formed += len(x12s)
+                if budget is not None and formed > budget:
+                    raise BudgetError("lattice enumeration budget exceeded")
+                for x12 in x12s:
+                    yield row0, (0, d1, x12), row2
 
 
-def candidates(p, n):
+def candidates(p, n, budget=None):
     """Every lattice p^(2n) Z^3 <= Lam <= Z^3, one submodule per
     canonical basis."""
-    for rows in _hermite_candidates(p, n):
+    for rows in _hermite_candidates(p, n, budget):
         yield LatticeSubmodule(p=p, n=n, basis=rows)
 
 
@@ -244,9 +298,7 @@ def _scan(p, n, budget):
     check_datum(p)
     isotropic = []
     self_dual = []
-    for count, z in enumerate(candidates(p, n), start=1):
-        if count > budget:
-            raise BudgetError("lattice enumeration budget exceeded")
+    for z in candidates(p, n, budget):
         if is_self_dual_isotropic(z):
             isotropic.append(z)
         try:

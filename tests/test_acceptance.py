@@ -6,6 +6,8 @@ import pytest
 from weylkit import checks, lattices, pgl2
 from weylkit.cli import SuiteConfig
 
+from test_lattices import _sharp_by_cofactors
+
 CONFIG = SuiteConfig()
 
 _BY_ID = {c.check_id: c for c in checks.REGISTRY}
@@ -33,6 +35,18 @@ def test_c10_d_duality_fails_for_a_wrong_dual(monkeypatch):
     rows = checks.run_checks(CONFIG, suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL", "d-duality failed")]
+
+
+def test_c10_fails_for_a_dual_with_swapped_units(monkeypatch):
+    # GRAM^-1 with 1/4 and 1/8 swapped: the dual keeps its Hermite
+    # diagonal, so d-duality would hold, but its fixed points move
+    swapped = ((0, 0, 8), (0, 4, 0), (8, 0, 0))
+    monkeypatch.setattr(lattices, "sharp",
+                        lambda z: _sharp_by_cofactors(z, swapped))
+    rows = checks.run_checks(CONFIG, suites=("witt",))
+    assert [r for r in rows if r[0] == "C10"] == [
+        ("C10", "lattice-bijections", "FAIL",
+         "the two enumeration routes disagree")]
 
 
 @pytest.mark.parametrize("result", [(True, 1), (False, 0)])

@@ -234,6 +234,34 @@ def test_out_of_range_node_is_a_usage_error(argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cells", "--type", "A1", "--j", "0"], "grid sampling needs"),
+    (["reps", "--type", "A1", "--j", "1"], "grid sampling needs"),
+    (["cells", "--type", "C2"], "grid sampling needs"),
+    (["weyl", "--type", "C2", "--j", "0 1 2"],
+     "--j must be a proper node subset"),
+    (["cells", "--type", "A1", "--j", "0 1"],
+     "--j must be a proper node subset"),
+])
+def test_unusable_node_subset_is_a_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: " + message)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["window 6", "format tsv"])
+def test_removed_config_keys_are_unknown(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite coxeter\n{line}\n")
+    code, out, err = run_cli(["--config", str(cfg), "verify"])
+    assert code == 2
+    assert out == ""
+    key = line.split()[0]
+    assert err == f"usage error: unknown key {key!r} (line 2)\n"
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"suite coxeter\nout {tmp_path / 'missing' / 'x.tsv'}\n")

@@ -1,8 +1,11 @@
+import itertools
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import lattices, linalg
-from weylkit.errors import PreconditionError
+from weylkit.errors import BudgetError, PreconditionError, StructuralError
 
 
 def test_datum_self_checks():
@@ -86,9 +89,128 @@ def test_counts_match_at_small_sizes():
         assert direct == expected
 
 
+def test_routes_agree_at_n2():
+    p, n = 3, 2
+    assert sum(1 for _ in lattices._hermite_candidates(p, n)) == 67969
+    points, direct = lattices.enumerate_X_n(p, n)
+    assert len(points) == direct == 17
+    # the radius-n ball of the (p+1)-regular Bruhat-Tits tree
+    assert len(points) == 1 + (p + 1) * (p ** n - 1) // (p - 1)
+
+
+def test_budget_bounds_the_candidates_formed():
+    assert sum(1 for _ in lattices._hermite_candidates(3, 1, budget=445)) == 445
+    with pytest.raises(BudgetError):
+        for _ in lattices._hermite_candidates(3, 1, budget=444):
+            pass
+    with pytest.raises(BudgetError):
+        lattices.enumerate_X_n(5, 2)
+
+
 def test_candidates_are_already_canonical():
     for rows in lattices._hermite_candidates(3, 1):
         assert lattices.canonical(3, 1, rows).basis == rows
+
+
+def _brute_candidates(p, n):
+    """Reference stream: every upper-triangular matrix with p-power
+    diagonal and off-diagonal entries below the pivot under them, in
+    product order, kept when it contains p^(2n) Z^3."""
+    scale = p ** (2 * n)
+    targets = [tuple(scale * (i == j) for j in range(3)) for i in range(3)]
+    for a in itertools.product(range(2 * n + 1), repeat=3):
+        d0, d1, d2 = (p ** e for e in a)
+        for x01, x02, x12 in itertools.product(range(d1), range(d2),
+                                               range(d2)):
+            rows = ((d0, x01, x02), (0, d1, x12), (0, 0, d2))
+            if all(lattices._in_lattice(rows, t) for t in targets):
+                yield rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_congruence_stream_matches_the_brute_stream(p):
+    assert list(lattices._hermite_candidates(p, 1)) == list(
+        _brute_candidates(p, 1))
+
+
+def _d_by_smith(z):
+    d = 0
+    for f in linalg.snf_diag(z.basis):
+        k = 0
+        while f % z.p == 0:
+            f //= z.p
+            k += 1
+        assert f == 1
+        d += 2 * z.n - k
+    return d
+
+
+def test_diagonal_d_matches_the_smith_form():
+    for p in (3, 5):
+        for z in lattices.candidates(p, 1):
+            assert lattices.d_invariant(z) == _d_by_smith(z)
+
+
+def test_d_rejects_an_index_prime_to_p():
+    z = lattices.LatticeSubmodule(p=3, n=1, basis=(
+        (2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(StructuralError):
+        lattices.d_invariant(z)
+
+
+def _hnf_canonical(p, n, rows):
+    scale = p ** (2 * n)
+    return linalg.hnf(tuple(rows) + tuple(
+        tuple(scale * (i == j) for j in range(3)) for i in range(3)))
+
+
+def _sharp_by_cofactors(z, gram=lattices.GRAM):
+    """Reference dual: columns of p^(2n) (B gram)^-1 from the general 3x3
+    cofactors, p-unit denominators reduced modulo p^(4n), canonicalised
+    by the general Hermite form."""
+    m = linalg.mat_mul(z.basis, gram)
+    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = sum(m[0][j] * cof[0][j] for j in range(3))
+    scale = z.p ** (2 * z.n)
+    mod = scale * scale
+    rows = []
+    for cof_row in cof:
+        row = []
+        for c in cof_row:
+            g = gcd(scale * c, det)
+            num, den = scale * c // g, det // g
+            if den < 0:
+                num, den = -num, -den
+            if den % z.p == 0:
+                raise PreconditionError("dual leaves the window")
+            row.append(num * pow(den, -1, mod) % mod)
+        rows.append(row)
+    return lattices.LatticeSubmodule(
+        p=z.p, n=z.n, basis=_hnf_canonical(z.p, z.n, rows))
+
+
+def test_triangular_sharp_matches_the_cofactor_route():
+    for p in (3, 5):
+        for z in lattices.candidates(p, 1):
+            assert lattices.sharp(z).basis == _sharp_by_cofactors(z).basis
+
+
+@st.composite
+def generator_sets(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(-3 * p ** 4, 3 * p ** 4)] * 3), max_size=5))
+    return p, n, rows
+
+
+@given(generator_sets())
+@settings(max_examples=300, deadline=None)
+def test_modular_canonical_matches_the_general_hnf(case):
+    p, n, rows = case
+    assert lattices.canonical(p, n, rows).basis == _hnf_canonical(p, n, rows)
 
 
 def _in_lattice_by_inverse(rows, v, mult):
