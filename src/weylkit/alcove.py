@@ -21,6 +21,7 @@ from .errors import (
     BudgetError,
     IncompleteLatticeError,
     LiftCheckError,
+    NodeSubsetError,
     PreconditionError,
     StructuralError,
     UnsupportedRegimeError,
@@ -373,7 +374,7 @@ def sample_grid(datum, J, max_denominator):
     """
     geo = geometry(datum, J)
     if len(geo.jcheck) != 2:
-        raise PreconditionError("grid sampling needs a rank-1 configuration")
+        raise NodeSubsetError("grid sampling needs a rank-1 configuration")
     ka, kb = geo.jcheck
     na, nb = datum.marks[ka], datum.marks[kb]
     points = []

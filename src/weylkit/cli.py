@@ -16,6 +16,7 @@ from . import alcove, checks, fourier, lattices, laurent, pgl2, reps, weyl, witt
 from .cartan import cartan_datum
 from .errors import (
     ConfigError,
+    NodeSubsetError,
     PreconditionError,
     UnsupportedLabelError,
     WeylkitError,
@@ -133,18 +134,6 @@ def _nodes(datum, text):
     for j in J:
         if not 0 <= j <= datum.n:
             raise ConfigError(f"--j node {j} is out of range 0..{datum.n}")
-    if len(set(J)) > datum.n:
-        raise ConfigError(f"--j must be a proper node subset, got {text!r}")
-    return J
-
-
-def _grid_nodes(datum, text):
-    """The --j node subset for the grid commands: alcove.sample_grid
-    needs exactly two nodes outside J."""
-    J = _nodes(datum, text)
-    if datum.n + 1 - len(set(J)) != 2:
-        raise ConfigError("grid sampling needs exactly two nodes outside"
-                          f" --j (a rank-1 configuration), got {text!r}")
     return J
 
 
@@ -173,7 +162,7 @@ def _cmd_weyl(args, config, out):
 
 def _cmd_cells(args, config, out):
     datum = _datum(args.type)
-    J = _grid_nodes(datum, args.j)
+    J = _nodes(datum, args.j)
     grid = alcove.sample_grid(datum, J, config.denominator)
     rows = []
     for d in grid:
@@ -191,7 +180,7 @@ def _cmd_cells(args, config, out):
 
 def _cmd_reps(args, config, out):
     datum = _datum(args.type)
-    J = _grid_nodes(datum, args.j)
+    J = _nodes(datum, args.j)
     geo = alcove.geometry(datum, J)
     rows = []
     for d in alcove.sample_grid(datum, J, config.denominator):
@@ -335,8 +324,10 @@ def main(argv=None):
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return args.func(args, config, sys.stdout)
-    except ConfigError as exc:
-        location = f" (line {exc.line})" if exc.line else ""
+    except (ConfigError, NodeSubsetError) as exc:
+        # NodeSubsetError: the library cannot use the --j node subset.
+        line = getattr(exc, "line", None)
+        location = f" (line {line})" if line else ""
         print(f"usage error: {exc}{location}", file=sys.stderr)
         return 2
     except WeylkitError as exc:

@@ -30,6 +30,10 @@ class PreconditionError(WeylkitError):
     pass
 
 
+class NodeSubsetError(PreconditionError):
+    """The node subset J is valid but not one the operation supports."""
+
+
 class StructuralError(WeylkitError):
     """Computed data falls outside the supported classification."""
 

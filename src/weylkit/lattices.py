@@ -15,7 +15,7 @@ p^(2n); the deeper quotient Z_1 is Lam modulo p^(3n).
 The enumeration is integer-only.  Candidates are upper-triangular Hermite
 bases with p-power diagonal; only off-diagonal entries that satisfy the
 congruences for containing p^(2n) Z^3 are ever formed, and `budget`
-bounds how many.  Membership of a vector in such a lattice ([u, v] in
+bounds how many are tested.  Membership of a vector in such a lattice ([u, v] in
 p^n Lam for bracket closure) is one integer back-substitution, d is read
 from the Hermite diagonal, and the dual `sharp` is a triangular
 back-substitution followed by a Hermite form modulo p^(2n).  Both routes
@@ -208,15 +208,14 @@ def sharp(z):
     [[0,0,1/4],[0,1/8,0],[1/4,0,0]] reverses columns, so the dual rows
     read bottom-up are upper triangular: with y_j = p^(2n) B^-1 e_j,
     found by back-substitution, they are (y_2[2]/4, y_2[1]/8, y_2[0]/4),
-    (0, y_1[1]/8, y_1[0]/4) and (0, 0, y_0[0]/4).  The units 1/4 and 1/8
-    are reduced modulo p^(4n).  The basis is upper triangular with
+    (0, y_1[1]/8, y_1[0]/4) and (0, 0, y_0[0]/4), with the units 1/4 and
+    1/8 taken modulo p^(2n).  The basis is upper triangular with
     p-power diagonal, as every canonical basis is; a back-substitution
     that is not integral raises PreconditionError."""
     (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
     scale = z.p ** (2 * z.n)
-    mod = scale * scale
-    quarter = pow(4, -1, mod)
-    eighth = pow(8, -1, mod)
+    quarter = pow(4, -1, scale)
+    eighth = pow(8, -1, scale)
     y22 = _exact(scale, d2)
     y21 = _exact(-x12 * y22, d1)
     y20 = _exact(-x01 * y21 - x02 * y22, d0)
@@ -224,9 +223,9 @@ def sharp(z):
     y10 = _exact(-x01 * y11, d0)
     y00 = _exact(scale, d0)
     return canonical(z.p, z.n, (
-        (y22 * quarter % mod, y21 * eighth % mod, y20 * quarter % mod),
-        (0, y11 * eighth % mod, y10 * quarter % mod),
-        (0, 0, y00 * quarter % mod)))
+        (y22 * quarter, y21 * eighth, y20 * quarter),
+        (0, y11 * eighth, y10 * quarter),
+        (0, 0, y00 * quarter)))
 
 
 def _in_lattice(rows, v, mult=1):
@@ -245,7 +244,7 @@ def _in_lattice(rows, v, mult=1):
     return True
 
 
-def _hermite_candidates(p, n, budget=None):
+def _hermite_candidates(p, n):
     """All upper-triangular Hermite bases B = [[d0, x01, x02], [0, d1,
     x12], [0, 0, d2]] with p-power diagonal whose lattice contains
     D Z^3, D = p^(2n): diagonal exponents outermost, then x01, x02 and
@@ -259,10 +258,9 @@ def _hermite_candidates(p, n, budget=None):
     The first two make x01 and x12 run over the multiples of a step.  With
     x12 = s12 y the third is A y = -c0 x02 mod d2, A = c1 s12, which is
     solvable exactly when g = gcd(A, d2) divides c0 x02, and then its
-    solutions y form one class modulo d2/g.  Only these tuples are formed;
-    more than `budget` of them raises BudgetError."""
+    solutions y form one class modulo d2/g.  Only these tuples are
+    formed, and every one is yielded."""
     scale = p ** (2 * n)
-    formed = 0
     for a in itertools.product(range(2 * n + 1), repeat=RANK):
         d0, d1, d2 = (p ** e for e in a)
         row2 = (0, 0, d2)
@@ -277,28 +275,28 @@ def _hermite_candidates(p, n, budget=None):
             for x02 in range(0, d2, g // gcd(g, c0)):
                 row0 = (d0, x01, x02)
                 y0 = -c0 * x02 // g * inverse % period
-                x12s = range(s12 * y0, d2, s12 * period)
-                formed += len(x12s)
-                if budget is not None and formed > budget:
-                    raise BudgetError("lattice enumeration budget exceeded")
-                for x12 in x12s:
+                for x12 in range(s12 * y0, d2, s12 * period):
                     yield row0, (0, d1, x12), row2
 
 
-def candidates(p, n, budget=None):
+def candidates(p, n):
     """Every lattice p^(2n) Z^3 <= Lam <= Z^3, one submodule per
     canonical basis."""
-    for rows in _hermite_candidates(p, n, budget):
+    for rows in _hermite_candidates(p, n):
         yield LatticeSubmodule(p=p, n=n, basis=rows)
 
 
 def _scan(p, n, budget):
     """One pass over the candidates, applying both strata predicates to
-    each; returns (isotropic, self_dual), each sorted by basis."""
+    each; returns (isotropic, self_dual), each sorted by basis.  The
+    candidate stream forms no tuple it does not yield, so counting the
+    candidates here bounds the work."""
     check_datum(p)
     isotropic = []
     self_dual = []
-    for z in candidates(p, n, budget):
+    for count, z in enumerate(candidates(p, n), start=1):
+        if count > budget:
+            raise BudgetError("lattice enumeration budget exceeded")
         if is_self_dual_isotropic(z):
             isotropic.append(z)
         try:

@@ -18,6 +18,7 @@ from .errors import (
     DatumMismatchError,
     InfiniteGroupError,
     InternalConsistencyError,
+    NodeSubsetError,
     PreconditionError,
     UndecidedOrderError,
 )
@@ -237,7 +238,7 @@ def min_coset_generators(datum, J):
     """
     J = tuple(sorted(set(J)))
     if len(J) == datum.n + 1:
-        raise PreconditionError("J must be a proper node subset")
+        raise NodeSubsetError("J must be a proper node subset")
     w0J = longest_element(datum, J)
     complement = [k for k in range(datum.n + 1) if k not in J]
     generators = []

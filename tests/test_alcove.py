@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import alcove
 from weylkit.cartan import cartan_datum
-from weylkit.errors import PreconditionError, StructuralError, UnsupportedRegimeError
+from weylkit.errors import (
+    NodeSubsetError,
+    PreconditionError,
+    StructuralError,
+    UnsupportedRegimeError,
+)
 
 
 A1 = cartan_datum("A1")
@@ -42,6 +47,13 @@ def test_sample_grid_count_and_disjointness():
 def test_sample_grid_rejects_higher_rank():
     with pytest.raises(PreconditionError):
         alcove.sample_grid(A2, (), 4)
+
+
+def test_unusable_node_subsets_raise_node_subset_error():
+    with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
+        alcove.sample_grid(A1, (0,), 4)
+    with pytest.raises(NodeSubsetError, match="proper node subset"):
+        alcove.geometry(A1, (0, 1))
 
 
 def test_translation_lattice_a2():

@@ -99,10 +99,10 @@ def test_routes_agree_at_n2():
 
 
 def test_budget_bounds_the_candidates_formed():
-    assert sum(1 for _ in lattices._hermite_candidates(3, 1, budget=445)) == 445
+    points, direct = lattices.enumerate_X_n(3, 1, budget=445)
+    assert len(points) == direct == 5
     with pytest.raises(BudgetError):
-        for _ in lattices._hermite_candidates(3, 1, budget=444):
-            pass
+        lattices.enumerate_X_n(3, 1, budget=444)
     with pytest.raises(BudgetError):
         lattices.enumerate_X_n(5, 2)
 
