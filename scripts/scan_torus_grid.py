@@ -5,6 +5,7 @@ torus point orders, stabilizer lift checks, and induced-module norms.
 Usage: python scripts/scan_torus_grid.py [max_denominator]
 """
 
+import itertools
 import sys
 
 from weylkit import alcove, reps
@@ -14,17 +15,14 @@ from weylkit.cartan import cartan_datum
 def main():
     denom = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     datum = cartan_datum("A1")
-    geo = alcove.geometry(datum, ())
     print("point\tcell\torder\tlift_ok\tmodules\tnorms")
-    for d in alcove.sample_grid(datum, (), denom):
-        cell = alcove.cell_of(d)
-        t = alcove.p_J(datum, (), d)
+    modules = reps.grid_modules(datum, (), denom)
+    for d, group in itertools.groupby(modules, key=lambda m: m[0]):
+        group = list(group)
+        _, cell, t, _, _ = group[0]
         lift = alcove.torus_stabilizer(datum, (), t, S=cell.S).lift_ok
-        letters = [k for k in geo.jcheck if k not in set(cell.S)]
-        norms = []
-        for rho in reps.lift_characters(geo, letters):
-            rep = reps.build_irreducible(datum, (), cell.S, d, rho)
-            norms.append(reps.character_norm(rep, t.order).render())
+        norms = [reps.character_norm(rep, t.order).render()
+                 for *_, rep in group]
         point = " ".join(str(c[0]) for c in d.coords)
         cell_str = "{" + ",".join(str(s) for s in cell.S) + "}"
         print(f"{point}\t{cell_str}\t{t.order}\t{lift}"

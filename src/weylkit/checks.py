@@ -61,20 +61,14 @@ def _c2_stabilizer_lift(config):
 
 
 def _c3_mackey_norm(config):
-    datum, grid = _grid(config)
-    geo = alcove.geometry(datum, ())
     built = 0
-    for d in grid:
-        cell = alcove.cell_of(d)
-        letters = [k for k in geo.jcheck if k not in set(cell.S)]
-        t = alcove.p_J(datum, (), d)
-        for rho in reps.lift_characters(geo, letters):
-            rep = reps.build_irreducible(datum, (), cell.S, d, rho)
-            norm = reps.character_norm(rep, t.order)
-            if not (norm == Cyc.rational(1)):
-                raise WeylkitError(
-                    f"norm {norm.render()} != 1 at {d.coords}")
-            built += 1
+    modules = reps.grid_modules(cartan_datum("A1"), (), config.denominator)
+    for d, _, t, _, rep in modules:
+        norm = reps.character_norm(rep, t.order)
+        if not (norm == Cyc.rational(1)):
+            raise WeylkitError(
+                f"norm {norm.render()} != 1 at {d.coords}")
+        built += 1
     return f"{built} induced modules, all character norms exactly 1"
 
 

@@ -181,21 +181,12 @@ def _cmd_cells(args, config, out):
 def _cmd_reps(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
-    geo = alcove.geometry(datum, J)
-    rows = []
-    for d in alcove.sample_grid(datum, J, config.denominator):
-        cell = alcove.cell_of(d)
-        letters = [k for k in geo.jcheck if k not in set(cell.S)]
-        t = alcove.p_J(datum, J, d)
-        for idx, rho in enumerate(reps.lift_characters(geo, letters)):
-            rep = reps.build_irreducible(datum, J, cell.S, d, rho)
-            norm = reps.character_norm(rep, t.order)
-            rows.append((
-                " ".join(str(c[0]) for c in d.coords),
-                idx,
-                rep.dimension,
-                norm.render(),
-            ))
+    rows = [(" ".join(str(c[0]) for c in d.coords),
+             index,
+             rep.dimension,
+             reps.character_norm(rep, t.order).render())
+            for d, _, t, index, rep
+            in reps.grid_modules(datum, J, config.denominator)]
     _emit(rows, ("point", "character", "dimension", "norm"), config, out)
     return 0
 

@@ -253,6 +253,29 @@ class LaurentScalar:
         return f"LaurentScalar({self.render()})"
 
 
+def quadratic(t, x0, x1, x2=None):
+    """x0 + t*x1 + t^2*x2 for an integer t, in one construction.
+
+    The coefficients and the precision are those of the step-by-step
+    arithmetic x0 + x1*t + (x2*t)*t: for t = 0 modulo q that arithmetic
+    adds exact zeros, so x0 itself is returned; otherwise each term keeps
+    the precision of its scalar and the result is known to the least of
+    them.  x2 = None leaves out the t^2 term."""
+    q = x0.q
+    t %= q
+    if not t:
+        return x0
+    out = dict(x0.coeffs)
+    for exp, c in x1.coeffs.items():
+        out[exp] = out.get(exp, 0) + t * c
+    if x2 is None:
+        return _new(q, out, min(x0.prec, x1.prec))
+    t2 = t * t
+    for exp, c in x2.coeffs.items():
+        out[exp] = out.get(exp, 0) + t2 * c
+    return _new(q, out, min(x0.prec, x1.prec, x2.prec))
+
+
 _TERM = re.compile(r"^(?:(\d+)\*?)?(?:e(?:\^?(-?\d+))?)?$")
 
 

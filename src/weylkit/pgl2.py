@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedLabelError,
 )
-from .laurent import LaurentScalar, is_prime
+from .laurent import LaurentScalar, is_prime, quadratic
 
 
 def _val_ge(x, bound):
@@ -150,23 +150,32 @@ def _exact_inverse(M):
     return tuple(tuple(x / det for x in row) for row in adj)
 
 
-def _step_conjugate(C, letter, t):
-    """s^-1 C s for one edge s = u_letter(t) n_letter of the word tree:
-    s = [[-t, 1], [-1, 0]] for letter 1 and [[0, e^-1], [-e, t]] for
-    letter 0, both of determinant 1, so only shifts, negation, addition
-    and scaling by the integer t appear."""
+def _children(C, letter):
+    """s^-1 C s for the q edges s = u_letter(t) n_letter, t in range(q),
+    of the word tree below C: s = [[-t, 1], [-1, 0]] for letter 1 and
+    [[0, e^-1], [-e, t]] for letter 0, both of determinant 1.  Each entry
+    of a child is a polynomial of degree at most 2 in t whose scalars
+    depend only on C, so they are formed once here and each child costs
+    three `laurent.quadratic` constructions."""
     (a, b), (c, d) = C
+    q = a.q
     if letter == 1:
-        tc = c * t
-        a1 = a - tc
-        d1 = d + tc
-        b1 = b + (a1 - d) * t
-        return ((d1, -c), (-b1, a1))
-    teb = (b * t).shift(1)
-    a1 = a + teb
-    d1 = d - teb
-    c1 = c + ((d1 - a) * t).shift(1)
-    return ((d1, -c1.shift(-2)), (-b.shift(2), a1))
+        # ((d + t c, -c), (-b + t (d - a) + t^2 c, a - t c))
+        neg_c = -c
+        neg_b = -b
+        d_minus_a = d - a
+        return [((quadratic(t, d, c), neg_c),
+                 (quadratic(t, neg_b, d_minus_a, c), quadratic(t, a, neg_c)))
+                for t in range(q)]
+    # ((d - t eb, -c e^-2 + t (a - d) e^-1 + t^2 b), (-b e^2, a + t eb))
+    eb = b.shift(1)
+    neg_eb = -eb
+    upper = -c.shift(-2)
+    a_minus_d = (a - d).shift(-1)
+    lower = -b.shift(2)
+    return [((quadratic(t, d, neg_eb), quadratic(t, upper, a_minus_d, b)),
+             (lower, quadratic(t, a, eb)))
+            for t in range(q)]
 
 
 def _tau_conjugate(C):
@@ -180,15 +189,14 @@ def conjugate_levels(g):
     that level's coset representatives x I1.  Each length-l word in the
     two alternating letters contributes q^l representatives, each doubled
     by tau; the walk carries x^-1 g x down the word tree, never x."""
-    q = g[0][0].q
     frontier = [(None, g)]
     while True:
         yield [m for _, conj in frontier
                for m in (conj, _tau_conjugate(conj))]
-        frontier = [(letter, _step_conjugate(conj, letter, t))
+        frontier = [(letter, child)
                     for last, conj in frontier
                     for letter in (0, 1) if letter != last
-                    for t in range(q)]
+                    for child in _children(conj, letter)]
 
 
 def fixed_point_count(g, prec=6, max_length=8):

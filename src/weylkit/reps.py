@@ -20,15 +20,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    lattice: tuple  # integer coordinates over the basis of L
-    finite: int     # index into the finite quotient enumeration
-
-    def __repr__(self):
-        return f"SemidirectElement({self.lattice}, w{self.finite})"
-
-
 def cyc_identity(n):
     return tuple(tuple(Cyc.rational(1 if i == j else 0) for j in range(n))
                  for i in range(n))
@@ -166,19 +157,6 @@ class FiniteDimRep:
             mat = cyc_mat_mul(mat, self.finite_images[k])
         return mat
 
-    def image(self, g):
-        diag = self.lattice_image(g.lattice)
-        fin = self.finite_image(g.finite)
-        return tuple(
-            tuple(diag[i] * fin[i][j] for j in range(self.dimension))
-            for i in range(self.dimension)
-        )
-
-
-def character(rep, g):
-    """Exact trace of the image of a SemidirectElement."""
-    return cyc_trace(rep.image(g))
-
 
 def _rho_on_subgroup(quotient, words, rho, rho_dim):
     values = {}
@@ -308,18 +286,46 @@ def _diag_mat(diag):
     )
 
 
+def character_values(rep, t_order):
+    """chi(x, w_i) for x in range(M)^rank, lexicographic, and for each x
+    every quotient index i; M = max(1, t_order).
+
+    The image of (x, w_i) is diag(x) F_i with diag(x) diagonal, so its
+    trace reads only the diagonal of F_i.  Each F_i is built once, and
+    diag(x) multiplies one row per lattice basis vector from a table of
+    the powers diag_j^k, k < M."""
+    dim = rep.dimension
+    M = max(1, t_order)
+    fin_diagonals = []
+    for i in range(rep.quotient.size):
+        fin = rep.finite_image(i)
+        fin_diagonals.append([(pos, fin[pos][pos]) for pos in range(dim)
+                              if not fin[pos][pos].is_zero()])
+    ones = (Cyc.rational(1),) * dim
+    powers = []
+    for diag in rep.lattice_diagonals:
+        table = [ones]
+        for _ in range(M - 1):
+            table.append(tuple(z * w for z, w in zip(table[-1], diag)))
+        powers.append(table)
+    zero = Cyc.rational(0)
+    for x in itertools.product(range(M), repeat=len(powers)):
+        lat = ones
+        for table, k in zip(powers, x):
+            if k:
+                lat = table[k] if lat is ones else tuple(
+                    z * w for z, w in zip(lat, table[k]))
+        for entries in fin_diagonals:
+            yield sum((lat[pos] * f for pos, f in entries), zero)
+
+
 def character_norm(rep, t_order):
     """<chi, chi> over the finite quotient (L / M L) . W_Jc, M = order of t."""
-    quotient = rep.quotient
-    rank = len(rep.lattice_diagonals)
-    M = max(1, t_order)
     total = Cyc.rational(0)
     count = 0
-    for x in itertools.product(range(M), repeat=rank):
-        for i in range(quotient.size):
-            chi = character(rep, SemidirectElement(lattice=x, finite=i))
-            total = total + chi * chi.conjugate()
-            count += 1
+    for chi in character_values(rep, t_order):
+        total = total + chi * chi.conjugate()
+        count += 1
     return total / count
 
 
@@ -338,3 +344,19 @@ def lift_characters(geo, letters):
             continue
         out.append(rho)
     return out
+
+
+def grid_modules(datum, J, denominator):
+    """(d, cell, t, index, rep) for each point d of
+    `alcove.sample_grid(datum, J, denominator)` and each lift character
+    at d, in grid order and then `lift_characters` order: d's cell, the
+    torus point t = p_J(d), the character's index and the induced module.
+    Built lazily, so a consumer that stops early builds nothing further."""
+    geo = alcove.geometry(datum, J)
+    for d in alcove.sample_grid(datum, J, denominator):
+        cell = alcove.cell_of(d)
+        letters = [k for k in geo.jcheck if k not in set(cell.S)]
+        t = alcove.p_J(datum, J, d)
+        for index, rho in enumerate(lift_characters(geo, letters)):
+            yield d, cell, t, index, build_irreducible(datum, J, cell.S, d,
+                                                        rho)

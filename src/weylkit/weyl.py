@@ -312,7 +312,11 @@ def element_order(w, cap=24):
 
 
 def quotient_coxeter_matrix(datum, J, order_cap=24):
-    """Matrix of pairwise orders m(k, k') of the ss_k generators."""
+    """Matrix of pairwise orders m(k, k') of the ss_k generators.  A J
+    that leaves one node out has no generators, and so no matrix."""
+    if len(set(J)) == datum.n:
+        raise NodeSubsetError("the quotient Coxeter matrix needs J to leave"
+                              " at least two nodes out")
     result = min_coset_generators(datum, J)
     if not result.ok:
         raise PreconditionError(

@@ -246,6 +246,10 @@ def test_out_of_range_node_is_a_usage_error(argv):
      "J must be a proper node subset"),
     (["reps", "--type", "A1", "--j", "1 0"],
      "J must be a proper node subset"),
+    (["weyl", "--type", "C2", "--j", "0 1"],
+     "the quotient Coxeter matrix needs J to leave at least two nodes out"),
+    (["weyl", "--type", "A1", "--j", "0"],
+     "the quotient Coxeter matrix needs J to leave at least two nodes out"),
 ])
 def test_unusable_node_subset_is_a_usage_error(argv, message):
     code, out, err = run_cli(argv)

@@ -179,3 +179,46 @@ def test_arithmetic_results_match_fresh_scalars(operands, n):
             if not a.is_exact():
                 prec = min(prec, b.val_lower_bound() + a.prec)
     _assert_canonical(a * b, q, product, prec)
+
+
+# -- the fused x0 + t*x1 + t^2*x2 constructor ----------------------------
+
+@st.composite
+def _windowed_triple(draw):
+    """(q, x0, x1, x2), each exact or truncated, exact zeros included."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    def one():
+        prec = draw(st.one_of(st.just(math.inf), st.integers(-2, 6)))
+        coeffs = draw(st.dictionaries(st.integers(-4, 8),
+                                      st.integers(-10, 10), max_size=4))
+        return LaurentScalar(q, coeffs, prec)
+    return q, one(), one(), one()
+
+
+def _data(x):
+    return x.coeffs, x.prec
+
+
+@given(_windowed_triple(), st.integers(-2, 6))
+@settings(max_examples=400, deadline=None)
+def test_quadratic_matches_step_by_step_arithmetic(operands, t):
+    _, x0, x1, x2 = operands
+    assert _data(laurent.quadratic(t, x0, x1, x2)) \
+        == _data(x0 + x1 * t + (x2 * t) * t)
+    assert _data(laurent.quadratic(t, x0, x1)) == _data(x0 + x1 * t)
+
+
+def test_quadratic_at_a_zero_letter_keeps_the_precision_of_x0():
+    # x * 0 is an exact zero: the lower precision of x1 and x2 is not
+    # brought in, at t = 0 or at any multiple of q
+    x0 = laurent.parse_scalar("1+e", 3, prec=6)
+    x1 = laurent.parse_scalar("2e", 3, prec=2)
+    x2 = LaurentScalar.zero(3, prec=1)
+    for t in (0, 3, -3):
+        assert _data(laurent.quadratic(t, x0, x1, x2)) == ({0: 1, 1: 1}, 6)
+    # a nonzero t brings in the least precision, an exact zero none
+    assert _data(laurent.quadratic(1, x0, x1, x2)) == ({0: 1}, 1)
+    assert _data(laurent.quadratic(2, x0, x1, LaurentScalar.zero(3))) \
+        == ({0: 1, 1: 2}, 2)
+    assert _data(laurent.quadratic(2, x0, LaurentScalar.zero(3), x2)) \
+        == ({0: 1}, 1)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -74,3 +75,86 @@ def test_distinct_characters_give_distinct_modules():
     images = [rep.finite_image(i) for rep in built for i in (0, 1)]
     traces = [reps.cyc_trace(m).render() for m in images]
     assert len(set(traces)) >= 2
+
+
+# -- rank 2 and an independent route to the characters --------------------
+
+A2 = cartan_datum("A2")
+
+# Hand-built points of the A2 simplex (J empty) and the dimensions of
+# their induced modules, one per lift character.
+A2_POINTS = (
+    ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), [6]),
+    ((Fraction(1, 2), Fraction(1, 2), 0), [3, 3]),
+    ((1, 0, 0), [1, 1]),
+    ((Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), [6]),
+)
+
+
+def _a2_modules(coords):
+    geo = alcove.geometry(A2, ())
+    d = alcove.level_one_point(A2, coords)
+    cell = alcove.cell_of(d)
+    letters = [k for k in geo.jcheck if k not in set(cell.S)]
+    t = alcove.p_J(A2, (), d)
+    return t, [reps.build_irreducible(A2, (), cell.S, d, rho)
+               for rho in reps.lift_characters(geo, letters)]
+
+
+def _reference_characters(rep, t_order):
+    """chi(x, w_i) in the order of `character_values`, by the direct
+    route: the finite image as a product of generator matrices over its
+    word, the lattice image by repeated multiplication, the whole matrix
+    diag(x) F_i and its trace."""
+    dim = rep.dimension
+    rank = len(rep.lattice_diagonals)
+    finite = []
+    for word in rep.quotient.geo.quotient_words:
+        mat = reps.cyc_identity(dim)
+        for k in word:
+            mat = reps.cyc_mat_mul(mat, rep.finite_images[k])
+        finite.append(mat)
+    out = []
+    for x in itertools.product(range(max(1, t_order)), repeat=rank):
+        diag = [Cyc.rational(1)] * dim
+        for j, power in enumerate(x):
+            for _ in range(power):
+                diag = [z * w for z, w in zip(diag, rep.lattice_diagonals[j])]
+        for fin in finite:
+            image = [[diag[r] * fin[r][c] for c in range(dim)]
+                     for r in range(dim)]
+            out.append(reps.cyc_trace(image))
+    return out
+
+
+def test_a2_points_give_the_expected_modules_with_norm_one():
+    for coords, dims in A2_POINTS:
+        t, built = _a2_modules(coords)
+        assert [rep.dimension for rep in built] == dims
+        for rep in built:
+            assert reps.character_norm(rep, t.order) == Cyc.rational(1)
+
+
+def test_character_values_match_the_direct_route():
+    modules = [(rep, t.order)
+               for _, _, t, _, rep in reps.grid_modules(A1, (), 10)]
+    assert len(modules) == 35
+    for coords, _ in A2_POINTS:
+        t, built = _a2_modules(coords)
+        modules += [(rep, t.order) for rep in built]
+    for rep, order in modules:
+        got = list(reps.character_values(rep, order))
+        assert got == _reference_characters(rep, order)
+
+
+def test_grid_modules_follow_the_grid_and_the_lift_characters():
+    geo = alcove.geometry(A1, ())
+    want = []
+    for d in alcove.sample_grid(A1, (), 6):
+        cell = alcove.cell_of(d)
+        letters = [k for k in geo.jcheck if k not in set(cell.S)]
+        want += [(d.coords, cell.S, i)
+                 for i, _ in enumerate(reps.lift_characters(geo, letters))]
+    got = [(d.coords, cell.S, index)
+           for d, cell, _, index, _ in reps.grid_modules(A1, (), 6)]
+    assert got == want

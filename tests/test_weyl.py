@@ -1,9 +1,12 @@
 import math
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from weylkit import weyl
 from weylkit.cartan import cartan_datum
+from weylkit.errors import NodeSubsetError
 
 
 A2 = cartan_datum("A2")
@@ -104,3 +107,14 @@ def test_min_coset_generators_empty_parabolic():
     assert {k for k, _ in result.generators} == {0, 1, 2}
     for k, w in result.generators:
         assert w.word() == (k,)
+
+
+def test_quotient_coxeter_matrix_rejects_one_node_left_out():
+    # one node outside J leaves no ss_k generator and no matrix
+    for datum, J in ((C2, (0, 1)), (C2, (2, 0)), (A2, (0, 2)),
+                     (cartan_datum("A1"), (1,))):
+        with pytest.raises(NodeSubsetError):
+            weyl.quotient_coxeter_matrix(datum, J)
+        # alcove and springer still read the empty generator list
+        result = weyl.min_coset_generators(datum, J)
+        assert result.generators == () and result.ok
