@@ -25,19 +25,6 @@ def cyc_identity(n):
                  for i in range(n))
 
 
-def cyc_mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Cyc.rational(0))
-              for j in range(p))
-        for i in range(n)
-    )
-
-
-def cyc_mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def cyc_trace(a):
     return sum((a[i][i] for i in range(len(a))), Cyc.rational(0))
 
@@ -154,7 +141,7 @@ class FiniteDimRep:
     def finite_image(self, finite_index):
         mat = cyc_identity(self.dimension)
         for k in self.quotient.geo.quotient_words[finite_index]:
-            mat = cyc_mat_mul(mat, self.finite_images[k])
+            mat = linalg.mat_mul(mat, self.finite_images[k])
         return mat
 
 
@@ -163,7 +150,7 @@ def _rho_on_subgroup(quotient, words, rho, rho_dim):
     for idx, word in words.items():
         mat = cyc_identity(rho_dim)
         for k in word:
-            mat = cyc_mat_mul(mat, rho[k])
+            mat = linalg.mat_mul(mat, rho[k])
         values[idx] = mat
     # Well-definedness: extending any element by any generator letter must
     # land on the stored matrix.
@@ -171,8 +158,8 @@ def _rho_on_subgroup(quotient, words, rho, rho_dim):
         for k in rho:
             target = quotient.mul(quotient.generator_index(k), idx)
             if target in values:
-                expected = cyc_mat_mul(rho[k], values[idx])
-                if not cyc_mat_eq(expected, values[target]):
+                expected = linalg.mat_mul(rho[k], values[idx])
+                if expected != values[target]:
                     raise InternalConsistencyError(
                         "rho is not well-defined on the subgroup")
     return values
@@ -258,18 +245,18 @@ def _verify_relations(rep, t):
     rank = len(rep.lattice_diagonals)
     eye = cyc_identity(rep.dimension)
     for k, mat in rep.finite_images.items():
-        if not cyc_mat_eq(cyc_mat_mul(mat, mat), eye):
+        if linalg.mat_mul(mat, mat) != eye:
             raise InternalConsistencyError(f"image of ss_{k} is not an involution")
     # Compatibility of the semidirect structure: F_k X_j = X_{g_k . e_j} F_k.
     for k, mat in rep.finite_images.items():
         gidx = quotient.generator_index(k)
         for j in range(rank):
-            left = cyc_mat_mul(
+            left = linalg.mat_mul(
                 mat, _diag_mat(rep.lattice_image(_unit(rank, j))))
             moved = quotient.act_lattice(gidx, _unit(rank, j))
-            right = cyc_mat_mul(
+            right = linalg.mat_mul(
                 _diag_mat(rep.lattice_image(moved)), mat)
-            if not cyc_mat_eq(left, right):
+            if left != right:
                 raise InternalConsistencyError(
                     "lattice conjugation relation fails")
 

@@ -1,72 +1,27 @@
 """Truncated Witt vector arithmetic over prime fields.
 
-The addition and multiplication structure polynomials are computed once
-per (p, m) by ghost-component lifting over the integers: with
-w_n = sum_i p^i X_i^(p^(n-i)), the n-th structure polynomial is
-(w_n(result of the ghost operation) minus the lower contributions)
-divided exactly by p^n.  Evaluating them modulo p gives the ring
-W_m(F_p), which is checked elsewhere against the Z/p^m oracle.  For
-evaluation each polynomial is compiled once per (p, m) into a list of
-terms with coefficients reduced mod p.
+Sums and products are computed on ghost components.  With
+w_k(x) = sum_{i<=k} p^i x_i^(p^(k-i)), and because a = b mod p^j gives
+a^p = b^p mod p^(j+1), w_k(x) mod p^(k+1) depends only on the components
+of x mod p.  Component k of x o y (o is + or *) is therefore
+
+    (w_k(x) o w_k(y) - sum_{i<k} p^i s_i^(p^(k-i))) / p^k
+
+with every term taken mod p^(k+1), where s_0..s_{k-1} are the result
+components already found; the division is exact and its quotient lies in
+[0, p).  No structure polynomial is built.  The ring W_m(F_p) is checked
+against Z/p^m by `oracle_check`, which walks all p^(2m) pairs and so
+refuses more than ORACLE_PAIR_BUDGET of them before it starts.
 """
 
 from dataclasses import dataclass
+from operator import add, mul
 
-from .errors import PreconditionError, UnsupportedRegimeError
+from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
 from .laurent import is_prime
 
-
-# -- integer multivariate polynomials ({exponent tuple: coeff}) --------
-
-def _p_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _p_mul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
-
-
-def _p_scale(a, c):
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
-def _p_pow(a, e):
-    result = None
-    base = a
-    while e:
-        if e & 1:
-            result = base if result is None else _p_mul(result, base)
-        base = _p_mul(base, base)
-        e >>= 1
-    return result if result is not None else {}
-
-
-def _p_var(index, nvars):
-    key = tuple(1 if i == index else 0 for i in range(nvars))
-    return {key: 1}
-
-
-def _p_divide_exact(a, c):
-    out = {}
-    for k, v in a.items():
-        if v % c:
-            raise PreconditionError("inexact division in ghost lifting")
-        out[k] = v // c
-    return out
-
-
-_struct_cache = {}
-_compiled_cache = {}
+# Pairs oracle_check may walk; the size of the lattice enumeration budget.
+ORACLE_PAIR_BUDGET = 200000
 
 
 def _require_prime(p):
@@ -75,81 +30,24 @@ def _require_prime(p):
                                      " fields are supported")
 
 
-def structure_polynomials(p, m):
-    """(sum polynomials, product polynomials) in 2m variables
-    x_0..x_{m-1}, y_0..y_{m-1}, one polynomial per component."""
-    _require_prime(p)
-    key = (p, m)
-    if key in _struct_cache:
-        return _struct_cache[key]
-    nvars = 2 * m
-
-    def ghost(offset, n):
-        acc = {}
-        for i in range(n + 1):
-            acc = _p_add(acc, _p_scale(_p_pow(_p_var(offset + i, nvars),
-                                              p ** (n - i)), p ** i))
-        return acc
-
-    def solve(combine):
-        polys = []
-        for n in range(m):
-            target = combine(ghost(0, n), ghost(m, n))
-            for i, s in enumerate(polys):
-                target = _p_add(target,
-                                _p_scale(_p_pow(s, p ** (n - i)), -(p ** i)))
-            polys.append(_p_divide_exact(target, p ** n))
-        return tuple(polys)
-
-    sums = solve(_p_add)
-    prods = solve(_p_mul)
-    _struct_cache[key] = (sums, prods)
-    return sums, prods
-
-
-def _eval_mod(poly, values, p):
-    total = 0
-    for exps, coeff in poly.items():
-        term = coeff % p
-        for v, e in zip(values, exps):
-            if e:
-                term = (term * pow(v, e, p)) % p
-        total = (total + term) % p
-    return total
-
-
-def _compile(poly, p):
-    """A structure polynomial as a list of (coeff mod p, ((variable,
-    exponent), ...)) terms with nonzero exponents only; terms whose
-    coefficient is 0 mod p are dropped."""
-    terms = []
-    for exps, coeff in poly.items():
-        coeff %= p
-        if coeff:
-            terms.append((coeff, tuple((i, e) for i, e in enumerate(exps)
-                                       if e)))
-    return terms
-
-
-def _compiled_structure(p, m):
-    """(sum terms, product terms): structure_polynomials(p, m) compiled
-    for evaluation over F_p."""
-    key = (p, m)
-    if key not in _compiled_cache:
-        sums, prods = structure_polynomials(p, m)
-        _compiled_cache[key] = (tuple(_compile(s, p) for s in sums),
-                                tuple(_compile(s, p) for s in prods))
-    return _compiled_cache[key]
-
-
-def _eval_terms(terms, values, p):
-    """_eval_mod of a compiled polynomial."""
-    total = 0
-    for coeff, factors in terms:
-        for i, e in factors:
-            coeff = coeff * pow(values[i], e, p) % p
-        total += coeff
-    return total % p
+def _ghost_op(p, xs, ys, op):
+    """Components of the Witt vector whose ghost component w_k is
+    op(w_k(xs), w_k(ys)) mod p^(k+1), for every k."""
+    out = []
+    for k in range(len(xs)):
+        modulus = p ** (k + 1)
+        wx = wy = lower = 0
+        scale = 1
+        for i in range(k):
+            e = p ** (k - i)
+            wx += scale * pow(xs[i], e, modulus)
+            wy += scale * pow(ys[i], e, modulus)
+            lower += scale * pow(out[i], e, modulus)
+            scale *= p
+        # scale is now p^k, and the i = k terms have exponent 1
+        target = op(wx + scale * xs[k], wy + scale * ys[k]) - lower
+        out.append(target % modulus // scale)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -172,17 +70,13 @@ class WittScalar:
 
     def __add__(self, other):
         self._compat(other)
-        sums, _ = _compiled_structure(self.p, self.m)
-        values = self.components + other.components
-        return _new(self.p, self.m,
-                    tuple(_eval_terms(s, values, self.p) for s in sums))
+        return _new(self.p, self.m, _ghost_op(
+            self.p, self.components, other.components, add))
 
     def __mul__(self, other):
         self._compat(other)
-        _, prods = _compiled_structure(self.p, self.m)
-        values = self.components + other.components
-        return _new(self.p, self.m,
-                    tuple(_eval_terms(s, values, self.p) for s in prods))
+        return _new(self.p, self.m, _ghost_op(
+            self.p, self.components, other.components, mul))
 
     def render(self):
         return "(" + ",".join(str(c) for c in self.components) + ")"
@@ -224,7 +118,15 @@ def parse_witt(text, p, m):
 def oracle_check(p, m):
     """Exhaustively verify W_m(F_p) is isomorphic to Z/p^m as a ring,
     via k -> from_integer(k), built as image(k) = image(k-1) + 1.
-    Returns True or raises."""
+    Returns True or raises; BudgetError before any image is built when
+    the p^(2m) pairs exceed ORACLE_PAIR_BUDGET."""
+    _require_prime(p)
+    pairs = 1
+    for _ in range(2 * m):  # stops by the 18th factor, whatever m is
+        pairs *= p
+        if pairs > ORACLE_PAIR_BUDGET:
+            raise BudgetError(f"Witt oracle walk of {p}^{2 * m} pairs"
+                              f" exceeds the budget of {ORACLE_PAIR_BUDGET}")
     order = p ** m
     one = witt_one(p, m)
     images = [witt_zero(p, m)]

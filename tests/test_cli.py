@@ -1,4 +1,5 @@
 import io
+import time
 from dataclasses import replace
 
 import pytest
@@ -157,6 +158,22 @@ def test_witt_bad_values_are_usage_errors(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "--p", "3", "--m", "6"],
+    ["witt", "--p", "2", "--m", "9"],
+    ["witt", "--p", "2", "--m", "1000000000000"],
+])
+def test_witt_oracle_over_the_pair_budget_fails_fast(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err
     assert err.count("\n") == 1
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit import alcove, reps
+from weylkit import alcove, linalg, reps
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
 from weylkit.errors import PreconditionError
@@ -112,7 +112,7 @@ def _reference_characters(rep, t_order):
     for word in rep.quotient.geo.quotient_words:
         mat = reps.cyc_identity(dim)
         for k in word:
-            mat = reps.cyc_mat_mul(mat, rep.finite_images[k])
+            mat = linalg.mat_mul(mat, rep.finite_images[k])
         finite.append(mat)
     out = []
     for x in itertools.product(range(max(1, t_order)), repeat=rank):

@@ -7,12 +7,79 @@ from weylkit import witt
 from weylkit.errors import PreconditionError, UnsupportedRegimeError
 
 
-def test_structure_polynomials_p3_m2_first_components():
-    add, mul = witt.structure_polynomials(3, 2)
-    # first component of the sum is plain addition of the first coordinates
-    assert witt._eval_mod(add[0], (1, 0, 1, 0), 3) == 2
-    # first component of the product is the product
-    assert witt._eval_mod(mul[0], (2, 0, 2, 0), 3) == 1
+# -- reference: Witt structure polynomials over Z ({exponents: coeff}) --
+
+def _poly_add(a, b, scale=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + scale * v
+    return out
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def _poly_pow(a, e):
+    out = a
+    for _ in range(e - 1):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _structure_polynomials(p, m):
+    """(sum, product) polynomials in x_0..x_{m-1}, y_0..y_{m-1}: the n-th
+    is (w_n(x) o w_n(y) - sum_{i<n} p^i S_i^(p^(n-i))) / p^n over Z."""
+    def ghost(offset, n):
+        acc = {}
+        for i in range(n + 1):
+            exps = tuple(p ** (n - i) if j == offset + i else 0
+                         for j in range(2 * m))
+            acc = _poly_add(acc, {exps: p ** i})
+        return acc
+
+    def solve(combine):
+        polys = []
+        for n in range(m):
+            target = combine(ghost(0, n), ghost(m, n))
+            for i, s in enumerate(polys):
+                target = _poly_add(target, _poly_pow(s, p ** (n - i)),
+                                   -(p ** i))
+            assert all(v % p ** n == 0 for v in target.values())
+            polys.append({k: v // p ** n for k, v in target.items()})
+        return polys
+
+    return solve(_poly_add), solve(_poly_mul)
+
+
+def _eval_mod(poly, values, p):
+    total = 0
+    for exps, coeff in poly.items():
+        for v, e in zip(values, exps):
+            coeff *= pow(v, e, p)
+        total += coeff
+    return total % p
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
+                                 (2, 4)])
+def test_sum_and_product_match_structure_polynomials(p, m):
+    sums, prods = _structure_polynomials(p, m)
+    vectors = list(itertools.product(range(p), repeat=m))
+    for xs in vectors:
+        x = witt.WittScalar(p, m, xs)
+        for ys in vectors:
+            y = witt.WittScalar(p, m, ys)
+            values = xs + ys
+            assert (x + y).components == \
+                tuple(_eval_mod(s, values, p) for s in sums)
+            assert (x * y).components == \
+                tuple(_eval_mod(s, values, p) for s in prods)
 
 
 def test_ring_identities_small():
@@ -78,28 +145,8 @@ def test_random_triples_against_integer_oracle(a, b, c):
     assert wa * (wb + wc) == witt.from_integer(a * (b + c), p, m)
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
-def test_compiled_structure_matches_eval_mod_on_every_input(p, m):
-    polys = witt.structure_polynomials(p, m)
-    compiled = witt._compiled_structure(p, m)
-    for values in itertools.product(range(p), repeat=2 * m):
-        for poly_list, term_list in zip(polys, compiled):
-            for poly, terms in zip(poly_list, term_list):
-                assert witt._eval_terms(terms, values, p) == \
-                    witt._eval_mod(poly, values, p)
-
-
-def test_compiled_terms_are_reduced():
-    for p, m in ((3, 2), (5, 2), (3, 3)):
-        for term_list in witt._compiled_structure(p, m):
-            for terms in term_list:
-                for coeff, factors in terms:
-                    assert 0 < coeff < p
-                    assert all(e > 0 for _, e in factors)
-
-
 def test_non_prime_field_is_rejected():
     with pytest.raises(UnsupportedRegimeError):
         witt.WittScalar(4, 1, (1,))
     with pytest.raises(UnsupportedRegimeError):
-        witt.structure_polynomials(9, 2)
+        witt.oracle_check(9, 2)
