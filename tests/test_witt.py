@@ -66,9 +66,7 @@ def _eval_mod(poly, values, p):
     return total % p
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
-                                 (2, 4)])
-def test_sum_and_product_match_structure_polynomials(p, m):
+def _assert_matches_structure_polynomials(p, m):
     sums, prods = _structure_polynomials(p, m)
     vectors = list(itertools.product(range(p), repeat=m))
     for xs in vectors:
@@ -80,6 +78,30 @@ def test_sum_and_product_match_structure_polynomials(p, m):
                 tuple(_eval_mod(s, values, p) for s in sums)
             assert (x * y).components == \
                 tuple(_eval_mod(s, values, p) for s in prods)
+
+
+def test_structure_polynomials_p3_m2_first_components():
+    add, mul = _structure_polynomials(3, 2)
+    # first component of the sum is plain addition of the first coordinates
+    assert _eval_mod(add[0], (1, 0, 1, 0), 3) == 2
+    one = witt.WittScalar(3, 2, (1, 0))
+    assert (one + one).components[0] == 2
+    # first component of the product is the product
+    assert _eval_mod(mul[0], (2, 0, 2, 0), 3) == 1
+    two = witt.WittScalar(3, 2, (2, 0))
+    assert (two * two).components[0] == 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_compiled_structure_matches_eval_mod_on_every_input(p, m):
+    # the ghost-component + and * against _eval_mod of the structure
+    # polynomials, on every input of 2m prime-field values
+    _assert_matches_structure_polynomials(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_sum_and_product_match_structure_polynomials(p, m):
+    _assert_matches_structure_polynomials(p, m)
 
 
 def test_ring_identities_small():
