@@ -201,12 +201,6 @@ class CosetGeometry:
         self.quotient_index = index
         self.gen_restrictions = dict(gen_restrictions)
 
-    def quotient_element(self, letters):
-        mat = self.quotient[0]
-        for k in letters:
-            mat = linalg.mat_mul(mat, self.gen_restrictions[k])
-        return self.quotient_index[mat]
-
     def _lift(self, letters):
         w = weyl.identity(self.datum)
         gens = dict(self.generators)
@@ -295,16 +289,9 @@ def translation_lattice(datum, J):
     return geometry(datum, J).lattice
 
 
-def default_k(datum, J):
-    """The base node k_J: 0 for empty J, else the smallest complement node."""
-    J = set(J)
-    if not J:
-        return 0
-    return min(k for k in range(datum.n + 1) if k not in J)
-
-
-def p_J(datum, J, d, k_J=None):
-    """Finite-order torus point attached to d in D_J (rational d only)."""
+def p_J(datum, J, d):
+    """Finite-order torus point attached to d in D_J (rational d only),
+    measured from the base node k0 = min Jc."""
     geo = geometry(datum, J)
     if not isinstance(d, LevelOnePoint):
         d = level_one_point(datum, d)
@@ -314,12 +301,8 @@ def p_J(datum, J, d, k_J=None):
     cell = cell_of(d)
     if cell is None or any(s not in geo.jcheck for s in cell.S):
         raise PreconditionError("d must lie in a cell C_S with S inside Jc")
-    if k_J is None:
-        k_J = default_k(datum, J)
-    if k_J not in geo.jcheck:
-        raise PreconditionError("k_J must lie in the complement of J")
     vec = list(d.real_vector())
-    vec[k_J] -= Fraction(1, datum.marks[k_J])
+    vec[geo.k0] -= Fraction(1, datum.marks[geo.k0])
     ucoords = geo._to_ucoords(tuple(vec))
     gamma = geo.lattice_coords(ucoords)
     values = tuple(g % 1 for g in gamma)

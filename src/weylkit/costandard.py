@@ -47,10 +47,6 @@ class CoStandardData:
     generators: tuple  # matrices over Fraction, indexed by node letter
     filtration: tuple  # ((a, span rows), ...) descending in a
 
-    @property
-    def top_degree(self):
-        return self.filtration[0][0]
-
     def translation_matrix(self):
         return linalg.mat_mul(self.generators[0], self.generators[1])
 

@@ -328,10 +328,6 @@ def mat_inv(M, prec):
     )
 
 
-def mat_eq(A, B):
-    return all(A[i][j] == B[i][j] for i in range(2) for j in range(2))
-
-
 def identity_matrix(q):
     one = LaurentScalar.one(q)
     zero = LaurentScalar.zero(q)

@@ -126,9 +126,7 @@ def conjugating_element(g, gp, prec=8):
     # r g = gp r, so h = r^-1 satisfies h^-1 g h = gp.
     g0 = _strip_shift(g, m)
     gp0 = _strip_shift(gp, m)
-    left = laurent.mat_mul(r, g0)
-    right = laurent.mat_mul(gp0, r)
-    if not laurent.mat_eq(left, right):
+    if laurent.mat_mul(r, g0) != laurent.mat_mul(gp0, r):
         return None
     h = laurent.mat_inv(r, prec)
     if iwahori_class(h) != "I1":

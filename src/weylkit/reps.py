@@ -1,10 +1,10 @@
 """Finite-dimensional modules of the semidirect groups L . W_Jc.
 
 An induced irreducible is built from a torus point t = p_J(d) and a
-representation rho of the subgroup generated by the selected ss_k: the
+character rho of the subgroup generated by the selected ss_k: the
 lattice acts by finite-order characters twisted along coset
-representatives, the finite generators permute cosets with rho-blocks.
-All scalars are exact cyclotomics.
+representatives, the finite generators permute cosets with rho-scalars,
+so every image is a monomial matrix.  All scalars are exact cyclotomics.
 """
 
 import itertools
@@ -18,15 +18,6 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-
-
-def cyc_identity(n):
-    return tuple(tuple(Cyc.rational(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
-def cyc_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Cyc.rational(0))
 
 
 def _zeta_of(value):
@@ -115,12 +106,23 @@ class QuotientGroup:
         return reps
 
 
+def _identity(dim):
+    return tuple(range(dim)), (Cyc.rational(1),) * dim
+
+
+def _compose(a, b):
+    """The monomial product a.b of monomials (perm, scalars), each sending
+    e_c to scalars[c] e_perm[c]."""
+    (pa, sa), (pb, sb) = a, b
+    return (tuple(pa[c] for c in pb),
+            tuple(s * sa[c] for s, c in zip(sb, pb)))
+
+
 @dataclass
 class FiniteDimRep:
-    group_tag: str
     dimension: int
     lattice_diagonals: tuple  # per L-basis vector: tuple of dim scalars
-    finite_images: dict       # generator letter k -> Cyc matrix
+    finite_images: dict       # generator letter k -> monomial (perm, scalars)
     quotient: object          # QuotientGroup, for evaluating elements
 
     def lattice_image(self, x):
@@ -139,37 +141,38 @@ class FiniteDimRep:
         return tuple(out)
 
     def finite_image(self, finite_index):
-        mat = cyc_identity(self.dimension)
+        """The monomial (perm, scalars) of the quotient element."""
+        mat = _identity(self.dimension)
         for k in self.quotient.geo.quotient_words[finite_index]:
-            mat = linalg.mat_mul(mat, self.finite_images[k])
+            mat = _compose(mat, self.finite_images[k])
         return mat
 
 
-def _rho_on_subgroup(quotient, words, rho, rho_dim):
+def _rho_on_subgroup(quotient, words, rho):
     values = {}
     for idx, word in words.items():
-        mat = cyc_identity(rho_dim)
+        value = Cyc.rational(1)
         for k in word:
-            mat = linalg.mat_mul(mat, rho[k])
-        values[idx] = mat
+            value = value * rho[k]
+        values[idx] = value
     # Well-definedness: extending any element by any generator letter must
-    # land on the stored matrix.
-    for idx, word in words.items():
+    # land on the stored scalar.
+    for idx in words:
         for k in rho:
             target = quotient.mul(quotient.generator_index(k), idx)
-            if target in values:
-                expected = linalg.mat_mul(rho[k], values[idx])
-                if expected != values[target]:
-                    raise InternalConsistencyError(
-                        "rho is not well-defined on the subgroup")
+            if target in values and rho[k] * values[idx] != values[target]:
+                raise InternalConsistencyError(
+                    "rho is not well-defined on the subgroup")
     return values
 
 
-def build_irreducible(datum, J, S, d, rho, rho_dim=1, k_J=None):
+def build_irreducible(datum, J, S, d, rho):
     """Induced module Ind([p_J(d)] x rho) of L . W_Jc.
 
-    rho maps each generator letter k in Sc - J to a Cyc matrix of size
-    rho_dim; d must be a rational point of the cell C_S.
+    rho maps each generator letter k in Sc - J to a Cyc scalar; d must be
+    a rational point of the cell C_S.  Each finite generator moves every
+    coset to one coset and multiplies by one value of rho, so its image
+    is a monomial matrix.
     """
     geo = alcove.geometry(datum, J)
     if not isinstance(d, alcove.LevelOnePoint):
@@ -179,7 +182,7 @@ def build_irreducible(datum, J, S, d, rho, rho_dim=1, k_J=None):
     cell = alcove.cell_of(d)
     if cell is None or tuple(sorted(S)) != cell.S:
         raise PreconditionError("d does not lie in the cell C_S")
-    t = alcove.p_J(datum, J, d, k_J=k_J)
+    t = alcove.p_J(datum, J, d)
     quotient = QuotientGroup(geo)
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
@@ -190,73 +193,67 @@ def build_irreducible(datum, J, S, d, rho, rho_dim=1, k_J=None):
             if geo.torus_act(i, t).values == t.values}
     if set(sub_words) != stab:
         raise LiftCheckError("generated subgroup is not the stabilizer of t")
-    rho_values = _rho_on_subgroup(quotient, sub_words, rho, rho_dim)
+    rho_values = _rho_on_subgroup(quotient, sub_words, rho)
     reps_list = quotient.shortlex_coset_reps(set(sub_words))
-    index = len(reps_list)
-    if index * len(sub_words) != quotient.size:
+    dim = len(reps_list)
+    if dim * len(sub_words) != quotient.size:
         raise InternalConsistencyError("coset representatives do not tile")
-    dim = index * rho_dim
+    coset_of = {quotient.mul(i, h): c
+                for c, (_, i) in enumerate(reps_list) for h in sub_words}
     rank = geo.lattice.rank
 
-    # Lattice basis vectors act diagonally: on the block of coset rep r_i
-    # the basis vector e_j acts by t(r_i^{-1} e_j).
+    # Lattice basis vectors act diagonally: on coset rep r_c the basis
+    # vector e_j acts by t(r_c^{-1} e_j).
     lattice_diagonals = []
     for j in range(rank):
         diag = []
         for _, i in reps_list:
-            moved = quotient.act_lattice(quotient.inv(i),
-                                         tuple(1 if a == j else 0
-                                               for a in range(rank)))
+            moved = quotient.act_lattice(quotient.inv(i), _unit(rank, j))
             val = sum(m * v for m, v in zip(moved, t.values))
-            diag.extend([_zeta_of(val)] * rho_dim)
+            diag.append(_zeta_of(val))
         lattice_diagonals.append(tuple(diag))
 
-    # Finite generators permute the coset blocks with rho twists.
+    # A finite generator g sends the coset of r_c to the coset of
+    # r_row = g r_c h^{-1}, h in the subgroup, with the scalar rho(h).
     finite_images = {}
     for k in sorted(geo.gen_restrictions):
         gidx = quotient.generator_index(k)
-        blocks = {}
-        for col, (_, i) in enumerate(reps_list):
+        perm, scalars = [], []
+        for _, i in reps_list:
             u = quotient.mul(gidx, i)
-            row = next(r for r, (_, rj) in enumerate(reps_list)
-                       if quotient.mul(quotient.inv(rj), u) in sub_words)
+            row = coset_of[u]
+            perm.append(row)
             h = quotient.mul(quotient.inv(reps_list[row][1]), u)
-            blocks[row, col] = rho_values[h]
-        mat = [[Cyc.rational(0)] * dim for _ in range(dim)]
-        for (row, col), block in blocks.items():
-            for a in range(rho_dim):
-                for b in range(rho_dim):
-                    mat[row * rho_dim + a][col * rho_dim + b] = block[a][b]
-        finite_images[k] = tuple(tuple(r) for r in mat)
+            scalars.append(rho_values[h])
+        finite_images[k] = (tuple(perm), tuple(scalars))
 
     rep = FiniteDimRep(
-        group_tag=f"Wtilde({datum.label}, J={list(J)})",
         dimension=dim,
         lattice_diagonals=tuple(lattice_diagonals),
         finite_images=finite_images,
         quotient=quotient,
     )
-    _verify_relations(rep, t)
+    _verify_relations(rep)
     return rep
 
 
-def _verify_relations(rep, t):
+def _verify_relations(rep):
     quotient = rep.quotient
     rank = len(rep.lattice_diagonals)
-    eye = cyc_identity(rep.dimension)
+    eye = _identity(rep.dimension)
     for k, mat in rep.finite_images.items():
-        if linalg.mat_mul(mat, mat) != eye:
+        if _compose(mat, mat) != eye:
             raise InternalConsistencyError(f"image of ss_{k} is not an involution")
     # Compatibility of the semidirect structure: F_k X_j = X_{g_k . e_j} F_k.
-    for k, mat in rep.finite_images.items():
+    # On e_c both sides give scalars[c] e_perm[c] times X_j[c] and
+    # X_{g_k . e_j}[perm[c]] respectively; the involution check has made
+    # every scalar nonzero.
+    for k, (perm, _) in rep.finite_images.items():
         gidx = quotient.generator_index(k)
-        for j in range(rank):
-            left = linalg.mat_mul(
-                mat, _diag_mat(rep.lattice_image(_unit(rank, j))))
-            moved = quotient.act_lattice(gidx, _unit(rank, j))
-            right = linalg.mat_mul(
-                _diag_mat(rep.lattice_image(moved)), mat)
-            if left != right:
+        for j, diag in enumerate(rep.lattice_diagonals):
+            moved = rep.lattice_image(
+                quotient.act_lattice(gidx, _unit(rank, j)))
+            if any(diag[c] != moved[p] for c, p in enumerate(perm)):
                 raise InternalConsistencyError(
                     "lattice conjugation relation fails")
 
@@ -265,29 +262,21 @@ def _unit(rank, j):
     return tuple(1 if a == j else 0 for a in range(rank))
 
 
-def _diag_mat(diag):
-    n = len(diag)
-    return tuple(
-        tuple(diag[i] if i == j else Cyc.rational(0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def character_values(rep, t_order):
     """chi(x, w_i) for x in range(M)^rank, lexicographic, and for each x
     every quotient index i; M = max(1, t_order).
 
-    The image of (x, w_i) is diag(x) F_i with diag(x) diagonal, so its
-    trace reads only the diagonal of F_i.  Each F_i is built once, and
-    diag(x) multiplies one row per lattice basis vector from a table of
-    the powers diag_j^k, k < M."""
+    The image of (x, w_i) is diag(x) F_i with diag(x) diagonal and F_i
+    monomial, so its trace reads only the fixed points of F_i.  Each F_i
+    is built once, and diag(x) multiplies one row per lattice basis
+    vector from a table of the powers diag_j^k, k < M."""
     dim = rep.dimension
     M = max(1, t_order)
     fin_diagonals = []
     for i in range(rep.quotient.size):
-        fin = rep.finite_image(i)
-        fin_diagonals.append([(pos, fin[pos][pos]) for pos in range(dim)
-                              if not fin[pos][pos].is_zero()])
+        perm, scalars = rep.finite_image(i)
+        fin_diagonals.append([(pos, scalars[pos]) for pos in range(dim)
+                              if perm[pos] == pos])
     ones = (Cyc.rational(1),) * dim
     powers = []
     for diag in rep.lattice_diagonals:
@@ -324,9 +313,9 @@ def lift_characters(geo, letters):
     words = quotient.subgroup(letters)
     out = []
     for signs in itertools.product((1, -1), repeat=len(letters)):
-        rho = {k: ((Cyc.rational(s),),) for k, s in zip(sorted(letters), signs)}
+        rho = {k: Cyc.rational(s) for k, s in zip(sorted(letters), signs)}
         try:
-            _rho_on_subgroup(quotient, words, rho, 1)
+            _rho_on_subgroup(quotient, words, rho)
         except InternalConsistencyError:
             continue
         out.append(rho)

@@ -45,14 +45,6 @@ class WeylElement:
     def __mul__(self, other):
         return multiply(self, other)
 
-    def apply(self, coords):
-        """Image of a V-dagger vector given in b'-coordinates."""
-        return linalg.mat_vec(self.mat, coords)
-
-    def apply_v(self, coords):
-        """Image of a V vector given in b-coordinates."""
-        return linalg.mat_vec(self.dual, coords)
-
     def is_identity(self):
         return self.mat == linalg.identity_mat(self.datum.n + 1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from weylkit import alcove, linalg, reps
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
-from weylkit.errors import PreconditionError
+from weylkit.errors import InternalConsistencyError, PreconditionError
 
 
 A1 = cartan_datum("A1")
@@ -64,6 +65,20 @@ def test_cell_mismatch_rejected():
         reps.build_irreducible(A1, (), (0, 1), d, rho)
 
 
+def _dense(monomial):
+    """The Cyc matrix of a monomial (perm, scalars): column c holds
+    scalars[c] in row perm[c]."""
+    perm, scalars = monomial
+    zero = Cyc.rational(0)
+    return tuple(tuple(scalars[c] if perm[c] == r else zero
+                       for c in range(len(perm)))
+                 for r in range(len(perm)))
+
+
+def _trace(mat):
+    return sum((mat[i][i] for i in range(len(mat))), Cyc.rational(0))
+
+
 def test_distinct_characters_give_distinct_modules():
     d = _point(1)
     cell = alcove.cell_of(d)
@@ -72,8 +87,8 @@ def test_distinct_characters_give_distinct_modules():
     built = [reps.build_irreducible(A1, (), cell.S, d, rho) for rho in rhos]
     assert len(built) == 2
     # the two sign characters give modules that differ on the finite part
-    images = [rep.finite_image(i) for rep in built for i in (0, 1)]
-    traces = [reps.cyc_trace(m).render() for m in images]
+    images = [_dense(rep.finite_image(i)) for rep in built for i in (0, 1)]
+    traces = [_trace(m).render() for m in images]
     assert len(set(traces)) >= 2
 
 
@@ -103,16 +118,16 @@ def _a2_modules(coords):
 
 def _reference_characters(rep, t_order):
     """chi(x, w_i) in the order of `character_values`, by the direct
-    route: the finite image as a product of generator matrices over its
-    word, the lattice image by repeated multiplication, the whole matrix
-    diag(x) F_i and its trace."""
+    route: the finite image as a product of dense generator matrices over
+    its word, the lattice image by repeated multiplication, the whole
+    matrix diag(x) F_i and its trace."""
     dim = rep.dimension
     rank = len(rep.lattice_diagonals)
     finite = []
     for word in rep.quotient.geo.quotient_words:
-        mat = reps.cyc_identity(dim)
+        mat = _dense((tuple(range(dim)), (Cyc.rational(1),) * dim))
         for k in word:
-            mat = linalg.mat_mul(mat, rep.finite_images[k])
+            mat = linalg.mat_mul(mat, _dense(rep.finite_images[k]))
         finite.append(mat)
     out = []
     for x in itertools.product(range(max(1, t_order)), repeat=rank):
@@ -123,7 +138,7 @@ def _reference_characters(rep, t_order):
         for fin in finite:
             image = [[diag[r] * fin[r][c] for c in range(dim)]
                      for r in range(dim)]
-            out.append(reps.cyc_trace(image))
+            out.append(_trace(image))
     return out
 
 
@@ -158,3 +173,22 @@ def test_grid_modules_follow_the_grid_and_the_lift_characters():
     got = [(d.coords, cell.S, index)
            for d, cell, _, index, _ in reps.grid_modules(A1, (), 6)]
     assert got == want
+
+
+def test_verify_relations_rejects_corrupted_images():
+    # The interior point has a trivial stabilizer: every generator moves
+    # every one of the 6 cosets, so each corruption breaks a relation.
+    _, (rep,) = _a2_modules((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+    reps._verify_relations(rep)
+    k = min(rep.finite_images)
+    perm, scalars = rep.finite_images[k]
+    assert all(perm[c] != c for c in range(rep.dimension))
+    flipped = (-scalars[0],) + scalars[1:]
+    other = next(c for c in range(rep.dimension) if c not in (0, perm[0]))
+    swapped = list(perm)
+    swapped[0], swapped[other] = swapped[other], swapped[0]
+    for bad in ((perm, flipped), (tuple(swapped), scalars)):
+        broken = dataclasses.replace(
+            rep, finite_images={**rep.finite_images, k: bad})
+        with pytest.raises(InternalConsistencyError):
+            reps._verify_relations(broken)
