@@ -182,6 +182,7 @@ class CosetGeometry:
         elements = [eye]
         words = [()]
         index = {eye: 0}
+        left = {k: [] for k, _ in gen_restrictions}
         head = 0
         while head < len(elements):
             current = elements[head]
@@ -194,12 +195,35 @@ class CosetGeometry:
                     words.append((k,) + word)
                     if len(elements) > _QUOTIENT_CAP:
                         raise BudgetError("finite quotient exceeds the size cap")
+                left[k].append(index[new])
             head += 1
         self.quotient = elements
         # words[i] multiplies left-to-right: elements[i] = prod of the letters.
         self.quotient_words = [tuple(w) for w in words]
         self.quotient_index = index
         self.gen_restrictions = dict(gen_restrictions)
+        # Multiplication: quotient_left[k][j] is the index of r_k times
+        # element j, a permutation of the indices, so products and
+        # inverses follow the words without a size^2 table.
+        self.quotient_left = {k: tuple(perm) for k, perm in left.items()}
+        undo = {}
+        for k, perm in left.items():
+            undo[k] = [0] * len(perm)
+            for i, j in enumerate(perm):
+                undo[k][j] = i
+        inverse = []
+        for word in self.quotient_words:
+            x = 0
+            for k in word:
+                x = undo[k][x]
+            inverse.append(x)
+        self.quotient_inverse = tuple(inverse)
+
+    def quotient_product(self, i, j):
+        """Index of quotient element i times quotient element j."""
+        for k in reversed(self.quotient_words[i]):
+            j = self.quotient_left[k][j]
+        return j
 
     def _lift(self, letters):
         w = weyl.identity(self.datum)
@@ -224,6 +248,7 @@ class CosetGeometry:
         if self.dim == 0:
             self.lattice = TranslationLattice(rank=0, basis=(), dual_basis=())
             self.torus_actions = [()] * len(self.quotient)
+            self.dual_actions = self.torus_actions
             return
         # Schreier generators of the kernel of the quotient map.
         lifts = [self._lift(word) for word in self.quotient_words]
@@ -260,6 +285,10 @@ class CosetGeometry:
                 rows.append(tuple(int(x) for x in row))
             actions.append(tuple(rows))
         self.torus_actions = actions
+        # The dual action on the character lattice L, per element: the
+        # transpose of the action of the inverse element.
+        self.dual_actions = [linalg.transpose(actions[i])
+                             for i in self.quotient_inverse]
 
     def lattice_coords(self, ucoords):
         """Coordinates over the L'-basis of a z_J vector in u-coordinates."""

@@ -10,6 +10,15 @@ below, and the two Iwahori-type subsets are
 
     I1: [[a,b],[c,d]] with v(a)=v(d)=m, v(b)>=m, v(c)>m for some m,
     I2: [[c,d],[a,b]] with v(a)=v(d)+1=m+1, v(b)>=m+1, v(c)>=m+1.
+
+Membership reads each entry only through its (exponent, prec) pair: the
+least exponent with a nonzero coefficient below the precision, and the
+precision.  The fixed-point count walks the word tree of coset
+representatives (Serre, Trees, Ch. II §1) carrying x^-1 g x; it
+classifies each level from the pairs of the children of the level
+above, computed from that level's t-independent pieces, and builds a
+level's matrices only when the stop rule sends the walk on, so the last
+level it classifies is never built.
 """
 
 import math
@@ -25,50 +34,58 @@ from .errors import (
 from .laurent import LaurentScalar, is_prime, quadratic
 
 
+def _pair(x):
+    """The (exponent, prec) pair that Iwahori membership reads from a
+    scalar: its least exponent with a nonzero coefficient below `prec`,
+    or inf when it is zero to precision."""
+    return (min(x.coeffs) if x.coeffs else math.inf, x.prec)
+
+
 def _val_ge(x, bound):
-    """Decide v(x) >= bound, or raise if the window cannot tell."""
-    v = x.val_lower_bound()
-    if v >= bound:
+    """Decide v >= bound for an (exponent, prec) pair, or raise if the
+    window cannot tell."""
+    v, prec = x
+    if min(v, prec) >= bound:
         return True
-    if x.coeffs:
-        return min(x.coeffs) >= bound
+    if v != math.inf:
+        return False
     raise IndeterminateError("valuation bound undecidable at this precision",
-                             partial=x.prec)
+                             partial=prec)
 
 
 def _val_eq(x, value):
-    if x.coeffs:
-        return min(x.coeffs) == value
-    if x.is_exact():
-        return value is math.inf
-    if x.prec > value:
+    v, prec = x
+    if v != math.inf:
+        return v == value
+    if prec == math.inf:
+        return value == math.inf
+    if prec > value:
         return False
     raise IndeterminateError("valuation undecidable at this precision",
-                             partial=x.prec)
+                             partial=prec)
+
+
+def _classify(a, b, c, d):
+    """"I1", "I2", or "neither" for [[a, b], [c, d]] given by the
+    (exponent, prec) pairs of its entries."""
+    # I1: m is forced to be v(a); a zero or undecidable a rules I1 out.
+    m = a[0]
+    if (m != math.inf and _val_eq(d, m) and _val_ge(b, m)
+            and _val_ge(c, m + 1)):
+        return "I1"
+    # I2 with the entries read as [[c,d],[a,b]]: m is forced to be v(d),
+    # sitting in the upper right.
+    m = b[0]
+    if (m != math.inf and _val_eq(c, m + 1) and _val_ge(d, m + 1)
+            and _val_ge(a, m + 1)):
+        return "I2"
+    return "neither"
 
 
 def iwahori_class(M):
     """"I1", "I2", or "neither" per the two membership displays."""
     (a, b), (c, d) = M
-    # I1: m is forced to be v(a).
-    try:
-        va = a.valuation()
-    except IndeterminateError:
-        va = None
-    if va is not None and va is not math.inf:
-        if _val_eq(d, va) and _val_ge(b, va) and _val_ge(c, va + 1):
-            return "I1"
-    # I2 with the entries read as [[c,d],[a,b]]: m is forced to be v(d),
-    # sitting in the upper right.
-    try:
-        vd = b.valuation()
-    except IndeterminateError:
-        vd = None
-    if vd is not None and vd is not math.inf:
-        m = vd
-        if (_val_eq(c, m + 1) and _val_ge(d, m + 1) and _val_ge(a, m + 1)):
-            return "I2"
-    return "neither"
+    return _classify(_pair(a), _pair(b), _pair(c), _pair(d))
 
 
 def i2_normal_form(M):
@@ -148,32 +165,64 @@ def _exact_inverse(M):
     return tuple(tuple(x / det for x in row) for row in adj)
 
 
-def _children(C, letter):
-    """s^-1 C s for the q edges s = u_letter(t) n_letter, t in range(q),
-    of the word tree below C: s = [[-t, 1], [-1, 0]] for letter 1 and
-    [[0, e^-1], [-e, t]] for letter 0, both of determinant 1.  Each entry
-    of a child is a polynomial of degree at most 2 in t whose scalars
-    depend only on C, so they are formed once here and each child costs
-    three `laurent.quadratic` constructions."""
+def _pieces(C, letter):
+    """The t-independent scalars of s^-1 C s for the q edges
+    s = u_letter(t) n_letter, t in range(q), of the word tree below C:
+    s = [[-t, 1], [-1, 0]] for letter 1 and [[0, e^-1], [-e, t]] for
+    letter 0, both of determinant 1.  Each entry of a child is
+    x0 + t x1 + t^2 x2 with scalars that depend only on C; the four
+    entries come as (x0, x1, x2) triples, None marking an absent term."""
     (a, b), (c, d) = C
-    q = a.q
     if letter == 1:
         # ((d + t c, -c), (-b + t (d - a) + t^2 c, a - t c))
         neg_c = -c
-        neg_b = -b
-        d_minus_a = d - a
-        return [((quadratic(t, d, c), neg_c),
-                 (quadratic(t, neg_b, d_minus_a, c), quadratic(t, a, neg_c)))
-                for t in range(q)]
+        return ((d, c, None), (neg_c, None, None),
+                (-b, d - a, c), (a, neg_c, None))
     # ((d - t eb, -c e^-2 + t (a - d) e^-1 + t^2 b), (-b e^2, a + t eb))
     eb = b.shift(1)
-    neg_eb = -eb
-    upper = -c.shift(-2)
-    a_minus_d = (a - d).shift(-1)
-    lower = -b.shift(2)
-    return [((quadratic(t, d, neg_eb), quadratic(t, upper, a_minus_d, b)),
-             (lower, quadratic(t, a, eb)))
+    return ((d, -eb, None), (-c.shift(-2), (a - d).shift(-1), b),
+            (-b.shift(2), None, None), (a, eb, None))
+
+
+def _children(pieces, q):
+    """The q children s^-1 C s, t in range(q), from C's pieces: at most
+    three `laurent.quadratic` constructions each."""
+    def entry(t, piece):
+        x0, x1, x2 = piece
+        return x0 if x1 is None else quadratic(t, x0, x1, x2)
+
+    p00, p01, p10, p11 = pieces
+    return [((entry(t, p00), entry(t, p01)), (entry(t, p10), entry(t, p11)))
             for t in range(q)]
+
+
+def _entry_pairs(piece, q):
+    """The (exponent, prec) pairs of x0 + t x1 + t^2 x2 for t in
+    range(q), equal to those of the scalars `laurent.quadratic` builds:
+    x0's own pair at t = 0; otherwise the least precision of the terms,
+    and the first exponent below it where the coefficient sum is nonzero
+    modulo q."""
+    x0, x1, x2 = piece
+    first = _pair(x0)
+    if x1 is None:
+        return [first] * q
+    c0, c1 = x0.coeffs, x1.coeffs
+    c2 = {} if x2 is None else x2.coeffs
+    prec = min(x0.prec, x1.prec, math.inf if x2 is None else x2.prec)
+    pairs = [first] + [(math.inf, prec)] * (q - 1)
+    pending = range(1, q)
+    for e in sorted(set(c0).union(c1, c2)):
+        if e >= prec or not pending:
+            break
+        k0, k1, k2 = c0.get(e, 0), c1.get(e, 0), c2.get(e, 0)
+        unresolved = []
+        for t in pending:
+            if (k0 + t * (k1 + t * k2)) % q:
+                pairs[t] = (e, prec)
+            else:
+                unresolved.append(t)
+        pending = unresolved
+    return pairs
 
 
 def _tau_conjugate(C):
@@ -182,32 +231,80 @@ def _tau_conjugate(C):
     return ((d, c.shift(-1)), (b.shift(1), a))
 
 
+def _tau_pairs(a, b, c, d):
+    """The entry pairs of `_tau_conjugate` from those of C."""
+    return d, (c[0] - 1, c[1] - 1), (b[0] + 1, b[1] + 1), a
+
+
+def _child_pairs(nodes, q):
+    """The entry pairs of the children of a level's nodes, in the order
+    the walk builds them."""
+    return [pairs
+            for _, branches in nodes
+            for _, pieces in branches
+            for pairs in zip(*(_entry_pairs(p, q) for p in pieces))]
+
+
+def _classes(level):
+    """The Iwahori class of each conjugate given by its entry pairs and
+    of its tau-conjugate, in the order `conjugate_levels` yields them."""
+    for pairs in level:
+        yield _classify(*pairs)
+        yield _classify(*_tau_pairs(*pairs))
+
+
+def _walk(g):
+    """The word tree below g, one level per step: for word lengths
+    0, 1, 2, ..., the list of (x^-1 g x, branches) over the level's
+    coset representatives x I1, where branches holds (letter, pieces)
+    for each letter that extends x's word.  Each length-l word in the
+    two alternating letters contributes q^l nodes; the walk carries
+    x^-1 g x down the tree, never x, and builds a level only when the
+    consumer asks for it."""
+    q = g[0][0].q
+    frontier = [(g, None)]
+    while True:
+        nodes = [(conj, [(letter, _pieces(conj, letter))
+                         for letter in (0, 1) if letter != last])
+                 for conj, last in frontier]
+        yield nodes
+        frontier = [(child, letter)
+                    for _, branches in nodes
+                    for letter, pieces in branches
+                    for child in _children(pieces, q)]
+
+
 def conjugate_levels(g):
     """Yield, for word lengths 0, 1, 2, ..., the conjugates x^-1 g x over
-    that level's coset representatives x I1.  Each length-l word in the
-    two alternating letters contributes q^l representatives, each doubled
-    by tau; the walk carries x^-1 g x down the word tree, never x."""
-    frontier = [(None, g)]
-    while True:
-        yield [m for _, conj in frontier
-               for m in (conj, _tau_conjugate(conj))]
-        frontier = [(letter, child)
-                    for last, conj in frontier
-                    for letter in (0, 1) if letter != last
-                    for child in _children(conj, letter)]
+    that level's coset representatives x I1, each followed by its
+    tau-conjugate."""
+    for nodes in _walk(g):
+        yield [m for conj, _ in nodes for m in (conj, _tau_conjugate(conj))]
 
 
 def fixed_point_count(g, prec=6, max_length=8):
     """Number of cosets x I1 with x^-1 g x in I2, enumerated over
     truncated Bruhat-cell representatives.  Stabilization is declared
     when the counts at word-length bounds L and L+2 agree.  The walk is
-    exact on g's own precision; `prec` is accepted and unused."""
+    exact on g's own precision; `prec` is accepted and unused.
+
+    Membership reads only the (exponent, prec) pair of each entry, so a
+    level is classified from the pieces of the level above it: each
+    child's pairs come from its t-polynomials without building it, and
+    the tau-conjugate's from the same pairs.  A level's matrices are
+    built only when the stop rule lets the walk go on, so the last level
+    classified is never built."""
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
+    q = g[0][0].q
+    walk = _walk(g)
+    level = [tuple(_pair(x) for row in g for x in row)]
     cumulative = []
     running = 0
-    for _, level in zip(range(max_length + 1), conjugate_levels(g)):
-        running += sum(iwahori_class(conj) == "I2" for conj in level)
+    for length in range(max_length + 1):
+        if length:
+            level = _child_pairs(next(walk), q)
+        running += sum(cls == "I2" for cls in _classes(level))
         cumulative.append(running)
         n = len(cumulative)
         if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:

@@ -27,36 +27,21 @@ def _zeta_of(value):
 
 
 class QuotientGroup:
-    """Finite quotient W_Jc with multiplication on element indices."""
+    """Finite quotient W_Jc with multiplication on element indices, read
+    from the tables its geometry builds once."""
 
     def __init__(self, geo):
         self.geo = geo
         self.size = len(geo.quotient)
-        self._mul = {}
-        self._inv = {}
-        for i, a in enumerate(geo.quotient):
-            for j, b in enumerate(geo.quotient):
-                k = geo.quotient_index[linalg.mat_mul(a, b)]
-                self._mul[i, j] = k
-                if k == 0:
-                    self._inv[i] = j
-        # Dual action on the character lattice L per element.
-        self.dual_actions = []
-        for n in geo.torus_actions:
-            if not n:
-                self.dual_actions.append(())
-                continue
-            inv = linalg.mat_inv_int(n)
-            self.dual_actions.append(linalg.transpose(inv))
 
     def mul(self, i, j):
-        return self._mul[i, j]
+        return self.geo.quotient_product(i, j)
 
     def inv(self, i):
-        return self._inv[i]
+        return self.geo.quotient_inverse[i]
 
     def act_lattice(self, i, x):
-        action = self.dual_actions[i]
+        action = self.geo.dual_actions[i]
         if not action:
             return x
         return linalg.mat_vec(action, x)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import alcove
+from weylkit import alcove, linalg
 from weylkit.cartan import cartan_datum
 from weylkit.errors import (
     NodeSubsetError,
@@ -115,3 +115,23 @@ def test_stabilizer_without_lift_check():
     result = alcove.torus_stabilizer(A1, (), t)
     assert 0 in result.elements
     assert result.lift_ok
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])
+def test_quotient_tables_match_the_matrices(label):
+    # Products, inverses and dual actions against the quotient's own
+    # Fraction matrices and integer lattice actions.
+    from weylkit import linalg
+
+    geo = alcove.geometry(cartan_datum(label), ())
+    size = len(geo.quotient)
+    assert size == {"A1": 2, "A2": 6, "C2": 8, "G2": 12}[label]
+    for i, a in enumerate(geo.quotient):
+        for j, b in enumerate(geo.quotient):
+            assert geo.quotient_product(i, j) \
+                == geo.quotient_index[linalg.mat_mul(a, b)]
+        assert geo.quotient_product(i, geo.quotient_inverse[i]) == 0
+        assert geo.quotient_product(geo.quotient_inverse[i], i) == 0
+        action = geo.torus_actions[i]
+        assert linalg.mat_mul(linalg.transpose(geo.dual_actions[i]),
+                              action) == linalg.identity_mat(len(action))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -197,6 +198,128 @@ def test_fixed_point_count_matches_explicit_words_under_truncation():
                 assert got == outcome(_reference_count, source)
                 seen.add(got)
     assert seen == {2, IndeterminateError}
+
+
+# -- the valuation classifier against the build-then-classify walk -------
+
+def _build_then_classify_count(g, max_length=8):
+    """The count by building every conjugate of every level and
+    classifying each built matrix, with the stop rule and errors of
+    `fixed_point_count`."""
+    if pgl2.iwahori_class(g) != "I2":
+        raise PreconditionError("element must lie in the odd Iwahori coset")
+    cumulative = []
+    running = 0
+    for _, level in zip(range(max_length + 1), pgl2.conjugate_levels(g)):
+        running += sum(pgl2.iwahori_class(conj) == "I2" for conj in level)
+        cumulative.append(running)
+        n = len(cumulative)
+        if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:
+            return cumulative[n - 1]
+    raise IndeterminateError(
+        f"count did not stabilize by word length {max_length}",
+        partial=cumulative[-1])
+
+
+def _full_outcome(count, g):
+    """The count, or the exception's class, message and partial result."""
+    try:
+        return count(g)
+    except (IndeterminateError, PreconditionError) as exc:
+        return type(exc), str(exc), getattr(exc, "partial", None)
+
+
+def test_fixed_point_count_matches_build_then_classify_under_truncation():
+    # Whole matrices truncated at every prec, and each entry at its own
+    # prec, which makes the walk itself meet undecidable entries; a short
+    # max_length reaches the stabilization error.
+    seen = set()
+    for q in (2, 3, 5, 7):
+        rng = random.Random(41 + q)
+        base = laurent.parse_matrix("0,1;e,0", q)
+        elements = [pgl2.random_i2(q, rng, degree=12) for _ in range(3)]
+        elements += [pgl2.conjugate_exact(base, pgl2.random_i1(q, rng))
+                     for _ in range(2)]
+        sources = [_truncated(g, prec) for g in elements
+                   for prec in [math.inf] + list(range(-3, 14))]
+        for _ in range(40):
+            g = pgl2.random_i2(q, rng, degree=4)
+            sources.append(tuple(tuple(x.truncate(rng.randrange(-3, 14))
+                                       for x in row) for row in g))
+        for source in sources:
+            for max_length in (8, 1):
+                got = _full_outcome(
+                    lambda h: pgl2.fixed_point_count(h, max_length=max_length),
+                    source)
+                assert got == _full_outcome(
+                    lambda h: _build_then_classify_count(h, max_length),
+                    source)
+                seen.add(got if isinstance(got, int) else got[:2])
+    assert {2, (PreconditionError,
+                "element must lie in the odd Iwahori coset"),
+            (IndeterminateError, "valuation undecidable at this precision"),
+            (IndeterminateError,
+             "valuation bound undecidable at this precision"),
+            (IndeterminateError,
+             "count did not stabilize by word length 1")} <= seen
+
+
+def _levels_two_ways(g, count):
+    """Per level, the conjugates' entry pairs (level l + 1 from the pieces
+    of level l, without building it) beside the built matrices."""
+    q = g[0][0].q
+    walk = pgl2._walk(g)
+    level = [tuple(pgl2._pair(x) for row in g for x in row)]
+    for length, built in zip(range(count), pgl2.conjugate_levels(g)):
+        if length:
+            level = pgl2._child_pairs(next(walk), q)
+        yield level, built
+
+
+def test_level_classes_from_valuations_match_the_built_matrices():
+    # Levels 0-3 of the unipotent elements of
+    # `test_walk_cumulative_counts_per_level` and of the base I2 element:
+    # I1, I2 and "neither" all occur.
+    seen = set()
+    for q in (2, 3, 5):
+        for text in ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0"):
+            g = laurent.parse_matrix(text, q)
+            for level, built in _levels_two_ways(g, 4):
+                classes = [pgl2.iwahori_class(m) for m in built]
+                assert list(pgl2._classes(level)) == classes
+                seen.update(classes)
+    assert seen == {"I1", "I2", "neither"}
+
+
+def test_valuation_classes_match_on_truncated_entries():
+    # Entries of any class, zero to precision or not, each known to its
+    # own precision: the class or the error, message and partial of every
+    # conjugate and its tau-conjugate on levels 0-2.
+    def outcome(classify, *args):
+        try:
+            return classify(*args)
+        except IndeterminateError as exc:
+            return type(exc), str(exc), exc.partial
+
+    errors = 0
+    for q in (2, 3, 5):
+        rng = random.Random(53 + q)
+        for _ in range(60):
+            entries = []
+            for _ in range(4):
+                v = rng.randrange(-2, 3)
+                coeffs = {v + k: rng.randrange(q)
+                          for k in range(rng.randrange(3))}
+                prec = rng.choice([math.inf, v + rng.randrange(4)])
+                entries.append(LaurentScalar(q, coeffs, prec))
+            g = ((entries[0], entries[1]), (entries[2], entries[3]))
+            for level, built in _levels_two_ways(g, 3):
+                got = [outcome(pgl2._classify, *p)
+                       for pairs in level
+                       for p in (pairs, pgl2._tau_pairs(*pairs))]
+                assert got == [outcome(pgl2.iwahori_class, m) for m in built]
+                errors += sum(isinstance(x, tuple) for x in got)
+    assert errors
 
 
 def test_regular_window_module_traces():
