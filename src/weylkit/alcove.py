@@ -382,12 +382,18 @@ def sample_grid(datum, J, max_denominator):
 
     Only implemented for complements of size 2 (the configurations the
     verification suite samples); returns LevelOnePoints lying in cells
-    C_S with S inside the complement of J.
+    C_S with S inside the complement of J.  Both node-subset refusals
+    are decided from J and datum.n alone, before any coset geometry is
+    built.
     """
-    geo = geometry(datum, J)
-    if len(geo.jcheck) != 2:
+    if len(set(J)) == datum.n + 1:
+        raise NodeSubsetError("J must be a proper node subset")
+    if any(j < 0 or j > datum.n for j in J):
+        raise PreconditionError("node index out of range")
+    jcheck = tuple(k for k in range(datum.n + 1) if k not in J)
+    if len(jcheck) != 2:
         raise NodeSubsetError("grid sampling needs a rank-1 configuration")
-    ka, kb = geo.jcheck
+    ka, kb = jcheck
     na, nb = datum.marks[ka], datum.marks[kb]
     points = []
     seen = set()

@@ -163,6 +163,10 @@ def _c10_lattice_bijections(config):
     points, direct = lattices.enumerate_X_n(p, n)
     if len(points) != direct:
         raise WeylkitError(f"{len(points)} != {direct}")
+    scanned, _ = lattices.scan_points(p, n)
+    if [z.basis for z in scanned] != [z.basis for z in points]:
+        raise WeylkitError("the candidate scan and the tree walk disagree"
+                           f" ({len(scanned)} and {len(points)} points)")
     for z in lattices.candidates(p, n):
         if (lattices.d_invariant(z)
                 + lattices.d_invariant(lattices.sharp(z))) != 6 * n:

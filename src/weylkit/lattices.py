@@ -12,18 +12,28 @@ canonicalized as the Hermite form of its generators together with
 p^(2n) times the identity.  The quotient Z = L / p^n L_0 is Lam modulo
 p^(2n); the deeper quotient Z_1 is Lam modulo p^(3n).
 
-The enumeration is integer-only.  Candidates are upper-triangular Hermite
-bases with p-power diagonal; only off-diagonal entries that satisfy the
-congruences for containing p^(2n) Z^3 are ever formed, and `budget`
-bounds how many are tested.  Membership of a vector in such a lattice ([u, v] in
-p^n Lam for bracket closure) is one integer back-substitution, d is read
-from the Hermite diagonal, and the dual `sharp` is a triangular
-back-substitution followed by a Hermite form modulo p^(2n).  Both routes
-to the points, the isotropic one and the direct self-dual one, read a
-single pass over the candidates, each of which is tested by both
-predicates.  At (p, n) = (3, 1) the pass sees 445 candidates and at
-(3, 2) 67,969, which run in seconds; (5, 2) has 2,890,693 and stops at
-the default budget of 200,000.
+The points come from the Bruhat-Tits tree of PGL2(Q_p) (Serre, Trees,
+II.1): they are the lattices ad(g) L_0 for the vertices g L_0 within
+distance n of the base vertex.  The Killing form is ad-invariant, so each
+is self-dual and bracket-closed, and `tree_points` forms each vertex once
+from an upper-triangular representative, integer-only, with `budget`
+bounding the vertices formed.  `enumerate_X_n` tests every tree point by
+both routes, the isotropic stratum (d, the pairing, the trilinear form)
+and the direct one (a fixed point of the dual `sharp`, bracket closure),
+and certifies the points on which they agree.
+
+The exhaustive scan is the independent route the registry checks the
+tree against.  Its candidates are upper-triangular Hermite bases with
+p-power diagonal; only off-diagonal entries that satisfy the congruences
+for containing p^(2n) Z^3 are ever formed, and `budget` bounds how many
+are tested.  Membership of a vector in such a lattice ([u, v] in p^n Lam
+for bracket closure) is one integer back-substitution, d is read from the
+Hermite diagonal, and `sharp` is a triangular back-substitution followed
+by a Hermite form modulo p^(2n).  Both strata routes read a single pass
+over the candidates.  At (p, n) = (3, 1) the pass sees 445 candidates
+and at (3, 2) 67,969, which run in seconds; (5, 2) has 2,890,693 and
+stops at the default budget of 200,000, while the tree has 37 vertices
+there.
 """
 
 import itertools
@@ -286,6 +296,19 @@ def candidates(p, n):
         yield LatticeSubmodule(p=p, n=n, basis=rows)
 
 
+def _is_self_dual(z):
+    """sharp(z) == z; a dual that leaves the window is not z."""
+    try:
+        return sharp(z).basis == z.basis
+    except PreconditionError:
+        return False
+
+
+def _require_agreement(points, direct):
+    if {z.basis for z in direct} != {z.basis for z in points}:
+        raise StructuralError("the two enumeration routes disagree")
+
+
 def _scan(p, n, budget):
     """One pass over the candidates, applying both strata predicates to
     each; returns (isotropic, self_dual), each sorted by basis.  The
@@ -299,11 +322,8 @@ def _scan(p, n, budget):
             raise BudgetError("lattice enumeration budget exceeded")
         if is_self_dual_isotropic(z):
             isotropic.append(z)
-        try:
-            if sharp(z).basis == z.basis:
-                self_dual.append(z)
-        except PreconditionError:
-            pass
+        if _is_self_dual(z):
+            self_dual.append(z)
     isotropic.sort(key=lambda z: z.basis)
     self_dual.sort(key=lambda z: z.basis)
     return isotropic, self_dual
@@ -321,16 +341,85 @@ def enumerate_isotropic(p, n, budget=200000):
     return _scan(p, n, budget)[0]
 
 
-def enumerate_X_n(p, n, budget=200000):
-    """Certified bracket-closed points, cross-checked against the
-    direct lattice enumeration; returns (points, direct_count)."""
+def scan_points(p, n, budget=200000):
+    """Certified bracket-closed points from the exhaustive candidate
+    scan, the isotropic route cross-checked against the direct one;
+    returns (points, direct_count).  `budget` counts candidates."""
     isotropic, self_dual = _scan(p, n, budget)
     points = [z for z in isotropic if is_lie_closed(z)]
     direct = [z for z in self_dual if _lattice_bracket_closed(z)]
-    direct_keys = {z.basis for z in direct}
-    point_keys = {z.basis for z in points}
-    if direct_keys != point_keys:
-        raise StructuralError("the two enumeration routes disagree")
+    _require_agreement(points, direct)
+    return points, len(direct)
+
+
+# Tree vertices enumerate_X_n forms by default: the largest sizes it
+# admits, such as (97, 2) with 9,605 vertices, take a few seconds.
+VERTEX_BUDGET = 10000
+
+
+def tree_points(p, n, budget=VERTEX_BUDGET):
+    """The lattices ad(g) L_0 for the vertices g L_0 of the Bruhat-Tits
+    tree within distance n of the base, sorted by basis.
+
+    Each vertex at distance k comes once from a primitive
+    g = [[p^a, b], [0, p^c]], a + c = k, 0 <= b < p^a, where primitive
+    means a = 0, c = 0 or p does not divide b (Serre, Trees, II.1).
+    ad(g) sends e, h, f to p^(a-c) e, h - 2b p^-c e and
+    p^(c-a) f + b p^-a h - b^2 p^-k e; scaled by p^n the rows are
+    integral for k <= n.  `budget` bounds the vertices formed: the walk
+    refuses before it starts when the p^n vertices with c = 0 at distance
+    n exceed it, and otherwise charges every vertex it forms.  A vertex
+    whose canonical diagonal is not p^(3n), the index of every self-dual
+    lattice in the window, or two vertices with one canonical basis,
+    raise StructuralError."""
+    check_datum(p)
+    farthest = 1
+    for _ in range(n):  # stops once p^k passes the budget, whatever n is
+        farthest *= p
+        if farthest > budget:
+            raise BudgetError(f"lattice tree walk of more than {p}^{n}"
+                              f" vertices exceeds the budget of {budget}")
+    pn = p ** n
+    window = p ** (3 * n)
+    points = []
+    formed = 0
+    for k in range(n + 1):
+        for a in range(k + 1):
+            c = k - a
+            for b in range(p ** a):
+                if a and c and b % p == 0:
+                    continue
+                formed += 1
+                if formed > budget:
+                    raise BudgetError("lattice tree walk exceeds the budget"
+                                      f" of {budget} vertices")
+                z = canonical(p, n, (
+                    (p ** (n + a - c), 0, 0),
+                    (-2 * b * p ** (n - c), pn, 0),
+                    (-b * b * p ** (n - k), b * p ** (n - a),
+                     p ** (n + c - a))))
+                (d0, _, _), (_, d1, _), (_, _, d2) = z.basis
+                if d0 * d1 * d2 != window:
+                    raise StructuralError(
+                        "a tree vertex leaves the truncation window")
+                points.append(z)
+    points.sort(key=lambda z: z.basis)
+    if any(x.basis == y.basis for x, y in zip(points, points[1:])):
+        raise StructuralError("two tree vertices give the same lattice")
+    return points
+
+
+def enumerate_X_n(p, n, budget=VERTEX_BUDGET):
+    """Certified bracket-closed points: the tree points that pass the
+    isotropic route, cross-checked against those that pass the direct
+    one; returns (points, direct_count).  `budget` counts tree
+    vertices."""
+    vertices = tree_points(p, n, budget)
+    points = [z for z in vertices
+              if is_self_dual_isotropic(z) and is_lie_closed(z)]
+    direct = [z for z in vertices
+              if _is_self_dual(z) and _lattice_bracket_closed(z)]
+    _require_agreement(points, direct)
     return points, len(direct)
 
 

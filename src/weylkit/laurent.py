@@ -186,7 +186,6 @@ class LaurentScalar:
 
     def _exact_divide(self, other):
         """Exact polynomial division when it terminates, else None."""
-        v_self = self.val_lower_bound()
         v_other = other.valuation()
         if v_other is math.inf:
             raise PreconditionError("cannot invert zero")

@@ -294,6 +294,8 @@ def fixed_point_count(g, prec=6, max_length=8):
     the tau-conjugate's from the same pairs.  A level's matrices are
     built only when the stop rule lets the walk go on, so the last level
     classified is never built."""
+    if max_length < 0:
+        raise PreconditionError(f"max_length={max_length} is negative")
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q

@@ -313,8 +313,9 @@ def grid_modules(datum, J, denominator):
     at d, in grid order and then `lift_characters` order: d's cell, the
     torus point t = p_J(d), the character's index and the induced module.
     Built lazily, so a consumer that stops early builds nothing further."""
+    grid = alcove.sample_grid(datum, J, denominator)
     geo = alcove.geometry(datum, J)
-    for d in alcove.sample_grid(datum, J, denominator):
+    for d in grid:
         cell = alcove.cell_of(d)
         letters = [k for k in geo.jcheck if k not in set(cell.S)]
         t = alcove.p_J(datum, J, d)

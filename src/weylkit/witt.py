@@ -20,7 +20,7 @@ from operator import add, mul
 from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
 from .laurent import is_prime
 
-# Pairs oracle_check may walk; the size of the lattice enumeration budget.
+# Pairs oracle_check may walk; the size of the lattice candidate-scan budget.
 ORACLE_PAIR_BUDGET = 200000
 
 

@@ -1,6 +1,9 @@
 """End-to-end acceptance gate: every registered check must pass at its
 stated (exact) tolerance under the default configuration."""
 
+import itertools
+from math import gcd
+
 import pytest
 
 from weylkit import checks, lattices, pgl2
@@ -28,9 +31,10 @@ def test_full_registry_report_is_all_pass():
 
 
 def test_c10_d_duality_fails_for_a_wrong_dual(monkeypatch):
-    # keep the route cross-check green so that the d-duality is reached
+    # keep both route cross-checks green so that the d-duality is reached
     counts = lattices.enumerate_X_n(3, 1)
     monkeypatch.setattr(lattices, "enumerate_X_n", lambda p, n: counts)
+    monkeypatch.setattr(lattices, "scan_points", lambda p, n: counts)
     monkeypatch.setattr(lattices, "sharp", lambda z: z)
     rows = checks.run_checks(CONFIG, suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
@@ -47,6 +51,47 @@ def test_c10_fails_for_a_dual_with_swapped_units(monkeypatch):
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL",
          "the two enumeration routes disagree")]
+
+
+def _coarse_x02_candidates(p, n):
+    """The congruence stream with the x02 step coarsened from
+    g // gcd(g, c0) to g: at (3, 1) it drops two of the five points from
+    both scan routes alike."""
+    scale = p ** (2 * n)
+    for a in itertools.product(range(2 * n + 1), repeat=3):
+        d0, d1, d2 = (p ** e for e in a)
+        c0 = scale // d0
+        s01 = d1 // gcd(c0, d1)
+        s12 = d2 // gcd(scale // d1, d2)
+        for x01 in range(0, d1, s01):
+            c1 = -c0 * x01 // d1
+            g = gcd(c1 * s12, d2)
+            period = d2 // g
+            inverse = pow(c1 * s12 // g, -1, period)
+            for x02 in range(0, d2, g):
+                y0 = -c0 * x02 // g * inverse % period
+                for x12 in range(s12 * y0, d2, s12 * period):
+                    yield (d0, x01, x02), (0, d1, x12), (0, 0, d2)
+
+
+def test_c10_fails_for_a_candidate_stream_that_drops_lattices(monkeypatch):
+    monkeypatch.setattr(lattices, "_hermite_candidates",
+                        _coarse_x02_candidates)
+    assert lattices.scan_points(3, 1)[1] == 3
+    rows = checks.run_checks(CONFIG, suites=("witt",))
+    assert [r for r in rows if r[0] == "C10"] == [
+        ("C10", "lattice-bijections", "FAIL",
+         "the candidate scan and the tree walk disagree (3 and 5 points)")]
+
+
+def test_c10_fails_for_a_tree_walk_that_drops_a_vertex(monkeypatch):
+    walk = lattices.tree_points
+    monkeypatch.setattr(lattices, "tree_points",
+                        lambda p, n, budget: walk(p, n, budget)[1:])
+    rows = checks.run_checks(CONFIG, suites=("witt",))
+    assert [r for r in rows if r[0] == "C10"] == [
+        ("C10", "lattice-bijections", "FAIL",
+         "the candidate scan and the tree walk disagree (5 and 4 points)")]
 
 
 @pytest.mark.parametrize("result", [(True, 1), (False, 0)])

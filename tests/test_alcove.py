@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import alcove, linalg
+from weylkit import alcove, linalg, reps
 from weylkit.cartan import cartan_datum
 from weylkit.errors import (
     NodeSubsetError,
@@ -47,6 +47,22 @@ def test_sample_grid_count_and_disjointness():
 def test_sample_grid_rejects_higher_rank():
     with pytest.raises(PreconditionError):
         alcove.sample_grid(A2, (), 4)
+
+
+def test_sample_grid_refuses_before_building_geometry(monkeypatch):
+    def no_geometry(datum, J):
+        raise AssertionError("coset geometry built")
+
+    monkeypatch.setattr(alcove, "geometry", no_geometry)
+    F4 = cartan_datum("F4")
+    with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
+        alcove.sample_grid(F4, (), 4)
+    with pytest.raises(NodeSubsetError, match="proper node subset"):
+        alcove.sample_grid(F4, range(5), 4)
+    with pytest.raises(PreconditionError, match="out of range"):
+        alcove.sample_grid(F4, (0, 1, 9), 4)
+    with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
+        next(reps.grid_modules(F4, (), 4))
 
 
 def test_unusable_node_subsets_raise_node_subset_error():

@@ -99,12 +99,63 @@ def test_routes_agree_at_n2():
 
 
 def test_budget_bounds_the_candidates_formed():
-    points, direct = lattices.enumerate_X_n(3, 1, budget=445)
+    points, direct = lattices.scan_points(3, 1, budget=445)
     assert len(points) == direct == 5
     with pytest.raises(BudgetError):
-        lattices.enumerate_X_n(3, 1, budget=444)
+        lattices.scan_points(3, 1, budget=444)
     with pytest.raises(BudgetError):
-        lattices.enumerate_X_n(5, 2)
+        lattices.scan_points(5, 2)
+
+
+def _ball_size(p, n):
+    """Vertices within distance n of a vertex of the (p+1)-regular tree."""
+    return 1 + (p + 1) * (p ** n - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_tree_points_equal_the_scanned_points(p, n):
+    tree = [z.basis for z in lattices.tree_points(p, n)]
+    assert tree == [z.basis for z in lattices.scan_points(p, n)[0]]
+    assert tree == [z.basis for z in lattices.enumerate_X_n(p, n)[0]]
+    assert len(tree) == _ball_size(p, n)
+
+
+def test_tree_reaches_sizes_beyond_the_scan_budget():
+    for p, n in ((5, 2), (3, 3)):
+        points, direct = lattices.enumerate_X_n(p, n)
+        assert len(points) == direct == _ball_size(p, n)
+
+
+def test_budget_bounds_the_tree_vertices_formed():
+    ball = _ball_size(3, 2)
+    points, direct = lattices.enumerate_X_n(3, 2, budget=ball)
+    assert len(points) == direct == ball
+    with pytest.raises(BudgetError):
+        lattices.enumerate_X_n(3, 2, budget=ball - 1)
+    # refused before the walk: the 3^9 vertices at distance 9 alone
+    with pytest.raises(BudgetError, match=r"3\^9"):
+        lattices.enumerate_X_n(3, 9)
+
+
+def _scaled_up(canonical):
+    # p Lam no longer contains p^(2n) Z^3, so the canonical form adds it
+    return lambda p, n, rows: canonical(
+        p, n, [tuple(p * x for x in row) for row in rows])
+
+
+def _base_only(canonical):
+    return lambda p, n, rows: canonical(
+        p, n, [tuple(p ** n * (i == j) for j in range(3)) for i in range(3)])
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_scaled_up, "leaves the truncation window"),
+    (_base_only, "same lattice"),
+])
+def test_tree_walk_self_checks_can_fail(monkeypatch, fault, message):
+    monkeypatch.setattr(lattices, "canonical", fault(lattices.canonical))
+    with pytest.raises(StructuralError, match=message):
+        lattices.tree_points(3, 1)
 
 
 def test_candidates_are_already_canonical():

@@ -69,6 +69,14 @@ def test_fixed_point_count_base_case():
         assert pgl2.fixed_point_count(g) == 2
 
 
+def test_fixed_point_count_rejects_a_negative_max_length():
+    g = laurent.parse_matrix("0,1;e,0", 3)
+    with pytest.raises(PreconditionError, match="negative"):
+        pgl2.fixed_point_count(g, max_length=-1)
+    with pytest.raises(IndeterminateError):
+        pgl2.fixed_point_count(g, max_length=0)
+
+
 def test_fixed_point_count_stable_under_conjugation():
     rng = random.Random(19)
     for q in (2, 3):
