@@ -78,8 +78,10 @@ def parse_config(text):
 def _validate(config):
     if not pgl2._is_prime_power(config.q):
         raise ConfigError(f"q={config.q} is not a prime power")
-    if config.prec < 1 or config.denominator < 1:
-        raise ConfigError("budgets must be positive")
+    for key in ("prec", "denominator", "order_cap"):
+        value = getattr(config, key)
+        if value < 1:
+            raise ConfigError(f"{key}={value} is not positive")
 
 
 def render_config(config):
@@ -193,8 +195,8 @@ def _cmd_reps(args, config, out):
 
 def _cmd_fourier(args, config, out):
     if args.group not in fourier.GROUPS:
-        raise WeylkitError(f"unknown group {args.group!r};"
-                           f" choices: {sorted(fourier.GROUPS)}")
+        raise ConfigError(f"unknown group {args.group!r};"
+                          f" choices: {sorted(fourier.GROUPS)}")
     gamma = fourier.GROUPS[args.group]()
     pairs = fourier.m_set(gamma)
     matrix = fourier.pairing_matrix(gamma)

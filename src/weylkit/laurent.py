@@ -9,6 +9,12 @@ precision raises rather than guessing, because the downstream
 valuation arguments are parity-sensitive.
 
 The valuation of zero is +infinity.
+
+Every scalar keeps one invariant: each stored coefficient lies in
+[1, q) and each stored exponent is below prec.  `_new` establishes it by
+reducing modulo q and dropping zeros and exponents at or beyond prec;
+negation (c -> q - c), `shift` and `truncate` preserve it, so they build
+their result directly without that pass.
 """
 
 import math
@@ -34,6 +40,15 @@ def _new(q, coeffs, prec):
     else:
         x.coeffs = {e: r for e, c in coeffs.items()
                     if (r := c % q) and e < prec}
+    return x
+
+
+def _raw(q, coeffs, prec):
+    """A LaurentScalar from data that already keeps the invariant."""
+    x = object.__new__(LaurentScalar)
+    x.q = q
+    x.prec = prec
+    x.coeffs = coeffs
     return x
 
 
@@ -110,14 +125,18 @@ class LaurentScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.q, {e: -c for e, c in self.coeffs.items()},
-                    self.prec)
+        q = self.q
+        return _raw(q, {e: q - c for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._compat(other))
+        other = self._compat(other)
+        out = dict(self.coeffs)
+        for exp, c in other.coeffs.items():
+            out[exp] = out.get(exp, 0) - c
+        return _new(self.q, out, min(self.prec, other.prec))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._compat(other) - self
 
     def __mul__(self, other):
         other = self._compat(other)
@@ -210,12 +229,19 @@ class LaurentScalar:
         return _new(self.q, out, math.inf)
 
     def truncate(self, prec):
-        return LaurentScalar(self.q, self.coeffs, min(self.prec, prec))
+        """The same scalar known only modulo e^prec (if that is less than
+        its own precision)."""
+        if prec is not math.inf and not isinstance(prec, int):
+            raise PreconditionError("precision must be an integer or infinite")
+        if prec >= self.prec:
+            return _raw(self.q, dict(self.coeffs), self.prec)
+        return _raw(self.q, {e: c for e, c in self.coeffs.items() if e < prec},
+                    prec)
 
     def shift(self, n):
         """Multiply by e^n (exactly)."""
         prec = self.prec if self.prec is math.inf else self.prec + n
-        return _new(self.q, {e + n: c for e, c in self.coeffs.items()}, prec)
+        return _raw(self.q, {e + n: c for e, c in self.coeffs.items()}, prec)
 
     def __eq__(self, other):
         """Equality on the common known window; raises if the values

@@ -19,6 +19,15 @@ classifies each level from the pairs of the children of the level
 above, computed from that level's t-independent pieces, and builds a
 level's matrices only when the stop rule sends the walk on, so the last
 level it classifies is never built.
+
+tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
+Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
+both displays read the same conditions off C and off its tau-conjugate
+(I1: v(a)=v(d)=m, v(b)>=m, v(c)>=m+1; I2: v(c)=v(b)+1, v(a)>=v(b)+1,
+v(d)>=v(b)+1).  On exact entries the two classes therefore agree, and a
+walk whose entries are all exact classifies each node once.  On
+truncated entries the two raise in different orders, so an inexact walk
+classifies both.
 """
 
 import math
@@ -293,12 +302,19 @@ def fixed_point_count(g, prec=6, max_length=8):
     child's pairs come from its t-polynomials without building it, and
     the tau-conjugate's from the same pairs.  A level's matrices are
     built only when the stop rule lets the walk go on, so the last level
-    classified is never built."""
+    classified is never built.
+
+    When every entry of g is exact, so is every node of the walk, and a
+    node and its tau-conjugate have the same class: each node counts
+    2 [C in I2], classified once.  A walk with a truncated entry
+    classifies both, since their outcomes (the class, or which
+    IndeterminateError and its partial) can differ."""
     if max_length < 0:
         raise PreconditionError(f"max_length={max_length} is negative")
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
+    exact = all(x.is_exact() for row in g for x in row)
     walk = _walk(g)
     level = [tuple(_pair(x) for row in g for x in row)]
     cumulative = []
@@ -306,7 +322,10 @@ def fixed_point_count(g, prec=6, max_length=8):
     for length in range(max_length + 1):
         if length:
             level = _child_pairs(next(walk), q)
-        running += sum(cls == "I2" for cls in _classes(level))
+        if exact:
+            running += 2 * sum(_classify(*pairs) == "I2" for pairs in level)
+        else:
+            running += sum(cls == "I2" for cls in _classes(level))
         cumulative.append(running)
         n = len(cumulative)
         if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:
@@ -317,22 +336,26 @@ def fixed_point_count(g, prec=6, max_length=8):
 
 
 def random_i2(q, rng, degree=6):
-    """A random matrix in the odd Iwahori coset, exact entries."""
+    """A random matrix in the odd Iwahori coset, exact entries: units a,
+    d and integers b, c with `degree` digits each, drawn in that order,
+    then the shift m, giving [[e^(m+1) c, e^m d], [e^(m+1) a, e^(m+1) b]].
+    Each entry is built once, at its shifted exponents."""
     def unit():
-        coeffs = {0: rng.randrange(1, q)}
-        for k in range(1, degree):
-            coeffs[k] = rng.randrange(q)
-        return LaurentScalar(q, coeffs)
+        first = rng.randrange(1, q)
+        return [first] + [rng.randrange(q) for _ in range(1, degree)]
 
     def integer():
-        return LaurentScalar(q, {k: rng.randrange(q) for k in range(degree)})
+        return [rng.randrange(q) for _ in range(degree)]
+
+    def entry(digits, shift):
+        return LaurentScalar(q, {k + shift: c for k, c in enumerate(digits)})
 
     a, d = unit(), unit()
     b, c = integer(), integer()
     m = rng.randrange(-2, 3)
     return (
-        (c.shift(m + 1), d.shift(m)),
-        (a.shift(m + 1), b.shift(m + 1)),
+        (entry(c, m + 1), entry(d, m)),
+        (entry(a, m + 1), entry(b, m + 1)),
     )
 
 

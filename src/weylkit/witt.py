@@ -9,9 +9,14 @@ of x mod p.  Component k of x o y (o is + or *) is therefore
 
 with every term taken mod p^(k+1), where s_0..s_{k-1} are the result
 components already found; the division is exact and its quotient lies in
-[0, p).  No structure polynomial is built.  The ring W_m(F_p) is checked
-against Z/p^m by `oracle_check`, which walks all p^(2m) pairs and so
-refuses more than ORACLE_PAIR_BUDGET of them before it starts.
+[0, p).  No structure polynomial is built.
+
+W_m(F_p) is isomorphic to Z/p^m through phi(x) = sum_i p^i tau(x_i) mod
+p^m, where tau(a) = a^(p^(m-1)) mod p^m is the Teichmuller lift (the
+Frobenius of F_p is the identity); its inverse is digit extraction.
+`oracle_check` checks the ring operations against phi on all p^(2m)
+pairs and so refuses more than ORACLE_PAIR_BUDGET of them before it
+starts.
 """
 
 from dataclasses import dataclass
@@ -99,13 +104,22 @@ def witt_one(p, m):
     return WittScalar(p, m, (1,) + (0,) * (m - 1))
 
 
+def _digits(k, p, m):
+    """The components of phi^-1(k mod p^m), by digit extraction: x_i is
+    k mod p, then k becomes (k - tau(x_i)) / p."""
+    modulus = p ** m
+    k %= modulus
+    out = []
+    for _ in range(m):
+        digit = k % p
+        out.append(digit)
+        k = (k - pow(digit, p ** (m - 1), modulus)) % modulus // p
+    return tuple(out)
+
+
 def from_integer(k, p, m):
     """Image of the integer k under Z -> W_m(F_p)."""
-    acc = witt_zero(p, m)
-    one = witt_one(p, m)
-    for _ in range(k % (p ** m)):
-        acc = acc + one
-    return acc
+    return WittScalar(p, m, _digits(k, p, m))
 
 
 def parse_witt(text, p, m):
@@ -116,10 +130,12 @@ def parse_witt(text, p, m):
 
 
 def oracle_check(p, m):
-    """Exhaustively verify W_m(F_p) is isomorphic to Z/p^m as a ring,
-    via k -> from_integer(k), built as image(k) = image(k-1) + 1.
-    Returns True or raises; BudgetError before any image is built when
-    the p^(2m) pairs exceed ORACLE_PAIR_BUDGET."""
+    """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
+    isomorphism: the digit-extraction images of 0..p^m - 1 are distinct,
+    and on every pair of them the public + and * agree with + and * mod
+    p^m.  Returns True, False on a pair that disagrees, or raises;
+    BudgetError before any image is built when the p^(2m) pairs exceed
+    ORACLE_PAIR_BUDGET."""
     _require_prime(p)
     pairs = 1
     for _ in range(2 * m):  # stops by the 18th factor, whatever m is
@@ -128,10 +144,7 @@ def oracle_check(p, m):
             raise BudgetError(f"Witt oracle walk of {p}^{2 * m} pairs"
                               f" exceeds the budget of {ORACLE_PAIR_BUDGET}")
     order = p ** m
-    one = witt_one(p, m)
-    images = [witt_zero(p, m)]
-    for _ in range(order - 1):
-        images.append(images[-1] + one)
+    images = [from_integer(k, p, m) for k in range(order)]
     if len({w.components for w in images}) != order:
         raise PreconditionError("integer images are not distinct")
     lookup = {w.components: k for k, w in enumerate(images)}

@@ -121,6 +121,30 @@ def test_fourier_subcommand():
     assert out.count("\n") == 5  # header + 4 rows
 
 
+def test_unknown_fourier_group_is_a_usage_error():
+    code, out, err = run_cli(["fourier", "--group", "zz"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: unknown group 'zz'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["prec", "denominator", "order_cap"])
+def test_parse_config_rejects_a_non_positive_budget(key):
+    for value in (0, -3):
+        with pytest.raises(ConfigError, match=f"{key}={value} is not positive"):
+            cli.parse_config(f"{key} {value}\n")
+
+
+def test_zero_order_cap_is_a_usage_error(tmp_path):
+    config = tmp_path / "cap.cfg"
+    config.write_text("order_cap 0\n")
+    code, out, err = run_cli(["--config", str(config), "weyl"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: order_cap=0 is not positive\n"
+
+
 def test_pgl2_subcommand():
     code, out, _ = run_cli(["pgl2", "--q", "2",
                             "--matrix", "0,1;e,0", "--op", "all"])

@@ -181,6 +181,34 @@ def test_arithmetic_results_match_fresh_scalars(operands, n):
     _assert_canonical(a * b, q, product, prec)
 
 
+def _keeps_invariant(x):
+    return all(0 < c < x.q and e < x.prec for e, c in x.coeffs.items())
+
+
+@given(_windowed(), st.integers(-3, 3),
+       st.one_of(st.just(math.inf), st.integers(-4, 9)))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_results_match_the_reducing_route(operands, n, k):
+    # Negation, shift, truncate and subtraction build their result in one
+    # pass; the route through _new (reduce mod q, drop zeros and exponents
+    # at or beyond prec) gives the same coefficients and precision.
+    q, a, b = operands
+    def negated(x):
+        return laurent._new(q, {e: -c for e, c in x.coeffs.items()}, x.prec)
+    shifted_prec = a.prec if a.is_exact() else a.prec + n
+    pairs = [
+        (-a, negated(a)),
+        (a.shift(n), laurent._new(q, {e + n: c for e, c in a.coeffs.items()},
+                                  shifted_prec)),
+        (a.truncate(k), laurent._new(q, a.coeffs, min(a.prec, k))),
+        (a - b, a + negated(b)),
+        (3 - a, negated(a) + 3),
+    ]
+    for got, want in pairs:
+        assert _data(got) == _data(want)
+        assert _keeps_invariant(got)
+
+
 # -- the fused x0 + t*x1 + t^2*x2 constructor ----------------------------
 
 @st.composite

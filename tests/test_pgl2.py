@@ -330,6 +330,77 @@ def test_valuation_classes_match_on_truncated_entries():
     assert errors
 
 
+def _random_exact_matrix(q, rng):
+    """Four exact entries with small valuations, some of them zero."""
+    def entry():
+        if rng.randrange(6) == 0:
+            return LaurentScalar.zero(q)
+        v = rng.randrange(-2, 3)
+        coeffs = {v: rng.randrange(1, q)}
+        coeffs.update((v + k, rng.randrange(q)) for k in range(1, 3))
+        return LaurentScalar(q, coeffs)
+    return ((entry(), entry()), (entry(), entry()))
+
+
+def test_tau_conjugate_has_the_same_class_on_exact_entries():
+    # tau normalizes the Iwahori subgroup, so on exact entries a matrix
+    # and its tau-conjugate always share their class: random matrices of
+    # every class, and the walk's own nodes down to level 3.
+    seen = set()
+    for q in (2, 3, 5, 7):
+        rng = random.Random(61 + q)
+        matrices = [_random_exact_matrix(q, rng) for _ in range(300)]
+        g = pgl2.random_i2(q, rng)
+        for _, level in zip(range(4), pgl2.conjugate_levels(g)):
+            matrices.extend(level[::2])
+        for m in matrices:
+            cls = pgl2.iwahori_class(m)
+            assert pgl2.iwahori_class(pgl2._tau_conjugate(m)) == cls
+            seen.add(cls)
+    assert seen == {"I1", "I2", "neither"}
+
+
+def test_truncated_tau_conjugate_can_have_another_outcome():
+    # Why a walk with a truncated entry classifies both: here C is
+    # "neither", while its tau-conjugate [[0, 1], [0 + O(e), e^-2]] cannot
+    # decide v(e b) = 1.
+    m = laurent.parse_matrix("e^-2,0;e,0", 2)
+    m = ((m[0][0], m[0][1].truncate(0)), m[1])
+    assert pgl2.iwahori_class(m) == "neither"
+    with pytest.raises(IndeterminateError,
+                       match="valuation undecidable") as info:
+        pgl2.iwahori_class(pgl2._tau_conjugate(m))
+    assert info.value.partial == 1
+
+
+def _random_i2_by_shifts(q, rng, degree=6):
+    """`pgl2.random_i2` by its former route: each entry built at
+    exponents 0..degree-1, then shifted."""
+    def unit():
+        coeffs = {0: rng.randrange(1, q)}
+        for k in range(1, degree):
+            coeffs[k] = rng.randrange(q)
+        return LaurentScalar(q, coeffs)
+
+    def integer():
+        return LaurentScalar(q, {k: rng.randrange(q) for k in range(degree)})
+
+    a, d = unit(), unit()
+    b, c = integer(), integer()
+    m = rng.randrange(-2, 3)
+    return ((c.shift(m + 1), d.shift(m)), (a.shift(m + 1), b.shift(m + 1)))
+
+
+def test_random_i2_matches_construct_then_shift():
+    for q in (2, 3, 5, 7):
+        for degree in (1, 4, 8):
+            got, want = random.Random(q), random.Random(q)
+            for _ in range(30):
+                assert _key(pgl2.random_i2(q, got, degree)) \
+                    == _key(_random_i2_by_shifts(q, want, degree))
+            assert got.random() == want.random()
+
+
 def test_regular_window_module_traces():
     mod = pgl2.h0_cvr_module(window=4)
     assert mod.trace() == mod.dimension

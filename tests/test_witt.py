@@ -119,6 +119,59 @@ def test_oracle_isomorphism():
     assert witt.oracle_check(3, 3)
 
 
+def _teichmuller_image(x):
+    """phi(x) = sum_i p^i x_i^(p^(m-1)) mod p^m."""
+    p, m = x.p, x.m
+    return sum(p ** i * pow(c, p ** (m - 1), p ** m)
+               for i, c in enumerate(x.components)) % p ** m
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 2), (11, 2), (3, 3),
+                                 (2, 4), (7, 3), (2, 6)])
+def test_from_integer_inverts_the_teichmuller_map(p, m):
+    # digit extraction gives the repeated-addition image k * 1, and phi
+    # maps it back to k
+    one = witt.witt_one(p, m)
+    acc = witt.witt_zero(p, m)
+    for k in range(p ** m):
+        x = witt.from_integer(k, p, m)
+        assert x == acc
+        assert _teichmuller_image(x) == k
+        acc = acc + one
+    assert witt.from_integer(-1, p, m) == witt.from_integer(p ** m - 1, p, m)
+
+
+def test_oracle_rejects_a_ring_relabelled_by_base_p_digits(monkeypatch):
+    # phi'(x) = sum_i x_i p^i is a bijection onto Z/p^m as well, so the
+    # ring it carries over is isomorphic to Z/p^m, but it is not W_m(F_p):
+    # its 1 is (1, 0) and its images k * 1 are the base-p digits of k.  An
+    # oracle whose images are built with the + under test accepts it.
+    p, m = 3, 2
+
+    def relabelled(op):
+        def apply(x, y):
+            value = op(sum(c * p ** i for i, c in enumerate(x.components)),
+                       sum(c * p ** i for i, c in enumerate(y.components)))
+            value %= p ** m
+            return witt.WittScalar(
+                p, m, tuple(value // p ** i % p for i in range(m)))
+        return apply
+
+    monkeypatch.setattr(witt.WittScalar, "__add__",
+                        relabelled(lambda a, b: a + b))
+    monkeypatch.setattr(witt.WittScalar, "__mul__",
+                        relabelled(lambda a, b: a * b))
+    one = witt.witt_one(p, m)
+    images = [witt.witt_zero(p, m)]
+    for _ in range(p ** m - 1):
+        images.append(images[-1] + one)
+    lookup = {w.components: k for k, w in enumerate(images)}
+    assert all(lookup[(images[x] + images[y]).components] == (x + y) % 9
+               and lookup[(images[x] * images[y]).components] == x * y % 9
+               for x in range(9) for y in range(9))
+    assert witt.oracle_check(p, m) is False
+
+
 def test_from_integer_is_additive():
     p, m = 3, 2
     for a in range(9):
