@@ -1,26 +1,37 @@
 """Truncated Witt vector arithmetic over prime fields.
 
-Sums and products are computed on ghost components.  With
-w_k(x) = sum_{i<=k} p^i x_i^(p^(k-i)), and because a = b mod p^j gives
-a^p = b^p mod p^(j+1), w_k(x) mod p^(k+1) depends only on the components
-of x mod p.  Component k of x o y (o is + or *) is therefore
+Every WittScalar carries one integer beside its components, its ghost
 
-    (w_k(x) o w_k(y) - sum_{i<k} p^i s_i^(p^(k-i))) / p^k
+    ghost = w_{m-1}(x) mod p^m,   w_k(x) = sum_{i<=k} p^i x_i^(p^(k-i)),
+
+computed once from the components.  Because a = b mod p^j gives
+a^p = b^p mod p^(j+1), a^(p^j) = a^(p^(j+1)) mod p^(j+1) for every a, and
+so w_k(x) = w_{m-1}(x) mod p^(k+1) for every k < m: the one integer holds
+every ghost level.  The ghost map is a ring homomorphism, so the ghost of
+x o y (o is + or *) is g = ghost(x) o ghost(y) mod p^m, one integer
+operation, and component k of x o y is read off g by the triangular solve
+
+    (g - sum_{i<k} p^i s_i^(p^(k-i))) / p^k
 
 with every term taken mod p^(k+1), where s_0..s_{k-1} are the result
 components already found; the division is exact and its quotient lies in
-[0, p).  No structure polynomial is built.
+[0, p).  No structure polynomial is built, and neither operand's
+components are read.
 
 W_m(F_p) is isomorphic to Z/p^m through phi(x) = sum_i p^i tau(x_i) mod
 p^m, where tau(a) = a^(p^(m-1)) mod p^m is the Teichmuller lift (the
-Frobenius of F_p is the identity); its inverse is digit extraction.
-`oracle_check` checks the ring operations against phi on all p^(2m)
-pairs and so refuses more than ORACLE_PAIR_BUDGET of them before it
-starts.
+Frobenius of F_p is the identity); its inverse is digit extraction, and
+phi(x) equals the ghost by the same congruence.  `oracle_check` checks
+the ring operations against phi on all p^(2m) pairs and so refuses more
+than ORACLE_PAIR_BUDGET of them before it starts.  The two routes it
+compares stay apart: the ghost comes from the Witt formula with exponents
+p^(m-1-i), not from tau, and the readout is the ghost solve with
+exponents p^(k-i), not digit extraction.  Were either routed through phi
+or its inverse, + would become phi^-1(phi(x) o phi(y)) computed with the
+oracle's own code, and the oracle would be true by construction.
 """
 
-from dataclasses import dataclass
-from operator import add, mul
+from dataclasses import dataclass, field
 
 from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
 from .laurent import is_prime
@@ -35,23 +46,33 @@ def _require_prime(p):
                                      " fields are supported")
 
 
-def _ghost_op(p, xs, ys, op):
-    """Components of the Witt vector whose ghost component w_k is
-    op(w_k(xs), w_k(ys)) mod p^(k+1), for every k."""
-    out = []
-    for k in range(len(xs)):
-        modulus = p ** (k + 1)
-        wx = wy = lower = 0
-        scale = 1
-        for i in range(k):
-            e = p ** (k - i)
-            wx += scale * pow(xs[i], e, modulus)
-            wy += scale * pow(ys[i], e, modulus)
-            lower += scale * pow(out[i], e, modulus)
-            scale *= p
-        # scale is now p^k, and the i = k terms have exponent 1
-        target = op(wx + scale * xs[k], wy + scale * ys[k]) - lower
-        out.append(target % modulus // scale)
+def _ghost(p, m, components):
+    """w_{m-1}(x) mod p^m = sum_i p^i x_i^(p^(m-1-i)) mod p^m."""
+    modulus = p ** m
+    total = 0
+    scale = 1
+    for i, c in enumerate(components):
+        total += scale * pow(c, p ** (m - 1 - i), modulus)
+        scale *= p
+    return total % modulus
+
+
+def _readout(p, m, g):
+    """The components s of the Witt vector with w_k(s) = g mod p^(k+1)
+    for every k < m, by the triangular solve; s_0 is g mod p."""
+    out = [g % p]
+    scale = p
+    for k in range(1, m):  # scale is p^k
+        modulus = scale * p
+        lower = 0
+        weight = 1  # p^i
+        e = scale  # p^(k-i)
+        for s in out:
+            lower += weight * pow(s, e, modulus)
+            weight *= p
+            e //= p
+        out.append((g - lower) % modulus // scale)
+        scale = modulus
     return tuple(out)
 
 
@@ -60,6 +81,7 @@ class WittScalar:
     p: int
     m: int
     components: tuple
+    ghost: int = field(compare=False, repr=False, init=False)
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -68,6 +90,8 @@ class WittScalar:
         if any(not (0 <= c < self.p) for c in self.components):
             raise UnsupportedRegimeError(
                 "components must be prime-field elements")
+        object.__setattr__(self, "ghost",
+                           _ghost(self.p, self.m, self.components))
 
     def _compat(self, other):
         if (self.p, self.m) != (other.p, other.m):
@@ -75,24 +99,27 @@ class WittScalar:
 
     def __add__(self, other):
         self._compat(other)
-        return _new(self.p, self.m, _ghost_op(
-            self.p, self.components, other.components, add))
+        return _new(self.p, self.m,
+                    (self.ghost + other.ghost) % self.p ** self.m)
 
     def __mul__(self, other):
         self._compat(other)
-        return _new(self.p, self.m, _ghost_op(
-            self.p, self.components, other.components, mul))
+        return _new(self.p, self.m,
+                    self.ghost * other.ghost % self.p ** self.m)
 
     def render(self):
         return "(" + ",".join(str(c) for c in self.components) + ")"
 
 
-def _new(p, m, components):
-    """A WittScalar for a validated (p, m) from components in [0, p)."""
+def _new(p, m, g):
+    """The WittScalar of a validated (p, m) whose ghost is g in
+    [0, p^m); its components are read off g."""
     w = object.__new__(WittScalar)
-    object.__setattr__(w, "p", p)
-    object.__setattr__(w, "m", m)
-    object.__setattr__(w, "components", components)
+    attrs = w.__dict__  # a frozen dataclass refuses setattr
+    attrs["p"] = p
+    attrs["m"] = m
+    attrs["components"] = _readout(p, m, g)
+    attrs["ghost"] = g
     return w
 
 
@@ -131,9 +158,11 @@ def parse_witt(text, p, m):
 
 def oracle_check(p, m):
     """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
-    isomorphism: the digit-extraction images of 0..p^m - 1 are distinct,
-    and on every pair of them the public + and * agree with + and * mod
-    p^m.  Returns True, False on a pair that disagrees, or raises;
+    isomorphism.  The digit-extraction image of each k in 0..p^m - 1 (phi
+    inverted through tau) must have ghost k (phi computed through the Witt
+    ghost), which also makes the images distinct; then on every pair of
+    images the public + and * must agree with + and * mod p^m.  Returns
+    True, False on an image or a pair that disagrees, or raises;
     BudgetError before any image is built when the p^(2m) pairs exceed
     ORACLE_PAIR_BUDGET."""
     _require_prime(p)
@@ -145,8 +174,8 @@ def oracle_check(p, m):
                               f" exceeds the budget of {ORACLE_PAIR_BUDGET}")
     order = p ** m
     images = [from_integer(k, p, m) for k in range(order)]
-    if len({w.components for w in images}) != order:
-        raise PreconditionError("integer images are not distinct")
+    if any(w.ghost != k for k, w in enumerate(images)):
+        return False
     lookup = {w.components: k for k, w in enumerate(images)}
     for x in range(order):
         for y in range(order):

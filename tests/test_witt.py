@@ -210,6 +210,22 @@ def test_component_validation():
     assert witt.parse_witt("(5,0)", 3, 2).components == (2, 0)
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (7, 3)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_results_carry_the_ghost_of_their_components(p, m, data):
+    vector = st.tuples(*[st.integers(0, p - 1)] * m)
+    x = witt.WittScalar(p, m, data.draw(vector))
+    y = witt.WittScalar(p, m, data.draw(vector))
+    for s in (x + y, x * y):
+        # w_{m-1}(s) mod p^m, from the components alone
+        assert s.ghost == sum(p ** i * c ** p ** (m - 1 - i)
+                              for i, c in enumerate(s.components)) % p ** m
+        rebuilt = witt.WittScalar(p, m, s.components)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert rebuilt.ghost == s.ghost
+
+
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_random_triples_against_integer_oracle(a, b, c):
