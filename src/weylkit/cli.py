@@ -234,6 +234,12 @@ def _cmd_pgl2(args, config, out):
 
 
 def _cmd_witt(args, config, out):
+    if args.enum and args.m is not None:
+        raise ConfigError("--m sets the Witt oracle's length; --enum"
+                          " does not read it")
+    if not args.enum and args.n is not None:
+        raise ConfigError("--n sets the lattice radius of --enum;"
+                          " the Witt oracle does not read it")
     rows = []
     p = config.p if args.p is None else args.p
     if args.enum:

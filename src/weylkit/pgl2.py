@@ -24,10 +24,15 @@ tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
 both displays read the same conditions off C and off its tau-conjugate
 (I1: v(a)=v(d)=m, v(b)>=m, v(c)>=m+1; I2: v(c)=v(b)+1, v(a)>=v(b)+1,
-v(d)>=v(b)+1).  On exact entries the two classes therefore agree, and a
-walk whose entries are all exact classifies each node once.  On
-truncated entries the two raise in different orders, so an inexact walk
-classifies both.
+v(d)>=v(b)+1).  On exact entries the two classes therefore agree, so a
+walk whose entries are all exact classifies each node once.  It counts
+only I2 members, and the I2 rule decides on v(c)=v(b)+1 before it reads
+a or d, so it forms the pairs of a branch's b- and c-entries for every
+child and those of its a- and d-entries only when some child passes.
+On truncated entries the two displays raise in different orders, so an
+inexact walk classifies a node and its tau-conjugate from all four
+pairs.  Either walk refuses, with BudgetError, a level that would take
+it past WALK_NODE_BUDGET nodes.
 """
 
 import math
@@ -35,12 +40,17 @@ from dataclasses import dataclass
 
 from . import costandard, laurent, linalg
 from .errors import (
+    BudgetError,
     IndeterminateError,
     InternalConsistencyError,
     PreconditionError,
     UnsupportedLabelError,
 )
 from .laurent import LaurentScalar, is_prime, quadratic
+
+# The nodes a fixed-point walk may classify: the size of
+# witt.ORACLE_PAIR_BUDGET.
+WALK_NODE_BUDGET = 200000
 
 
 def _pair(x):
@@ -254,6 +264,26 @@ def _child_pairs(nodes, q):
             for pairs in zip(*(_entry_pairs(p, q) for p in pieces))]
 
 
+def _i2_children(nodes, q):
+    """The number of I2 children of a level's nodes, every entry exact.
+
+    The I2 rule decides on v(c) = v(b) + 1 before it reads a or d, so each
+    branch forms the pairs of its b- and c-pieces for every t, the pairs
+    of its a- and d-pieces only when some t passes, and `_classify`
+    decides those t alone."""
+    count = 0
+    for _, branches in nodes:
+        for _, (pa, pb, pc, pd) in branches:
+            bs, cs = _entry_pairs(pb, q), _entry_pairs(pc, q)
+            passing = [t for t in range(q)
+                       if bs[t][0] != math.inf and cs[t][0] == bs[t][0] + 1]
+            if passing:
+                as_, ds = _entry_pairs(pa, q), _entry_pairs(pd, q)
+                count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
+                             for t in passing)
+    return count
+
+
 def _classes(level):
     """The Iwahori class of each conjugate given by its entry pairs and
     of its tau-conjugate, in the order `conjugate_levels` yields them."""
@@ -306,9 +336,17 @@ def fixed_point_count(g, prec=6, max_length=8):
 
     When every entry of g is exact, so is every node of the walk, and a
     node and its tau-conjugate have the same class: each node counts
-    2 [C in I2], classified once.  A walk with a truncated entry
-    classifies both, since their outcomes (the class, or which
-    IndeterminateError and its partial) can differ."""
+    2 [C in I2].  Such a walk reads the pairs of each branch's b- and
+    c-pieces for every t, and those of its a- and d-pieces only when some
+    t has v(c) = v(b) + 1, the test the I2 rule makes first; `_classify`
+    then decides just those t.  A walk with a truncated entry classifies
+    every node and its tau-conjugate from all four pairs, since their
+    outcomes (the class, or which IndeterminateError and its partial) can
+    differ.
+
+    Level L >= 1 of the walk has 2 q^L nodes.  Before it forms a level
+    that would take the nodes classified past WALK_NODE_BUDGET, the count
+    raises BudgetError."""
     if max_length < 0:
         raise PreconditionError(f"max_length={max_length} is negative")
     if iwahori_class(g) != "I2":
@@ -319,12 +357,22 @@ def fixed_point_count(g, prec=6, max_length=8):
     level = [tuple(_pair(x) for row in g for x in row)]
     cumulative = []
     running = 0
+    classified = 1
     for length in range(max_length + 1):
         if length:
-            level = _child_pairs(next(walk), q)
+            classified += 2 * q ** length
+            if classified > WALK_NODE_BUDGET:
+                raise BudgetError(
+                    f"fixed-point walk to word length {length} would classify"
+                    f" {classified} nodes, more than the budget of"
+                    f" {WALK_NODE_BUDGET}")
+            nodes = next(walk)
         if exact:
-            running += 2 * sum(_classify(*pairs) == "I2" for pairs in level)
+            # g itself is in I2 (checked above), and so is its tau-conjugate
+            running += 2 * _i2_children(nodes, q) if length else 2
         else:
+            if length:
+                level = _child_pairs(nodes, q)
             running += sum(cls == "I2" for cls in _classes(level))
         cumulative.append(running)
         n = len(cumulative)

@@ -176,6 +176,9 @@ def test_witt_enum_subcommand():
     ["witt", "--p", "4"],
     ["witt", "--m", "0"],
     ["witt", "--m", "-1"],
+    ["witt", "--p", "3", "--m", "2", "--n", "5"],
+    ["witt", "--n", "1"],
+    ["witt", "--enum", "--p", "3", "--m", "2"],
 ])
 def test_witt_bad_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -194,6 +197,18 @@ def test_witt_oracle_over_the_pair_budget_fails_fast(argv):
     start = time.perf_counter()
     code, out, err = run_cli(argv)
     assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err
+    assert err.count("\n") == 1
+
+
+def test_pgl2_count_over_the_walk_budget_fails_fast():
+    # level 2 of the walk at q = 10007 has about 2 * 10^8 nodes
+    start = time.perf_counter()
+    code, out, err = run_cli(["pgl2", "--q", "10007", "--op", "count"])
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

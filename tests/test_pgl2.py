@@ -5,7 +5,7 @@ import random
 import pytest
 
 from weylkit import laurent, pgl2
-from weylkit.errors import IndeterminateError, PreconditionError
+from weylkit.errors import BudgetError, IndeterminateError, PreconditionError
 from weylkit.laurent import LaurentScalar
 
 
@@ -297,6 +297,60 @@ def test_level_classes_from_valuations_match_the_built_matrices():
                 assert list(pgl2._classes(level)) == classes
                 seen.update(classes)
     assert seen == {"I1", "I2", "neither"}
+
+
+def test_exact_i2_children_read_b_and_c_before_a_and_d():
+    # Per level, the I2 count that reads a branch's a and d pairs only
+    # when some t passes v(c) = v(b) + 1 equals the count over every
+    # child's four pairs and the count of the built matrices: levels 1-3
+    # of the elements above, of random exact matrices of every class, and
+    # of x tau x^-1 for words x of length 1 and 2, whose walk meets tau
+    # itself at x.  Both kinds of child occur, in I2 and past b and c but
+    # not in I2, so the a/d path runs.
+    in_i2 = past_b_and_c_only = 0
+    for q in (2, 3, 5):
+        rng = random.Random(67 + q)
+        base = laurent.parse_matrix("0,1;e,0", q)
+        sources = [laurent.parse_matrix(text, q) for text in
+                   ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
+        sources += [_random_exact_matrix(q, rng) for _ in range(12)]
+        sources += [pgl2.conjugate_exact(
+                        base, pgl2._exact_inverse(_word_matrix(q, word)))
+                    for word in (((1, 1),), ((0, q - 1),),
+                                 ((1, 0), (0, 1)))]
+        for g in sources:
+            levels = pgl2.conjugate_levels(g)
+            next(levels)
+            for nodes, built, _ in zip(pgl2._walk(g), levels, range(3)):
+                count = pgl2._i2_children(nodes, q)
+                pairs = pgl2._child_pairs(nodes, q)
+                assert count == sum(pgl2._classify(*p) == "I2"
+                                    for p in pairs)
+                assert count == sum(pgl2.iwahori_class(m) == "I2"
+                                    for m in built[::2])
+                in_i2 += count
+                past_b_and_c_only += sum(
+                    b[0] != math.inf and c[0] == b[0] + 1
+                    and pgl2._classify(a, b, c, d) != "I2"
+                    for a, b, c, d in pairs)
+    assert in_i2 and past_b_and_c_only
+
+
+def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
+    # Level L >= 1 has 2 q^L nodes: 1 + 10 + 50 = 61 through level 2 at
+    # q = 5, where the count of an I2 element stops
+    g = laurent.parse_matrix("0,1;e,0", 5)
+    monkeypatch.setattr(pgl2, "WALK_NODE_BUDGET", 61)
+    assert pgl2.fixed_point_count(g) == 2
+    assert pgl2.fixed_point_count(_truncated(g, 4)) == 2
+    monkeypatch.setattr(pgl2, "WALK_NODE_BUDGET", 60)
+    for source in (g, _truncated(g, 4)):
+        with pytest.raises(BudgetError, match="word length 2"):
+            pgl2.fixed_point_count(source)
+    monkeypatch.undo()
+    assert pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 211)) == 2
+    with pytest.raises(BudgetError, match="budget of 200000"):
+        pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 317))
 
 
 def test_valuation_classes_match_on_truncated_entries():
