@@ -10,6 +10,10 @@ level-0 part of span{b'_k : k in Jc}, with basis
 u_k = b'_k - (n_k / n_k0) b'_k0 for k in Jc - {k0}, k0 = min Jc.
 The translation lattice L' inside z_J is computed exactly via Schreier
 generators of the kernel of the quotient map to the finite group W_Jc.
+The breadth-first search that builds the quotient carries each
+element's lift along its word (lift_j = ss_k lift_i) and records the
+coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
+lift_target^-1 ss_k lift_i is read from those two tables.
 """
 
 from dataclasses import dataclass
@@ -132,11 +136,7 @@ class CosetGeometry:
     def __init__(self, datum, J):
         self.datum = datum
         self.J = tuple(sorted(set(J)))
-        result = weyl.min_coset_generators(datum, self.J)
-        if not result.ok:
-            raise PreconditionError(
-                f"min-coset membership fails for k in {result.failures}")
-        self.generators = result.generators
+        self.generators = weyl.min_coset_generators(datum, self.J).require()
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
         if len(self.jcheck) < 1:
             raise PreconditionError("complement of J is empty")
@@ -177,31 +177,32 @@ class CosetGeometry:
     def _build_quotient(self):
         eye = tuple(tuple(Fraction(1) if i == j else Fraction(0)
                           for j in range(self.dim)) for i in range(self.dim))
-        gen_restrictions = [(k, self.restriction(w.mat))
-                            for k, w in self.generators]
+        gens = [(k, w, self.restriction(w.mat)) for k, w in self.generators]
         elements = [eye]
         words = [()]
+        lifts = [weyl.identity(self.datum)]
         index = {eye: 0}
-        left = {k: [] for k, _ in gen_restrictions}
+        left = {k: [] for k, _ in self.generators}
         head = 0
         while head < len(elements):
             current = elements[head]
-            word = words[head]
-            for k, r in gen_restrictions:
+            for k, g, r in gens:
                 new = linalg.mat_mul(r, current)
                 if new not in index:
                     index[new] = len(elements)
                     elements.append(new)
-                    words.append((k,) + word)
+                    words.append((k,) + words[head])
+                    lifts.append(weyl.multiply(g, lifts[head]))
                     if len(elements) > _QUOTIENT_CAP:
                         raise BudgetError("finite quotient exceeds the size cap")
                 left[k].append(index[new])
             head += 1
         self.quotient = elements
-        # words[i] multiplies left-to-right: elements[i] = prod of the letters.
-        self.quotient_words = [tuple(w) for w in words]
+        # words[i] multiplies left-to-right: elements[i] = prod of the
+        # letters, and lifts[i] is the same product of the ss_k.
+        self.quotient_words = words
+        self.quotient_lifts = lifts
         self.quotient_index = index
-        self.gen_restrictions = dict(gen_restrictions)
         # Multiplication: quotient_left[k][j] is the index of r_k times
         # element j, a permutation of the indices, so products and
         # inverses follow the words without a size^2 table.
@@ -225,13 +226,6 @@ class CosetGeometry:
             j = self.quotient_left[k][j]
         return j
 
-    def _lift(self, letters):
-        w = weyl.identity(self.datum)
-        gens = dict(self.generators)
-        for k in letters:
-            w = weyl.multiply(w, gens[k])
-        return w
-
     def _translation_ucoords(self, w):
         """Displacement of the base point b'_k0 / n_k0 under w, or None
         if the linear part of w on z_J is nontrivial."""
@@ -251,12 +245,11 @@ class CosetGeometry:
             self.dual_actions = self.torus_actions
             return
         # Schreier generators of the kernel of the quotient map.
-        lifts = [self._lift(word) for word in self.quotient_words]
+        lifts = self.quotient_lifts
         vectors = []
         for k, g in self.generators:
-            for i, r in enumerate(lifts):
-                product = weyl.multiply(g, r)
-                target = self.quotient_index[self.restriction(product.mat)]
+            for i, target in enumerate(self.quotient_left[k]):
+                product = weyl.multiply(g, lifts[i])
                 kernel_elt = weyl.multiply(lifts[target].inverse(), product)
                 vec = self._translation_ucoords(kernel_elt)
                 if vec is None:

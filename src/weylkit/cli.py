@@ -150,14 +150,11 @@ def _cmd_weyl(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     matrix = weyl.quotient_coxeter_matrix(datum, J, order_cap=config.order_cap)
-    result = weyl.min_coset_generators(datum, J)
     rows = [("coxeter_row", i,
              " ".join("inf" if str(x) == "inf" else str(x) for x in row), "")
             for i, row in enumerate(matrix)]
-    for k, w in result.generators:
+    for k, w in weyl.min_coset_generators(datum, J):
         rows.append(("generator", k, weyl.word_str(w), "ok"))
-    for k in result.failures:
-        rows.append(("generator", k, "-", "no minimal normalizer"))
     _emit(rows, ("kind", "index", "value", "note"), config, out)
     return 0
 

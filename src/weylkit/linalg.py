@@ -74,20 +74,6 @@ def mat_inv(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def mat_inv_int(a):
-    """Inverse of an integer matrix with determinant +-1, as integers."""
-    inv = mat_inv(a)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out_row.append(int(x))
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def row_reduce(rows):
     """Reduced row echelon form; returns (rref rows, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]

@@ -47,7 +47,7 @@ class QuotientGroup:
         return linalg.mat_vec(action, x)
 
     def generator_index(self, k):
-        return self.geo.quotient_index[self.geo.gen_restrictions[k]]
+        return self.geo.quotient_left[k][0]
 
     def subgroup(self, letters):
         """Indices and generator words of the subgroup generated by the
@@ -65,7 +65,7 @@ class QuotientGroup:
 
     def shortlex_coset_reps(self, subgroup_indices):
         """One ShortLex-minimal word representative per left coset."""
-        gens = sorted(self.geo.gen_restrictions)
+        gens = sorted(self.geo.quotient_left)
 
         def coset_key(i):
             return frozenset(self.mul(i, h) for h in subgroup_indices)
@@ -201,7 +201,7 @@ def build_irreducible(datum, J, S, d, rho):
     # A finite generator g sends the coset of r_c to the coset of
     # r_row = g r_c h^{-1}, h in the subgroup, with the scalar rho(h).
     finite_images = {}
-    for k in sorted(geo.gen_restrictions):
+    for k in sorted(geo.quotient_left):
         gidx = quotient.generator_index(k)
         perm, scalars = [], []
         for _, i in reps_list:

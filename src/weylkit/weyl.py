@@ -5,6 +5,10 @@ the b'-basis; that integer matrix is the canonical form (the affine
 translation behaviour is encoded by the level-1 slice, so no separate
 translation vector is needed).  The contragredient action on V is
 carried alongside so descent sets on either side are sign checks.
+The pair keeps the invariant dual = mat^-T: it holds for every simple
+reflection (dual = mat^T and mat^2 = 1), and products and conjugation
+by a diagram automorphism keep it.  So the inverse of (mat, dual) is
+(dual^T, mat^T), with no elimination.
 
 Simple reflections: s_i(b'_j) = b'_j - delta_ij h_i with h_i the i-th
 column of the pairing matrix, and s_i(b_j) = b_j - a_ji b_i on V.
@@ -24,8 +28,6 @@ from .errors import (
 )
 
 _STEP_CAP = 100000
-
-_word_cache = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,16 +56,22 @@ class WeylElement:
 
     def word(self):
         """Canonical ShortLex reduced word, as a tuple of node indices."""
-        key = (self.datum.label, self.mat)
-        cached = _word_cache.get(key)
-        if cached is None:
-            cached = _canonical_word(self)
-            _word_cache[key] = cached
-        return cached
+        word = []
+        u = self
+        for _ in range(_STEP_CAP):
+            if u.is_identity():
+                return tuple(word)
+            descents = left_descents(u)
+            if not descents:
+                raise InternalConsistencyError(
+                    "no descent on a non-identity element")
+            word.append(descents[0])
+            u = multiply(simple_reflection(self.datum, descents[0]), u)
+        raise InternalConsistencyError("word extraction exceeded the step cap")
 
     def inverse(self):
-        return WeylElement(self.datum, linalg.mat_inv_int(self.mat),
-                           linalg.mat_inv_int(self.dual))
+        return WeylElement(self.datum, linalg.transpose(self.dual),
+                           linalg.transpose(self.mat))
 
     def __repr__(self):
         return f"WeylElement({self.datum.label}, {word_str(self)})"
@@ -139,22 +147,6 @@ def right_descents(w):
     return out
 
 
-def _canonical_word(w):
-    word = []
-    u = w
-    eye = linalg.identity_mat(w.datum.n + 1)
-    for _ in range(_STEP_CAP):
-        if u.mat == eye:
-            return tuple(word)
-        descents = left_descents(u)
-        if not descents:
-            raise InternalConsistencyError("no descent on a non-identity element")
-        i = descents[0]
-        word.append(i)
-        u = multiply(simple_reflection(w.datum, i), u)
-    raise InternalConsistencyError("word extraction exceeded the step cap")
-
-
 def word_str(w):
     word = w.word()
     return "*".join(f"s{i}" for i in word) if word else "1"
@@ -204,6 +196,13 @@ class MinCosetResult:
     @property
     def ok(self):
         return not self.failures
+
+    def require(self):
+        """The generators, or NodeSubsetError when some candidate failed."""
+        if self.failures:
+            raise NodeSubsetError("J admits no minimal-coset generator ss_k"
+                                  f" for k in {self.failures}")
+        return self.generators
 
     def __iter__(self):
         return iter(self.generators)
@@ -305,15 +304,12 @@ def element_order(w, cap=24):
 
 def quotient_coxeter_matrix(datum, J, order_cap=24):
     """Matrix of pairwise orders m(k, k') of the ss_k generators.  A J
-    that leaves one node out has no generators, and so no matrix."""
+    that leaves one node out has no generators, and so no matrix; a J
+    with a failing candidate has none either."""
     if len(set(J)) == datum.n:
         raise NodeSubsetError("the quotient Coxeter matrix needs J to leave"
                               " at least two nodes out")
-    result = min_coset_generators(datum, J)
-    if not result.ok:
-        raise PreconditionError(
-            f"min_coset_generators failed for k in {result.failures}")
-    gens = result.generators
+    gens = min_coset_generators(datum, J).require()
     size = len(gens)
     matrix = [[1] * size for _ in range(size)]
     for a in range(size):

@@ -70,6 +70,8 @@ def test_unusable_node_subsets_raise_node_subset_error():
         alcove.sample_grid(A1, (0,), 4)
     with pytest.raises(NodeSubsetError, match="proper node subset"):
         alcove.geometry(A1, (0, 1))
+    with pytest.raises(NodeSubsetError, match="minimal-coset generator"):
+        alcove.geometry(A2, (0,))
 
 
 def test_translation_lattice_a2():
@@ -151,3 +153,11 @@ def test_quotient_tables_match_the_matrices(label):
         action = geo.torus_actions[i]
         assert linalg.mat_mul(linalg.transpose(geo.dual_actions[i]),
                               action) == linalg.identity_mat(len(action))
+        # the lift the search carried restricts to its element
+        assert geo.restriction(geo.quotient_lifts[i].mat) == a
+    # quotient_left[k][i] is the coset of ss_k lift_i, found again by
+    # restricting the product and looking it up
+    for k, g in geo.generators:
+        for i, lift in enumerate(geo.quotient_lifts):
+            assert geo.quotient_index[geo.restriction((g * lift).mat)] \
+                == geo.quotient_left[k][i]

@@ -306,6 +306,12 @@ def test_out_of_range_node_is_a_usage_error(argv):
      "the quotient Coxeter matrix needs J to leave at least two nodes out"),
     (["weyl", "--type", "A1", "--j", "0"],
      "the quotient Coxeter matrix needs J to leave at least two nodes out"),
+    (["cells", "--type", "A2", "--j", "0"],
+     "J admits no minimal-coset generator ss_k for k in (1, 2)"),
+    (["reps", "--type", "A2", "--j", "0"],
+     "J admits no minimal-coset generator ss_k for k in (1, 2)"),
+    (["weyl", "--type", "A3", "--j", "1 2"],
+     "J admits no minimal-coset generator ss_k for k in (0, 3)"),
 ])
 def test_unusable_node_subset_is_a_usage_error(argv, message):
     code, out, err = run_cli(argv)

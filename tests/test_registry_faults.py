@@ -1,14 +1,17 @@
-"""Registry fault gate: each fault is a monkeypatch of the library code a
-check exercises, never of the check, and the faulted check must FAIL
+"""Registry fault gate: each fault is a monkeypatch of the library code
+checks exercise, never of a check, and the checks it names must FAIL
 while every other check PASSes.  A fault that every check passes is a
 gap, named in BLIND."""
 
+import itertools
 import math
 
 import pytest
 
-from weylkit import checks, laurent, pgl2, witt
+from weylkit import alcove, checks, laurent, pgl2, reps, weyl, witt
+from weylkit.cartan import cartan_datum
 from weylkit.cli import SuiteConfig
+from weylkit.cyclotomic import Cyc
 
 CONFIG = SuiteConfig()
 
@@ -21,8 +24,8 @@ def _all_passing():
     return {c.check_id: "PASS" for c in checks.REGISTRY}
 
 
-def _only_failing(check_id):
-    return {c.check_id: "FAIL" if c.check_id == check_id else "PASS"
+def _only_failing(*check_ids):
+    return {c.check_id: "FAIL" if c.check_id in check_ids else "PASS"
             for c in checks.REGISTRY}
 
 
@@ -136,38 +139,118 @@ def _level_keys(text, q, levels=3):
             for _, level in zip(range(levels), pgl2.conjugate_levels(g))]
 
 
-# name: (module, attribute, fault, the check it should fail, and a probe
+# -- Weyl, alcove and reps faults --------------------------------------
+
+A1 = cartan_datum("A1")
+A2 = cartan_datum("A2")
+
+
+def _inverse_with_swapped_transposes(w):
+    """(mat^T, dual^T) instead of (dual^T, mat^T): right only when w is
+    an involution."""
+    return weyl.WeylElement(w.datum, tuple(zip(*w.mat)),
+                            tuple(zip(*w.dual)))
+
+
+def _inverse_that_is_itself(w):
+    return w
+
+
+def _character_values_without_the_first_fixed_point(rep, t_order):
+    """Each trace chi(x, w_i) with the term of the first fixed point of
+    the monomial F_i dropped."""
+    for x in itertools.product(range(max(1, t_order)),
+                               repeat=len(rep.lattice_diagonals)):
+        lat = rep.lattice_image(x)
+        for i in range(rep.quotient.size):
+            perm, scalars = rep.finite_image(i)
+            fixed = [pos for pos in range(rep.dimension) if perm[pos] == pos]
+            yield sum((lat[pos] * scalars[pos] for pos in fixed[1:]),
+                      Cyc.rational(0))
+
+
+def _stabilizer_without_its_last_element(datum, J, t, S=None):
+    """torus_stabilizer with its last element dropped before the lift
+    comparison."""
+    geo = alcove.geometry(datum, J)
+    stabilizer = tuple(i for i in range(len(geo.quotient))
+                       if geo.torus_act(i, t).values == t.values)[:-1]
+    if S is None:
+        return alcove.StabilizerResult(elements=stabilizer, lift_ok=True)
+    gens = [g for k, g in geo.generators if k not in S]
+    elements = {weyl.identity(datum)}
+    frontier = list(elements)
+    while frontier:
+        current = frontier.pop()
+        for g in gens:
+            new = g * current
+            if new not in elements:
+                elements.add(new)
+                frontier.append(new)
+    images = {geo.quotient_index[geo.restriction(w.mat)] for w in elements}
+    return alcove.StabilizerResult(
+        elements=stabilizer,
+        lift_ok=len(images) == len(elements) and images == set(stabilizer))
+
+
+def _first_module_characters():
+    _, _, t, _, rep = next(reps.grid_modules(A1, (), 6))
+    return list(reps.character_values(rep, t.order))
+
+
+# name: (module, attribute, fault, the checks it should fail, and a probe
 # whose value the fault changes, so it is no equivalent mutant)
 FAULTS = {
     "pgl2._walk backtracks": (
-        pgl2, "_walk", _walk_that_backtracks, "C7",
+        pgl2, "_walk", _walk_that_backtracks, {"C7"},
         lambda: _level_keys("1+e,1;e2,1", 3)),
     "pgl2._pieces letter-1 c-piece a - d": (
-        pgl2, "_pieces", _pieces_with_a_minus_d, "C7",
+        pgl2, "_pieces", _pieces_with_a_minus_d, {"C7"},
         lambda: _level_keys("1+e,1;e2,1", 3)),
     "pgl2._entry_pairs drops x2": (
-        pgl2, "_entry_pairs", _entry_pairs_without_x2, "C7",
+        pgl2, "_entry_pairs", _entry_pairs_without_x2, {"C7"},
         lambda: pgl2._child_pairs(
             next(pgl2._walk(laurent.parse_matrix("1+e,1;e2,1", 3))), 3)),
     "pgl2._tau_pairs shift signs swapped": (
-        pgl2, "_tau_pairs", _tau_pairs_with_swapped_shifts, "C7",
+        pgl2, "_tau_pairs", _tau_pairs_with_swapped_shifts, {"C7"},
         lambda: pgl2._tau_pairs((0, math.inf), (1, math.inf),
                                 (2, math.inf), (3, math.inf))),
     "witt._readout exponent 1 after the first term": (
         witt, "_readout", _readout_with_exponent_one_after_the_first_term,
-        "C9", lambda: witt.oracle_check(3, 3)),
+        {"C9"}, lambda: witt.oracle_check(3, 3)),
+    "weyl inverse with swapped transposes": (
+        weyl.WeylElement, "inverse", _inverse_with_swapped_transposes,
+        {"C1", "C2", "C3"},
+        lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
+    "weyl inverse that is the element itself": (
+        weyl.WeylElement, "inverse", _inverse_that_is_itself,
+        {"C1", "C2", "C3"},
+        lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
+    "reps.character_values drops a trace term": (
+        reps, "character_values",
+        _character_values_without_the_first_fixed_point, {"C3"},
+        _first_module_characters),
+    "alcove.torus_stabilizer drops an element": (
+        alcove, "torus_stabilizer", _stabilizer_without_its_last_element,
+        {"C2"},
+        lambda: alcove.torus_stabilizer(
+            A1, (), alcove.p_J(A1, (), (1, 0))).elements),
 }
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
 # elements, so it sees a walk fault only when the fault puts a child in
 # I2, as the backtracking walk does; the _pieces and _entry_pairs faults
 # change children outside I2 only, and an exact walk never reads
-# _tau_pairs.  C9 runs the oracle only at m = 2.
+# _tau_pairs.  C9 runs the oracle only at m = 2.  Every Weyl element a
+# check inverts is an involution (ss_k, and the lifts of the rank-1
+# quotient's words of length at most 1), so an inverse that returns the
+# element itself is right on all of them.
 BLIND = {
     "pgl2._pieces letter-1 c-piece a - d",
     "pgl2._entry_pairs drops x2",
     "pgl2._tau_pairs shift signs swapped",
     "witt._readout exponent 1 after the first term",
+    "weyl inverse that is the element itself",
 }
 
 
@@ -181,12 +264,15 @@ def test_each_fault_changes_what_it_patches(monkeypatch, name):
 
 def test_the_blind_set_is_the_faults_every_check_passes(monkeypatch):
     gaps = set()
-    for name, (module, attribute, fault, check_id, _) in FAULTS.items():
+    for name, (module, attribute, fault, check_ids, _) in FAULTS.items():
         with monkeypatch.context() as patch:
+            # each faulted run builds its coset geometry afresh, and no
+            # geometry built under a fault outlives it
+            patch.setattr(alcove, "_geometry_cache", {})
             patch.setattr(module, attribute, fault)
             statuses = _statuses()
         if statuses == _all_passing():
             gaps.add(name)
         else:
-            assert statuses == _only_failing(check_id), name
+            assert statuses == _only_failing(*check_ids), name
     assert gaps == BLIND

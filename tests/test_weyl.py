@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from weylkit import weyl
+from weylkit import linalg, weyl
 from weylkit.cartan import cartan_datum
 from weylkit.errors import NodeSubsetError
 
@@ -58,6 +59,21 @@ def test_length_subadditive_and_inverse(u_word, v_word):
     assert u.inverse().length == u.length
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2", "B3", "D4", "F4"])
+def test_inverse_by_transpose_matches_fraction_elimination(label):
+    # dual = mat^-T, so the inverse is (dual^T, mat^T); the reference
+    # inverts mat by Fraction Gauss-Jordan
+    datum = cartan_datum(label)
+    rng = random.Random(label)
+    for _ in range(30):
+        letters = [rng.randrange(datum.n + 1) for _ in range(rng.randrange(13))]
+        w = weyl.from_word(datum, letters)
+        inv = w.inverse()
+        assert inv.mat == linalg.mat_inv(w.mat)
+        assert inv.dual == linalg.mat_inv(w.dual)
+        assert (w * inv).is_identity() and (inv * w).is_identity()
+
+
 @given(words(C2, 6))
 @settings(max_examples=40, deadline=None)
 def test_canonical_word_is_reduced(letters):
@@ -99,6 +115,9 @@ def test_min_coset_generators_a2_tilde_failure():
     result = weyl.min_coset_generators(A2, (1,))
     assert result.failures == (0, 2)
     assert not result.ok
+    # the matrix needs every candidate, so this J is a usage error
+    with pytest.raises(NodeSubsetError, match=r"for k in \(0, 2\)"):
+        weyl.quotient_coxeter_matrix(A2, (1,))
 
 
 def test_min_coset_generators_empty_parabolic():
