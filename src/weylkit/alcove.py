@@ -307,10 +307,6 @@ def geometry(datum, J):
     return _geometry_cache[key]
 
 
-def translation_lattice(datum, J):
-    return geometry(datum, J).lattice
-
-
 def p_J(datum, J, d):
     """Finite-order torus point attached to d in D_J (rational d only),
     measured from the base node k0 = min Jc."""

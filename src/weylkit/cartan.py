@@ -5,9 +5,6 @@ a[i][j] = <alpha_i, h_j> over the node set [0, n] together with the
 marks n_i (the unique positive integers with sum_i n_i alpha_i = 0 and
 n_0 = 1).  The affine row and column are derived from the finite root
 system: alpha_0 = -theta for the highest root theta, h_0 = -theta_vee.
-
-Data can also be loaded from a plain-text table, see
-`load_cartan_table` for the grammar.
 """
 
 from dataclasses import dataclass
@@ -220,42 +217,3 @@ def cartan_datum(label):
     if rank > MAX_RANK:
         raise UnsupportedLabelError(f"rank {rank} exceeds the supported cap {MAX_RANK}")
     return _affinize(f"{family}{rank}", _finite_cartan(family, rank))
-
-
-def load_cartan_table(text):
-    """Parse a plain-text Cartan table.
-
-    Grammar (one record per file, '#' starts a comment):
-
-        type <label>
-        marks n_0 n_1 ... n_n
-        pairing a_00 a_01 ... a_0n
-        pairing ...               (one line per row)
-    """
-    label = None
-    marks = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "type":
-            label = rest.strip()
-        elif key == "marks":
-            marks = tuple(int(x) for x in rest.split())
-        elif key == "pairing":
-            rows.append(tuple(int(x) for x in rest.split()))
-        else:
-            raise StructuralError(f"line {lineno}: unknown key {key!r}")
-    if label is None or marks is None or not rows:
-        raise StructuralError("table must supply type, marks, and pairing rows")
-    return CartanDatum(label=label, n=len(marks) - 1,
-                       pairing=tuple(rows), marks=marks)
-
-
-def render_cartan_table(datum):
-    lines = [f"type {datum.label}", "marks " + " ".join(map(str, datum.marks))]
-    for row in datum.pairing:
-        lines.append("pairing " + " ".join(map(str, row)))
-    return "\n".join(lines) + "\n"

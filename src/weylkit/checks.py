@@ -37,8 +37,9 @@ class Check:
 def _c1_quotient_coxeter(config):
     inf = math.inf
     target = ((1, inf), (inf, 1))
-    got_c2 = weyl.quotient_coxeter_matrix(cartan_datum("C2"), (1,))
-    got_a1 = weyl.quotient_coxeter_matrix(cartan_datum("A1"), ())
+    c2, a1 = cartan_datum("C2"), cartan_datum("A1")
+    got_c2 = weyl.quotient_coxeter_matrix(weyl.quotient_generators(c2, (1,)))
+    got_a1 = weyl.quotient_coxeter_matrix(weyl.quotient_generators(a1, ()))
     if got_c2 != target or got_a1 != target:
         raise WeylkitError(f"quotient matrices {got_c2}, {got_a1}")
     return "C2/{1} and A1/{} both give the rank-2 infinite-bond matrix"

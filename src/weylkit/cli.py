@@ -10,7 +10,7 @@ with the same configuration.
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from . import alcove, checks, fourier, lattices, laurent, pgl2, reps, weyl, witt
 from .cartan import cartan_datum
@@ -84,17 +84,6 @@ def _validate(config):
             raise ConfigError(f"{key}={value} is not positive")
 
 
-def render_config(config):
-    lines = [f"suite {' '.join(config.suites)}"]
-    for f in fields(SuiteConfig):
-        if f.name == "suites":
-            continue
-        value = getattr(config, f.name)
-        if value != "":
-            lines.append(f"{f.name} {value}")
-    return "\n".join(lines) + "\n"
-
-
 def _load_config(path):
     if path is None:
         return SuiteConfig(), []
@@ -149,11 +138,12 @@ def _cmd_verify(args, config, out):
 def _cmd_weyl(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
-    matrix = weyl.quotient_coxeter_matrix(datum, J, order_cap=config.order_cap)
+    gens = weyl.quotient_generators(datum, J)
+    matrix = weyl.quotient_coxeter_matrix(gens, order_cap=config.order_cap)
     rows = [("coxeter_row", i,
              " ".join("inf" if str(x) == "inf" else str(x) for x in row), "")
             for i, row in enumerate(matrix)]
-    for k, w in weyl.min_coset_generators(datum, J):
+    for k, w in gens:
         rows.append(("generator", k, weyl.word_str(w), "ok"))
     _emit(rows, ("kind", "index", "value", "note"), config, out)
     return 0
@@ -213,6 +203,9 @@ def _cmd_pgl2(args, config, out):
         matrix = laurent.parse_matrix(args.matrix, q)
     except PreconditionError as exc:
         raise ConfigError(f"bad matrix {args.matrix!r}: {exc}")
+    if laurent.mat_det(matrix) == 0:  # exact entries: exactly zero
+        raise ConfigError(f"matrix {args.matrix!r} is singular (det = 0),"
+                          " not an element of PGL_2")
     cls = pgl2.iwahori_class(matrix)
     if args.op in ("disc", "count") and cls != "I2":
         raise ConfigError(f"op {args.op} needs an odd-coset (I2) matrix;"

@@ -23,14 +23,11 @@ Text grammar (one record, '#' comments):
     layer 0 = 1 0 ; 0 1
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, omega as omega_mod, springer, weyl
-from .cyclotomic import Cyc
+from . import linalg, springer
 from .errors import (
-    PreconditionError,
     StructuralError,
     TableRejectionError,
     UnsupportedLabelError,
@@ -229,17 +226,6 @@ layer 2 = 1 0
 layer 0 = 1 0 ; 0 1
 """
 
-TRIVIAL_A1_TEXT = """\
-group A1
-dim 1
-zeta 1 triv
-cell 0
-point 1 0
-gen 0 = -1
-gen 1 = -1
-layer 0 = 1
-"""
-
 _BUILTIN = {("1", "triv"): BUILTIN_A1_TEXT}
 
 
@@ -247,34 +233,3 @@ def builtin_table(zeta):
     if tuple(zeta) not in _BUILTIN:
         raise UnsupportedLabelError(f"no co-standard data for zeta {zeta}")
     return load_costandard(_BUILTIN[tuple(zeta)])
-
-
-def almost_char_cvr(w, zeta=("1", "triv"), table=None):
-    """Trace of a finite-order (extended) Weyl group element on the
-    co-standard module of zeta."""
-    if table is None:
-        table = builtin_table(zeta)
-    if isinstance(w, omega_mod.ExtendedWeylElement):
-        if weyl.matrix_order(w.datum, w.matrix(), 24) is math.inf:
-            raise PreconditionError("element must have finite order")
-        if not w.omega_part.is_identity():
-            # Copy selection: the nontrivial-coset summands contribute zero.
-            return Cyc.rational(0)
-        w = w.weyl_part
-    else:
-        if weyl.element_order(w, 24) is math.inf:
-            raise PreconditionError("element must have finite order")
-    mat = linalg.identity_mat(table.dim)
-    for letter in w.word():
-        mat = linalg.mat_mul(mat, table.generators[letter])
-    return Cyc.rational(sum(mat[i][i] for i in range(table.dim)))
-
-
-def invariant_dimension(table):
-    """Dimension of the joint fixed space of the generator matrices."""
-    rows = []
-    eye = linalg.identity_mat(table.dim)
-    for mat in table.generators:
-        for r_mat, r_eye in zip(mat, eye):
-            rows.append(tuple(Fraction(x) - y for x, y in zip(r_mat, r_eye)))
-    return len(linalg.nullspace(rows))

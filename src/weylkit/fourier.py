@@ -11,10 +11,9 @@ centralizers are enumerated by brute force for abelian groups and
 supplied structurally for the one nonabelian curated case (the
 symmetric group on three letters).
 
-The infinite group C* . <r> of the rank-2 verification is handled
-through its finite shadow: classes {1, -1, r} with component-group
-characters {1, eps}; its transform factors through the Z/2 component
-matrix (the four displayed half-sum identities).
+The transform of the infinite group C* . <r> of the rank-2
+verification factors through the Z/2 component matrix (the four
+displayed half-sum identities), which C5 compares with the Z/2 pairing.
 """
 
 import itertools
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import PreconditionError, StructuralError, UnsupportedLabelError
+from .errors import StructuralError, UnsupportedLabelError
 
 
 class FiniteGroupTable:
@@ -229,59 +228,9 @@ def pairing_matrix(gamma):
     )
 
 
-def apply_transform(gamma, values):
-    pairs = m_set(gamma)
-    if len(values) != len(pairs):
-        raise PreconditionError("vector length does not match M(Gamma)")
-    matrix = pairing_matrix(gamma)
-    return tuple(
-        sum((matrix[i][j] * values[j] for j in range(len(pairs))),
-            Cyc.rational(0))
-        for i in range(len(pairs))
-    )
-
-
-# The curated finite shadow of C* . <r>: classes 1, -1, r with
-# component-group characters 1, eps, in that label order.
-B2_PAIRS = (("1", "1"), ("-1", "1"), ("r", "1"),
-            ("1", "eps"), ("-1", "eps"), ("r", "eps"))
-
-# Component-group image of each class.
-_B2_FOLD = {"1": "1", "-1": "1", "r": "r"}
-
-
 def b2_component_matrix():
     """The 4x4 half-sum matrix of the Z/2 component case, rows and
     columns ordered (1,1), (r,1), (1,eps), (r,eps)."""
     rows = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
     half = Fraction(1, 2)
     return tuple(tuple(Cyc.rational(half * v) for v in row) for row in rows)
-
-
-def b2_transform(values):
-    """Transform of a function on the curated C* . <r> index set.
-
-    Input and output are indexed by B2_PAIRS; the +-1 classes are folded
-    onto the identity component (averaging, so inputs satisfying the
-    symmetry are passed through unchanged) and the component matrix is
-    applied.
-    """
-    if len(values) != len(B2_PAIRS):
-        raise PreconditionError("vector length does not match the B2 index set")
-    lookup = dict(zip(B2_PAIRS, values))
-    half = Fraction(1, 2)
-    folded = {
-        ("1", "1"): (lookup[("1", "1")] + lookup[("-1", "1")]) * half,
-        ("r", "1"): lookup[("r", "1")],
-        ("1", "eps"): (lookup[("1", "eps")] + lookup[("-1", "eps")]) * half,
-        ("r", "eps"): lookup[("r", "eps")],
-    }
-    order = (("1", "1"), ("r", "1"), ("1", "eps"), ("r", "eps"))
-    vec = [folded[key] for key in order]
-    matrix = b2_component_matrix()
-    transformed = [
-        sum((matrix[i][j] * vec[j] for j in range(4)), Cyc.rational(0))
-        for i in range(4)
-    ]
-    out_lookup = dict(zip(order, transformed))
-    return tuple(out_lookup[(_B2_FOLD[x], s)] for x, s in B2_PAIRS)

@@ -344,15 +344,6 @@ def mat_det(M):
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
-def mat_inv(M, prec):
-    det = mat_det(M)
-    inv_det = det.inverse(prec)
-    return (
-        (M[1][1] * inv_det, (-M[0][1]) * inv_det),
-        ((-M[1][0]) * inv_det, M[0][0] * inv_det),
-    )
-
-
 def identity_matrix(q):
     one = LaurentScalar.one(q)
     zero = LaurentScalar.zero(q)

@@ -11,7 +11,7 @@ primitive pivot rows by cross-multiplication, fraction-free in the
 manner of Bareiss (1968), so a query costs one pass over the stored rows
 instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
 over it.  The Fraction Gauss-Jordan `row_reduce` remains only behind
-`nullspace` and `solve`, which need the reduced form itself.
+`solve`, which needs the reduced form itself.
 """
 
 import bisect
@@ -146,23 +146,6 @@ class EchelonBasis:
 
 def rank(rows):
     return len(EchelonBasis(rows))
-
-
-def nullspace(rows):
-    """Basis of the right kernel of the matrix given by `rows`."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    rref, pivots = row_reduce(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def solve(a, b):

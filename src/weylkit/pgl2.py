@@ -1,7 +1,7 @@
 """Rank-1 p-adic computations: Iwahori membership over F_q((e)),
-eigenvalue-discriminant parity, explicit conjugating witnesses, the
-two-fixed-point count on the Iwahori variety, and the small homology
-models behind the almost-character value 2q.
+eigenvalue-discriminant parity, the two-fixed-point count on the
+Iwahori variety, and the small homology model behind the
+almost-character value 2q.
 
 Matrices are 2x2 over precision-tracked Laurent scalars and represent
 projective elements through GL_2 lifts; the parity of the determinant
@@ -140,38 +140,6 @@ def discriminant_valuation(M):
         raise InternalConsistencyError(
             f"discriminant valuation {v} != 1 for an I2 matrix")
     return v
-
-
-def conjugating_element(g, gp, prec=8):
-    """An even-class conjugator h with h^-1 g h = gp, verified to lie in
-    I1; None when g and gp are not conjugate to precision."""
-    m, a, b, c, d = i2_normal_form(g)
-    mp, ap, bp, cp, dp = i2_normal_form(gp)
-    if m != mp:
-        raise PreconditionError("determinant valuations differ")
-    e1 = LaurentScalar.eps(a.q, 1)
-    trace_eq = (b + c).truncate(prec) == (bp + cp).truncate(prec)
-    det_eq = ((a * d - e1 * b * c).truncate(prec)
-              == (ap * dp - e1 * bp * cp).truncate(prec))
-    if not (trace_eq and det_eq):
-        return None
-    a_inv = a.inverse(prec)
-    one = LaurentScalar.one(a.q)
-    zero = LaurentScalar.zero(a.q)
-    r = ((one, (cp - c) * a_inv), (zero, ap * a_inv))
-    # r g = gp r, so h = r^-1 satisfies h^-1 g h = gp.
-    g0 = _strip_shift(g, m)
-    gp0 = _strip_shift(gp, m)
-    if laurent.mat_mul(r, g0) != laurent.mat_mul(gp0, r):
-        return None
-    h = laurent.mat_inv(r, prec)
-    if iwahori_class(h) != "I1":
-        raise InternalConsistencyError("conjugator escaped I1")
-    return h
-
-
-def _strip_shift(M, m):
-    return tuple(tuple(x.shift(-m) for x in row) for row in M)
 
 
 # -- coset enumeration -------------------------------------------------
@@ -434,61 +402,6 @@ def conjugate_exact(g, h):
 
 
 # -- homology window models --------------------------------------------
-
-@dataclass(frozen=True)
-class RegularWindowModule:
-    """The group generated by two involutions acting on itself by left
-    translation, truncated to words of bounded length."""
-    elements: tuple  # canonical words as tuples of letters
-
-    @property
-    def dimension(self):
-        return len(self.elements)
-
-    def act(self, letter, word):
-        if word and word[0] == letter:
-            return word[1:]
-        return (letter,) + word
-
-    def trace(self, letter=None):
-        if letter is None:
-            return self.dimension
-        return sum(1 for w in self.elements if self.act(letter, w) == w)
-
-    def coinvariant_dimension(self):
-        # Components of the translation graph restricted to the window.
-        index = {w: i for i, w in enumerate(self.elements)}
-        parent = list(range(len(self.elements)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for w in self.elements:
-            for letter in (0, 1):
-                v = self.act(letter, w)
-                if v in index:
-                    parent[find(index[w])] = find(index[v])
-        return len({find(i) for i in range(len(self.elements))})
-
-
-def h0_cvr_module(window=4):
-    """Left-translation window module; coinvariant rank 1, the
-    involutions act without fixed points."""
-    words = [()]
-    frontier = [()]
-    for _ in range(window):
-        new = []
-        for w in frontier:
-            for letter in (0, 1):
-                if not w or w[0] != letter:
-                    new.append((letter,) + w)
-        words.extend(new)
-        frontier = new
-    return RegularWindowModule(elements=tuple(words))
-
 
 @dataclass(frozen=True)
 class RecurrenceModule:

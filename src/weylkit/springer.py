@@ -7,7 +7,6 @@ blocks with their relative-Weyl-group labels, and the closure order.
 
 from dataclasses import dataclass
 
-from . import alcove, weyl
 from .errors import PreconditionError, UnsupportedLabelError
 
 
@@ -41,13 +40,6 @@ _TORUS_CLASSES = (UnipotentClassLabel("torus", "1", 0),)
 _CLOSURE = {
     "sl2": {("1", "regular")},
     "torus": set(),
-}
-
-# Central character of a component-group system, as an Omega label.
-_CENTRAL_CHARACTER = {
-    ("sl2", "triv"): "1",
-    ("sl2", "eps"): "swap",
-    ("torus", "triv"): "1",
 }
 
 _TABLES = {
@@ -107,65 +99,3 @@ def closure_leq(group_tag, c1, c2, strict=False):
     if c1 == c2:
         return not strict
     return (c1, c2) in _CLOSURE[group_tag]
-
-
-def central_character(group_tag, system):
-    key = (group_tag, system)
-    if key not in _CENTRAL_CHARACTER:
-        raise UnsupportedLabelError(f"no central character for {key}")
-    return _CENTRAL_CHARACTER[key]
-
-
-@dataclass(frozen=True)
-class ZLabel:
-    semisimple: object  # TorusPoint p_empty(d)
-    S: tuple
-    unipotent: UnipotentClassLabel
-    system: str
-    omega_block: str
-
-
-def centralizer_tag(datum, S):
-    """Centralizer type of p_empty(d) for d in C_S, in the A1 ambient."""
-    if datum.label != "A1":
-        raise UnsupportedLabelError("label assembly is curated for A1 only")
-    if len(S) == 1:
-        return "sl2"
-    if len(S) == 2:
-        return "torus"
-    raise PreconditionError("S must be a nonempty subset of the A1 nodes")
-
-
-def assemble_z_label(datum, S, d, c, system):
-    S = tuple(sorted(S))
-    if not isinstance(d, alcove.LevelOnePoint):
-        d = alcove.level_one_point(datum, d)
-    cell = alcove.cell_of(d)
-    if cell is None or cell.S != S:
-        raise PreconditionError("d does not lie in the cell C_S")
-    tag = centralizer_tag(datum, S)
-    if c.group_tag != tag:
-        raise PreconditionError(
-            f"class lives in {c.group_tag}, centralizer is {tag}")
-    springer_label(tag, c.name, system)  # must be in the curated table
-    t = alcove.p_J(datum, [], d)
-    return ZLabel(semisimple=t, S=S, unipotent=c, system=system,
-                  omega_block=central_character(tag, system))
-
-
-def class_by_name(group_tag, name):
-    for c in classes(group_tag):
-        if c.name == name:
-            return c
-    raise UnsupportedLabelError(f"unknown class {name!r} in {group_tag}")
-
-
-def cuspidal_blocks_valid(datum):
-    """Every curated cuspidal datum has a complete set of minimal coset
-    generators over its parabolic subset."""
-    for tag in ("sl2", "torus"):
-        for block in springer_table(tag):
-            result = weyl.min_coset_generators(datum, block.cuspidal.J)
-            if not result.ok:
-                return False
-    return True

@@ -152,19 +152,6 @@ def word_str(w):
     return "*".join(f"s{i}" for i in word) if word else "1"
 
 
-def parse_word(datum, text):
-    text = text.strip()
-    if text in ("1", "e", ""):
-        return identity(datum)
-    letters = []
-    for piece in text.split("*"):
-        piece = piece.strip()
-        if not piece.startswith("s"):
-            raise PreconditionError(f"bad word letter {piece!r}")
-        letters.append(int(piece[1:]))
-    return from_word(datum, letters)
-
-
 def longest_element(datum, J):
     """Longest element of the finite parabolic W_J, J a proper node subset."""
     J = sorted(set(J))
@@ -193,19 +180,12 @@ class MinCosetResult:
     generators: tuple  # pairs (k, WeylElement)
     failures: tuple    # nodes k whose candidate failed the membership check
 
-    @property
-    def ok(self):
-        return not self.failures
-
     def require(self):
         """The generators, or NodeSubsetError when some candidate failed."""
         if self.failures:
             raise NodeSubsetError("J admits no minimal-coset generator ss_k"
                                   f" for k in {self.failures}")
         return self.generators
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def _normalizes_parabolic(w, J):
@@ -302,14 +282,19 @@ def element_order(w, cap=24):
     return matrix_order(w.datum, w.mat, cap)
 
 
-def quotient_coxeter_matrix(datum, J, order_cap=24):
-    """Matrix of pairwise orders m(k, k') of the ss_k generators.  A J
-    that leaves one node out has no generators, and so no matrix; a J
-    with a failing candidate has none either."""
+def quotient_generators(datum, J):
+    """The ss_k generators of the quotient Coxeter system.  A J that
+    leaves one node out has no generators, and so no matrix; a J with a
+    failing candidate has none either."""
     if len(set(J)) == datum.n:
         raise NodeSubsetError("the quotient Coxeter matrix needs J to leave"
                               " at least two nodes out")
-    gens = min_coset_generators(datum, J).require()
+    return min_coset_generators(datum, J).require()
+
+
+def quotient_coxeter_matrix(gens, order_cap=24):
+    """Matrix of pairwise orders m(k, k') of the quotient generators
+    `gens`, pairs (k, ss_k) from `quotient_generators`."""
     size = len(gens)
     matrix = [[1] * size for _ in range(size)]
     for a in range(size):

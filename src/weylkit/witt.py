@@ -149,13 +149,6 @@ def from_integer(k, p, m):
     return WittScalar(p, m, _digits(k, p, m))
 
 
-def parse_witt(text, p, m):
-    """Parse a component tuple "(a0,a1,...)"."""
-    body = text.strip().strip("()")
-    comps = tuple(int(x) % p for x in body.split(","))
-    return WittScalar(p, m, comps)
-
-
 def oracle_check(p, m):
     """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
     isomorphism.  The digit-extraction image of each k in 0..p^m - 1 (phi

@@ -74,11 +74,6 @@ def test_unusable_node_subsets_raise_node_subset_error():
         alcove.geometry(A2, (0,))
 
 
-def test_translation_lattice_a2():
-    lattice = alcove.translation_lattice(A2, ())
-    assert lattice.rank == 2
-
-
 def test_p_j_identity_at_base_vertex():
     d = alcove.level_one_point(A1, (1, 0))
     t = alcove.p_J(A1, (), d)

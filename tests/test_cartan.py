@@ -1,6 +1,6 @@
 import pytest
 
-from weylkit.cartan import cartan_datum, load_cartan_table, render_cartan_table
+from weylkit.cartan import cartan_datum
 from weylkit.errors import UnsupportedLabelError
 
 
@@ -31,14 +31,6 @@ def test_diagonal_and_sign_pattern():
         for j in range(datum.n + 1):
             if i != j:
                 assert datum.pairing[i][j] <= 0
-
-
-def test_table_round_trip():
-    datum = cartan_datum("C2")
-    text = render_cartan_table(datum)
-    again = load_cartan_table(text)
-    assert again.pairing == datum.pairing
-    assert again.marks == datum.marks
 
 
 def test_unknown_label():

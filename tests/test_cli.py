@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from weylkit import checks, cli
+from weylkit import checks, cli, weyl
 from weylkit.errors import ConfigError
 
 
@@ -63,14 +63,6 @@ def test_parse_config_unknown_suite():
         cli.parse_config("suite nonsense\n")
 
 
-def test_render_parse_round_trip():
-    config = cli.SuiteConfig(q=4, prec=5)
-    text = cli.render_config(config)
-    again, warnings = cli.parse_config(text)
-    assert again == config
-    assert warnings == []
-
-
 def test_config_file_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense 1\n")
@@ -105,6 +97,20 @@ def test_weyl_subcommand():
     assert code == 0
     assert "coxeter_row" in out
     assert "generator" in out
+
+
+def test_weyl_builds_the_generators_once(monkeypatch):
+    calls = []
+    build = weyl.min_coset_generators
+
+    def counted(datum, J):
+        calls.append(J)
+        return build(datum, J)
+
+    monkeypatch.setattr(weyl, "min_coset_generators", counted)
+    code, _, _ = run_cli(["weyl", "--type", "C2", "--j", "1"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_cells_subcommand():
@@ -223,6 +229,9 @@ def test_pgl2_count_over_the_walk_budget_fails_fast():
     ["pgl2", "--matrix", "1@x,0;0,1"],
     ["pgl2", "--op", "count", "--matrix", "1,0;0,1"],
     ["pgl2", "--op", "disc", "--matrix", "1,0;0,1"],
+    ["pgl2", "--q", "3", "--matrix", "1,1;1,1"],
+    ["pgl2", "--q", "3", "--matrix", "0,0;0,0"],
+    ["pgl2", "--q", "3", "--matrix", "e,0;0,0"],
 ])
 def test_pgl2_bad_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)

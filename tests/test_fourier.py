@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
-
 from weylkit import fourier
 from weylkit.cyclotomic import Cyc
 
@@ -65,43 +63,6 @@ def test_b2_component_matrix_is_involution():
     for i in range(4):
         for j in range(4):
             assert mm[i][j] == (1 if i == j else 0)
-
-
-_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-
-@given(st.tuples(*(_rationals for _ in range(4))))
-@settings(max_examples=40, deadline=None)
-def test_transform_involution_z2(values):
-    gamma = fourier.group_z2()
-    vec = [Cyc.rational(v) for v in values]
-    twice = fourier.apply_transform(gamma, fourier.apply_transform(gamma, vec))
-    assert all(a == b for a, b in zip(twice, vec))
-
-
-@given(st.tuples(*(_rationals for _ in range(4))))
-@settings(max_examples=40, deadline=None)
-def test_b2_transform_involution_on_symmetric_input(values):
-    a, b, c, d = (Cyc.rational(v) for v in values)
-    # values agreeing on the +-1 classes of the identity component
-    vec = (a, a, b, c, c, d)
-    twice = fourier.b2_transform(fourier.b2_transform(vec))
-    assert all(u == v for u, v in zip(twice, vec))
-
-
-@given(st.tuples(*(_rationals for _ in range(6))))
-@settings(max_examples=40, deadline=None)
-def test_b2_double_transform_symmetrizes(values):
-    vec = [Cyc.rational(v) for v in values]
-    twice = fourier.b2_transform(fourier.b2_transform(vec))
-    lookup = dict(zip(fourier.B2_PAIRS, vec))
-    half = Fraction(1, 2)
-    for (x, s), out in zip(fourier.B2_PAIRS, twice):
-        if x in ("1", "-1"):
-            expected = (lookup[("1", s)] + lookup[("-1", s)]) * half
-        else:
-            expected = lookup[(x, s)]
-        assert out == expected
 
 
 def test_trivial_group_transform_is_identity():

@@ -1,18 +1,20 @@
-from fractions import Fraction
-
 import pytest
 
-from weylkit import alcove, costandard, springer, weyl
-from weylkit.cartan import cartan_datum
-from weylkit.cyclotomic import Cyc
-from weylkit.errors import (
-    PreconditionError,
-    TableRejectionError,
-    UnsupportedLabelError,
-)
+from weylkit import costandard, springer
+from weylkit.errors import TableRejectionError, UnsupportedLabelError
 
-
-A1 = cartan_datum("A1")
+# A second table the validator accepts: the one-dimensional sign module,
+# whose single layer is the top.
+TRIVIAL_A1_TEXT = """\
+group A1
+dim 1
+zeta 1 triv
+cell 0
+point 1 0
+gen 0 = -1
+gen 1 = -1
+layer 0 = 1
+"""
 
 
 def test_springer_tables_partition_pairs():
@@ -39,37 +41,6 @@ def test_closure_order():
     assert springer.closure_leq("sl2", "regular", "regular")
 
 
-def test_central_characters():
-    assert springer.central_character("sl2", "triv") == "1"
-    assert springer.central_character("sl2", "eps") == "swap"
-
-
-def test_cuspidal_blocks_valid():
-    assert springer.cuspidal_blocks_valid(A1)
-
-
-def test_assemble_label_vertex_point():
-    d = alcove.level_one_point(A1, (1, 0))
-    c = springer.class_by_name("sl2", "regular")
-    label = springer.assemble_z_label(A1, (0,), d, c, "triv")
-    assert label.omega_block == "1"
-    assert label.semisimple.is_identity()
-
-
-def test_assemble_label_interior_point():
-    d = alcove.level_one_point(A1, (Fraction(1, 2), Fraction(1, 2)))
-    c = springer.class_by_name("torus", "1")
-    label = springer.assemble_z_label(A1, (0, 1), d, c, "triv")
-    assert label.unipotent.dim == 0
-
-
-def test_assemble_label_cell_mismatch():
-    d = alcove.level_one_point(A1, (1, 0))
-    c = springer.class_by_name("torus", "1")
-    with pytest.raises(PreconditionError):
-        springer.assemble_z_label(A1, (0, 1), d, c, "triv")
-
-
 def test_costandard_builtin_accepted():
     data = costandard.load_costandard(costandard.BUILTIN_A1_TEXT)
     labels = costandard.layer_labels(data)
@@ -83,22 +54,4 @@ def test_costandard_swapped_rejected_with_layer():
 
 
 def test_costandard_trivial_table_accepted():
-    costandard.load_costandard(costandard.TRIVIAL_A1_TEXT)
-
-
-def test_almost_character_values():
-    s1 = weyl.simple_reflection(A1, 1)
-    assert costandard.almost_char_cvr(s1) == Cyc.rational(0)
-    assert costandard.almost_char_cvr(weyl.identity(A1)) == Cyc.rational(2)
-
-
-def test_almost_character_rejects_infinite_order():
-    translation = (weyl.simple_reflection(A1, 0)
-                   * weyl.simple_reflection(A1, 1))
-    with pytest.raises(PreconditionError):
-        costandard.almost_char_cvr(translation)
-
-
-def test_invariant_dimension_of_builtin():
-    table = costandard.builtin_table(("1", "triv"))
-    assert costandard.invariant_dimension(table) == 0
+    costandard.load_costandard(TRIVIAL_A1_TEXT)

@@ -46,7 +46,6 @@ def test_word_round_trip(letters):
     w = weyl.from_word(A2, letters)
     again = weyl.from_word(A2, w.word())
     assert again == w
-    assert weyl.parse_word(A2, weyl.word_str(w)) == w
 
 
 @given(words(A2, 6), words(A2, 6))
@@ -98,11 +97,12 @@ def test_element_order_certificates():
 
 def test_quotient_coxeter_c2_column():
     inf = math.inf
-    assert weyl.quotient_coxeter_matrix(C2, (1,)) == ((1, inf), (inf, 1))
+    gens = weyl.quotient_generators(C2, (1,))
+    assert weyl.quotient_coxeter_matrix(gens) == ((1, inf), (inf, 1))
 
 
 def test_quotient_coxeter_finite_bonds():
-    matrix = weyl.quotient_coxeter_matrix(A2, ())
+    matrix = weyl.quotient_coxeter_matrix(weyl.quotient_generators(A2, ()))
     for i in range(3):
         assert matrix[i][i] == 1
         for j in range(3):
@@ -114,15 +114,14 @@ def test_quotient_coxeter_finite_bonds():
 def test_min_coset_generators_a2_tilde_failure():
     result = weyl.min_coset_generators(A2, (1,))
     assert result.failures == (0, 2)
-    assert not result.ok
     # the matrix needs every candidate, so this J is a usage error
     with pytest.raises(NodeSubsetError, match=r"for k in \(0, 2\)"):
-        weyl.quotient_coxeter_matrix(A2, (1,))
+        weyl.quotient_generators(A2, (1,))
 
 
 def test_min_coset_generators_empty_parabolic():
     result = weyl.min_coset_generators(A2, ())
-    assert result.ok
+    assert result.failures == ()
     assert {k for k, _ in result.generators} == {0, 1, 2}
     for k, w in result.generators:
         assert w.word() == (k,)
@@ -133,7 +132,7 @@ def test_quotient_coxeter_matrix_rejects_one_node_left_out():
     for datum, J in ((C2, (0, 1)), (C2, (2, 0)), (A2, (0, 2)),
                      (cartan_datum("A1"), (1,))):
         with pytest.raises(NodeSubsetError):
-            weyl.quotient_coxeter_matrix(datum, J)
+            weyl.quotient_generators(datum, J)
         # alcove and springer still read the empty generator list
         result = weyl.min_coset_generators(datum, J)
-        assert result.generators == () and result.ok
+        assert result.generators == () and result.failures == ()
