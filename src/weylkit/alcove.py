@@ -33,6 +33,13 @@ from .errors import (
 
 _QUOTIENT_CAP = 200000
 
+# The work a rational grid may start, checked before any point is
+# formed: `sample_grid` counts the candidates p/k it visits, and
+# `reps.grid_modules` weights each candidate by its denominator k, which
+# sets the order of its torus point and so the number of character values
+# its modules sum.  Denominator 20 costs 230 and 3,080 of it.
+GRID_WORK_BUDGET = 20000
+
 
 @dataclass(frozen=True)
 class LevelOnePoint:
@@ -366,15 +373,10 @@ def torus_stabilizer(datum, J, t, S=None):
     return StabilizerResult(elements=stabilizer, lift_ok=lift_ok)
 
 
-def sample_grid(datum, J, max_denominator):
-    """All rational points of D_J with denominators <= max_denominator.
-
-    Only implemented for complements of size 2 (the configurations the
-    verification suite samples); returns LevelOnePoints lying in cells
-    C_S with S inside the complement of J.  Both node-subset refusals
-    are decided from J and datum.n alone, before any coset geometry is
-    built.
-    """
+def grid_nodes(datum, J):
+    """The two nodes outside J that a rational grid of D_J spans.  Both
+    node-subset refusals are decided from J and datum.n alone, before any
+    coset geometry is built."""
     if len(set(J)) == datum.n + 1:
         raise NodeSubsetError("J must be a proper node subset")
     if any(j < 0 or j > datum.n for j in J):
@@ -382,7 +384,24 @@ def sample_grid(datum, J, max_denominator):
     jcheck = tuple(k for k in range(datum.n + 1) if k not in J)
     if len(jcheck) != 2:
         raise NodeSubsetError("grid sampling needs a rank-1 configuration")
-    ka, kb = jcheck
+    return jcheck
+
+
+def sample_grid(datum, J, max_denominator):
+    """All rational points of D_J with denominators <= max_denominator.
+
+    Only implemented for complements of size 2 (the configurations the
+    verification suite samples, see `grid_nodes`); returns
+    LevelOnePoints lying in cells C_S with S inside the complement of J.
+    A grid of more than GRID_WORK_BUDGET candidates raises BudgetError
+    before it forms a point.
+    """
+    ka, kb = grid_nodes(datum, J)
+    candidates = max_denominator * (max_denominator + 3) // 2
+    if candidates > GRID_WORK_BUDGET:
+        raise BudgetError(
+            f"grid to denominator {max_denominator} would visit {candidates}"
+            f" candidate points, more than the budget of {GRID_WORK_BUDGET}")
     na, nb = datum.marks[ka], datum.marks[kb]
     points = []
     seen = set()

@@ -15,10 +15,10 @@ Membership reads each entry only through its (exponent, prec) pair: the
 least exponent with a nonzero coefficient below the precision, and the
 precision.  The fixed-point count walks the word tree of coset
 representatives (Serre, Trees, Ch. II §1) carrying x^-1 g x; it
-classifies each level from the pairs of the children of the level
-above, computed from that level's t-independent pieces, and builds a
-level's matrices only when the stop rule sends the walk on, so the last
-level it classifies is never built.
+classifies level L from the pairs of the children of level L - 1, read
+off level L - 1's t-independent pieces, and forms those pieces straight
+from the matrices of level L - 2 and t.  So it builds no matrix past
+level L - 2, and a count that settles at level 2 builds none but g.
 
 tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
@@ -27,8 +27,8 @@ both displays read the same conditions off C and off its tau-conjugate
 v(d)>=v(b)+1).  On exact entries the two classes therefore agree, so a
 walk whose entries are all exact classifies each node once.  It counts
 only I2 members, and the I2 rule decides on v(c)=v(b)+1 before it reads
-a or d, so it forms the pairs of a branch's b- and c-entries for every
-child and those of its a- and d-entries only when some child passes.
+a or d, so it forms a branch's b- and c-pieces and their pairs for every
+child, and its a- and d-pieces only when some child passes.
 On truncated entries the two displays raise in different orders, so an
 inexact walk classifies a node and its tau-conjugate from all four
 pairs.  Either walk refuses, with BudgetError, a level that would take
@@ -37,6 +37,7 @@ it past WALK_NODE_BUDGET nodes.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import costandard, laurent, linalg
 from .errors import (
@@ -223,32 +224,84 @@ def _tau_pairs(a, b, c, d):
     return d, (c[0] - 1, c[1] - 1), (b[0] + 1, b[1] + 1), a
 
 
-def _child_pairs(nodes, q):
-    """The entry pairs of the children of a level's nodes, in the order
-    the walk builds them."""
-    return [pairs
-            for _, branches in nodes
-            for _, pieces in branches
-            for pairs in zip(*(_entry_pairs(p, q) for p in pieces))]
+def _child_branches(C, letter, pieces, q):
+    """The branches of C's q children s^-1 C s, t in range(q), for the
+    letter their words take next, formed straight from C's entries, its
+    pieces `_pieces(C, letter)` and t, without building the children.
+    Each branch is (b-piece, c-piece, thunk) and the thunk forms its
+    (a-piece, d-piece); the pieces equal `_pieces` of the child that
+    `_children` builds, coefficients and precision.  The terms all t
+    share are formed once, or read from C's pieces where those hold
+    them, so a child's b- and c-pieces take two `laurent.quadratic` calls
+    and its a- and d-pieces two more.  c + c, never 2 * c: at q = 2 the
+    exact zero 2 * c would drop c's precision."""
+    (a, b), (c, d) = C
+    if letter == 1:
+        # child [[d + t c, -c], [-b + t (d - a) + t^2 c, a - t c]], whose
+        # letter-0 pieces are (a - t c, e c), (e^-2 (b + t (a - d) - t^2 c),
+        # e^-1 ((d - a) + t (c + c)), -c), (e^2 c) and (d + t c, -e c)
+        (neg_c, _, _), (_, d_a, _) = pieces[1:3]
+        b0, b1, b2 = b.shift(-2), (-d_a).shift(-2), neg_c.shift(-2)
+        x10, x11 = d_a.shift(-1), (c + c).shift(-1)
+        ec, neg_ec = c.shift(1), neg_c.shift(1)
+        pc = (c.shift(2), None, None)
+
+        def branch(t):
+            pb = (quadratic(t, b0, b1, b2), quadratic(t, x10, x11), neg_c)
+            return pb, pc, partial(ad, t)
+
+        def ad(t):
+            return (quadratic(t, a, neg_c), ec, None), \
+                (quadratic(t, d, c), neg_ec, None)
+    else:
+        # child [[d - t eb, -e^-2 c + t e^-1 (a - d) + t^2 b], [-e^2 b,
+        # a + t eb]], whose letter-1 pieces are (a + t eb, -e^2 b),
+        # (e^2 b), (e^-2 c + t e^-1 (d - a) - t^2 b, (a - d) + t (eb + eb),
+        # -e^2 b) and (d - t eb, e^2 b)
+        (_, neg_eb, _), (neg_c0, a_d1, _), (neg_e2b, _, _), (_, eb, _) = pieces
+        c0, c1, c2 = -neg_c0, -a_d1, -b
+        x10, x11 = a_d1.shift(1), eb + eb
+        e2b = -neg_e2b
+        pb = (e2b, None, None)
+
+        def branch(t):
+            pc = (quadratic(t, c0, c1, c2), quadratic(t, x10, x11), neg_e2b)
+            return pb, pc, partial(ad, t)
+
+        def ad(t):
+            return (quadratic(t, a, eb), neg_e2b, None), \
+                (quadratic(t, d, neg_eb), e2b, None)
+    return [branch(t) for t in range(q)]
 
 
-def _i2_children(nodes, q):
-    """The number of I2 children of a level's nodes, every entry exact.
+def _child_pairs(branches, q):
+    """The entry pairs of the children of a level's branches, in the
+    order `conjugate_levels` yields them."""
+    out = []
+    for pb, pc, ad in branches:
+        pa, pd = ad()
+        out.extend(zip(*(_entry_pairs(p, q) for p in (pa, pb, pc, pd))))
+    return out
+
+
+def _i2_children(branches, q):
+    """The number of I2 children of a level's branches, every entry
+    exact.
 
     The I2 rule decides on v(c) = v(b) + 1 before it reads a or d, so each
-    branch forms the pairs of its b- and c-pieces for every t, the pairs
-    of its a- and d-pieces only when some t passes, and `_classify`
+    branch forms the pairs of its b- and c-pieces for every t, its a- and
+    d-pieces and their pairs only when some t passes, and `_classify`
     decides those t alone."""
     count = 0
-    for _, branches in nodes:
-        for _, (pa, pb, pc, pd) in branches:
-            bs, cs = _entry_pairs(pb, q), _entry_pairs(pc, q)
-            passing = [t for t in range(q)
-                       if bs[t][0] != math.inf and cs[t][0] == bs[t][0] + 1]
-            if passing:
-                as_, ds = _entry_pairs(pa, q), _entry_pairs(pd, q)
-                count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
-                             for t in passing)
+    for pb, pc, ad in branches:
+        bs, cs = _entry_pairs(pb, q), _entry_pairs(pc, q)
+        passing = [t for t in range(q)
+                   if bs[t][0] != math.inf and cs[t][0] == bs[t][0] + 1]
+        if passing:
+            pa, pd = ad()
+            as_, ds = _entry_pairs(pa, q), _entry_pairs(pd, q)
+            count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
+                         for t in passing)
     return count
 
 
@@ -260,14 +313,14 @@ def _classes(level):
         yield _classify(*_tau_pairs(*pairs))
 
 
-def _walk(g):
+def _tree(g):
     """The word tree below g, one level per step: for word lengths
     0, 1, 2, ..., the list of (x^-1 g x, branches) over the level's
     coset representatives x I1, where branches holds (letter, pieces)
     for each letter that extends x's word.  Each length-l word in the
-    two alternating letters contributes q^l nodes; the walk carries
-    x^-1 g x down the tree, never x, and builds a level only when the
-    consumer asks for it."""
+    two alternating letters contributes q^l nodes; the tree carries
+    x^-1 g x down, never x, and builds a level only when the consumer
+    asks for it."""
     q = g[0][0].q
     frontier = [(g, None)]
     while True:
@@ -281,11 +334,30 @@ def _walk(g):
                     for child in _children(pieces, q)]
 
 
+def _walk(g):
+    """For word lengths 0, 1, 2, ..., the branches of that level's
+    nodes, one (b-piece, c-piece, a/d thunk) per node and letter that
+    extends its word, in the order of `_tree`: g's from its own pieces,
+    and level l + 1's from the nodes and pieces of level l through
+    `_child_branches`.  So the walk builds level l's matrices only when
+    asked for level l + 1's branches, whose pairs classify level l + 2."""
+    q = g[0][0].q
+    levels = _tree(g)
+    nodes = next(levels)
+    yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
+           for _, branches in nodes for _, (pa, pb, pc, pd) in branches]
+    while True:
+        yield [branch for conj, branches in nodes
+               for letter, pieces in branches
+               for branch in _child_branches(conj, letter, pieces, q)]
+        nodes = next(levels)
+
+
 def conjugate_levels(g):
     """Yield, for word lengths 0, 1, 2, ..., the conjugates x^-1 g x over
     that level's coset representatives x I1, each followed by its
     tau-conjugate."""
-    for nodes in _walk(g):
+    for nodes in _tree(g):
         yield [m for conj, _ in nodes for m in (conj, _tau_conjugate(conj))]
 
 
@@ -298,9 +370,10 @@ def fixed_point_count(g, prec=6, max_length=8):
     Membership reads only the (exponent, prec) pair of each entry, so a
     level is classified from the pieces of the level above it: each
     child's pairs come from its t-polynomials without building it, and
-    the tau-conjugate's from the same pairs.  A level's matrices are
-    built only when the stop rule lets the walk go on, so the last level
-    classified is never built.
+    the tau-conjugate's from the same pairs.  The pieces of level L - 1
+    come straight from the matrices of level L - 2 and t
+    (`_child_branches`), so classifying level L builds no matrix past
+    level L - 2, and a count that settles at level 2 builds none but g.
 
     When every entry of g is exact, so is every node of the walk, and a
     node and its tau-conjugate have the same class: each node counts
@@ -334,13 +407,13 @@ def fixed_point_count(g, prec=6, max_length=8):
                     f"fixed-point walk to word length {length} would classify"
                     f" {classified} nodes, more than the budget of"
                     f" {WALK_NODE_BUDGET}")
-            nodes = next(walk)
+            branches = next(walk)
         if exact:
             # g itself is in I2 (checked above), and so is its tau-conjugate
-            running += 2 * _i2_children(nodes, q) if length else 2
+            running += 2 * _i2_children(branches, q) if length else 2
         else:
             if length:
-                level = _child_pairs(nodes, q)
+                level = _child_pairs(branches, q)
             running += sum(cls == "I2" for cls in _classes(level))
         cumulative.append(running)
         n = len(cumulative)

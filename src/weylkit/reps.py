@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import alcove, linalg
 from .cyclotomic import Cyc
 from .errors import (
+    BudgetError,
     InternalConsistencyError,
     LiftCheckError,
     PreconditionError,
@@ -312,7 +313,17 @@ def grid_modules(datum, J, denominator):
     `alcove.sample_grid(datum, J, denominator)` and each lift character
     at d, in grid order and then `lift_characters` order: d's cell, the
     torus point t = p_J(d), the character's index and the induced module.
-    Built lazily, so a consumer that stops early builds nothing further."""
+    Built lazily, so a consumer that stops early builds nothing further.
+    After the node-subset refusals and before the grid, the candidates
+    p/k weighted by k must stay within alcove.GRID_WORK_BUDGET, or
+    BudgetError is raised."""
+    alcove.grid_nodes(datum, J)
+    work = denominator * (denominator + 1) * (denominator + 2) // 3
+    if work > alcove.GRID_WORK_BUDGET:
+        raise BudgetError(
+            f"induced modules to denominator {denominator} would weigh"
+            f" {work} (grid candidates times their denominators), more than"
+            f" the budget of {alcove.GRID_WORK_BUDGET}")
     grid = alcove.sample_grid(datum, J, denominator)
     geo = alcove.geometry(datum, J)
     for d in grid:

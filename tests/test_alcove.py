@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from weylkit import alcove, linalg, reps
 from weylkit.cartan import cartan_datum
 from weylkit.errors import (
+    BudgetError,
     NodeSubsetError,
     PreconditionError,
     StructuralError,
@@ -63,6 +64,26 @@ def test_sample_grid_refuses_before_building_geometry(monkeypatch):
         alcove.sample_grid(F4, (0, 1, 9), 4)
     with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
         next(reps.grid_modules(F4, (), 4))
+    # the node-subset refusal comes before the grid work budget
+    with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
+        next(reps.grid_modules(F4, (), 100))
+
+
+def test_the_grid_budget_counts_candidates_before_any_point(monkeypatch):
+    # denominator d visits d (d + 3) / 2 candidates p/k: 230 at d = 20,
+    # 252 at d = 21 and 321,200 at d = 800
+    def no_point(datum, coords):
+        raise AssertionError("a grid point was formed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(alcove, "level_one_point", no_point)
+        with pytest.raises(BudgetError, match="321200 candidate points"):
+            alcove.sample_grid(A1, (), 800)
+        patch.setattr(alcove, "GRID_WORK_BUDGET", 230)
+        with pytest.raises(BudgetError, match="budget of 230"):
+            alcove.sample_grid(A1, (), 21)
+    monkeypatch.setattr(alcove, "GRID_WORK_BUDGET", 230)
+    assert len(alcove.sample_grid(A1, (), 20)) == 129
 
 
 def test_unusable_node_subsets_raise_node_subset_error():

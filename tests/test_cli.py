@@ -222,6 +222,30 @@ def test_pgl2_count_over_the_walk_budget_fails_fast():
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,denominator", [
+    ("reps", 100), ("cells", 800)])
+def test_a_grid_over_the_work_budget_fails_fast(tmp_path, command,
+                                                denominator):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"denominator {denominator}\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["--config", str(cfg), command, "--type", "A1"])
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err
+    assert err.count("\n") == 1
+
+
+def test_reps_at_denominator_20_stays_within_the_budget(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("denominator 20\n")
+    code, out, err = run_cli(["--config", str(cfg), "reps", "--type", "A1"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 132
+
+
 @pytest.mark.parametrize("argv", [
     ["pgl2", "--q", "0"],
     ["pgl2", "--q", "4"],

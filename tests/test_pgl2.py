@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from weylkit import laurent, pgl2
+from weylkit import checks, laurent, pgl2
+from weylkit.cli import SuiteConfig
 from weylkit.errors import BudgetError, IndeterminateError, PreconditionError
 from weylkit.laurent import LaurentScalar
 
@@ -314,6 +315,62 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
                     and pgl2._classify(a, b, c, d) != "I2"
                     for a, b, c, d in pairs)
     assert in_i2 and past_b_and_c_only
+
+
+def _piece_key(piece):
+    return tuple(None if x is None else (tuple(sorted(x.coeffs.items())),
+                                         x.prec)
+                 for x in piece)
+
+
+def test_child_route_pieces_match_the_built_children():
+    # Each piece the walk forms for a child straight from its parent's
+    # entries and t equals `_pieces` of the child that `_children` builds,
+    # coefficients and precision: exact parents, parents truncated entry
+    # by entry (among them q = 2 with a truncated c, where c + c is zero
+    # but keeps c's precision), and the walk's own nodes.
+    truncated_c_at_2 = 0
+    for q in (2, 3, 5, 7):
+        rng = random.Random(71 + q)
+        parents = [_random_exact_matrix(q, rng) for _ in range(40)]
+        for _ in range(60):
+            m = _random_exact_matrix(q, rng)
+            parents.append(tuple(
+                tuple(x if rng.randrange(3) == 0
+                      else x.truncate(rng.randrange(-3, 5)) for x in row)
+                for row in m))
+        for _, level in zip(range(3), pgl2.conjugate_levels(
+                pgl2.random_i2(q, rng))):
+            parents.extend(level[::2])
+        for parent in parents:
+            truncated_c_at_2 += q == 2 and not parent[1][0].is_exact()
+            for letter in (0, 1):
+                pieces = pgl2._pieces(parent, letter)
+                built = pgl2._children(pieces, q)
+                branches = pgl2._child_branches(parent, letter, pieces, q)
+                assert len(branches) == q
+                for child, (pb, pc, ad) in zip(built, branches):
+                    pa, pd = ad()
+                    want = pgl2._pieces(child, 1 - letter)
+                    assert [_piece_key(p) for p in (pa, pb, pc, pd)] \
+                        == [_piece_key(p) for p in want]
+    assert truncated_c_at_2
+
+
+def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
+    # C7's 42 elements and 60 random odd-coset elements at each of
+    # q = 2, 3, 5 settle at level 2, whose pairs come from the pieces of
+    # level 1, and those straight from g: no count builds a matrix.
+    def refuse(pieces, q):
+        raise AssertionError("the count built a matrix past g")
+
+    rng = random.Random(83)
+    elements = [pgl2.random_i2(q, rng, degree=8)
+                for q in (2, 3, 5) for _ in range(60)]
+    monkeypatch.setattr(pgl2, "_children", refuse)
+    assert checks._c7_fixed_points(SuiteConfig()) \
+        == "42 elements, every fixed-point count is 2"
+    assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
 
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):

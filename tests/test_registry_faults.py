@@ -81,6 +81,7 @@ def test_ghost_exponents_shifted_up_are_an_equivalent_mutant(p, m):
 # -- C7 and C9 faults, with the gaps they show -------------------------
 
 _PIECES = pgl2._pieces
+_CHILD_BRANCHES = pgl2._child_branches
 _ENTRY_PAIRS = pgl2._entry_pairs
 
 
@@ -91,6 +92,16 @@ def _pieces_with_a_minus_d(C, letter):
         return _PIECES(C, letter)
     (a, b), (c, d) = C
     return ((d, c, None), (-c, None, None), (-b, a - d, c), (a, -c, None))
+
+
+def _child_branches_with_a_minus_d(C, letter, pieces, q):
+    """The same fault on the child route: a letter-0 child's letter-1
+    c-piece with x1 = (d - a) - t (eb + eb), the child's a - d, instead
+    of (a - d) + t (eb + eb), its d - a."""
+    branches = _CHILD_BRANCHES(C, letter, pieces, q)
+    if letter != 0:
+        return branches
+    return [(pb, (x0, -x1, x2), ad) for pb, (x0, x1, x2), ad in branches]
 
 
 def _entry_pairs_without_x2(piece, q):
@@ -117,18 +128,17 @@ def _readout_with_exponent_one_after_the_first_term(p, m, g):
 
 
 def _walk_that_backtracks(g):
-    """The word tree with both letters below every node, so a word may
-    undo its last step."""
+    """The walk with both letters below every node, so a word may undo
+    its last step.  The child route forms only the next letter's pieces,
+    so each level's branches come from its built matrices."""
     q = g[0][0].q
     frontier = [g]
     while True:
-        nodes = [(conj, [(letter, pgl2._pieces(conj, letter))
-                         for letter in (0, 1)])
-                 for conj in frontier]
-        yield nodes
-        frontier = [child for _, branches in nodes
-                    for _, pieces in branches
-                    for child in pgl2._children(pieces, q)]
+        pieces = [pgl2._pieces(conj, letter)
+                  for conj in frontier for letter in (0, 1)]
+        yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
+               for pa, pb, pc, pd in pieces]
+        frontier = [child for p in pieces for child in pgl2._children(p, q)]
 
 
 def _level_keys(text, q, levels=3):
@@ -137,6 +147,14 @@ def _level_keys(text, q, levels=3):
     return [[tuple((tuple(sorted(x.coeffs.items())), x.prec)
                    for row in m for x in row) for m in level]
             for _, level in zip(range(levels), pgl2.conjugate_levels(g))]
+
+
+def _walk_pairs(text, q, levels=3):
+    """The entry pairs of the children of the first levels of the walk's
+    branches."""
+    g = laurent.parse_matrix(text, q)
+    return [pgl2._child_pairs(branches, q)
+            for _, branches in zip(range(levels), pgl2._walk(g))]
 
 
 # -- Weyl, alcove and reps faults --------------------------------------
@@ -198,40 +216,42 @@ def _first_module_characters():
     return list(reps.character_values(rep, t.order))
 
 
-# name: (module, attribute, fault, the checks it should fail, and a probe
-# whose value the fault changes, so it is no equivalent mutant)
+# name: ((module, attribute, fault) for each patch, the checks the fault
+# should fail, and a probe whose value it changes, so it is no
+# equivalent mutant)
 FAULTS = {
     "pgl2._walk backtracks": (
-        pgl2, "_walk", _walk_that_backtracks, {"C7"},
-        lambda: _level_keys("1+e,1;e2,1", 3)),
+        [(pgl2, "_walk", _walk_that_backtracks)], {"C7"},
+        lambda: _walk_pairs("1+e,1;e2,1", 3)),
     "pgl2._pieces letter-1 c-piece a - d": (
-        pgl2, "_pieces", _pieces_with_a_minus_d, {"C7"},
-        lambda: _level_keys("1+e,1;e2,1", 3)),
+        [(pgl2, "_pieces", _pieces_with_a_minus_d),
+         (pgl2, "_child_branches", _child_branches_with_a_minus_d)], {"C7"},
+        lambda: _walk_pairs("1+e,e;e2,1", 3)),
     "pgl2._entry_pairs drops x2": (
-        pgl2, "_entry_pairs", _entry_pairs_without_x2, {"C7"},
+        [(pgl2, "_entry_pairs", _entry_pairs_without_x2)], {"C7"},
         lambda: pgl2._child_pairs(
             next(pgl2._walk(laurent.parse_matrix("1+e,1;e2,1", 3))), 3)),
     "pgl2._tau_pairs shift signs swapped": (
-        pgl2, "_tau_pairs", _tau_pairs_with_swapped_shifts, {"C7"},
+        [(pgl2, "_tau_pairs", _tau_pairs_with_swapped_shifts)], {"C7"},
         lambda: pgl2._tau_pairs((0, math.inf), (1, math.inf),
                                 (2, math.inf), (3, math.inf))),
     "witt._readout exponent 1 after the first term": (
-        witt, "_readout", _readout_with_exponent_one_after_the_first_term,
+        [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
     "weyl inverse with swapped transposes": (
-        weyl.WeylElement, "inverse", _inverse_with_swapped_transposes,
+        [(weyl.WeylElement, "inverse", _inverse_with_swapped_transposes)],
         {"C1", "C2", "C3"},
         lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
     "weyl inverse that is the element itself": (
-        weyl.WeylElement, "inverse", _inverse_that_is_itself,
+        [(weyl.WeylElement, "inverse", _inverse_that_is_itself)],
         {"C1", "C2", "C3"},
         lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
     "reps.character_values drops a trace term": (
-        reps, "character_values",
-        _character_values_without_the_first_fixed_point, {"C3"},
+        [(reps, "character_values",
+          _character_values_without_the_first_fixed_point)], {"C3"},
         _first_module_characters),
     "alcove.torus_stabilizer drops an element": (
-        alcove, "torus_stabilizer", _stabilizer_without_its_last_element,
+        [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"},
         lambda: alcove.torus_stabilizer(
             A1, (), alcove.p_J(A1, (), (1, 0))).elements),
@@ -239,12 +259,13 @@ FAULTS = {
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
 # elements, so it sees a walk fault only when the fault puts a child in
-# I2, as the backtracking walk does; the _pieces and _entry_pairs faults
-# change children outside I2 only, and an exact walk never reads
-# _tau_pairs.  C9 runs the oracle only at m = 2.  Every Weyl element a
-# check inverts is an involution (ss_k, and the lifts of the rank-1
-# quotient's words of length at most 1), so an inverse that returns the
-# element itself is right on all of them.
+# I2, as the backtracking walk does; the a - d fault (on g's pieces and
+# on the child route) and the _entry_pairs fault change children outside
+# I2 only, and an exact walk never reads _tau_pairs.  C9 runs the oracle
+# only at m = 2.  Every Weyl element a check inverts is an involution
+# (ss_k, and the lifts of the rank-1 quotient's words of length at most
+# 1), so an inverse that returns the element itself is right on all of
+# them.
 BLIND = {
     "pgl2._pieces letter-1 c-piece a - d",
     "pgl2._entry_pairs drops x2",
@@ -256,20 +277,24 @@ BLIND = {
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_each_fault_changes_what_it_patches(monkeypatch, name):
-    module, attribute, fault, _, probe = FAULTS[name]
+    # each patch of a fault changes the probe on its own
+    patches, _, probe = FAULTS[name]
     want = probe()
-    monkeypatch.setattr(module, attribute, fault)
-    assert probe() != want
+    for module, attribute, fault in patches:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attribute, fault)
+            assert probe() != want, attribute
 
 
 def test_the_blind_set_is_the_faults_every_check_passes(monkeypatch):
     gaps = set()
-    for name, (module, attribute, fault, check_ids, _) in FAULTS.items():
+    for name, (patches, check_ids, _) in FAULTS.items():
         with monkeypatch.context() as patch:
             # each faulted run builds its coset geometry afresh, and no
             # geometry built under a fault outlives it
             patch.setattr(alcove, "_geometry_cache", {})
-            patch.setattr(module, attribute, fault)
+            for module, attribute, fault in patches:
+                patch.setattr(module, attribute, fault)
             statuses = _statuses()
         if statuses == _all_passing():
             gaps.add(name)

@@ -7,7 +7,11 @@ import pytest
 from weylkit import alcove, linalg, reps
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
-from weylkit.errors import InternalConsistencyError, PreconditionError
+from weylkit.errors import (
+    BudgetError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 
 
 A1 = cartan_datum("A1")
@@ -173,6 +177,24 @@ def test_grid_modules_follow_the_grid_and_the_lift_characters():
     got = [(d.coords, cell.S, index)
            for d, cell, _, index, _ in reps.grid_modules(A1, (), 6)]
     assert got == want
+
+
+def test_grid_modules_weigh_their_work_before_the_grid(monkeypatch):
+    # candidates p/k weighted by k: d (d + 1) (d + 2) / 3, which is 3,080
+    # at d = 20, 19,760 at d = 38, 21,320 at d = 39 and 343,400 at d = 100
+    def no_grid(datum, J, denominator):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(alcove, "sample_grid", no_grid)
+    for denominator, work in ((39, 21320), (100, 343400)):
+        with pytest.raises(BudgetError, match=f"weigh {work} .* budget of"
+                                              " 20000"):
+            next(reps.grid_modules(A1, (), denominator))
+    with pytest.raises(AssertionError, match="sampled"):
+        next(reps.grid_modules(A1, (), 38))
+    monkeypatch.setattr(alcove, "GRID_WORK_BUDGET", 3079)
+    with pytest.raises(BudgetError, match="weigh 3080"):
+        next(reps.grid_modules(A1, (), 20))
 
 
 def test_verify_relations_rejects_corrupted_images():
