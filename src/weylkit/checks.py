@@ -122,12 +122,10 @@ def _c7_fixed_points(config):
     rng = random.Random(20260824)
     for q in (2, 3):
         g = laurent.parse_matrix("0,1;e,0", q)
-        counts = [pgl2.fixed_point_count(g, prec=config.prec)]
+        counts = [pgl2.fixed_point_count(g)]
         for _ in range(20):
             h = pgl2.random_i1(q, rng)
-            counts.append(
-                pgl2.fixed_point_count(pgl2.conjugate_exact(g, h),
-                                       prec=config.prec))
+            counts.append(pgl2.fixed_point_count(pgl2.conjugate_exact(g, h)))
         if any(c != 2 for c in counts):
             raise WeylkitError(f"counts {counts} at q={q}")
     return "42 elements, every fixed-point count is 2"
@@ -142,7 +140,7 @@ def _c8_recurrence(config):
             raise WeylkitError(f"value at q={q}")
         if 2 * q - pgl2.steinberg_value(q) != 1:
             raise WeylkitError("bookkeeping failed")
-    if pgl2.a_space_dims(case="recurrence") != {2: 2}:
+    if pgl2.a_space_dims() != {2: 2}:
         raise WeylkitError("degree-2 dimension map wrong")
     for n in (6, 10):
         generated, coinv = pgl2.module_generation_check(n)

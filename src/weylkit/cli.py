@@ -203,7 +203,7 @@ def _cmd_pgl2(args, config, out):
         matrix = laurent.parse_matrix(args.matrix, q)
     except PreconditionError as exc:
         raise ConfigError(f"bad matrix {args.matrix!r}: {exc}")
-    if laurent.mat_det(matrix) == 0:  # exact entries: exactly zero
+    if laurent.mat_det(matrix) == 0:
         raise ConfigError(f"matrix {args.matrix!r} is singular (det = 0),"
                           " not an element of PGL_2")
     cls = pgl2.iwahori_class(matrix)
@@ -217,8 +217,7 @@ def _cmd_pgl2(args, config, out):
         rows.append(("discriminant_valuation",
                      pgl2.discriminant_valuation(matrix)))
     if args.op in ("count", "all") and cls == "I2":
-        rows.append(("fixed_point_count",
-                     pgl2.fixed_point_count(matrix, prec=config.prec)))
+        rows.append(("fixed_point_count", pgl2.fixed_point_count(matrix)))
     _emit(rows, ("result", "value"), config, out)
     return 0
 

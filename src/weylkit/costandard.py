@@ -225,11 +225,3 @@ gen 1 = 1 0 ; 0 -1
 layer 2 = 1 0
 layer 0 = 1 0 ; 0 1
 """
-
-_BUILTIN = {("1", "triv"): BUILTIN_A1_TEXT}
-
-
-def builtin_table(zeta):
-    if tuple(zeta) not in _BUILTIN:
-        raise UnsupportedLabelError(f"no co-standard data for zeta {zeta}")
-    return load_costandard(_BUILTIN[tuple(zeta)])

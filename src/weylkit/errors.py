@@ -71,7 +71,8 @@ class UnsupportedLabelError(WeylkitError):
 
 
 class IndeterminateError(WeylkitError):
-    """Precision or truncation too small to decide the question."""
+    """A bounded search ended before its answer settled; `partial` holds
+    what it had found."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -89,8 +89,8 @@ def pairing(u, v):
 
 
 def check_datum(p):
-    """Constructor checks: bracket closure of the base lattice, Killing
-    nondegeneracy mod p, recomputed Gram matrix."""
+    """Constructor checks: Killing nondegeneracy mod p, recomputed Gram
+    matrix."""
     if p < 3:
         raise PreconditionError(
             "the Killing form degenerates in characteristic 2")
@@ -99,12 +99,6 @@ def check_datum(p):
     det = linalg.mat_inv(tuple(tuple(Fraction(x) for x in row)
                                for row in GRAM))  # raises if singular
     del det
-    basis = linalg.identity_mat(RANK)
-    for u in basis:
-        for v in basis:
-            if any(not isinstance(c, int) and c.denominator != 1
-                   for c in bracket(u, v)):
-                raise StructuralError("base lattice is not bracket-closed")
     return True
 
 
@@ -432,14 +426,10 @@ def _lattice_bracket_closed(z):
                for u in z.basis for v in z.basis)
 
 
-def borel_fiber_count(q, basis=None):
+def borel_fiber_count(q):
     """Number of two-dimensional bracket-closed subspaces of the mod-p
     reduction; for the curated algebra this is q + 1."""
     check_datum(q)
-    if basis is None:
-        consts = BRACKET
-    else:
-        consts = _reduced_structure_constants(basis, q)
     # Enumerate 2-dim subspaces of F_q^3 as kernels of nonzero
     # functionals (one per projective point), then test closure.
     def br(u, v):
@@ -448,7 +438,7 @@ def borel_fiber_count(q, basis=None):
             for j in range(RANK):
                 if u[i] and v[j]:
                     for k in range(RANK):
-                        out[k] = (out[k] + u[i] * v[j] * consts[i][j][k]) % q
+                        out[k] = (out[k] + u[i] * v[j] * BRACKET[i][j][k]) % q
         return tuple(out)
 
     functionals = []
@@ -495,22 +485,3 @@ def _in_span_mod(span, vec, q):
             return True
     return False
 
-
-def _reduced_structure_constants(basis, p):
-    b = tuple(tuple(Fraction(x) for x in row) for row in basis)
-    inv = linalg.mat_inv(b)
-    consts = []
-    for i in range(RANK):
-        row_i = []
-        for j in range(RANK):
-            w = bracket(basis[i], basis[j])
-            coords = linalg.mat_vec(linalg.transpose(inv),
-                                    tuple(Fraction(x) for x in w))
-            entry = []
-            for c in coords:
-                if c.denominator % p == 0:
-                    raise PreconditionError("reduction is not defined mod p")
-                entry.append((c.numerator * pow(c.denominator, -1, p)) % p)
-            row_i.append(tuple(entry))
-        consts.append(tuple(row_i))
-    return tuple(consts)

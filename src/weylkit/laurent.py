@@ -1,26 +1,22 @@
-"""Precision-tracked formal Laurent series over a prime field.
+"""Laurent polynomials over a prime field.
 
-A scalar is a finite window of coefficients indexed by exponents of the
-uniformizer e, together with a precision bound: coefficients at
-exponents >= prec are unknown.  Exact elements (Laurent polynomials,
-all higher coefficients zero) carry infinite precision.  Arithmetic is
-pessimistic: any operation that cannot be decided at the tracked
-precision raises rather than guessing, because the downstream
-valuation arguments are parity-sensitive.
-
-The valuation of zero is +infinity.
+A scalar is an element of F_q[e, e^-1] inside F_q((e)): finitely many
+nonzero coefficients indexed by exponents of the uniformizer e.  Every
+element of G(K), K = F_q((e)), that the library forms has such entries:
+parsed matrices, the random Iwahori elements and their conjugates.  So
+arithmetic is exact, and a valuation is the least exponent with a
+nonzero coefficient; the valuation of zero is +infinity.
 
 Every scalar keeps one invariant: each stored coefficient lies in
-[1, q) and each stored exponent is below prec.  `_new` establishes it by
-reducing modulo q and dropping zeros and exponents at or beyond prec;
-negation (c -> q - c), `shift` and `truncate` preserve it, so they build
-their result directly without that pass.
+[1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
+negation (c -> q - c) and `shift` preserve it, so they build their
+result directly without that pass.
 """
 
 import math
 import re
 
-from .errors import IndeterminateError, PreconditionError, UnsupportedRegimeError
+from .errors import PreconditionError, UnsupportedRegimeError
 
 
 def is_prime(k):
@@ -28,48 +24,39 @@ def is_prime(k):
     return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
 
 
-def _new(q, coeffs, prec):
-    """A LaurentScalar for an already validated q and prec from
-    {exponent: integer}: reduces mod q and drops zeros and exponents at
-    or beyond prec in one loop."""
+def _new(q, coeffs):
+    """A LaurentScalar for an already validated q from
+    {exponent: integer}: reduces mod q and drops zeros in one loop."""
     x = object.__new__(LaurentScalar)
     x.q = q
-    x.prec = prec
-    if prec is math.inf:
-        x.coeffs = {e: r for e, c in coeffs.items() if (r := c % q)}
-    else:
-        x.coeffs = {e: r for e, c in coeffs.items()
-                    if (r := c % q) and e < prec}
+    x.coeffs = {e: r for e, c in coeffs.items() if (r := c % q)}
     return x
 
 
-def _raw(q, coeffs, prec):
+def _raw(q, coeffs):
     """A LaurentScalar from data that already keeps the invariant."""
     x = object.__new__(LaurentScalar)
     x.q = q
-    x.prec = prec
     x.coeffs = coeffs
     return x
 
 
 class LaurentScalar:
-    """An element of F_q((e)) known modulo e^prec."""
+    """A Laurent polynomial over F_q, an element of F_q((e))."""
 
-    __slots__ = ("q", "coeffs", "prec")
+    __slots__ = ("q", "coeffs")
     __hash__ = None
 
-    def __new__(cls, q, coeffs, prec=math.inf):
+    def __new__(cls, q, coeffs):
         if not is_prime(q):
             raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
                                          " fields are supported")
-        if prec is not math.inf and not isinstance(prec, int):
-            raise PreconditionError("precision must be an integer or infinite")
-        return _new(q, coeffs, prec)
+        return _new(q, coeffs)
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(q, prec=math.inf):
-        return LaurentScalar(q, {}, prec)
+    def zero(q):
+        return LaurentScalar(q, {})
 
     @staticmethod
     def one(q):
@@ -83,34 +70,14 @@ class LaurentScalar:
     def eps(q, n=1):
         return LaurentScalar(q, {n: 1})
 
-    # -- predicates ----------------------------------------------------
-    def is_exact(self):
-        return self.prec is math.inf
-
-    def is_zero_to_prec(self):
-        return not self.coeffs
-
-    def val_lower_bound(self):
-        """A certified lower bound for the valuation."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.prec  # +inf for exact zero
-
     def valuation(self):
-        """Exact valuation; +inf for exact zero; raises when the value is
-        zero to precision but not known to be zero."""
-        if self.coeffs:
-            return min(self.coeffs)
-        if self.is_exact():
-            return math.inf
-        raise IndeterminateError(
-            "valuation undecidable: zero to precision "
-            f"e^{self.prec}", partial=self.prec)
+        """The least exponent with a nonzero coefficient; +inf for zero."""
+        return min(self.coeffs) if self.coeffs else math.inf
 
     # -- arithmetic ----------------------------------------------------
     def _compat(self, other):
         if not isinstance(other, LaurentScalar):
-            return _new(self.q, {0: other}, math.inf)
+            return _new(self.q, {0: other})
         if other.q != self.q:
             raise PreconditionError("mismatched base fields")
         return other
@@ -120,172 +87,106 @@ class LaurentScalar:
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) + c
-        return _new(self.q, out, min(self.prec, other.prec))
+        return _new(self.q, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         q = self.q
-        return _raw(q, {e: q - c for e, c in self.coeffs.items()}, self.prec)
+        return _raw(q, {e: q - c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._compat(other)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) - c
-        return _new(self.q, out, min(self.prec, other.prec))
+        return _new(self.q, out)
 
     def __rsub__(self, other):
         return self._compat(other) - self
 
     def __mul__(self, other):
         other = self._compat(other)
-        a, b = self.coeffs, other.coeffs
-        pa, pb = self.prec, other.prec
-        inf = math.inf
-        if (pa is inf and not a) or (pb is inf and not b):
-            return _new(self.q, {}, inf)
-        # a = A + O(e^Pa), b = B + O(e^Pb):
-        # ab = AB + O(e^(v(B)+Pa)) + O(e^(v(A)+Pb)) + O(e^(Pa+Pb)).
-        prec = inf
-        if pb is not inf:
-            prec = (min(a) if a else pa) + pb
-        if pa is not inf:
-            prec = min(prec, (min(b) if b else pb) + pa)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return _new(self.q, out, prec)
+        return _new(self.q, out)
 
     __rmul__ = __mul__
 
-    def inverse(self, prec=None):
-        """Series inverse, known modulo e^prec."""
-        v = self.valuation()
-        if v is math.inf:
-            raise PreconditionError("cannot invert zero")
-        if prec is None:
-            if self.prec is math.inf:
-                raise PreconditionError("an exact element needs a target"
-                                        " precision for inversion")
-            prec = self.prec - 2 * v
-        elif self.prec is not math.inf and prec > self.prec - 2 * v:
-            raise IndeterminateError(
-                "inverse not known to the requested precision",
-                partial=self.prec - 2 * v)
-        # self = e^v * u with u a unit; invert u modulo e^(prec + v).
-        length = prec + v
-        if length <= 0:
-            raise IndeterminateError("no significant digits at this precision",
-                                     partial=prec)
-        u = [0] * length
-        for exp, c in self.coeffs.items():
-            if exp - v < length:
-                u[exp - v] = c
-        lead_inv = pow(u[0], -1, self.q)
-        inv = [0] * length
-        inv[0] = lead_inv
-        for n in range(1, length):
-            acc = sum(u[k] * inv[n - k] for k in range(1, n + 1)) % self.q
-            inv[n] = (-acc * lead_inv) % self.q
-        return LaurentScalar(self.q,
-                             {k - v: c for k, c in enumerate(inv)}, prec)
+    def inverse(self):
+        """The inverse of a unit of the Laurent polynomials, a monomial
+        c e^v: c^-1 e^-v."""
+        if len(self.coeffs) != 1:
+            raise PreconditionError(f"{self.render()} is not a monomial, so"
+                                    " not a unit of the Laurent polynomials")
+        ((v, c),) = self.coeffs.items()
+        return _raw(self.q, {-v: pow(c, -1, self.q)})
 
     def __truediv__(self, other):
+        """The quotient, when it is a Laurent polynomial.  Long division
+        from the lowest exponent up: each step removes the remainder's
+        lowest term, and the quotient's exponents cannot pass
+        deg(self) - deg(other), so it ends with an empty remainder or
+        refuses."""
         other = self._compat(other)
-        prec = None
-        if self.prec is math.inf and other.prec is math.inf:
-            quotient_exact = self._exact_divide(other)
-            if quotient_exact is not None:
-                return quotient_exact
-            raise PreconditionError("exact quotient is not a Laurent"
-                                    " polynomial; truncate first")
-        return self * other.inverse(prec)
-
-    def _exact_divide(self, other):
-        """Exact polynomial division when it terminates, else None."""
-        v_other = other.valuation()
-        if v_other is math.inf:
-            raise PreconditionError("cannot invert zero")
-        if not self.coeffs:
-            return _new(self.q, {}, math.inf)
+        if not other.coeffs:
+            raise PreconditionError("cannot divide by zero")
+        q = self.q
         rem = dict(self.coeffs)
+        if not rem:
+            return _raw(q, {})
+        v = min(other.coeffs)
+        top = max(rem) - max(other.coeffs)
+        lead_inv = pow(other.coeffs[v], -1, q)
         out = {}
-        lead_inv = pow(other.coeffs[v_other], -1, self.q)
-        guard = len(self.coeffs) + len(other.coeffs) + 64
         while rem:
-            if guard == 0:
-                return None
-            guard -= 1
-            lo = min(rem)
-            c = (rem[lo] * lead_inv) % self.q
-            out[lo - v_other] = c
+            low = min(rem)
+            k = low - v
+            if k > top:
+                raise PreconditionError("the quotient is not a Laurent"
+                                        " polynomial")
+            c = rem[low] * lead_inv % q
+            out[k] = c
             for exp, oc in other.coeffs.items():
-                k = lo - v_other + exp
-                rem[k] = (rem.get(k, 0) - c * oc) % self.q
-                if rem[k] == 0:
-                    del rem[k]
-        return _new(self.q, out, math.inf)
-
-    def truncate(self, prec):
-        """The same scalar known only modulo e^prec (if that is less than
-        its own precision)."""
-        if prec is not math.inf and not isinstance(prec, int):
-            raise PreconditionError("precision must be an integer or infinite")
-        if prec >= self.prec:
-            return _raw(self.q, dict(self.coeffs), self.prec)
-        return _raw(self.q, {e: c for e, c in self.coeffs.items() if e < prec},
-                    prec)
+                r = (rem.get(k + exp, 0) - c * oc) % q
+                if r:
+                    rem[k + exp] = r
+                else:
+                    rem.pop(k + exp, None)
+        return _raw(q, out)
 
     def shift(self, n):
-        """Multiply by e^n (exactly)."""
-        prec = self.prec if self.prec is math.inf else self.prec + n
-        return _raw(self.q, {e + n: c for e, c in self.coeffs.items()}, prec)
+        """Multiply by e^n."""
+        return _raw(self.q, {e + n: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        """Equality on the common known window; raises if the values
-        agree there but the windows differ and digits are left over."""
-        other = self._compat(other)
-        prec = min(self.prec, other.prec)
-        for exp in set(self.coeffs) | set(other.coeffs):
-            if exp >= prec:
-                continue
-            if self.coeffs.get(exp, 0) != other.coeffs.get(exp, 0):
-                return False
-        return True
+        return self.coeffs == self._compat(other).coeffs
 
     # -- text ------------------------------------------------------------
     def render(self):
         if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for exp in sorted(self.coeffs):
-                c = self.coeffs[exp]
-                if exp == 0:
-                    parts.append(str(c))
-                elif exp == 1:
-                    parts.append(f"{c}e" if c != 1 else "e")
-                else:
-                    parts.append(f"{c}e{exp}" if c != 1 else f"e{exp}")
-            body = "+".join(parts)
-        if self.prec is math.inf:
-            return body
-        return f"{body}+O(e{self.prec})"
+            return "0"
+        parts = []
+        for exp in sorted(self.coeffs):
+            c = self.coeffs[exp]
+            if exp == 0:
+                parts.append(str(c))
+            elif exp == 1:
+                parts.append(f"{c}e" if c != 1 else "e")
+            else:
+                parts.append(f"{c}e{exp}" if c != 1 else f"e{exp}")
+        return "+".join(parts)
 
     def __repr__(self):
         return f"LaurentScalar({self.render()})"
 
 
 def quadratic(t, x0, x1, x2=None):
-    """x0 + t*x1 + t^2*x2 for an integer t, in one construction.
-
-    The coefficients and the precision are those of the step-by-step
-    arithmetic x0 + x1*t + (x2*t)*t: for t = 0 modulo q that arithmetic
-    adds exact zeros, so x0 itself is returned; otherwise each term keeps
-    the precision of its scalar and the result is known to the least of
-    them.  x2 = None leaves out the t^2 term."""
+    """x0 + t*x1 + t^2*x2 for an integer t, in one construction: the
+    coefficients of x0 + x1*t + (x2*t)*t, and x0 itself for t = 0 modulo
+    q.  x2 = None leaves out the t^2 term."""
     q = x0.q
     t %= q
     if not t:
@@ -293,18 +194,17 @@ def quadratic(t, x0, x1, x2=None):
     out = dict(x0.coeffs)
     for exp, c in x1.coeffs.items():
         out[exp] = out.get(exp, 0) + t * c
-    if x2 is None:
-        return _new(q, out, min(x0.prec, x1.prec))
-    t2 = t * t
-    for exp, c in x2.coeffs.items():
-        out[exp] = out.get(exp, 0) + t2 * c
-    return _new(q, out, min(x0.prec, x1.prec, x2.prec))
+    if x2 is not None:
+        t2 = t * t
+        for exp, c in x2.coeffs.items():
+            out[exp] = out.get(exp, 0) + t2 * c
+    return _new(q, out)
 
 
 _TERM = re.compile(r"^(?:(\d+)\*?)?(?:e(?:\^?(-?\d+))?)?$")
 
 
-def parse_scalar(text, q, prec=math.inf):
+def parse_scalar(text, q):
     """Parse "c0+c1e+c2e2@v": polynomial in e shifted by e^v."""
     text = text.strip()
     shift = 0
@@ -328,7 +228,7 @@ def parse_scalar(text, q, prec=math.inf):
         else:
             exp = 0
         coeffs[exp + shift] = coeffs.get(exp + shift, 0) + coeff
-    return LaurentScalar(q, coeffs, prec)
+    return LaurentScalar(q, coeffs)
 
 
 # -- 2x2 matrices ------------------------------------------------------
@@ -350,7 +250,7 @@ def identity_matrix(q):
     return ((one, zero), (zero, one))
 
 
-def parse_matrix(text, q, prec=math.inf):
+def parse_matrix(text, q):
     """Parse "a,b;c,d" with scalar entries."""
     rows = text.strip().split(";")
     if len(rows) != 2:
@@ -360,5 +260,5 @@ def parse_matrix(text, q, prec=math.inf):
         entries = row.split(",")
         if len(entries) != 2:
             raise PreconditionError("matrix rows need two entries")
-        out.append(tuple(parse_scalar(e, q, prec) for e in entries))
+        out.append(tuple(parse_scalar(e, q) for e in entries))
     return tuple(out)

@@ -3,49 +3,44 @@ eigenvalue-discriminant parity, the two-fixed-point count on the
 Iwahori variety, and the small homology model behind the
 almost-character value 2q.
 
-Matrices are 2x2 over precision-tracked Laurent scalars and represent
-projective elements through GL_2 lifts; the parity of the determinant
-valuation splits the lifts into two classes, written "even" and "odd"
-below, and the two Iwahori-type subsets are
+Matrices are 2x2 over Laurent polynomials and represent projective
+elements through GL_2 lifts; the parity of the determinant valuation
+splits the lifts into two classes, written "even" and "odd" below, and
+the two Iwahori-type subsets are
 
     I1: [[a,b],[c,d]] with v(a)=v(d)=m, v(b)>=m, v(c)>m for some m,
     I2: [[c,d],[a,b]] with v(a)=v(d)+1=m+1, v(b)>=m+1, v(c)>=m+1.
 
-Membership reads each entry only through its (exponent, prec) pair: the
-least exponent with a nonzero coefficient below the precision, and the
-precision.  The fixed-point count walks the word tree of coset
-representatives (Serre, Trees, Ch. II §1) carrying x^-1 g x; it
-classifies level L from the pairs of the children of level L - 1, read
-off level L - 1's t-independent pieces, and forms those pieces straight
-from the matrices of level L - 2 and t.  So it builds no matrix past
-level L - 2, and a count that settles at level 2 builds none but g.
+Membership reads each entry only through its valuation.  The
+fixed-point count walks the word tree of coset representatives (Serre,
+Trees, Ch. II §1) carrying x^-1 g x; it classifies level L from the
+valuations of the children of level L - 1, read off level L - 1's
+t-independent pieces, and forms those pieces straight from the matrices
+of level L - 2 and t.  So it builds no matrix past level L - 2, and a
+count that settles at level 2 builds none but g.
 
 tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
 both displays read the same conditions off C and off its tau-conjugate
 (I1: v(a)=v(d)=m, v(b)>=m, v(c)>=m+1; I2: v(c)=v(b)+1, v(a)>=v(b)+1,
-v(d)>=v(b)+1).  On exact entries the two classes therefore agree, so a
-walk whose entries are all exact classifies each node once.  It counts
-only I2 members, and the I2 rule decides on v(c)=v(b)+1 before it reads
-a or d, so it forms a branch's b- and c-pieces and their pairs for every
-child, and its a- and d-pieces only when some child passes.
-On truncated entries the two displays raise in different orders, so an
-inexact walk classifies a node and its tau-conjugate from all four
-pairs.  Either walk refuses, with BudgetError, a level that would take
-it past WALK_NODE_BUDGET nodes.
+v(d)>=v(b)+1).  So a node and its tau-conjugate have the same class, and
+the walk classifies each node once.  It counts only I2 members, and the
+I2 rule decides on v(c)=v(b)+1 before it reads a or d, so it forms a
+branch's b- and c-pieces and their valuations for every child, and its
+a- and d-pieces only when some child passes.  It refuses, with
+BudgetError, a level that would take it past WALK_NODE_BUDGET nodes.
 """
 
 import math
 from dataclasses import dataclass
 from functools import partial
 
-from . import costandard, laurent, linalg
+from . import laurent, linalg
 from .errors import (
     BudgetError,
     IndeterminateError,
     InternalConsistencyError,
     PreconditionError,
-    UnsupportedLabelError,
 )
 from .laurent import LaurentScalar, is_prime, quadratic
 
@@ -54,50 +49,15 @@ from .laurent import LaurentScalar, is_prime, quadratic
 WALK_NODE_BUDGET = 200000
 
 
-def _pair(x):
-    """The (exponent, prec) pair that Iwahori membership reads from a
-    scalar: its least exponent with a nonzero coefficient below `prec`,
-    or inf when it is zero to precision."""
-    return (min(x.coeffs) if x.coeffs else math.inf, x.prec)
-
-
-def _val_ge(x, bound):
-    """Decide v >= bound for an (exponent, prec) pair, or raise if the
-    window cannot tell."""
-    v, prec = x
-    if min(v, prec) >= bound:
-        return True
-    if v != math.inf:
-        return False
-    raise IndeterminateError("valuation bound undecidable at this precision",
-                             partial=prec)
-
-
-def _val_eq(x, value):
-    v, prec = x
-    if v != math.inf:
-        return v == value
-    if prec == math.inf:
-        return value == math.inf
-    if prec > value:
-        return False
-    raise IndeterminateError("valuation undecidable at this precision",
-                             partial=prec)
-
-
 def _classify(a, b, c, d):
     """"I1", "I2", or "neither" for [[a, b], [c, d]] given by the
-    (exponent, prec) pairs of its entries."""
-    # I1: m is forced to be v(a); a zero or undecidable a rules I1 out.
-    m = a[0]
-    if (m != math.inf and _val_eq(d, m) and _val_ge(b, m)
-            and _val_ge(c, m + 1)):
+    valuations of its entries."""
+    # I1: m is forced to be v(a); a zero a rules I1 out.
+    if a != math.inf and d == a and b >= a and c >= a + 1:
         return "I1"
     # I2 with the entries read as [[c,d],[a,b]]: m is forced to be v(d),
     # sitting in the upper right.
-    m = b[0]
-    if (m != math.inf and _val_eq(c, m + 1) and _val_ge(d, m + 1)
-            and _val_ge(a, m + 1)):
+    if b != math.inf and c == b + 1 and d >= b + 1 and a >= b + 1:
         return "I2"
     return "neither"
 
@@ -105,7 +65,8 @@ def _classify(a, b, c, d):
 def iwahori_class(M):
     """"I1", "I2", or "neither" per the two membership displays."""
     (a, b), (c, d) = M
-    return _classify(_pair(a), _pair(b), _pair(c), _pair(d))
+    return _classify(a.valuation(), b.valuation(), c.valuation(),
+                     d.valuation())
 
 
 def i2_normal_form(M):
@@ -185,32 +146,30 @@ def _children(pieces, q):
 
 
 def _entry_pairs(piece, q):
-    """The (exponent, prec) pairs of x0 + t x1 + t^2 x2 for t in
-    range(q), equal to those of the scalars `laurent.quadratic` builds:
-    x0's own pair at t = 0; otherwise the least precision of the terms,
-    and the first exponent below it where the coefficient sum is nonzero
+    """The valuations of x0 + t x1 + t^2 x2 for t in range(q), equal to
+    those of the scalars `laurent.quadratic` builds: x0's own at t = 0;
+    otherwise the first exponent where the coefficient sum is nonzero
     modulo q."""
     x0, x1, x2 = piece
-    first = _pair(x0)
+    first = x0.valuation()
     if x1 is None:
         return [first] * q
     c0, c1 = x0.coeffs, x1.coeffs
     c2 = {} if x2 is None else x2.coeffs
-    prec = min(x0.prec, x1.prec, math.inf if x2 is None else x2.prec)
-    pairs = [first] + [(math.inf, prec)] * (q - 1)
+    vals = [first] + [math.inf] * (q - 1)
     pending = range(1, q)
     for e in sorted(set(c0).union(c1, c2)):
-        if e >= prec or not pending:
+        if not pending:
             break
         k0, k1, k2 = c0.get(e, 0), c1.get(e, 0), c2.get(e, 0)
         unresolved = []
         for t in pending:
             if (k0 + t * (k1 + t * k2)) % q:
-                pairs[t] = (e, prec)
+                vals[t] = e
             else:
                 unresolved.append(t)
         pending = unresolved
-    return pairs
+    return vals
 
 
 def _tau_conjugate(C):
@@ -219,22 +178,17 @@ def _tau_conjugate(C):
     return ((d, c.shift(-1)), (b.shift(1), a))
 
 
-def _tau_pairs(a, b, c, d):
-    """The entry pairs of `_tau_conjugate` from those of C."""
-    return d, (c[0] - 1, c[1] - 1), (b[0] + 1, b[1] + 1), a
-
-
 def _child_branches(C, letter, pieces, q):
     """The branches of C's q children s^-1 C s, t in range(q), for the
     letter their words take next, formed straight from C's entries, its
     pieces `_pieces(C, letter)` and t, without building the children.
     Each branch is (b-piece, c-piece, thunk) and the thunk forms its
     (a-piece, d-piece); the pieces equal `_pieces` of the child that
-    `_children` builds, coefficients and precision.  The terms all t
-    share are formed once, or read from C's pieces where those hold
-    them, so a child's b- and c-pieces take two `laurent.quadratic` calls
-    and its a- and d-pieces two more.  c + c, never 2 * c: at q = 2 the
-    exact zero 2 * c would drop c's precision."""
+    `_children` builds.  The terms all t share are formed once, or read
+    from C's pieces where those hold them, so a child's b- and c-pieces
+    take two `laurent.quadratic` calls; the terms only the a- and
+    d-pieces read are formed in the thunk, which a walk calls only for a
+    branch where some child passes v(c) = v(b) + 1."""
     (a, b), (c, d) = C
     if letter == 1:
         # child [[d + t c, -c], [-b + t (d - a) + t^2 c, a - t c]], whose
@@ -243,7 +197,6 @@ def _child_branches(C, letter, pieces, q):
         (neg_c, _, _), (_, d_a, _) = pieces[1:3]
         b0, b1, b2 = b.shift(-2), (-d_a).shift(-2), neg_c.shift(-2)
         x10, x11 = d_a.shift(-1), (c + c).shift(-1)
-        ec, neg_ec = c.shift(1), neg_c.shift(1)
         pc = (c.shift(2), None, None)
 
         def branch(t):
@@ -251,8 +204,8 @@ def _child_branches(C, letter, pieces, q):
             return pb, pc, partial(ad, t)
 
         def ad(t):
-            return (quadratic(t, a, neg_c), ec, None), \
-                (quadratic(t, d, c), neg_ec, None)
+            return (quadratic(t, a, neg_c), c.shift(1), None), \
+                (quadratic(t, d, c), neg_c.shift(1), None)
     else:
         # child [[d - t eb, -e^-2 c + t e^-1 (a - d) + t^2 b], [-e^2 b,
         # a + t eb]], whose letter-1 pieces are (a + t eb, -e^2 b),
@@ -274,43 +227,24 @@ def _child_branches(C, letter, pieces, q):
     return [branch(t) for t in range(q)]
 
 
-def _child_pairs(branches, q):
-    """The entry pairs of the children of a level's branches, in the
-    order `conjugate_levels` yields them."""
-    out = []
-    for pb, pc, ad in branches:
-        pa, pd = ad()
-        out.extend(zip(*(_entry_pairs(p, q) for p in (pa, pb, pc, pd))))
-    return out
-
-
 def _i2_children(branches, q):
-    """The number of I2 children of a level's branches, every entry
-    exact.
+    """The number of I2 children of a level's branches.
 
     The I2 rule decides on v(c) = v(b) + 1 before it reads a or d, so each
-    branch forms the pairs of its b- and c-pieces for every t, its a- and
-    d-pieces and their pairs only when some t passes, and `_classify`
-    decides those t alone."""
+    branch forms the valuations of its b- and c-pieces for every t, its
+    a- and d-pieces and their valuations only when some t passes, and
+    `_classify` decides those t alone."""
     count = 0
     for pb, pc, ad in branches:
         bs, cs = _entry_pairs(pb, q), _entry_pairs(pc, q)
         passing = [t for t in range(q)
-                   if bs[t][0] != math.inf and cs[t][0] == bs[t][0] + 1]
+                   if bs[t] != math.inf and cs[t] == bs[t] + 1]
         if passing:
             pa, pd = ad()
             as_, ds = _entry_pairs(pa, q), _entry_pairs(pd, q)
             count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
                          for t in passing)
     return count
-
-
-def _classes(level):
-    """The Iwahori class of each conjugate given by its entry pairs and
-    of its tau-conjugate, in the order `conjugate_levels` yields them."""
-    for pairs in level:
-        yield _classify(*pairs)
-        yield _classify(*_tau_pairs(*pairs))
 
 
 def _tree(g):
@@ -340,7 +274,8 @@ def _walk(g):
     extends its word, in the order of `_tree`: g's from its own pieces,
     and level l + 1's from the nodes and pieces of level l through
     `_child_branches`.  So the walk builds level l's matrices only when
-    asked for level l + 1's branches, whose pairs classify level l + 2."""
+    asked for level l + 1's branches, whose valuations classify level
+    l + 2."""
     q = g[0][0].q
     levels = _tree(g)
     nodes = next(levels)
@@ -361,29 +296,23 @@ def conjugate_levels(g):
         yield [m for conj, _ in nodes for m in (conj, _tau_conjugate(conj))]
 
 
-def fixed_point_count(g, prec=6, max_length=8):
+def fixed_point_count(g, prec=None, max_length=8):
     """Number of cosets x I1 with x^-1 g x in I2, enumerated over
     truncated Bruhat-cell representatives.  Stabilization is declared
-    when the counts at word-length bounds L and L+2 agree.  The walk is
-    exact on g's own precision; `prec` is accepted and unused.
+    when the counts at word-length bounds L and L+2 agree.  `prec` is
+    accepted and unused: `perfbench/worker.py` passes it.
 
-    Membership reads only the (exponent, prec) pair of each entry, so a
-    level is classified from the pieces of the level above it: each
-    child's pairs come from its t-polynomials without building it, and
-    the tau-conjugate's from the same pairs.  The pieces of level L - 1
-    come straight from the matrices of level L - 2 and t
-    (`_child_branches`), so classifying level L builds no matrix past
-    level L - 2, and a count that settles at level 2 builds none but g.
-
-    When every entry of g is exact, so is every node of the walk, and a
-    node and its tau-conjugate have the same class: each node counts
-    2 [C in I2].  Such a walk reads the pairs of each branch's b- and
-    c-pieces for every t, and those of its a- and d-pieces only when some
-    t has v(c) = v(b) + 1, the test the I2 rule makes first; `_classify`
-    then decides just those t.  A walk with a truncated entry classifies
-    every node and its tau-conjugate from all four pairs, since their
-    outcomes (the class, or which IndeterminateError and its partial) can
-    differ.
+    Membership reads only the valuation of each entry, so a level is
+    classified from the pieces of the level above it: each child's
+    valuations come from its t-polynomials without building it.  The
+    pieces of level L - 1 come straight from the matrices of level L - 2
+    and t (`_child_branches`), so classifying level L builds no matrix
+    past level L - 2, and a count that settles at level 2 builds none
+    but g.  A node and its tau-conjugate have the same class, so each
+    node counts 2 [C in I2]; the walk reads the valuations of each
+    branch's b- and c-pieces for every t, and those of its a- and
+    d-pieces only when some t has v(c) = v(b) + 1, the test the I2 rule
+    makes first.
 
     Level L >= 1 of the walk has 2 q^L nodes.  Before it forms a level
     that would take the nodes classified past WALK_NODE_BUDGET, the count
@@ -393,35 +322,25 @@ def fixed_point_count(g, prec=6, max_length=8):
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
-    exact = all(x.is_exact() for row in g for x in row)
     walk = _walk(g)
-    level = [tuple(_pair(x) for row in g for x in row)]
-    cumulative = []
-    running = 0
+    # g itself is in I2 (checked above), and so is its tau-conjugate
+    running = 2
+    cumulative = [running]
     classified = 1
-    for length in range(max_length + 1):
-        if length:
-            classified += 2 * q ** length
-            if classified > WALK_NODE_BUDGET:
-                raise BudgetError(
-                    f"fixed-point walk to word length {length} would classify"
-                    f" {classified} nodes, more than the budget of"
-                    f" {WALK_NODE_BUDGET}")
-            branches = next(walk)
-        if exact:
-            # g itself is in I2 (checked above), and so is its tau-conjugate
-            running += 2 * _i2_children(branches, q) if length else 2
-        else:
-            if length:
-                level = _child_pairs(branches, q)
-            running += sum(cls == "I2" for cls in _classes(level))
+    for length in range(1, max_length + 1):
+        classified += 2 * q ** length
+        if classified > WALK_NODE_BUDGET:
+            raise BudgetError(
+                f"fixed-point walk to word length {length} would classify"
+                f" {classified} nodes, more than the budget of"
+                f" {WALK_NODE_BUDGET}")
+        running += 2 * _i2_children(next(walk), q)
         cumulative.append(running)
-        n = len(cumulative)
-        if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:
-            return cumulative[n - 1]
+        if length >= 2 and cumulative[length - 2] == running:
+            return running
     raise IndeterminateError(
         f"count did not stabilize by word length {max_length}",
-        partial=cumulative[-1])
+        partial=running)
 
 
 def random_i2(q, rng, degree=6):
@@ -583,21 +502,8 @@ def almost_char_44(q):
     return value
 
 
-def a_space_dims(zeta=("1", "triv"), case="recurrence"):
-    """Hom-space dimensions {degree: dim} against the curated module
-    models: "regular" (simply-transitive degree-0 model), "invariants"
-    (trivial-action degree-0 model), "recurrence" (degree -2 model)."""
-    table = costandard.builtin_table(zeta)
-    if case == "regular":
-        return {0: table.dim}
-    if case == "invariants":
-        units = sum(1 for _, label, _ in costandard.layer_labels(table)
-                    if label == "unit")
-        return {0: units}
-    if case == "recurrence":
-        if tuple(zeta) != ("1", "triv"):
-            raise UnsupportedLabelError(
-                "the degree -2 model is curated for the trivial-class label")
-        dim, _ = recurrence_solution_space()
-        return {2: dim}
-    raise UnsupportedLabelError(f"unknown case tag {case!r}")
+def a_space_dims():
+    """Hom-space dimensions {degree: dim} against the degree -2
+    recurrence model."""
+    dim, _ = recurrence_solution_space()
+    return {2: dim}

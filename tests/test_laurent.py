@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import laurent
-from weylkit.errors import IndeterminateError, UnsupportedRegimeError
+from weylkit.errors import PreconditionError, UnsupportedRegimeError
 from weylkit.laurent import LaurentScalar
 
 
@@ -32,21 +32,8 @@ def test_parse_shift_marker():
     assert x == laurent.parse_scalar("e2+e3", 3)
 
 
-def test_parse_with_finite_precision():
-    x = laurent.parse_scalar("1+e", 2, prec=4)
-    assert x.prec == 4
-    assert not x.is_exact()
-
-
 def test_valuation_of_zero_is_infinite():
     assert LaurentScalar.zero(3).valuation() is math.inf
-
-
-def test_valuation_indeterminate_when_truncated_zero():
-    z = LaurentScalar(3, {}, prec=5)
-    with pytest.raises(IndeterminateError) as info:
-        z.valuation()
-    assert info.value.partial == 5
 
 
 @given(scalars(), scalars())
@@ -74,23 +61,32 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(scalars())
-@settings(max_examples=50, deadline=None)
-def test_inverse_round_trip(a):
-    if a == LaurentScalar.zero(3):
+@given(scalars(), scalars())
+@settings(max_examples=80, deadline=None)
+def test_inverse_round_trip(a, b):
+    # (a b) / b = a for every nonzero b; a monomial b is a unit, and
+    # dividing by it is multiplying by its inverse
+    if b == LaurentScalar.zero(3):
         return
-    inv = a.inverse(prec=6)
-    product = a * inv
-    one = LaurentScalar.one(3)
-    # equal up to the guaranteed precision
-    diff = product - one
-    assert diff.is_zero_to_prec()
+    assert (a * b) / b == a
+    if len(b.coeffs) == 1:
+        assert b * b.inverse() == LaurentScalar.one(3)
+        assert a / b == a * b.inverse()
 
 
-def test_inverse_precision_guard():
-    a = laurent.parse_scalar("1+e", 3, prec=3)
-    with pytest.raises(IndeterminateError):
-        a.inverse(prec=10)
+def test_inverse_of_a_monomial_and_a_non_unit():
+    x = laurent.parse_scalar("2e^-3", 5)
+    assert x.inverse().coeffs == {3: 3}
+    assert x * x.inverse() == 1
+    for text in ("1+e", "0"):
+        with pytest.raises(PreconditionError):
+            laurent.parse_scalar(text, 5).inverse()
+    # 1 / (1 + e) = 1 - e + e^2 - ... is a series, not a polynomial
+    one, unit = LaurentScalar.one(5), laurent.parse_scalar("1+e", 5)
+    with pytest.raises(PreconditionError, match="not a Laurent polynomial"):
+        one / unit
+    with pytest.raises(PreconditionError, match="divide by zero"):
+        one / LaurentScalar.zero(5)
 
 
 def test_exact_division_of_monomials():
@@ -98,13 +94,6 @@ def test_exact_division_of_monomials():
     e2 = LaurentScalar.eps(q, 2)
     e5 = LaurentScalar.eps(q, 5)
     assert e5 / e2 == LaurentScalar.eps(q, 3)
-
-
-def test_pessimistic_multiplication_precision():
-    a = laurent.parse_scalar("e", 3, prec=5)    # valuation 1, precision 5
-    b = laurent.parse_scalar("1+e", 3, prec=4)  # valuation 0, precision 4
-    c = a * b
-    assert c.prec == min(1 + 4, 0 + 5)
 
 
 def test_is_prime_matches_a_sieve():
@@ -123,119 +112,82 @@ def test_non_prime_field_is_rejected():
         LaurentScalar(4, {0: 1})
 
 
+def _operand(draw, q, max_size):
+    coeffs = draw(st.dictionaries(st.integers(-4, 8),
+                                  st.integers(-10, 10), max_size=max_size))
+    return LaurentScalar(q, coeffs)
+
+
 @st.composite
-def _windowed(draw):
-    """(q, a, b) with operands at exact or finite precision."""
+def _pairs(draw):
+    """(q, a, b), exact zeros included."""
     q = draw(st.sampled_from((2, 3, 5)))
-    def one():
-        prec = draw(st.one_of(st.just(math.inf), st.integers(-2, 6)))
-        coeffs = draw(st.dictionaries(st.integers(-4, 8),
-                                      st.integers(-10, 10), max_size=5))
-        return LaurentScalar(q, coeffs, prec)
-    return q, one(), one()
+    return q, _operand(draw, q, 5), _operand(draw, q, 5)
 
 
-def _assert_canonical(x, q, coeffs, prec):
-    """x holds exactly the reduced data of coeffs at prec, like a fresh
-    LaurentScalar, with no zero or out-of-window coefficient."""
-    fresh = LaurentScalar(q, coeffs, prec)
+def _assert_canonical(x, q, coeffs):
+    """x holds exactly the reduced data of coeffs, like a fresh
+    LaurentScalar, with no zero coefficient."""
     assert x.q == q
-    assert x.prec == prec
-    assert x.coeffs == fresh.coeffs
-    assert all(0 < c < q and e < prec for e, c in x.coeffs.items())
+    assert x.coeffs == LaurentScalar(q, coeffs).coeffs
+    assert _keeps_invariant(x)
 
 
-@given(_windowed(), st.integers(-3, 3))
+@given(_pairs(), st.integers(-3, 3))
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_results_match_fresh_scalars(operands, n):
     q, a, b = operands
     total = dict(a.coeffs)
     for e, c in b.coeffs.items():
         total[e] = total.get(e, 0) + c
-    _assert_canonical(a + b, q, total, min(a.prec, b.prec))
-    _assert_canonical(-a, q, {e: -c for e, c in a.coeffs.items()}, a.prec)
-    _assert_canonical(a.shift(n), q, {e + n: c for e, c in a.coeffs.items()},
-                      a.prec if a.is_exact() else a.prec + n)
+    _assert_canonical(a + b, q, total)
+    _assert_canonical(-a, q, {e: -c for e, c in a.coeffs.items()})
+    _assert_canonical(a.shift(n), q, {e + n: c for e, c in a.coeffs.items()})
     product = {}
     for e1, c1 in a.coeffs.items():
         for e2, c2 in b.coeffs.items():
             product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
-    prec = math.inf
-    if a.coeffs or not a.is_exact():
-        if b.coeffs or not b.is_exact():
-            if not b.is_exact():
-                prec = a.val_lower_bound() + b.prec
-            if not a.is_exact():
-                prec = min(prec, b.val_lower_bound() + a.prec)
-    _assert_canonical(a * b, q, product, prec)
+    _assert_canonical(a * b, q, product)
 
 
 def _keeps_invariant(x):
-    return all(0 < c < x.q and e < x.prec for e, c in x.coeffs.items())
+    return all(0 < c < x.q for c in x.coeffs.values())
 
 
-@given(_windowed(), st.integers(-3, 3),
-       st.one_of(st.just(math.inf), st.integers(-4, 9)))
+@given(_pairs(), st.integers(-3, 3))
 @settings(max_examples=300, deadline=None)
-def test_one_pass_results_match_the_reducing_route(operands, n, k):
-    # Negation, shift, truncate and subtraction build their result in one
-    # pass; the route through _new (reduce mod q, drop zeros and exponents
-    # at or beyond prec) gives the same coefficients and precision.
+def test_one_pass_results_match_the_reducing_route(operands, n):
+    # Negation, shift and subtraction build their result in one pass; the
+    # route through _new (reduce mod q, drop zeros) gives the same
+    # coefficients.
     q, a, b = operands
     def negated(x):
-        return laurent._new(q, {e: -c for e, c in x.coeffs.items()}, x.prec)
-    shifted_prec = a.prec if a.is_exact() else a.prec + n
+        return laurent._new(q, {e: -c for e, c in x.coeffs.items()})
     pairs = [
         (-a, negated(a)),
-        (a.shift(n), laurent._new(q, {e + n: c for e, c in a.coeffs.items()},
-                                  shifted_prec)),
-        (a.truncate(k), laurent._new(q, a.coeffs, min(a.prec, k))),
+        (a.shift(n), laurent._new(q, {e + n: c for e, c in a.coeffs.items()})),
         (a - b, a + negated(b)),
         (3 - a, negated(a) + 3),
     ]
     for got, want in pairs:
-        assert _data(got) == _data(want)
+        assert got.coeffs == want.coeffs
         assert _keeps_invariant(got)
 
 
 # -- the fused x0 + t*x1 + t^2*x2 constructor ----------------------------
 
 @st.composite
-def _windowed_triple(draw):
-    """(q, x0, x1, x2), each exact or truncated, exact zeros included."""
+def _triples(draw):
+    """(q, x0, x1, x2), exact zeros included."""
     q = draw(st.sampled_from((2, 3, 5)))
-    def one():
-        prec = draw(st.one_of(st.just(math.inf), st.integers(-2, 6)))
-        coeffs = draw(st.dictionaries(st.integers(-4, 8),
-                                      st.integers(-10, 10), max_size=4))
-        return LaurentScalar(q, coeffs, prec)
-    return q, one(), one(), one()
+    return q, *(_operand(draw, q, 4) for _ in range(3))
 
 
-def _data(x):
-    return x.coeffs, x.prec
-
-
-@given(_windowed_triple(), st.integers(-2, 6))
+@given(_triples(), st.integers(-2, 6))
 @settings(max_examples=400, deadline=None)
 def test_quadratic_matches_step_by_step_arithmetic(operands, t):
     _, x0, x1, x2 = operands
-    assert _data(laurent.quadratic(t, x0, x1, x2)) \
-        == _data(x0 + x1 * t + (x2 * t) * t)
-    assert _data(laurent.quadratic(t, x0, x1)) == _data(x0 + x1 * t)
+    assert laurent.quadratic(t, x0, x1, x2).coeffs \
+        == (x0 + x1 * t + (x2 * t) * t).coeffs
+    assert laurent.quadratic(t, x0, x1).coeffs == (x0 + x1 * t).coeffs
 
-
-def test_quadratic_at_a_zero_letter_keeps_the_precision_of_x0():
-    # x * 0 is an exact zero: the lower precision of x1 and x2 is not
-    # brought in, at t = 0 or at any multiple of q
-    x0 = laurent.parse_scalar("1+e", 3, prec=6)
-    x1 = laurent.parse_scalar("2e", 3, prec=2)
-    x2 = LaurentScalar.zero(3, prec=1)
-    for t in (0, 3, -3):
-        assert _data(laurent.quadratic(t, x0, x1, x2)) == ({0: 1, 1: 1}, 6)
-    # a nonzero t brings in the least precision, an exact zero none
-    assert _data(laurent.quadratic(1, x0, x1, x2)) == ({0: 1}, 1)
-    assert _data(laurent.quadratic(2, x0, x1, LaurentScalar.zero(3))) \
-        == ({0: 1, 1: 2}, 2)
-    assert _data(laurent.quadratic(2, x0, LaurentScalar.zero(3), x2)) \
-        == ({0: 1}, 1)

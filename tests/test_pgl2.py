@@ -126,12 +126,7 @@ def _reference_count(g, max_length=8):
 
 
 def _key(M):
-    return tuple((tuple(sorted(x.coeffs.items())), x.prec)
-                 for row in M for x in row)
-
-
-def _truncated(g, prec):
-    return tuple(tuple(x.truncate(prec) for x in row) for row in g)
+    return tuple(tuple(sorted(x.coeffs.items())) for row in M for x in row)
 
 
 def test_walk_levels_match_explicit_words():
@@ -139,13 +134,12 @@ def test_walk_levels_match_explicit_words():
         rng = random.Random(29 + q)
         for _ in range(3):
             g = pgl2.random_i2(q, rng)
-            for source in (g, _truncated(g, 5)):
-                levels = pgl2.conjugate_levels(source)
-                for length in range(4):
-                    walked = sorted(_key(m) for m in next(levels))
-                    assert len(walked) == 2 * len(_words(q, length))
-                    assert walked == sorted(
-                        _key(m) for m in _reference_level(source, length))
+            levels = pgl2.conjugate_levels(g)
+            for length in range(4):
+                walked = sorted(_key(m) for m in next(levels))
+                assert len(walked) == 2 * len(_words(q, length))
+                assert walked == sorted(
+                    _key(m) for m in _reference_level(g, length))
 
 
 def test_walk_cumulative_counts_per_level():
@@ -170,9 +164,11 @@ def test_walk_cumulative_counts_per_level():
 
 
 def test_fixed_point_count_matches_explicit_words_under_truncation():
-    def outcome(count, g):
+    # The walk truncated at every word length: max_length 0 and 1 stop
+    # before the stop rule can hold.
+    def outcome(count, g, max_length):
         try:
-            return count(g)
+            return count(g, max_length=max_length)
         except (IndeterminateError, PreconditionError) as exc:
             return type(exc)
 
@@ -181,10 +177,9 @@ def test_fixed_point_count_matches_explicit_words_under_truncation():
         rng = random.Random(37 + q)
         for _ in range(4):
             g = pgl2.random_i2(q, rng, degree=12)
-            for prec in range(3, 13):
-                source = _truncated(g, prec)
-                got = outcome(pgl2.fixed_point_count, source)
-                assert got == outcome(_reference_count, source)
+            for max_length in range(4):
+                got = outcome(pgl2.fixed_point_count, g, max_length)
+                assert got == outcome(_reference_count, g, max_length)
                 seen.add(got)
     assert seen == {2, IndeterminateError}
 
@@ -219,22 +214,17 @@ def _full_outcome(count, g):
 
 
 def test_fixed_point_count_matches_build_then_classify_under_truncation():
-    # Whole matrices truncated at every prec, and each entry at its own
-    # prec, which makes the walk itself meet undecidable entries; a short
-    # max_length reaches the stabilization error.
+    # Random odd-coset elements and I1-conjugates of tau, with the walk
+    # truncated at max_length 8 and 1, where it reaches the stabilization
+    # error; random matrices of every class reach the coset refusal.
     seen = set()
     for q in (2, 3, 5, 7):
         rng = random.Random(41 + q)
         base = laurent.parse_matrix("0,1;e,0", q)
-        elements = [pgl2.random_i2(q, rng, degree=12) for _ in range(3)]
-        elements += [pgl2.conjugate_exact(base, pgl2.random_i1(q, rng))
-                     for _ in range(2)]
-        sources = [_truncated(g, prec) for g in elements
-                   for prec in [math.inf] + list(range(-3, 14))]
-        for _ in range(40):
-            g = pgl2.random_i2(q, rng, degree=4)
-            sources.append(tuple(tuple(x.truncate(rng.randrange(-3, 14))
-                                       for x in row) for row in g))
+        sources = [pgl2.random_i2(q, rng, degree=12) for _ in range(3)]
+        sources += [pgl2.conjugate_exact(base, pgl2.random_i1(q, rng))
+                    for _ in range(2)]
+        sources += [_random_exact_matrix(q, rng) for _ in range(20)]
         for source in sources:
             for max_length in (8, 1):
                 got = _full_outcome(
@@ -244,39 +234,77 @@ def test_fixed_point_count_matches_build_then_classify_under_truncation():
                     lambda h: _build_then_classify_count(h, max_length),
                     source)
                 seen.add(got if isinstance(got, int) else got[:2])
-    assert {2, (PreconditionError,
-                "element must lie in the odd Iwahori coset"),
-            (IndeterminateError, "valuation undecidable at this precision"),
-            (IndeterminateError,
-             "valuation bound undecidable at this precision"),
-            (IndeterminateError,
-             "count did not stabilize by word length 1")} <= seen
+    assert seen == {2, (PreconditionError,
+                        "element must lie in the odd Iwahori coset"),
+                    (IndeterminateError,
+                     "count did not stabilize by word length 1")}
+
+
+def _child_valuations(branches, q):
+    """The entry valuations of the children of a level's branches, in the
+    order `conjugate_levels` yields them, every a/d thunk called."""
+    out = []
+    for pb, pc, ad in branches:
+        pa, pd = ad()
+        out.extend(zip(*(pgl2._entry_pairs(p, q) for p in (pa, pb, pc, pd))))
+    return out
 
 
 def _levels_two_ways(g, count):
-    """Per level, the conjugates' entry pairs (level l + 1 from the pieces
-    of level l, without building it) beside the built matrices."""
+    """Per level, the conjugates' entry valuations (level l + 1 from the
+    pieces of level l, without building it) beside the built matrices."""
     q = g[0][0].q
     walk = pgl2._walk(g)
-    level = [tuple(pgl2._pair(x) for row in g for x in row)]
+    level = [tuple(x.valuation() for row in g for x in row)]
     for length, built in zip(range(count), pgl2.conjugate_levels(g)):
         if length:
-            level = pgl2._child_pairs(next(walk), q)
+            level = _child_valuations(next(walk), q)
         yield level, built
 
 
 def test_level_classes_from_valuations_match_the_built_matrices():
     # Levels 0-3 of the unipotent elements of
-    # `test_walk_cumulative_counts_per_level` and of the base I2 element:
-    # I1, I2 and "neither" all occur.
+    # `test_walk_cumulative_counts_per_level` and of the base I2 element,
+    # and levels 0-2 of random matrices of every class, zero entries
+    # included: I1, I2 and "neither" all occur.  A node and its
+    # tau-conjugate share their class, so each class comes twice.
     seen = set()
     for q in (2, 3, 5):
-        for text in ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0"):
-            g = laurent.parse_matrix(text, q)
-            for level, built in _levels_two_ways(g, 4):
+        rng = random.Random(53 + q)
+        sources = [(laurent.parse_matrix(text, q), 4) for text in
+                   ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
+        sources += [(_random_exact_matrix(q, rng), 3) for _ in range(60)]
+        for g, count in sources:
+            for level, built in _levels_two_ways(g, count):
                 classes = [pgl2.iwahori_class(m) for m in built]
-                assert list(pgl2._classes(level)) == classes
+                assert [cls for exps in level
+                        for cls in [pgl2._classify(*exps)] * 2] == classes
                 seen.update(classes)
+    assert seen == {"I1", "I2", "neither"}
+
+
+def test_valuation_classes_match_on_truncated_entries():
+    # Entries of any class, zero or with zero digits below their top one:
+    # on levels 0-2 the class of every conjugate and of its tau-conjugate,
+    # read from the valuations (v(a), v(b), v(c), v(d)) and
+    # (v(d), v(c) - 1, v(b) + 1, v(a)), is that of the built matrix.
+    seen = set()
+    for q in (2, 3, 5):
+        rng = random.Random(53 + q)
+        for _ in range(60):
+            entries = []
+            for _ in range(4):
+                v = rng.randrange(-2, 3)
+                entries.append(LaurentScalar(
+                    q, {v + k: rng.randrange(q)
+                        for k in range(rng.randrange(3))}))
+            g = ((entries[0], entries[1]), (entries[2], entries[3]))
+            for level, built in _levels_two_ways(g, 3):
+                got = [pgl2._classify(*exps)
+                       for a, b, c, d in level
+                       for exps in ((a, b, c, d), (d, c - 1, b + 1, a))]
+                assert got == [pgl2.iwahori_class(m) for m in built]
+                seen.update(got)
     assert seen == {"I1", "I2", "neither"}
 
 
@@ -304,46 +332,34 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
             next(levels)
             for nodes, built, _ in zip(pgl2._walk(g), levels, range(3)):
                 count = pgl2._i2_children(nodes, q)
-                pairs = pgl2._child_pairs(nodes, q)
-                assert count == sum(pgl2._classify(*p) == "I2"
-                                    for p in pairs)
+                exps = _child_valuations(nodes, q)
+                assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
                 assert count == sum(pgl2.iwahori_class(m) == "I2"
                                     for m in built[::2])
                 in_i2 += count
                 past_b_and_c_only += sum(
-                    b[0] != math.inf and c[0] == b[0] + 1
+                    b != math.inf and c == b + 1
                     and pgl2._classify(a, b, c, d) != "I2"
-                    for a, b, c, d in pairs)
+                    for a, b, c, d in exps)
     assert in_i2 and past_b_and_c_only
 
 
 def _piece_key(piece):
-    return tuple(None if x is None else (tuple(sorted(x.coeffs.items())),
-                                         x.prec)
+    return tuple(None if x is None else tuple(sorted(x.coeffs.items()))
                  for x in piece)
 
 
 def test_child_route_pieces_match_the_built_children():
     # Each piece the walk forms for a child straight from its parent's
-    # entries and t equals `_pieces` of the child that `_children` builds,
-    # coefficients and precision: exact parents, parents truncated entry
-    # by entry (among them q = 2 with a truncated c, where c + c is zero
-    # but keeps c's precision), and the walk's own nodes.
-    truncated_c_at_2 = 0
+    # entries and t equals `_pieces` of the child that `_children` builds:
+    # random parents of every class, and the walk's own nodes.
     for q in (2, 3, 5, 7):
         rng = random.Random(71 + q)
         parents = [_random_exact_matrix(q, rng) for _ in range(40)]
-        for _ in range(60):
-            m = _random_exact_matrix(q, rng)
-            parents.append(tuple(
-                tuple(x if rng.randrange(3) == 0
-                      else x.truncate(rng.randrange(-3, 5)) for x in row)
-                for row in m))
         for _, level in zip(range(3), pgl2.conjugate_levels(
                 pgl2.random_i2(q, rng))):
             parents.extend(level[::2])
         for parent in parents:
-            truncated_c_at_2 += q == 2 and not parent[1][0].is_exact()
             for letter in (0, 1):
                 pieces = pgl2._pieces(parent, letter)
                 built = pgl2._children(pieces, q)
@@ -354,7 +370,6 @@ def test_child_route_pieces_match_the_built_children():
                     want = pgl2._pieces(child, 1 - letter)
                     assert [_piece_key(p) for p in (pa, pb, pc, pd)] \
                         == [_piece_key(p) for p in want]
-    assert truncated_c_at_2
 
 
 def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
@@ -379,46 +394,13 @@ def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
     g = laurent.parse_matrix("0,1;e,0", 5)
     monkeypatch.setattr(pgl2, "WALK_NODE_BUDGET", 61)
     assert pgl2.fixed_point_count(g) == 2
-    assert pgl2.fixed_point_count(_truncated(g, 4)) == 2
     monkeypatch.setattr(pgl2, "WALK_NODE_BUDGET", 60)
-    for source in (g, _truncated(g, 4)):
-        with pytest.raises(BudgetError, match="word length 2"):
-            pgl2.fixed_point_count(source)
+    with pytest.raises(BudgetError, match="word length 2"):
+        pgl2.fixed_point_count(g)
     monkeypatch.undo()
     assert pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 211)) == 2
     with pytest.raises(BudgetError, match="budget of 200000"):
         pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 317))
-
-
-def test_valuation_classes_match_on_truncated_entries():
-    # Entries of any class, zero to precision or not, each known to its
-    # own precision: the class or the error, message and partial of every
-    # conjugate and its tau-conjugate on levels 0-2.
-    def outcome(classify, *args):
-        try:
-            return classify(*args)
-        except IndeterminateError as exc:
-            return type(exc), str(exc), exc.partial
-
-    errors = 0
-    for q in (2, 3, 5):
-        rng = random.Random(53 + q)
-        for _ in range(60):
-            entries = []
-            for _ in range(4):
-                v = rng.randrange(-2, 3)
-                coeffs = {v + k: rng.randrange(q)
-                          for k in range(rng.randrange(3))}
-                prec = rng.choice([math.inf, v + rng.randrange(4)])
-                entries.append(LaurentScalar(q, coeffs, prec))
-            g = ((entries[0], entries[1]), (entries[2], entries[3]))
-            for level, built in _levels_two_ways(g, 3):
-                got = [outcome(pgl2._classify, *p)
-                       for pairs in level
-                       for p in (pairs, pgl2._tau_pairs(*pairs))]
-                assert got == [outcome(pgl2.iwahori_class, m) for m in built]
-                errors += sum(isinstance(x, tuple) for x in got)
-    assert errors
 
 
 def _random_exact_matrix(q, rng):
@@ -449,19 +431,6 @@ def test_tau_conjugate_has_the_same_class_on_exact_entries():
             assert pgl2.iwahori_class(pgl2._tau_conjugate(m)) == cls
             seen.add(cls)
     assert seen == {"I1", "I2", "neither"}
-
-
-def test_truncated_tau_conjugate_can_have_another_outcome():
-    # Why a walk with a truncated entry classifies both: here C is
-    # "neither", while its tau-conjugate [[0, 1], [0 + O(e), e^-2]] cannot
-    # decide v(e b) = 1.
-    m = laurent.parse_matrix("e^-2,0;e,0", 2)
-    m = ((m[0][0], m[0][1].truncate(0)), m[1])
-    assert pgl2.iwahori_class(m) == "neither"
-    with pytest.raises(IndeterminateError,
-                       match="valuation undecidable") as info:
-        pgl2.iwahori_class(pgl2._tau_conjugate(m))
-    assert info.value.partial == 1
 
 
 def _random_i2_by_shifts(q, rng, degree=6):
@@ -522,8 +491,4 @@ def test_prime_power_detector():
 
 
 def test_a_space_dimension_cases():
-    assert pgl2.a_space_dims(case="recurrence") == {2: 2}
-    invariants = pgl2.a_space_dims(case="invariants")
-    assert invariants == {0: 1}
-    regular = pgl2.a_space_dims(case="regular")
-    assert list(regular.keys()) == [0]
+    assert pgl2.a_space_dims() == {2: 2}

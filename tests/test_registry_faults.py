@@ -4,7 +4,6 @@ while every other check PASSes.  A fault that every check passes is a
 gap, named in BLIND."""
 
 import itertools
-import math
 
 import pytest
 
@@ -110,11 +109,6 @@ def _entry_pairs_without_x2(piece, q):
     return _ENTRY_PAIRS((x0, x1, None), q)
 
 
-def _tau_pairs_with_swapped_shifts(a, b, c, d):
-    """c shifted up and b shifted down instead of the reverse."""
-    return d, (c[0] + 1, c[1] + 1), (b[0] - 1, b[1] - 1), a
-
-
 def _readout_with_exponent_one_after_the_first_term(p, m, g):
     """The triangular solve with every term past i = 0 raised to the
     power 1 instead of p^(k-i): wrong only from m = 3, where a term
@@ -141,20 +135,19 @@ def _walk_that_backtracks(g):
         frontier = [child for p in pieces for child in pgl2._children(p, q)]
 
 
-def _level_keys(text, q, levels=3):
-    """The entries of the conjugates on the first levels of the walk."""
+def _walk_valuations(text, q, levels=3):
+    """The entry valuations of the children of the first levels of the
+    walk's branches, every a/d thunk called."""
     g = laurent.parse_matrix(text, q)
-    return [[tuple((tuple(sorted(x.coeffs.items())), x.prec)
-                   for row in m for x in row) for m in level]
-            for _, level in zip(range(levels), pgl2.conjugate_levels(g))]
-
-
-def _walk_pairs(text, q, levels=3):
-    """The entry pairs of the children of the first levels of the walk's
-    branches."""
-    g = laurent.parse_matrix(text, q)
-    return [pgl2._child_pairs(branches, q)
-            for _, branches in zip(range(levels), pgl2._walk(g))]
+    out = []
+    for _, branches in zip(range(levels), pgl2._walk(g)):
+        level = []
+        for pb, pc, ad in branches:
+            pa, pd = ad()
+            level.extend(zip(*(pgl2._entry_pairs(p, q)
+                               for p in (pa, pb, pc, pd))))
+        out.append(level)
+    return out
 
 
 # -- Weyl, alcove and reps faults --------------------------------------
@@ -222,19 +215,14 @@ def _first_module_characters():
 FAULTS = {
     "pgl2._walk backtracks": (
         [(pgl2, "_walk", _walk_that_backtracks)], {"C7"},
-        lambda: _walk_pairs("1+e,1;e2,1", 3)),
+        lambda: _walk_valuations("1+e,1;e2,1", 3)),
     "pgl2._pieces letter-1 c-piece a - d": (
         [(pgl2, "_pieces", _pieces_with_a_minus_d),
          (pgl2, "_child_branches", _child_branches_with_a_minus_d)], {"C7"},
-        lambda: _walk_pairs("1+e,e;e2,1", 3)),
+        lambda: _walk_valuations("1+e,e;e2,1", 3)),
     "pgl2._entry_pairs drops x2": (
         [(pgl2, "_entry_pairs", _entry_pairs_without_x2)], {"C7"},
-        lambda: pgl2._child_pairs(
-            next(pgl2._walk(laurent.parse_matrix("1+e,1;e2,1", 3))), 3)),
-    "pgl2._tau_pairs shift signs swapped": (
-        [(pgl2, "_tau_pairs", _tau_pairs_with_swapped_shifts)], {"C7"},
-        lambda: pgl2._tau_pairs((0, math.inf), (1, math.inf),
-                                (2, math.inf), (3, math.inf))),
+        lambda: _walk_valuations("1+e,1;e2,1", 3, levels=1)),
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
@@ -261,7 +249,7 @@ FAULTS = {
 # elements, so it sees a walk fault only when the fault puts a child in
 # I2, as the backtracking walk does; the a - d fault (on g's pieces and
 # on the child route) and the _entry_pairs fault change children outside
-# I2 only, and an exact walk never reads _tau_pairs.  C9 runs the oracle
+# I2 only.  C9 runs the oracle
 # only at m = 2.  Every Weyl element a check inverts is an involution
 # (ss_k, and the lifts of the rank-1 quotient's words of length at most
 # 1), so an inverse that returns the element itself is right on all of
@@ -269,7 +257,6 @@ FAULTS = {
 BLIND = {
     "pgl2._pieces letter-1 c-piece a - d",
     "pgl2._entry_pairs drops x2",
-    "pgl2._tau_pairs shift signs swapped",
     "witt._readout exponent 1 after the first term",
     "weyl inverse that is the element itself",
 }
