@@ -138,10 +138,6 @@ def _c8_recurrence(config):
     for q in (2, 3, 5):
         if pgl2.almost_char_44(q) != 2 * q:
             raise WeylkitError(f"value at q={q}")
-        if 2 * q - pgl2.steinberg_value(q) != 1:
-            raise WeylkitError("bookkeeping failed")
-    if pgl2.a_space_dims() != {2: 2}:
-        raise WeylkitError("degree-2 dimension map wrong")
     for n in (6, 10):
         generated, coinv = pgl2.module_generation_check(n)
         if not generated or coinv != 0:

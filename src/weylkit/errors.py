@@ -70,15 +70,6 @@ class UnsupportedLabelError(WeylkitError):
     """Requested label is not in the curated tables."""
 
 
-class IndeterminateError(WeylkitError):
-    """A bounded search ended before its answer settled; `partial` holds
-    what it had found."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class BudgetError(WeylkitError):
     """Requested enumeration exceeds the configured budget."""
 

@@ -124,39 +124,6 @@ class LaurentScalar:
         ((v, c),) = self.coeffs.items()
         return _raw(self.q, {-v: pow(c, -1, self.q)})
 
-    def __truediv__(self, other):
-        """The quotient, when it is a Laurent polynomial.  Long division
-        from the lowest exponent up: each step removes the remainder's
-        lowest term, and the quotient's exponents cannot pass
-        deg(self) - deg(other), so it ends with an empty remainder or
-        refuses."""
-        other = self._compat(other)
-        if not other.coeffs:
-            raise PreconditionError("cannot divide by zero")
-        q = self.q
-        rem = dict(self.coeffs)
-        if not rem:
-            return _raw(q, {})
-        v = min(other.coeffs)
-        top = max(rem) - max(other.coeffs)
-        lead_inv = pow(other.coeffs[v], -1, q)
-        out = {}
-        while rem:
-            low = min(rem)
-            k = low - v
-            if k > top:
-                raise PreconditionError("the quotient is not a Laurent"
-                                        " polynomial")
-            c = rem[low] * lead_inv % q
-            out[k] = c
-            for exp, oc in other.coeffs.items():
-                r = (rem.get(k + exp, 0) - c * oc) % q
-                if r:
-                    rem[k + exp] = r
-                else:
-                    rem.pop(k + exp, None)
-        return _raw(q, out)
-
     def shift(self, n):
         """Multiply by e^n."""
         return _raw(self.q, {e + n: c for e, c in self.coeffs.items()})

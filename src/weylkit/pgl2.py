@@ -11,24 +11,33 @@ the two Iwahori-type subsets are
     I1: [[a,b],[c,d]] with v(a)=v(d)=m, v(b)>=m, v(c)>m for some m,
     I2: [[c,d],[a,b]] with v(a)=v(d)+1=m+1, v(b)>=m+1, v(c)>=m+1.
 
-Membership reads each entry only through its valuation.  The
-fixed-point count walks the word tree of coset representatives (Serre,
-Trees, Ch. II §1) carrying x^-1 g x; it classifies level L from the
-valuations of the children of level L - 1, read off level L - 1's
-t-independent pieces, and forms those pieces straight from the matrices
-of level L - 2 and t.  So it builds no matrix past level L - 2, and a
-count that settles at level 2 builds none but g.
+Membership reads each entry only through its valuation.
 
 tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
 both displays read the same conditions off C and off its tau-conjugate
 (I1: v(a)=v(d)=m, v(b)>=m, v(c)>=m+1; I2: v(c)=v(b)+1, v(a)>=v(b)+1,
-v(d)>=v(b)+1).  So a node and its tau-conjugate have the same class, and
-the walk classifies each node once.  It counts only I2 members, and the
-I2 rule decides on v(c)=v(b)+1 before it reads a or d, so it forms a
-branch's b- and c-pieces and their valuations for every child, and its
-a- and d-pieces only when some child passes.  It refuses, with
-BudgetError, a level that would take it past WALK_NODE_BUDGET nodes.
+v(d)>=v(b)+1).  So a node and its tau-conjugate have the same class.
+
+The fixed points of g in I2 on the Iwahori variety are the cosets x I1
+with x^-1 g x in I2, and the theory settles their number.  On the
+Bruhat-Tits tree (Serre, Trees, Ch. II §1) I1 fixes the base edge and
+both its ends, and g = tau h with h in I1, so g flips the base edge.
+Its determinant valuation is odd, so it fixes no vertex, and the fixed
+set of a tree automorphism is convex (Trees, Ch. I §6), so the base
+edge is the only edge g flips.  So the only fixed points are x = 1 and
+x = tau, and every g in I2 has exactly 2.
+
+The count still computes that 2 rather than asserting it: it walks the
+word tree of coset representatives carrying x^-1 g x, to word lengths 1
+and 2, and adds the I2 nodes it finds to the 2 at level 0.  Level 1
+reads g's own t-independent pieces; level 2 reads the pieces of level
+1, formed straight from g's entries and t, so the walk builds no matrix
+but g.  A walk that undoes its last letter first returns to the base
+coset at level 2, so a backtracking walk shows there as a false I2
+node.  The I2 rule decides on v(c)=v(b)+1 before it reads a or d, so
+the walk forms a branch's b- and c-pieces and their valuations for
+every child, and its a- and d-pieces only when some child passes.
 """
 
 import math
@@ -36,12 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import laurent, linalg
-from .errors import (
-    BudgetError,
-    IndeterminateError,
-    InternalConsistencyError,
-    PreconditionError,
-)
+from .errors import BudgetError, InternalConsistencyError, PreconditionError
 from .laurent import LaurentScalar, is_prime, quadratic
 
 # The nodes a fixed-point walk may classify: the size of
@@ -107,11 +111,10 @@ def discriminant_valuation(M):
 # -- coset enumeration -------------------------------------------------
 
 def _exact_inverse(M):
-    """Inverse of a matrix whose determinant is a monomial times a unit
-    constant."""
-    det = laurent.mat_det(M)
-    adj = ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
-    return tuple(tuple(x / det for x in row) for row in adj)
+    """Inverse of a matrix whose determinant is a monomial c e^v: the
+    adjugate times det^-1."""
+    inv = laurent.mat_det(M).inverse()
+    return ((M[1][1] * inv, -M[0][1] * inv), (-M[1][0] * inv, M[0][0] * inv))
 
 
 def _pieces(C, letter):
@@ -247,100 +250,48 @@ def _i2_children(branches, q):
     return count
 
 
-def _tree(g):
-    """The word tree below g, one level per step: for word lengths
-    0, 1, 2, ..., the list of (x^-1 g x, branches) over the level's
-    coset representatives x I1, where branches holds (letter, pieces)
-    for each letter that extends x's word.  Each length-l word in the
-    two alternating letters contributes q^l nodes; the tree carries
-    x^-1 g x down, never x, and builds a level only when the consumer
-    asks for it."""
-    q = g[0][0].q
-    frontier = [(g, None)]
-    while True:
-        nodes = [(conj, [(letter, _pieces(conj, letter))
-                         for letter in (0, 1) if letter != last])
-                 for conj, last in frontier]
-        yield nodes
-        frontier = [(child, letter)
-                    for _, branches in nodes
-                    for letter, pieces in branches
-                    for child in _children(pieces, q)]
-
-
-def _walk(g):
-    """For word lengths 0, 1, 2, ..., the branches of that level's
-    nodes, one (b-piece, c-piece, a/d thunk) per node and letter that
-    extends its word, in the order of `_tree`: g's from its own pieces,
-    and level l + 1's from the nodes and pieces of level l through
-    `_child_branches`.  So the walk builds level l's matrices only when
-    asked for level l + 1's branches, whose valuations classify level
-    l + 2."""
-    q = g[0][0].q
-    levels = _tree(g)
-    nodes = next(levels)
-    yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-           for _, branches in nodes for _, (pa, pb, pc, pd) in branches]
-    while True:
-        yield [branch for conj, branches in nodes
-               for letter, pieces in branches
-               for branch in _child_branches(conj, letter, pieces, q)]
-        nodes = next(levels)
-
-
 def conjugate_levels(g):
     """Yield, for word lengths 0, 1, 2, ..., the conjugates x^-1 g x over
     that level's coset representatives x I1, each followed by its
-    tau-conjugate."""
-    for nodes in _tree(g):
-        yield [m for conj, _ in nodes for m in (conj, _tau_conjugate(conj))]
+    tau-conjugate.  Each length-l word in the two alternating letters
+    contributes q^l nodes, each built as a matrix: the reference the
+    tests compare the count's valuation route with.  The levels carry
+    x^-1 g x down, never x."""
+    q = g[0][0].q
+    frontier = [(g, None)]
+    while True:
+        yield [m for conj, _ in frontier for m in (conj, _tau_conjugate(conj))]
+        frontier = [(child, letter)
+                    for conj, last in frontier
+                    for letter in (0, 1) if letter != last
+                    for child in _children(_pieces(conj, letter), q)]
 
 
-def fixed_point_count(g, prec=None, max_length=8):
-    """Number of cosets x I1 with x^-1 g x in I2, enumerated over
-    truncated Bruhat-cell representatives.  Stabilization is declared
-    when the counts at word-length bounds L and L+2 agree.  `prec` is
-    accepted and unused: `perfbench/worker.py` passes it.
+def fixed_point_count(g, prec=None):
+    """Number of cosets x I1 with x^-1 g x in I2, for g in I2: the 2 of
+    level 0 (g and its tau-conjugate) plus twice the I2 nodes of word
+    lengths 1 and 2, read from valuations without building a node.  The
+    module docstring shows that the answer is 2 and why the walk goes to
+    level 2.  `prec` is accepted and unused: `perfbench/worker.py`
+    passes it.
 
-    Membership reads only the valuation of each entry, so a level is
-    classified from the pieces of the level above it: each child's
-    valuations come from its t-polynomials without building it.  The
-    pieces of level L - 1 come straight from the matrices of level L - 2
-    and t (`_child_branches`), so classifying level L builds no matrix
-    past level L - 2, and a count that settles at level 2 builds none
-    but g.  A node and its tau-conjugate have the same class, so each
-    node counts 2 [C in I2]; the walk reads the valuations of each
-    branch's b- and c-pieces for every t, and those of its a- and
-    d-pieces only when some t has v(c) = v(b) + 1, the test the I2 rule
-    makes first.
-
-    Level L >= 1 of the walk has 2 q^L nodes.  Before it forms a level
-    that would take the nodes classified past WALK_NODE_BUDGET, the count
-    raises BudgetError."""
-    if max_length < 0:
-        raise PreconditionError(f"max_length={max_length} is negative")
+    Levels 1 and 2 hold 2q and 2q^2 nodes.  Before it classifies any of
+    them the count raises BudgetError if the 1 + 2q + 2q^2 nodes pass
+    WALK_NODE_BUDGET."""
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
-    walk = _walk(g)
-    # g itself is in I2 (checked above), and so is its tau-conjugate
-    running = 2
-    cumulative = [running]
-    classified = 1
-    for length in range(1, max_length + 1):
-        classified += 2 * q ** length
-        if classified > WALK_NODE_BUDGET:
-            raise BudgetError(
-                f"fixed-point walk to word length {length} would classify"
-                f" {classified} nodes, more than the budget of"
-                f" {WALK_NODE_BUDGET}")
-        running += 2 * _i2_children(next(walk), q)
-        cumulative.append(running)
-        if length >= 2 and cumulative[length - 2] == running:
-            return running
-    raise IndeterminateError(
-        f"count did not stabilize by word length {max_length}",
-        partial=running)
+    nodes = 1 + 2 * q + 2 * q * q
+    if nodes > WALK_NODE_BUDGET:
+        raise BudgetError(
+            f"fixed-point walk to word length 2 would classify {nodes}"
+            f" nodes, more than the budget of {WALK_NODE_BUDGET}")
+    pieces = [_pieces(g, letter) for letter in (0, 1)]
+    level_1 = [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
+               for pa, pb, pc, pd in pieces]
+    level_2 = [branch for letter in (0, 1)
+               for branch in _child_branches(g, letter, pieces[letter], q)]
+    return 2 + 2 * (_i2_children(level_1, q) + _i2_children(level_2, q))
 
 
 def random_i2(q, rng, degree=6):
@@ -452,29 +403,31 @@ def module_generation_check(N):
     return generated, coinvariant_rank
 
 
-def recurrence_solution_space(window=8):
-    """Dimension and closed-form basis of sequences with
-    -u_n = u_n + u_{n-1} + u_{n+1}: dimension 2, basis (-1)^n and
-    (-1)^n * n, verified on the window."""
-    def step(u0, u1, n_steps):
-        seq = [u0, u1]
-        for _ in range(n_steps):
-            seq.append(-2 * seq[-1] - seq[-2])
-        return seq
-
+def recurrence_solution_space(N=4):
+    """Dimension and closed-form basis of the sequences u on the window
+    |n| <= N that both involutions send to -u: u (s_i + 1) b_n = 0 for
+    interior n, which holds outright when n and i have the same parity
+    and reads -u_n = u_n + u_{n-1} + u_{n+1} otherwise.  The dimension is
+    the nullity of those relations, through `linalg.rank`: 2N + 1
+    unknowns, 2N - 1 independent relations.  The closed forms (-1)^n and
+    (-1)^n * n must satisfy every relation and be independent."""
+    module = RecurrenceModule(N)
+    size = 2 * N + 1
+    relations = [tuple(mat[row][col] + (row == col) for row in range(size))
+                 for mat in (module.action_matrix(1), module.action_matrix(2))
+                 for col in range(1, size - 1)]
+    dim = size - linalg.rank(relations)
     basis = (
-        ("(-1)^n", [(-1) ** n for n in range(window)]),
-        ("(-1)^n*n", [((-1) ** n) * n for n in range(window)]),
+        ("(-1)^n", tuple((-1) ** abs(n) for n in range(-N, N + 1))),
+        ("(-1)^n*n", tuple((-1) ** abs(n) * n for n in range(-N, N + 1))),
     )
-    for _, values in basis:
-        iterated = step(values[0], values[1], window - 2)
-        if iterated != values:
-            raise InternalConsistencyError("closed form fails the recurrence")
-    return 2, tuple(name for name, _ in basis)
-
-
-def steinberg_value(q):
-    return 2 * q - 1
+    values = [u for _, u in basis]
+    if any(sum(r * x for r, x in zip(rel, u)) for rel in relations
+           for u in values):
+        raise InternalConsistencyError("closed form fails the recurrence")
+    if linalg.rank(values) != len(values):
+        raise InternalConsistencyError("closed forms are dependent")
+    return dim, tuple(name for name, _ in basis)
 
 
 def _is_prime_power(q):
@@ -491,19 +444,8 @@ def _is_prime_power(q):
 
 def almost_char_44(q):
     """The almost-character value 2q: the recurrence solution dimension
-    scaled by the declared weight-q Frobenius convention, cross-checked
-    against the Steinberg value plus the unit contribution."""
+    scaled by the declared weight-q Frobenius convention."""
     if not _is_prime_power(q):
         raise PreconditionError(f"{q} is not a prime power")
     dim, _ = recurrence_solution_space()
-    value = q * dim
-    if value - steinberg_value(q) != 1:
-        raise InternalConsistencyError("bookkeeping 2q = (2q-1) + 1 failed")
-    return value
-
-
-def a_space_dims():
-    """Hom-space dimensions {degree: dim} against the degree -2
-    recurrence model."""
-    dim, _ = recurrence_solution_space()
-    return {2: dim}
+    return q * dim

@@ -64,36 +64,27 @@ def test_ring_axioms(a, b, c):
 @given(scalars(), scalars())
 @settings(max_examples=80, deadline=None)
 def test_inverse_round_trip(a, b):
-    # (a b) / b = a for every nonzero b; a monomial b is a unit, and
-    # dividing by it is multiplying by its inverse
-    if b == LaurentScalar.zero(3):
-        return
-    assert (a * b) / b == a
+    # a monomial b is a unit, and (a b) b^-1 = a
     if len(b.coeffs) == 1:
         assert b * b.inverse() == LaurentScalar.one(3)
-        assert a / b == a * b.inverse()
+        assert a * b * b.inverse() == a
 
 
 def test_inverse_of_a_monomial_and_a_non_unit():
     x = laurent.parse_scalar("2e^-3", 5)
     assert x.inverse().coeffs == {3: 3}
     assert x * x.inverse() == 1
-    for text in ("1+e", "0"):
-        with pytest.raises(PreconditionError):
-            laurent.parse_scalar(text, 5).inverse()
     # 1 / (1 + e) = 1 - e + e^2 - ... is a series, not a polynomial
-    one, unit = LaurentScalar.one(5), laurent.parse_scalar("1+e", 5)
-    with pytest.raises(PreconditionError, match="not a Laurent polynomial"):
-        one / unit
-    with pytest.raises(PreconditionError, match="divide by zero"):
-        one / LaurentScalar.zero(5)
+    for text in ("1+e", "0"):
+        with pytest.raises(PreconditionError, match="not a monomial"):
+            laurent.parse_scalar(text, 5).inverse()
 
 
 def test_exact_division_of_monomials():
     q = 5
     e2 = LaurentScalar.eps(q, 2)
     e5 = LaurentScalar.eps(q, 5)
-    assert e5 / e2 == LaurentScalar.eps(q, 3)
+    assert e5 * e2.inverse() == LaurentScalar.eps(q, 3)
 
 
 def test_is_prime_matches_a_sieve():

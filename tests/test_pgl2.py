@@ -6,7 +6,7 @@ import pytest
 
 from weylkit import checks, laurent, pgl2
 from weylkit.cli import SuiteConfig
-from weylkit.errors import BudgetError, IndeterminateError, PreconditionError
+from weylkit.errors import BudgetError, PreconditionError
 from weylkit.laurent import LaurentScalar
 
 
@@ -48,14 +48,6 @@ def test_fixed_point_count_base_case():
     for q in (2, 3, 5):
         g = laurent.parse_matrix("0,1;e,0", q)
         assert pgl2.fixed_point_count(g) == 2
-
-
-def test_fixed_point_count_rejects_a_negative_max_length():
-    g = laurent.parse_matrix("0,1;e,0", 3)
-    with pytest.raises(PreconditionError, match="negative"):
-        pgl2.fixed_point_count(g, max_length=-1)
-    with pytest.raises(IndeterminateError):
-        pgl2.fixed_point_count(g, max_length=0)
 
 
 def test_fixed_point_count_stable_under_conjugation():
@@ -106,23 +98,20 @@ def _reference_level(g, length):
     for word in _words(q, length):
         x = _word_matrix(q, word)
         for rep in (x, laurent.mat_mul(x, tau)):
-            det = laurent.mat_det(rep)
-            inv = ((rep[1][1] / det, -rep[0][1] / det),
-                   (-rep[1][0] / det, rep[0][0] / det))
+            inv_det = laurent.mat_det(rep).inverse()
+            inv = ((rep[1][1] * inv_det, -rep[0][1] * inv_det),
+                   (-rep[1][0] * inv_det, rep[0][0] * inv_det))
             out.append(laurent.mat_mul(inv, laurent.mat_mul(g, rep)))
     return out
 
 
-def _reference_count(g, max_length=8):
+def _reference_count(g, levels=3):
+    """The I2 conjugates of word lengths 0 .. levels - 1."""
     if pgl2.iwahori_class(g) != "I2":
         raise PreconditionError("not in the odd Iwahori coset")
-    cumulative = [0]
-    for length in range(max_length + 1):
-        cumulative.append(cumulative[-1] + sum(
-            pgl2.iwahori_class(m) == "I2" for m in _reference_level(g, length)))
-        if len(cumulative) >= 4 and cumulative[-3] == cumulative[-1]:
-            return cumulative[-1]
-    raise IndeterminateError("no stabilization", partial=cumulative[-1])
+    return sum(pgl2.iwahori_class(m) == "I2"
+               for length in range(levels)
+               for m in _reference_level(g, length))
 
 
 def _key(M):
@@ -163,60 +152,59 @@ def test_walk_cumulative_counts_per_level():
         == [2, 8, 8, 8]
 
 
-def test_fixed_point_count_matches_explicit_words_under_truncation():
-    # The walk truncated at every word length: max_length 0 and 1 stop
-    # before the stop rule can hold.
-    def outcome(count, g, max_length):
-        try:
-            return count(g, max_length=max_length)
-        except (IndeterminateError, PreconditionError) as exc:
-            return type(exc)
-
+def test_fixed_point_count_matches_explicit_words():
+    # The walk's levels 0-2 against explicit words of lengths 0-3, one
+    # level deeper than the walk reads.
     seen = set()
     for q in (2, 3, 5):
         rng = random.Random(37 + q)
         for _ in range(4):
             g = pgl2.random_i2(q, rng, degree=12)
-            for max_length in range(4):
-                got = outcome(pgl2.fixed_point_count, g, max_length)
-                assert got == outcome(_reference_count, g, max_length)
-                seen.add(got)
-    assert seen == {2, IndeterminateError}
+            got = pgl2.fixed_point_count(g)
+            assert got == _reference_count(g, levels=4)
+            seen.add(got)
+    assert seen == {2}
+
+
+def test_i2_nodes_occur_only_at_level_0():
+    # Every element of I2 flips the base edge and no other, so its only
+    # I2 nodes are itself and its tau-conjugate: I1-conjugates h^-1 tau h
+    # (C7's construction) built to level 4, two levels past the walk.
+    rng = random.Random(43)
+    for q in (2, 3):
+        tau = laurent.parse_matrix("0,1;e,0", q)
+        elements = [tau] + [pgl2.conjugate_exact(tau, pgl2.random_i1(q, rng))
+                            for _ in range(4)]
+        for g in elements:
+            counts = [sum(pgl2.iwahori_class(m) == "I2" for m in level)
+                      for _, level in zip(range(5), pgl2.conjugate_levels(g))]
+            assert counts == [2, 0, 0, 0, 0]
 
 
 # -- the valuation classifier against the build-then-classify walk -------
 
-def _build_then_classify_count(g, max_length=8):
-    """The count by building every conjugate of every level and
-    classifying each built matrix, with the stop rule and errors of
+def _build_then_classify_count(g):
+    """The count by building every conjugate of levels 0-2 and
+    classifying each built matrix, with the refusal of
     `fixed_point_count`."""
     if pgl2.iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
-    cumulative = []
-    running = 0
-    for _, level in zip(range(max_length + 1), pgl2.conjugate_levels(g)):
-        running += sum(pgl2.iwahori_class(conj) == "I2" for conj in level)
-        cumulative.append(running)
-        n = len(cumulative)
-        if n >= 3 and cumulative[n - 3] == cumulative[n - 1]:
-            return cumulative[n - 1]
-    raise IndeterminateError(
-        f"count did not stabilize by word length {max_length}",
-        partial=cumulative[-1])
+    return sum(pgl2.iwahori_class(conj) == "I2"
+               for _, level in zip(range(3), pgl2.conjugate_levels(g))
+               for conj in level)
 
 
 def _full_outcome(count, g):
-    """The count, or the exception's class, message and partial result."""
+    """The count, or the exception's class and message."""
     try:
         return count(g)
-    except (IndeterminateError, PreconditionError) as exc:
-        return type(exc), str(exc), getattr(exc, "partial", None)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
 
 
-def test_fixed_point_count_matches_build_then_classify_under_truncation():
-    # Random odd-coset elements and I1-conjugates of tau, with the walk
-    # truncated at max_length 8 and 1, where it reaches the stabilization
-    # error; random matrices of every class reach the coset refusal.
+def test_fixed_point_count_matches_build_then_classify():
+    # Random odd-coset elements and I1-conjugates of tau; random matrices
+    # of every class reach the coset refusal.
     seen = set()
     for q in (2, 3, 5, 7):
         rng = random.Random(41 + q)
@@ -226,18 +214,11 @@ def test_fixed_point_count_matches_build_then_classify_under_truncation():
                     for _ in range(2)]
         sources += [_random_exact_matrix(q, rng) for _ in range(20)]
         for source in sources:
-            for max_length in (8, 1):
-                got = _full_outcome(
-                    lambda h: pgl2.fixed_point_count(h, max_length=max_length),
-                    source)
-                assert got == _full_outcome(
-                    lambda h: _build_then_classify_count(h, max_length),
-                    source)
-                seen.add(got if isinstance(got, int) else got[:2])
+            got = _full_outcome(pgl2.fixed_point_count, source)
+            assert got == _full_outcome(_build_then_classify_count, source)
+            seen.add(got)
     assert seen == {2, (PreconditionError,
-                        "element must lie in the odd Iwahori coset"),
-                    (IndeterminateError,
-                     "count did not stabilize by word length 1")}
+                        "element must lie in the odd Iwahori coset")}
 
 
 def _child_valuations(branches, q):
@@ -250,11 +231,31 @@ def _child_valuations(branches, q):
     return out
 
 
+def _walk_branches(g):
+    """For word lengths 1, 2, 3, ..., the branches (b-piece, c-piece, a/d
+    thunk) whose children make up that level, in the order of
+    `conjugate_levels`: level 1 from g's own pieces, and level l + 1 from
+    the nodes of level l - 1 through `_child_branches`.  g extends both
+    letters; a node of level l >= 1 in the first half of its level ends
+    in letter (l + 1) % 2, one in the second half in l % 2, and each
+    extends with the other letter."""
+    q = g[0][0].q
+    yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
+           for pa, pb, pc, pd in (pgl2._pieces(g, letter) for letter in (0, 1))]
+    for length, level in enumerate(pgl2.conjugate_levels(g)):
+        nodes = level[::2]
+        yield [branch for k, node in enumerate(nodes)
+               for letter in ((0, 1) if length == 0
+                              else ((length + 2 * k // len(nodes)) % 2,))
+               for branch in pgl2._child_branches(
+                   node, letter, pgl2._pieces(node, letter), q)]
+
+
 def _levels_two_ways(g, count):
     """Per level, the conjugates' entry valuations (level l + 1 from the
     pieces of level l, without building it) beside the built matrices."""
     q = g[0][0].q
-    walk = pgl2._walk(g)
+    walk = _walk_branches(g)
     level = [tuple(x.valuation() for row in g for x in row)]
     for length, built in zip(range(count), pgl2.conjugate_levels(g)):
         if length:
@@ -330,7 +331,7 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
         for g in sources:
             levels = pgl2.conjugate_levels(g)
             next(levels)
-            for nodes, built, _ in zip(pgl2._walk(g), levels, range(3)):
+            for nodes, built, _ in zip(_walk_branches(g), levels, range(3)):
                 count = pgl2._i2_children(nodes, q)
                 exps = _child_valuations(nodes, q)
                 assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
@@ -390,7 +391,7 @@ def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
     # Level L >= 1 has 2 q^L nodes: 1 + 10 + 50 = 61 through level 2 at
-    # q = 5, where the count of an I2 element stops
+    # q = 5, the last level the count walks, checked before the walk
     g = laurent.parse_matrix("0,1;e,0", 5)
     monkeypatch.setattr(pgl2, "WALK_NODE_BUDGET", 61)
     assert pgl2.fixed_point_count(g) == 2
@@ -473,12 +474,14 @@ def test_recurrence_solution_space():
     dim, basis = pgl2.recurrence_solution_space()
     assert dim == 2
     assert len(basis) == 2
+    # the nullity of the window's relations is 2 on every window
+    for n in range(1, 8):
+        assert pgl2.recurrence_solution_space(n) == (dim, basis)
 
 
 def test_counting_values():
     for q in (2, 3, 5, 7):
         assert pgl2.almost_char_44(q) == 2 * q
-        assert pgl2.almost_char_44(q) - pgl2.steinberg_value(q) == 1
 
 
 def test_prime_power_detector():
@@ -488,7 +491,3 @@ def test_prime_power_detector():
     assert not pgl2._is_prime_power(1)
     assert not pgl2._is_prime_power(6)
     assert not pgl2._is_prime_power(12)
-
-
-def test_a_space_dimension_cases():
-    assert pgl2.a_space_dims() == {2: 2}

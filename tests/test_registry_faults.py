@@ -11,6 +11,7 @@ from weylkit import alcove, checks, laurent, pgl2, reps, weyl, witt
 from weylkit.cartan import cartan_datum
 from weylkit.cli import SuiteConfig
 from weylkit.cyclotomic import Cyc
+from test_pgl2 import _walk_branches
 
 CONFIG = SuiteConfig()
 
@@ -77,7 +78,7 @@ def test_ghost_exponents_shifted_up_are_an_equivalent_mutant(p, m):
             == x.ghost == k
 
 
-# -- C7 and C9 faults, with the gaps they show -------------------------
+# -- C7, C8 and C9 faults, with the gaps they show ---------------------
 
 _PIECES = pgl2._pieces
 _CHILD_BRANCHES = pgl2._child_branches
@@ -121,18 +122,35 @@ def _readout_with_exponent_one_after_the_first_term(p, m, g):
     return tuple(out)
 
 
-def _walk_that_backtracks(g):
-    """The walk with both letters below every node, so a word may undo
-    its last step.  The child route forms only the next letter's pieces,
-    so each level's branches come from its built matrices."""
-    q = g[0][0].q
-    frontier = [g]
-    while True:
-        pieces = [pgl2._pieces(conj, letter)
-                  for conj in frontier for letter in (0, 1)]
-        yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-               for pa, pb, pc, pd in pieces]
-        frontier = [child for p in pieces for child in pgl2._children(p, q)]
+def _child_branches_that_backtrack(C, letter, pieces, q):
+    """The child route with both letters below every child, so a word may
+    undo its last step.  The child route forms only the next letter's
+    pieces, so the branches come from the built children."""
+    return [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
+            for child in pgl2._children(pieces, q)
+            for pa, pb, pc, pd in (_PIECES(child, next_letter)
+                                   for next_letter in (0, 1))]
+
+
+_ACTION_MATRIX = pgl2.RecurrenceModule.action_matrix
+
+
+def _action_fixing_same_parity(module, i):
+    """s_i b_n = +b_n instead of -b_n when n and i have the same
+    parity."""
+    mat = [list(row) for row in _ACTION_MATRIX(module, i)]
+    for n in range(-module.N + 1, module.N):
+        if (n - i) % 2 == 0:
+            mat[module._index(n)][module._index(n)] = 1
+    return tuple(tuple(row) for row in mat)
+
+
+def _action_dropping_b1_from_s1_b0(module, i):
+    """s_1 b_0 = b_0 + b_-1, the b_1 term dropped."""
+    mat = [list(row) for row in _ACTION_MATRIX(module, i)]
+    if i == 1:
+        mat[module._index(1)][module._index(0)] = 0
+    return tuple(tuple(row) for row in mat)
 
 
 def _walk_valuations(text, q, levels=3):
@@ -140,7 +158,7 @@ def _walk_valuations(text, q, levels=3):
     walk's branches, every a/d thunk called."""
     g = laurent.parse_matrix(text, q)
     out = []
-    for _, branches in zip(range(levels), pgl2._walk(g)):
+    for _, branches in zip(range(levels), _walk_branches(g)):
         level = []
         for pb, pc, ad in branches:
             pa, pd = ad()
@@ -213,8 +231,8 @@ def _first_module_characters():
 # should fail, and a probe whose value it changes, so it is no
 # equivalent mutant)
 FAULTS = {
-    "pgl2._walk backtracks": (
-        [(pgl2, "_walk", _walk_that_backtracks)], {"C7"},
+    "pgl2._child_branches backtracks": (
+        [(pgl2, "_child_branches", _child_branches_that_backtrack)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3)),
     "pgl2._pieces letter-1 c-piece a - d": (
         [(pgl2, "_pieces", _pieces_with_a_minus_d),
@@ -223,6 +241,13 @@ FAULTS = {
     "pgl2._entry_pairs drops x2": (
         [(pgl2, "_entry_pairs", _entry_pairs_without_x2)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3, levels=1)),
+    "pgl2.RecurrenceModule fixes same-parity b_n": (
+        [(pgl2.RecurrenceModule, "action_matrix", _action_fixing_same_parity)],
+        {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
+    "pgl2.RecurrenceModule drops b_1 from s_1 b_0": (
+        [(pgl2.RecurrenceModule, "action_matrix",
+          _action_dropping_b1_from_s1_b0)],
+        {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
@@ -247,9 +272,9 @@ FAULTS = {
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
 # elements, so it sees a walk fault only when the fault puts a child in
-# I2, as the backtracking walk does; the a - d fault (on g's pieces and
-# on the child route) and the _entry_pairs fault change children outside
-# I2 only.  C9 runs the oracle
+# I2, as the backtracking walk does at level 2; the a - d fault (on g's
+# pieces and on the child route) and the _entry_pairs fault change
+# children outside I2 only.  C9 runs the oracle
 # only at m = 2.  Every Weyl element a check inverts is an involution
 # (ss_k, and the lifts of the rank-1 quotient's words of length at most
 # 1), so an inverse that returns the element itself is right on all of
