@@ -14,6 +14,9 @@ The breadth-first search that builds the quotient carries each
 element's lift along its word (lift_j = ss_k lift_i) and records the
 coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
 lift_target^-1 ss_k lift_i is read from those two tables.
+`CosetGeometry.stabilizer` is the one computation of the stabilizer of a
+torus point: `torus_stabilizer` and `reps.build_irreducible` both read
+it, and `reps` reads the quotient tables as they are, with no wrapper.
 """
 
 from dataclasses import dataclass
@@ -100,15 +103,7 @@ def cell_of(x):
 
 
 @dataclass(frozen=True)
-class TranslationLattice:
-    rank: int
-    basis: tuple       # vectors in u-coordinates (Fractions), spanning L'
-    dual_basis: tuple  # functionals on z_J (rows), spanning L
-
-
-@dataclass(frozen=True)
 class TorusPoint:
-    lattice: TranslationLattice
     values: tuple  # Fractions in [0,1), values on the dual basis of L
 
     @property
@@ -247,7 +242,6 @@ class CosetGeometry:
 
     def _build_lattice(self):
         if self.dim == 0:
-            self.lattice = TranslationLattice(rank=0, basis=(), dual_basis=())
             self.torus_actions = [()] * len(self.quotient)
             self.dual_actions = self.torus_actions
             return
@@ -269,10 +263,6 @@ class CosetGeometry:
         bmat = tuple(tuple(basis[c][r] for c in range(self.dim))
                      for r in range(self.dim))
         binv = linalg.mat_inv(bmat)
-        dual = tuple(tuple(row) for row in binv)
-        self.lattice = TranslationLattice(rank=self.dim, basis=basis,
-                                          dual_basis=dual)
-        self._bmat = bmat
         self._binv = binv
         # Integer matrices of the quotient action in the L'-basis.
         actions = []
@@ -301,7 +291,12 @@ class CosetGeometry:
         if not action:
             return t
         values = tuple(v % 1 for v in linalg.mat_vec(action, t.values))
-        return TorusPoint(lattice=t.lattice, values=values)
+        return TorusPoint(values=values)
+
+    def stabilizer(self, t):
+        """Indices of the quotient elements that fix the torus point t."""
+        return tuple(i for i in range(len(self.quotient))
+                     if self.torus_act(i, t) == t)
 
 
 _geometry_cache = {}
@@ -330,8 +325,7 @@ def p_J(datum, J, d):
     vec[geo.k0] -= Fraction(1, datum.marks[geo.k0])
     ucoords = geo._to_ucoords(tuple(vec))
     gamma = geo.lattice_coords(ucoords)
-    values = tuple(g % 1 for g in gamma)
-    return TorusPoint(lattice=geo.lattice, values=values)
+    return TorusPoint(values=tuple(g % 1 for g in gamma))
 
 
 @dataclass(frozen=True)
@@ -344,10 +338,7 @@ def torus_stabilizer(datum, J, t, S=None):
     """Stabilizer of a torus point in W_Jc, with the lift check
     against the subgroup generated by {ss_k : k in Sc - J} when S given."""
     geo = geometry(datum, J)
-    stabilizer = tuple(
-        i for i in range(len(geo.quotient))
-        if geo.torus_act(i, t).values == t.values
-    )
+    stabilizer = geo.stabilizer(t)
     if S is None:
         return StabilizerResult(elements=stabilizer, lift_ok=True)
     S = set(S)

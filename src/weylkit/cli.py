@@ -30,13 +30,12 @@ class SuiteConfig:
     q: int = 2
     p: int = 3
     n: int = 1
-    prec: int = 8
     denominator: int = 6
     order_cap: int = 24
     out: str = ""
 
 
-_INT_KEYS = {"q", "p", "n", "prec", "denominator", "order_cap"}
+_INT_KEYS = {"q", "p", "n", "denominator", "order_cap"}
 _STR_KEYS = {"out"}
 
 
@@ -78,7 +77,7 @@ def parse_config(text):
 def _validate(config):
     if not pgl2._is_prime_power(config.q):
         raise ConfigError(f"q={config.q} is not a prime power")
-    for key in ("prec", "denominator", "order_cap"):
+    for key in ("denominator", "order_cap"):
         value = getattr(config, key)
         if value < 1:
             raise ConfigError(f"{key}={value} is not positive")

@@ -22,10 +22,6 @@ class UndecidedOrderError(WeylkitError):
     """Order search exhausted its cap without a certificate either way."""
 
 
-class MembershipError(WeylkitError):
-    """A candidate element failed a subgroup-membership check."""
-
-
 class PreconditionError(WeylkitError):
     pass
 

@@ -426,62 +426,23 @@ def _lattice_bracket_closed(z):
                for u in z.basis for v in z.basis)
 
 
+def _kernel_closed(phi, q):
+    """Whether ker phi is bracket-closed mod q, for a functional phi whose
+    first nonzero entry is 1.  The bracket is alternating, so every
+    bracket of two vectors of the plane spanned by u, v is a multiple of
+    [u, v], and the plane is closed exactly when phi([u, v]) = 0 mod q."""
+    lead = phi.index(1)
+    u, v = (tuple(-phi[j] if i == lead else int(i == j) for i in range(RANK))
+            for j in range(RANK) if j != lead)
+    return sum(a * b for a, b in zip(phi, bracket(u, v))) % q == 0
+
+
 def borel_fiber_count(q):
     """Number of two-dimensional bracket-closed subspaces of the mod-p
-    reduction; for the curated algebra this is q + 1."""
+    reduction; for the curated algebra this is q + 1.  Each plane is the
+    kernel of one functional, normalised so its first nonzero entry is 1
+    (one per projective point)."""
     check_datum(q)
-    # Enumerate 2-dim subspaces of F_q^3 as kernels of nonzero
-    # functionals (one per projective point), then test closure.
-    def br(u, v):
-        out = [0] * RANK
-        for i in range(RANK):
-            for j in range(RANK):
-                if u[i] and v[j]:
-                    for k in range(RANK):
-                        out[k] = (out[k] + u[i] * v[j] * BRACKET[i][j][k]) % q
-        return tuple(out)
-
-    functionals = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                vec = (a, b, c)
-                if vec == (0, 0, 0):
-                    continue
-                lead = next(x for x in vec if x)
-                norm = tuple((x * pow(lead, -1, q)) % q for x in vec)
-                if norm not in functionals:
-                    functionals.append(norm)
-    count = 0
-    for phi in functionals:
-        # basis of the kernel of phi
-        kernel = []
-        for vec in itertools.product(range(q), repeat=RANK):
-            if vec == (0, 0, 0):
-                continue
-            if sum(p * v for p, v in zip(phi, vec)) % q == 0:
-                if not _in_span_mod(kernel, vec, q):
-                    kernel.append(vec)
-            if len(kernel) == 2:
-                break
-        closed = all(_in_span_mod(kernel, br(u, v), q)
-                     for u in kernel for v in kernel)
-        if closed:
-            count += 1
-    return count
-
-
-def _in_span_mod(span, vec, q):
-    if all(x == 0 for x in vec):
-        return True
-    if not span:
-        return False
-    for coeffs in itertools.product(range(q), repeat=len(span)):
-        acc = [0] * RANK
-        for c, s in zip(coeffs, span):
-            for k in range(RANK):
-                acc[k] = (acc[k] + c * s[k]) % q
-        if tuple(acc) == tuple(vec):
-            return True
-    return False
-
+    return sum(_kernel_closed(phi, q)
+               for phi in itertools.product(range(q), repeat=RANK)
+               if next((x for x in phi if x), 0) == 1)

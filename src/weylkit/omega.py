@@ -1,4 +1,4 @@
-"""Special diagram automorphisms and the extended affine Weyl group.
+"""The group Omega of special diagram automorphisms, Omega = P^v / Q^v.
 
 The group Omega is computed, not tabulated: for every special node k
 (mark 1) the translation by the vertex displacement b'_k - b'_0 is
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, weyl
-from .errors import (
-    InternalConsistencyError,
-    MembershipError,
-    PreconditionError,
-    StructuralError,
-)
+from .errors import InternalConsistencyError, StructuralError
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,21 +42,9 @@ class DiagramAutomorphism:
     def __hash__(self):
         return hash((self.datum.label, self.perm))
 
-    def __call__(self, i):
-        return self.perm[i]
-
     def __mul__(self, other):
         return DiagramAutomorphism(
             self.datum, tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
-
-    def inverse(self):
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return DiagramAutomorphism(self.datum, tuple(inv))
-
-    def is_identity(self):
-        return all(self.perm[i] == i for i in range(len(self.perm)))
 
     def matrix(self):
         size = self.datum.n + 1
@@ -69,12 +52,6 @@ class DiagramAutomorphism:
             tuple(1 if self.perm[j] == i else 0 for j in range(size))
             for i in range(size)
         )
-
-    def fixed_nodes(self):
-        return tuple(i for i in range(len(self.perm)) if self.perm[i] == i)
-
-    def label(self):
-        return "g0" if self.is_identity() else f"g{self.perm[0]}"
 
     def __repr__(self):
         return f"DiagramAutomorphism({self.datum.label}, {self.perm})"
@@ -159,172 +136,3 @@ def omega_group(datum):
                     frontier.append(z)
     return sorted(found, key=lambda a: a.perm)
 
-
-def omega_stabilizer(datum, J):
-    Jset = set(J)
-    return [xi for xi in omega_group(datum)
-            if {xi(j) for j in Jset} == Jset]
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedWeylElement:
-    omega_part: DiagramAutomorphism
-    weyl_part: weyl.WeylElement
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedWeylElement):
-            return NotImplemented
-        return (self.omega_part == other.omega_part
-                and self.weyl_part == other.weyl_part)
-
-    def __hash__(self):
-        return hash((self.omega_part, self.weyl_part))
-
-    @property
-    def datum(self):
-        return self.weyl_part.datum
-
-    def matrix(self):
-        return linalg.mat_mul(self.omega_part.matrix(), self.weyl_part.mat)
-
-    def __mul__(self, other):
-        # (x1 w1)(x2 w2) = (x1 x2)(x2^-1 w1 x2 w2)
-        conj = conjugate_by_automorphism(self.weyl_part, other.omega_part.inverse())
-        return ExtendedWeylElement(self.omega_part * other.omega_part,
-                                   weyl.multiply(conj, other.weyl_part))
-
-    def inverse(self):
-        conj = conjugate_by_automorphism(self.weyl_part.inverse(), self.omega_part)
-        return ExtendedWeylElement(self.omega_part.inverse(), conj)
-
-    def is_identity(self):
-        return self.omega_part.is_identity() and self.weyl_part.is_identity()
-
-    def serialize(self):
-        return f"{self.omega_part.label()}*{weyl.word_str(self.weyl_part)}"
-
-    def __repr__(self):
-        return f"ExtendedWeylElement({self.serialize()})"
-
-
-def extend(w, auto=None):
-    if auto is None:
-        auto = identity_automorphism(w.datum)
-    return ExtendedWeylElement(auto, w)
-
-
-def conjugate_by_automorphism(w, auto):
-    """auto^-1 * w * auto as an element of W' (stays inside W')."""
-    p = auto.matrix()
-    pinv = auto.inverse().matrix()
-    mat = linalg.mat_mul(pinv, linalg.mat_mul(w.mat, p))
-    dual = linalg.mat_mul(pinv, linalg.mat_mul(w.dual, p))
-    return weyl.WeylElement(w.datum, mat, dual)
-
-
-def extended_order(g, cap=24):
-    """Order of an ExtendedWeylElement, math.inf when certified infinite."""
-    return weyl.matrix_order(g.datum, g.matrix(), cap)
-
-
-def _omega_orbits(auto, nodes):
-    remaining = set(nodes)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        current = auto(start)
-        while current != start:
-            orbit.add(current)
-            current = auto(current)
-        orbits.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return orbits
-
-
-def fixed_subgroup_generators(datum, J, auto):
-    """Generators ss_K of the Ad(auto)-fixed subgroup of the minimal-coset
-    group, one per auto-orbit K in the complement of J with K != complement."""
-    J = tuple(sorted(set(J)))
-    if auto not in omega_stabilizer(datum, J):
-        raise PreconditionError("automorphism does not stabilize J")
-    complement = [k for k in range(datum.n + 1) if k not in J]
-    w0J = weyl.longest_element(datum, J)
-    generators = []
-    for K in _omega_orbits(auto, complement):
-        if len(K) == len(complement):
-            continue  # single full orbit: the fixed subgroup is trivial
-        ss = weyl.multiply(weyl.longest_element(datum, list(J) + list(K)), w0J)
-        if conjugate_by_automorphism(ss, auto) != ss:
-            raise MembershipError(f"ss_{K} is not fixed by the automorphism")
-        if not (weyl._normalizes_parabolic(ss, J)
-                and weyl._minimal_in_coset(ss, J)):
-            raise MembershipError(f"ss_{K} fails minimal-coset membership")
-        generators.append((K, ss))
-    return generators
-
-
-@dataclass(frozen=True)
-class OmegaSplitting:
-    kernel: tuple      # Omega_{J,1}
-    complement: tuple  # Omega_{J,2}
-    case: str          # "i", "ii", or "iii"
-    pairs: tuple       # ((xi1, xi2), xi1*xi2) enumerating Omega_J
-
-
-def omega_splitting(datum, J, auto=None):
-    """Kernel/image splitting of the Omega_J action on the fixed subgroup."""
-    if auto is None:
-        auto = identity_automorphism(datum)
-    omega_J = omega_stabilizer(datum, J)
-    if auto not in omega_J:
-        raise PreconditionError("automorphism does not stabilize J")
-    gens = fixed_subgroup_generators(datum, J, auto)
-    gen_by_orbit = {K: w for K, w in gens}
-
-    def acts_trivially(xi):
-        for K, w in gens:
-            image_orbit = tuple(sorted(xi(k) for k in K))
-            if image_orbit != K:
-                return False
-            if conjugate_by_automorphism(w, xi.inverse()) != w:
-                return False
-        return True
-
-    # Sanity: the action permutes the generator list.
-    for xi in omega_J:
-        for K, w in gens:
-            image_orbit = tuple(sorted(xi(k) for k in K))
-            if image_orbit not in gen_by_orbit:
-                raise StructuralError("Omega_J does not permute the generators")
-
-    kernel = tuple(xi for xi in omega_J if acts_trivially(xi))
-    if len(kernel) == 1:
-        case = "i"
-        complement = tuple(omega_J)
-    elif len(kernel) == len(omega_J):
-        case = "ii"
-        complement = (identity_automorphism(datum),)
-    elif (len(kernel) == 2 and len(omega_J) == 4
-          and all(x * x == identity_automorphism(datum) for x in omega_J)):
-        case = "iii"
-        candidates = [xi for xi in omega_J if xi not in kernel
-                      and len(xi.fixed_nodes()) >= 2]
-        if len(candidates) != 1:
-            raise StructuralError(
-                "no unique complement generator with two fixed nodes")
-        complement = (identity_automorphism(datum), candidates[0])
-    else:
-        raise StructuralError("splitting outside the supported classification")
-
-    pairs = []
-    products = set()
-    for x1 in kernel:
-        for x2 in complement:
-            prod = x1 * x2
-            pairs.append(((x1, x2), prod))
-            products.add(prod)
-    if len(products) != len(omega_J) or products != set(omega_J):
-        raise StructuralError("kernel and complement do not split Omega_J")
-    return OmegaSplitting(kernel=kernel, complement=tuple(complement),
-                          case=case, pairs=tuple(pairs))

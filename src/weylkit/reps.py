@@ -5,12 +5,15 @@ character rho of the subgroup generated by the selected ss_k: the
 lattice acts by finite-order characters twisted along coset
 representatives, the finite generators permute cosets with rho-scalars,
 so every image is a monomial matrix.  All scalars are exact cyclotomics.
+Products, inverses, the lattice action and the stabilizer of t are read
+straight from the tables of `alcove.CosetGeometry`, and the coset
+representatives are taken in index order.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from . import alcove, linalg
+from . import alcove
 from .cyclotomic import Cyc
 from .errors import (
     BudgetError,
@@ -27,69 +30,19 @@ def _zeta_of(value):
     return Cyc.zeta(v.denominator, v.numerator)
 
 
-class QuotientGroup:
-    """Finite quotient W_Jc with multiplication on element indices, read
-    from the tables its geometry builds once."""
-
-    def __init__(self, geo):
-        self.geo = geo
-        self.size = len(geo.quotient)
-
-    def mul(self, i, j):
-        return self.geo.quotient_product(i, j)
-
-    def inv(self, i):
-        return self.geo.quotient_inverse[i]
-
-    def act_lattice(self, i, x):
-        action = self.geo.dual_actions[i]
-        if not action:
-            return x
-        return linalg.mat_vec(action, x)
-
-    def generator_index(self, k):
-        return self.geo.quotient_left[k][0]
-
-    def subgroup(self, letters):
-        """Indices and generator words of the subgroup generated by the
-        images of the given ss_k letters."""
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop(0)
-            for k in sorted(letters):
-                j = self.mul(self.generator_index(k), i)
-                if j not in words:
-                    words[j] = (k,) + words[i]
-                    frontier.append(j)
-        return words
-
-    def shortlex_coset_reps(self, subgroup_indices):
-        """One ShortLex-minimal word representative per left coset."""
-        gens = sorted(self.geo.quotient_left)
-
-        def coset_key(i):
-            return frozenset(self.mul(i, h) for h in subgroup_indices)
-
-        reps = []
-        seen_cosets = set()
-        seen_elements = set()
-        frontier = [((), 0)]
-        while frontier and len(seen_cosets) * len(subgroup_indices) < self.size:
-            next_frontier = []
-            for word, i in frontier:
-                if i in seen_elements:
-                    continue
-                seen_elements.add(i)
-                key = coset_key(i)
-                if key not in seen_cosets:
-                    seen_cosets.add(key)
-                    reps.append((word, i))
-                for k in gens:
-                    next_frontier.append(
-                        (word + (k,), self.mul(i, self.generator_index(k))))
-            frontier = sorted(next_frontier)
-        return reps
+def _subgroup(geo, letters):
+    """Indices and generator words of the subgroup of W_Jc generated by
+    the images of the given ss_k letters."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop(0)
+        for k in sorted(letters):
+            j = geo.quotient_left[k][i]
+            if j not in words:
+                words[j] = (k,) + words[i]
+                frontier.append(j)
+    return words
 
 
 def _identity(dim):
@@ -109,7 +62,7 @@ class FiniteDimRep:
     dimension: int
     lattice_diagonals: tuple  # per L-basis vector: tuple of dim scalars
     finite_images: dict       # generator letter k -> monomial (perm, scalars)
-    quotient: object          # QuotientGroup, for evaluating elements
+    geometry: object          # alcove.CosetGeometry, for evaluating elements
 
     def lattice_image(self, x):
         """Diagonal scalars of the lattice element with coordinates x."""
@@ -129,12 +82,12 @@ class FiniteDimRep:
     def finite_image(self, finite_index):
         """The monomial (perm, scalars) of the quotient element."""
         mat = _identity(self.dimension)
-        for k in self.quotient.geo.quotient_words[finite_index]:
+        for k in self.geometry.quotient_words[finite_index]:
             mat = _compose(mat, self.finite_images[k])
         return mat
 
 
-def _rho_on_subgroup(quotient, words, rho):
+def _rho_on_subgroup(geo, words, rho):
     values = {}
     for idx, word in words.items():
         value = Cyc.rational(1)
@@ -145,7 +98,7 @@ def _rho_on_subgroup(quotient, words, rho):
     # land on the stored scalar.
     for idx in words:
         for k in rho:
-            target = quotient.mul(quotient.generator_index(k), idx)
+            target = geo.quotient_left[k][idx]
             if target in values and rho[k] * values[idx] != values[target]:
                 raise InternalConsistencyError(
                     "rho is not well-defined on the subgroup")
@@ -169,47 +122,48 @@ def build_irreducible(datum, J, S, d, rho):
     if cell is None or tuple(sorted(S)) != cell.S:
         raise PreconditionError("d does not lie in the cell C_S")
     t = alcove.p_J(datum, J, d)
-    quotient = QuotientGroup(geo)
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
         raise PreconditionError("rho must be given exactly on Sc - J")
-    sub_words = quotient.subgroup(letters)
+    sub_words = _subgroup(geo, letters)
     # The inducing subgroup must be the full stabilizer of t.
-    stab = {i for i in range(quotient.size)
-            if geo.torus_act(i, t).values == t.values}
-    if set(sub_words) != stab:
+    if set(sub_words) != set(geo.stabilizer(t)):
         raise LiftCheckError("generated subgroup is not the stabilizer of t")
-    rho_values = _rho_on_subgroup(quotient, sub_words, rho)
-    reps_list = quotient.shortlex_coset_reps(set(sub_words))
+    rho_values = _rho_on_subgroup(geo, sub_words, rho)
+    # A transversal in index order: the first unseen index of each left
+    # coset iH represents it.
+    reps_list = []
+    coset_of = {}
+    for i in range(len(geo.quotient)):
+        if i not in coset_of:
+            for h in sub_words:
+                coset_of[geo.quotient_product(i, h)] = len(reps_list)
+            reps_list.append(i)
     dim = len(reps_list)
-    if dim * len(sub_words) != quotient.size:
+    if dim * len(sub_words) != len(geo.quotient):
         raise InternalConsistencyError("coset representatives do not tile")
-    coset_of = {quotient.mul(i, h): c
-                for c, (_, i) in enumerate(reps_list) for h in sub_words}
-    rank = geo.lattice.rank
 
     # Lattice basis vectors act diagonally: on coset rep r_c the basis
-    # vector e_j acts by t(r_c^{-1} e_j).
+    # vector e_j acts by t(r_c^{-1} e_j), column j of the dual action.
     lattice_diagonals = []
-    for j in range(rank):
+    for j in range(geo.dim):
         diag = []
-        for _, i in reps_list:
-            moved = quotient.act_lattice(quotient.inv(i), _unit(rank, j))
-            val = sum(m * v for m, v in zip(moved, t.values))
+        for i in reps_list:
+            action = geo.dual_actions[geo.quotient_inverse[i]]
+            val = sum(row[j] * v for row, v in zip(action, t.values))
             diag.append(_zeta_of(val))
         lattice_diagonals.append(tuple(diag))
 
     # A finite generator g sends the coset of r_c to the coset of
     # r_row = g r_c h^{-1}, h in the subgroup, with the scalar rho(h).
     finite_images = {}
-    for k in sorted(geo.quotient_left):
-        gidx = quotient.generator_index(k)
+    for k, left in sorted(geo.quotient_left.items()):
         perm, scalars = [], []
-        for _, i in reps_list:
-            u = quotient.mul(gidx, i)
+        for i in reps_list:
+            u = left[i]
             row = coset_of[u]
             perm.append(row)
-            h = quotient.mul(quotient.inv(reps_list[row][1]), u)
+            h = geo.quotient_product(geo.quotient_inverse[reps_list[row]], u)
             scalars.append(rho_values[h])
         finite_images[k] = (tuple(perm), tuple(scalars))
 
@@ -217,15 +171,14 @@ def build_irreducible(datum, J, S, d, rho):
         dimension=dim,
         lattice_diagonals=tuple(lattice_diagonals),
         finite_images=finite_images,
-        quotient=quotient,
+        geometry=geo,
     )
     _verify_relations(rep)
     return rep
 
 
 def _verify_relations(rep):
-    quotient = rep.quotient
-    rank = len(rep.lattice_diagonals)
+    geo = rep.geometry
     eye = _identity(rep.dimension)
     for k, mat in rep.finite_images.items():
         if _compose(mat, mat) != eye:
@@ -233,19 +186,14 @@ def _verify_relations(rep):
     # Compatibility of the semidirect structure: F_k X_j = X_{g_k . e_j} F_k.
     # On e_c both sides give scalars[c] e_perm[c] times X_j[c] and
     # X_{g_k . e_j}[perm[c]] respectively; the involution check has made
-    # every scalar nonzero.
+    # every scalar nonzero.  g_k . e_j is column j of g_k's dual action.
     for k, (perm, _) in rep.finite_images.items():
-        gidx = quotient.generator_index(k)
+        action = geo.dual_actions[geo.quotient_left[k][0]]
         for j, diag in enumerate(rep.lattice_diagonals):
-            moved = rep.lattice_image(
-                quotient.act_lattice(gidx, _unit(rank, j)))
+            moved = rep.lattice_image(tuple(row[j] for row in action))
             if any(diag[c] != moved[p] for c, p in enumerate(perm)):
                 raise InternalConsistencyError(
                     "lattice conjugation relation fails")
-
-
-def _unit(rank, j):
-    return tuple(1 if a == j else 0 for a in range(rank))
 
 
 def character_values(rep, t_order):
@@ -259,7 +207,7 @@ def character_values(rep, t_order):
     dim = rep.dimension
     M = max(1, t_order)
     fin_diagonals = []
-    for i in range(rep.quotient.size):
+    for i in range(len(rep.geometry.quotient)):
         perm, scalars = rep.finite_image(i)
         fin_diagonals.append([(pos, scalars[pos]) for pos in range(dim)
                               if perm[pos] == pos])
@@ -295,13 +243,12 @@ def lift_characters(geo, letters):
     """All one-dimensional +-1 characters of the subgroup generated by the
     images of the given ss_k (adequate for the involution-generated
     stabilizers the grid produces)."""
-    quotient = QuotientGroup(geo)
-    words = quotient.subgroup(letters)
+    words = _subgroup(geo, letters)
     out = []
     for signs in itertools.product((1, -1), repeat=len(letters)):
         rho = {k: Cyc.rational(s) for k, s in zip(sorted(letters), signs)}
         try:
-            _rho_on_subgroup(quotient, words, rho)
+            _rho_on_subgroup(geo, words, rho)
         except InternalConsistencyError:
             continue
         out.append(rho)

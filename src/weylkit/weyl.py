@@ -6,9 +6,8 @@ translation behaviour is encoded by the level-1 slice, so no separate
 translation vector is needed).  The contragredient action on V is
 carried alongside so descent sets on either side are sign checks.
 The pair keeps the invariant dual = mat^-T: it holds for every simple
-reflection (dual = mat^T and mat^2 = 1), and products and conjugation
-by a diagram automorphism keep it.  So the inverse of (mat, dual) is
-(dual^T, mat^T), with no elimination.
+reflection (dual = mat^T and mat^2 = 1), and products keep it.  So the
+inverse of (mat, dual) is (dual^T, mat^T), with no elimination.
 
 Simple reflections: s_i(b'_j) = b'_j - delta_ij h_i with h_i the i-th
 column of the pairing matrix, and s_i(b_j) = b_j - a_ji b_i on V.

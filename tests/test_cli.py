@@ -28,13 +28,13 @@ def test_parse_config_values_and_comments():
         "# a comment",
         "suite pgl2 witt",
         "q 3",
-        "prec 10   # trailing comment",
+        "denominator 10   # trailing comment",
         "",
     ])
     config, warnings = cli.parse_config(text)
     assert config.suites == ("pgl2", "witt")
     assert config.q == 3
-    assert config.prec == 10
+    assert config.denominator == 10
     assert warnings == []
 
 
@@ -135,7 +135,7 @@ def test_unknown_fourier_group_is_a_usage_error():
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["prec", "denominator", "order_cap"])
+@pytest.mark.parametrize("key", ["denominator", "order_cap"])
 def test_parse_config_rejects_a_non_positive_budget(key):
     for value in (0, -3):
         with pytest.raises(ConfigError, match=f"{key}={value} is not positive"):
@@ -353,7 +353,7 @@ def test_unusable_node_subset_is_a_usage_error(argv, message):
     assert err == f"usage error: {message}\n"
 
 
-@pytest.mark.parametrize("line", ["window 6", "format tsv"])
+@pytest.mark.parametrize("line", ["window 6", "format tsv", "prec 8"])
 def test_removed_config_keys_are_unknown(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"suite coxeter\n{line}\n")

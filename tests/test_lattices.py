@@ -323,5 +323,7 @@ def test_lie_closure_requires_isotropy():
 def test_borel_fiber_counts():
     assert lattices.borel_fiber_count(3) == 4
     assert lattices.borel_fiber_count(5) == 6
+    assert lattices.borel_fiber_count(7) == 8
+    assert lattices.borel_fiber_count(11) == 12
     with pytest.raises(PreconditionError):
         lattices.borel_fiber_count(2)

@@ -29,7 +29,6 @@ KEPT = {
     "linalg.snf_diag": _LAYERTRACE,
     "lattices.enumerate_isotropic": _LAYERTRACE,
     "lattices.enumerate_self_dual": _LAYERTRACE,
-    "errors.MembershipError": "raised only by omega",
     "pgl2.conjugate_levels": "test seam: the fault gate and the pgl2 walk"
                              " tests compare the walk with it",
     "pgl2._tau_conjugate": "test seam: conjugate_levels' one step",

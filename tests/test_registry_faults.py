@@ -7,7 +7,18 @@ import itertools
 
 import pytest
 
-from weylkit import alcove, checks, laurent, pgl2, reps, weyl, witt
+from weylkit import (
+    alcove,
+    checks,
+    costandard,
+    fourier,
+    lattices,
+    laurent,
+    pgl2,
+    reps,
+    weyl,
+    witt,
+)
 from weylkit.cartan import cartan_datum
 from weylkit.cli import SuiteConfig
 from weylkit.cyclotomic import Cyc
@@ -191,7 +202,7 @@ def _character_values_without_the_first_fixed_point(rep, t_order):
     for x in itertools.product(range(max(1, t_order)),
                                repeat=len(rep.lattice_diagonals)):
         lat = rep.lattice_image(x)
-        for i in range(rep.quotient.size):
+        for i in range(len(rep.geometry.quotient)):
             perm, scalars = rep.finite_image(i)
             fixed = [pos for pos in range(rep.dimension) if perm[pos] == pos]
             yield sum((lat[pos] * scalars[pos] for pos in fixed[1:]),
@@ -202,8 +213,7 @@ def _stabilizer_without_its_last_element(datum, J, t, S=None):
     """torus_stabilizer with its last element dropped before the lift
     comparison."""
     geo = alcove.geometry(datum, J)
-    stabilizer = tuple(i for i in range(len(geo.quotient))
-                       if geo.torus_act(i, t).values == t.values)[:-1]
+    stabilizer = geo.stabilizer(t)[:-1]
     if S is None:
         return alcove.StabilizerResult(elements=stabilizer, lift_ok=True)
     gens = [g for k, g in geo.generators if k not in S]
@@ -225,6 +235,48 @@ def _stabilizer_without_its_last_element(datum, J, t, S=None):
 def _first_module_characters():
     _, _, t, _, rep = next(reps.grid_modules(A1, (), 6))
     return list(reps.character_values(rep, t.order))
+
+
+# -- C4, C5 and C11 faults ----------------------------------------------
+
+_LAYER_LABELS = costandard.layer_labels
+_PAIRING = fourier.pairing
+
+
+def _layer_labels_with_sign_and_unit_swapped(data):
+    """Each layer labelled by the other curated character."""
+    swap = {"sign": "unit", "unit": "sign"}
+    return tuple((a, swap[label], scalar)
+                 for a, label, scalar in _LAYER_LABELS(data))
+
+
+def _builtin_layer_labels():
+    return costandard.layer_labels(
+        costandard.parse_costandard_table(costandard.BUILTIN_A1_TEXT))
+
+
+def _pairing_negated_on_the_sigma_one_diagonal(gamma, p, q):
+    """-<p, p> for each pair p whose centralizer character is sigma = 1."""
+    value = _PAIRING(gamma, p, q)
+    return -value if p == q and p.sigma == 1 else value
+
+
+def _bracket_with_e_f_twice_h():
+    """[e, f] = 2h and [f, e] = -2h instead of h and -h."""
+    rows = [list(row) for row in lattices.BRACKET]
+    rows[0][2], rows[2][0] = (0, 2, 0), (0, -2, 0)
+    return tuple(tuple(row) for row in rows)
+
+
+def _kernel_closed_on_u_and_u(phi, q):
+    """The closure test of ker phi with phi([u, u]) in place of
+    phi([u, v]): a bracket of a vector with itself is 0, so every plane
+    passes."""
+    lead = phi.index(1)
+    j = next(j for j in range(lattices.RANK) if j != lead)
+    u = tuple(-phi[j] if i == lead else int(i == j)
+              for i in range(lattices.RANK))
+    return sum(a * b for a, b in zip(phi, lattices.bracket(u, u))) % q == 0
 
 
 # name: ((module, attribute, fault) for each patch, the checks the fault
@@ -263,6 +315,19 @@ FAULTS = {
         [(reps, "character_values",
           _character_values_without_the_first_fixed_point)], {"C3"},
         _first_module_characters),
+    "costandard.layer_labels swaps sign and unit": (
+        [(costandard, "layer_labels",
+          _layer_labels_with_sign_and_unit_swapped)], {"C4"},
+        _builtin_layer_labels),
+    "fourier.pairing negates the sigma = 1 diagonal": (
+        [(fourier, "pairing", _pairing_negated_on_the_sigma_one_diagonal)],
+        {"C5"}, lambda: fourier.pairing_matrix(fourier.group_z2())),
+    "lattices.BRACKET with [e, f] = 2h": (
+        [(lattices, "BRACKET", _bracket_with_e_f_twice_h())], {"C10", "C11"},
+        lattices.killing_gram),
+    "lattices._kernel_closed reads [u, u]": (
+        [(lattices, "_kernel_closed", _kernel_closed_on_u_and_u)], {"C11"},
+        lambda: lattices.borel_fiber_count(3)),
     "alcove.torus_stabilizer drops an element": (
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"},

@@ -128,7 +128,7 @@ def _reference_characters(rep, t_order):
     dim = rep.dimension
     rank = len(rep.lattice_diagonals)
     finite = []
-    for word in rep.quotient.geo.quotient_words:
+    for word in rep.geometry.quotient_words:
         mat = _dense((tuple(range(dim)), (Cyc.rational(1),) * dim))
         for k in word:
             mat = linalg.mat_mul(mat, _dense(rep.finite_images[k]))
