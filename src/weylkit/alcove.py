@@ -15,8 +15,9 @@ element's lift along its word (lift_j = ss_k lift_i) and records the
 coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
 lift_target^-1 ss_k lift_i is read from those two tables.
 `CosetGeometry.stabilizer` is the one computation of the stabilizer of a
-torus point: `torus_stabilizer` and `reps.build_irreducible` both read
-it, and `reps` reads the quotient tables as they are, with no wrapper.
+torus point and `grid_points` the one walk from grid points to their
+cells and torus points; `reps` reads both, and the quotient tables as
+they are, with no wrapper.
 """
 
 from dataclasses import dataclass
@@ -313,8 +314,6 @@ def p_J(datum, J, d):
     """Finite-order torus point attached to d in D_J (rational d only),
     measured from the base node k0 = min Jc."""
     geo = geometry(datum, J)
-    if not isinstance(d, LevelOnePoint):
-        d = level_one_point(datum, d)
     if not d.is_real():
         raise UnsupportedRegimeError(
             "p_J supports only rational real coordinates (finite order)")
@@ -334,15 +333,12 @@ class StabilizerResult:
     lift_ok: bool
 
 
-def torus_stabilizer(datum, J, t, S=None):
-    """Stabilizer of a torus point in W_Jc, with the lift check
-    against the subgroup generated by {ss_k : k in Sc - J} when S given."""
+def torus_stabilizer(datum, J, t, S):
+    """Stabilizer of a torus point in W_Jc, with the lift check against
+    the subgroup generated by {ss_k : k in Sc - J}."""
     geo = geometry(datum, J)
     stabilizer = geo.stabilizer(t)
-    if S is None:
-        return StabilizerResult(elements=stabilizer, lift_ok=True)
-    S = set(S)
-    lift_letters = [k for k in geo.jcheck if k not in S]
+    lift_letters = [k for k in geo.jcheck if k not in set(S)]
     # Enumerate the subgroup of the full minimal-coset group generated by
     # the selected ss_k, tracking full matrices so injectivity is honest.
     gens = dict(geo.generators)
@@ -408,3 +404,11 @@ def sample_grid(datum, J, max_denominator):
             points.append(level_one_point(datum, coords))
     points.sort(key=lambda d: d.real_vector())
     return points
+
+
+def grid_points(datum, J, denominator):
+    """(d, cell, t) for each point d of `sample_grid(datum, J,
+    denominator)`, in its order: d's cell C_S and its torus point
+    t = p_J(d).  The refusals and the budget are `sample_grid`'s."""
+    return [(d, cell_of(d), p_J(datum, J, d))
+            for d in sample_grid(datum, J, denominator)]

@@ -45,18 +45,11 @@ def _c1_quotient_coxeter(config):
     return "C2/{1} and A1/{} both give the rank-2 infinite-bond matrix"
 
 
-def _grid(config):
-    datum = cartan_datum("A1")
-    return datum, alcove.sample_grid(datum, (), config.denominator)
-
-
 def _c2_stabilizer_lift(config):
-    datum, grid = _grid(config)
-    for d in grid:
-        cell = alcove.cell_of(d)
-        t = alcove.p_J(datum, (), d)
-        result = alcove.torus_stabilizer(datum, (), t, S=cell.S)
-        if not result.lift_ok:
+    datum = cartan_datum("A1")
+    grid = alcove.grid_points(datum, (), config.denominator)
+    for d, cell, t in grid:
+        if not alcove.torus_stabilizer(datum, (), t, cell.S).lift_ok:
             raise WeylkitError(f"lift check failed at {d.coords}")
     return f"lift check passed at {len(grid)} grid points"
 

@@ -151,17 +151,11 @@ def _cmd_weyl(args, config, out):
 def _cmd_cells(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
-    grid = alcove.sample_grid(datum, J, config.denominator)
-    rows = []
-    for d in grid:
-        cell = alcove.cell_of(d)
-        t = alcove.p_J(datum, J, d)
-        rows.append((
-            " ".join(str(c[0]) for c in d.coords),
-            "{" + ",".join(str(s) for s in cell.S) + "}",
-            t.order,
-            " ".join(str(v) for v in t.values),
-        ))
+    rows = [(" ".join(str(c[0]) for c in d.coords),
+             "{" + ",".join(str(s) for s in cell.S) + "}",
+             t.order,
+             " ".join(str(v) for v in t.values))
+            for d, cell, t in alcove.grid_points(datum, J, config.denominator)]
     _emit(rows, ("point", "cell", "torus_order", "torus_coords"), config, out)
     return 0
 

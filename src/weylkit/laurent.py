@@ -16,12 +16,24 @@ result directly without that pass.
 import math
 import re
 
-from .errors import PreconditionError, UnsupportedRegimeError
+from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
+
+# Trial division tries at most 10^6 divisors: it decides integers to 10^12.
+TRIAL_DIVISION_LIMIT = 10 ** 12
+
+
+def least_prime_factor(k):
+    """The least prime factor of an integer k >= 2, by trial division; past
+    TRIAL_DIVISION_LIMIT, BudgetError before any division."""
+    if k > TRIAL_DIVISION_LIMIT:
+        raise BudgetError(f"trial division decides integers up to 10^12; a"
+                          f" {k.bit_length()}-bit integer is past that budget")
+    return next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
 
 
 def is_prime(k):
-    """True iff the integer k is a prime (trial division)."""
-    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+    """True iff the integer k is a prime."""
+    return k >= 2 and least_prime_factor(k) == k
 
 
 def _new(q, coeffs):

@@ -46,7 +46,7 @@ from functools import partial
 
 from . import laurent, linalg
 from .errors import BudgetError, InternalConsistencyError, PreconditionError
-from .laurent import LaurentScalar, is_prime, quadratic
+from .laurent import LaurentScalar, least_prime_factor, quadratic
 
 # The nodes a fixed-point walk may classify: the size of
 # witt.ORACLE_PAIR_BUDGET.
@@ -434,9 +434,7 @@ def _is_prime_power(q):
     """True iff q = p^k for a prime p and k >= 1."""
     if q < 2:
         return False
-    if is_prime(q):
-        return True
-    p = next(d for d in range(2, q) if q % d == 0)  # least prime factor
+    p = least_prime_factor(q)
     while q % p == 0:
         q //= p
     return q == 1

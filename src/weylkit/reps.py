@@ -7,7 +7,8 @@ representatives, the finite generators permute cosets with rho-scalars,
 so every image is a monomial matrix.  All scalars are exact cyclotomics.
 Products, inverses, the lattice action and the stabilizer of t are read
 straight from the tables of `alcove.CosetGeometry`, and the coset
-representatives are taken in index order.
+representatives are taken in index order.  `grid_modules` and
+`build_irreducible` share one core, `_induced`.
 """
 
 import itertools
@@ -20,7 +21,6 @@ from .errors import (
     InternalConsistencyError,
     LiftCheckError,
     PreconditionError,
-    UnsupportedRegimeError,
 )
 
 
@@ -106,22 +106,21 @@ def _rho_on_subgroup(geo, words, rho):
 
 
 def build_irreducible(datum, J, S, d, rho):
-    """Induced module Ind([p_J(d)] x rho) of L . W_Jc.
-
-    rho maps each generator letter k in Sc - J to a Cyc scalar; d must be
-    a rational point of the cell C_S.  Each finite generator moves every
-    coset to one coset and multiplies by one value of rho, so its image
-    is a monomial matrix.
-    """
-    geo = alcove.geometry(datum, J)
-    if not isinstance(d, alcove.LevelOnePoint):
-        d = alcove.level_one_point(datum, d)
-    if not d.is_real():
-        raise UnsupportedRegimeError("d must have rational real coordinates")
+    """Induced module Ind([p_J(d)] x rho) of L . W_Jc for a rational point
+    d of the cell C_S; rho maps each generator letter k in Sc - J to a Cyc
+    scalar."""
     cell = alcove.cell_of(d)
     if cell is None or tuple(sorted(S)) != cell.S:
         raise PreconditionError("d does not lie in the cell C_S")
-    t = alcove.p_J(datum, J, d)
+    return _induced(alcove.geometry(datum, J), S, alcove.p_J(datum, J, d),
+                    rho)
+
+
+def _induced(geo, S, t, rho):
+    """Induced module Ind([t] x rho) of L . W_Jc, geo = geometry(datum, J),
+    for the torus point t of a point of the cell C_S.  Each finite
+    generator moves every coset to one coset and multiplies by one value
+    of rho, so its image is a monomial matrix."""
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
         raise PreconditionError("rho must be given exactly on Sc - J")
@@ -256,14 +255,14 @@ def lift_characters(geo, letters):
 
 
 def grid_modules(datum, J, denominator):
-    """(d, cell, t, index, rep) for each point d of
-    `alcove.sample_grid(datum, J, denominator)` and each lift character
-    at d, in grid order and then `lift_characters` order: d's cell, the
-    torus point t = p_J(d), the character's index and the induced module.
-    Built lazily, so a consumer that stops early builds nothing further.
-    After the node-subset refusals and before the grid, the candidates
-    p/k weighted by k must stay within alcove.GRID_WORK_BUDGET, or
-    BudgetError is raised."""
+    """(d, cell, t, index, rep) for each point (d, cell, t) of
+    `alcove.grid_points(datum, J, denominator)` and each lift character
+    at d, in grid order and then `lift_characters` order: the character's
+    index and the induced module, built from the walk's t.  Built lazily,
+    so a consumer that stops early builds nothing further.  After the
+    node-subset refusals and before the grid, the candidates p/k weighted
+    by k must stay within alcove.GRID_WORK_BUDGET, or BudgetError is
+    raised."""
     alcove.grid_nodes(datum, J)
     work = denominator * (denominator + 1) * (denominator + 2) // 3
     if work > alcove.GRID_WORK_BUDGET:
@@ -271,12 +270,8 @@ def grid_modules(datum, J, denominator):
             f"induced modules to denominator {denominator} would weigh"
             f" {work} (grid candidates times their denominators), more than"
             f" the budget of {alcove.GRID_WORK_BUDGET}")
-    grid = alcove.sample_grid(datum, J, denominator)
     geo = alcove.geometry(datum, J)
-    for d in grid:
-        cell = alcove.cell_of(d)
+    for d, cell, t in alcove.grid_points(datum, J, denominator):
         letters = [k for k in geo.jcheck if k not in set(cell.S)]
-        t = alcove.p_J(datum, J, d)
         for index, rho in enumerate(lift_characters(geo, letters)):
-            yield d, cell, t, index, build_irreducible(datum, J, cell.S, d,
-                                                        rho)
+            yield d, cell, t, index, _induced(geo, cell.S, t, rho)

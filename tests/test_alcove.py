@@ -136,19 +136,38 @@ def test_torus_order_divides_denominator_lcm(q, p):
 
 
 def test_stabilizer_lift_on_grid():
-    for d in alcove.sample_grid(A1, (), 4):
-        cell = alcove.cell_of(d)
-        t = alcove.p_J(A1, (), d)
-        result = alcove.torus_stabilizer(A1, (), t, S=cell.S)
+    for d, cell, t in alcove.grid_points(A1, (), 4):
+        result = alcove.torus_stabilizer(A1, (), t, cell.S)
         assert result.lift_ok
 
 
 def test_stabilizer_without_lift_check():
     d = alcove.level_one_point(A1, (1, 0))
     t = alcove.p_J(A1, (), d)
-    result = alcove.torus_stabilizer(A1, (), t)
-    assert 0 in result.elements
-    assert result.lift_ok
+    assert alcove.geometry(A1, ()).stabilizer(t) == (0, 1)
+
+
+@pytest.mark.parametrize("label,J", [("A1", ()), ("C2", (0,))])
+def test_grid_points_are_the_grid_with_its_cells_and_torus_points(label, J):
+    datum = cartan_datum(label)
+    grid = alcove.sample_grid(datum, J, 6)
+    assert alcove.grid_points(datum, J, 6) == [
+        (d, alcove.cell_of(d), alcove.p_J(datum, J, d)) for d in grid]
+
+
+def test_one_torus_point_per_grid_point(monkeypatch):
+    # C2 and C3 each walk the grid once; no module built from the walk
+    # forms its torus point again
+    from weylkit import checks
+    from weylkit.cli import SuiteConfig
+
+    calls = []
+    p_j = alcove.p_J
+    monkeypatch.setattr(alcove, "p_J",
+                        lambda *args: calls.append(args) or p_j(*args))
+    rows = checks.run_checks(SuiteConfig(), suites=("alcove", "reps"))
+    assert [r[2] for r in rows] == ["PASS", "PASS"]
+    assert len(calls) == 2 * len(alcove.sample_grid(A1, (), 6)) == 26
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])

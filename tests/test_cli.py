@@ -222,8 +222,35 @@ def test_pgl2_count_over_the_walk_budget_fails_fast():
     assert err.count("\n") == 1
 
 
+_DIGITS_400 = str(10 ** 399 + 1)
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("", ["pgl2", "--q", _DIGITS_400]),
+    ("", ["witt", "--p", _DIGITS_400]),
+    ("", ["witt", "--enum", "--p", _DIGITS_400]),
+    (f"q {_DIGITS_400}\n", ["verify", "--suite", "alcove"]),
+    ("q 1000000016000000063\n", ["verify", "--suite", "alcove"]),
+    (f"p {_DIGITS_400}\n", ["witt"]),
+])
+def test_a_prime_test_past_the_trial_division_budget_fails_fast(
+        tmp_path, config, argv):
+    # the config route checks q on every command; 1000000016000000063 is
+    # 1000000007 * 1000000009, whose least factor is past 10^6
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config)
+    start = time.perf_counter()
+    code, out, err = run_cli(["--config", str(cfg)] + argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,denominator", [
-    ("reps", 100), ("cells", 800)])
+    ("reps", 100), ("cells", 800), ("cells", 199)])
 def test_a_grid_over_the_work_budget_fails_fast(tmp_path, command,
                                                 denominator):
     cfg = tmp_path / "grid.cfg"

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import laurent
-from weylkit.errors import PreconditionError, UnsupportedRegimeError
+from weylkit.errors import (
+    BudgetError,
+    PreconditionError,
+    UnsupportedRegimeError,
+)
 from weylkit.laurent import LaurentScalar
 
 
@@ -96,6 +100,17 @@ def test_is_prime_matches_a_sieve():
                 sieve[j] = False
     assert [k for k in range(-3, limit) if laurent.is_prime(k)] == \
         [k for k in range(limit) if sieve[k]]
+
+
+def test_trial_division_stops_at_its_budget():
+    # 999999999989 is the largest prime below 10^12; past 10^12 the test
+    # refuses before any division
+    assert laurent.is_prime(999999999989)
+    assert not laurent.is_prime(10 ** 12)
+    assert laurent.least_prime_factor(10 ** 12) == 2
+    for k in (10 ** 12 + 1, 1000000007 * 1000000009, 10 ** 399 + 1):
+        with pytest.raises(BudgetError, match="past that budget"):
+            laurent.is_prime(k)
 
 
 def test_non_prime_field_is_rejected():

@@ -491,3 +491,9 @@ def test_prime_power_detector():
     assert not pgl2._is_prime_power(1)
     assert not pgl2._is_prime_power(6)
     assert not pgl2._is_prime_power(12)
+    # the least factor is found by trial division up to its budget
+    assert pgl2._is_prime_power(3 ** 25)
+    assert pgl2._is_prime_power(999983 ** 2)
+    assert not pgl2._is_prime_power(999979 * 999983)
+    with pytest.raises(BudgetError, match="past that budget"):
+        pgl2._is_prime_power(2 ** 60)

@@ -179,6 +179,33 @@ def test_grid_modules_follow_the_grid_and_the_lift_characters():
     assert got == want
 
 
+def _module_data(rep):
+    return rep.dimension, rep.lattice_diagonals, rep.finite_images
+
+
+def test_build_irreducible_and_grid_modules_share_one_core():
+    # build_irreducible forms d's torus point itself; grid_modules hands
+    # the walk's torus point to the same core
+    geo = alcove.geometry(A1, ())
+    modules = list(reps.grid_modules(A1, (), 6))
+    assert len({d for d, *_ in modules}) == 13
+    for d, cell, _, index, rep in modules:
+        letters = [k for k in geo.jcheck if k not in set(cell.S)]
+        rho = reps.lift_characters(geo, letters)[index]
+        assert _module_data(reps.build_irreducible(A1, (), cell.S, d, rho)) \
+            == _module_data(rep)
+    geo = alcove.geometry(A2, ())
+    for coords, _ in A2_POINTS:
+        d = alcove.level_one_point(A2, coords)
+        cell = alcove.cell_of(d)
+        t = alcove.p_J(A2, (), d)
+        letters = [k for k in geo.jcheck if k not in set(cell.S)]
+        for rho in reps.lift_characters(geo, letters):
+            assert _module_data(reps.build_irreducible(A2, (), cell.S, d,
+                                                       rho)) \
+                == _module_data(reps._induced(geo, cell.S, t, rho))
+
+
 def test_grid_modules_weigh_their_work_before_the_grid(monkeypatch):
     # candidates p/k weighted by k: d (d + 1) (d + 2) / 3, which is 3,080
     # at d = 20, 19,760 at d = 38, 21,320 at d = 39 and 343,400 at d = 100
