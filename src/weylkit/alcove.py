@@ -1,9 +1,10 @@
 """Level-1 geometry: cells C_S, the lattices L' and L, the torus T, the
 map p_J and stabilizer computations.
 
-Points of the level-1 hyperplane carry coordinates c_i in Q(sqrt(-1)),
-stored as (re, im) pairs of Fractions; positivity uses the complex
-ordering c > 0 iff re > 0, or re = 0 and im > 0.
+Points of the level-1 hyperplane carry rational coordinates c_i, one
+Fraction per node: the torus point p_J(d) has finite order only when d
+is rational.  A point lies in the cell C_S when no coordinate is
+negative and S is its support.
 
 For a node subset J with complement Jc, the subspace z_J is the
 level-0 part of span{b'_k : k in Jc}, with basis
@@ -32,7 +33,6 @@ from .errors import (
     NodeSubsetError,
     PreconditionError,
     StructuralError,
-    UnsupportedRegimeError,
 )
 
 _QUOTIENT_CAP = 200000
@@ -48,33 +48,18 @@ GRID_WORK_BUDGET = 20000
 @dataclass(frozen=True)
 class LevelOnePoint:
     datum: object
-    coords: tuple  # pairs (re, im) of Fractions, one per node
+    coords: tuple  # Fractions, one per node
 
     def __post_init__(self):
         if len(self.coords) != self.datum.n + 1:
             raise StructuralError("wrong number of coordinates")
-        marks = self.datum.marks
-        re_level = sum(m * c[0] for m, c in zip(marks, self.coords))
-        im_level = sum(m * c[1] for m, c in zip(marks, self.coords))
-        if re_level != 1 or im_level != 0:
+        if sum(m * c for m, c in zip(self.datum.marks, self.coords)) != 1:
             raise StructuralError("point does not lie on the level-1 hyperplane")
-
-    def is_real(self):
-        return all(c[1] == 0 for c in self.coords)
-
-    def real_vector(self):
-        return tuple(c[0] for c in self.coords)
 
 
 def level_one_point(datum, coords):
-    """Build a LevelOnePoint from rationals or (re, im) pairs."""
-    packed = []
-    for c in coords:
-        if isinstance(c, tuple):
-            packed.append((Fraction(c[0]), Fraction(c[1])))
-        else:
-            packed.append((Fraction(c), Fraction(0)))
-    return LevelOnePoint(datum, tuple(packed))
+    """Build a LevelOnePoint from rationals."""
+    return LevelOnePoint(datum, tuple(Fraction(c) for c in coords))
 
 
 @dataclass(frozen=True)
@@ -86,21 +71,12 @@ class CellLabel:
             raise StructuralError("cell label must be nonempty")
 
 
-def _complex_positive(c):
-    re, im = c
-    return re > 0 or (re == 0 and im > 0)
-
-
 def cell_of(x):
-    """Cell label of a level-1 point, or None if it lies in no cell."""
-    support = []
-    for i, c in enumerate(x.coords):
-        if c == (0, 0):
-            continue
-        if not _complex_positive(c):
-            return None
-        support.append(i)
-    return CellLabel(tuple(support)) if support else None
+    """Cell label of a level-1 point: None if any coordinate is negative,
+    else its support."""
+    if any(c < 0 for c in x.coords):
+        return None
+    return CellLabel(tuple(i for i, c in enumerate(x.coords) if c))
 
 
 @dataclass(frozen=True)
@@ -113,9 +89,6 @@ class TorusPoint:
         for v in self.values:
             out = out * v.denominator // gcd(out, v.denominator)
         return out
-
-    def is_identity(self):
-        return all(v == 0 for v in self.values)
 
 
 def _rational_hnf(vectors):
@@ -259,8 +232,7 @@ class CosetGeometry:
                 vectors.append(vec)
         basis = _rational_hnf(vectors)
         if len(basis) != self.dim:
-            raise IncompleteLatticeError(
-                "translation lattice has deficient rank", partial_basis=basis)
+            raise IncompleteLatticeError("translation lattice has deficient rank")
         bmat = tuple(tuple(basis[c][r] for c in range(self.dim))
                      for r in range(self.dim))
         binv = linalg.mat_inv(bmat)
@@ -311,16 +283,12 @@ def geometry(datum, J):
 
 
 def p_J(datum, J, d):
-    """Finite-order torus point attached to d in D_J (rational d only),
-    measured from the base node k0 = min Jc."""
+    """Finite-order torus point attached to d in D_J, measured from the
+    base node k0 = min Jc."""
     geo = geometry(datum, J)
-    if not d.is_real():
-        raise UnsupportedRegimeError(
-            "p_J supports only rational real coordinates (finite order)")
-    cell = cell_of(d)
-    if cell is None or any(s not in geo.jcheck for s in cell.S):
+    if any(c < 0 for c in d.coords) or any(d.coords[j] for j in geo.J):
         raise PreconditionError("d must lie in a cell C_S with S inside Jc")
-    vec = list(d.real_vector())
+    vec = list(d.coords)
     vec[geo.k0] -= Fraction(1, datum.marks[geo.k0])
     ucoords = geo._to_ucoords(tuple(vec))
     gamma = geo.lattice_coords(ucoords)
@@ -402,7 +370,7 @@ def sample_grid(datum, J, max_denominator):
             coords[ka] = a / na
             coords[kb] = (1 - a) / nb
             points.append(level_one_point(datum, coords))
-    points.sort(key=lambda d: d.real_vector())
+    points.sort(key=lambda d: d.coords)
     return points
 
 

@@ -22,10 +22,6 @@ class CartanDatum:
     pairing: tuple  # pairing[i][j] = <alpha_i, h_j>, integers
     marks: tuple    # n_i > 0, marks[0] == 1
 
-    @property
-    def nodes(self):
-        return tuple(range(self.n + 1))
-
     def __post_init__(self):
         _validate(self)
 

@@ -151,7 +151,7 @@ def _cmd_weyl(args, config, out):
 def _cmd_cells(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
-    rows = [(" ".join(str(c[0]) for c in d.coords),
+    rows = [(" ".join(str(c) for c in d.coords),
              "{" + ",".join(str(s) for s in cell.S) + "}",
              t.order,
              " ".join(str(v) for v in t.values))
@@ -163,7 +163,7 @@ def _cmd_cells(args, config, out):
 def _cmd_reps(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
-    rows = [(" ".join(str(c[0]) for c in d.coords),
+    rows = [(" ".join(str(c) for c in d.coords),
              index,
              rep.dimension,
              reps.character_norm(rep, t.order).render())

@@ -16,7 +16,6 @@ Text grammar (one record, '#' comments):
     dim 2
     zeta 1 triv
     cell 0
-    point 1 0
     gen 0 = -1 1 ; 0 1
     gen 1 = -1 0 ; 0 1
     layer 2 = 1 0
@@ -40,21 +39,11 @@ class CoStandardData:
     dim: int
     zeta: tuple        # (class name, system)
     cell: tuple        # S for the top label
-    point: tuple       # d coordinates for the top label
     generators: tuple  # matrices over Fraction, indexed by node letter
     filtration: tuple  # ((a, span rows), ...) descending in a
 
     def translation_matrix(self):
         return linalg.mat_mul(self.generators[0], self.generators[1])
-
-
-def _parse_matrix(text, dim):
-    rows = []
-    for chunk in text.split(";"):
-        rows.append(tuple(Fraction(x) for x in chunk.split()))
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise StructuralError("matrix has wrong shape")
-    return tuple(rows)
 
 
 def _parse_span(text, dim):
@@ -67,12 +56,18 @@ def _parse_span(text, dim):
     return tuple(rows)
 
 
+def _parse_matrix(text, dim):
+    rows = _parse_span(text, dim)
+    if len(rows) != dim:
+        raise StructuralError("matrix has wrong shape")
+    return rows
+
+
 def parse_costandard_table(text):
     group = None
     dim = None
     zeta = None
     cell = None
-    point = None
     gens = {}
     layers = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -89,8 +84,6 @@ def parse_costandard_table(text):
             zeta = tuple(rest.split())
         elif key == "cell":
             cell = tuple(int(x) for x in rest.split())
-        elif key == "point":
-            point = tuple(Fraction(x) for x in rest.split())
         elif key == "gen":
             idx, _, body = rest.partition("=")
             gens[int(idx)] = _parse_matrix(body, dim)
@@ -99,13 +92,12 @@ def parse_costandard_table(text):
             layers.append((int(a), _parse_span(body, dim)))
         else:
             raise StructuralError(f"line {lineno}: unknown key {key!r}")
-    if None in (group, dim, zeta, cell, point) or not gens or not layers:
+    if None in (group, dim, zeta, cell) or not gens or not layers:
         raise StructuralError("incomplete co-standard table")
     layers.sort(key=lambda item: -item[0])
     generators = tuple(gens[i] for i in sorted(gens))
     return CoStandardData(group=group, dim=dim, zeta=zeta, cell=cell,
-                          point=point, generators=generators,
-                          filtration=tuple(layers))
+                          generators=generators, filtration=tuple(layers))
 
 
 def _quotient_scalar(span, sub, mat, layer):
@@ -183,10 +175,8 @@ def validate_costandard(data):
         if lattice_scalar != 1:
             raise TableRejectionError(
                 f"lattice acts nontrivially on layer {a}", layer=a)
-        matches = [
-            pair for block in springer.springer_table(tag)
-            for pair, irrep in block.pairs if irrep == label
-        ]
+        matches = [pair for pair, irrep in springer.springer_table(tag).items()
+                   if irrep == label]
         if not any(springer.closure_leq(tag, data.zeta[0], cname, strict=True)
                    for cname, _ in matches):
             raise TableRejectionError(
@@ -207,7 +197,6 @@ group A1
 dim 2
 zeta 1 triv
 cell 0
-point 1 0
 gen 0 = -1 1 ; 0 1
 gen 1 = -1 0 ; 0 1
 layer 2 = 1 0
@@ -219,7 +208,6 @@ group A1
 dim 2
 zeta 1 triv
 cell 0
-point 1 0
 gen 0 = 1 1 ; 0 -1
 gen 1 = 1 0 ; 0 -1
 layer 2 = 1 0

@@ -214,9 +214,6 @@ class Cyc:
                     out[i] += c * r
         return _new(m, tuple(out))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 

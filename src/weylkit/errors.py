@@ -41,10 +41,6 @@ class UnsupportedRegimeError(WeylkitError):
 class IncompleteLatticeError(WeylkitError):
     """Translation-lattice search ran out of depth before full rank."""
 
-    def __init__(self, message, partial_basis=()):
-        super().__init__(message)
-        self.partial_basis = tuple(partial_basis)
-
 
 class LiftCheckError(WeylkitError):
     """Stabilizer lift failed to match the predicted subgroup."""

@@ -298,52 +298,52 @@ def _is_self_dual(z):
         return False
 
 
-def _require_agreement(points, direct):
+def _certify(vertices):
+    """(points, direct_count) for an iterable of lattices: the points
+    that pass the isotropic route, sorted by basis, cross-checked against
+    those that pass the direct one."""
+    points = []
+    direct = []
+    for z in vertices:
+        if is_self_dual_isotropic(z) and is_lie_closed(z):
+            points.append(z)
+        if _is_self_dual(z) and _lattice_bracket_closed(z):
+            direct.append(z)
     if {z.basis for z in direct} != {z.basis for z in points}:
         raise StructuralError("the two enumeration routes disagree")
+    points.sort(key=lambda z: z.basis)
+    return points, len(direct)
 
 
 def _scan(p, n, budget):
-    """One pass over the candidates, applying both strata predicates to
-    each; returns (isotropic, self_dual), each sorted by basis.  The
+    """The candidates, raising BudgetError past `budget` of them.  The
     candidate stream forms no tuple it does not yield, so counting the
     candidates here bounds the work."""
     check_datum(p)
-    isotropic = []
-    self_dual = []
     for count, z in enumerate(candidates(p, n), start=1):
         if count > budget:
             raise BudgetError("lattice enumeration budget exceeded")
-        if is_self_dual_isotropic(z):
-            isotropic.append(z)
-        if _is_self_dual(z):
-            self_dual.append(z)
-    isotropic.sort(key=lambda z: z.basis)
-    self_dual.sort(key=lambda z: z.basis)
-    return isotropic, self_dual
+        yield z
 
 
 def enumerate_self_dual(p, n, budget=200000):
     """All lattices Lam with p^(2n) Z^3 <= Lam <= Z^3 and sharp(Lam) =
-    Lam, canonically presented (the direct route)."""
-    return _scan(p, n, budget)[1]
+    Lam, canonically presented (the direct route), sorted by basis."""
+    return sorted((z for z in _scan(p, n, budget) if _is_self_dual(z)),
+                  key=lambda z: z.basis)
 
 
 def enumerate_isotropic(p, n, budget=200000):
     """All submodules in the middle isotropic stratum (the quotient-side
-    route)."""
-    return _scan(p, n, budget)[0]
+    route), sorted by basis."""
+    return sorted((z for z in _scan(p, n, budget)
+                   if is_self_dual_isotropic(z)), key=lambda z: z.basis)
 
 
 def scan_points(p, n, budget=200000):
     """Certified bracket-closed points from the exhaustive candidate
-    scan, the isotropic route cross-checked against the direct one;
-    returns (points, direct_count).  `budget` counts candidates."""
-    isotropic, self_dual = _scan(p, n, budget)
-    points = [z for z in isotropic if is_lie_closed(z)]
-    direct = [z for z in self_dual if _lattice_bracket_closed(z)]
-    _require_agreement(points, direct)
-    return points, len(direct)
+    scan; returns (points, direct_count).  `budget` counts candidates."""
+    return _certify(_scan(p, n, budget))
 
 
 # Tree vertices enumerate_X_n forms by default: the largest sizes it
@@ -408,13 +408,7 @@ def enumerate_X_n(p, n, budget=VERTEX_BUDGET):
     isotropic route, cross-checked against those that pass the direct
     one; returns (points, direct_count).  `budget` counts tree
     vertices."""
-    vertices = tree_points(p, n, budget)
-    points = [z for z in vertices
-              if is_self_dual_isotropic(z) and is_lie_closed(z)]
-    direct = [z for z in vertices
-              if _is_self_dual(z) and _lattice_bracket_closed(z)]
-    _require_agreement(points, direct)
-    return points, len(direct)
+    return _certify(tree_points(p, n, budget))
 
 
 def _lattice_bracket_closed(z):

@@ -36,6 +36,12 @@ def is_prime(k):
     return k >= 2 and least_prime_factor(k) == k
 
 
+def _require_prime(q):
+    if not is_prime(q):
+        raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
+                                     " fields are supported")
+
+
 def _new(q, coeffs):
     """A LaurentScalar for an already validated q from
     {exponent: integer}: reduces mod q and drops zeros in one loop."""
@@ -60,9 +66,7 @@ class LaurentScalar:
     __hash__ = None
 
     def __new__(cls, q, coeffs):
-        if not is_prime(q):
-            raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
-                                         " fields are supported")
+        _require_prime(q)
         return _new(q, coeffs)
 
     # -- constructors -------------------------------------------------
@@ -73,14 +77,6 @@ class LaurentScalar:
     @staticmethod
     def one(q):
         return LaurentScalar(q, {0: 1})
-
-    @staticmethod
-    def const(q, c):
-        return LaurentScalar(q, {0: c})
-
-    @staticmethod
-    def eps(q, n=1):
-        return LaurentScalar(q, {n: 1})
 
     def valuation(self):
         """The least exponent with a nonzero coefficient; +inf for zero."""
@@ -183,8 +179,9 @@ def quadratic(t, x0, x1, x2=None):
 _TERM = re.compile(r"^(?:(\d+)\*?)?(?:e(?:\^?(-?\d+))?)?$")
 
 
-def parse_scalar(text, q):
-    """Parse "c0+c1e+c2e2@v": polynomial in e shifted by e^v."""
+def _parse_scalar(text, q):
+    """Parse "c0+c1e+c2e2@v": polynomial in e shifted by e^v, over F_q
+    for a prime q that the caller has tested."""
     text = text.strip()
     shift = 0
     if "@" in text:
@@ -207,7 +204,7 @@ def parse_scalar(text, q):
         else:
             exp = 0
         coeffs[exp + shift] = coeffs.get(exp + shift, 0) + coeff
-    return LaurentScalar(q, coeffs)
+    return _new(q, coeffs)
 
 
 # -- 2x2 matrices ------------------------------------------------------
@@ -230,7 +227,9 @@ def identity_matrix(q):
 
 
 def parse_matrix(text, q):
-    """Parse "a,b;c,d" with scalar entries."""
+    """Parse "a,b;c,d" with scalar entries over F_q, testing once that
+    q is prime."""
+    _require_prime(q)
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise PreconditionError("matrix needs two rows")
@@ -239,5 +238,5 @@ def parse_matrix(text, q):
         entries = row.split(",")
         if len(entries) != 2:
             raise PreconditionError("matrix rows need two entries")
-        out.append(tuple(parse_scalar(e, q) for e in entries))
+        out.append(tuple(_parse_scalar(e, q) for e in entries))
     return tuple(out)

@@ -96,11 +96,7 @@ def discriminant_valuation(M):
     asserted to be exactly 1.
     """
     _, a, b, c, d = i2_normal_form(M)
-    q = a.q
-    e2 = LaurentScalar.eps(q, 2)
-    e1 = LaurentScalar.eps(q, 1)
-    expr = e2 * (b + c) * (b + c) - LaurentScalar.const(q, 4) * e2 * b * c \
-        - e1 * a * d
+    expr = ((b + c) * (b + c) - b * c * 4).shift(2) - (a * d).shift(1)
     v = expr.valuation()
     if v != 1:
         raise InternalConsistencyError(

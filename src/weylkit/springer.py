@@ -1,40 +1,16 @@
 """Curated generalized Springer data for the rank-1 world.
 
 Supported centralizer types are SL2 and the 1-dimensional torus; the
-tables list unipotent classes, component-group systems, the cuspidal
-blocks with their relative-Weyl-group labels, and the closure order.
+tables list the unipotent class names, the relative-Weyl-group irrep of
+each (class, component-group system) pair, and the closure order.
 """
-
-from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedLabelError
 
-
-@dataclass(frozen=True)
-class UnipotentClassLabel:
-    group_tag: str
-    name: str
-    dim: int
-
-
-@dataclass(frozen=True)
-class CuspidalDatum:
-    J: tuple
-    class_name: str
-    system: str
-
-
-@dataclass(frozen=True)
-class SpringerBlock:
-    cuspidal: CuspidalDatum
-    pairs: tuple  # ((class name, system), relative Weyl irrep label)
-
-
-_SL2_CLASSES = (
-    UnipotentClassLabel("sl2", "1", 0),
-    UnipotentClassLabel("sl2", "regular", 2),
-)
-_TORUS_CLASSES = (UnipotentClassLabel("torus", "1", 0),)
+_CLASSES = {
+    "sl2": ("1", "regular"),
+    "torus": ("1",),
+}
 
 # Closure order: strictly-smaller pairs per group tag.
 _CLOSURE = {
@@ -42,39 +18,23 @@ _CLOSURE = {
     "torus": set(),
 }
 
+# (class name, system) -> relative Weyl group irrep label.
 _TABLES = {
-    "sl2": (
-        SpringerBlock(
-            cuspidal=CuspidalDatum(J=(), class_name="", system=""),
-            pairs=(
-                (("regular", "triv"), "unit"),
-                (("1", "triv"), "sign"),
-            ),
-        ),
-        SpringerBlock(
-            cuspidal=CuspidalDatum(J=(1,), class_name="regular", system="eps"),
-            pairs=(
-                (("regular", "eps"), "unit"),
-            ),
-        ),
-    ),
-    "torus": (
-        SpringerBlock(
-            cuspidal=CuspidalDatum(J=(), class_name="", system=""),
-            pairs=(
-                (("1", "triv"), "unit"),
-            ),
-        ),
-    ),
+    "sl2": {
+        ("regular", "triv"): "unit",
+        ("1", "triv"): "sign",
+        ("regular", "eps"): "unit",
+    },
+    "torus": {
+        ("1", "triv"): "unit",
+    },
 }
 
 
 def classes(group_tag):
-    if group_tag == "sl2":
-        return _SL2_CLASSES
-    if group_tag == "torus":
-        return _TORUS_CLASSES
-    raise UnsupportedLabelError(f"no curated classes for {group_tag!r}")
+    if group_tag not in _CLASSES:
+        raise UnsupportedLabelError(f"no curated classes for {group_tag!r}")
+    return _CLASSES[group_tag]
 
 
 def springer_table(group_tag):
@@ -84,16 +44,15 @@ def springer_table(group_tag):
 
 
 def springer_label(group_tag, class_name, system):
-    for block in springer_table(group_tag):
-        for pair, label in block.pairs:
-            if pair == (class_name, system):
-                return label
-    raise UnsupportedLabelError(
-        f"({class_name}, {system}) not in the {group_tag} table")
+    table = springer_table(group_tag)
+    if (class_name, system) not in table:
+        raise UnsupportedLabelError(
+            f"({class_name}, {system}) not in the {group_tag} table")
+    return table[(class_name, system)]
 
 
 def closure_leq(group_tag, c1, c2, strict=False):
-    names = {c.name for c in classes(group_tag)}
+    names = classes(group_tag)
     if c1 not in names or c2 not in names:
         raise PreconditionError("unknown class name")
     if c1 == c2:

@@ -49,10 +49,6 @@ class WeylElement:
     def is_identity(self):
         return self.mat == linalg.identity_mat(self.datum.n + 1)
 
-    @property
-    def length(self):
-        return len(self.word())
-
     def word(self):
         """Canonical ShortLex reduced word, as a tuple of node indices."""
         word = []
@@ -175,7 +171,6 @@ def longest_element(datum, J):
 @dataclass(frozen=True)
 class MinCosetResult:
     """Outcome of min_coset_generators: verified generators plus failures."""
-    J: tuple
     generators: tuple  # pairs (k, WeylElement)
     failures: tuple    # nodes k whose candidate failed the membership check
 
@@ -221,7 +216,7 @@ def min_coset_generators(datum, J):
             generators.append((k, ss))
         else:
             failures.append(k)
-    return MinCosetResult(J=J, generators=tuple(generators),
+    return MinCosetResult(generators=tuple(generators),
                           failures=tuple(failures))
 
 

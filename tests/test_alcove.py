@@ -10,7 +10,6 @@ from weylkit.errors import (
     NodeSubsetError,
     PreconditionError,
     StructuralError,
-    UnsupportedRegimeError,
 )
 
 
@@ -22,7 +21,7 @@ def test_level_constraint_enforced():
     with pytest.raises(StructuralError):
         alcove.level_one_point(A1, (1, 1))
     x = alcove.level_one_point(A1, (Fraction(1, 3), Fraction(2, 3)))
-    assert x.is_real()
+    assert x.coords == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_cell_labels():
@@ -41,8 +40,7 @@ def test_sample_grid_count_and_disjointness():
     for d in grid:
         cell = alcove.cell_of(d)
         assert cell is not None
-        assert set(cell.S) == {i for i, c in enumerate(d.coords)
-                               if c != (0, 0)}
+        assert set(cell.S) == {i for i, c in enumerate(d.coords) if c != 0}
 
 
 def test_sample_grid_rejects_higher_rank():
@@ -98,7 +96,7 @@ def test_unusable_node_subsets_raise_node_subset_error():
 def test_p_j_identity_at_base_vertex():
     d = alcove.level_one_point(A1, (1, 0))
     t = alcove.p_J(A1, (), d)
-    assert t.is_identity()
+    assert t.values == (0,)
     assert t.order == 1
 
 
@@ -111,14 +109,6 @@ def test_p_j_half_point_order():
 def test_p_j_rejects_points_outside_cells():
     d = alcove.level_one_point(A1, (-1, 2))
     with pytest.raises(PreconditionError):
-        alcove.p_J(A1, (), d)
-
-
-def test_p_j_rejects_complex_points():
-    d = alcove.level_one_point(
-        A1, ((Fraction(1, 2), Fraction(1, 3)),
-             (Fraction(1, 2), Fraction(-1, 3))))
-    with pytest.raises(UnsupportedRegimeError):
         alcove.p_J(A1, (), d)
 
 
@@ -168,6 +158,38 @@ def test_one_torus_point_per_grid_point(monkeypatch):
     rows = checks.run_checks(SuiteConfig(), suites=("alcove", "reps"))
     assert [r[2] for r in rows] == ["PASS", "PASS"]
     assert len(calls) == 2 * len(alcove.sample_grid(A1, (), 6)) == 26
+
+
+def test_one_cell_per_grid_point(monkeypatch):
+    # p_J checks its precondition from d's coordinates, so the walk's
+    # cell_of is the only one
+    from weylkit import checks
+    from weylkit.cli import SuiteConfig
+
+    calls = []
+    cell_of = alcove.cell_of
+    monkeypatch.setattr(alcove, "cell_of",
+                        lambda d: calls.append(d) or cell_of(d))
+    rows = checks.run_checks(SuiteConfig(), suites=("alcove", "reps"))
+    assert [r[2] for r in rows] == ["PASS", "PASS"]
+    assert len(calls) == 2 * len(alcove.sample_grid(A1, (), 6)) == 26
+
+
+def test_p_j_precondition_is_the_cell_condition():
+    # d lies in a cell C_S with S inside Jc exactly when p_J accepts it
+    C2 = cartan_datum("C2")
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for coords in ((1, 0, 0), (0, half, 0), (0, 0, 1), (half, 0, half),
+                   (third, third, 0), (2, -1, 1), (-1, 1, 0)):
+        d = alcove.level_one_point(C2, coords)
+        cell = alcove.cell_of(d)
+        for J in ((), (0,), (1,), (2,), (0, 2)):
+            ok = cell is not None and not set(cell.S) & set(J)
+            if ok:
+                alcove.p_J(C2, J, d)
+            else:
+                with pytest.raises(PreconditionError):
+                    alcove.p_J(C2, J, d)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])

@@ -160,6 +160,21 @@ def test_pgl2_subcommand():
     assert "fixed_point_count\t2" in out
 
 
+@pytest.mark.parametrize("op", ["class", "disc", "count", "all"])
+def test_pgl2_tests_q_for_primality_at_most_twice(monkeypatch, op):
+    # the command tests q, parse_matrix tests it once for all four
+    # entries, and no scalar formed after that tests it again
+    from weylkit import laurent, pgl2
+    calls = []
+    least_prime_factor = laurent.least_prime_factor
+    for module in (laurent, pgl2):
+        monkeypatch.setattr(module, "least_prime_factor",
+                            lambda k: calls.append(k) or least_prime_factor(k))
+    code, out, _ = run_cli(["pgl2", "--q", "3", "--op", op])
+    assert code == 0
+    assert len(calls) <= 2
+
+
 def test_witt_subcommand():
     code, out, _ = run_cli(["witt", "--p", "3", "--m", "2"])
     assert code == 0

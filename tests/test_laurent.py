@@ -24,16 +24,16 @@ def scalars(q=3, min_exp=-3, max_exp=4):
 
 
 def test_parse_and_render_round_trip():
-    x = laurent.parse_scalar("1+2e+e2", 3)
+    x = laurent._parse_scalar("1+2e+e2", 3)
     assert x.render() == "1+2e+e2"
-    y = laurent.parse_scalar(x.render(), 3)
+    y = laurent._parse_scalar(x.render(), 3)
     assert y == x
 
 
 def test_parse_shift_marker():
     # "@v" multiplies the whole polynomial by e^v
-    x = laurent.parse_scalar("1+e@2", 3)
-    assert x == laurent.parse_scalar("e2+e3", 3)
+    x = laurent._parse_scalar("1+e@2", 3)
+    assert x == laurent._parse_scalar("e2+e3", 3)
 
 
 def test_valuation_of_zero_is_infinite():
@@ -75,20 +75,20 @@ def test_inverse_round_trip(a, b):
 
 
 def test_inverse_of_a_monomial_and_a_non_unit():
-    x = laurent.parse_scalar("2e^-3", 5)
+    x = laurent._parse_scalar("2e^-3", 5)
     assert x.inverse().coeffs == {3: 3}
     assert x * x.inverse() == 1
     # 1 / (1 + e) = 1 - e + e^2 - ... is a series, not a polynomial
     for text in ("1+e", "0"):
         with pytest.raises(PreconditionError, match="not a monomial"):
-            laurent.parse_scalar(text, 5).inverse()
+            laurent._parse_scalar(text, 5).inverse()
 
 
 def test_exact_division_of_monomials():
     q = 5
-    e2 = LaurentScalar.eps(q, 2)
-    e5 = LaurentScalar.eps(q, 5)
-    assert e5 * e2.inverse() == LaurentScalar.eps(q, 3)
+    e2 = LaurentScalar(q, {2: 1})
+    e5 = LaurentScalar(q, {5: 1})
+    assert e5 * e2.inverse() == LaurentScalar(q, {3: 1})
 
 
 def test_is_prime_matches_a_sieve():

@@ -76,16 +76,16 @@ def _words(q, length):
 
 def _word_matrix(q, word):
     one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
-    e = LaurentScalar.eps(q, 1)
+    e = LaurentScalar(q, {1: 1})
     x = laurent.identity_matrix(q)
     for letter, t in word:
-        c = LaurentScalar.const(q, t)
+        c = LaurentScalar(q, {0: t})
         if letter == 1:
             u = ((one, c), (zero, one))
             n = ((zero, one), (-one, zero))
         else:
             u = ((one, zero), (c * e, one))
-            n = ((zero, LaurentScalar.eps(q, -1)), (-e, zero))
+            n = ((zero, LaurentScalar(q, {-1: 1})), (-e, zero))
         x = laurent.mat_mul(x, laurent.mat_mul(u, n))
     return x
 
@@ -93,7 +93,7 @@ def _word_matrix(q, word):
 def _reference_level(g, length):
     q = g[0][0].q
     tau = ((LaurentScalar.zero(q), LaurentScalar.one(q)),
-           (LaurentScalar.eps(q, 1), LaurentScalar.zero(q)))
+           (LaurentScalar(q, {1: 1}), LaurentScalar.zero(q)))
     out = []
     for word in _words(q, length):
         x = _word_matrix(q, word)

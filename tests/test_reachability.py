@@ -1,4 +1,5 @@
-"""Every top-level name in src/weylkit is reached, or KEPT says why not.
+"""Every top-level name in src/weylkit is reached, or KEPT says why not;
+every class member is read, or KEPT_MEMBERS says why not.
 
 A name is reached when a reached definition or a module-level statement
 (other than a definition or an import) of src/weylkit references it, or
@@ -9,6 +10,15 @@ module-level statements (`cli`'s `__main__` block calls `main`, the
 console script) and the benchmark, and repeats until nothing more is
 reached, so a helper called only by unreached code is unreached too.
 Tests are not callers.
+
+The members of a class are its methods and properties, the names its
+body assigns (dataclass fields among them) and the `self.x` attributes
+its methods assign.  A member is read when a src/weylkit or
+perfbench/*.py file loads `.name`, or passes "name" to `getattr`.  Reads
+are matched by name alone, since the owner of `x.name` is not known
+without running the code, so a member is counted as read when any
+object's attribute of that name is.  Dunders are left out: Python calls
+them implicitly.  Tests are not readers.
 """
 
 import ast
@@ -38,6 +48,10 @@ KEPT = {
     "witt.witt_zero": "test seam: the additive identity in tests",
 }
 KEPT_MODULES = {"omega": _OMEGA}
+
+# Unread class members, "module.Class.member", each with the reason it
+# stays.
+KEPT_MEMBERS = {}
 
 
 def _bindings(tree, this_module, local_names):
@@ -129,6 +143,64 @@ def unreached():
     return names, {f"{m}.{n}" for m, n in set(edges) - reached}
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def class_members(tree, module):
+    """"module.Class.member" for every member of every class in tree."""
+    members = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {name for stmt in cls.body for name in _defined_names(stmt)}
+        for sub in ast.walk(cls):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"):
+                names.add(sub.attr)
+        members |= {f"{module}.{cls.name}.{name}" for name in names
+                    if not _is_dunder(name)}
+    return members
+
+
+def member_reads(tree):
+    """Names the tree loads as `.name` or passes as "name" to getattr."""
+    reads = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads.add(sub.attr)
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+              and sub.func.id == "getattr" and len(sub.args) >= 2
+              and isinstance(sub.args[1], ast.Constant)
+              and isinstance(sub.args[1].value, str)):
+            reads.add(sub.args[1].value)
+    return reads
+
+
+def unread_members(trees, readers=()):
+    """(all class members, unread members) as "module.Class.member" for
+    the classes of trees, {module: tree}, read by trees and readers."""
+    members = set()
+    reads = set()
+    for module, tree in trees.items():
+        members |= class_members(tree, module)
+        reads |= member_reads(tree)
+    for tree in readers:
+        reads |= member_reads(tree)
+    return members, {m for m in members if m.rpartition(".")[2] not in reads}
+
+
+def package_members():
+    """unread_members of src/weylkit, read by it and perfbench/*.py."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(BENCH.glob("*.py"))]
+    return unread_members(trees, bench)
+
+
 def test_the_unreached_names_are_exactly_the_kept_ones():
     names, gaps = unreached()
     modules = {n.partition(".")[0] for n in names}
@@ -154,3 +226,49 @@ def test_references_resolve_through_the_imports():
     bound = _bindings(tree, "m", {"x", "y"})
     assert _references(tree, bound) == {
         ("laurent", "mat_mul"), ("linalg", "rank"), ("m", "x"), ("m", "y")}
+
+
+def test_the_unread_members_are_exactly_the_kept_ones():
+    members, gaps = package_members()
+    assert gaps - set(KEPT_MEMBERS) == set(), "unread and not KEPT_MEMBERS"
+    assert set(KEPT_MEMBERS) - members == set(), \
+        "KEPT_MEMBERS that no longer exist"
+    assert set(KEPT_MEMBERS) - gaps == set(), "KEPT_MEMBERS that are now read"
+
+
+def test_the_member_walk_sees_every_kind_of_member():
+    members, gaps = package_members()
+    # a method, a property, a dataclass field and a self.x attribute
+    assert {"weyl.WeylElement.word", "cyclotomic.Cyc.m",
+            "alcove.TorusPoint.order", "alcove.CellLabel.S",
+            "alcove.CosetGeometry.quotient_left"} <= members - gaps
+    assert not any(_is_dunder(m.rpartition(".")[2]) for m in members)
+
+
+def test_members_are_read_through_attributes_and_getattr():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    def __init__(self):\n"
+        "        self.cache = {}\n"
+        "    def norm(self):\n"
+        "        return self.x\n"
+        "    def unused(self):\n"
+        "        return getattr(self, 'y')\n"
+        "    def __repr__(self):\n"
+        "        return 'Point'\n"
+        "def f(p):\n"
+        "    p.cache = 1\n"
+        "    return p.norm()\n")
+    members, gaps = unread_members({"m": module})
+    assert members == {"m.Point.x", "m.Point.y", "m.Point.cache",
+                       "m.Point.norm", "m.Point.unused"}
+    # x, norm and y are read through `.x`, `.norm` and getattr(self,
+    # "y"); `p.cache = 1` stores, and nothing reads unused
+    assert gaps == {"m.Point.cache", "m.Point.unused"}
+    # a reader outside the package counts, as perfbench does
+    reader = ast.parse("def g(p):\n    return p.unused()\n")
+    assert unread_members({"m": module}, [reader])[1] == {"m.Point.cache"}

@@ -10,21 +10,17 @@ group A1
 dim 1
 zeta 1 triv
 cell 0
-point 1 0
 gen 0 = -1
 gen 1 = -1
 layer 0 = 1
 """
 
 
-def test_springer_tables_partition_pairs():
-    """Every (class, system) pair in a table appears in exactly one block."""
+def test_springer_tables_pair_only_curated_classes():
+    """Every (class, system) pair in a table names a class of its group."""
     for tag in ("sl2", "torus"):
-        seen = []
-        for block in springer.springer_table(tag):
-            for pair, _label in block.pairs:
-                seen.append(pair)
-        assert len(seen) == len(set(seen))
+        for class_name, _system in springer.springer_table(tag):
+            assert class_name in springer.classes(tag)
 
 
 def test_springer_labels():
