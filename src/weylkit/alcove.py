@@ -295,17 +295,11 @@ def p_J(datum, J, d):
     return TorusPoint(values=tuple(g % 1 for g in gamma))
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
-    elements: tuple  # indices into geometry.quotient
-    lift_ok: bool
-
-
 def torus_stabilizer(datum, J, t, S):
-    """Stabilizer of a torus point in W_Jc, with the lift check against
-    the subgroup generated by {ss_k : k in Sc - J}."""
+    """The lift check: whether the subgroup generated by
+    {ss_k : k in Sc - J} maps injectively onto the stabilizer of the
+    torus point t in W_Jc."""
     geo = geometry(datum, J)
-    stabilizer = geo.stabilizer(t)
     lift_letters = [k for k in geo.jcheck if k not in set(S)]
     # Enumerate the subgroup of the full minimal-coset group generated by
     # the selected ss_k, tracking full matrices so injectivity is honest.
@@ -324,8 +318,8 @@ def torus_stabilizer(datum, J, t, S):
                 frontier.append(new)
     images = {geo.quotient_index[geo.restriction(w.mat)] if geo.dim
               else 0 for w in elements}
-    lift_ok = (len(images) == len(elements) and images == set(stabilizer))
-    return StabilizerResult(elements=stabilizer, lift_ok=lift_ok)
+    return (len(images) == len(elements)
+            and images == set(geo.stabilizer(t)))
 
 
 def grid_nodes(datum, J):

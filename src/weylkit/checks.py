@@ -49,7 +49,7 @@ def _c2_stabilizer_lift(config):
     datum = cartan_datum("A1")
     grid = alcove.grid_points(datum, (), config.denominator)
     for d, cell, t in grid:
-        if not alcove.torus_stabilizer(datum, (), t, cell.S).lift_ok:
+        if not alcove.torus_stabilizer(datum, (), t, cell.S):
             raise WeylkitError(f"lift check failed at {d.coords}")
     return f"lift check passed at {len(grid)} grid points"
 

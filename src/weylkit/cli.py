@@ -31,11 +31,10 @@ class SuiteConfig:
     p: int = 3
     n: int = 1
     denominator: int = 6
-    order_cap: int = 24
     out: str = ""
 
 
-_INT_KEYS = {"q", "p", "n", "denominator", "order_cap"}
+_INT_KEYS = {"q", "p", "n", "denominator"}
 _STR_KEYS = {"out"}
 
 
@@ -77,10 +76,8 @@ def parse_config(text):
 def _validate(config):
     if not pgl2._is_prime_power(config.q):
         raise ConfigError(f"q={config.q} is not a prime power")
-    for key in ("denominator", "order_cap"):
-        value = getattr(config, key)
-        if value < 1:
-            raise ConfigError(f"{key}={value} is not positive")
+    if config.denominator < 1:
+        raise ConfigError(f"denominator={config.denominator} is not positive")
 
 
 def _load_config(path):
@@ -138,9 +135,8 @@ def _cmd_weyl(args, config, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     gens = weyl.quotient_generators(datum, J)
-    matrix = weyl.quotient_coxeter_matrix(gens, order_cap=config.order_cap)
-    rows = [("coxeter_row", i,
-             " ".join("inf" if str(x) == "inf" else str(x) for x in row), "")
+    matrix = weyl.quotient_coxeter_matrix(gens)
+    rows = [("coxeter_row", i, " ".join(str(x) for x in row), "")
             for i, row in enumerate(matrix)]
     for k, w in gens:
         rows.append(("generator", k, weyl.word_str(w), "ok"))

@@ -18,10 +18,6 @@ class InfiniteGroupError(WeylkitError):
     """A finite-group operation was requested for an infinite group."""
 
 
-class UndecidedOrderError(WeylkitError):
-    """Order search exhausted its cap without a certificate either way."""
-
-
 class PreconditionError(WeylkitError):
     pass
 

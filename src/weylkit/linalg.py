@@ -10,8 +10,8 @@ entries, denominators cleared on entry) is reduced against the stored
 primitive pivot rows by cross-multiplication, fraction-free in the
 manner of Bareiss (1968), so a query costs one pass over the stored rows
 instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
-over it.  The Fraction Gauss-Jordan `row_reduce` remains only behind
-`solve`, which needs the reduced form itself.
+over it.  The Fraction Gauss-Jordan `row_reduce` remains behind `solve`,
+which needs the reduced form itself, and behind `mat_inv`.
 """
 
 import bisect
@@ -43,35 +43,14 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def mat_pow(a, k):
-    n = len(a)
-    result = identity_mat(n)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def mat_inv(a):
-    """Inverse of a square matrix over Fraction (exact Gauss-Jordan)."""
+    """Inverse of a square matrix over Fraction: `row_reduce` of [A | I]."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rref, pivots = row_reduce([tuple(row) + unit
+                               for row, unit in zip(a, identity_mat(n))])
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n:] for row in rref)
 
 
 def row_reduce(rows):

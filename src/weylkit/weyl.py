@@ -23,7 +23,6 @@ from .errors import (
     InternalConsistencyError,
     NodeSubsetError,
     PreconditionError,
-    UndecidedOrderError,
 )
 
 _STEP_CAP = 100000
@@ -232,48 +231,26 @@ def level_restriction(datum, mat):
     return tuple(tuple(cols[k][j] for k in range(n)) for j in range(n))
 
 
-def translation_vector(datum, mat):
-    """Displacement of the level-1 base point b'_0 under the map."""
-    img = tuple(mat[j][0] for j in range(datum.n + 1))
-    base = tuple(1 if j == 0 else 0 for j in range(datum.n + 1))
-    return linalg.vec_sub(img, base)
+def element_order(w):
+    """Order of w: a positive integer, or math.inf.
 
-
-def matrix_order(datum, mat, cap):
-    """Order of a level-preserving integer matrix on V-dagger.
-
-    Returns a positive integer, or math.inf when infinite order is
-    certified through a nonzero translation part.  Raises
-    UndecidedOrderError when the cap is exhausted without a certificate.
+    The linear part of w lies in the finite group W0, so some power w^k
+    has identity linear part.  That w^k is a translation: the identity
+    when w has order k, and of infinite order otherwise (Humphreys,
+    Reflection Groups and Coxeter Groups, 4.2).  No earlier power is the
+    identity, since the identity's linear part is the identity.
     """
-    size = datum.n + 1
-    eye = linalg.identity_mat(size)
-    power = mat
-    for k in range(1, cap + 1):
+    datum = w.datum
+    eye = linalg.identity_mat(datum.n + 1)
+    small_eye = linalg.identity_mat(datum.n)
+    power = w.mat
+    for k in range(1, _STEP_CAP + 1):
         if power == eye:
             return k
-        power = linalg.mat_mul(power, mat)
-    # Certify infinite order: finite order of the linear part on the
-    # level-0 slice, then a nonzero translation of that power.
-    restr = level_restriction(datum, mat)
-    small_eye = linalg.identity_mat(datum.n)
-    rpower = restr
-    m0 = None
-    for k in range(1, cap + 1):
-        if rpower == small_eye:
-            m0 = k
-            break
-        rpower = linalg.mat_mul(rpower, restr)
-    if m0 is None:
-        raise UndecidedOrderError("order cap exhausted on the linear part")
-    candidate = linalg.mat_pow(mat, m0)
-    if any(x != 0 for x in translation_vector(datum, candidate)):
-        return math.inf
-    raise UndecidedOrderError("translation certificate inconclusive")
-
-
-def element_order(w, cap=24):
-    return matrix_order(w.datum, w.mat, cap)
+        if level_restriction(datum, power) == small_eye:
+            return math.inf
+        power = linalg.mat_mul(power, w.mat)
+    raise InternalConsistencyError("order search exceeded the step cap")
 
 
 def quotient_generators(datum, J):
@@ -286,14 +263,14 @@ def quotient_generators(datum, J):
     return min_coset_generators(datum, J).require()
 
 
-def quotient_coxeter_matrix(gens, order_cap=24):
+def quotient_coxeter_matrix(gens):
     """Matrix of pairwise orders m(k, k') of the quotient generators
     `gens`, pairs (k, ss_k) from `quotient_generators`."""
     size = len(gens)
     matrix = [[1] * size for _ in range(size)]
     for a in range(size):
         for b in range(a + 1, size):
-            order = element_order(multiply(gens[a][1], gens[b][1]), order_cap)
+            order = element_order(multiply(gens[a][1], gens[b][1]))
             matrix[a][b] = order
             matrix[b][a] = order
     return tuple(tuple(row) for row in matrix)

@@ -34,16 +34,10 @@ oracle's own code, and the oracle would be true by construction.
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
-from .laurent import is_prime
+from .laurent import _require_prime
 
 # Pairs oracle_check may walk; the size of the lattice candidate-scan budget.
 ORACLE_PAIR_BUDGET = 200000
-
-
-def _require_prime(p):
-    if not is_prime(p):
-        raise UnsupportedRegimeError(f"{p} is not prime; only prime base"
-                                     " fields are supported")
 
 
 def _ghost(p, m, components):

@@ -135,20 +135,11 @@ def test_unknown_fourier_group_is_a_usage_error():
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["denominator", "order_cap"])
+@pytest.mark.parametrize("key", ["denominator"])
 def test_parse_config_rejects_a_non_positive_budget(key):
     for value in (0, -3):
         with pytest.raises(ConfigError, match=f"{key}={value} is not positive"):
             cli.parse_config(f"{key} {value}\n")
-
-
-def test_zero_order_cap_is_a_usage_error(tmp_path):
-    config = tmp_path / "cap.cfg"
-    config.write_text("order_cap 0\n")
-    code, out, err = run_cli(["--config", str(config), "weyl"])
-    assert code == 2
-    assert out == ""
-    assert err == "usage error: order_cap=0 is not positive\n"
 
 
 def test_pgl2_subcommand():
@@ -395,7 +386,8 @@ def test_unusable_node_subset_is_a_usage_error(argv, message):
     assert err == f"usage error: {message}\n"
 
 
-@pytest.mark.parametrize("line", ["window 6", "format tsv", "prec 8"])
+@pytest.mark.parametrize("line", ["window 6", "format tsv", "prec 8",
+                                  "order_cap 24"])
 def test_removed_config_keys_are_unknown(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"suite coxeter\n{line}\n")

@@ -210,8 +210,8 @@ def _character_values_without_the_first_fixed_point(rep, t_order):
 
 
 def _stabilizer_without_its_last_element(datum, J, t, S):
-    """torus_stabilizer with its last element dropped before the lift
-    comparison."""
+    """torus_stabilizer with the stabilizer's last element dropped
+    before the lift comparison."""
     geo = alcove.geometry(datum, J)
     stabilizer = geo.stabilizer(t)[:-1]
     gens = [g for k, g in geo.generators if k not in S]
@@ -225,15 +225,13 @@ def _stabilizer_without_its_last_element(datum, J, t, S):
                 elements.add(new)
                 frontier.append(new)
     images = {geo.quotient_index[geo.restriction(w.mat)] for w in elements}
-    return alcove.StabilizerResult(
-        elements=stabilizer,
-        lift_ok=len(images) == len(elements) and images == set(stabilizer))
+    return len(images) == len(elements) and images == set(stabilizer)
 
 
-def _base_vertex_stabilizer():
+def _base_vertex_lift_check():
     d = alcove.level_one_point(A1, (1, 0))
     t = alcove.p_J(A1, (), d)
-    return alcove.torus_stabilizer(A1, (), t, alcove.cell_of(d).S).elements
+    return alcove.torus_stabilizer(A1, (), t, alcove.cell_of(d).S)
 
 
 def _first_module_characters():
@@ -334,7 +332,7 @@ FAULTS = {
         lambda: lattices.borel_fiber_count(3)),
     "alcove.torus_stabilizer drops an element": (
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
-        {"C2"}, _base_vertex_stabilizer),
+        {"C2"}, _base_vertex_lift_check),
 }
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact

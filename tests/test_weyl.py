@@ -93,6 +93,25 @@ def test_element_order_certificates():
     assert weyl.element_order(translation) is math.inf
 
 
+# Coxeter numbers h (Humphreys, Reflection Groups and Coxeter Groups,
+# 3.18): the order of the Coxeter element s1...sn of the finite group.
+_COXETER_NUMBERS = {
+    "A1": 2, "A2": 3, "A4": 5, "A8": 9, "B3": 6, "B8": 16, "C2": 4,
+    "C8": 16, "D4": 6, "D8": 14, "E6": 12, "E7": 18, "E8": 30, "F4": 12,
+    "G2": 6,
+}
+
+
+@pytest.mark.parametrize("label", sorted(_COXETER_NUMBERS))
+def test_coxeter_element_orders(label):
+    # s1...sn has order h; the affine s0...sn has infinite order
+    datum = cartan_datum(label)
+    nodes = range(datum.n + 1)
+    finite = weyl.from_word(datum, nodes[1:])
+    assert weyl.element_order(finite) == _COXETER_NUMBERS[label]
+    assert weyl.element_order(weyl.from_word(datum, nodes)) is math.inf
+
+
 def test_quotient_coxeter_c2_column():
     inf = math.inf
     gens = weyl.quotient_generators(C2, (1,))
