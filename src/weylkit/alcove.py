@@ -112,7 +112,7 @@ class CosetGeometry:
     def __init__(self, datum, J):
         self.datum = datum
         self.J = tuple(sorted(set(J)))
-        self.generators = weyl.min_coset_generators(datum, self.J).require()
+        self.generators = weyl.min_coset_generators(datum, self.J)
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
         if len(self.jcheck) < 1:
             raise PreconditionError("complement of J is empty")

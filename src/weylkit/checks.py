@@ -67,9 +67,9 @@ def _c3_mackey_norm(config):
 
 
 def _c4_costandard(config):
-    costandard.load_costandard(costandard.BUILTIN_A1_TEXT)
+    costandard.validate_costandard(costandard.BUILTIN_A1)
     try:
-        costandard.load_costandard(costandard.SWAPPED_A1_TEXT)
+        costandard.validate_costandard(costandard.SWAPPED_A1)
     except TableRejectionError as exc:
         return f"builtin accepted; swapped rejected (layer {exc.layer})"
     raise WeylkitError("swapped table was accepted")

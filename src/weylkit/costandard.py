@@ -10,27 +10,14 @@ unit character), requires the top layer to match the Springer label of
 zeta, and requires the lower layers to be lattice-trivial with
 strictly larger classes in closure order.
 
-Text grammar (one record, '#' comments):
-
-    group A1
-    dim 2
-    zeta 1 triv
-    cell 0
-    gen 0 = -1 1 ; 0 1
-    gen 1 = -1 0 ; 0 1
-    layer 2 = 1 0
-    layer 0 = 1 0 ; 0 1
+The curated tables are the data constants `BUILTIN_A1`, which the
+validator accepts, and `SWAPPED_A1`, which it rejects at layer 2.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from . import linalg, springer
-from .errors import (
-    StructuralError,
-    TableRejectionError,
-    UnsupportedLabelError,
-)
+from .errors import TableRejectionError, UnsupportedLabelError
 
 
 @dataclass(frozen=True)
@@ -39,65 +26,11 @@ class CoStandardData:
     dim: int
     zeta: tuple        # (class name, system)
     cell: tuple        # S for the top label
-    generators: tuple  # matrices over Fraction, indexed by node letter
+    generators: tuple  # rational matrices, indexed by node letter
     filtration: tuple  # ((a, span rows), ...) descending in a
 
     def translation_matrix(self):
         return linalg.mat_mul(self.generators[0], self.generators[1])
-
-
-def _parse_span(text, dim):
-    rows = []
-    for chunk in text.split(";"):
-        row = tuple(Fraction(x) for x in chunk.split())
-        if len(row) != dim:
-            raise StructuralError("span vector has wrong length")
-        rows.append(row)
-    return tuple(rows)
-
-
-def _parse_matrix(text, dim):
-    rows = _parse_span(text, dim)
-    if len(rows) != dim:
-        raise StructuralError("matrix has wrong shape")
-    return rows
-
-
-def parse_costandard_table(text):
-    group = None
-    dim = None
-    zeta = None
-    cell = None
-    gens = {}
-    layers = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "group":
-            group = rest
-        elif key == "dim":
-            dim = int(rest)
-        elif key == "zeta":
-            zeta = tuple(rest.split())
-        elif key == "cell":
-            cell = tuple(int(x) for x in rest.split())
-        elif key == "gen":
-            idx, _, body = rest.partition("=")
-            gens[int(idx)] = _parse_matrix(body, dim)
-        elif key == "layer":
-            a, _, body = rest.partition("=")
-            layers.append((int(a), _parse_span(body, dim)))
-        else:
-            raise StructuralError(f"line {lineno}: unknown key {key!r}")
-    if None in (group, dim, zeta, cell) or not gens or not layers:
-        raise StructuralError("incomplete co-standard table")
-    layers.sort(key=lambda item: -item[0])
-    generators = tuple(gens[i] for i in sorted(gens))
-    return CoStandardData(group=group, dim=dim, zeta=zeta, cell=cell,
-                          generators=generators, filtration=tuple(layers))
 
 
 def _quotient_scalar(span, sub, mat, layer):
@@ -177,7 +110,7 @@ def validate_costandard(data):
                 f"lattice acts nontrivially on layer {a}", layer=a)
         matches = [pair for pair, irrep in springer.springer_table(tag).items()
                    if irrep == label]
-        if not any(springer.closure_leq(tag, data.zeta[0], cname, strict=True)
+        if not any(springer.closure_lt(tag, data.zeta[0], cname)
                    for cname, _ in matches):
             raise TableRejectionError(
                 f"layer {a} class is not strictly above zeta in closure order",
@@ -185,31 +118,12 @@ def validate_costandard(data):
     return data
 
 
-def load_costandard(table):
-    """Parse (if text) and validate a co-standard table."""
-    if isinstance(table, str):
-        table = parse_costandard_table(table)
-    return validate_costandard(table)
+BUILTIN_A1 = CoStandardData(
+    group="A1", dim=2, zeta=("1", "triv"), cell=(0,),
+    generators=(((-1, 1), (0, 1)), ((-1, 0), (0, 1))),
+    filtration=((2, ((1, 0),)), (0, ((1, 0), (0, 1)))))
 
-
-BUILTIN_A1_TEXT = """\
-group A1
-dim 2
-zeta 1 triv
-cell 0
-gen 0 = -1 1 ; 0 1
-gen 1 = -1 0 ; 0 1
-layer 2 = 1 0
-layer 0 = 1 0 ; 0 1
-"""
-
-SWAPPED_A1_TEXT = """\
-group A1
-dim 2
-zeta 1 triv
-cell 0
-gen 0 = 1 1 ; 0 -1
-gen 1 = 1 0 ; 0 -1
-layer 2 = 1 0
-layer 0 = 1 0 ; 0 1
-"""
+# Each generator's diagonal is swapped; gen 0's off-diagonal entry keeps
+# its sign, so this is not the negated builtin table.
+SWAPPED_A1 = replace(
+    BUILTIN_A1, generators=(((1, 1), (0, -1)), ((1, 0), (0, -1))))

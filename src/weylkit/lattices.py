@@ -32,8 +32,8 @@ Hermite diagonal, and `sharp` is a triangular back-substitution followed
 by a Hermite form modulo p^(2n).  Both strata routes read a single pass
 over the candidates.  At (p, n) = (3, 1) the pass sees 445 candidates
 and at (3, 2) 67,969, which run in seconds; (5, 2) has 2,890,693 and
-stops at the default budget of 200,000, while the tree has 37 vertices
-there.
+stops at the default budget `SCAN_BUDGET` of 200,000, while the tree has
+37 vertices there.
 """
 
 import itertools
@@ -315,6 +315,14 @@ def _certify(vertices):
     return points, len(direct)
 
 
+# Candidates the exhaustive scan tests by default.
+SCAN_BUDGET = 200000
+
+# Tree vertices enumerate_X_n forms by default: the largest sizes it
+# admits, such as (97, 2) with 9,605 vertices, take a few seconds.
+VERTEX_BUDGET = 10000
+
+
 def _scan(p, n, budget):
     """The candidates, raising BudgetError past `budget` of them.  The
     candidate stream forms no tuple it does not yield, so counting the
@@ -326,29 +334,24 @@ def _scan(p, n, budget):
         yield z
 
 
-def enumerate_self_dual(p, n, budget=200000):
+def enumerate_self_dual(p, n, budget=SCAN_BUDGET):
     """All lattices Lam with p^(2n) Z^3 <= Lam <= Z^3 and sharp(Lam) =
     Lam, canonically presented (the direct route), sorted by basis."""
     return sorted((z for z in _scan(p, n, budget) if _is_self_dual(z)),
                   key=lambda z: z.basis)
 
 
-def enumerate_isotropic(p, n, budget=200000):
+def enumerate_isotropic(p, n, budget=SCAN_BUDGET):
     """All submodules in the middle isotropic stratum (the quotient-side
     route), sorted by basis."""
     return sorted((z for z in _scan(p, n, budget)
                    if is_self_dual_isotropic(z)), key=lambda z: z.basis)
 
 
-def scan_points(p, n, budget=200000):
+def scan_points(p, n, budget=SCAN_BUDGET):
     """Certified bracket-closed points from the exhaustive candidate
     scan; returns (points, direct_count).  `budget` counts candidates."""
     return _certify(_scan(p, n, budget))
-
-
-# Tree vertices enumerate_X_n forms by default: the largest sizes it
-# admits, such as (97, 2) with 9,605 vertices, take a few seconds.
-VERTEX_BUDGET = 10000
 
 
 def tree_points(p, n, budget=VERTEX_BUDGET):

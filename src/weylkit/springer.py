@@ -51,10 +51,9 @@ def springer_label(group_tag, class_name, system):
     return table[(class_name, system)]
 
 
-def closure_leq(group_tag, c1, c2, strict=False):
+def closure_lt(group_tag, c1, c2):
+    """Whether class c1 lies strictly below c2 in closure order."""
     names = classes(group_tag)
     if c1 not in names or c2 not in names:
         raise PreconditionError("unknown class name")
-    if c1 == c2:
-        return not strict
     return (c1, c2) in _CLOSURE[group_tag]

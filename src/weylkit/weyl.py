@@ -167,20 +167,6 @@ def longest_element(datum, J):
     raise InternalConsistencyError("longest-element climb exceeded the step cap")
 
 
-@dataclass(frozen=True)
-class MinCosetResult:
-    """Outcome of min_coset_generators: verified generators plus failures."""
-    generators: tuple  # pairs (k, WeylElement)
-    failures: tuple    # nodes k whose candidate failed the membership check
-
-    def require(self):
-        """The generators, or NodeSubsetError when some candidate failed."""
-        if self.failures:
-            raise NodeSubsetError("J admits no minimal-coset generator ss_k"
-                                  f" for k in {self.failures}")
-        return self.generators
-
-
 def _normalizes_parabolic(w, J):
     winv = w.inverse()
     for j in J:
@@ -195,10 +181,10 @@ def _minimal_in_coset(w, J):
 
 
 def min_coset_generators(datum, J):
-    """Candidates ss_k = w0(J+k) w0(J) for k outside J, with membership checks.
+    """Pairs (k, ss_k), ss_k = w0(J+k) w0(J), for k outside J.
 
-    Total: failing candidates are reported in `failures` rather than raised,
-    since some J genuinely admit none.
+    Raises NodeSubsetError naming every k whose candidate fails the
+    membership checks, since some J genuinely admit none.
     """
     J = tuple(sorted(set(J)))
     if len(J) == datum.n + 1:
@@ -215,8 +201,10 @@ def min_coset_generators(datum, J):
             generators.append((k, ss))
         else:
             failures.append(k)
-    return MinCosetResult(generators=tuple(generators),
-                          failures=tuple(failures))
+    if failures:
+        raise NodeSubsetError("J admits no minimal-coset generator ss_k"
+                              f" for k in {tuple(failures)}")
+    return tuple(generators)
 
 
 def level_restriction(datum, mat):
@@ -260,7 +248,7 @@ def quotient_generators(datum, J):
     if len(set(J)) == datum.n:
         raise NodeSubsetError("the quotient Coxeter matrix needs J to leave"
                               " at least two nodes out")
-    return min_coset_generators(datum, J).require()
+    return min_coset_generators(datum, J)
 
 
 def quotient_coxeter_matrix(gens):

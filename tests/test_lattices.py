@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from math import gcd
 
@@ -103,8 +104,17 @@ def test_budget_bounds_the_candidates_formed():
     assert len(points) == direct == 5
     with pytest.raises(BudgetError):
         lattices.scan_points(3, 1, budget=444)
+    # (5, 2) has 2,890,693 candidates: the scan yields exactly
+    # SCAN_BUDGET of them, then refuses
+    formed = 0
     with pytest.raises(BudgetError):
-        lattices.scan_points(5, 2)
+        for _ in lattices._scan(5, 2, lattices.SCAN_BUDGET):
+            formed += 1
+    assert formed == lattices.SCAN_BUDGET
+    for scan in (lattices.enumerate_self_dual, lattices.enumerate_isotropic,
+                 lattices.scan_points):
+        default = inspect.signature(scan).parameters["budget"].default
+        assert default == lattices.SCAN_BUDGET
 
 
 def _ball_size(p, n):

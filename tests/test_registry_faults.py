@@ -253,8 +253,7 @@ def _layer_labels_with_sign_and_unit_swapped(data):
 
 
 def _builtin_layer_labels():
-    return costandard.layer_labels(
-        costandard.parse_costandard_table(costandard.BUILTIN_A1_TEXT))
+    return costandard.layer_labels(costandard.BUILTIN_A1)
 
 
 def _pairing_negated_on_the_sigma_one_diagonal(gamma, p, q):
