@@ -17,8 +17,8 @@ coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
 lift_target^-1 ss_k lift_i is read from those two tables.
 `CosetGeometry.stabilizer` is the one computation of the stabilizer of a
 torus point and `grid_points` the one walk from grid points to their
-cells and torus points; `reps` reads both, and the quotient tables as
-they are, with no wrapper.
+cells and torus points; `reps` reads both, `torus_act` and the
+quotient tables as they are, with no wrapper.
 """
 
 from dataclasses import dataclass
@@ -217,7 +217,6 @@ class CosetGeometry:
     def _build_lattice(self):
         if self.dim == 0:
             self.torus_actions = [()] * len(self.quotient)
-            self.dual_actions = self.torus_actions
             return
         # Schreier generators of the kernel of the quotient map.
         lifts = self.quotient_lifts
@@ -248,10 +247,6 @@ class CosetGeometry:
                 rows.append(tuple(int(x) for x in row))
             actions.append(tuple(rows))
         self.torus_actions = actions
-        # The dual action on the character lattice L, per element: the
-        # transpose of the action of the inverse element.
-        self.dual_actions = [linalg.transpose(actions[i])
-                             for i in self.quotient_inverse]
 
     def lattice_coords(self, ucoords):
         """Coordinates over the L'-basis of a z_J vector in u-coordinates."""

@@ -7,8 +7,10 @@ sets, and the top label zeta = (class, system) with its cell data.
 Validation checks invariance of every filtration step, identifies each
 layer (the curated layers are one-dimensional, either the sign or the
 unit character), requires the top layer to match the Springer label of
-zeta, and requires the lower layers to be lattice-trivial with
-strictly larger classes in closure order.
+zeta, and requires the lower layers to have strictly larger classes in
+closure order.  Every layer is lattice-trivial by then: the lattice
+acts through gen0 gen1, and on a layer where both generators act by
+the same curated character (both 1 or both -1) that product is 1.
 
 The curated tables are the data constants `BUILTIN_A1`, which the
 validator accepts, and `SWAPPED_A1`, which it rejects at layer 2.
@@ -29,28 +31,26 @@ class CoStandardData:
     generators: tuple  # rational matrices, indexed by node letter
     filtration: tuple  # ((a, span rows), ...) descending in a
 
-    def translation_matrix(self):
-        return linalg.mat_mul(self.generators[0], self.generators[1])
 
-
-def _quotient_scalar(span, sub, mat, layer):
-    """Scalar by which mat acts on the 1-dimensional quotient span/sub."""
-    vec = next(v for v in span if not linalg.in_span(sub, v))
-    image = linalg.mat_vec(mat, vec)
-    # image = scalar * vec modulo sub: solve over span(sub + {vec}).
-    rows = list(sub) + [vec]
-    sol = linalg.solve(linalg.transpose(rows), image)
-    if sol is None:
-        raise TableRejectionError("layer is not invariant", layer=layer)
-    return sol[-1]
+def _layer_character(span, sub, generators, layer):
+    """'sign' or 'unit': the character by which the generators act on
+    the one-dimensional quotient span/sub.  For v in span but not in
+    sub, each image w is -v modulo sub (sign) or v modulo sub (unit)."""
+    v = next(v for v in span if not linalg.in_span(sub, v))
+    for label, sign in (("sign", 1), ("unit", -1)):
+        if all(linalg.in_span(sub, tuple(w + sign * x for w, x in
+                                         zip(linalg.mat_vec(mat, v), v)))
+               for mat in generators):
+            return label
+    raise TableRejectionError(
+        f"layer {layer} is not a curated character", layer=layer)
 
 
 def layer_labels(data):
-    """(degree, character label, lattice scalar) for each graded layer,
-    top first.  The curated layers are one-dimensional, acting either by
-    the sign or the unit character of the finite generators."""
+    """(degree, character label) for each graded layer, top first.  The
+    curated layers are one-dimensional, acting either by the sign or the
+    unit character of the finite generators."""
     chain = data.filtration
-    translation = data.translation_matrix()
     labels = []
     for idx, (a, span) in enumerate(chain):
         sub = chain[idx - 1][1] if idx > 0 else ()
@@ -60,17 +60,7 @@ def layer_labels(data):
         if layer_dim != 1:
             raise TableRejectionError(
                 f"layer {a} is not one-dimensional (uncurated)", layer=a)
-        scalars = [_quotient_scalar(span, sub, mat, a)
-                   for mat in data.generators]
-        lattice_scalar = _quotient_scalar(span, sub, translation, a)
-        if all(s == -1 for s in scalars):
-            label = "sign"
-        elif all(s == 1 for s in scalars):
-            label = "unit"
-        else:
-            raise TableRejectionError(
-                f"layer {a} is not a curated character", layer=a)
-        labels.append((a, label, lattice_scalar))
+        labels.append((a, _layer_character(span, sub, data.generators, a)))
     return tuple(labels)
 
 
@@ -98,16 +88,13 @@ def validate_costandard(data):
         previous = span
     # Identify the layers (curated: one-dimensional, sign or unit).
     labels = layer_labels(data)
-    top_a, top_label, _ = labels[0]
+    top_a, top_label = labels[0]
     if top_label != expected_top:
         raise TableRejectionError(
             f"top layer {top_a} is {top_label}, zeta requires {expected_top}",
             layer=top_a)
-    # Lower layers: lattice-trivial, classes strictly above in closure order.
-    for a, label, lattice_scalar in labels[1:]:
-        if lattice_scalar != 1:
-            raise TableRejectionError(
-                f"lattice acts nontrivially on layer {a}", layer=a)
+    # Lower layers: classes strictly above in closure order.
+    for a, label in labels[1:]:
         matches = [pair for pair, irrep in springer.springer_table(tag).items()
                    if irrep == label]
         if not any(springer.closure_lt(tag, data.zeta[0], cname)

@@ -38,7 +38,6 @@ stops at the default budget `SCAN_BUDGET` of 200,000, while the tree has
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -90,15 +89,13 @@ def pairing(u, v):
 
 def check_datum(p):
     """Constructor checks: Killing nondegeneracy mod p, recomputed Gram
-    matrix."""
+    matrix.  GRAM has determinant -128 = -2^7, so the form degenerates
+    mod p exactly when p = 2."""
     if p < 3:
         raise PreconditionError(
             "the Killing form degenerates in characteristic 2")
     if killing_gram() != GRAM:
         raise StructuralError("stored Gram matrix is inconsistent")
-    det = linalg.mat_inv(tuple(tuple(Fraction(x) for x in row)
-                               for row in GRAM))  # raises if singular
-    del det
     return True
 
 

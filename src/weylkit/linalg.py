@@ -10,8 +10,8 @@ entries, denominators cleared on entry) is reduced against the stored
 primitive pivot rows by cross-multiplication, fraction-free in the
 manner of Bareiss (1968), so a query costs one pass over the stored rows
 instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
-over it.  The Fraction Gauss-Jordan `row_reduce` remains behind `solve`,
-which needs the reduced form itself, and behind `mat_inv`.
+over it.  The Fraction Gauss-Jordan `row_reduce` remains behind
+`mat_inv`, which needs the reduced form itself.
 """
 
 import bisect
@@ -125,23 +125,6 @@ class EchelonBasis:
 
 def rank(rows):
     return len(EchelonBasis(rows))
-
-
-def solve(a, b):
-    """One solution x of a x = b over Fraction, or None if inconsistent."""
-    n = len(a)
-    ncols = len(a[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    rref, pivots = row_reduce(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = rref[r][ncols]
-    return tuple(x)
 
 
 def in_span(rows, v):

@@ -1,14 +1,16 @@
 """Finite-dimensional modules of the semidirect groups L . W_Jc.
 
-An induced irreducible is built from a torus point t = p_J(d) and a
-character rho of the subgroup generated by the selected ss_k: the
-lattice acts by finite-order characters twisted along coset
-representatives, the finite generators permute cosets with rho-scalars,
-so every image is a monomial matrix.  All scalars are exact cyclotomics.
-Products, inverses, the lattice action and the stabilizer of t are read
-straight from the tables of `alcove.CosetGeometry`, and the coset
-representatives are taken in index order.  `grid_modules` and
-`build_irreducible` share one core, `_induced`.
+An induced irreducible Ind([t] x rho) is built from a torus point
+t = p_J(d) and a character rho of its stabilizer H, generated by the
+selected ss_k.  By Clifford-Mackey theory its lattice part is the
+W_Jc-orbit of t: a module carries the orbit point r_c . t of each coset
+r_c H, and the lattice acts on that coset by that character.  The finite
+generators permute cosets with rho-scalars, so every image is a monomial
+matrix with exact cyclotomic scalars.  Products, inverses, the lattice
+action and the stabilizer of t are read straight from the tables of
+`alcove.CosetGeometry`, and the coset representatives are taken in
+index order.  `grid_modules` and `build_irreducible` share one core,
+`_induced`.
 """
 
 import itertools
@@ -22,12 +24,6 @@ from .errors import (
     LiftCheckError,
     PreconditionError,
 )
-
-
-def _zeta_of(value):
-    """exp(2 pi i value) for a rational value, as a cyclotomic scalar."""
-    v = value % 1
-    return Cyc.zeta(v.denominator, v.numerator)
 
 
 def _subgroup(geo, letters):
@@ -60,24 +56,9 @@ def _compose(a, b):
 @dataclass
 class FiniteDimRep:
     dimension: int
-    lattice_diagonals: tuple  # per L-basis vector: tuple of dim scalars
-    finite_images: dict       # generator letter k -> monomial (perm, scalars)
-    geometry: object          # alcove.CosetGeometry, for evaluating elements
-
-    def lattice_image(self, x):
-        """Diagonal scalars of the lattice element with coordinates x."""
-        out = [Cyc.rational(1)] * self.dimension
-        for j, power in enumerate(x):
-            if power == 0:
-                continue
-            diag = self.lattice_diagonals[j]
-            for i in range(self.dimension):
-                z = diag[i]
-                if power < 0:
-                    z = z.conjugate()  # roots of unity: inverse
-                for _ in range(abs(power)):
-                    out[i] = out[i] * z
-        return tuple(out)
+    points: tuple         # per coset, in transversal order: r_c . t
+    finite_images: dict   # generator letter k -> monomial (perm, scalars)
+    geometry: object      # alcove.CosetGeometry, for evaluating elements
 
     def finite_image(self, finite_index):
         """The monomial (perm, scalars) of the quotient element."""
@@ -129,29 +110,19 @@ def _induced(geo, S, t, rho):
     if set(sub_words) != set(geo.stabilizer(t)):
         raise LiftCheckError("generated subgroup is not the stabilizer of t")
     rho_values = _rho_on_subgroup(geo, sub_words, rho)
-    # A transversal in index order: the first unseen index of each left
-    # coset iH represents it.
+    # H is the stabilizer of t, so the left coset iH is the point i . t,
+    # and a transversal in index order keeps the first index of each new
+    # point.
+    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient))]
     reps_list = []
     coset_of = {}
-    for i in range(len(geo.quotient)):
-        if i not in coset_of:
-            for h in sub_words:
-                coset_of[geo.quotient_product(i, h)] = len(reps_list)
+    for i, point in enumerate(orbit):
+        if point not in coset_of:
+            coset_of[point] = len(reps_list)
             reps_list.append(i)
     dim = len(reps_list)
     if dim * len(sub_words) != len(geo.quotient):
         raise InternalConsistencyError("coset representatives do not tile")
-
-    # Lattice basis vectors act diagonally: on coset rep r_c the basis
-    # vector e_j acts by t(r_c^{-1} e_j), column j of the dual action.
-    lattice_diagonals = []
-    for j in range(geo.dim):
-        diag = []
-        for i in reps_list:
-            action = geo.dual_actions[geo.quotient_inverse[i]]
-            val = sum(row[j] * v for row, v in zip(action, t.values))
-            diag.append(_zeta_of(val))
-        lattice_diagonals.append(tuple(diag))
 
     # A finite generator g sends the coset of r_c to the coset of
     # r_row = g r_c h^{-1}, h in the subgroup, with the scalar rho(h).
@@ -160,7 +131,7 @@ def _induced(geo, S, t, rho):
         perm, scalars = [], []
         for i in reps_list:
             u = left[i]
-            row = coset_of[u]
+            row = coset_of[orbit[u]]
             perm.append(row)
             h = geo.quotient_product(geo.quotient_inverse[reps_list[row]], u)
             scalars.append(rho_values[h])
@@ -168,7 +139,7 @@ def _induced(geo, S, t, rho):
 
     rep = FiniteDimRep(
         dimension=dim,
-        lattice_diagonals=tuple(lattice_diagonals),
+        points=tuple(orbit[i] for i in reps_list),
         finite_images=finite_images,
         geometry=geo,
     )
@@ -182,17 +153,18 @@ def _verify_relations(rep):
     for k, mat in rep.finite_images.items():
         if _compose(mat, mat) != eye:
             raise InternalConsistencyError(f"image of ss_{k} is not an involution")
-    # Compatibility of the semidirect structure: F_k X_j = X_{g_k . e_j} F_k.
-    # On e_c both sides give scalars[c] e_perm[c] times X_j[c] and
-    # X_{g_k . e_j}[perm[c]] respectively; the involution check has made
-    # every scalar nonzero.  g_k . e_j is column j of g_k's dual action.
+    # Compatibility of the semidirect structure: F_k X = (g_k . X) F_k.
+    # On e_c, X acts by the character points[c] and after F_k by
+    # points[perm[c]]; the involution check has made every scalar
+    # nonzero, and the actions are integer matrices with integer
+    # inverses, so the relation holds for every X exactly when g_k moves
+    # points[c] to points[perm[c]].
     for k, (perm, _) in rep.finite_images.items():
-        action = geo.dual_actions[geo.quotient_left[k][0]]
-        for j, diag in enumerate(rep.lattice_diagonals):
-            moved = rep.lattice_image(tuple(row[j] for row in action))
-            if any(diag[c] != moved[p] for c, p in enumerate(perm)):
-                raise InternalConsistencyError(
-                    "lattice conjugation relation fails")
+        g = geo.quotient_left[k][0]
+        if any(geo.torus_act(g, point) != rep.points[p]
+               for point, p in zip(rep.points, perm)):
+            raise InternalConsistencyError(
+                "lattice conjugation relation fails")
 
 
 def character_values(rep, t_order):
@@ -201,29 +173,27 @@ def character_values(rep, t_order):
 
     The image of (x, w_i) is diag(x) F_i with diag(x) diagonal and F_i
     monomial, so its trace reads only the fixed points of F_i.  Each F_i
-    is built once, and diag(x) multiplies one row per lattice basis
-    vector from a table of the powers diag_j^k, k < M."""
-    dim = rep.dimension
+    is built once.  On the coset of r_c, x acts by exp(2 pi i <x, r_c . t>);
+    r_c . t has the order of t, so with M a multiple of it <x, r_c . t> M
+    is an integer k and the scalar is zeta_M^k."""
     M = max(1, t_order)
+    if any(M % v.denominator for point in rep.points for v in point.values):
+        raise PreconditionError(
+            f"the module's torus points have an order that does not"
+            f" divide {M}")
+    numerators = [tuple((v * M).numerator for v in point.values)
+                  for point in rep.points]
+    zetas = [Cyc.zeta(M, k) for k in range(M)]
     fin_diagonals = []
     for i in range(len(rep.geometry.quotient)):
         perm, scalars = rep.finite_image(i)
-        fin_diagonals.append([(pos, scalars[pos]) for pos in range(dim)
+        fin_diagonals.append([(pos, scalars[pos])
+                              for pos in range(rep.dimension)
                               if perm[pos] == pos])
-    ones = (Cyc.rational(1),) * dim
-    powers = []
-    for diag in rep.lattice_diagonals:
-        table = [ones]
-        for _ in range(M - 1):
-            table.append(tuple(z * w for z, w in zip(table[-1], diag)))
-        powers.append(table)
     zero = Cyc.rational(0)
-    for x in itertools.product(range(M), repeat=len(powers)):
-        lat = ones
-        for table, k in zip(powers, x):
-            if k:
-                lat = table[k] if lat is ones else tuple(
-                    z * w for z, w in zip(lat, table[k]))
+    for x in itertools.product(range(M), repeat=rep.geometry.dim):
+        lat = [zetas[sum(a * b for a, b in zip(x, num)) % M]
+               for num in numerators]
         for entries in fin_diagonals:
             yield sum((lat[pos] * f for pos, f in entries), zero)
 

@@ -199,9 +199,10 @@ def _inverse_that_is_itself(w):
 def _character_values_without_the_first_fixed_point(rep, t_order):
     """Each trace chi(x, w_i) with the term of the first fixed point of
     the monomial F_i dropped."""
-    for x in itertools.product(range(max(1, t_order)),
-                               repeat=len(rep.lattice_diagonals)):
-        lat = rep.lattice_image(x)
+    M = max(1, t_order)
+    for x in itertools.product(range(M), repeat=rep.geometry.dim):
+        lat = [Cyc.zeta(M, (sum(a * v for a, v in zip(x, p.values)) * M)
+                        .numerator) for p in rep.points]
         for i in range(len(rep.geometry.quotient)):
             perm, scalars = rep.finite_image(i)
             fixed = [pos for pos in range(rep.dimension) if perm[pos] == pos]
@@ -248,8 +249,7 @@ _PAIRING = fourier.pairing
 def _layer_labels_with_sign_and_unit_swapped(data):
     """Each layer labelled by the other curated character."""
     swap = {"sign": "unit", "unit": "sign"}
-    return tuple((a, swap[label], scalar)
-                 for a, label, scalar in _LAYER_LABELS(data))
+    return tuple((a, swap[label]) for a, label in _LAYER_LABELS(data))
 
 
 def _builtin_layer_labels():

@@ -123,10 +123,13 @@ def _a2_modules(coords):
 def _reference_characters(rep, t_order):
     """chi(x, w_i) in the order of `character_values`, by the direct
     route: the finite image as a product of dense generator matrices over
-    its word, the lattice image by repeated multiplication, the whole
-    matrix diag(x) F_i and its trace."""
+    its word, the lattice image by repeated multiplication of the basis
+    vectors' diagonals exp(2 pi i points[c]_j), the whole matrix
+    diag(x) F_i and its trace."""
     dim = rep.dimension
-    rank = len(rep.lattice_diagonals)
+    rank = rep.geometry.dim
+    diagonals = [[Cyc.zeta(p.values[j].denominator, p.values[j].numerator)
+                  for p in rep.points] for j in range(rank)]
     finite = []
     for word in rep.geometry.quotient_words:
         mat = _dense((tuple(range(dim)), (Cyc.rational(1),) * dim))
@@ -138,7 +141,7 @@ def _reference_characters(rep, t_order):
         diag = [Cyc.rational(1)] * dim
         for j, power in enumerate(x):
             for _ in range(power):
-                diag = [z * w for z, w in zip(diag, rep.lattice_diagonals[j])]
+                diag = [z * w for z, w in zip(diag, diagonals[j])]
         for fin in finite:
             image = [[diag[r] * fin[r][c] for c in range(dim)]
                      for r in range(dim)]
@@ -166,6 +169,39 @@ def test_character_values_match_the_direct_route():
         assert got == _reference_characters(rep, order)
 
 
+C2 = cartan_datum("C2")
+
+
+def test_module_points_are_the_orbit_of_t():
+    # the first coset is H itself; each coset r_c H carries the point
+    # r_c . t, and distinct cosets carry distinct points
+    modules = [(t, rep)
+               for datum, J, denominator in ((A1, (), 10), (C2, (0,), 6))
+               for _, _, t, _, rep in reps.grid_modules(datum, J, denominator)]
+    for coords, _ in A2_POINTS:
+        t, built = _a2_modules(coords)
+        modules += [(t, rep) for rep in built]
+    for t, rep in modules:
+        geo = rep.geometry
+        assert rep.points[0] == t
+        assert len(set(rep.points)) == len(rep.points) == rep.dimension
+        assert set(rep.points) \
+            == {geo.torus_act(i, t) for i in range(len(geo.quotient))}
+
+
+def test_character_values_need_a_multiple_of_the_points_order():
+    d = _point(Fraction(1, 3))
+    cell = alcove.cell_of(d)
+    (rho,) = reps.lift_characters(alcove.geometry(A1, ()), [])
+    rep = reps.build_irreducible(A1, (), cell.S, d, rho)
+    assert {p.order for p in rep.points} == {3}
+    for t_order in (1, 2, 4):
+        with pytest.raises(PreconditionError, match=f"divide {t_order}"):
+            next(reps.character_values(rep, t_order))
+    # a multiple of the order reads the same module over a larger quotient
+    assert reps.character_norm(rep, 6) == Cyc.rational(1)
+
+
 def test_grid_modules_follow_the_grid_and_the_lift_characters():
     geo = alcove.geometry(A1, ())
     want = []
@@ -180,7 +216,7 @@ def test_grid_modules_follow_the_grid_and_the_lift_characters():
 
 
 def _module_data(rep):
-    return rep.dimension, rep.lattice_diagonals, rep.finite_images
+    return rep.dimension, rep.points, rep.finite_images
 
 
 def test_build_irreducible_and_grid_modules_share_one_core():
@@ -241,3 +277,7 @@ def test_verify_relations_rejects_corrupted_images():
             rep, finite_images={**rep.finite_images, k: bad})
         with pytest.raises(InternalConsistencyError):
             reps._verify_relations(broken)
+    # points moved off their cosets break the relation
+    shifted = dataclasses.replace(rep, points=rep.points[1:] + rep.points[:1])
+    with pytest.raises(InternalConsistencyError, match="conjugation"):
+        reps._verify_relations(shifted)

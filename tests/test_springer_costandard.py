@@ -40,7 +40,7 @@ def test_closure_order():
 def test_costandard_builtin_accepted():
     costandard.validate_costandard(BUILTIN_A1)
     labels = costandard.layer_labels(BUILTIN_A1)
-    assert labels == ((2, "sign", 1), (0, "unit", 1))
+    assert labels == ((2, "sign"), (0, "unit"))
     # the top layer carries the generalized Springer label of zeta
     assert labels[0][1] == springer.springer_label("sl2", *BUILTIN_A1.zeta)
 
