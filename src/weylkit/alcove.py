@@ -15,10 +15,13 @@ The breadth-first search that builds the quotient carries each
 element's lift along its word (lift_j = ss_k lift_i) and records the
 coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
 lift_target^-1 ss_k lift_i is read from those two tables.
-`CosetGeometry.stabilizer` is the one computation of the stabilizer of a
-torus point and `grid_points` the one walk from grid points to their
-cells and torus points; `reps` reads both, `torus_act` and the
-quotient tables as they are, with no wrapper.
+`CosetGeometry.stabilizer` computes the stabilizer of a torus point for
+the lift check `torus_stabilizer` (C2); `reps` reads a module's
+stabilizer off the orbit it computes anyway (C3), and both compare it
+with the subgroup the selected ss_k generate.
+`grid_points` is the one walk from grid points to their cells and torus
+points; `reps` reads it, `torus_act` and the quotient tables as they
+are, with no wrapper.
 """
 
 from dataclasses import dataclass

@@ -74,8 +74,8 @@ def parse_config(text):
 
 
 def _validate(config):
-    if not pgl2._is_prime_power(config.q):
-        raise ConfigError(f"q={config.q} is not a prime power")
+    if not is_prime(config.q):
+        raise ConfigError(f"q={config.q} is not a prime")
     if config.denominator < 1:
         raise ConfigError(f"denominator={config.denominator} is not positive")
 

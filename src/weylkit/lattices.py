@@ -16,24 +16,26 @@ The points come from the Bruhat-Tits tree of PGL2(Q_p) (Serre, Trees,
 II.1): they are the lattices ad(g) L_0 for the vertices g L_0 within
 distance n of the base vertex.  The Killing form is ad-invariant, so each
 is self-dual and bracket-closed, and `tree_points` forms each vertex once
-from an upper-triangular representative, integer-only, with `budget`
-bounding the vertices formed.  `enumerate_X_n` tests every tree point by
-both routes, the isotropic stratum (d, the pairing, the trilinear form)
-and the direct one (a fixed point of the dual `sharp`, bracket closure),
-and certifies the points on which they agree.
+from an upper-triangular representative, integer-only, with
+`VERTEX_BUDGET` bounding the vertices formed.  `enumerate_X_n` tests
+every tree point by both routes, the isotropic stratum (d, the pairing,
+the trilinear form) and the direct one (a fixed point of the dual
+`sharp`, bracket closure), and certifies the points on which they agree.
 
 The exhaustive scan is the independent route the registry checks the
 tree against.  Its candidates are upper-triangular Hermite bases with
 p-power diagonal; only off-diagonal entries that satisfy the congruences
-for containing p^(2n) Z^3 are ever formed, and `budget` bounds how many
-are tested.  Membership of a vector in such a lattice ([u, v] in p^n Lam
-for bracket closure) is one integer back-substitution, d is read from the
-Hermite diagonal, and `sharp` is a triangular back-substitution followed
-by a Hermite form modulo p^(2n).  Both strata routes read a single pass
-over the candidates.  At (p, n) = (3, 1) the pass sees 445 candidates
-and at (3, 2) 67,969, which run in seconds; (5, 2) has 2,890,693 and
-stops at the default budget `SCAN_BUDGET` of 200,000, while the tree has
-37 vertices there.
+for containing p^(2n) Z^3 are ever formed, and `SCAN_BUDGET` bounds how
+many are tested.  Membership of a vector in such a lattice ([u, v] in
+p^n Lam for bracket closure) is one integer back-substitution, d is read
+from the Hermite diagonal, and `sharp` is a triangular
+back-substitution followed by a Hermite form modulo p^(2n).  Both strata
+routes read a single pass over the candidates.  At (p, n) = (3, 1) the
+pass sees 445 candidates and at (3, 2) 67,969, which run in seconds;
+(5, 2) has 2,890,693 and stops at `SCAN_BUDGET`'s 200,000, while the tree
+has 37 vertices there.
+Both budgets are module constants, read when a walk starts, as
+`pgl2.WALK_NODE_BUDGET` and `alcove.GRID_WORK_BUDGET` are.
 """
 
 import itertools
@@ -312,46 +314,47 @@ def _certify(vertices):
     return points, len(direct)
 
 
-# Candidates the exhaustive scan tests by default.
+# Candidates the exhaustive scan tests.
 SCAN_BUDGET = 200000
 
-# Tree vertices enumerate_X_n forms by default: the largest sizes it
-# admits, such as (97, 2) with 9,605 vertices, take a few seconds.
+# Tree vertices enumerate_X_n forms: the largest sizes it admits, such as
+# (97, 2) with 9,605 vertices, take a few seconds.
 VERTEX_BUDGET = 10000
 
 
-def _scan(p, n, budget):
-    """The candidates, raising BudgetError past `budget` of them.  The
+def _scan(p, n):
+    """The candidates, raising BudgetError past SCAN_BUDGET of them.  The
     candidate stream forms no tuple it does not yield, so counting the
     candidates here bounds the work."""
     check_datum(p)
     for count, z in enumerate(candidates(p, n), start=1):
-        if count > budget:
+        if count > SCAN_BUDGET:
             raise BudgetError("lattice enumeration budget exceeded")
         yield z
 
 
-def enumerate_self_dual(p, n, budget=SCAN_BUDGET):
+def enumerate_self_dual(p, n):
     """All lattices Lam with p^(2n) Z^3 <= Lam <= Z^3 and sharp(Lam) =
     Lam, canonically presented (the direct route), sorted by basis."""
-    return sorted((z for z in _scan(p, n, budget) if _is_self_dual(z)),
+    return sorted((z for z in _scan(p, n) if _is_self_dual(z)),
                   key=lambda z: z.basis)
 
 
-def enumerate_isotropic(p, n, budget=SCAN_BUDGET):
+def enumerate_isotropic(p, n):
     """All submodules in the middle isotropic stratum (the quotient-side
     route), sorted by basis."""
-    return sorted((z for z in _scan(p, n, budget)
-                   if is_self_dual_isotropic(z)), key=lambda z: z.basis)
+    return sorted((z for z in _scan(p, n) if is_self_dual_isotropic(z)),
+                  key=lambda z: z.basis)
 
 
-def scan_points(p, n, budget=SCAN_BUDGET):
+def scan_points(p, n):
     """Certified bracket-closed points from the exhaustive candidate
-    scan; returns (points, direct_count).  `budget` counts candidates."""
-    return _certify(_scan(p, n, budget))
+    scan; returns (points, direct_count).  SCAN_BUDGET counts
+    candidates."""
+    return _certify(_scan(p, n))
 
 
-def tree_points(p, n, budget=VERTEX_BUDGET):
+def tree_points(p, n):
     """The lattices ad(g) L_0 for the vertices g L_0 of the Bruhat-Tits
     tree within distance n of the base, sorted by basis.
 
@@ -360,13 +363,14 @@ def tree_points(p, n, budget=VERTEX_BUDGET):
     means a = 0, c = 0 or p does not divide b (Serre, Trees, II.1).
     ad(g) sends e, h, f to p^(a-c) e, h - 2b p^-c e and
     p^(c-a) f + b p^-a h - b^2 p^-k e; scaled by p^n the rows are
-    integral for k <= n.  `budget` bounds the vertices formed: the walk
-    refuses before it starts when the p^n vertices with c = 0 at distance
+    integral for k <= n.  VERTEX_BUDGET bounds the vertices formed: the
+    walk refuses before it starts when the p^n vertices with c = 0 at distance
     n exceed it, and otherwise charges every vertex it forms.  A vertex
     whose canonical diagonal is not p^(3n), the index of every self-dual
     lattice in the window, or two vertices with one canonical basis,
     raise StructuralError."""
     check_datum(p)
+    budget = VERTEX_BUDGET
     farthest = 1
     for _ in range(n):  # stops once p^k passes the budget, whatever n is
         farthest *= p
@@ -403,12 +407,12 @@ def tree_points(p, n, budget=VERTEX_BUDGET):
     return points
 
 
-def enumerate_X_n(p, n, budget=VERTEX_BUDGET):
+def enumerate_X_n(p, n):
     """Certified bracket-closed points: the tree points that pass the
     isotropic route, cross-checked against those that pass the direct
-    one; returns (points, direct_count).  `budget` counts tree
+    one; returns (points, direct_count).  VERTEX_BUDGET counts tree
     vertices."""
-    return _certify(tree_points(p, n, budget))
+    return _certify(tree_points(p, n))
 
 
 def _lattice_bracket_closed(z):

@@ -132,18 +132,6 @@ def _pieces(C, letter):
             (-b.shift(2), None, None), (a, eb, None))
 
 
-def _children(pieces, q):
-    """The q children s^-1 C s, t in range(q), from C's pieces: at most
-    three `laurent.quadratic` constructions each."""
-    def entry(t, piece):
-        x0, x1, x2 = piece
-        return x0 if x1 is None else quadratic(t, x0, x1, x2)
-
-    p00, p01, p10, p11 = pieces
-    return [((entry(t, p00), entry(t, p01)), (entry(t, p10), entry(t, p11)))
-            for t in range(q)]
-
-
 def _entry_pairs(piece, q):
     """The valuations of x0 + t x1 + t^2 x2 for t in range(q), equal to
     those of the scalars `laurent.quadratic` builds: x0's own at t = 0;
@@ -171,19 +159,13 @@ def _entry_pairs(piece, q):
     return vals
 
 
-def _tau_conjugate(C):
-    """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]]."""
-    (a, b), (c, d) = C
-    return ((d, c.shift(-1)), (b.shift(1), a))
-
-
 def _child_branches(C, letter, pieces, q):
     """The branches of C's q children s^-1 C s, t in range(q), for the
     letter their words take next, formed straight from C's entries, its
     pieces `_pieces(C, letter)` and t, without building the children.
     Each branch is (b-piece, c-piece, thunk) and the thunk forms its
-    (a-piece, d-piece); the pieces equal `_pieces` of the child that
-    `_children` builds.  The terms all t share are formed once, or read
+    (a-piece, d-piece); the pieces equal `_pieces` of the child built as
+    a matrix.  The terms all t share are formed once, or read
     from C's pieces where those hold them, so a child's b- and c-pieces
     take two `laurent.quadratic` calls; the terms only the a- and
     d-pieces read are formed in the thunk, which a walk calls only for a
@@ -244,23 +226,6 @@ def _i2_children(branches, q):
             count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
                          for t in passing)
     return count
-
-
-def conjugate_levels(g):
-    """Yield, for word lengths 0, 1, 2, ..., the conjugates x^-1 g x over
-    that level's coset representatives x I1, each followed by its
-    tau-conjugate.  Each length-l word in the two alternating letters
-    contributes q^l nodes, each built as a matrix: the reference the
-    tests compare the count's valuation route with.  The levels carry
-    x^-1 g x down, never x."""
-    q = g[0][0].q
-    frontier = [(g, None)]
-    while True:
-        yield [m for conj, _ in frontier for m in (conj, _tau_conjugate(conj))]
-        frontier = [(child, letter)
-                    for conj, last in frontier
-                    for letter in (0, 1) if letter != last
-                    for child in _children(_pieces(conj, letter), q)]
 
 
 def fixed_point_count(g, prec=None):

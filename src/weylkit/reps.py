@@ -6,10 +6,13 @@ selected ss_k.  By Clifford-Mackey theory its lattice part is the
 W_Jc-orbit of t: a module carries the orbit point r_c . t of each coset
 r_c H, and the lattice acts on that coset by that character.  The finite
 generators permute cosets with rho-scalars, so every image is a monomial
-matrix with exact cyclotomic scalars.  Products, inverses, the lattice
-action and the stabilizer of t are read straight from the tables of
-`alcove.CosetGeometry`, and the coset representatives are taken in
-index order.  `grid_modules` and `build_irreducible` share one core,
+matrix with exact cyclotomic scalars.  Products, inverses and the
+lattice action are read straight from the tables of
+`alcove.CosetGeometry`.  Each module acts on t once per quotient
+element: the stabilizer H is read off that orbit, as the indices whose
+point is t, and checked against the subgroup the selected ss_k
+generate, and the coset representatives are the first index of each new
+point.  `grid_modules` and `build_irreducible` share one core,
 `_induced`.
 """
 
@@ -105,15 +108,16 @@ def _induced(geo, S, t, rho):
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
         raise PreconditionError("rho must be given exactly on Sc - J")
+    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient))]
     sub_words = _subgroup(geo, letters)
-    # The inducing subgroup must be the full stabilizer of t.
-    if set(sub_words) != set(geo.stabilizer(t)):
+    # The inducing subgroup must be the full stabilizer of t, the indices
+    # whose orbit point is t.
+    if set(sub_words) != {i for i, point in enumerate(orbit) if point == t}:
         raise LiftCheckError("generated subgroup is not the stabilizer of t")
     rho_values = _rho_on_subgroup(geo, sub_words, rho)
     # H is the stabilizer of t, so the left coset iH is the point i . t,
     # and a transversal in index order keeps the first index of each new
     # point.
-    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient))]
     reps_list = []
     coset_of = {}
     for i, point in enumerate(orbit):

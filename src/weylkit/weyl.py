@@ -100,13 +100,6 @@ def multiply(a, b):
                        linalg.mat_mul(a.dual, b.dual))
 
 
-def from_word(datum, word):
-    w = identity(datum)
-    for i in word:
-        w = multiply(w, simple_reflection(datum, i))
-    return w
-
-
 def _root_sign(coords):
     """+1 or -1 for a sign-coherent nonzero integer vector, else 0."""
     if all(x >= 0 for x in coords) and any(x > 0 for x in coords):

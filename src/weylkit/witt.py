@@ -117,10 +117,6 @@ def _new(p, m, g):
     return w
 
 
-def witt_zero(p, m):
-    return WittScalar(p, m, (0,) * m)
-
-
 def witt_one(p, m):
     return WittScalar(p, m, (1,) + (0,) * (m - 1))
 

@@ -87,7 +87,7 @@ def test_c10_fails_for_a_candidate_stream_that_drops_lattices(monkeypatch):
 def test_c10_fails_for_a_tree_walk_that_drops_a_vertex(monkeypatch):
     walk = lattices.tree_points
     monkeypatch.setattr(lattices, "tree_points",
-                        lambda p, n, budget: walk(p, n, budget)[1:])
+                        lambda p, n: walk(p, n)[1:])
     rows = checks.run_checks(CONFIG, suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL",

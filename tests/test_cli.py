@@ -58,6 +58,20 @@ def test_parse_config_rejects_non_prime_power_q():
         cli.parse_config("q 6\n")
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_a_config_q_that_is_a_prime_power_but_not_a_prime_exits_2(
+        tmp_path, q):
+    # pgl2, the one reader of q, works over prime fields only, so verify
+    # refuses such a q as pgl2 does
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"q {q}\n")
+    for argv in (["verify"], ["pgl2"]):
+        code, out, err = run_cli(["--config", str(cfg)] + argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: q={q} is not a prime\n"
+
+
 def test_parse_config_unknown_suite():
     with pytest.raises(ConfigError):
         cli.parse_config("suite nonsense\n")

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 from math import gcd
 
@@ -99,22 +98,25 @@ def test_routes_agree_at_n2():
     assert len(points) == 1 + (p + 1) * (p ** n - 1) // (p - 1)
 
 
-def test_budget_bounds_the_candidates_formed():
-    points, direct = lattices.scan_points(3, 1, budget=445)
+def test_budget_bounds_the_candidates_formed(monkeypatch):
+    # every scan reads SCAN_BUDGET when it starts: (3, 1) has 445
+    # candidates
+    monkeypatch.setattr(lattices, "SCAN_BUDGET", 445)
+    points, direct = lattices.scan_points(3, 1)
     assert len(points) == direct == 5
-    with pytest.raises(BudgetError):
-        lattices.scan_points(3, 1, budget=444)
+    monkeypatch.setattr(lattices, "SCAN_BUDGET", 444)
+    for scan in (lattices.enumerate_self_dual, lattices.enumerate_isotropic,
+                 lattices.scan_points):
+        with pytest.raises(BudgetError):
+            scan(3, 1)
+    monkeypatch.undo()
     # (5, 2) has 2,890,693 candidates: the scan yields exactly
     # SCAN_BUDGET of them, then refuses
     formed = 0
     with pytest.raises(BudgetError):
-        for _ in lattices._scan(5, 2, lattices.SCAN_BUDGET):
+        for _ in lattices._scan(5, 2):
             formed += 1
-    assert formed == lattices.SCAN_BUDGET
-    for scan in (lattices.enumerate_self_dual, lattices.enumerate_isotropic,
-                 lattices.scan_points):
-        default = inspect.signature(scan).parameters["budget"].default
-        assert default == lattices.SCAN_BUDGET
+    assert formed == lattices.SCAN_BUDGET == 200000
 
 
 def _ball_size(p, n):
@@ -136,12 +138,15 @@ def test_tree_reaches_sizes_beyond_the_scan_budget():
         assert len(points) == direct == _ball_size(p, n)
 
 
-def test_budget_bounds_the_tree_vertices_formed():
+def test_budget_bounds_the_tree_vertices_formed(monkeypatch):
     ball = _ball_size(3, 2)
-    points, direct = lattices.enumerate_X_n(3, 2, budget=ball)
+    monkeypatch.setattr(lattices, "VERTEX_BUDGET", ball)
+    points, direct = lattices.enumerate_X_n(3, 2)
     assert len(points) == direct == ball
+    monkeypatch.setattr(lattices, "VERTEX_BUDGET", ball - 1)
     with pytest.raises(BudgetError):
-        lattices.enumerate_X_n(3, 2, budget=ball - 1)
+        lattices.enumerate_X_n(3, 2)
+    monkeypatch.undo()
     # refused before the walk: the 3^9 vertices at distance 9 alone
     with pytest.raises(BudgetError, match=r"3\^9"):
         lattices.enumerate_X_n(3, 9)

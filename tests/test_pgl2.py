@@ -8,6 +8,7 @@ from weylkit import checks, laurent, pgl2
 from weylkit.cli import SuiteConfig
 from weylkit.errors import BudgetError, PreconditionError
 from weylkit.laurent import LaurentScalar
+from reference_routes import children, conjugate_levels, tau_conjugate
 
 
 def test_iwahori_classes_of_standard_elements():
@@ -123,7 +124,7 @@ def test_walk_levels_match_explicit_words():
         rng = random.Random(29 + q)
         for _ in range(3):
             g = pgl2.random_i2(q, rng)
-            levels = pgl2.conjugate_levels(g)
+            levels = conjugate_levels(g)
             for length in range(4):
                 walked = sorted(_key(m) for m in next(levels))
                 assert len(walked) == 2 * len(_words(q, length))
@@ -134,7 +135,7 @@ def test_walk_levels_match_explicit_words():
 def test_walk_cumulative_counts_per_level():
     def cumulative(g, cls, levels):
         counts, running = [], 0
-        for _, level in zip(range(levels), pgl2.conjugate_levels(g)):
+        for _, level in zip(range(levels), conjugate_levels(g)):
             running += sum(pgl2.iwahori_class(m) == cls for m in level)
             counts.append(running)
         return counts
@@ -177,7 +178,7 @@ def test_i2_nodes_occur_only_at_level_0():
                             for _ in range(4)]
         for g in elements:
             counts = [sum(pgl2.iwahori_class(m) == "I2" for m in level)
-                      for _, level in zip(range(5), pgl2.conjugate_levels(g))]
+                      for _, level in zip(range(5), conjugate_levels(g))]
             assert counts == [2, 0, 0, 0, 0]
 
 
@@ -190,7 +191,7 @@ def _build_then_classify_count(g):
     if pgl2.iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     return sum(pgl2.iwahori_class(conj) == "I2"
-               for _, level in zip(range(3), pgl2.conjugate_levels(g))
+               for _, level in zip(range(3), conjugate_levels(g))
                for conj in level)
 
 
@@ -242,7 +243,7 @@ def _walk_branches(g):
     q = g[0][0].q
     yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
            for pa, pb, pc, pd in (pgl2._pieces(g, letter) for letter in (0, 1))]
-    for length, level in enumerate(pgl2.conjugate_levels(g)):
+    for length, level in enumerate(conjugate_levels(g)):
         nodes = level[::2]
         yield [branch for k, node in enumerate(nodes)
                for letter in ((0, 1) if length == 0
@@ -257,7 +258,7 @@ def _levels_two_ways(g, count):
     q = g[0][0].q
     walk = _walk_branches(g)
     level = [tuple(x.valuation() for row in g for x in row)]
-    for length, built in zip(range(count), pgl2.conjugate_levels(g)):
+    for length, built in zip(range(count), conjugate_levels(g)):
         if length:
             level = _child_valuations(next(walk), q)
         yield level, built
@@ -329,7 +330,7 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
                     for word in (((1, 1),), ((0, q - 1),),
                                  ((1, 0), (0, 1)))]
         for g in sources:
-            levels = pgl2.conjugate_levels(g)
+            levels = conjugate_levels(g)
             next(levels)
             for nodes, built, _ in zip(_walk_branches(g), levels, range(3)):
                 count = pgl2._i2_children(nodes, q)
@@ -352,18 +353,18 @@ def _piece_key(piece):
 
 def test_child_route_pieces_match_the_built_children():
     # Each piece the walk forms for a child straight from its parent's
-    # entries and t equals `_pieces` of the child that `_children` builds:
+    # entries and t equals `_pieces` of the child that `children` builds:
     # random parents of every class, and the walk's own nodes.
     for q in (2, 3, 5, 7):
         rng = random.Random(71 + q)
         parents = [_random_exact_matrix(q, rng) for _ in range(40)]
-        for _, level in zip(range(3), pgl2.conjugate_levels(
+        for _, level in zip(range(3), conjugate_levels(
                 pgl2.random_i2(q, rng))):
             parents.extend(level[::2])
         for parent in parents:
             for letter in (0, 1):
                 pieces = pgl2._pieces(parent, letter)
-                built = pgl2._children(pieces, q)
+                built = children(pieces, q)
                 branches = pgl2._child_branches(parent, letter, pieces, q)
                 assert len(branches) == q
                 for child, (pb, pc, ad) in zip(built, branches):
@@ -376,17 +377,31 @@ def test_child_route_pieces_match_the_built_children():
 def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     # C7's 42 elements and 60 random odd-coset elements at each of
     # q = 2, 3, 5 settle at level 2, whose pairs come from the pieces of
-    # level 1, and those straight from g: no count builds a matrix.
-    def refuse(pieces, q):
-        raise AssertionError("the count built a matrix past g")
+    # level 1, and those straight from g: no count forms the pieces of a
+    # matrix other than the g it counts, so none builds a matrix past g.
+    count, pieces = pgl2.fixed_point_count, pgl2._pieces
+    counted, pieced = [], []
+
+    def recording_count(g, prec=None):
+        counted.append(g)
+        return count(g, prec)
+
+    def recording_pieces(C, letter):
+        pieced.append((C, letter))
+        return pieces(C, letter)
 
     rng = random.Random(83)
     elements = [pgl2.random_i2(q, rng, degree=8)
                 for q in (2, 3, 5) for _ in range(60)]
-    monkeypatch.setattr(pgl2, "_children", refuse)
+    monkeypatch.setattr(pgl2, "fixed_point_count", recording_count)
+    monkeypatch.setattr(pgl2, "_pieces", recording_pieces)
     assert checks._c7_fixed_points(SuiteConfig()) \
         == "42 elements, every fixed-point count is 2"
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
+    assert len(counted) == 42 + 180
+    assert len(pieced) == 2 * len(counted)
+    assert all(C is g and letter == want for (C, letter), (g, want)
+               in zip(pieced, itertools.product(counted, (0, 1))))
 
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
@@ -425,11 +440,11 @@ def test_tau_conjugate_has_the_same_class_on_exact_entries():
         rng = random.Random(61 + q)
         matrices = [_random_exact_matrix(q, rng) for _ in range(300)]
         g = pgl2.random_i2(q, rng)
-        for _, level in zip(range(4), pgl2.conjugate_levels(g)):
+        for _, level in zip(range(4), conjugate_levels(g)):
             matrices.extend(level[::2])
         for m in matrices:
             cls = pgl2.iwahori_class(m)
-            assert pgl2.iwahori_class(pgl2._tau_conjugate(m)) == cls
+            assert pgl2.iwahori_class(tau_conjugate(m)) == cls
             seen.add(cls)
     assert seen == {"I1", "I2", "neither"}
 

@@ -39,13 +39,6 @@ KEPT = {
     "linalg.snf_diag": _LAYERTRACE,
     "lattices.enumerate_isotropic": _LAYERTRACE,
     "lattices.enumerate_self_dual": _LAYERTRACE,
-    "pgl2.conjugate_levels": "test seam: the fault gate and the pgl2 walk"
-                             " tests compare the walk with it",
-    "pgl2._tau_conjugate": "test seam: conjugate_levels' one step",
-    "pgl2._children": "builds every matrix of a level, for"
-                      " conjugate_levels only",
-    "weyl.from_word": "test seam: builds elements from words in tests",
-    "witt.witt_zero": "test seam: the additive identity in tests",
 }
 KEPT_MODULES = {"omega": _OMEGA}
 

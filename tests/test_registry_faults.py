@@ -22,6 +22,7 @@ from weylkit import (
 from weylkit.cartan import cartan_datum
 from weylkit.cli import SuiteConfig
 from weylkit.cyclotomic import Cyc
+from reference_routes import children, from_word
 from test_pgl2 import _walk_branches
 
 CONFIG = SuiteConfig()
@@ -138,7 +139,7 @@ def _child_branches_that_backtrack(C, letter, pieces, q):
     undo its last step.  The child route forms only the next letter's
     pieces, so the branches come from the built children."""
     return [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-            for child in pgl2._children(pieces, q)
+            for child in children(pieces, q)
             for pa, pb, pc, pd in (_PIECES(child, next_letter)
                                    for next_letter in (0, 1))]
 
@@ -229,10 +230,24 @@ def _stabilizer_without_its_last_element(datum, J, t, S):
     return len(images) == len(elements) and images == set(stabilizer)
 
 
+_STABILIZER = alcove.CosetGeometry.stabilizer
+
+
+def _geometry_stabilizer_without_its_last_element(geo, t):
+    return _STABILIZER(geo, t)[:-1]
+
+
+_BASE_VERTEX = alcove.level_one_point(A1, (1, 0))
+
+
 def _base_vertex_lift_check():
-    d = alcove.level_one_point(A1, (1, 0))
-    t = alcove.p_J(A1, (), d)
-    return alcove.torus_stabilizer(A1, (), t, alcove.cell_of(d).S)
+    t = alcove.p_J(A1, (), _BASE_VERTEX)
+    return alcove.torus_stabilizer(A1, (), t, alcove.cell_of(_BASE_VERTEX).S)
+
+
+def _base_vertex_stabilizer():
+    t = alcove.p_J(A1, (), _BASE_VERTEX)
+    return alcove.geometry(A1, ()).stabilizer(t)
 
 
 def _first_module_characters():
@@ -307,11 +322,11 @@ FAULTS = {
     "weyl inverse with swapped transposes": (
         [(weyl.WeylElement, "inverse", _inverse_with_swapped_transposes)],
         {"C1", "C2", "C3"},
-        lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
+        lambda: from_word(A2, (0, 1)).inverse().mat),
     "weyl inverse that is the element itself": (
         [(weyl.WeylElement, "inverse", _inverse_that_is_itself)],
         {"C1", "C2", "C3"},
-        lambda: weyl.from_word(A2, (0, 1)).inverse().mat),
+        lambda: from_word(A2, (0, 1)).inverse().mat),
     "reps.character_values drops a trace term": (
         [(reps, "character_values",
           _character_values_without_the_first_fixed_point)], {"C3"},
@@ -332,6 +347,10 @@ FAULTS = {
     "alcove.torus_stabilizer drops an element": (
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"}, _base_vertex_lift_check),
+    "alcove.CosetGeometry.stabilizer drops its last element": (
+        [(alcove.CosetGeometry, "stabilizer",
+          _geometry_stabilizer_without_its_last_element)], {"C2"},
+        _base_vertex_stabilizer),
 }
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
