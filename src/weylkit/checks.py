@@ -1,9 +1,10 @@
 """The verification check registry.
 
-Each check is a named, deterministic computation with a fixed budget;
-the same registry backs the command-line `verify` subcommand and the
-acceptance test suite.  A check returns a witness string on success and
-raises on failure.
+Each check is a named, deterministic computation with a fixed budget
+and no input: C2 and C3 walk the rational grid to the module constant
+GRID_DENOMINATOR.  The same registry backs the command-line `verify`
+subcommand and the acceptance test suite.  A check returns a witness
+string on success and raises on failure.
 """
 
 import math
@@ -25,16 +26,18 @@ from .cartan import cartan_datum
 from .cyclotomic import Cyc
 from .errors import TableRejectionError, WeylkitError
 
+GRID_DENOMINATOR = 6
+
 
 @dataclass(frozen=True)
 class Check:
     check_id: str
     anchor: str
     suite: str
-    run: object  # config -> witness string
+    run: object  # () -> witness string
 
 
-def _c1_quotient_coxeter(config):
+def _c1_quotient_coxeter():
     inf = math.inf
     target = ((1, inf), (inf, 1))
     c2, a1 = cartan_datum("C2"), cartan_datum("A1")
@@ -45,18 +48,18 @@ def _c1_quotient_coxeter(config):
     return "C2/{1} and A1/{} both give the rank-2 infinite-bond matrix"
 
 
-def _c2_stabilizer_lift(config):
+def _c2_stabilizer_lift():
     datum = cartan_datum("A1")
-    grid = alcove.grid_points(datum, (), config.denominator)
+    grid = alcove.grid_points(datum, (), GRID_DENOMINATOR)
     for d, cell, t in grid:
         if not alcove.torus_stabilizer(datum, (), t, cell.S):
             raise WeylkitError(f"lift check failed at {d.coords}")
     return f"lift check passed at {len(grid)} grid points"
 
 
-def _c3_mackey_norm(config):
+def _c3_mackey_norm():
     built = 0
-    modules = reps.grid_modules(cartan_datum("A1"), (), config.denominator)
+    modules = reps.grid_modules(cartan_datum("A1"), (), GRID_DENOMINATOR)
     for d, _, t, _, rep in modules:
         norm = reps.character_norm(rep, t.order)
         if not (norm == Cyc.rational(1)):
@@ -66,7 +69,7 @@ def _c3_mackey_norm(config):
     return f"{built} induced modules, all character norms exactly 1"
 
 
-def _c4_costandard(config):
+def _c4_costandard():
     costandard.validate_costandard(costandard.BUILTIN_A1)
     try:
         costandard.validate_costandard(costandard.SWAPPED_A1)
@@ -75,7 +78,7 @@ def _c4_costandard(config):
     raise WeylkitError("swapped table was accepted")
 
 
-def _c5_fourier(config):
+def _c5_fourier():
     z2 = fourier.group_z2()
     pairs = fourier.m_set(z2)
     display_order = [("1", 0), ("r", 0), ("1", 1), ("r", 1)]
@@ -83,13 +86,13 @@ def _c5_fourier(config):
     display = fourier.b2_component_matrix()
     expected = tuple(tuple(display[perm[i]][perm[j]] for j in range(4))
                      for i in range(4))
-    got = fourier.pairing_matrix(z2)
+    got = fourier.pairing_matrix(z2, pairs)
     for i in range(4):
         for j in range(4):
             if not (got[i][j] == expected[i][j]):
                 raise WeylkitError(f"entry ({i},{j}) differs")
     s3 = fourier.group_s3()
-    m = fourier.pairing_matrix(s3)
+    m = fourier.pairing_matrix(s3, fourier.m_set(s3))
     n = len(m)
     for i in range(n):
         for j in range(n):
@@ -100,7 +103,7 @@ def _c5_fourier(config):
     return "Z/2 matrix matches the displayed half-sums; S3 matrix squares to 1"
 
 
-def _c6_discriminant(config):
+def _c6_discriminant():
     rng = random.Random(20260823)
     for q in (2, 3, 5):
         for _ in range(100):
@@ -111,7 +114,7 @@ def _c6_discriminant(config):
     return "300 random odd-coset matrices, all discriminant valuations 1"
 
 
-def _c7_fixed_points(config):
+def _c7_fixed_points():
     rng = random.Random(20260824)
     for q in (2, 3):
         g = laurent.parse_matrix("0,1;e,0", q)
@@ -124,7 +127,7 @@ def _c7_fixed_points(config):
     return "42 elements, every fixed-point count is 2"
 
 
-def _c8_recurrence(config):
+def _c8_recurrence():
     dim, basis = pgl2.recurrence_solution_space()
     if dim != 2:
         raise WeylkitError(f"solution dimension {dim}")
@@ -139,14 +142,14 @@ def _c8_recurrence(config):
     return "dim 2; values 4/6/10; {2: 2}; coinvariants vanish at N=6,10"
 
 
-def _c9_witt_oracle(config):
+def _c9_witt_oracle():
     for p in (3, 5):
         if not witt.oracle_check(p, 2):
             raise WeylkitError(f"oracle mismatch at p={p}")
     return "W_2(F_3) and W_2(F_5) match Z/9 and Z/25 exhaustively"
 
 
-def _c10_lattice_bijections(config):
+def _c10_lattice_bijections():
     p, n = 3, 1
     points, direct = lattices.enumerate_X_n(p, n)
     if len(points) != direct:
@@ -163,7 +166,7 @@ def _c10_lattice_bijections(config):
             " d-duality holds")
 
 
-def _c11_borel_fiber(config):
+def _c11_borel_fiber():
     for q in (3, 5):
         count = lattices.borel_fiber_count(q)
         if count != q + 1:
@@ -188,9 +191,9 @@ REGISTRY = (
 SUITES = tuple(sorted({c.suite for c in REGISTRY}))
 
 
-def run_checks(config, suites=None):
-    """Run the selected checks; returns rows
-    (check_id, anchor, status, witness).  Any exception a check raises
+def run_checks(suites=None):
+    """Run the checks of the given suites (all when None); returns rows
+    (check_id, anchor, status, witness) in REGISTRY order.  Any exception a check raises
     ends in a FAIL row; one that is not a WeylkitError is reported as an
     internal error naming its class."""
     rows = []
@@ -198,12 +201,11 @@ def run_checks(config, suites=None):
         if suites is not None and check.suite not in suites:
             continue
         try:
-            witness = check.run(config)
+            witness = check.run()
             rows.append((check.check_id, check.anchor, "PASS", witness))
         except WeylkitError as exc:
             rows.append((check.check_id, check.anchor, "FAIL", str(exc)))
         except Exception as exc:
             rows.append((check.check_id, check.anchor, "FAIL",
                          f"internal error {type(exc).__name__}: {exc}"))
-    rows.sort(key=lambda r: int(r[0][1:]))
     return rows

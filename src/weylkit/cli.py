@@ -1,16 +1,13 @@
 """Command-line entry point.
 
-Configuration files use a plain line grammar: one "key value" pair per
-line, '#' comments, blank lines ignored.  Duplicate keys follow a
-last-wins rule (a warning is recorded); unknown keys are rejected with
-the offending line number.  Reports are TSV with the fixed columns
-check_id, anchor, status, witness and are byte-identical across runs
-with the same configuration.
+Every input is a flag of its command; there is no configuration file.
+Reports are TSV with a fixed header per command and are byte-identical
+across runs with the same flags.  Exit codes: 0 ok, 1 check failure or
+library error, 2 a flag or flag value the command cannot use.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 
 from . import alcove, checks, fourier, lattices, laurent, pgl2, reps, weyl, witt
 from .cartan import cartan_datum
@@ -24,85 +21,10 @@ from .errors import (
 from .laurent import is_prime
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suites: tuple = checks.SUITES
-    q: int = 2
-    p: int = 3
-    n: int = 1
-    denominator: int = 6
-    out: str = ""
-
-
-_INT_KEYS = {"q", "p", "n", "denominator"}
-_STR_KEYS = {"out"}
-
-
-def parse_config(text):
-    """Returns (SuiteConfig, warnings)."""
-    values = {}
-    warnings = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "suite":
-            chosen = tuple(rest.split())
-            unknown = [s for s in chosen if s not in checks.SUITES]
-            if unknown:
-                raise ConfigError(f"unknown suite {unknown[0]!r}", line=lineno)
-            value = chosen
-            key = "suites"
-        elif key in _INT_KEYS:
-            try:
-                value = int(rest)
-            except ValueError:
-                raise ConfigError(f"{key} needs an integer", line=lineno)
-        elif key in _STR_KEYS:
-            value = rest
-        else:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
-        if key in values:
-            warnings.append(f"line {lineno}: duplicate key {key},"
-                            " last value wins")
-        values[key] = value
-    config = replace(SuiteConfig(), **values)
-    _validate(config)
-    return config, warnings
-
-
-def _validate(config):
-    if not is_prime(config.q):
-        raise ConfigError(f"q={config.q} is not a prime")
-    if config.denominator < 1:
-        raise ConfigError(f"denominator={config.denominator} is not positive")
-
-
-def _load_config(path):
-    if path is None:
-        return SuiteConfig(), []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}")
-    return parse_config(text)
-
-
-def _emit(rows, header, config, out_stream):
+def _emit(rows, header, out):
     lines = ["\t".join(header)]
     lines += ["\t".join(str(x) for x in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write report to {config.out!r}:"
-                              f" {exc.strerror}")
-    out_stream.write(text)
+    out.write("\n".join(lines) + "\n")
 
 
 def _datum(label):
@@ -124,14 +46,20 @@ def _nodes(datum, text):
     return J
 
 
-def _cmd_verify(args, config, out):
-    suites = tuple(args.suite) if args.suite else config.suites
-    rows = checks.run_checks(config, suites=suites)
-    _emit(rows, ("check_id", "anchor", "status", "witness"), config, out)
+def _denominator(args):
+    """The --denominator of the rational grid of `cells` and `reps`."""
+    if args.denominator < 1:
+        raise ConfigError(f"denominator={args.denominator} is not positive")
+    return args.denominator
+
+
+def _cmd_verify(args, out):
+    rows = checks.run_checks(suites=args.suite)
+    _emit(rows, ("check_id", "anchor", "status", "witness"), out)
     return 0 if all(r[2] == "PASS" for r in rows) else 1
 
 
-def _cmd_weyl(args, config, out):
+def _cmd_weyl(args, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     gens = weyl.quotient_generators(datum, J)
@@ -140,23 +68,24 @@ def _cmd_weyl(args, config, out):
             for i, row in enumerate(matrix)]
     for k, w in gens:
         rows.append(("generator", k, weyl.word_str(w), "ok"))
-    _emit(rows, ("kind", "index", "value", "note"), config, out)
+    _emit(rows, ("kind", "index", "value", "note"), out)
     return 0
 
 
-def _cmd_cells(args, config, out):
+def _cmd_cells(args, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     rows = [(" ".join(str(c) for c in d.coords),
              "{" + ",".join(str(s) for s in cell.S) + "}",
              t.order,
              " ".join(str(v) for v in t.values))
-            for d, cell, t in alcove.grid_points(datum, J, config.denominator)]
-    _emit(rows, ("point", "cell", "torus_order", "torus_coords"), config, out)
+            for d, cell, t
+            in alcove.grid_points(datum, J, _denominator(args))]
+    _emit(rows, ("point", "cell", "torus_order", "torus_coords"), out)
     return 0
 
 
-def _cmd_reps(args, config, out):
+def _cmd_reps(args, out):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     rows = [(" ".join(str(c) for c in d.coords),
@@ -164,32 +93,31 @@ def _cmd_reps(args, config, out):
              rep.dimension,
              reps.character_norm(rep, t.order).render())
             for d, _, t, index, rep
-            in reps.grid_modules(datum, J, config.denominator)]
-    _emit(rows, ("point", "character", "dimension", "norm"), config, out)
+            in reps.grid_modules(datum, J, _denominator(args))]
+    _emit(rows, ("point", "character", "dimension", "norm"), out)
     return 0
 
 
-def _cmd_fourier(args, config, out):
+def _cmd_fourier(args, out):
     if args.group not in fourier.GROUPS:
         raise ConfigError(f"unknown group {args.group!r};"
                           f" choices: {sorted(fourier.GROUPS)}")
     gamma = fourier.GROUPS[args.group]()
     pairs = fourier.m_set(gamma)
-    matrix = fourier.pairing_matrix(gamma)
+    matrix = fourier.pairing_matrix(gamma, pairs)
     rows = []
     for p, row in zip(pairs, matrix):
         rows.append((f"({p.x},{p.sigma})",
                      "\t".join(c.render() for c in row)))
-    _emit(rows, ("pair", "row"), config, out)
+    _emit(rows, ("pair", "row"), out)
     return 0
 
 
-def _cmd_pgl2(args, config, out):
-    q = config.q if args.q is None else args.q
-    if not is_prime(q):
-        raise ConfigError(f"q={q} is not a prime")
+def _cmd_pgl2(args, out):
+    if not is_prime(args.q):
+        raise ConfigError(f"q={args.q} is not a prime")
     try:
-        matrix = laurent.parse_matrix(args.matrix, q)
+        matrix = laurent.parse_matrix(args.matrix, args.q)
     except PreconditionError as exc:
         raise ConfigError(f"bad matrix {args.matrix!r}: {exc}")
     if laurent.mat_det(matrix) == 0:
@@ -207,11 +135,11 @@ def _cmd_pgl2(args, config, out):
                      pgl2.discriminant_valuation(matrix)))
     if args.op in ("count", "all") and cls == "I2":
         rows.append(("fixed_point_count", pgl2.fixed_point_count(matrix)))
-    _emit(rows, ("result", "value"), config, out)
+    _emit(rows, ("result", "value"), out)
     return 0
 
 
-def _cmd_witt(args, config, out):
+def _cmd_witt(args, out):
     if args.enum and args.m is not None:
         raise ConfigError("--m sets the Witt oracle's length; --enum"
                           " does not read it")
@@ -219,9 +147,9 @@ def _cmd_witt(args, config, out):
         raise ConfigError("--n sets the lattice radius of --enum;"
                           " the Witt oracle does not read it")
     rows = []
-    p = config.p if args.p is None else args.p
+    p = args.p
     if args.enum:
-        n = config.n if args.n is None else args.n
+        n = 1 if args.n is None else args.n
         if p == 2 or not is_prime(p):
             raise ConfigError(f"p={p} is not an odd prime")
         if n < 0:
@@ -241,14 +169,13 @@ def _cmd_witt(args, config, out):
         rows.append(("oracle", "PASS" if witt.oracle_check(p, m) else "FAIL"))
         rows.append(("one", witt.witt_one(p, m).render()))
         rows.append(("p_image", witt.from_integer(p, p, m).render()))
-    _emit(rows, ("result", "value"), config, out)
+    _emit(rows, ("result", "value"), out)
     return 0
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="weylkit", description="exact verification suites")
-    parser.add_argument("--config", help="configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the check registry")
@@ -264,11 +191,13 @@ def build_parser():
     p_cells = sub.add_parser("cells", help="grid points, cells, torus data")
     p_cells.add_argument("--type", default="A1")
     p_cells.add_argument("--j", default="")
+    p_cells.add_argument("--denominator", type=int, default=6)
     p_cells.set_defaults(func=_cmd_cells)
 
     p_reps = sub.add_parser("reps", help="induced modules over the grid")
     p_reps.add_argument("--type", default="A1")
     p_reps.add_argument("--j", default="")
+    p_reps.add_argument("--denominator", type=int, default=6)
     p_reps.set_defaults(func=_cmd_reps)
 
     p_fourier = sub.add_parser("fourier", help="pairing matrices")
@@ -276,14 +205,14 @@ def build_parser():
     p_fourier.set_defaults(func=_cmd_fourier)
 
     p_pgl2 = sub.add_parser("pgl2", help="Iwahori class and counts")
-    p_pgl2.add_argument("--q", type=int)
+    p_pgl2.add_argument("--q", type=int, default=2)
     p_pgl2.add_argument("--matrix", default="0,1;e,0")
     p_pgl2.add_argument("--op", default="all",
                         choices=("class", "disc", "count", "all"))
     p_pgl2.set_defaults(func=_cmd_pgl2)
 
     p_witt = sub.add_parser("witt", help="Witt arithmetic and lattices")
-    p_witt.add_argument("--p", type=int)
+    p_witt.add_argument("--p", type=int, default=3)
     p_witt.add_argument("--m", type=int)
     p_witt.add_argument("--n", type=int)
     p_witt.add_argument("--enum", action="store_true",
@@ -297,15 +226,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, warnings = _load_config(args.config)
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        return args.func(args, config, sys.stdout)
+        return args.func(args, sys.stdout)
     except (ConfigError, NodeSubsetError) as exc:
         # NodeSubsetError: the library cannot use the --j node subset.
-        line = getattr(exc, "line", None)
-        location = f" (line {line})" if line else ""
-        print(f"usage error: {exc}{location}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except WeylkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,10 +59,8 @@ class UnsupportedLabelError(WeylkitError):
 
 
 class BudgetError(WeylkitError):
-    """Requested enumeration exceeds the configured budget."""
+    """Requested enumeration exceeds its fixed budget."""
 
 
 class ConfigError(WeylkitError):
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """A command-line flag value the command cannot use (exit 2)."""

@@ -221,8 +221,8 @@ def pairing(gamma, p, q):
     return total / Fraction(len(zx) * len(zy))
 
 
-def pairing_matrix(gamma):
-    pairs = m_set(gamma)
+def pairing_matrix(gamma, pairs):
+    """The pairing of every two entries of `pairs`, which is m_set(gamma)."""
     return tuple(
         tuple(pairing(gamma, p, q) for q in pairs) for p in pairs
     )

@@ -1,5 +1,5 @@
 """End-to-end acceptance gate: every registered check must pass at its
-stated (exact) tolerance under the default configuration."""
+stated (exact) tolerance; the checks take no input."""
 
 import itertools
 from math import gcd
@@ -7,11 +7,8 @@ from math import gcd
 import pytest
 
 from weylkit import checks, lattices, pgl2
-from weylkit.cli import SuiteConfig
 
 from test_lattices import _sharp_by_cofactors
-
-CONFIG = SuiteConfig()
 
 _BY_ID = {c.check_id: c for c in checks.REGISTRY}
 
@@ -19,12 +16,12 @@ _BY_ID = {c.check_id: c for c in checks.REGISTRY}
 @pytest.mark.parametrize("check_id", sorted(_BY_ID, key=lambda s: int(s[1:])))
 def test_acceptance(check_id):
     check = _BY_ID[check_id]
-    witness = check.run(CONFIG)
+    witness = check.run()
     assert isinstance(witness, str) and witness
 
 
 def test_full_registry_report_is_all_pass():
-    rows = checks.run_checks(CONFIG)
+    rows = checks.run_checks()
     assert [r[0] for r in rows] == [f"C{i}" for i in range(1, 12)]
     failures = [r for r in rows if r[2] != "PASS"]
     assert failures == []
@@ -36,7 +33,7 @@ def test_c10_d_duality_fails_for_a_wrong_dual(monkeypatch):
     monkeypatch.setattr(lattices, "enumerate_X_n", lambda p, n: counts)
     monkeypatch.setattr(lattices, "scan_points", lambda p, n: counts)
     monkeypatch.setattr(lattices, "sharp", lambda z: z)
-    rows = checks.run_checks(CONFIG, suites=("witt",))
+    rows = checks.run_checks(suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL", "d-duality failed")]
 
@@ -47,7 +44,7 @@ def test_c10_fails_for_a_dual_with_swapped_units(monkeypatch):
     swapped = ((0, 0, 8), (0, 4, 0), (8, 0, 0))
     monkeypatch.setattr(lattices, "sharp",
                         lambda z: _sharp_by_cofactors(z, swapped))
-    rows = checks.run_checks(CONFIG, suites=("witt",))
+    rows = checks.run_checks(suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL",
          "the two enumeration routes disagree")]
@@ -78,7 +75,7 @@ def test_c10_fails_for_a_candidate_stream_that_drops_lattices(monkeypatch):
     monkeypatch.setattr(lattices, "_hermite_candidates",
                         _coarse_x02_candidates)
     assert lattices.scan_points(3, 1)[1] == 3
-    rows = checks.run_checks(CONFIG, suites=("witt",))
+    rows = checks.run_checks(suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL",
          "the candidate scan and the tree walk disagree (3 and 5 points)")]
@@ -88,7 +85,7 @@ def test_c10_fails_for_a_tree_walk_that_drops_a_vertex(monkeypatch):
     walk = lattices.tree_points
     monkeypatch.setattr(lattices, "tree_points",
                         lambda p, n: walk(p, n)[1:])
-    rows = checks.run_checks(CONFIG, suites=("witt",))
+    rows = checks.run_checks(suites=("witt",))
     assert [r for r in rows if r[0] == "C10"] == [
         ("C10", "lattice-bijections", "FAIL",
          "the candidate scan and the tree walk disagree (5 and 4 points)")]
@@ -97,7 +94,7 @@ def test_c10_fails_for_a_tree_walk_that_drops_a_vertex(monkeypatch):
 @pytest.mark.parametrize("result", [(True, 1), (False, 0)])
 def test_c8_fails_when_the_window_module_check_fails(monkeypatch, result):
     monkeypatch.setattr(pgl2, "module_generation_check", lambda n: result)
-    rows = checks.run_checks(CONFIG, suites=("pgl2",))
+    rows = checks.run_checks(suites=("pgl2",))
     generated, coinv = result
     assert [r for r in rows if r[0] == "C8"] == [
         ("C8", "recurrence-values", "FAIL",

@@ -148,13 +148,12 @@ def test_one_torus_point_per_grid_point(monkeypatch):
     # C2 and C3 each walk the grid once; no module built from the walk
     # forms its torus point again
     from weylkit import checks
-    from weylkit.cli import SuiteConfig
 
     calls = []
     p_j = alcove.p_J
     monkeypatch.setattr(alcove, "p_J",
                         lambda *args: calls.append(args) or p_j(*args))
-    rows = checks.run_checks(SuiteConfig(), suites=("alcove", "reps"))
+    rows = checks.run_checks(suites=("alcove", "reps"))
     assert [r[2] for r in rows] == ["PASS", "PASS"]
     assert len(calls) == 2 * len(alcove.sample_grid(A1, (), 6)) == 26
 
@@ -163,13 +162,12 @@ def test_one_cell_per_grid_point(monkeypatch):
     # p_J checks its precondition from d's coordinates, so the walk's
     # cell_of is the only one
     from weylkit import checks
-    from weylkit.cli import SuiteConfig
 
     calls = []
     cell_of = alcove.cell_of
     monkeypatch.setattr(alcove, "cell_of",
                         lambda d: calls.append(d) or cell_of(d))
-    rows = checks.run_checks(SuiteConfig(), suites=("alcove", "reps"))
+    rows = checks.run_checks(suites=("alcove", "reps"))
     assert [r[2] for r in rows] == ["PASS", "PASS"]
     assert len(calls) == 2 * len(alcove.sample_grid(A1, (), 6)) == 26
 

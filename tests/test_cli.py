@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from weylkit import checks, cli, weyl
-from weylkit.errors import ConfigError
+from weylkit import checks, cli, fourier, weyl
 
 
 def run_cli(argv):
@@ -17,72 +16,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_parse_config_defaults():
-    config, warnings = cli.parse_config("")
-    assert config == cli.SuiteConfig()
-    assert warnings == []
-
-
-def test_parse_config_values_and_comments():
-    text = "\n".join([
-        "# a comment",
-        "suite pgl2 witt",
-        "q 3",
-        "denominator 10   # trailing comment",
-        "",
-    ])
-    config, warnings = cli.parse_config(text)
-    assert config.suites == ("pgl2", "witt")
-    assert config.q == 3
-    assert config.denominator == 10
-    assert warnings == []
-
-
-def test_parse_config_duplicate_key_last_wins():
-    config, warnings = cli.parse_config("q 3\nq 5\n")
-    assert config.q == 5
-    assert len(warnings) == 1
-    assert "line 2" in warnings[0]
-
-
-def test_parse_config_unknown_key_reports_line():
-    with pytest.raises(ConfigError) as info:
-        cli.parse_config("q 3\nbogus 7\n")
-    assert info.value.line == 2
-
-
-def test_parse_config_rejects_non_prime_power_q():
-    with pytest.raises(ConfigError):
-        cli.parse_config("q 1\n")
-    with pytest.raises(ConfigError):
-        cli.parse_config("q 6\n")
-
-
-@pytest.mark.parametrize("q", [4, 9])
-def test_a_config_q_that_is_a_prime_power_but_not_a_prime_exits_2(
-        tmp_path, q):
-    # pgl2, the one reader of q, works over prime fields only, so verify
-    # refuses such a q as pgl2 does
-    cfg = tmp_path / "q.cfg"
-    cfg.write_text(f"q {q}\n")
-    for argv in (["verify"], ["pgl2"]):
-        code, out, err = run_cli(["--config", str(cfg)] + argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"usage error: q={q} is not a prime\n"
-
-
-def test_parse_config_unknown_suite():
-    with pytest.raises(ConfigError):
-        cli.parse_config("suite nonsense\n")
-
-
-def test_config_file_errors_exit_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense 1\n")
-    code, out, err = run_cli(["--config", str(bad), "verify"])
-    assert code == 2
-    assert "usage error" in err
+def test_the_config_flag_is_a_usage_error(capsys):
+    # every input is a flag of its command; argparse refuses the rest
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--config", "run.cfg", "verify"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: weylkit ")
 
 
 def test_verify_single_suite_tsv():
@@ -127,6 +68,18 @@ def test_weyl_builds_the_generators_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fourier_and_c5_build_each_m_set_once(monkeypatch):
+    calls = []
+    m_set = fourier.m_set
+    monkeypatch.setattr(fourier, "m_set",
+                        lambda gamma: calls.append(gamma) or m_set(gamma))
+    code, _, _ = run_cli(["fourier", "--group", "z2xz2"])
+    assert code == 0
+    assert len(calls) == 1
+    checks._c5_fourier()
+    assert len(calls) == 1 + 2  # Z/2 and S3
+
+
 def test_cells_subcommand():
     code, out, _ = run_cli(["cells", "--type", "A1"])
     assert code == 0
@@ -149,11 +102,13 @@ def test_unknown_fourier_group_is_a_usage_error():
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["denominator"])
-def test_parse_config_rejects_a_non_positive_budget(key):
-    for value in (0, -3):
-        with pytest.raises(ConfigError, match=f"{key}={value} is not positive"):
-            cli.parse_config(f"{key} {value}\n")
+@pytest.mark.parametrize("command", ["cells", "reps"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_non_positive_denominator_is_a_usage_error(command, value):
+    code, out, err = run_cli([command, "--denominator", value])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: denominator={value} is not positive\n"
 
 
 def test_pgl2_subcommand():
@@ -245,22 +200,17 @@ def test_pgl2_count_over_the_walk_budget_fails_fast():
 _DIGITS_400 = str(10 ** 399 + 1)
 
 
-@pytest.mark.parametrize("config,argv", [
-    ("", ["pgl2", "--q", _DIGITS_400]),
-    ("", ["witt", "--p", _DIGITS_400]),
-    ("", ["witt", "--enum", "--p", _DIGITS_400]),
-    (f"q {_DIGITS_400}\n", ["verify", "--suite", "alcove"]),
-    ("q 1000000016000000063\n", ["verify", "--suite", "alcove"]),
-    (f"p {_DIGITS_400}\n", ["witt"]),
+@pytest.mark.parametrize("argv", [
+    ["pgl2", "--q", _DIGITS_400],
+    ["witt", "--p", _DIGITS_400],
+    ["witt", "--enum", "--p", _DIGITS_400],
+    ["pgl2", "--q", "1000000016000000063"],
 ])
-def test_a_prime_test_past_the_trial_division_budget_fails_fast(
-        tmp_path, config, argv):
-    # the config route checks q on every command; 1000000016000000063 is
-    # 1000000007 * 1000000009, whose least factor is past 10^6
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(config)
+def test_a_prime_test_past_the_trial_division_budget_fails_fast(argv):
+    # 1000000016000000063 is 1000000007 * 1000000009, whose least factor
+    # is past 10^6
     start = time.perf_counter()
-    code, out, err = run_cli(["--config", str(cfg)] + argv)
+    code, out, err = run_cli(argv)
     assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
@@ -271,12 +221,10 @@ def test_a_prime_test_past_the_trial_division_budget_fails_fast(
 
 @pytest.mark.parametrize("command,denominator", [
     ("reps", 100), ("cells", 800), ("cells", 199)])
-def test_a_grid_over_the_work_budget_fails_fast(tmp_path, command,
-                                                denominator):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(f"denominator {denominator}\n")
+def test_a_grid_over_the_work_budget_fails_fast(command, denominator):
     start = time.perf_counter()
-    code, out, err = run_cli(["--config", str(cfg), command, "--type", "A1"])
+    code, out, err = run_cli([command, "--type", "A1",
+                              "--denominator", str(denominator)])
     assert time.perf_counter() - start < 5
     assert code == 1
     assert out == ""
@@ -285,10 +233,8 @@ def test_a_grid_over_the_work_budget_fails_fast(tmp_path, command,
     assert err.count("\n") == 1
 
 
-def test_reps_at_denominator_20_stays_within_the_budget(tmp_path):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text("denominator 20\n")
-    code, out, err = run_cli(["--config", str(cfg), "reps", "--type", "A1"])
+def test_reps_at_denominator_20_stays_within_the_budget():
+    code, out, err = run_cli(["reps", "--type", "A1", "--denominator", "20"])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 132
 
@@ -303,6 +249,9 @@ def test_reps_at_denominator_20_stays_within_the_budget(tmp_path):
     ["pgl2", "--q", "3", "--matrix", "1,1;1,1"],
     ["pgl2", "--q", "3", "--matrix", "0,0;0,0"],
     ["pgl2", "--q", "3", "--matrix", "e,0;0,0"],
+    ["pgl2", "--q", "1"],
+    ["pgl2", "--q", "6"],
+    ["pgl2", "--q", "9"],
 ])
 def test_pgl2_bad_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -313,7 +262,7 @@ def test_pgl2_bad_values_are_usage_errors(argv):
 
 
 def test_unexpected_check_error_is_a_fail_row(monkeypatch):
-    def broken(config):
+    def broken():
         raise ZeroDivisionError("singular matrix")
 
     registry = tuple(
@@ -327,15 +276,6 @@ def test_unexpected_check_error_is_a_fail_row(monkeypatch):
     assert [r[:3] for r in rows] == [["C1", "quotient-coxeter", "PASS"],
                                      ["C5", "fourier-matrix", "FAIL"]]
     assert rows[1][3] == "internal error ZeroDivisionError: singular matrix"
-
-
-def test_out_file_written(tmp_path):
-    target = tmp_path / "report.tsv"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suite coxeter\nout {target}\n")
-    code, out, _ = run_cli(["--config", str(cfg), "verify"])
-    assert code == 0
-    assert target.read_text() == out
 
 
 @pytest.mark.parametrize("command", ["weyl", "cells", "reps"])
@@ -398,37 +338,6 @@ def test_unusable_node_subset_is_a_usage_error(argv, message):
     assert code == 2
     assert out == ""
     assert err == f"usage error: {message}\n"
-
-
-@pytest.mark.parametrize("line", ["window 6", "format tsv", "prec 8",
-                                  "order_cap 24"])
-def test_removed_config_keys_are_unknown(tmp_path, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suite coxeter\n{line}\n")
-    code, out, err = run_cli(["--config", str(cfg), "verify"])
-    assert code == 2
-    assert out == ""
-    key = line.split()[0]
-    assert err == f"usage error: unknown key {key!r} (line 2)\n"
-
-
-def test_unwritable_out_path_is_a_usage_error(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suite coxeter\nout {tmp_path / 'missing' / 'x.tsv'}\n")
-    code, out, err = run_cli(["--config", str(cfg), "verify"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error: cannot write report to ")
-    assert err.count("\n") == 1
-
-
-def test_missing_config_file_is_a_usage_error(tmp_path):
-    code, out, err = run_cli(["--config", str(tmp_path / "absent.cfg"),
-                              "verify"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error: cannot read config ")
-    assert err.count("\n") == 1
 
 
 def test_registry_covers_all_suites():

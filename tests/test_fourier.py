@@ -25,13 +25,15 @@ def test_m_set_sizes():
 
 def test_all_curated_matrices_are_involutions():
     for name, build in sorted(fourier.GROUPS.items()):
-        matrix = fourier.pairing_matrix(build())
+        gamma = build()
+        matrix = fourier.pairing_matrix(gamma, fourier.m_set(gamma))
         assert _squares_to_identity(matrix), name
 
 
 def test_matrices_are_symmetric():
     for build in (fourier.group_z2, fourier.group_z2xz2, fourier.group_s3):
-        matrix = fourier.pairing_matrix(build())
+        gamma = build()
+        matrix = fourier.pairing_matrix(gamma, fourier.m_set(gamma))
         n = len(matrix)
         for i in range(n):
             for j in range(n):
@@ -41,7 +43,7 @@ def test_matrices_are_symmetric():
 def test_z2_matrix_entries():
     gamma = fourier.group_z2()
     pairs = fourier.m_set(gamma)
-    matrix = fourier.pairing_matrix(gamma)
+    matrix = fourier.pairing_matrix(gamma, pairs)
     half = Fraction(1, 2)
     for i, p in enumerate(pairs):
         for j, q in enumerate(pairs):
@@ -67,7 +69,7 @@ def test_b2_component_matrix_is_involution():
 
 def test_trivial_group_transform_is_identity():
     gamma = fourier.group_trivial()
-    matrix = fourier.pairing_matrix(gamma)
+    matrix = fourier.pairing_matrix(gamma, fourier.m_set(gamma))
     assert matrix == ((Cyc.rational(1),),) or matrix[0][0] == Cyc.rational(1)
 
 

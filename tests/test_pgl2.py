@@ -5,7 +5,6 @@ import random
 import pytest
 
 from weylkit import checks, laurent, pgl2
-from weylkit.cli import SuiteConfig
 from weylkit.errors import BudgetError, PreconditionError
 from weylkit.laurent import LaurentScalar
 from reference_routes import children, conjugate_levels, tau_conjugate
@@ -395,7 +394,7 @@ def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
                 for q in (2, 3, 5) for _ in range(60)]
     monkeypatch.setattr(pgl2, "fixed_point_count", recording_count)
     monkeypatch.setattr(pgl2, "_pieces", recording_pieces)
-    assert checks._c7_fixed_points(SuiteConfig()) \
+    assert checks._c7_fixed_points() \
         == "42 elements, every fixed-point count is 2"
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
     assert len(counted) == 42 + 180

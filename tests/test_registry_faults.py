@@ -20,16 +20,13 @@ from weylkit import (
     witt,
 )
 from weylkit.cartan import cartan_datum
-from weylkit.cli import SuiteConfig
 from weylkit.cyclotomic import Cyc
 from reference_routes import children, from_word
 from test_pgl2 import _walk_branches
 
-CONFIG = SuiteConfig()
-
 
 def _statuses():
-    return {r[0]: r[2] for r in checks.run_checks(CONFIG)}
+    return {r[0]: r[2] for r in checks.run_checks()}
 
 
 def _all_passing():
@@ -277,6 +274,11 @@ def _pairing_negated_on_the_sigma_one_diagonal(gamma, p, q):
     return -value if p == q and p.sigma == 1 else value
 
 
+def _z2_pairing_matrix():
+    z2 = fourier.group_z2()
+    return fourier.pairing_matrix(z2, fourier.m_set(z2))
+
+
 def _bracket_with_e_f_twice_h():
     """[e, f] = 2h and [f, e] = -2h instead of h and -h."""
     rows = [list(row) for row in lattices.BRACKET]
@@ -337,7 +339,7 @@ FAULTS = {
         _builtin_layer_labels),
     "fourier.pairing negates the sigma = 1 diagonal": (
         [(fourier, "pairing", _pairing_negated_on_the_sigma_one_diagonal)],
-        {"C5"}, lambda: fourier.pairing_matrix(fourier.group_z2())),
+        {"C5"}, _z2_pairing_matrix),
     "lattices.BRACKET with [e, f] = 2h": (
         [(lattices, "BRACKET", _bracket_with_e_f_twice_h())], {"C10", "C11"},
         lattices.killing_gram),
