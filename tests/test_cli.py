@@ -251,7 +251,6 @@ def test_reps_at_denominator_20_stays_within_the_budget():
     ["pgl2", "--q", "3", "--matrix", "e,0;0,0"],
     ["pgl2", "--q", "1"],
     ["pgl2", "--q", "6"],
-    ["pgl2", "--q", "9"],
 ])
 def test_pgl2_bad_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -259,6 +258,15 @@ def test_pgl2_bad_values_are_usage_errors(argv):
     assert out == ""
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_a_q_that_is_a_prime_power_but_not_a_prime_exits_2(q):
+    # pgl2 works over prime fields only
+    code, out, err = run_cli(["pgl2", "--q", str(q)])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: q={q} is not a prime\n"
 
 
 def test_unexpected_check_error_is_a_fail_row(monkeypatch):
