@@ -21,10 +21,10 @@ from .errors import (
 from .laurent import is_prime
 
 
-def _emit(rows, header, out):
+def _emit(rows, header):
     lines = ["\t".join(header)]
     lines += ["\t".join(str(x) for x in row) for row in rows]
-    out.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _datum(label):
@@ -53,13 +53,13 @@ def _denominator(args):
     return args.denominator
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     rows = checks.run_checks(suites=args.suite)
-    _emit(rows, ("check_id", "anchor", "status", "witness"), out)
+    _emit(rows, ("check_id", "anchor", "status", "witness"))
     return 0 if all(r[2] == "PASS" for r in rows) else 1
 
 
-def _cmd_weyl(args, out):
+def _cmd_weyl(args):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     gens = weyl.quotient_generators(datum, J)
@@ -68,11 +68,11 @@ def _cmd_weyl(args, out):
             for i, row in enumerate(matrix)]
     for k, w in gens:
         rows.append(("generator", k, weyl.word_str(w), "ok"))
-    _emit(rows, ("kind", "index", "value", "note"), out)
+    _emit(rows, ("kind", "index", "value", "note"))
     return 0
 
 
-def _cmd_cells(args, out):
+def _cmd_cells(args):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     rows = [(" ".join(str(c) for c in d.coords),
@@ -81,11 +81,11 @@ def _cmd_cells(args, out):
              " ".join(str(v) for v in t.values))
             for d, cell, t
             in alcove.grid_points(datum, J, _denominator(args))]
-    _emit(rows, ("point", "cell", "torus_order", "torus_coords"), out)
+    _emit(rows, ("point", "cell", "torus_order", "torus_coords"))
     return 0
 
 
-def _cmd_reps(args, out):
+def _cmd_reps(args):
     datum = _datum(args.type)
     J = _nodes(datum, args.j)
     rows = [(" ".join(str(c) for c in d.coords),
@@ -94,11 +94,11 @@ def _cmd_reps(args, out):
              reps.character_norm(rep, t.order).render())
             for d, _, t, index, rep
             in reps.grid_modules(datum, J, _denominator(args))]
-    _emit(rows, ("point", "character", "dimension", "norm"), out)
+    _emit(rows, ("point", "character", "dimension", "norm"))
     return 0
 
 
-def _cmd_fourier(args, out):
+def _cmd_fourier(args):
     if args.group not in fourier.GROUPS:
         raise ConfigError(f"unknown group {args.group!r};"
                           f" choices: {sorted(fourier.GROUPS)}")
@@ -109,11 +109,11 @@ def _cmd_fourier(args, out):
     for p, row in zip(pairs, matrix):
         rows.append((f"({p.x},{p.sigma})",
                      "\t".join(c.render() for c in row)))
-    _emit(rows, ("pair", "row"), out)
+    _emit(rows, ("pair", "row"))
     return 0
 
 
-def _cmd_pgl2(args, out):
+def _cmd_pgl2(args):
     if not is_prime(args.q):
         raise ConfigError(f"q={args.q} is not a prime")
     try:
@@ -135,11 +135,11 @@ def _cmd_pgl2(args, out):
                      pgl2.discriminant_valuation(matrix)))
     if args.op in ("count", "all") and cls == "I2":
         rows.append(("fixed_point_count", pgl2.fixed_point_count(matrix)))
-    _emit(rows, ("result", "value"), out)
+    _emit(rows, ("result", "value"))
     return 0
 
 
-def _cmd_witt(args, out):
+def _cmd_witt(args):
     if args.enum and args.m is not None:
         raise ConfigError("--m sets the Witt oracle's length; --enum"
                           " does not read it")
@@ -169,7 +169,7 @@ def _cmd_witt(args, out):
         rows.append(("oracle", "PASS" if witt.oracle_check(p, m) else "FAIL"))
         rows.append(("one", witt.witt_one(p, m).render()))
         rows.append(("p_image", witt.from_integer(p, p, m).render()))
-    _emit(rows, ("result", "value"), out)
+    _emit(rows, ("result", "value"))
     return 0
 
 
@@ -226,7 +226,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        return args.func(args)
     except (ConfigError, NodeSubsetError) as exc:
         # NodeSubsetError: the library cannot use the --j node subset.
         print(f"usage error: {exc}", file=sys.stderr)

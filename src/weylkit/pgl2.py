@@ -30,14 +30,20 @@ x = tau, and every g in I2 has exactly 2.
 
 The count still computes that 2 rather than asserting it: it walks the
 word tree of coset representatives carrying x^-1 g x, to word lengths 1
-and 2, and adds the I2 nodes it finds to the 2 at level 0.  Level 1
-reads g's own t-independent pieces; level 2 reads the pieces of level
-1, formed straight from g's entries and t, so the walk builds no matrix
-but g.  A walk that undoes its last letter first returns to the base
-coset at level 2, so a backtracking walk shows there as a false I2
-node.  The I2 rule decides on v(c)=v(b)+1 before it reads a or d, so
-the walk forms a branch's b- and c-pieces and their valuations for
-every child, and its a- and d-pieces only when some child passes.
+and 2, and adds the I2 nodes it finds to the 2 at level 0.  Words
+alternate two letters, with edges s_1(t) = [[-t, 1], [-1, 0]] and
+s_0(t) = [[0, e^-1], [-e, t]] for t in range(q), and the walk steps with
+letter 1 only: tau^-1 s_1(t) tau = -s_0(t), the sign cancels in a
+conjugation, and tau^2 = e I is central, so tau C tau^-1 = tau^-1 C tau
+and s_0(t)^-1 C s_0(t) = tau^-1 (s_1(t)^-1 (tau^-1 C tau) s_1(t)) tau.
+So the words that start with letter 0 below C are the tau-conjugates of
+the words that start with letter 1 below tau^-1 C tau.  Class is
+tau-invariant, so each level has the I2 count of the letter-1 words
+below g and below g' = tau^-1 g tau.  Each level reads the pieces of the
+one above, formed from the root's entries and t, so the walk builds no
+matrix but g and g'.  A walk that undoes its last letter first returns
+to the base coset at level 2, so a backtracking walk shows there as a
+false I2 node.
 """
 
 import math
@@ -113,23 +119,22 @@ def _exact_inverse(M):
     return ((M[1][1] * inv, -M[0][1] * inv), (-M[1][0] * inv, M[0][0] * inv))
 
 
-def _pieces(C, letter):
-    """The t-independent scalars of s^-1 C s for the q edges
-    s = u_letter(t) n_letter, t in range(q), of the word tree below C:
-    s = [[-t, 1], [-1, 0]] for letter 1 and [[0, e^-1], [-e, t]] for
-    letter 0, both of determinant 1.  Each entry of a child is
+def _tau_conjugate(C):
+    """tau^-1 C tau = [[d, c/e], [e b, a]] for tau = [[0, 1], [e, 0]]."""
+    (a, b), (c, d) = C
+    return ((d, c.shift(-1)), (b.shift(1), a))
+
+
+def _pieces(C):
+    """The t-independent scalars of the q children s^-1 C s, s = s_1(t)
+    and t in range(q), of the word tree below C: [[d + t c, -c],
+    [-b + t (d - a) + t^2 c, a - t c]].  Each entry of a child is
     x0 + t x1 + t^2 x2 with scalars that depend only on C; the four
     entries come as (x0, x1, x2) triples, None marking an absent term."""
     (a, b), (c, d) = C
-    if letter == 1:
-        # ((d + t c, -c), (-b + t (d - a) + t^2 c, a - t c))
-        neg_c = -c
-        return ((d, c, None), (neg_c, None, None),
-                (-b, d - a, c), (a, neg_c, None))
-    # ((d - t eb, -c e^-2 + t (a - d) e^-1 + t^2 b), (-b e^2, a + t eb))
-    eb = b.shift(1)
-    return ((d, -eb, None), (-c.shift(-2), (a - d).shift(-1), b),
-            (-b.shift(2), None, None), (a, eb, None))
+    neg_c = -c
+    return ((d, c, None), (neg_c, None, None),
+            (-b, d - a, c), (a, neg_c, None))
 
 
 def _entry_pairs(piece, q):
@@ -159,52 +164,32 @@ def _entry_pairs(piece, q):
     return vals
 
 
-def _child_branches(C, letter, pieces, q):
-    """The branches of C's q children s^-1 C s, t in range(q), for the
-    letter their words take next, formed straight from C's entries, its
-    pieces `_pieces(C, letter)` and t, without building the children.
-    Each branch is (b-piece, c-piece, thunk) and the thunk forms its
-    (a-piece, d-piece); the pieces equal `_pieces` of the child built as
-    a matrix.  The terms all t share are formed once, or read
-    from C's pieces where those hold them, so a child's b- and c-pieces
-    take two `laurent.quadratic` calls; the terms only the a- and
-    d-pieces read are formed in the thunk, which a walk calls only for a
-    branch where some child passes v(c) = v(b) + 1."""
+def _child_branches(C, pieces, q):
+    """The branches below C's q children X = s^-1 C s, t in range(q),
+    formed from C's entries, its pieces `_pieces(C)` and t without
+    building X: X goes on with letter 0, so by the module docstring a
+    branch carries `_pieces(_tau_conjugate(X))`.  Each branch is
+    (b-piece, c-piece, thunk), and the thunk forms its (a-piece,
+    d-piece); a walk calls it only for a branch where some child passes
+    v(c) = v(b) + 1.  The terms all t share are formed once, so a child's
+    b- and c-pieces take two `laurent.quadratic` calls."""
+    # tau^-1 X tau = [[a - t c, e^-1 (-b + t (d - a) + t^2 c)],
+    # [-e c, d + t c]], whose pieces are (d + t c, -e c), (e c),
+    # (e^-1 (b + t (a - d) - t^2 c), (d - a) + t (c + c), -e c) and
+    # (a - t c, e c)
     (a, b), (c, d) = C
-    if letter == 1:
-        # child [[d + t c, -c], [-b + t (d - a) + t^2 c, a - t c]], whose
-        # letter-0 pieces are (a - t c, e c), (e^-2 (b + t (a - d) - t^2 c),
-        # e^-1 ((d - a) + t (c + c)), -c), (e^2 c) and (d + t c, -e c)
-        (neg_c, _, _), (_, d_a, _) = pieces[1:3]
-        b0, b1, b2 = b.shift(-2), (-d_a).shift(-2), neg_c.shift(-2)
-        x10, x11 = d_a.shift(-1), (c + c).shift(-1)
-        pc = (c.shift(2), None, None)
+    (neg_c, _, _), (_, d_a, _) = pieces[1:3]
+    c0, c1, c2 = b.shift(-1), (-d_a).shift(-1), neg_c.shift(-1)
+    two_c, ec, neg_ec = c + c, c.shift(1), neg_c.shift(1)
+    pb = (ec, None, None)
 
-        def branch(t):
-            pb = (quadratic(t, b0, b1, b2), quadratic(t, x10, x11), neg_c)
-            return pb, pc, partial(ad, t)
+    def branch(t):
+        pc = (quadratic(t, c0, c1, c2), quadratic(t, d_a, two_c), neg_ec)
+        return pb, pc, partial(ad, t)
 
-        def ad(t):
-            return (quadratic(t, a, neg_c), c.shift(1), None), \
-                (quadratic(t, d, c), neg_c.shift(1), None)
-    else:
-        # child [[d - t eb, -e^-2 c + t e^-1 (a - d) + t^2 b], [-e^2 b,
-        # a + t eb]], whose letter-1 pieces are (a + t eb, -e^2 b),
-        # (e^2 b), (e^-2 c + t e^-1 (d - a) - t^2 b, (a - d) + t (eb + eb),
-        # -e^2 b) and (d - t eb, e^2 b)
-        (_, neg_eb, _), (neg_c0, a_d1, _), (neg_e2b, _, _), (_, eb, _) = pieces
-        c0, c1, c2 = -neg_c0, -a_d1, -b
-        x10, x11 = a_d1.shift(1), eb + eb
-        e2b = -neg_e2b
-        pb = (e2b, None, None)
-
-        def branch(t):
-            pc = (quadratic(t, c0, c1, c2), quadratic(t, x10, x11), neg_e2b)
-            return pb, pc, partial(ad, t)
-
-        def ad(t):
-            return (quadratic(t, a, eb), neg_e2b, None), \
-                (quadratic(t, d, neg_eb), e2b, None)
+    def ad(t):
+        return (quadratic(t, d, c), neg_ec, None), \
+            (quadratic(t, a, neg_c), ec, None)
     return [branch(t) for t in range(q)]
 
 
@@ -231,10 +216,12 @@ def _i2_children(branches, q):
 def fixed_point_count(g, prec=None):
     """Number of cosets x I1 with x^-1 g x in I2, for g in I2: the 2 of
     level 0 (g and its tau-conjugate) plus twice the I2 nodes of word
-    lengths 1 and 2, read from valuations without building a node.  The
-    module docstring shows that the answer is 2 and why the walk goes to
-    level 2.  `prec` is accepted and unused: `perfbench/worker.py`
-    passes it.
+    lengths 1 and 2, read from valuations without building a node: each
+    level sums `_i2_children` over the roots g and g' = tau^-1 g tau,
+    level 1 from `_pieces(root)` and level 2 from `_child_branches`.  The
+    module docstring shows why that covers the words of both letters,
+    that the answer is 2 and why the walk goes to level 2.  `prec` is
+    accepted and unused: `perfbench/worker.py` passes it.
 
     Levels 1 and 2 hold 2q and 2q^2 nodes.  Before it classifies any of
     them the count raises BudgetError if the 1 + 2q + 2q^2 nodes pass
@@ -247,11 +234,12 @@ def fixed_point_count(g, prec=None):
         raise BudgetError(
             f"fixed-point walk to word length 2 would classify {nodes}"
             f" nodes, more than the budget of {WALK_NODE_BUDGET}")
-    pieces = [_pieces(g, letter) for letter in (0, 1)]
+    roots = (g, _tau_conjugate(g))
+    pieces = [_pieces(root) for root in roots]
     level_1 = [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
                for pa, pb, pc, pd in pieces]
-    level_2 = [branch for letter in (0, 1)
-               for branch in _child_branches(g, letter, pieces[letter], q)]
+    level_2 = [branch for root, root_pieces in zip(roots, pieces)
+               for branch in _child_branches(root, root_pieces, q)]
     return 2 + 2 * (_i2_children(level_1, q) + _i2_children(level_2, q))
 
 

@@ -1,32 +1,51 @@
 """Reference routes the tests compare the library with.
 
 Each builds what the library's own route avoids building: every matrix
-of a level of the fixed-point walk, a Weyl element multiplied out letter
-by letter, the Witt zero from its components.  No command, check or
-benchmark runs them, so they live here, beside the tests that read them.
+of a level of the fixed-point walk as a product of matrices, a Weyl
+element multiplied out letter by letter, the Witt zero from its
+components.  No command, check or benchmark runs them, so they live
+here, beside the tests that read them.
 """
 
-from weylkit import pgl2, weyl, witt
-from weylkit.laurent import quadratic
+from weylkit import laurent, weyl, witt
+from weylkit.laurent import LaurentScalar
 
 
-def children(pieces, q):
-    """The q children s^-1 C s, t in range(q), from C's pieces
-    `pgl2._pieces(C, letter)`: at most three `laurent.quadratic`
-    constructions each."""
-    def entry(t, piece):
-        x0, x1, x2 = piece
-        return x0 if x1 is None else quadratic(t, x0, x1, x2)
+def edge(letter, t, q):
+    """The edge s_letter(t) of the word tree: [[-t, 1], [-1, 0]] for
+    letter 1 and [[0, e^-1], [-e, t]] for letter 0, both of determinant
+    1."""
+    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    scalar = LaurentScalar(q, {0: t})
+    if letter == 1:
+        return ((-scalar, one), (-one, zero))
+    return ((zero, LaurentScalar(q, {-1: 1})),
+            (LaurentScalar(q, {1: -1}), scalar))
 
-    p00, p01, p10, p11 = pieces
-    return [((entry(t, p00), entry(t, p01)), (entry(t, p10), entry(t, p11)))
-            for t in range(q)]
+
+def _conjugate(C, s, s_inv):
+    """s_inv C s, multiplied out."""
+    return laurent.mat_mul(s_inv, laurent.mat_mul(C, s))
+
+
+def children(C, letter, q):
+    """The q children s^-1 C s, s = s_letter(t) and t in range(q), each
+    a product with the edge and its adjugate, its inverse."""
+    out = []
+    for t in range(q):
+        s = edge(letter, t, q)
+        (a, b), (c, d) = s
+        out.append(_conjugate(C, s, ((d, -b), (-c, a))))
+    return out
 
 
 def tau_conjugate(C):
-    """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]]."""
-    (a, b), (c, d) = C
-    return ((d, c.shift(-1)), (b.shift(1), a))
+    """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]],
+    with tau^-1 = [[0, e^-1], [1, 0]], multiplied out."""
+    q = C[0][0].q
+    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    tau = ((zero, one), (LaurentScalar(q, {1: 1}), zero))
+    return _conjugate(C, tau, ((zero, LaurentScalar(q, {-1: 1})), (one, zero)))
 
 
 def conjugate_levels(g):
@@ -43,7 +62,7 @@ def conjugate_levels(g):
         frontier = [(child, letter)
                     for conj, last in frontier
                     for letter in (0, 1) if letter != last
-                    for child in children(pgl2._pieces(conj, letter), q)]
+                    for child in children(conj, letter, q)]
 
 
 def from_word(datum, word):

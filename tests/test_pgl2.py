@@ -6,8 +6,8 @@ import pytest
 
 from weylkit import checks, laurent, pgl2
 from weylkit.errors import BudgetError, PreconditionError
-from weylkit.laurent import LaurentScalar
-from reference_routes import children, conjugate_levels, tau_conjugate
+from weylkit.laurent import LaurentScalar, quadratic
+from reference_routes import children, conjugate_levels, edge, tau_conjugate
 
 
 def test_iwahori_classes_of_standard_elements():
@@ -234,21 +234,25 @@ def _child_valuations(branches, q):
 def _walk_branches(g):
     """For word lengths 1, 2, 3, ..., the branches (b-piece, c-piece, a/d
     thunk) whose children make up that level, in the order of
-    `conjugate_levels`: level 1 from g's own pieces, and level l + 1 from
-    the nodes of level l - 1 through `_child_branches`.  g extends both
-    letters; a node of level l >= 1 in the first half of its level ends
-    in letter (l + 1) % 2, one in the second half in l % 2, and each
-    extends with the other letter."""
+    `conjugate_levels`, each child standing for a node or for its
+    tau-conjugate: level 1 from the pieces of tau^-1 g tau and of g, and
+    level l + 1 from the nodes of level l - 1 through `_child_branches`.
+    g extends both letters; a node of level l >= 1 in the first half of
+    its level ends in letter (l + 1) % 2, one in the second half in
+    l % 2, and each extends with the other letter.  A node extends with
+    letter 1 from itself and with letter 0 from its tau-conjugate, the
+    built one that follows it in its level."""
     q = g[0][0].q
     yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-           for pa, pb, pc, pd in (pgl2._pieces(g, letter) for letter in (0, 1))]
+           for pa, pb, pc, pd in (pgl2._pieces(root)
+                                  for root in (tau_conjugate(g), g))]
     for length, level in enumerate(conjugate_levels(g)):
-        nodes = level[::2]
-        yield [branch for k, node in enumerate(nodes)
+        pairs = list(zip(level[::2], level[1::2]))
+        yield [branch for k, pair in enumerate(pairs)
                for letter in ((0, 1) if length == 0
-                              else ((length + 2 * k // len(nodes)) % 2,))
+                              else ((length + 2 * k // len(pairs)) % 2,))
                for branch in pgl2._child_branches(
-                   node, letter, pgl2._pieces(node, letter), q)]
+                   pair[1 - letter], pgl2._pieces(pair[1 - letter]), q)]
 
 
 def _levels_two_ways(g, count):
@@ -331,7 +335,7 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
         for g in sources:
             levels = conjugate_levels(g)
             next(levels)
-            for nodes, built, _ in zip(_walk_branches(g), levels, range(3)):
+            for _, nodes, built in zip(range(3), _walk_branches(g), levels):
                 count = pgl2._i2_children(nodes, q)
                 exps = _child_valuations(nodes, q)
                 assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
@@ -351,9 +355,16 @@ def _piece_key(piece):
 
 
 def test_child_route_pieces_match_the_built_children():
-    # Each piece the walk forms for a child straight from its parent's
-    # entries and t equals `_pieces` of the child that `children` builds:
-    # random parents of every class, and the walk's own nodes.
+    # A parent's pieces give the entries of each letter-1 child that
+    # `children` builds by matrix products.  Each piece the walk forms for
+    # a child X straight from its parent's entries and t equals
+    # `_pieces(tau^-1 X tau)` of the built child; from the parent's
+    # tau-conjugate, they equal `_pieces` of the parent's built letter-0
+    # children.  Random parents of every class, and the walk's own nodes.
+    def entry(t, piece):
+        x0, x1, x2 = piece
+        return x0 if x1 is None else quadratic(t, x0, x1, x2)
+
     for q in (2, 3, 5, 7):
         rng = random.Random(71 + q)
         parents = [_random_exact_matrix(q, rng) for _ in range(40)]
@@ -361,14 +372,19 @@ def test_child_route_pieces_match_the_built_children():
                 pgl2.random_i2(q, rng))):
             parents.extend(level[::2])
         for parent in parents:
-            for letter in (0, 1):
-                pieces = pgl2._pieces(parent, letter)
-                built = children(pieces, q)
-                branches = pgl2._child_branches(parent, letter, pieces, q)
+            pieces = pgl2._pieces(parent)
+            for t, child in enumerate(children(parent, 1, q)):
+                a, b, c, d = (entry(t, piece) for piece in pieces)
+                assert _key(child) == _key(((a, b), (c, d)))
+            for root, letter, carried in (
+                    (parent, 1, tau_conjugate),
+                    (tau_conjugate(parent), 0, lambda child: child)):
+                built = children(parent, letter, q)
+                branches = pgl2._child_branches(root, pgl2._pieces(root), q)
                 assert len(branches) == q
                 for child, (pb, pc, ad) in zip(built, branches):
                     pa, pd = ad()
-                    want = pgl2._pieces(child, 1 - letter)
+                    want = pgl2._pieces(carried(child))
                     assert [_piece_key(p) for p in (pa, pb, pc, pd)] \
                         == [_piece_key(p) for p in want]
 
@@ -376,8 +392,9 @@ def test_child_route_pieces_match_the_built_children():
 def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     # C7's 42 elements and 60 random odd-coset elements at each of
     # q = 2, 3, 5 settle at level 2, whose pairs come from the pieces of
-    # level 1, and those straight from g: no count forms the pieces of a
-    # matrix other than the g it counts, so none builds a matrix past g.
+    # level 1, and those straight from the roots g and tau^-1 g tau: no
+    # count forms the pieces of any other matrix, so none builds a matrix
+    # past those two.
     count, pieces = pgl2.fixed_point_count, pgl2._pieces
     counted, pieced = [], []
 
@@ -385,9 +402,9 @@ def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
         counted.append(g)
         return count(g, prec)
 
-    def recording_pieces(C, letter):
-        pieced.append((C, letter))
-        return pieces(C, letter)
+    def recording_pieces(C):
+        pieced.append(C)
+        return pieces(C)
 
     rng = random.Random(83)
     elements = [pgl2.random_i2(q, rng, degree=8)
@@ -399,8 +416,9 @@ def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
     assert len(counted) == 42 + 180
     assert len(pieced) == 2 * len(counted)
-    assert all(C is g and letter == want for (C, letter), (g, want)
-               in zip(pieced, itertools.product(counted, (0, 1))))
+    assert all(C is g for C, g in zip(pieced[::2], counted))
+    assert [_key(C) for C in pieced[1::2]] \
+        == [_key(tau_conjugate(g)) for g in counted]
 
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
@@ -446,6 +464,23 @@ def test_tau_conjugate_has_the_same_class_on_exact_entries():
             assert pgl2.iwahori_class(tau_conjugate(m)) == cls
             seen.add(cls)
     assert seen == {"I1", "I2", "neither"}
+
+
+def test_tau_turns_the_letter_1_edges_into_the_letter_0_edges():
+    # The walk's one-letter step rests on tau^-1 s_1(t) tau = -s_0(t),
+    # with tau^2 = e I central, so conjugating twice by tau is the
+    # identity; and on `_tau_conjugate` being tau^-1 C tau, here against
+    # the product of three matrices on random matrices of every class.
+    for q in (2, 3, 5, 7):
+        for t in range(q):
+            (a, b), (c, d) = edge(0, t, q)
+            assert _key(tau_conjugate(edge(1, t, q))) \
+                == _key(((-a, -b), (-c, -d)))
+        rng = random.Random(89 + q)
+        for _ in range(40):
+            m = _random_exact_matrix(q, rng)
+            assert _key(pgl2._tau_conjugate(m)) == _key(tau_conjugate(m))
+            assert _key(tau_conjugate(tau_conjugate(m))) == _key(m)
 
 
 def _random_i2_by_shifts(q, rng, degree=6):

@@ -90,27 +90,15 @@ def test_ghost_exponents_shifted_up_are_an_equivalent_mutant(p, m):
 # -- C7, C8 and C9 faults, with the gaps they show ---------------------
 
 _PIECES = pgl2._pieces
-_CHILD_BRANCHES = pgl2._child_branches
 _ENTRY_PAIRS = pgl2._entry_pairs
 
 
-def _pieces_with_a_minus_d(C, letter):
-    """The letter-1 c-piece -b + t (a - d) + t^2 c instead of
-    -b + t (d - a) + t^2 c."""
-    if letter != 1:
-        return _PIECES(C, letter)
+def _pieces_with_a_minus_d(C):
+    """The c-piece -b + t (a - d) + t^2 c instead of -b + t (d - a) +
+    t^2 c.  The child route reads d - a from these pieces, so the fault
+    reaches both levels."""
     (a, b), (c, d) = C
     return ((d, c, None), (-c, None, None), (-b, a - d, c), (a, -c, None))
-
-
-def _child_branches_with_a_minus_d(C, letter, pieces, q):
-    """The same fault on the child route: a letter-0 child's letter-1
-    c-piece with x1 = (d - a) - t (eb + eb), the child's a - d, instead
-    of (a - d) + t (eb + eb), its d - a."""
-    branches = _CHILD_BRANCHES(C, letter, pieces, q)
-    if letter != 0:
-        return branches
-    return [(pb, (x0, -x1, x2), ad) for pb, (x0, x1, x2), ad in branches]
 
 
 def _entry_pairs_without_x2(piece, q):
@@ -131,14 +119,16 @@ def _readout_with_exponent_one_after_the_first_term(p, m, g):
     return tuple(out)
 
 
-def _child_branches_that_backtrack(C, letter, pieces, q):
+def _child_branches_that_backtrack(C, pieces, q):
     """The child route with both letters below every child, so a word may
-    undo its last step.  The child route forms only the next letter's
-    pieces, so the branches come from the built children."""
+    undo its last step: letter 0 from the child's tau-conjugate, as the
+    walk reads it, and letter 1 again from the child itself.  The child
+    route forms only the next letter's pieces, so the branches come from
+    the built children."""
     return [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-            for child in children(pieces, q)
-            for pa, pb, pc, pd in (_PIECES(child, next_letter)
-                                   for next_letter in (0, 1))]
+            for child in children(C, 1, q)
+            for pa, pb, pc, pd in (_PIECES(root) for root
+                                   in (pgl2._tau_conjugate(child), child))]
 
 
 _ACTION_MATRIX = pgl2.RecurrenceModule.action_matrix
@@ -304,9 +294,8 @@ FAULTS = {
     "pgl2._child_branches backtracks": (
         [(pgl2, "_child_branches", _child_branches_that_backtrack)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3)),
-    "pgl2._pieces letter-1 c-piece a - d": (
-        [(pgl2, "_pieces", _pieces_with_a_minus_d),
-         (pgl2, "_child_branches", _child_branches_with_a_minus_d)], {"C7"},
+    "pgl2._pieces c-piece a - d": (
+        [(pgl2, "_pieces", _pieces_with_a_minus_d)], {"C7"},
         lambda: _walk_valuations("1+e,e;e2,1", 3)),
     "pgl2._entry_pairs drops x2": (
         [(pgl2, "_entry_pairs", _entry_pairs_without_x2)], {"C7"},
@@ -357,15 +346,14 @@ FAULTS = {
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
 # elements, so it sees a walk fault only when the fault puts a child in
-# I2, as the backtracking walk does at level 2; the a - d fault (on g's
-# pieces and on the child route) and the _entry_pairs fault change
-# children outside I2 only.  C9 runs the oracle
-# only at m = 2.  Every Weyl element a check inverts is an involution
-# (ss_k, and the lifts of the rank-1 quotient's words of length at most
-# 1), so an inverse that returns the element itself is right on all of
-# them.
+# I2, as the backtracking walk does at level 2; the a - d fault (on the
+# roots' pieces, which the child route reads) and the _entry_pairs fault
+# change children outside I2 only.  C9 runs the oracle only at m = 2.
+# Every Weyl element a check inverts is an involution (ss_k, and the
+# lifts of the rank-1 quotient's words of length at most 1), so an
+# inverse that returns the element itself is right on all of them.
 BLIND = {
-    "pgl2._pieces letter-1 c-piece a - d",
+    "pgl2._pieces c-piece a - d",
     "pgl2._entry_pairs drops x2",
     "witt._readout exponent 1 after the first term",
     "weyl inverse that is the element itself",
