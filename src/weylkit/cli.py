@@ -16,6 +16,7 @@ from .errors import (
     NodeSubsetError,
     PreconditionError,
     UnsupportedLabelError,
+    UnsupportedRegimeError,
     WeylkitError,
 )
 from .laurent import is_prime
@@ -114,10 +115,10 @@ def _cmd_fourier(args):
 
 
 def _cmd_pgl2(args):
-    if not is_prime(args.q):
-        raise ConfigError(f"q={args.q} is not a prime")
     try:
         matrix = laurent.parse_matrix(args.matrix, args.q)
+    except UnsupportedRegimeError:
+        raise ConfigError(f"q={args.q} is not a prime")
     except PreconditionError as exc:
         raise ConfigError(f"bad matrix {args.matrix!r}: {exc}")
     if laurent.mat_det(matrix) == 0:

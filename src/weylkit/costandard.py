@@ -7,10 +7,11 @@ sets, and the top label zeta = (class, system) with its cell data.
 Validation checks invariance of every filtration step, identifies each
 layer (the curated layers are one-dimensional, either the sign or the
 unit character), requires the top layer to match the Springer label of
-zeta, and requires the lower layers to have strictly larger classes in
-closure order.  Every layer is lattice-trivial by then: the lattice
-acts through gen0 gen1, and on a layer where both generators act by
-the same curated character (both 1 or both -1) that product is 1.
+zeta in `SPRINGER`, and requires the lower layers to have strictly
+larger classes in the closure order `CLOSURE_BELOW`.  Every layer is
+lattice-trivial by then: the lattice acts through gen0 gen1, and on a
+layer where both generators act by the same curated character (both 1
+or both -1) that product is 1.
 
 The curated tables are the data constants `BUILTIN_A1`, which the
 validator accepts, and `SWAPPED_A1`, which it rejects at layer 2.
@@ -18,8 +19,19 @@ validator accepts, and `SWAPPED_A1`, which it rejects at layer 2.
 
 from dataclasses import dataclass, replace
 
-from . import linalg, springer
+from . import linalg
 from .errors import TableRejectionError, UnsupportedLabelError
+
+# Generalized Springer labels of the centralizer types SL2 and the 1-dim
+# torus: (class name, component-group system) -> relative Weyl group irrep.
+SPRINGER = {
+    "sl2": {("regular", "triv"): "unit", ("1", "triv"): "sign",
+            ("regular", "eps"): "unit"},
+    "torus": {("1", "triv"): "unit"},
+}
+
+# Closure order: the pairs (c1, c2) where class c1 lies strictly below c2.
+CLOSURE_BELOW = {("1", "regular")}
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,11 @@ def validate_costandard(data):
     if data.group != "A1":
         raise UnsupportedLabelError("only the rank-1 tables are curated")
     tag = "sl2" if len(data.cell) == 1 else "torus"
-    expected_top = springer.springer_label(tag, data.zeta[0], data.zeta[1])
+    table = SPRINGER[tag]
+    if data.zeta not in table:
+        raise UnsupportedLabelError(
+            f"({data.zeta[0]}, {data.zeta[1]}) not in the {tag} table")
+    expected_top = table[data.zeta]
     chain = data.filtration
     if chain[-1][0] != 0 or len(chain[-1][1]) != data.dim:
         raise TableRejectionError("filtration must end with the full space at 0",
@@ -95,10 +111,8 @@ def validate_costandard(data):
             layer=top_a)
     # Lower layers: classes strictly above in closure order.
     for a, label in labels[1:]:
-        matches = [pair for pair, irrep in springer.springer_table(tag).items()
-                   if irrep == label]
-        if not any(springer.closure_lt(tag, data.zeta[0], cname)
-                   for cname, _ in matches):
+        if not any((data.zeta[0], cname) in CLOSURE_BELOW
+                   for (cname, _), irrep in table.items() if irrep == label):
             raise TableRejectionError(
                 f"layer {a} class is not strictly above zeta in closure order",
                 layer=a)

@@ -115,9 +115,7 @@ class FiniteGroupTable:
             chi = dict(zip(self.elements, values))
             if all(chi[self.mult[a, b]] == chi[a] * chi[b]
                    for a in self.elements for b in self.elements):
-                if not any(all(chi[e] == other[e] for e in self.elements)
-                           for other in found):
-                    found.append(chi)
+                found.append(chi)
         if len(found) != len(self.elements):
             raise StructuralError("abelian character count mismatch")
         return found

@@ -121,9 +121,9 @@ def test_pgl2_subcommand():
 
 
 @pytest.mark.parametrize("op", ["class", "disc", "count", "all"])
-def test_pgl2_tests_q_for_primality_at_most_twice(monkeypatch, op):
-    # the command tests q, parse_matrix tests it once for all four
-    # entries, and no scalar formed after that tests it again
+def test_pgl2_tests_q_for_primality_once(monkeypatch, op):
+    # parse_matrix tests q once for all four entries, the command reads
+    # its verdict, and no scalar formed after that tests it again
     from weylkit import laurent, pgl2
     calls = []
     least_prime_factor = laurent.least_prime_factor
@@ -132,7 +132,7 @@ def test_pgl2_tests_q_for_primality_at_most_twice(monkeypatch, op):
                             lambda k: calls.append(k) or least_prime_factor(k))
     code, out, _ = run_cli(["pgl2", "--q", "3", "--op", op])
     assert code == 0
-    assert len(calls) <= 2
+    assert calls == [3]
 
 
 def test_witt_subcommand():

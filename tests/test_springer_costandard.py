@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from weylkit import costandard, springer
+from weylkit import costandard
 from weylkit.costandard import BUILTIN_A1, SWAPPED_A1
 from weylkit.errors import TableRejectionError, UnsupportedLabelError
 
@@ -16,25 +16,23 @@ TRIVIAL_A1 = costandard.CoStandardData(
     generators=(((-1,),), ((-1,),)), filtration=((0, ((1,),)),))
 
 
-def test_springer_tables_pair_only_curated_classes():
-    """Every (class, system) pair in a table names a class of its group."""
-    for tag in ("sl2", "torus"):
-        for class_name, _system in springer.springer_table(tag):
-            assert class_name in springer.classes(tag)
-
-
 def test_springer_labels():
-    assert springer.springer_label("sl2", "regular", "triv") == "unit"
-    assert springer.springer_label("sl2", "1", "triv") == "sign"
-    assert springer.springer_label("sl2", "regular", "eps") == "unit"
-    with pytest.raises(UnsupportedLabelError):
-        springer.springer_label("sl2", "1", "eps")
+    assert costandard.SPRINGER["sl2"] == {
+        ("regular", "triv"): "unit",
+        ("1", "triv"): "sign",
+        ("regular", "eps"): "unit",
+    }
+    assert costandard.SPRINGER["torus"] == {("1", "triv"): "unit"}
+    with pytest.raises(UnsupportedLabelError, match=r"\(1, eps\).* sl2 table"):
+        costandard.validate_costandard(replace(BUILTIN_A1, zeta=("1", "eps")))
 
 
 def test_closure_order():
-    assert springer.closure_lt("sl2", "1", "regular")
-    assert not springer.closure_lt("sl2", "regular", "1")
-    assert not springer.closure_lt("sl2", "regular", "regular")
+    """1 lies below regular, and the order names only classes that the
+    sl2 table pairs with a system."""
+    assert costandard.CLOSURE_BELOW == {("1", "regular")}
+    tabled = {class_name for class_name, _ in costandard.SPRINGER["sl2"]}
+    assert {c for pair in costandard.CLOSURE_BELOW for c in pair} <= tabled
 
 
 def test_costandard_builtin_accepted():
@@ -42,7 +40,7 @@ def test_costandard_builtin_accepted():
     labels = costandard.layer_labels(BUILTIN_A1)
     assert labels == ((2, "sign"), (0, "unit"))
     # the top layer carries the generalized Springer label of zeta
-    assert labels[0][1] == springer.springer_label("sl2", *BUILTIN_A1.zeta)
+    assert labels[0][1] == costandard.SPRINGER["sl2"][BUILTIN_A1.zeta]
 
 
 def test_costandard_swapped_rejected_with_layer():
@@ -53,6 +51,15 @@ def test_costandard_swapped_rejected_with_layer():
 
 def test_costandard_trivial_table_accepted():
     costandard.validate_costandard(TRIVIAL_A1)
+
+
+def test_costandard_two_node_cell_reads_the_torus_table():
+    # cell (0, 1) selects the torus table, whose (1, triv) label is unit
+    data = costandard.CoStandardData(
+        group="A1", dim=1, zeta=("1", "triv"), cell=(0, 1),
+        generators=(((1,),), ((1,),)), filtration=((0, ((1,),)),))
+    costandard.validate_costandard(data)
+    assert costandard.layer_labels(data) == ((0, "unit"),)
 
 
 @pytest.mark.parametrize("data, message, layer", [
@@ -69,8 +76,11 @@ def test_costandard_trivial_table_accepted():
      "not descending at 1", 1),
     (replace(SWAPPED_A1, zeta=("regular", "triv")),
      "class is not strictly above zeta", 0),
+    # a unit lower layer names regular itself, which is not strictly above
+    (replace(BUILTIN_A1, zeta=("regular", "triv"), generators=(FULL, FULL)),
+     "class is not strictly above zeta", 0),
 ], ids=["end", "invariant", "one-dimensional", "curated", "descending",
-        "closure"])
+        "closure", "closure-irreflexive"])
 def test_costandard_rejections_name_their_layer(data, message, layer):
     with pytest.raises(TableRejectionError, match=message) as info:
         costandard.validate_costandard(data)

@@ -151,5 +151,5 @@ def test_quotient_coxeter_matrix_rejects_one_node_left_out():
                      (cartan_datum("A1"), (1,))):
         with pytest.raises(NodeSubsetError):
             weyl.quotient_generators(datum, J)
-        # alcove and springer still read the empty generator list
+        # alcove still reads the empty generator list
         assert weyl.min_coset_generators(datum, J) == ()
