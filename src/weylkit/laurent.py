@@ -158,24 +158,6 @@ class LaurentScalar:
         return f"LaurentScalar({self.render()})"
 
 
-def quadratic(t, x0, x1, x2=None):
-    """x0 + t*x1 + t^2*x2 for an integer t, in one construction: the
-    coefficients of x0 + x1*t + (x2*t)*t, and x0 itself for t = 0 modulo
-    q.  x2 = None leaves out the t^2 term."""
-    q = x0.q
-    t %= q
-    if not t:
-        return x0
-    out = dict(x0.coeffs)
-    for exp, c in x1.coeffs.items():
-        out[exp] = out.get(exp, 0) + t * c
-    if x2 is not None:
-        t2 = t * t
-        for exp, c in x2.coeffs.items():
-            out[exp] = out.get(exp, 0) + t2 * c
-    return _new(q, out)
-
-
 _TERM = re.compile(r"^(?:(\d+)\*?)?(?:e(?:\^?(-?\d+))?)?$")
 
 

@@ -39,20 +39,43 @@ and s_0(t)^-1 C s_0(t) = tau^-1 (s_1(t)^-1 (tau^-1 C tau) s_1(t)) tau.
 So the words that start with letter 0 below C are the tau-conjugates of
 the words that start with letter 1 below tau^-1 C tau.  Class is
 tau-invariant, so each level has the I2 count of the letter-1 words
-below g and below g' = tau^-1 g tau.  Each level reads the pieces of the
-one above, formed from the root's entries and t, so the walk builds no
-matrix but g and g'.  A walk that undoes its last letter first returns
+below g and below g' = tau^-1 g tau.
+
+Below a root C = [[a, b], [c, d]], conjugation by s_1(t), whose inverse
+is [[0, -1], [1, -t]], gives the level-1 node
+
+    X_t = [[d + t c, -c], [-b + t (d - a) + t^2 c, a - t c]].
+
+X_t goes on with letter 0, so the level-2 node (t, s) is the
+tau-conjugate, of the same class, of the letter-1 child s of
+tau^-1 X_t tau = [[a - t c, e^-1 c'], [-e c, d + t c]], c' the lower
+left entry of X_t:
+
+    [[d + t c - s e c, e c],
+     [e^-1 (b + t (a - d) - t^2 c) + s (d - a) + 2 s t c - s^2 e c,
+      a - t c + s e c]].
+
+So the nodes come in rows of q, level 1 over t and level 2 over s for
+each t, and the coefficient of e^k in an entry of a row's node x is
+k0 + x k1 + x^2 k2, a column (k0, k1, k2) of integer sums of the root's
+coefficients of e^(k-1), e^k and e^(k+1).  The count scans the root's
+stored exponents shifted by -1, 0 and +1 in increasing order, never the
+range between them, and settles each node's entry at the first exponent
+where its coefficient is nonzero modulo q: its valuation.  The b-entry
+is -c or e c, whose valuation the root stores, and the I2 rule decides
+on v(c) = v(b) + 1 before it reads a or d, so the scan reads a and d
+only at the nodes that pass, and the count builds no scalar past the
+entries of g and g'.  A walk that undoes its last letter first returns
 to the base coset at level 2, so a backtracking walk shows there as a
 false I2 node.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from . import laurent, linalg
 from .errors import BudgetError, InternalConsistencyError, PreconditionError
-from .laurent import LaurentScalar, least_prime_factor, quadratic
+from .laurent import LaurentScalar, least_prime_factor
 
 # The nodes a fixed-point walk may classify: the size of
 # witt.ORACLE_PAIR_BUDGET.
@@ -125,103 +148,80 @@ def _tau_conjugate(C):
     return ((d, c.shift(-1)), (b.shift(1), a))
 
 
-def _pieces(C):
-    """The t-independent scalars of the q children s^-1 C s, s = s_1(t)
-    and t in range(q), of the word tree below C: [[d + t c, -c],
-    [-b + t (d - a) + t^2 c, a - t c]].  Each entry of a child is
-    x0 + t x1 + t^2 x2 with scalars that depend only on C; the four
-    entries come as (x0, x1, x2) triples, None marking an absent term."""
-    (a, b), (c, d) = C
-    neg_c = -c
-    return ((d, c, None), (neg_c, None, None),
-            (-b, d - a, c), (a, neg_c, None))
+def _child_c(A, B, C, D, k):
+    """The (k0, k1, k2) with k0 + t k1 + t^2 k2 the coefficient of e^k
+    in -b + t (d - a) + t^2 c, for a root whose entries a, b, c, d have
+    the coefficient dicts A, B, C, D."""
+    return -B.get(k, 0), D.get(k, 0) - A.get(k, 0), C.get(k, 0)
 
 
-def _entry_pairs(piece, q):
-    """The valuations of x0 + t x1 + t^2 x2 for t in range(q), equal to
-    those of the scalars `laurent.quadratic` builds: x0's own at t = 0;
-    otherwise the first exponent where the coefficient sum is nonzero
-    modulo q."""
-    x0, x1, x2 = piece
-    first = x0.valuation()
-    if x1 is None:
-        return [first] * q
-    c0, c1 = x0.coeffs, x1.coeffs
-    c2 = {} if x2 is None else x2.coeffs
-    vals = [first] + [math.inf] * (q - 1)
-    pending = range(1, q)
-    for e in sorted(set(c0).union(c1, c2)):
-        if not pending:
+def _rows(root, q):
+    """The rows of q nodes below root, level 1 and then level 2 for each
+    t in range(q): (keys, v(b), a-column, c-column, d-column).  A column
+    maps k to the (k0, k1, k2) with k0 + x k1 + x^2 k2 the coefficient of
+    e^k in the entry of the row's node x; keys hold every exponent where
+    one may be nonzero, in increasing order."""
+    (a, b), (c, d) = root
+    A, B, C, D = a.coeffs, b.coeffs, c.coeffs, d.coeffs
+    keys = sorted({k + i for k in (*A, *B, *C, *D) for i in (-1, 0, 1)})
+    v = min(C, default=math.inf)
+    yield (keys, v, lambda k: (D.get(k, 0), C.get(k, 0), 0),
+           lambda k: _child_c(A, B, C, D, k),
+           lambda k: (A.get(k, 0), -C.get(k, 0), 0))
+    for t in range(q):
+        def c_column(k, t=t):
+            x0, x1, x2 = _child_c(A, B, C, D, k + 1)
+            _, y1, y2 = _child_c(A, B, C, D, k)
+            return (-(x0 + t * (x1 + t * x2)), y1 + 2 * t * y2,
+                    -C.get(k - 1, 0))
+        yield (keys, v + 1,
+               lambda k, t=t: (D.get(k, 0) + t * C.get(k, 0),
+                               -C.get(k - 1, 0), 0),
+               c_column,
+               lambda k, t=t: (A.get(k, 0) - t * C.get(k, 0),
+                               C.get(k - 1, 0), 0))
+
+
+def _scan(keys, column, points, q):
+    """A row's entry's valuations at the nodes x in points, in a list
+    over range(q): the first k in keys where k0 + x k1 + x^2 k2 is
+    nonzero modulo q, (k0, k1, k2) = column(k), else inf."""
+    found = [math.inf] * q
+    for k in keys:
+        if not points:
             break
-        k0, k1, k2 = c0.get(e, 0), c1.get(e, 0), c2.get(e, 0)
-        unresolved = []
-        for t in pending:
-            if (k0 + t * (k1 + t * k2)) % q:
-                vals[t] = e
+        k0, k1, k2 = column(k)
+        pending = []
+        for x in points:
+            if (k0 + x * (k1 + x * k2)) % q:
+                found[x] = k
             else:
-                unresolved.append(t)
-        pending = unresolved
-    return vals
+                pending.append(x)
+        points = pending
+    return found
 
 
-def _child_branches(C, pieces, q):
-    """The branches below C's q children X = s^-1 C s, t in range(q),
-    formed from C's entries, its pieces `_pieces(C)` and t without
-    building X: X goes on with letter 0, so by the module docstring a
-    branch carries `_pieces(_tau_conjugate(X))`.  Each branch is
-    (b-piece, c-piece, thunk), and the thunk forms its (a-piece,
-    d-piece); a walk calls it only for a branch where some child passes
-    v(c) = v(b) + 1.  The terms all t share are formed once, so a child's
-    b- and c-pieces take two `laurent.quadratic` calls."""
-    # tau^-1 X tau = [[a - t c, e^-1 (-b + t (d - a) + t^2 c)],
-    # [-e c, d + t c]], whose pieces are (d + t c, -e c), (e c),
-    # (e^-1 (b + t (a - d) - t^2 c), (d - a) + t (c + c), -e c) and
-    # (a - t c, e c)
-    (a, b), (c, d) = C
-    (neg_c, _, _), (_, d_a, _) = pieces[1:3]
-    c0, c1, c2 = b.shift(-1), (-d_a).shift(-1), neg_c.shift(-1)
-    two_c, ec, neg_ec = c + c, c.shift(1), neg_c.shift(1)
-    pb = (ec, None, None)
-
-    def branch(t):
-        pc = (quadratic(t, c0, c1, c2), quadratic(t, d_a, two_c), neg_ec)
-        return pb, pc, partial(ad, t)
-
-    def ad(t):
-        return (quadratic(t, d, c), neg_ec, None), \
-            (quadratic(t, a, neg_c), ec, None)
-    return [branch(t) for t in range(q)]
-
-
-def _i2_children(branches, q):
-    """The number of I2 children of a level's branches.
-
-    The I2 rule decides on v(c) = v(b) + 1 before it reads a or d, so each
-    branch forms the valuations of its b- and c-pieces for every t, its
-    a- and d-pieces and their valuations only when some t passes, and
-    `_classify` decides those t alone."""
-    count = 0
-    for pb, pc, ad in branches:
-        bs, cs = _entry_pairs(pb, q), _entry_pairs(pc, q)
-        passing = [t for t in range(q)
-                   if bs[t] != math.inf and cs[t] == bs[t] + 1]
-        if passing:
-            pa, pd = ad()
-            as_, ds = _entry_pairs(pa, q), _entry_pairs(pd, q)
-            count += sum(_classify(as_[t], bs[t], cs[t], ds[t]) == "I2"
-                         for t in passing)
-    return count
+def _i2_nodes(row, q):
+    """The I2 nodes of a row of `_rows`, scanning a and d only at the
+    nodes where v(c) = v(b) + 1."""
+    keys, v, a_column, c_column, d_column = row
+    cs = _scan(keys, c_column, range(q), q)
+    passing = [x for x in range(q) if v != math.inf and cs[x] == v + 1]
+    if not passing:
+        return 0
+    as_ = _scan(keys, a_column, passing, q)
+    ds = _scan(keys, d_column, passing, q)
+    return sum(_classify(as_[x], v, cs[x], ds[x]) == "I2" for x in passing)
 
 
 def fixed_point_count(g, prec=None):
     """Number of cosets x I1 with x^-1 g x in I2, for g in I2: the 2 of
     level 0 (g and its tau-conjugate) plus twice the I2 nodes of word
-    lengths 1 and 2, read from valuations without building a node: each
-    level sums `_i2_children` over the roots g and g' = tau^-1 g tau,
-    level 1 from `_pieces(root)` and level 2 from `_child_branches`.  The
+    lengths 1 and 2 in the rows below g and g' = tau^-1 g tau.  The
     module docstring shows why that covers the words of both letters,
-    that the answer is 2 and why the walk goes to level 2.  `prec` is
-    accepted and unused: `perfbench/worker.py` passes it.
+    that the answer is 2, why the walk goes to level 2 and how the rows'
+    valuations come from the roots' coefficients.  `prec` is accepted
+    and unused: `perfbench/worker.py` passes it.
 
     Levels 1 and 2 hold 2q and 2q^2 nodes.  Before it classifies any of
     them the count raises BudgetError if the 1 + 2q + 2q^2 nodes pass
@@ -234,13 +234,8 @@ def fixed_point_count(g, prec=None):
         raise BudgetError(
             f"fixed-point walk to word length 2 would classify {nodes}"
             f" nodes, more than the budget of {WALK_NODE_BUDGET}")
-    roots = (g, _tau_conjugate(g))
-    pieces = [_pieces(root) for root in roots]
-    level_1 = [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-               for pa, pb, pc, pd in pieces]
-    level_2 = [branch for root, root_pieces in zip(roots, pieces)
-               for branch in _child_branches(root, root_pieces, q)]
-    return 2 + 2 * (_i2_children(level_1, q) + _i2_children(level_2, q))
+    return 2 + 2 * sum(_i2_nodes(row, q) for root in (g, _tau_conjugate(g))
+                       for row in _rows(root, q))
 
 
 def random_i2(q, rng, degree=6):

@@ -178,22 +178,3 @@ def test_one_pass_results_match_the_reducing_route(operands, n):
     for got, want in pairs:
         assert got.coeffs == want.coeffs
         assert _keeps_invariant(got)
-
-
-# -- the fused x0 + t*x1 + t^2*x2 constructor ----------------------------
-
-@st.composite
-def _triples(draw):
-    """(q, x0, x1, x2), exact zeros included."""
-    q = draw(st.sampled_from((2, 3, 5)))
-    return q, *(_operand(draw, q, 4) for _ in range(3))
-
-
-@given(_triples(), st.integers(-2, 6))
-@settings(max_examples=400, deadline=None)
-def test_quadratic_matches_step_by_step_arithmetic(operands, t):
-    _, x0, x1, x2 = operands
-    assert laurent.quadratic(t, x0, x1, x2).coeffs \
-        == (x0 + x1 * t + (x2 * t) * t).coeffs
-    assert laurent.quadratic(t, x0, x1).coeffs == (x0 + x1 * t).coeffs
-

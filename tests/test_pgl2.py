@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from weylkit import checks, laurent, pgl2
 from weylkit.errors import BudgetError, PreconditionError
-from weylkit.laurent import LaurentScalar, quadratic
+from weylkit.laurent import LaurentScalar
 from reference_routes import children, conjugate_levels, edge, tau_conjugate
 
 
@@ -114,8 +115,12 @@ def _reference_count(g, levels=3):
                for m in _reference_level(g, length))
 
 
+def _scalar_key(x):
+    return tuple(sorted(x.coeffs.items()))
+
+
 def _key(M):
-    return tuple(tuple(sorted(x.coeffs.items())) for row in M for x in row)
+    return tuple(_scalar_key(x) for row in M for x in row)
 
 
 def test_walk_levels_match_explicit_words():
@@ -221,82 +226,70 @@ def test_fixed_point_count_matches_build_then_classify():
                         "element must lie in the odd Iwahori coset")}
 
 
-def _child_valuations(branches, q):
-    """The entry valuations of the children of a level's branches, in the
-    order `conjugate_levels` yields them, every a/d thunk called."""
-    out = []
-    for pb, pc, ad in branches:
-        pa, pd = ad()
-        out.extend(zip(*(pgl2._entry_pairs(p, q) for p in (pa, pb, pc, pd))))
-    return out
+def _valuations(M):
+    return tuple(x.valuation() for row in M for x in row)
 
 
-def _walk_branches(g):
-    """For word lengths 1, 2, 3, ..., the branches (b-piece, c-piece, a/d
-    thunk) whose children make up that level, in the order of
-    `conjugate_levels`, each child standing for a node or for its
-    tau-conjugate: level 1 from the pieces of tau^-1 g tau and of g, and
-    level l + 1 from the nodes of level l - 1 through `_child_branches`.
-    g extends both letters; a node of level l >= 1 in the first half of
-    its level ends in letter (l + 1) % 2, one in the second half in
-    l % 2, and each extends with the other letter.  A node extends with
-    letter 1 from itself and with letter 0 from its tau-conjugate, the
-    built one that follows it in its level."""
+def _row_valuations(row, q):
+    """(v(a), v(b), v(c), v(d)) of each node of a row of `pgl2._rows`,
+    every entry scanned at every node."""
+    keys, v, *columns = row
+    a, c, d = (pgl2._scan(keys, column, range(q), q) for column in columns)
+    return [(a[x], v, c[x], d[x]) for x in range(q)]
+
+
+def _rows_beside_built(g):
+    """Each row of `pgl2._rows` below tau^-1 g tau and below g, beside
+    the q matrices of levels 1 and 2 of `conjugate_levels(g)` its nodes
+    are.  Those levels list the words that start with letter 0 and then
+    those that start with letter 1, each node followed by its
+    tau-conjugate.  Below g the scan's level-1 node X_t is the built
+    letter-1 child, and its level-2 node (t, s) is the tau-conjugate of
+    the built letter-0 child s of X_t.  Below tau^-1 g tau it is the
+    other way round: level 1 has the tau-conjugates of g's built
+    letter-0 children, level 2 the built letter-1 children of those."""
     q = g[0][0].q
-    yield [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-           for pa, pb, pc, pd in (pgl2._pieces(root)
-                                  for root in (tau_conjugate(g), g))]
-    for length, level in enumerate(conjugate_levels(g)):
-        pairs = list(zip(level[::2], level[1::2]))
-        yield [branch for k, pair in enumerate(pairs)
-               for letter in ((0, 1) if length == 0
-                              else ((length + 2 * k // len(pairs)) % 2,))
-               for branch in pgl2._child_branches(
-                   pair[1 - letter], pgl2._pieces(pair[1 - letter]), q)]
-
-
-def _levels_two_ways(g, count):
-    """Per level, the conjugates' entry valuations (level l + 1 from the
-    pieces of level l, without building it) beside the built matrices."""
-    q = g[0][0].q
-    walk = _walk_branches(g)
-    level = [tuple(x.valuation() for row in g for x in row)]
-    for length, built in zip(range(count), conjugate_levels(g)):
-        if length:
-            level = _child_valuations(next(walk), q)
-        yield level, built
+    levels = conjugate_levels(g)
+    next(levels)
+    built = (next(levels), next(levels))
+    for half, root in enumerate((pgl2._tau_conjugate(g), g)):
+        for k, row in enumerate(pgl2._rows(root, q)):
+            length = 1 if k == 0 else 2
+            level = built[length - 1]
+            start = (half * len(level) // 2 + (length + half) % 2
+                     + 2 * q * max(k - 1, 0))
+            yield row, level[start:start + 2 * q:2]
 
 
 def test_level_classes_from_valuations_match_the_built_matrices():
-    # Levels 0-3 of the unipotent elements of
-    # `test_walk_cumulative_counts_per_level` and of the base I2 element,
-    # and levels 0-2 of random matrices of every class, zero entries
-    # included: I1, I2 and "neither" all occur.  A node and its
-    # tau-conjugate share their class, so each class comes twice.
+    # The scan's (v(a), v(b), v(c), v(d)) of every node of levels 1 and 2
+    # are the valuations of the matrix `conjugate_levels` builds: the
+    # unipotent elements of `test_walk_cumulative_counts_per_level`, the
+    # base I2 element and random matrices of every class, zero entries
+    # included.  I1, I2 and "neither" all occur among the nodes.
     seen = set()
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 7):
         rng = random.Random(53 + q)
-        sources = [(laurent.parse_matrix(text, q), 4) for text in
+        sources = [laurent.parse_matrix(text, q) for text in
                    ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
-        sources += [(_random_exact_matrix(q, rng), 3) for _ in range(60)]
-        for g, count in sources:
-            for level, built in _levels_two_ways(g, count):
-                classes = [pgl2.iwahori_class(m) for m in built]
-                assert [cls for exps in level
-                        for cls in [pgl2._classify(*exps)] * 2] == classes
-                seen.update(classes)
+        sources += [_random_exact_matrix(q, rng) for _ in range(40)]
+        for g in sources:
+            for row, built in _rows_beside_built(g):
+                scanned = _row_valuations(row, q)
+                assert scanned == [_valuations(m) for m in built]
+                seen.update(pgl2._classify(*v) for v in scanned)
     assert seen == {"I1", "I2", "neither"}
 
 
 def test_valuation_classes_match_on_truncated_entries():
     # Entries of any class, zero or with zero digits below their top one:
-    # on levels 0-2 the class of every conjugate and of its tau-conjugate,
-    # read from the valuations (v(a), v(b), v(c), v(d)) and
+    # on levels 1 and 2 the class of every node and of its tau-conjugate,
+    # read from the scanned valuations (v(a), v(b), v(c), v(d)) and
     # (v(d), v(c) - 1, v(b) + 1, v(a)), is that of the built matrix.
     seen = set()
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 7):
         rng = random.Random(53 + q)
-        for _ in range(60):
+        for _ in range(40):
             entries = []
             for _ in range(4):
                 v = rng.randrange(-2, 3)
@@ -304,25 +297,25 @@ def test_valuation_classes_match_on_truncated_entries():
                     q, {v + k: rng.randrange(q)
                         for k in range(rng.randrange(3))}))
             g = ((entries[0], entries[1]), (entries[2], entries[3]))
-            for level, built in _levels_two_ways(g, 3):
-                got = [pgl2._classify(*exps)
-                       for a, b, c, d in level
-                       for exps in ((a, b, c, d), (d, c - 1, b + 1, a))]
-                assert got == [pgl2.iwahori_class(m) for m in built]
-                seen.update(got)
+            for row, built in _rows_beside_built(g):
+                for (a, b, c, d), m in zip(_row_valuations(row, q), built):
+                    got = [pgl2._classify(*exps)
+                           for exps in ((a, b, c, d), (d, c - 1, b + 1, a))]
+                    assert got == [pgl2.iwahori_class(x)
+                                   for x in (m, tau_conjugate(m))]
+                    seen.update(got)
     assert seen == {"I1", "I2", "neither"}
 
 
 def test_exact_i2_children_read_b_and_c_before_a_and_d():
-    # Per level, the I2 count that reads a branch's a and d pairs only
-    # when some t passes v(c) = v(b) + 1 equals the count over every
-    # child's four pairs and the count of the built matrices: levels 1-3
-    # of the elements above, of random exact matrices of every class, and
-    # of x tau x^-1 for words x of length 1 and 2, whose walk meets tau
-    # itself at x.  Both kinds of child occur, in I2 and past b and c but
-    # not in I2, so the a/d path runs.
+    # Per row, the I2 count that scans a and d only at the nodes that pass
+    # v(c) = v(b) + 1 equals the count over every node's four valuations
+    # and the count of the built matrices: the elements above, random
+    # exact matrices of every class, and x tau x^-1 for words x of length
+    # 1 and 2, whose walk meets tau itself at x.  Both kinds of node
+    # occur, in I2 and past b and c but not in I2, so the a/d path runs.
     in_i2 = past_b_and_c_only = 0
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 7):
         rng = random.Random(67 + q)
         base = laurent.parse_matrix("0,1;e,0", q)
         sources = [laurent.parse_matrix(text, q) for text in
@@ -333,14 +326,12 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
                     for word in (((1, 1),), ((0, q - 1),),
                                  ((1, 0), (0, 1)))]
         for g in sources:
-            levels = conjugate_levels(g)
-            next(levels)
-            for _, nodes, built in zip(range(3), _walk_branches(g), levels):
-                count = pgl2._i2_children(nodes, q)
-                exps = _child_valuations(nodes, q)
+            for row, built in _rows_beside_built(g):
+                count = pgl2._i2_nodes(row, q)
+                exps = _row_valuations(row, q)
                 assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
                 assert count == sum(pgl2.iwahori_class(m) == "I2"
-                                    for m in built[::2])
+                                    for m in built)
                 in_i2 += count
                 past_b_and_c_only += sum(
                     b != math.inf and c == b + 1
@@ -349,76 +340,73 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
     assert in_i2 and past_b_and_c_only
 
 
-def _piece_key(piece):
-    return tuple(None if x is None else tuple(sorted(x.coeffs.items()))
-                 for x in piece)
-
-
 def test_child_route_pieces_match_the_built_children():
-    # A parent's pieces give the entries of each letter-1 child that
-    # `children` builds by matrix products.  Each piece the walk forms for
-    # a child X straight from its parent's entries and t equals
-    # `_pieces(tau^-1 X tau)` of the built child; from the parent's
-    # tau-conjugate, they equal `_pieces` of the parent's built letter-0
-    # children.  Random parents of every class, and the walk's own nodes.
-    def entry(t, piece):
-        x0, x1, x2 = piece
-        return x0 if x1 is None else quadratic(t, x0, x1, x2)
-
+    # The pieces the scan reads are whole coefficients, not only the
+    # lowest: at every exponent k of a row's keys, the column of each of
+    # the a-, c- and d-entries gives the built node's coefficient of e^k
+    # modulo q, and the built entries store no exponent outside the
+    # keys.  The b-entry is read as the valuation of -c or e c.  Random
+    # roots of every class and the walk's own nodes.
     for q in (2, 3, 5, 7):
         rng = random.Random(71 + q)
-        parents = [_random_exact_matrix(q, rng) for _ in range(40)]
-        for _, level in zip(range(3), conjugate_levels(
+        sources = [_random_exact_matrix(q, rng) for _ in range(12)]
+        for _, level in zip(range(2), conjugate_levels(
                 pgl2.random_i2(q, rng))):
-            parents.extend(level[::2])
-        for parent in parents:
-            pieces = pgl2._pieces(parent)
-            for t, child in enumerate(children(parent, 1, q)):
-                a, b, c, d = (entry(t, piece) for piece in pieces)
-                assert _key(child) == _key(((a, b), (c, d)))
-            for root, letter, carried in (
-                    (parent, 1, tau_conjugate),
-                    (tau_conjugate(parent), 0, lambda child: child)):
-                built = children(parent, letter, q)
-                branches = pgl2._child_branches(root, pgl2._pieces(root), q)
-                assert len(branches) == q
-                for child, (pb, pc, ad) in zip(built, branches):
-                    pa, pd = ad()
-                    want = pgl2._pieces(carried(child))
-                    assert [_piece_key(p) for p in (pa, pb, pc, pd)] \
-                        == [_piece_key(p) for p in want]
+            sources.extend(level[::2])
+        for g in sources:
+            for (keys, v, *columns), built in _rows_beside_built(g):
+                for x, ((a, b), (c, d)) in enumerate(built):
+                    assert b.valuation() == v
+                    for entry, column in zip((a, c, d), columns):
+                        assert set(entry.coeffs) <= set(keys)
+                        assert [sum(w * x ** i for i, w in
+                                    enumerate(column(k))) % q
+                                for k in keys] \
+                            == [entry.coeffs.get(k, 0) for k in keys]
 
 
 def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     # C7's 42 elements and 60 random odd-coset elements at each of
-    # q = 2, 3, 5 settle at level 2, whose pairs come from the pieces of
-    # level 1, and those straight from the roots g and tau^-1 g tau: no
-    # count forms the pieces of any other matrix, so none builds a matrix
-    # past those two.
-    count, pieces = pgl2.fixed_point_count, pgl2._pieces
-    counted, pieced = [], []
+    # q = 2, 3, 5: a count constructs no scalar but the entries of
+    # tau^-1 g tau, which it scans beside those of g, through either
+    # constructor of `laurent`.
+    count, new, raw = pgl2.fixed_point_count, laurent._new, laurent._raw
+    counted, made, active, constructed = [], [], [], []
 
     def recording_count(g, prec=None):
         counted.append(g)
-        return count(g, prec)
+        made.append([])
+        active.append(made[-1])
+        try:
+            return count(g, prec)
+        finally:
+            active.pop()
 
-    def recording_pieces(C):
-        pieced.append(C)
-        return pieces(C)
+    def recording(construct):
+        def construct_and_record(q, coeffs):
+            x = construct(q, coeffs)
+            constructed.append(x)
+            if active:
+                active[-1].append(x)
+            return x
+        return construct_and_record
 
     rng = random.Random(83)
     elements = [pgl2.random_i2(q, rng, degree=8)
                 for q in (2, 3, 5) for _ in range(60)]
     monkeypatch.setattr(pgl2, "fixed_point_count", recording_count)
-    monkeypatch.setattr(pgl2, "_pieces", recording_pieces)
+    monkeypatch.setattr(laurent, "_new", recording(new))
+    monkeypatch.setattr(laurent, "_raw", recording(raw))
     assert checks._c7_fixed_points() \
         == "42 elements, every fixed-point count is 2"
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
-    assert len(counted) == 42 + 180
-    assert len(pieced) == 2 * len(counted)
-    assert all(C is g for C, g in zip(pieced[::2], counted))
-    assert [_key(C) for C in pieced[1::2]] \
-        == [_key(tau_conjugate(g)) for g in counted]
+    assert len(counted) == len(made) == 42 + 180
+    # the recording sees C7 build its elements between the counts
+    assert len(constructed) > sum(map(len, made))
+    for g, scalars in zip(counted, made):
+        entries = [_scalar_key(x) for row in tau_conjugate(g) for x in row]
+        assert len(scalars) <= 4
+        assert all(_scalar_key(x) in entries for x in scalars)
 
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
@@ -434,6 +422,22 @@ def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
     assert pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 211)) == 2
     with pytest.raises(BudgetError, match="budget of 200000"):
         pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 317))
+
+
+def test_the_scan_skips_the_gaps_between_stored_exponents():
+    # Entries whose stored exponents lie about 10^9 apart: the count
+    # answers 2 in milliseconds, and a node whose first nonzero
+    # coefficient is that of e^999999999 settles there, since the scan
+    # reads the stored exponents and their neighbours, never the range
+    # between them.
+    for q in (2, 3, 5, 7):
+        g = laurent.parse_matrix("0,1+e999999999;e,0", q)
+        root = laurent.parse_matrix("1,e999999999;0,1", q)
+        start = time.perf_counter()
+        assert pgl2.fixed_point_count(g) == 2
+        assert _row_valuations(next(pgl2._rows(root, q)), q) \
+            == [(0, math.inf, 999999999, 0)] * q
+        assert time.perf_counter() - start < 0.25
 
 
 def _random_exact_matrix(q, rng):

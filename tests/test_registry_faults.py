@@ -22,7 +22,7 @@ from weylkit import (
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
 from reference_routes import children, from_word
-from test_pgl2 import _walk_branches
+from test_pgl2 import _row_valuations
 
 
 def _statuses():
@@ -89,22 +89,21 @@ def test_ghost_exponents_shifted_up_are_an_equivalent_mutant(p, m):
 
 # -- C7, C8 and C9 faults, with the gaps they show ---------------------
 
-_PIECES = pgl2._pieces
-_ENTRY_PAIRS = pgl2._entry_pairs
+_ROWS = pgl2._rows
+_SCAN = pgl2._scan
 
 
-def _pieces_with_a_minus_d(C):
-    """The c-piece -b + t (a - d) + t^2 c instead of -b + t (d - a) +
-    t^2 c.  The child route reads d - a from these pieces, so the fault
-    reaches both levels."""
-    (a, b), (c, d) = C
-    return ((d, c, None), (-c, None, None), (-b, a - d, c), (a, -c, None))
+def _child_c_with_a_minus_d(A, B, C, D, k):
+    """The column of -b + t (a - d) + t^2 c instead of -b + t (d - a) +
+    t^2 c.  Level 2's c-column reads this one, so the fault reaches both
+    levels."""
+    return -B.get(k, 0), A.get(k, 0) - D.get(k, 0), C.get(k, 0)
 
 
-def _entry_pairs_without_x2(piece, q):
-    """The pairs of x0 + t x1, dropping the t^2 term."""
-    x0, x1, _ = piece
-    return _ENTRY_PAIRS((x0, x1, None), q)
+def _scan_without_x2(keys, column, points, q):
+    """The scan of k0 + x k1, dropping the t^2 term of level 1's c-entry
+    and the s^2 term of level 2's."""
+    return _SCAN(keys, lambda k: (*column(k)[:2], 0), points, q)
 
 
 def _readout_with_exponent_one_after_the_first_term(p, m, g):
@@ -119,16 +118,13 @@ def _readout_with_exponent_one_after_the_first_term(p, m, g):
     return tuple(out)
 
 
-def _child_branches_that_backtrack(C, pieces, q):
-    """The child route with both letters below every child, so a word may
-    undo its last step: letter 0 from the child's tau-conjugate, as the
-    walk reads it, and letter 1 again from the child itself.  The child
-    route forms only the next letter's pieces, so the branches come from
-    the built children."""
-    return [(pb, pc, lambda pa=pa, pd=pd: (pa, pd))
-            for child in children(C, 1, q)
-            for pa, pb, pc, pd in (_PIECES(root) for root
-                                   in (pgl2._tau_conjugate(child), child))]
+def _rows_that_backtrack(root, q):
+    """The walk's rows, and below each level-1 node X the letter-1
+    children of X itself as well, so a word may undo its last step: the
+    rows of letter 1 again come from the built children."""
+    yield from _ROWS(root, q)
+    for child in children(root, 1, q):
+        yield next(_ROWS(child, q))
 
 
 _ACTION_MATRIX = pgl2.RecurrenceModule.action_matrix
@@ -152,19 +148,12 @@ def _action_dropping_b1_from_s1_b0(module, i):
     return tuple(tuple(row) for row in mat)
 
 
-def _walk_valuations(text, q, levels=3):
-    """The entry valuations of the children of the first levels of the
-    walk's branches, every a/d thunk called."""
+def _walk_valuations(text, q):
+    """The scanned valuations of the nodes of every row below g and
+    tau^-1 g tau."""
     g = laurent.parse_matrix(text, q)
-    out = []
-    for _, branches in zip(range(levels), _walk_branches(g)):
-        level = []
-        for pb, pc, ad in branches:
-            pa, pd = ad()
-            level.extend(zip(*(pgl2._entry_pairs(p, q)
-                               for p in (pa, pb, pc, pd))))
-        out.append(level)
-    return out
+    return [_row_valuations(row, q) for root in (g, pgl2._tau_conjugate(g))
+            for row in pgl2._rows(root, q)]
 
 
 # -- Weyl, alcove and reps faults --------------------------------------
@@ -291,15 +280,15 @@ def _kernel_closed_on_u_and_u(phi, q):
 # should fail, and a probe whose value it changes, so it is no
 # equivalent mutant)
 FAULTS = {
-    "pgl2._child_branches backtracks": (
-        [(pgl2, "_child_branches", _child_branches_that_backtrack)], {"C7"},
+    "pgl2 walk backtracks": (
+        [(pgl2, "_rows", _rows_that_backtrack)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3)),
-    "pgl2._pieces c-piece a - d": (
-        [(pgl2, "_pieces", _pieces_with_a_minus_d)], {"C7"},
+    "pgl2 scan c-entry a - d": (
+        [(pgl2, "_child_c", _child_c_with_a_minus_d)], {"C7"},
         lambda: _walk_valuations("1+e,e;e2,1", 3)),
-    "pgl2._entry_pairs drops x2": (
-        [(pgl2, "_entry_pairs", _entry_pairs_without_x2)], {"C7"},
-        lambda: _walk_valuations("1+e,1;e2,1", 3, levels=1)),
+    "pgl2 scan drops t^2 and s^2": (
+        [(pgl2, "_scan", _scan_without_x2)], {"C7"},
+        lambda: _walk_valuations("1+e,1;e2,1", 3)),
     "pgl2.RecurrenceModule fixes same-parity b_n": (
         [(pgl2.RecurrenceModule, "action_matrix", _action_fixing_same_parity)],
         {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
@@ -345,16 +334,17 @@ FAULTS = {
 }
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
-# elements, so it sees a walk fault only when the fault puts a child in
-# I2, as the backtracking walk does at level 2; the a - d fault (on the
-# roots' pieces, which the child route reads) and the _entry_pairs fault
-# change children outside I2 only.  C9 runs the oracle only at m = 2.
-# Every Weyl element a check inverts is an involution (ss_k, and the
-# lifts of the rank-1 quotient's words of length at most 1), so an
-# inverse that returns the element itself is right on all of them.
+# elements, so it sees a walk fault only when the fault puts a node in
+# I2, as the backtracking walk does at level 2; the a - d fault (on
+# level 1's c-column, which level 2's reads) and the fault that drops
+# the t^2 and s^2 terms change nodes outside I2 only.  C9 runs the
+# oracle only at m = 2.  Every Weyl element a check inverts is an
+# involution (ss_k, and the lifts of the rank-1 quotient's words of
+# length at most 1), so an inverse that returns the element itself is
+# right on all of them.
 BLIND = {
-    "pgl2._pieces c-piece a - d",
-    "pgl2._entry_pairs drops x2",
+    "pgl2 scan c-entry a - d",
+    "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
     "weyl inverse that is the element itself",
 }
