@@ -1,37 +1,56 @@
 """Truncated Witt vector arithmetic over prime fields.
 
-Every WittScalar carries one integer beside its components, its ghost
+A WittScalar is its ghost: it stores p, m and the one integer
 
     ghost = w_{m-1}(x) mod p^m,   w_k(x) = sum_{i<=k} p^i x_i^(p^(k-i)),
 
-computed once from the components.  Because a = b mod p^j gives
-a^p = b^p mod p^(j+1), a^(p^j) = a^(p^(j+1)) mod p^(j+1) for every a, and
-so w_k(x) = w_{m-1}(x) mod p^(k+1) for every k < m: the one integer holds
-every ghost level.  The ghost map is a ring homomorphism, so the ghost of
-x o y (o is + or *) is g = ghost(x) o ghost(y) mod p^m, one integer
-operation, and component k of x o y is read off g by the triangular solve
+computed from the components it is built from.  Because a = b mod p^j
+gives a^p = b^p mod p^(j+1), a^(p^j) = a^(p^(j+1)) mod p^(j+1) for every
+a, and so w_k(x) = w_{m-1}(x) mod p^(k+1) for every k < m: the one
+integer holds every ghost level.  The ghost map is a ring homomorphism,
+so the ghost of x o y (o is + or *) is ghost(x) o ghost(y) mod p^m, one
+integer operation that reads no component.  The components are read off
+the ghost g on each access by the triangular solve
 
-    (g - sum_{i<k} p^i s_i^(p^(k-i))) / p^k
+    s_k = (g - sum_{i<k} p^i s_i^(p^(k-i))) / p^k
 
-with every term taken mod p^(k+1), where s_0..s_{k-1} are the result
-components already found; the division is exact and its quotient lies in
-[0, p).  No structure polynomial is built, and neither operand's
-components are read.
+with every term taken mod p^(k+1), where s_0..s_{k-1} are the components
+already found; the division is exact and its quotient lies in [0, p).  No
+structure polynomial is built.  Equality and hash key on (p, m, ghost),
+which is equality of components: the ghost is a bijection from F_p^m
+onto Z/p^m, as the oracle's first pass shows.
 
 W_m(F_p) is isomorphic to Z/p^m through phi(x) = sum_i p^i tau(x_i) mod
 p^m, where tau(a) = a^(p^(m-1)) mod p^m is the Teichmuller lift (the
 Frobenius of F_p is the identity); its inverse is digit extraction, and
-phi(x) equals the ghost by the same congruence.  `oracle_check` checks
-the ring operations against phi on all p^(2m) pairs and so refuses more
-than ORACLE_PAIR_BUDGET of them before it starts.  The two routes it
-compares stay apart: the ghost comes from the Witt formula with exponents
-p^(m-1-i), not from tau, and the readout is the ghost solve with
-exponents p^(k-i), not digit extraction.  Were either routed through phi
-or its inverse, + would become phi^-1(phi(x) o phi(y)) computed with the
-oracle's own code, and the oracle would be true by construction.
-"""
+phi(x) equals the ghost by the same congruence.  `oracle_check` refuses
+more than ORACLE_PAIR_BUDGET of the p^(2m) pairs before it starts, then
+checks the isomorphism in three passes, with digits[k] the digit
+extraction of k:
 
-from dataclasses import dataclass, field
+1. the ghost of digits[k] is k, for every k < p^m;
+2. the readout of the ghost k is digits[k], for every k < p^m;
+3. the ghost of x o y is x o y mod p^m, for every pair of images x, y,
+   through the public + and *.
+
+This loses nothing against looking each result up by its components.
+Pass 1 makes the p^m vectors digits[k] distinct, so they are all of
+F_p^m, and the ghost a bijection F_p^m -> Z/p^m with inverse k ->
+digits[k].  Pass 2 makes the readout that inverse.  A result with ghost g
+in [0, p^m) has the components digits[g], so its ghost equals x o y mod
+p^m exactly when its components are those of the image of x o y; a
+result with a ghost outside [0, p^m) fails pass 3 outright.  Pass 2 reads
+each of the p^m readouts once, and pass 3 reads none.  Pass 2 compares
+with digits[k], not with the images' own components, which are readouts
+and would make it true by construction.
+
+The routes the passes compare stay apart: the ghost comes from the Witt
+formula with exponents p^(m-1-i), not from tau, and the readout is the
+ghost solve with exponents p^(k-i), not digit extraction.  Were either
+routed through phi or its inverse, + would become phi^-1(phi(x) o
+phi(y)) computed with the oracle's own code, and the oracle would be
+true by construction.
+"""
 
 from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
 from .laurent import _require_prime
@@ -70,22 +89,36 @@ def _readout(p, m, g):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class WittScalar:
-    p: int
-    m: int
-    components: tuple
-    ghost: int = field(compare=False, repr=False, init=False)
+    """An element of W_m(F_p), held as its ghost in [0, p^m)."""
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        if len(self.components) != self.m:
+    __slots__ = ("p", "m", "ghost")
+
+    def __init__(self, p, m, components):
+        _require_prime(p)
+        if len(components) != m:
             raise PreconditionError("wrong number of components")
-        if any(not (0 <= c < self.p) for c in self.components):
+        if any(not (0 <= c < p) for c in components):
             raise UnsupportedRegimeError(
                 "components must be prime-field elements")
-        object.__setattr__(self, "ghost",
-                           _ghost(self.p, self.m, self.components))
+        self.p = p
+        self.m = m
+        self.ghost = _ghost(p, m, components)
+
+    @property
+    def components(self):
+        return _readout(self.p, self.m, self.ghost)
+
+    def __eq__(self, other):
+        if not isinstance(other, WittScalar):
+            return NotImplemented
+        return (self.p, self.m, self.ghost) == (other.p, other.m, other.ghost)
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.ghost))
+
+    def __repr__(self):
+        return f"WittScalar({self.p}, {self.m}, {self.components})"
 
     def _compat(self, other):
         if (self.p, self.m) != (other.p, other.m):
@@ -106,14 +139,11 @@ class WittScalar:
 
 
 def _new(p, m, g):
-    """The WittScalar of a validated (p, m) whose ghost is g in
-    [0, p^m); its components are read off g."""
+    """The WittScalar of a validated (p, m) whose ghost is g in [0, p^m)."""
     w = object.__new__(WittScalar)
-    attrs = w.__dict__  # a frozen dataclass refuses setattr
-    attrs["p"] = p
-    attrs["m"] = m
-    attrs["components"] = _readout(p, m, g)
-    attrs["ghost"] = g
+    w.p = p
+    w.m = m
+    w.ghost = g
     return w
 
 
@@ -141,11 +171,8 @@ def from_integer(k, p, m):
 
 def oracle_check(p, m):
     """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
-    isomorphism.  The digit-extraction image of each k in 0..p^m - 1 (phi
-    inverted through tau) must have ghost k (phi computed through the Witt
-    ghost), which also makes the images distinct; then on every pair of
-    images the public + and * must agree with + and * mod p^m.  Returns
-    True, False on an image or a pair that disagrees, or raises;
+    isomorphism, in the three passes of the module docstring.  Returns
+    True, False on a value or a pair that disagrees, or raises;
     BudgetError before any image is built when the p^(2m) pairs exceed
     ORACLE_PAIR_BUDGET."""
     _require_prime(p)
@@ -156,16 +183,16 @@ def oracle_check(p, m):
             raise BudgetError(f"Witt oracle walk of {p}^{2 * m} pairs"
                               f" exceeds the budget of {ORACLE_PAIR_BUDGET}")
     order = p ** m
-    images = [from_integer(k, p, m) for k in range(order)]
+    digits = [_digits(k, p, m) for k in range(order)]
+    images = [WittScalar(p, m, xs) for xs in digits]
     if any(w.ghost != k for k, w in enumerate(images)):
         return False
-    lookup = {w.components: k for k, w in enumerate(images)}
+    if any(w.components != xs for w, xs in zip(images, digits)):
+        return False
     for x in range(order):
         for y in range(order):
-            s = images[x] + images[y]
-            if lookup[s.components] != (x + y) % order:
+            if (images[x] + images[y]).ghost != (x + y) % order:
                 return False
-            t = images[x] * images[y]
-            if lookup[t.components] != (x * y) % order:
+            if (images[x] * images[y]).ghost != x * y % order:
                 return False
     return True

@@ -56,12 +56,23 @@ def _ghost_with_exponents_shifted_up(p, m, components):
                for i, c in enumerate(components)) % p ** m
 
 
+def _add_returning_the_ghost_difference(x, y):
+    return witt._new(x.p, x.m, (x.ghost - y.ghost) % x.p ** x.m)
+
+
+def _mul_mod_one_power_less(x, y):
+    """The ghost product mod p^(m-1) instead of p^m."""
+    return witt._new(x.p, x.m, x.ghost * y.ghost % x.p ** (x.m - 1))
+
+
 @pytest.mark.parametrize("name,fault", [
     ("_readout", _readout_without_correction),
     ("_ghost", _ghost_with_reversed_exponents),
+    ("WittScalar.__add__", _add_returning_the_ghost_difference),
+    ("WittScalar.__mul__", _mul_mod_one_power_less),
 ])
 def test_a_witt_fault_fails_c9_only(monkeypatch, name, fault):
-    monkeypatch.setattr(witt, name, fault)
+    monkeypatch.setattr(f"weylkit.witt.{name}", fault)
     assert _statuses() == _only_failing("C9")
 
 

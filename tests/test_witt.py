@@ -219,6 +219,38 @@ def test_results_carry_the_ghost_of_their_components(p, m, data):
         assert rebuilt.ghost == s.ghost
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (7, 3)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_scalar_is_its_ghost(p, m, data):
+    # the components come back from the ghost, and == and hash on the
+    # ghost agree with == on the components
+    vector = st.tuples(*[st.integers(0, p - 1)] * m)
+    xs, ys = data.draw(vector), data.draw(vector)
+    x, y = witt.WittScalar(p, m, xs), witt.WittScalar(p, m, ys)
+    assert x.components == xs and y.components == ys
+    assert (x == y) == (xs == ys)
+    assert (hash(x) == hash(y)) == (xs == ys)
+    assert not x == 5 and x != 5
+    assert not x == None  # noqa: E711
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (2, 4)])
+def test_the_oracle_reads_each_value_once_and_operations_never(
+        monkeypatch, p, m):
+    readouts = []
+    readout = witt._readout
+    monkeypatch.setattr(witt, "_readout",
+                        lambda *args: readouts.append(args) or readout(*args))
+    assert witt.oracle_check(p, m)
+    assert sorted(readouts) == [(p, m, k) for k in range(p ** m)]
+    x, y = witt.from_integer(p + 1, p, m), witt.from_integer(-1, p, m)
+    readouts.clear()
+    x + y
+    x * y
+    assert readouts == []
+
+
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_random_triples_against_integer_oracle(a, b, c):
