@@ -31,8 +31,6 @@ from math import gcd
 from . import linalg, weyl
 from .errors import (
     BudgetError,
-    IncompleteLatticeError,
-    LiftCheckError,
     NodeSubsetError,
     PreconditionError,
     StructuralError,
@@ -117,8 +115,6 @@ class CosetGeometry:
         self.J = tuple(sorted(set(J)))
         self.generators = weyl.min_coset_generators(datum, self.J)
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
-        if len(self.jcheck) < 1:
-            raise PreconditionError("complement of J is empty")
         self.k0 = self.jcheck[0]
         self.dim = len(self.jcheck) - 1
         self._build_ubasis()
@@ -186,16 +182,15 @@ class CosetGeometry:
         # element j, a permutation of the indices, so products and
         # inverses follow the words without a size^2 table.
         self.quotient_left = {k: tuple(perm) for k, perm in left.items()}
-        undo = {}
-        for k, perm in left.items():
-            undo[k] = [0] * len(perm)
-            for i, j in enumerate(perm):
-                undo[k][j] = i
+        # Each r_k is an involution: ss_k permutes the simple roots of J,
+        # so w0(J+k) sends them to minus a permutation of them, as w0(J)
+        # does; the two commute, and ss_k^2 = 1.  The inverse of
+        # r_k1 r_k2 ... is ... r_k2 r_k1, read off the same tables.
         inverse = []
         for word in self.quotient_words:
             x = 0
             for k in word:
-                x = undo[k][x]
+                x = self.quotient_left[k][x]
             inverse.append(x)
         self.quotient_inverse = tuple(inverse)
 
@@ -234,7 +229,7 @@ class CosetGeometry:
                 vectors.append(vec)
         basis = _rational_hnf(vectors)
         if len(basis) != self.dim:
-            raise IncompleteLatticeError("translation lattice has deficient rank")
+            raise StructuralError("translation lattice has deficient rank")
         bmat = tuple(tuple(basis[c][r] for c in range(self.dim))
                      for r in range(self.dim))
         binv = linalg.mat_inv(bmat)
@@ -311,7 +306,7 @@ def torus_stabilizer(datum, J, t, S):
             new = weyl.multiply(gens[k], current)
             if new not in elements:
                 if len(elements) > _QUOTIENT_CAP:
-                    raise LiftCheckError("lift subgroup is not finite")
+                    raise StructuralError("lift subgroup is not finite")
                 elements.add(new)
                 frontier.append(new)
     images = {geo.quotient_index[geo.restriction(w.mat)] if geo.dim

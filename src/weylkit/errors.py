@@ -1,21 +1,14 @@
 """Exception types shared across the library.
 
-Every failure mode named by an operation contract gets its own class so
-callers (and the verification suite) can distinguish diagnostic outcomes
-from genuine bugs.
+There is a class per failure that a caller distinguishes: the command
+line, the verification suite or a test.  The command line maps
+ConfigError and NodeSubsetError to exit 2 and every other WeylkitError
+to exit 1.
 """
 
 
 class WeylkitError(Exception):
     pass
-
-
-class DatumMismatchError(WeylkitError):
-    """Operands live over different Cartan data or parameter sets."""
-
-
-class InfiniteGroupError(WeylkitError):
-    """A finite-group operation was requested for an infinite group."""
 
 
 class PreconditionError(WeylkitError):
@@ -32,14 +25,6 @@ class StructuralError(WeylkitError):
 
 class UnsupportedRegimeError(WeylkitError):
     """Input outside the exact-arithmetic regime (e.g. irrational data)."""
-
-
-class IncompleteLatticeError(WeylkitError):
-    """Translation-lattice search ran out of depth before full rank."""
-
-
-class LiftCheckError(WeylkitError):
-    """Stabilizer lift failed to match the predicted subgroup."""
 
 
 class InternalConsistencyError(WeylkitError):

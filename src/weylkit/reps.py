@@ -24,8 +24,8 @@ from .cyclotomic import Cyc
 from .errors import (
     BudgetError,
     InternalConsistencyError,
-    LiftCheckError,
     PreconditionError,
+    StructuralError,
 )
 
 
@@ -72,6 +72,8 @@ class FiniteDimRep:
 
 
 def _rho_on_subgroup(geo, words, rho):
+    """rho's value on each subgroup index, the product along its word, or
+    None when rho is not well defined on the subgroup."""
     values = {}
     for idx, word in words.items():
         value = Cyc.rational(1)
@@ -84,8 +86,7 @@ def _rho_on_subgroup(geo, words, rho):
         for k in rho:
             target = geo.quotient_left[k][idx]
             if target in values and rho[k] * values[idx] != values[target]:
-                raise InternalConsistencyError(
-                    "rho is not well-defined on the subgroup")
+                return None
     return values
 
 
@@ -113,8 +114,11 @@ def _induced(geo, S, t, rho):
     # The inducing subgroup must be the full stabilizer of t, the indices
     # whose orbit point is t.
     if set(sub_words) != {i for i, point in enumerate(orbit) if point == t}:
-        raise LiftCheckError("generated subgroup is not the stabilizer of t")
+        raise StructuralError("generated subgroup is not the stabilizer of t")
     rho_values = _rho_on_subgroup(geo, sub_words, rho)
+    if rho_values is None:
+        raise InternalConsistencyError(
+            "rho is not well-defined on the subgroup")
     # H is the stabilizer of t, so the left coset iH is the point i . t,
     # and a transversal in index order keeps the first index of each new
     # point.
@@ -220,11 +224,8 @@ def lift_characters(geo, letters):
     out = []
     for signs in itertools.product((1, -1), repeat=len(letters)):
         rho = {k: Cyc.rational(s) for k, s in zip(sorted(letters), signs)}
-        try:
-            _rho_on_subgroup(geo, words, rho)
-        except InternalConsistencyError:
-            continue
-        out.append(rho)
+        if _rho_on_subgroup(geo, words, rho) is not None:
+            out.append(rho)
     return out
 
 

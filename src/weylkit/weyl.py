@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
-    DatumMismatchError,
-    InfiniteGroupError,
     InternalConsistencyError,
     NodeSubsetError,
     PreconditionError,
@@ -94,44 +92,35 @@ def simple_reflection(datum, i):
 
 def multiply(a, b):
     if a.datum.label != b.datum.label:
-        raise DatumMismatchError(
+        raise PreconditionError(
             f"cannot multiply over {a.datum.label} and {b.datum.label}")
     return WeylElement(a.datum, linalg.mat_mul(a.mat, b.mat),
                        linalg.mat_mul(a.dual, b.dual))
 
 
-def _root_sign(coords):
-    """+1 or -1 for a sign-coherent nonzero integer vector, else 0."""
-    if all(x >= 0 for x in coords) and any(x > 0 for x in coords):
-        return 1
-    if all(x <= 0 for x in coords) and any(x < 0 for x in coords):
-        return -1
-    return 0
+def _negative_roots(roots, what):
+    """Indices i whose root roots[i], a sign-coherent nonzero integer
+    vector, is negative; `what` names the vectors for the error."""
+    out = []
+    for i, root in enumerate(roots):
+        low, high = min(root), max(root)
+        if low < 0 < high or low == high == 0:
+            raise InternalConsistencyError(
+                f"matrix {what} is not a root vector")
+        if high <= 0:
+            out.append(i)
+    return out
 
 
 def left_descents(w):
     """Nodes i with l(s_i w) < l(w): row i of the V-dagger matrix is <= 0."""
-    out = []
-    for i in range(w.datum.n + 1):
-        sign = _root_sign(w.mat[i])
-        if sign == 0:
-            raise InternalConsistencyError("matrix row is not a root vector")
-        if sign < 0:
-            out.append(i)
-    return out
+    return _negative_roots(w.mat, "row")
 
 
 def right_descents(w):
-    """Nodes i with l(w s_i) < l(w): w(b_i) is a negative root."""
-    out = []
-    for i in range(w.datum.n + 1):
-        col = tuple(w.dual[k][i] for k in range(w.datum.n + 1))
-        sign = _root_sign(col)
-        if sign == 0:
-            raise InternalConsistencyError("matrix column is not a root vector")
-        if sign < 0:
-            out.append(i)
-    return out
+    """Nodes i with l(w s_i) < l(w): w(b_i), column i of the V matrix, is
+    a negative root."""
+    return _negative_roots(tuple(zip(*w.dual)), "column")
 
 
 def word_str(w):
@@ -143,54 +132,57 @@ def longest_element(datum, J):
     """Longest element of the finite parabolic W_J, J a proper node subset."""
     J = sorted(set(J))
     if len(J) == datum.n + 1:
-        raise InfiniteGroupError("W_J is infinite for J = all nodes")
+        raise PreconditionError("W_J is infinite for J = all nodes")
     if any(j < 0 or j > datum.n for j in J):
         raise PreconditionError("node index out of range")
     w = identity(datum)
     for _ in range(_STEP_CAP):
-        ascent = None
-        for i in J:
-            col = tuple(w.dual[k][i] for k in range(datum.n + 1))
-            if _root_sign(col) > 0:
-                ascent = i
-                break
+        descents = right_descents(w)
+        ascent = next((j for j in J if j not in descents), None)
         if ascent is None:
             return w
         w = multiply(w, simple_reflection(datum, ascent))
     raise InternalConsistencyError("longest-element climb exceeded the step cap")
 
 
-def _normalizes_parabolic(w, J):
-    winv = w.inverse()
-    for j in J:
-        conj = multiply(multiply(w, simple_reflection(w.datum, j)), winv)
-        if any(letter not in J for letter in conj.word()):
-            return False
-    return True
-
-
-def _minimal_in_coset(w, J):
-    return not any(j in J for j in right_descents(w)) or w.is_identity()
+def _permutes_simple_roots(w, J):
+    """Whether w permutes the simple roots of J: for each j in J, column j
+    of w.dual, the root w(alpha_j), is a unit vector e_j' with j' in J."""
+    simple = {tuple(int(i == j) for i in range(w.datum.n + 1)) for j in J}
+    columns = tuple(zip(*w.dual))
+    return all(columns[j] in simple for j in J)
 
 
 def min_coset_generators(datum, J):
     """Pairs (k, ss_k), ss_k = w0(J+k) w0(J), for k outside J.
 
-    Raises NodeSubsetError naming every k whose candidate fails the
-    membership checks, since some J genuinely admit none.
+    A candidate w = ss_k qualifies when it normalizes W_J and is minimal
+    in its coset w W_J.  Both are read off the roots w(alpha_j), j in J.
+    First, w s_j w^-1 = s_{w(alpha_j)}, and that reflection lies in W_J
+    exactly when w(alpha_j) is a root of J.  Second, w is minimal in
+    w W_J exactly when w(alpha_j) > 0 for every j in J.  Together, w maps
+    the positive roots of J into, and so onto, themselves, and so it
+    permutes their simple roots; conversely a w that permutes them meets
+    both conditions (Howlett, "Normalizers of parabolic subgroups of
+    reflection groups", J. London Math. Soc. (2) 21, 1980).  A J that
+    leaves one node out has no candidate: J + k would be every node.
+
+    Raises NodeSubsetError naming every k whose candidate fails, since
+    some J genuinely admit none.
     """
     J = tuple(sorted(set(J)))
     if len(J) == datum.n + 1:
         raise NodeSubsetError("J must be a proper node subset")
     w0J = longest_element(datum, J)
-    complement = [k for k in range(datum.n + 1) if k not in J]
+    if len(J) == datum.n:
+        return ()
     generators = []
     failures = []
-    for k in complement:
-        if len(J) + 1 == datum.n + 1:
-            continue  # J + {k} = all nodes: skipped, the quotient is trivial
-        ss = multiply(longest_element(datum, list(J) + [k]), w0J)
-        if _normalizes_parabolic(ss, J) and _minimal_in_coset(ss, J):
+    for k in range(datum.n + 1):
+        if k in J:
+            continue
+        ss = multiply(longest_element(datum, J + (k,)), w0J)
+        if _permutes_simple_roots(ss, J):
             generators.append((k, ss))
         else:
             failures.append(k)

@@ -96,6 +96,8 @@ class WittScalar:
 
     def __init__(self, p, m, components):
         _require_prime(p)
+        if m < 1:
+            raise PreconditionError(f"Witt length m={m} is not positive")
         if len(components) != m:
             raise PreconditionError("wrong number of components")
         if any(not (0 <= c < p) for c in components):
@@ -173,9 +175,11 @@ def oracle_check(p, m):
     """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
     isomorphism, in the three passes of the module docstring.  Returns
     True, False on a value or a pair that disagrees, or raises;
-    BudgetError before any image is built when the p^(2m) pairs exceed
-    ORACLE_PAIR_BUDGET."""
+    PreconditionError for m < 1 and BudgetError when the p^(2m) pairs
+    exceed ORACLE_PAIR_BUDGET, both before any image is built."""
     _require_prime(p)
+    if m < 1:
+        raise PreconditionError(f"Witt length m={m} is not positive")
     pairs = 1
     for _ in range(2 * m):  # stops by the 18th factor, whatever m is
         pairs *= p

@@ -2,9 +2,10 @@
 
 Each builds what the library's own route avoids building: every matrix
 of a level of the fixed-point walk as a product of matrices, a Weyl
-element multiplied out letter by letter, the Witt zero from its
-components.  No command, check or benchmark runs them, so they live
-here, beside the tests that read them.
+element multiplied out letter by letter, the reduced word of each
+conjugate a coset generator makes, the Witt zero from its components.
+No command, check or benchmark runs them, so they live here, beside the
+tests that read them.
 """
 
 from weylkit import laurent, weyl, witt
@@ -71,6 +72,18 @@ def from_word(datum, word):
     for i in word:
         w = weyl.multiply(w, weyl.simple_reflection(datum, i))
     return w
+
+
+def is_min_coset_generator(w, J):
+    """Whether w normalizes W_J and is minimal in its coset w W_J, by word
+    extraction: the reduced word of each w s_j w^-1, j in J, uses only
+    letters of J, and w has no right descent in J."""
+    winv = w.inverse()
+    for j in J:
+        conj = w * weyl.simple_reflection(w.datum, j) * winv
+        if any(letter not in J for letter in conj.word()):
+            return False
+    return not any(j in J for j in weyl.right_descents(w))
 
 
 def witt_zero(p, m):

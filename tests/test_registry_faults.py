@@ -21,6 +21,7 @@ from weylkit import (
 )
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
+from weylkit.errors import NodeSubsetError
 from reference_routes import children, from_word
 from test_pgl2 import _row_valuations
 
@@ -171,6 +172,8 @@ def _walk_valuations(text, q):
 
 A1 = cartan_datum("A1")
 A2 = cartan_datum("A2")
+C2 = cartan_datum("C2")
+D4 = cartan_datum("D4")
 
 
 def _inverse_with_swapped_transposes(w):
@@ -182,6 +185,30 @@ def _inverse_with_swapped_transposes(w):
 
 def _inverse_that_is_itself(w):
     return w
+
+
+def _permutes_simple_roots_read_off_mat(w, J):
+    """The coset-generator predicate on the columns of w.mat, the action
+    on V-dagger, instead of w.dual's, the roots w(alpha_j)."""
+    simple = {tuple(int(i == j) for i in range(w.datum.n + 1)) for j in J}
+    columns = tuple(zip(*w.mat))
+    return all(columns[j] in simple for j in J)
+
+
+def _fixes_each_simple_root(w, J):
+    """The coset-generator predicate asking w(alpha_j) = alpha_j for each
+    j in J, so a w that swaps two simple roots of J is refused."""
+    columns = tuple(zip(*w.dual))
+    return all(columns[j] == tuple(int(i == j) for i in range(w.datum.n + 1))
+               for j in J)
+
+
+def _coset_generators_or_refusal(datum, J):
+    """The letters k min_coset_generators accepts, or its refusal."""
+    try:
+        return tuple(k for k, _ in weyl.min_coset_generators(datum, J))
+    except NodeSubsetError as exc:
+        return str(exc)
 
 
 def _character_values_without_the_first_fixed_point(rep, t_order):
@@ -312,12 +339,19 @@ FAULTS = {
         {"C9"}, lambda: witt.oracle_check(3, 3)),
     "weyl inverse with swapped transposes": (
         [(weyl.WeylElement, "inverse", _inverse_with_swapped_transposes)],
-        {"C1", "C2", "C3"},
+        {"C2", "C3"},
         lambda: from_word(A2, (0, 1)).inverse().mat),
     "weyl inverse that is the element itself": (
         [(weyl.WeylElement, "inverse", _inverse_that_is_itself)],
-        {"C1", "C2", "C3"},
+        {"C2", "C3"},
         lambda: from_word(A2, (0, 1)).inverse().mat),
+    "weyl coset generators read ss.mat's columns": (
+        [(weyl, "_permutes_simple_roots",
+          _permutes_simple_roots_read_off_mat)], {"C1"},
+        lambda: _coset_generators_or_refusal(C2, (1,))),
+    "weyl coset generators require ss to fix each simple root of J": (
+        [(weyl, "_permutes_simple_roots", _fixes_each_simple_root)],
+        {"C1"}, lambda: _coset_generators_or_refusal(D4, (0, 1))),
     "reps.character_values drops a trace term": (
         [(reps, "character_values",
           _character_values_without_the_first_fixed_point)], {"C3"},
@@ -352,12 +386,17 @@ FAULTS = {
 # oracle only at m = 2.  Every Weyl element a check inverts is an
 # involution (ss_k, and the lifts of the rank-1 quotient's words of
 # length at most 1), so an inverse that returns the element itself is
-# right on all of them.
+# right on all of them.  The checks build coset generators only for
+# J = () and J = (1,), where no ss_k can move a simple root of J to
+# another, so a predicate that asks ss_k to fix each one is right there.
+# F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two simple
+# roots of J; ROADMAP item 16's finite-bond C1 rows close it.
 BLIND = {
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
     "weyl inverse that is the element itself",
+    "weyl coset generators require ss to fix each simple root of J",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from weylkit import linalg, weyl
+from weylkit import alcove, linalg, weyl
 from weylkit.cartan import cartan_datum
 from weylkit.errors import NodeSubsetError
-from reference_routes import from_word
+from reference_routes import from_word, is_min_coset_generator
 
 
 A2 = cartan_datum("A2")
@@ -153,3 +154,58 @@ def test_quotient_coxeter_matrix_rejects_one_node_left_out():
             weyl.quotient_generators(datum, J)
         # alcove still reads the empty generator list
         assert weyl.min_coset_generators(datum, J) == ()
+
+
+# Every proper J of these types, each candidate ss_k checked against
+# word extraction: 488 candidates, 62 of them permuting the simple roots
+# of J nontrivially.
+_COSET_LABELS = ("A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4", "D4",
+                 "G2", "F4")
+# The geometries whose quotient tables are checked: every one that
+# builds over these types but the two whose quotients are whole finite
+# Weyl groups of rank 4, which take seconds to build.
+_GEOMETRY_LABELS = ("A1", "A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4")
+_GEOMETRIES_SKIPPED = {("D4", ()), ("F4", ())}
+
+
+def test_coset_generators_match_word_extraction_and_invert_themselves():
+    # ss_k qualifies exactly when the reduced word of every conjugate
+    # ss_k s_j ss_k^-1 uses letters of J only and ss_k has no right
+    # descent in J; the refusal names the same k.  Each quotient
+    # generator r_k of a geometry that builds is an involution, which
+    # is what quotient_inverse reads
+    candidates = nontrivial = involutions = 0
+    for label in _COSET_LABELS:
+        datum = cartan_datum(label)
+        nodes = range(datum.n + 1)
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(nodes, r) for r in range(datum.n)):
+            w0J = weyl.longest_element(datum, J)
+            accepted, refused = [], []
+            for k in nodes:
+                if k in J:
+                    continue
+                ss = weyl.longest_element(datum, J + (k,)) * w0J
+                candidates += 1
+                if is_min_coset_generator(ss, J):
+                    accepted.append((k, ss))
+                    nontrivial += any(
+                        ss * s * ss.inverse() != s
+                        for s in (weyl.simple_reflection(datum, j) for j in J))
+                else:
+                    refused.append(k)
+            if refused:
+                with pytest.raises(NodeSubsetError) as refusal:
+                    weyl.min_coset_generators(datum, J)
+                assert str(refusal.value).endswith(
+                    f"for k in {tuple(refused)}")
+                continue
+            assert weyl.min_coset_generators(datum, J) == tuple(accepted)
+            if (label not in _GEOMETRY_LABELS
+                    or (label, J) in _GEOMETRIES_SKIPPED):
+                continue
+            geo = alcove.CosetGeometry(datum, J)
+            for perm in geo.quotient_left.values():
+                assert all(perm[perm[i]] == i for i in range(len(perm)))
+                involutions += 1
+    assert (candidates, nontrivial, involutions) == (488, 62, 121)

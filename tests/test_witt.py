@@ -261,6 +261,21 @@ def test_random_triples_against_integer_oracle(a, b, c):
     assert wa * (wb + wc) == witt.from_integer(a * (b + c), p, m)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_a_length_below_one_is_refused(monkeypatch, m):
+    # a vector of W_0 has no components, but a readout returns at least
+    # one; the oracle refuses before it forms any digit vector or image
+    with pytest.raises(PreconditionError, match=f"m={m} is not positive"):
+        witt.WittScalar(3, m, ())
+    with pytest.raises(PreconditionError):
+        witt.witt_one(3, m)
+    with pytest.raises(PreconditionError):
+        witt.from_integer(2, 3, m)
+    monkeypatch.setattr(witt, "_digits", None)
+    with pytest.raises(PreconditionError, match=f"m={m} is not positive"):
+        witt.oracle_check(3, m)
+
+
 def test_non_prime_field_is_rejected():
     with pytest.raises(UnsupportedRegimeError):
         witt.WittScalar(4, 1, (1,))
