@@ -10,7 +10,10 @@ nonzero coefficient; the valuation of zero is +infinity.
 Every scalar keeps one invariant: each stored coefficient lies in
 [1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
 negation (c -> q - c) and `shift` preserve it, so they build their
-result directly without that pass.
+result directly without that pass.  The constructor tests q for
+primality and `_new` and `_raw` do not, so a caller that builds many
+scalars over one q, such as pgl2's random elements, tests it once with
+`_require_prime` and builds through them.
 """
 
 import math
@@ -68,15 +71,6 @@ class LaurentScalar:
     def __new__(cls, q, coeffs):
         _require_prime(q)
         return _new(q, coeffs)
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(q):
-        return LaurentScalar(q, {})
-
-    @staticmethod
-    def one(q):
-        return LaurentScalar(q, {0: 1})
 
     def valuation(self):
         """The least exponent with a nonzero coefficient; +inf for zero."""
@@ -200,12 +194,6 @@ def mat_mul(A, B):
 
 def mat_det(M):
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-
-def identity_matrix(q):
-    one = LaurentScalar.one(q)
-    zero = LaurentScalar.zero(q)
-    return ((one, zero), (zero, one))
 
 
 def parse_matrix(text, q):

@@ -11,7 +11,10 @@ the two Iwahori-type subsets are
     I1: [[a,b],[c,d]] with v(a)=v(d)=m, v(b)>=m, v(c)>m for some m,
     I2: [[c,d],[a,b]] with v(a)=v(d)+1=m+1, v(b)>=m+1, v(c)>=m+1.
 
-Membership reads each entry only through its valuation.
+Membership reads each entry only through its valuation, and the
+discriminant is read the same way: `discriminant_valuation` scans the
+coefficients of its expansion from the least possible exponent up and
+stops at the first nonzero one, with no product of Laurent polynomials.
 
 tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 
 from . import laurent, linalg
 from .errors import BudgetError, InternalConsistencyError, PreconditionError
-from .laurent import LaurentScalar, least_prime_factor
+from .laurent import least_prime_factor
 
 # The nodes a fixed-point walk may classify: the size of
 # witt.ORACLE_PAIR_BUDGET.
@@ -103,17 +106,31 @@ def iwahori_class(M):
 
 
 def i2_normal_form(M):
-    """Strip the e^m shift of an I2 matrix: returns (m, a, b, c, d) with
-    M = e^m * [[e*c, d], [e*a, e*b]], a and d units."""
+    """The e^m shift of an I2 matrix M = [[C, D], [A, B]] and the
+    coefficient dicts of its entries: returns (m, A, B, C, D) with
+    M = e^m * [[e*c, d], [e*a, e*b]], a and d units.  The normal-form
+    entry a has the coefficient A[k + m + 1] at e^k, and so do b and c
+    with B and C; d has D[k + m].  No entry is shifted."""
     if iwahori_class(M) != "I2":
         raise PreconditionError("matrix is not in the odd Iwahori coset")
     (C, D), (A, B) = M
-    m = D.valuation()
-    return (m,
-            A.shift(-(m + 1)),
-            B.shift(-(m + 1)),
-            C.shift(-(m + 1)),
-            D.shift(-m))
+    return D.valuation(), A.coeffs, B.coeffs, C.coeffs, D.coeffs
+
+
+def _product_sum_valuation(terms, q):
+    """The valuation of the sum of w * X * Y over the terms (w, X, Y), w
+    an integer and X, Y coefficient dicts over F_q, read one coefficient
+    at a time: the least exponent whose coefficient is nonzero modulo q,
+    else inf."""
+    terms = [(w, X, Y) for w, X, Y in terms if X and Y]
+    k = min((min(X) + min(Y) for _, X, Y in terms), default=math.inf)
+    while k != math.inf:
+        if sum(w * x * Y.get(k - i, 0)
+               for w, X, Y in terms for i, x in X.items()) % q:
+            return k
+        k = min((i + j for _, X, Y in terms for i in X for j in Y
+                 if i + j > k), default=math.inf)
+    return math.inf
 
 
 def discriminant_valuation(M):
@@ -123,10 +140,31 @@ def discriminant_valuation(M):
     The expansion used is e^2(b+c)^2 - 4e^2 bc - e a d; its leading term
     e*a*d has unit coefficient in every characteristic, so the result is
     asserted to be exactly 1.
+
+    The valuation is scanned, not multiplied out.  With M = [[C, D],
+    [A, B]] = e^m [[e c, d], [e a, e b]],
+
+        (B + C)^2 - 4 B C - A D = e^(2m) (e^2 (b+c)^2 - 4 e^2 bc - e a d),
+
+    so the valuation is that of the left side, read off M's entries,
+    minus 2m.  Reduction modulo q is a ring map, so the coefficient of
+    e^k on the left is the residue of the integer sum over its three
+    terms w * X * Y, (1, S, S), (-4, B, C) and (-1, A, D) with S the
+    integer coefficients of B + C, of w * X[i] * Y[k - i] over the
+    stored exponents i of X.  It is 0 unless k = i + j for stored
+    exponents i of X and j of Y in some term, so the scan tries those
+    sums in increasing order, from the least one, and the first whose
+    residue is nonzero is the least exponent of a nonzero coefficient:
+    the valuation of the product formula.  When none is nonzero the
+    formula is 0, of valuation inf.  So the scan returns the same
+    valuation for every input, and builds no scalar.  On an I2 matrix it
+    stops at its first exponent, 2m + 1, where the coefficient is
+    -a_0 d_0, a product of units.
     """
-    _, a, b, c, d = i2_normal_form(M)
-    expr = ((b + c) * (b + c) - b * c * 4).shift(2) - (a * d).shift(1)
-    v = expr.valuation()
+    m, A, B, C, D = i2_normal_form(M)
+    S = {k: B.get(k, 0) + C.get(k, 0) for k in (*B, *C)}
+    v = _product_sum_valuation(((1, S, S), (-4, B, C), (-1, A, D)),
+                               M[0][0].q) - 2 * m
     if v != 1:
         raise InternalConsistencyError(
             f"discriminant valuation {v} != 1 for an I2 matrix")
@@ -242,7 +280,10 @@ def random_i2(q, rng, degree=6):
     """A random matrix in the odd Iwahori coset, exact entries: units a,
     d and integers b, c with `degree` digits each, drawn in that order,
     then the shift m, giving [[e^(m+1) c, e^m d], [e^(m+1) a, e^(m+1) b]].
-    Each entry is built once, at its shifted exponents."""
+    q is tested for primality once, and each entry is built once, at its
+    shifted exponents."""
+    laurent._require_prime(q)
+
     def unit():
         first = rng.randrange(1, q)
         return [first] + [rng.randrange(q) for _ in range(1, degree)]
@@ -251,7 +292,7 @@ def random_i2(q, rng, degree=6):
         return [rng.randrange(q) for _ in range(degree)]
 
     def entry(digits, shift):
-        return LaurentScalar(q, {k + shift: c for k, c in enumerate(digits)})
+        return laurent._new(q, {k + shift: c for k, c in enumerate(digits)})
 
     a, d = unit(), unit()
     b, c = integer(), integer()
@@ -263,24 +304,29 @@ def random_i2(q, rng, degree=6):
 
 
 def random_i1(q, rng, length=4):
-    """A random element of I1 with exactly invertible determinant,
-    built from unipotent and diagonal-unit generators."""
-    one = LaurentScalar.one(q)
-    zero = LaurentScalar.zero(q)
-    mat = laurent.identity_matrix(q)
+    """A random element of I1 with exactly invertible determinant: the
+    identity times `length` generators, each drawn with its kind,
+    [[1, x], [0, 1]] with x at e^0..e^2, [[1, 0], [x, 1]] with x at
+    e^1..e^3, or [[u, 0], [0, 1]] with u a nonzero constant.  A generator
+    changes one column of the product, so each step forms two products:
+    the second column gains x times the first, the first gains x times
+    the second, or the first is scaled by u.  q is tested for primality
+    once."""
+    laurent._require_prime(q)
+    one, zero = laurent._raw(q, {0: 1}), laurent._raw(q, {})
+    (a, b), (c, d) = (one, zero), (zero, one)
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
-            c = LaurentScalar(q, {k: rng.randrange(q) for k in range(3)})
-            step = ((one, c), (zero, one))
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(3)})
+            b, d = a * x + b, c * x + d
         elif kind == 1:
-            c = LaurentScalar(q, {k: rng.randrange(q) for k in range(1, 4)})
-            step = ((one, zero), (c, one))
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(1, 4)})
+            a, c = a + b * x, c + d * x
         else:
-            u = LaurentScalar(q, {0: rng.randrange(1, q)})
-            step = ((u, zero), (zero, one))
-        mat = laurent.mat_mul(mat, step)
-    return mat
+            u = laurent._raw(q, {0: rng.randrange(1, q)})
+            a, c = a * u, c * u
+    return ((a, b), (c, d))
 
 
 def conjugate_exact(g, h):

@@ -165,7 +165,8 @@ def min_coset_generators(datum, J):
     permutes their simple roots; conversely a w that permutes them meets
     both conditions (Howlett, "Normalizers of parabolic subgroups of
     reflection groups", J. London Math. Soc. (2) 21, 1980).  A J that
-    leaves one node out has no candidate: J + k would be every node.
+    leaves one node out has no candidate, since J + k would be every
+    node, so it returns () before w0(J) is built.
 
     Raises NodeSubsetError naming every k whose candidate fails, since
     some J genuinely admit none.
@@ -173,9 +174,11 @@ def min_coset_generators(datum, J):
     J = tuple(sorted(set(J)))
     if len(J) == datum.n + 1:
         raise NodeSubsetError("J must be a proper node subset")
-    w0J = longest_element(datum, J)
+    if any(j < 0 or j > datum.n for j in J):
+        raise PreconditionError("node index out of range")
     if len(J) == datum.n:
         return ()
+    w0J = longest_element(datum, J)
     generators = []
     failures = []
     for k in range(datum.n + 1):

@@ -1,14 +1,15 @@
 """Reference routes the tests compare the library with.
 
 Each builds what the library's own route avoids building: every matrix
-of a level of the fixed-point walk as a product of matrices, a Weyl
-element multiplied out letter by letter, the reduced word of each
-conjugate a coset generator makes, the Witt zero from its components.
+of a level of the fixed-point walk as a product of matrices, the
+discriminant as a product of Laurent polynomials, a Weyl element
+multiplied out letter by letter, the reduced word of each conjugate a
+coset generator makes, the Witt zero from its components.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
 
-from weylkit import laurent, weyl, witt
+from weylkit import laurent, pgl2, weyl, witt
 from weylkit.laurent import LaurentScalar
 
 
@@ -16,7 +17,7 @@ def edge(letter, t, q):
     """The edge s_letter(t) of the word tree: [[-t, 1], [-1, 0]] for
     letter 1 and [[0, e^-1], [-e, t]] for letter 0, both of determinant
     1."""
-    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
     scalar = LaurentScalar(q, {0: t})
     if letter == 1:
         return ((-scalar, one), (-one, zero))
@@ -44,7 +45,7 @@ def tau_conjugate(C):
     """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]],
     with tau^-1 = [[0, e^-1], [1, 0]], multiplied out."""
     q = C[0][0].q
-    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
     tau = ((zero, one), (LaurentScalar(q, {1: 1}), zero))
     return _conjugate(C, tau, ((zero, LaurentScalar(q, {-1: 1})), (one, zero)))
 
@@ -64,6 +65,18 @@ def conjugate_levels(g):
                     for conj, last in frontier
                     for letter in (0, 1) if letter != last
                     for child in children(conj, letter, q)]
+
+
+def discriminant_by_products(M):
+    """The valuation of e^2(b+c)^2 - 4e^2 bc - e a d for the normal form
+    `pgl2.i2_normal_form` gives M, each entry shifted to its normal-form
+    exponents and the formula multiplied out."""
+    q = M[0][0].q
+    m, A, B, C, D = pgl2.i2_normal_form(M)
+    a, b, c = (LaurentScalar(q, X).shift(-(m + 1)) for X in (A, B, C))
+    d = LaurentScalar(q, D).shift(-m)
+    expr = ((b + c) * (b + c) - b * c * 4).shift(2) - (a * d).shift(1)
+    return expr.valuation()
 
 
 def from_word(datum, word):

@@ -37,13 +37,13 @@ def test_parse_shift_marker():
 
 
 def test_valuation_of_zero_is_infinite():
-    assert LaurentScalar.zero(3).valuation() is math.inf
+    assert LaurentScalar(3, {}).valuation() is math.inf
 
 
 @given(scalars(), scalars())
 @settings(max_examples=80, deadline=None)
 def test_valuation_multiplicative(a, b):
-    if a == LaurentScalar.zero(3) or b == LaurentScalar.zero(3):
+    if a == LaurentScalar(3, {}) or b == LaurentScalar(3, {}):
         return
     assert (a * b).valuation() == a.valuation() + b.valuation()
 
@@ -52,7 +52,7 @@ def test_valuation_multiplicative(a, b):
 @settings(max_examples=80, deadline=None)
 def test_ultrametric_inequality(a, b):
     s = a + b
-    if s == LaurentScalar.zero(3):
+    if s == LaurentScalar(3, {}):
         return
     assert s.valuation() >= min(a.valuation(), b.valuation())
 
@@ -70,7 +70,7 @@ def test_ring_axioms(a, b, c):
 def test_inverse_round_trip(a, b):
     # a monomial b is a unit, and (a b) b^-1 = a
     if len(b.coeffs) == 1:
-        assert b * b.inverse() == LaurentScalar.one(3)
+        assert b * b.inverse() == LaurentScalar(3, {0: 1})
         assert a * b * b.inverse() == a
 
 

@@ -6,9 +6,19 @@ import time
 import pytest
 
 from weylkit import checks, laurent, pgl2
-from weylkit.errors import BudgetError, PreconditionError
+from weylkit.errors import (
+    BudgetError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from weylkit.laurent import LaurentScalar
-from reference_routes import children, conjugate_levels, edge, tau_conjugate
+from reference_routes import (
+    children,
+    conjugate_levels,
+    discriminant_by_products,
+    edge,
+    tau_conjugate,
+)
 
 
 def test_iwahori_classes_of_standard_elements():
@@ -76,9 +86,9 @@ def _words(q, length):
 
 
 def _word_matrix(q, word):
-    one, zero = LaurentScalar.one(q), LaurentScalar.zero(q)
+    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
     e = LaurentScalar(q, {1: 1})
-    x = laurent.identity_matrix(q)
+    x = ((one, zero), (zero, one))
     for letter, t in word:
         c = LaurentScalar(q, {0: t})
         if letter == 1:
@@ -93,8 +103,8 @@ def _word_matrix(q, word):
 
 def _reference_level(g, length):
     q = g[0][0].q
-    tau = ((LaurentScalar.zero(q), LaurentScalar.one(q)),
-           (LaurentScalar(q, {1: 1}), LaurentScalar.zero(q)))
+    tau = ((LaurentScalar(q, {}), LaurentScalar(q, {0: 1})),
+           (LaurentScalar(q, {1: 1}), LaurentScalar(q, {})))
     out = []
     for word in _words(q, length):
         x = _word_matrix(q, word)
@@ -444,7 +454,7 @@ def _random_exact_matrix(q, rng):
     """Four exact entries with small valuations, some of them zero."""
     def entry():
         if rng.randrange(6) == 0:
-            return LaurentScalar.zero(q)
+            return LaurentScalar(q, {})
         v = rng.randrange(-2, 3)
         coeffs = {v: rng.randrange(1, q)}
         coeffs.update((v + k, rng.randrange(q)) for k in range(1, 3))
@@ -513,6 +523,145 @@ def test_random_i2_matches_construct_then_shift():
                 assert _key(pgl2.random_i2(q, got, degree)) \
                     == _key(_random_i2_by_shifts(q, want, degree))
             assert got.random() == want.random()
+
+
+def _random_i1_by_mat_mul(q, rng, length=4):
+    """`pgl2.random_i1` by its former route: each generator a whole
+    matrix, multiplied onto the product with the generic
+    `laurent.mat_mul`."""
+    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
+    mat = ((one, zero), (zero, one))
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = LaurentScalar(q, {k: rng.randrange(q) for k in range(3)})
+            step = ((one, c), (zero, one))
+        elif kind == 1:
+            c = LaurentScalar(q, {k: rng.randrange(q) for k in range(1, 4)})
+            step = ((one, zero), (c, one))
+        else:
+            u = LaurentScalar(q, {0: rng.randrange(1, q)})
+            step = ((u, zero), (zero, one))
+        mat = laurent.mat_mul(mat, step)
+    return mat
+
+
+def test_random_i1_matches_generic_mat_mul():
+    # The same matrices from the same draws, and the generator left in
+    # the same state.
+    for q in (2, 3, 5, 7):
+        for length in (1, 4, 8):
+            got, want = random.Random(q), random.Random(q)
+            for _ in range(30):
+                assert _key(pgl2.random_i1(q, got, length)) \
+                    == _key(_random_i1_by_mat_mul(q, want, length))
+            assert got.random() == want.random()
+
+
+def _discriminant_outcome(M):
+    """The scan's discriminant valuation, or the exception's class and
+    message."""
+    try:
+        return pgl2.discriminant_valuation(M)
+    except InternalConsistencyError as exc:
+        return type(exc), str(exc)
+
+
+def _product_outcome(M):
+    """The product formula's valuation, as `discriminant_valuation`
+    reports it: 1, or the error naming any other valuation."""
+    v = discriminant_by_products(M)
+    if v == 1:
+        return v
+    return (InternalConsistencyError,
+            f"discriminant valuation {v} != 1 for an I2 matrix")
+
+
+def test_discriminant_scan_matches_the_product_formula():
+    # Random odd-coset elements of several degrees and C7's I1-conjugates
+    # of tau.
+    for q in (2, 3, 5, 7):
+        rng = random.Random(97 + q)
+        tau = laurent.parse_matrix("0,1;e,0", q)
+        sources = [pgl2.random_i2(q, rng, degree)
+                   for degree in (1, 4, 8, 12) for _ in range(10)]
+        sources += [pgl2.conjugate_exact(tau, pgl2.random_i1(q, rng, length))
+                    for length in (1, 4, 8) for _ in range(5)]
+        for M in sources:
+            assert _discriminant_outcome(M) == _product_outcome(M) == 1
+
+
+def test_discriminant_scan_reads_coefficients_past_the_normal_form(
+        monkeypatch):
+    # A normal form whose a is not a unit, or whose b or c has negative
+    # valuation, moves the discriminant off 1: both routes read the same
+    # valuation, through the same error, down to a formula that cancels
+    # to 0.  Normal forms (m, a, b, c, d) as {exponent: coefficient} in
+    # the normal-form exponents.
+    crafted = [
+        (5, 0, {1: 1}, {0: 1}, {}, {0: 1}),        # e^2 - e^2: inf
+        (5, 1, {1: 1, 2: 1}, {0: 1}, {}, {0: 1}),  # -e^3: 3
+        (3, -2, {1: 2}, {}, {}, {0: 1}),           # -2e^2: 2
+        (7, 0, {0: 1}, {-1: 1}, {}, {0: 1}),       # 1 + ...: 0
+        (2, 2, {1: 1}, {0: 1}, {0: 1}, {0: 1}),    # 4 = 0 at q = 2: 2
+    ]
+    rng = random.Random(101)
+    for q in (2, 3, 5, 7):
+        for _ in range(40):
+            entries = [{k: rng.randrange(q) for k in
+                        range(rng.randrange(-2, 2), rng.randrange(-1, 3))}
+                       for _ in range(4)]
+            crafted.append((q, rng.randrange(-2, 3), *entries))
+    seen = set()
+    for q, m, a, b, c, d in crafted:
+        normal_form = (m, *({k + m + 1: x for k, x in X.items()}
+                            for X in (a, b, c)),
+                       {k + m: x for k, x in d.items()})
+        monkeypatch.setattr(pgl2, "i2_normal_form",
+                            lambda M, normal_form=normal_form: normal_form)
+        M = laurent.parse_matrix("0,1;e,0", q)
+        got = _discriminant_outcome(M)
+        assert got == _product_outcome(M)
+        seen.add(got if got == 1 else got[1].split()[2])
+    assert {1, "inf", "0", "2", "3"} <= seen
+
+
+def test_discriminant_forms_no_product_and_builds_no_scalar(monkeypatch):
+    # C6 formed four Laurent products per discriminant, 1,200 in all, and
+    # now forms none: it builds the four entries of each of its 300
+    # inputs and nothing else.  C7 formed 2,160, 32 in each of its 40
+    # `random_i1` (four generic 2x2 products) and 22 in each
+    # `conjugate_exact`; each generator now forms two, so 8 + 22 per
+    # input.
+    mul, new, raw = LaurentScalar.__mul__, laurent._new, laurent._raw
+    products, constructed = [], []
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    def recording(construct):
+        def construct_and_record(q, coeffs):
+            x = construct(q, coeffs)
+            constructed.append(x)
+            return x
+        return construct_and_record
+
+    rng = random.Random(20260823)
+    inputs = [pgl2.random_i2(q, rng, degree=8)
+              for q in (2, 3, 5) for _ in range(100)]
+    monkeypatch.setattr(LaurentScalar, "__mul__", counting_mul)
+    monkeypatch.setattr(laurent, "_new", recording(new))
+    monkeypatch.setattr(laurent, "_raw", recording(raw))
+    assert [pgl2.discriminant_valuation(M) for M in inputs] == [1] * 300
+    assert products == constructed == []
+    assert checks._c6_discriminant() \
+        == "300 random odd-coset matrices, all discriminant valuations 1"
+    assert len(products) == 0
+    assert len(constructed) == 4 * 300
+    assert checks._c7_fixed_points() \
+        == "42 elements, every fixed-point count is 2"
+    assert len(products) == 40 * (8 + 22) == 1200
 
 
 def test_module_generation_and_coinvariants():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import alcove, linalg, weyl
 from weylkit.cartan import cartan_datum
-from weylkit.errors import NodeSubsetError
+from weylkit.errors import NodeSubsetError, PreconditionError
 from reference_routes import from_word, is_min_coset_generator
 
 
@@ -154,6 +154,28 @@ def test_quotient_coxeter_matrix_rejects_one_node_left_out():
             weyl.quotient_generators(datum, J)
         # alcove still reads the empty generator list
         assert weyl.min_coset_generators(datum, J) == ()
+
+
+def test_one_node_left_out_returns_before_building_w0_of_J(monkeypatch):
+    # For E8 with J = {1..8}, w0(J) is a 120-letter climb that the empty
+    # answer never reads; an out-of-range node is refused by J's own
+    # range, with the message `longest_element` gives.
+    E8 = cartan_datum("E8")
+
+    def refuse(datum, J):
+        raise AssertionError("w0(J) was built")
+
+    monkeypatch.setattr(weyl, "longest_element", refuse)
+    assert weyl.min_coset_generators(E8, range(1, 9)) == ()
+    for J in ((1, 2, 3, 4, 5, 6, 7, 9), (-1, 2), (0, 9)):
+        with pytest.raises(PreconditionError,
+                           match="^node index out of range$"):
+            weyl.min_coset_generators(E8, J)
+    monkeypatch.undo()
+    for J in ((1, 2, 3, 4, 5, 6, 7, 9), (-1, 2)):
+        with pytest.raises(PreconditionError,
+                           match="^node index out of range$"):
+            weyl.longest_element(E8, J)
 
 
 # Every proper J of these types, each candidate ss_k checked against
