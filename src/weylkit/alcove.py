@@ -9,12 +9,32 @@ negative and S is its support.
 For a node subset J with complement Jc, the subspace z_J is the
 level-0 part of span{b'_k : k in Jc}, with basis
 u_k = b'_k - (n_k / n_k0) b'_k0 for k in Jc - {k0}, k0 = min Jc.
-The translation lattice L' inside z_J is computed exactly via Schreier
-generators of the kernel of the quotient map to the finite group W_Jc.
-The breadth-first search that builds the quotient carries each
-element's lift along its word (lift_j = ss_k lift_i) and records the
-coset of ss_k lift_i as quotient_left[k][i], so each Schreier generator
-lift_target^-1 ss_k lift_i is read from those two tables.
+That span is the fixed space of W_J, which each ss_k normalizes, so
+ss_k maps it into itself (checked once per generator), and a product of
+the ss_k acts on it by the product of their integer Jc x Jc blocks G_k.
+The breadth-first search that builds the finite quotient W_Jc carries
+each element's lift as its block along its word (B_j = G_k B_i), reads
+the element r_i, the restriction of lift_i to z_J, off B_i (column u_k
+is block column k minus n_k / n_k0 times block column k0, at the rows
+of Jc - {k0}), and records the coset of ss_k lift_i as
+t = quotient_left[k][i].
+
+The translation lattice L' inside z_J is spanned by the Schreier
+generators lift_t^-1 ss_k lift_i of the kernel of the quotient map.
+Each acts trivially on z_J, so it is the translation by its
+displacement of the base point p0 = b'_k0 / n_k0.  Since lift_t p0 and
+ss_k lift_i p0 are level-1 points of the span, their difference lies in
+z_J, where lift_t^-1 acts as r_t^-1, as the lift of t's inverse
+inv(t) = quotient_inverse[t] does:
+
+  lift_t^-1 ss_k lift_i p0 - p0 = lift_t^-1 (ss_k lift_i p0 - lift_t p0)
+                                = B_inv(t) (G_k B_i e_k0 - B_t e_k0) / n_k0
+
+in coordinates on Jc.  The vector x = B_inv(t) (G_k B_i e_k0 - B_t e_k0)
+is integral and of level 0, so the translation's u-coordinates are x's
+entries at Jc - {k0}, over n_k0.  L' is therefore 1/n_k0 times the lattice of those
+integer rows, and since HNF(c M) = c HNF(M), its Hermite basis is their
+integer Hermite basis over n_k0.
 `CosetGeometry.stabilizer` computes the stabilizer of a torus point for
 the lift check `torus_stabilizer` (C2); `reps` reads a module's
 stabilizer off the orbit it computes anyway (C3), and both compare it
@@ -92,20 +112,6 @@ class TorusPoint:
         return out
 
 
-def _rational_hnf(vectors):
-    """Canonical basis of the lattice spanned by rational vectors."""
-    vectors = [v for v in vectors if any(x != 0 for x in v)]
-    if not vectors:
-        return ()
-    denom = 1
-    for v in vectors:
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    scaled = [tuple(int(x * denom) for x in v) for v in vectors]
-    rows = linalg.hnf(scaled)
-    return tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
-
-
 class CosetGeometry:
     """Everything attached to (datum, J): the ss_k generators, the finite
     quotient W_Jc acting on z_J, and the translation/character lattices."""
@@ -117,66 +123,56 @@ class CosetGeometry:
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
         self.k0 = self.jcheck[0]
         self.dim = len(self.jcheck) - 1
-        self._build_ubasis()
+        for k, w in self.generators:
+            if any(w.mat[j][c] for j in self.J for c in self.jcheck):
+                raise StructuralError(
+                    f"ss_{k} does not map the span of b'_k, k outside J,"
+                    " into itself")
+        self.generator_blocks = {k: self.block(w.mat)
+                                 for k, w in self.generators}
         self._build_quotient()
         self._build_lattice()
 
-    def _build_ubasis(self):
-        n = self.datum.n
-        marks = self.datum.marks
-        self.ubasis = []
-        for k in self.jcheck[1:]:
-            vec = [Fraction(0)] * (n + 1)
-            vec[k] = Fraction(1)
-            vec[self.k0] = -Fraction(marks[k], marks[self.k0])
-            self.ubasis.append(tuple(vec))
+    def block(self, mat):
+        """The Jc x Jc block of a V-dagger matrix, in jcheck order."""
+        return tuple(tuple(mat[r][c] for c in self.jcheck)
+                     for r in self.jcheck)
 
-    def _to_ucoords(self, vec):
-        """Coordinates in the u-basis of a level-0 vector supported on Jc."""
+    def restriction(self, block):
+        """Matrix on z_J, in the u-basis, of a map whose Jc-block is
+        `block`."""
         marks = self.datum.marks
-        for j in range(self.datum.n + 1):
-            if j not in self.jcheck and vec[j] != 0:
-                raise StructuralError("vector not supported on the complement of J")
-        coords = tuple(Fraction(vec[k]) for k in self.jcheck[1:])
-        rebuilt = -sum(Fraction(vec[k]) * marks[k] for k in self.jcheck[1:])
-        if Fraction(vec[self.k0]) * marks[self.k0] != rebuilt:
-            raise StructuralError("vector is not level 0")
-        return coords
-
-    def restriction(self, mat):
-        """Matrix of a full V-dagger map on z_J in the u-basis."""
-        cols = [self._to_ucoords(linalg.mat_vec(mat, u)) for u in self.ubasis]
-        return tuple(tuple(cols[c][r] for c in range(self.dim))
-                     for r in range(self.dim))
+        n0 = marks[self.k0]
+        return tuple(tuple(Fraction(n0 * row[c] - marks[k] * row[0], n0)
+                           for c, k in enumerate(self.jcheck[1:], 1))
+                     for row in block[1:])
 
     def _build_quotient(self):
-        eye = tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                          for j in range(self.dim)) for i in range(self.dim))
-        gens = [(k, w, self.restriction(w.mat)) for k, w in self.generators]
-        elements = [eye]
+        eye = linalg.identity_mat(self.dim + 1)
+        blocks = [eye]
+        elements = [self.restriction(eye)]
         words = [()]
-        lifts = [weyl.identity(self.datum)]
-        index = {eye: 0}
-        left = {k: [] for k, _ in self.generators}
+        index = {elements[0]: 0}
+        left = {k: [] for k in self.generator_blocks}
         head = 0
         while head < len(elements):
-            current = elements[head]
-            for k, g, r in gens:
-                new = linalg.mat_mul(r, current)
+            for k, g in self.generator_blocks.items():
+                block = linalg.mat_mul(g, blocks[head])
+                new = self.restriction(block)
                 if new not in index:
                     index[new] = len(elements)
                     elements.append(new)
+                    blocks.append(block)
                     words.append((k,) + words[head])
-                    lifts.append(weyl.multiply(g, lifts[head]))
                     if len(elements) > _QUOTIENT_CAP:
                         raise BudgetError("finite quotient exceeds the size cap")
                 left[k].append(index[new])
             head += 1
         self.quotient = elements
         # words[i] multiplies left-to-right: elements[i] = prod of the
-        # letters, and lifts[i] is the same product of the ss_k.
+        # letters, and blocks[i] is the same product of the G_k.
         self.quotient_words = words
-        self.quotient_lifts = lifts
+        self.quotient_blocks = blocks
         self.quotient_index = index
         # Multiplication: quotient_left[k][j] is the index of r_k times
         # element j, a permutation of the indices, so products and
@@ -200,50 +196,48 @@ class CosetGeometry:
             j = self.quotient_left[k][j]
         return j
 
-    def _translation_ucoords(self, w):
-        """Displacement of the base point b'_k0 / n_k0 under w, or None
-        if the linear part of w on z_J is nontrivial."""
-        if self.dim and self.restriction(w.mat) != self.quotient[0]:
-            return None
-        n = self.datum.n
-        base = [Fraction(0)] * (n + 1)
-        base[self.k0] = Fraction(1, self.datum.marks[self.k0])
-        base = tuple(base)
-        moved = linalg.mat_vec(w.mat, base)
-        return self._to_ucoords(linalg.vec_sub(moved, base))
+    def _schreier_translations(self):
+        """The integer rows n_k0 times the u-coordinates of the Schreier
+        generators' translations (see the module docstring), each once."""
+        blocks = self.quotient_blocks
+        base = [tuple(row[0] for row in b) for b in blocks]  # B_i e_k0
+        rows = set()
+        for k, g in self.generator_blocks.items():
+            for i, t in enumerate(self.quotient_left[k]):
+                moved = [a - b for a, b in zip(linalg.mat_vec(g, base[i]),
+                                               base[t])]
+                x = linalg.mat_vec(blocks[self.quotient_inverse[t]], moved)
+                rows.add(x[1:])
+        return rows
 
     def _build_lattice(self):
         if self.dim == 0:
             self.torus_actions = [()] * len(self.quotient)
             return
-        # Schreier generators of the kernel of the quotient map.
-        lifts = self.quotient_lifts
-        vectors = []
-        for k, g in self.generators:
-            for i, target in enumerate(self.quotient_left[k]):
-                product = weyl.multiply(g, lifts[i])
-                kernel_elt = weyl.multiply(lifts[target].inverse(), product)
-                vec = self._translation_ucoords(kernel_elt)
-                if vec is None:
-                    raise StructuralError("Schreier element is not a translation")
-                vectors.append(vec)
-        basis = _rational_hnf(vectors)
+        n0 = self.datum.marks[self.k0]
+        basis = linalg.hnf(self._schreier_translations())
         if len(basis) != self.dim:
             raise StructuralError("translation lattice has deficient rank")
-        bmat = tuple(tuple(basis[c][r] for c in range(self.dim))
+        bmat = tuple(tuple(Fraction(basis[c][r], n0) for c in range(self.dim))
                      for r in range(self.dim))
         binv = linalg.mat_inv(bmat)
         self._binv = binv
-        # Integer matrices of the quotient action in the L'-basis.
-        actions = []
-        for r in self.quotient:
-            nmat = linalg.mat_mul(binv, linalg.mat_mul(r, bmat))
-            rows = []
-            for row in nmat:
-                if any(x.denominator != 1 for x in row):
-                    raise StructuralError("quotient action does not preserve L'")
-                rows.append(tuple(int(x) for x in row))
-            actions.append(tuple(rows))
+        # Integer matrices of the quotient action in the L'-basis: each
+        # r_k's, then each element's as r_k times its BFS parent's, so
+        # every action preserves L' when the generators' do.
+        acts = {}
+        for k, g in self.generator_blocks.items():
+            nmat = linalg.mat_mul(binv,
+                                  linalg.mat_mul(self.restriction(g), bmat))
+            if any(x.denominator != 1 for row in nmat for x in row):
+                raise StructuralError("quotient action does not preserve L'")
+            acts[k] = tuple(tuple(int(x) for x in row) for row in nmat)
+        actions = [None] * len(self.quotient)
+        actions[0] = linalg.identity_mat(self.dim)
+        for i, action in enumerate(actions):
+            for k, perm in self.quotient_left.items():
+                if actions[perm[i]] is None:
+                    actions[perm[i]] = linalg.mat_mul(acts[k], action)
         self.torus_actions = actions
 
     def lattice_coords(self, ucoords):
@@ -281,10 +275,9 @@ def p_J(datum, J, d):
     geo = geometry(datum, J)
     if any(c < 0 for c in d.coords) or any(d.coords[j] for j in geo.J):
         raise PreconditionError("d must lie in a cell C_S with S inside Jc")
-    vec = list(d.coords)
-    vec[geo.k0] -= Fraction(1, datum.marks[geo.k0])
-    ucoords = geo._to_ucoords(tuple(vec))
-    gamma = geo.lattice_coords(ucoords)
+    # d - b'_k0 / n_k0 is level 0 and supported on Jc, so its
+    # u-coordinates are d's at Jc - {k0}
+    gamma = geo.lattice_coords(tuple(d.coords[k] for k in geo.jcheck[1:]))
     return TorusPoint(values=tuple(g % 1 for g in gamma))
 
 
@@ -309,8 +302,8 @@ def torus_stabilizer(datum, J, t, S):
                     raise StructuralError("lift subgroup is not finite")
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[geo.restriction(w.mat)] if geo.dim
-              else 0 for w in elements}
+    images = {geo.quotient_index[geo.restriction(geo.block(w.mat))]
+              for w in elements}
     return (len(images) == len(elements)
             and images == set(geo.stabilizer(t)))
 
@@ -319,10 +312,7 @@ def grid_nodes(datum, J):
     """The two nodes outside J that a rational grid of D_J spans.  Both
     node-subset refusals are decided from J and datum.n alone, before any
     coset geometry is built."""
-    if len(set(J)) == datum.n + 1:
-        raise NodeSubsetError("J must be a proper node subset")
-    if any(j < 0 or j > datum.n for j in J):
-        raise PreconditionError("node index out of range")
+    weyl.check_node_subset(datum, J)
     jcheck = tuple(k for k in range(datum.n + 1) if k not in J)
     if len(jcheck) != 2:
         raise NodeSubsetError("grid sampling needs a rank-1 configuration")

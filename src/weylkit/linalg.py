@@ -35,14 +35,6 @@ def mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def mat_inv(a):
     """Inverse of a square matrix over Fraction: `row_reduce` of [A | I]."""
     n = len(a)

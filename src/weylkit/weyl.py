@@ -6,8 +6,9 @@ translation behaviour is encoded by the level-1 slice, so no separate
 translation vector is needed).  The contragredient action on V is
 carried alongside so descent sets on either side are sign checks.
 The pair keeps the invariant dual = mat^-T: it holds for every simple
-reflection (dual = mat^T and mat^2 = 1), and products keep it.  So the
-inverse of (mat, dual) is (dual^T, mat^T), with no elimination.
+reflection (dual = mat^T and mat^2 = 1), and products keep it.
+`check_node_subset` is the one node-subset refusal that
+`longest_element`, `min_coset_generators` and `alcove.grid_nodes` share.
 
 Simple reflections: s_i(b'_j) = b'_j - delta_ij h_i with h_i the i-th
 column of the pairing matrix, and s_i(b_j) = b_j - a_ji b_i on V.
@@ -60,10 +61,6 @@ class WeylElement:
             word.append(descents[0])
             u = multiply(simple_reflection(self.datum, descents[0]), u)
         raise InternalConsistencyError("word extraction exceeded the step cap")
-
-    def inverse(self):
-        return WeylElement(self.datum, linalg.transpose(self.dual),
-                           linalg.transpose(self.mat))
 
     def __repr__(self):
         return f"WeylElement({self.datum.label}, {word_str(self)})"
@@ -128,13 +125,19 @@ def word_str(w):
     return "*".join(f"s{i}" for i in word) if word else "1"
 
 
-def longest_element(datum, J):
-    """Longest element of the finite parabolic W_J, J a proper node subset."""
-    J = sorted(set(J))
-    if len(J) == datum.n + 1:
-        raise PreconditionError("W_J is infinite for J = all nodes")
+def check_node_subset(datum, J):
+    """Refuse a J that is every node, or that names a node outside
+    0..n."""
+    if len(set(J)) == datum.n + 1:
+        raise NodeSubsetError("J must be a proper node subset")
     if any(j < 0 or j > datum.n for j in J):
         raise PreconditionError("node index out of range")
+
+
+def longest_element(datum, J):
+    """Longest element of the finite parabolic W_J, J a proper node subset."""
+    check_node_subset(datum, J)
+    J = sorted(set(J))
     w = identity(datum)
     for _ in range(_STEP_CAP):
         descents = right_descents(w)
@@ -171,11 +174,8 @@ def min_coset_generators(datum, J):
     Raises NodeSubsetError naming every k whose candidate fails, since
     some J genuinely admit none.
     """
+    check_node_subset(datum, J)
     J = tuple(sorted(set(J)))
-    if len(J) == datum.n + 1:
-        raise NodeSubsetError("J must be a proper node subset")
-    if any(j < 0 or j > datum.n for j in J):
-        raise PreconditionError("node index out of range")
     if len(J) == datum.n:
         return ()
     w0J = longest_element(datum, J)

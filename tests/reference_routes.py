@@ -3,13 +3,18 @@
 Each builds what the library's own route avoids building: every matrix
 of a level of the fixed-point walk as a product of matrices, the
 discriminant as a product of Laurent polynomials, a Weyl element
-multiplied out letter by letter, the reduced word of each conjugate a
-coset generator makes, the Witt zero from its components.
+multiplied out letter by letter and inverted by transposes, the reduced
+word of each conjugate a coset generator makes, the coset geometry's
+tables from full Weyl lifts and Schreier products, the Witt zero from
+its components.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
 
-from weylkit import laurent, pgl2, weyl, witt
+from fractions import Fraction
+from math import gcd
+
+from weylkit import laurent, linalg, pgl2, weyl, witt
 from weylkit.laurent import LaurentScalar
 
 
@@ -87,16 +92,101 @@ def from_word(datum, word):
     return w
 
 
+def inverse(w):
+    """w^-1 = (dual^T, mat^T): the pair keeps dual = mat^-T, so no
+    elimination is needed."""
+    return weyl.WeylElement(w.datum, tuple(zip(*w.dual)), tuple(zip(*w.mat)))
+
+
 def is_min_coset_generator(w, J):
     """Whether w normalizes W_J and is minimal in its coset w W_J, by word
     extraction: the reduced word of each w s_j w^-1, j in J, uses only
     letters of J, and w has no right descent in J."""
-    winv = w.inverse()
+    winv = inverse(w)
     for j in J:
         conj = w * weyl.simple_reflection(w.datum, j) * winv
         if any(letter not in J for letter in conj.word()):
             return False
     return not any(j in J for j in weyl.right_descents(w))
+
+
+def coset_tables(datum, J):
+    """The tables of `alcove.CosetGeometry(datum, J)` by full Weyl
+    elements: each quotient element restricted to z_J through the
+    u-basis u_k = b'_k - (n_k / n_k0) b'_k0 in Fraction arithmetic, a
+    lift carried along each word as a full element, every Schreier
+    element lift_t^-1 ss_k lift_i multiplied out, its displacement of
+    b'_k0 / n_k0 read in the u-basis, and the rational Hermite form of
+    those displacements.  Inverses in the quotient are looked up by
+    inverting the matrices.  Returns quotient, quotient_left,
+    quotient_inverse, torus_actions, the inverse of the L'-basis matrix
+    (binv) and the displacements times n_k0 as integer rows
+    (translations), keyed by those names."""
+    J = tuple(sorted(set(J)))
+    marks = datum.marks
+    jcheck = tuple(k for k in range(datum.n + 1) if k not in J)
+    k0, dim = jcheck[0], len(jcheck) - 1
+    ubasis = []
+    for k in jcheck[1:]:
+        u = [Fraction(0)] * (datum.n + 1)
+        u[k], u[k0] = Fraction(1), -Fraction(marks[k], marks[k0])
+        ubasis.append(tuple(u))
+
+    def ucoords(vec):
+        assert all(vec[j] == 0 for j in J), "not supported on Jc"
+        assert sum(m * x for m, x in zip(marks, vec)) == 0, "not level 0"
+        return tuple(Fraction(vec[k]) for k in jcheck[1:])
+
+    def restriction(mat):
+        cols = [ucoords(linalg.mat_vec(mat, u)) for u in ubasis]
+        return tuple(tuple(cols[c][r] for c in range(dim))
+                     for r in range(dim))
+
+    generators = weyl.min_coset_generators(datum, J)
+    eye = restriction(weyl.identity(datum).mat)
+    quotient, lifts, index = [eye], [weyl.identity(datum)], {eye: 0}
+    left = {k: [] for k, _ in generators}
+    head = 0
+    while head < len(quotient):
+        for k, g in generators:
+            lift = g * lifts[head]
+            new = restriction(lift.mat)
+            if new not in index:
+                index[new] = len(quotient)
+                quotient.append(new)
+                lifts.append(lift)
+            left[k].append(index[new])
+        head += 1
+    tables = {"quotient": quotient,
+              "quotient_left": {k: tuple(p) for k, p in left.items()},
+              "quotient_inverse": tuple(index[linalg.mat_inv(r)] if dim else 0
+                                        for r in quotient)}
+    if dim == 0:
+        return dict(tables, torus_actions=[()] * len(quotient), binv=None,
+                    translations=None)
+    base = [Fraction(0)] * (datum.n + 1)
+    base[k0] = Fraction(1, marks[k0])
+    vectors = []
+    for k, g in generators:
+        for i, t in enumerate(tables["quotient_left"][k]):
+            schreier = inverse(lifts[t]) * g * lifts[i]
+            assert restriction(schreier.mat) == eye, "not a translation"
+            moved = linalg.mat_vec(schreier.mat, base)
+            vectors.append(ucoords([a - b for a, b in zip(moved, base)]))
+    denom = 1
+    for v in vectors:
+        for x in v:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+    rows = linalg.hnf([[int(x * denom) for x in v] for v in vectors])
+    assert len(rows) == dim, "deficient rank"
+    bmat = tuple(tuple(Fraction(rows[c][r], denom) for c in range(dim))
+                 for r in range(dim))
+    binv = linalg.mat_inv(bmat)
+    actions = [linalg.mat_mul(binv, linalg.mat_mul(r, bmat)) for r in quotient]
+    assert all(x.denominator == 1 for a in actions for row in a for x in row)
+    scaled = {tuple(x * marks[k0] for x in v) for v in vectors}
+    assert all(x.denominator == 1 for v in scaled for x in v)
+    return dict(tables, torus_actions=actions, binv=binv, translations=scaled)
 
 
 def witt_zero(p, m):

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit import alcove, linalg, reps
+from weylkit import alcove, linalg, reps, weyl
 from weylkit.cartan import cartan_datum
 from weylkit.errors import (
     BudgetError,
@@ -11,6 +12,7 @@ from weylkit.errors import (
     PreconditionError,
     StructuralError,
 )
+from reference_routes import coset_tables
 
 
 A1 = cartan_datum("A1")
@@ -189,12 +191,19 @@ def test_p_j_precondition_is_the_cell_condition():
                     alcove.p_J(C2, J, d)
 
 
+def _lift_of_word(geo, word):
+    """The product of the full ss_k along a quotient word."""
+    gens = dict(geo.generators)
+    w = weyl.identity(geo.datum)
+    for k in word:
+        w = w * gens[k]
+    return w
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])
 def test_quotient_tables_match_the_matrices(label):
     # Products and inverses against the quotient's own Fraction matrices,
     # and the integer lattice actions multiply as the elements do.
-    from weylkit import linalg
-
     geo = alcove.geometry(cartan_datum(label), ())
     size = len(geo.quotient)
     assert size == {"A1": 2, "A2": 6, "C2": 8, "G2": 12}[label]
@@ -206,11 +215,51 @@ def test_quotient_tables_match_the_matrices(label):
                 == linalg.mat_mul(geo.torus_actions[i], geo.torus_actions[j])
         assert geo.quotient_product(i, geo.quotient_inverse[i]) == 0
         assert geo.quotient_product(geo.quotient_inverse[i], i) == 0
-        # the lift the search carried restricts to its element
-        assert geo.restriction(geo.quotient_lifts[i].mat) == a
+        # the block the search carried restricts to its element, and is
+        # the Jc-block of the product of the ss_k along its word
+        assert geo.restriction(geo.quotient_blocks[i]) == a
+        lift = _lift_of_word(geo, geo.quotient_words[i])
+        assert geo.block(lift.mat) == geo.quotient_blocks[i]
     # quotient_left[k][i] is the coset of ss_k lift_i, found again by
-    # restricting the product and looking it up
-    for k, g in geo.generators:
-        for i, lift in enumerate(geo.quotient_lifts):
-            assert geo.quotient_index[geo.restriction((g * lift).mat)] \
+    # restricting the product of the blocks and looking it up
+    for k, g in geo.generator_blocks.items():
+        assert g == geo.block(dict(geo.generators)[k].mat)
+        for i, block in enumerate(geo.quotient_blocks):
+            assert geo.quotient_index[
+                geo.restriction(linalg.mat_mul(g, block))] \
                 == geo.quotient_left[k][i]
+
+
+# Every geometry that builds over these types: 26 of them, 6 with a base
+# node of mark 2 (B3/{0, 1}, C2/{0} and four of C3's).
+_REFERENCE_LABELS = ("A1", "A2", "A3", "B3", "C2", "C3", "G2")
+
+
+def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
+    # The library's integer blocks and Schreier cocycle against full
+    # Weyl lifts, u-basis restrictions, Schreier elements multiplied out
+    # and the rational Hermite form (reference_routes.coset_tables).
+    # The cocycle's rows are compared too, not only the lattice they
+    # span: a cocycle that reads B_t for B_inv(t) spans the same lattice
+    # on every geometry here.
+    built = marked = 0
+    for label in _REFERENCE_LABELS:
+        datum = cartan_datum(label)
+        nodes = range(datum.n + 1)
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(nodes, r) for r in range(datum.n)):
+            try:
+                geo = alcove.CosetGeometry(datum, J)
+            except NodeSubsetError:
+                continue
+            ref = coset_tables(datum, J)
+            assert geo.quotient == ref["quotient"], (label, J)
+            assert geo.quotient_left == ref["quotient_left"], (label, J)
+            assert geo.quotient_inverse == ref["quotient_inverse"], (label, J)
+            assert geo.torus_actions == ref["torus_actions"], (label, J)
+            assert geo._binv == ref["binv"], (label, J)
+            assert geo._schreier_translations() == ref["translations"], \
+                (label, J)
+            built += 1
+            marked += datum.marks[geo.k0] > 1
+    assert (built, marked) == (26, 6)

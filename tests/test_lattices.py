@@ -283,7 +283,7 @@ def _in_lattice_by_inverse(rows, v, mult):
     """Reference membership test: the coordinates v B^-1 / mult are
     integers."""
     inv = linalg.mat_inv(rows)
-    coords = linalg.mat_vec(linalg.transpose(inv), v)
+    coords = linalg.mat_vec(tuple(zip(*inv)), v)
     return all((c / mult).denominator == 1 for c in coords)
 
 

@@ -14,6 +14,7 @@ from weylkit import (
     fourier,
     lattices,
     laurent,
+    linalg,
     pgl2,
     reps,
     weyl,
@@ -22,7 +23,7 @@ from weylkit import (
 from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
-from reference_routes import children, from_word
+from reference_routes import children
 from test_pgl2 import _row_valuations
 
 
@@ -176,15 +177,39 @@ C2 = cartan_datum("C2")
 D4 = cartan_datum("D4")
 
 
-def _inverse_with_swapped_transposes(w):
-    """(mat^T, dual^T) instead of (dual^T, mat^T): right only when w is
-    an involution."""
-    return weyl.WeylElement(w.datum, tuple(zip(*w.mat)),
-                            tuple(zip(*w.dual)))
+_SCHREIER = alcove.CosetGeometry._schreier_translations
 
 
-def _inverse_that_is_itself(w):
-    return w
+def _schreier_translations_doubled(geo):
+    """Each cocycle row times 2, so L' is 2L'."""
+    return {tuple(2 * x for x in row) for row in _SCHREIER(geo)}
+
+
+def _cocycle_rows(geo, x):
+    """The rows x(G_k, i, t)[1:] over every k and i, t =
+    quotient_left[k][i]: the library's loop with its cocycle replaced."""
+    return {x(g, i, t)[1:] for k, g in geo.generator_blocks.items()
+            for i, t in enumerate(geo.quotient_left[k])}
+
+
+def _base(geo, i):
+    """B_i e_k0: column k0 of lift i's block."""
+    return tuple(row[0] for row in geo.quotient_blocks[i])
+
+
+def _schreier_translations_without_g(geo):
+    """B_inv(t) (B_i e_k0 - B_t e_k0): the cocycle with G_k dropped."""
+    return _cocycle_rows(geo, lambda g, i, t: linalg.mat_vec(
+        geo.quotient_blocks[geo.quotient_inverse[t]],
+        [a - b for a, b in zip(_base(geo, i), _base(geo, t))]))
+
+
+def _schreier_translations_through_b_t(geo):
+    """B_t (G_k B_i e_k0 - B_t e_k0): lift_t in place of its inverse."""
+    return _cocycle_rows(geo, lambda g, i, t: linalg.mat_vec(
+        geo.quotient_blocks[t],
+        [a - b for a, b in zip(linalg.mat_vec(g, _base(geo, i)),
+                               _base(geo, t))]))
 
 
 def _permutes_simple_roots_read_off_mat(w, J):
@@ -240,7 +265,8 @@ def _stabilizer_without_its_last_element(datum, J, t, S):
             if new not in elements:
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[geo.restriction(w.mat)] for w in elements}
+    images = {geo.quotient_index[geo.restriction(geo.block(w.mat))]
+              for w in elements}
     return len(images) == len(elements) and images == set(stabilizer)
 
 
@@ -337,14 +363,6 @@ FAULTS = {
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
-    "weyl inverse with swapped transposes": (
-        [(weyl.WeylElement, "inverse", _inverse_with_swapped_transposes)],
-        {"C2", "C3"},
-        lambda: from_word(A2, (0, 1)).inverse().mat),
-    "weyl inverse that is the element itself": (
-        [(weyl.WeylElement, "inverse", _inverse_that_is_itself)],
-        {"C2", "C3"},
-        lambda: from_word(A2, (0, 1)).inverse().mat),
     "weyl coset generators read ss.mat's columns": (
         [(weyl, "_permutes_simple_roots",
           _permutes_simple_roots_read_off_mat)], {"C1"},
@@ -372,6 +390,18 @@ FAULTS = {
     "alcove.torus_stabilizer drops an element": (
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"}, _base_vertex_lift_check),
+    "alcove Schreier translations doubled": (
+        [(alcove.CosetGeometry, "_schreier_translations",
+          _schreier_translations_doubled)], {"C2", "C3"},
+        lambda: alcove.CosetGeometry(A1, ())._binv),
+    "alcove Schreier cocycle drops G_k": (
+        [(alcove.CosetGeometry, "_schreier_translations",
+          _schreier_translations_without_g)], {"C2", "C3"},
+        lambda: alcove.CosetGeometry(D4, (0, 1))._binv),
+    "alcove Schreier cocycle reads B_t for B_inv(t)": (
+        [(alcove.CosetGeometry, "_schreier_translations",
+          _schreier_translations_through_b_t)], {"C2", "C3"},
+        lambda: sorted(alcove.CosetGeometry(A2, ())._schreier_translations())),
     "alcove.CosetGeometry.stabilizer drops its last element": (
         [(alcove.CosetGeometry, "stabilizer",
           _geometry_stabilizer_without_its_last_element)], {"C2"},
@@ -383,19 +413,23 @@ FAULTS = {
 # I2, as the backtracking walk does at level 2; the a - d fault (on
 # level 1's c-column, which level 2's reads) and the fault that drops
 # the t^2 and s^2 terms change nodes outside I2 only.  C9 runs the
-# oracle only at m = 2.  Every Weyl element a check inverts is an
-# involution (ss_k, and the lifts of the rank-1 quotient's words of
-# length at most 1), so an inverse that returns the element itself is
-# right on all of them.  The checks build coset generators only for
-# J = () and J = (1,), where no ss_k can move a simple root of J to
-# another, so a predicate that asks ss_k to fix each one is right there.
-# F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two simple
-# roots of J; ROADMAP item 16's finite-bond C1 rows close it.
+# oracle only at m = 2.  The checks build coset geometries only for A1
+# with J = (), whose quotient has two elements, each its own inverse,
+# so B_t is B_inv(t) there; the cocycle without G_k spans the same L'
+# on A1 (D4/{0, 1} and D5/{0, 1} see it).  On every geometry of
+# A1-A5, B3-B5, C2-C4, D4, D5, G2 and F4 the B_t cocycle spans the same
+# L' as the right one, so only the equivalence test in test_alcove,
+# which compares the rows, sees it.  The checks build coset generators
+# only for J = () and J = (1,), where no ss_k can move a simple root of
+# J to another, so a predicate that asks ss_k to fix each one is right
+# there.  F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two
+# simple roots of J; ROADMAP item 16's finite-bond C1 rows close it.
 BLIND = {
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
-    "weyl inverse that is the element itself",
+    "alcove Schreier cocycle drops G_k",
+    "alcove Schreier cocycle reads B_t for B_inv(t)",
     "weyl coset generators require ss to fix each simple root of J",
 }
 

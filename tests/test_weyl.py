@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weylkit import alcove, linalg, weyl
 from weylkit.cartan import cartan_datum
 from weylkit.errors import NodeSubsetError, PreconditionError
-from reference_routes import from_word, is_min_coset_generator
+from reference_routes import from_word, inverse, is_min_coset_generator
 
 
 A2 = cartan_datum("A2")
@@ -54,8 +54,8 @@ def test_length_subadditive_and_inverse(u_word, v_word):
     u = from_word(A2, u_word)
     v = from_word(A2, v_word)
     assert len((u * v).word()) <= len(u.word()) + len(v.word())
-    assert (u * u.inverse()).is_identity()
-    assert len(u.inverse().word()) == len(u.word())
+    assert (u * inverse(u)).is_identity()
+    assert len(inverse(u).word()) == len(u.word())
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2", "B3", "D4", "F4"])
@@ -67,7 +67,7 @@ def test_inverse_by_transpose_matches_fraction_elimination(label):
     for _ in range(30):
         letters = [rng.randrange(datum.n + 1) for _ in range(rng.randrange(13))]
         w = from_word(datum, letters)
-        inv = w.inverse()
+        inv = inverse(w)
         assert inv.mat == linalg.mat_inv(w.mat)
         assert inv.dual == linalg.mat_inv(w.dual)
         assert (w * inv).is_identity() and (inv * w).is_identity()
@@ -178,16 +178,25 @@ def test_one_node_left_out_returns_before_building_w0_of_J(monkeypatch):
             weyl.longest_element(E8, J)
 
 
+def test_the_three_node_subset_refusals_are_one_check():
+    # longest_element refuses J = every node as min_coset_generators and
+    # alcove.grid_nodes do; their out-of-range refusals are tested above
+    # and in test_alcove
+    for refuse in (weyl.longest_element, weyl.min_coset_generators,
+                   alcove.grid_nodes):
+        with pytest.raises(NodeSubsetError,
+                           match="^J must be a proper node subset$"):
+            refuse(A2, (0, 1, 2))
+
+
 # Every proper J of these types, each candidate ss_k checked against
 # word extraction: 488 candidates, 62 of them permuting the simple roots
 # of J nontrivially.
 _COSET_LABELS = ("A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4", "D4",
                  "G2", "F4")
 # The geometries whose quotient tables are checked: every one that
-# builds over these types but the two whose quotients are whole finite
-# Weyl groups of rank 4, which take seconds to build.
+# builds over these types.
 _GEOMETRY_LABELS = ("A1", "A2", "A3", "B3", "C2", "C3", "D4", "G2", "F4")
-_GEOMETRIES_SKIPPED = {("D4", ()), ("F4", ())}
 
 
 def test_coset_generators_match_word_extraction_and_invert_themselves():
@@ -212,7 +221,7 @@ def test_coset_generators_match_word_extraction_and_invert_themselves():
                 if is_min_coset_generator(ss, J):
                     accepted.append((k, ss))
                     nontrivial += any(
-                        ss * s * ss.inverse() != s
+                        ss * s * inverse(ss) != s
                         for s in (weyl.simple_reflection(datum, j) for j in J))
                 else:
                     refused.append(k)
@@ -223,11 +232,10 @@ def test_coset_generators_match_word_extraction_and_invert_themselves():
                     f"for k in {tuple(refused)}")
                 continue
             assert weyl.min_coset_generators(datum, J) == tuple(accepted)
-            if (label not in _GEOMETRY_LABELS
-                    or (label, J) in _GEOMETRIES_SKIPPED):
+            if label not in _GEOMETRY_LABELS:
                 continue
             geo = alcove.CosetGeometry(datum, J)
             for perm in geo.quotient_left.values():
                 assert all(perm[perm[i]] == i for i in range(len(perm)))
                 involutions += 1
-    assert (candidates, nontrivial, involutions) == (488, 62, 121)
+    assert (candidates, nontrivial, involutions) == (488, 62, 131)
