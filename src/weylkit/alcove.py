@@ -10,8 +10,9 @@ For a node subset J with complement Jc, the subspace z_J is the
 level-0 part of span{b'_k : k in Jc}, with basis
 u_k = b'_k - (n_k / n_k0) b'_k0 for k in Jc - {k0}, k0 = min Jc.
 That span is the fixed space of W_J, which each ss_k normalizes, so
-ss_k maps it into itself (checked once per generator), and a product of
-the ss_k acts on it by the product of their integer Jc x Jc blocks G_k.
+ss_k maps it into itself (so there is nothing to check), and a product
+of the ss_k acts on it by the product of their integer Jc x Jc blocks
+G_k.
 The breadth-first search that builds the finite quotient W_Jc carries
 each element's lift as its block along its word (B_j = G_k B_i), reads
 the element r_i, the restriction of lift_i to z_J, off B_i (column u_k
@@ -123,11 +124,6 @@ class CosetGeometry:
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
         self.k0 = self.jcheck[0]
         self.dim = len(self.jcheck) - 1
-        for k, w in self.generators:
-            if any(w.mat[j][c] for j in self.J for c in self.jcheck):
-                raise StructuralError(
-                    f"ss_{k} does not map the span of b'_k, k outside J,"
-                    " into itself")
         self.generator_blocks = {k: self.block(w.mat)
                                  for k, w in self.generators}
         self._build_quotient()

@@ -2,13 +2,18 @@
 
 A scalar is a polynomial residue modulo the m-th cyclotomic polynomial,
 stored as its phi(m) coefficients.  Coefficients are ints; a Fraction
-appears only where division by a rational creates one.  Phi_m is monic
-over Z, so reduction goes through one integer table per conductor: the
-rows of x^k mod Phi_m for k < m.  Mixed conductors are unified to the
-least common multiple on demand; equality is coefficient equality after
-unification.  Only the operations the character computations need are
-provided: ring arithmetic, complex conjugation, and division by
-rationals.
+appears only where division by a rational creates one.  Phi_m is an
+integer product of the binomials x^d - 1 (see `cyclotomic_polynomial`)
+and is monic, so reduction goes through one integer table per
+conductor: the rows of x^k mod Phi_m for k < m.  A rational operand
+(an int, a Fraction, or a scalar of conductor 1) acts on the other
+operand's coefficients in the basis 1, zeta, ..., zeta^(phi-1): it
+shifts coefficient 0 under + and -, scales every coefficient under *,
+and under == it must equal coefficient 0 while every other coefficient
+is zero.  Two scalars of larger conductor are unified to the least
+common multiple; equality is then coefficient equality.  Only the
+operations the character computations need are provided: ring
+arithmetic, complex conjugation, and division by rationals.
 """
 
 from fractions import Fraction
@@ -20,35 +25,51 @@ _cyclo_cache = {}
 _table_cache = {}
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1, 1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = a[i + len(b) - 1] * inv
-        if coeff:
-            q[i] = coeff
-            for j, y in enumerate(b):
-                a[i + j] -= coeff * y
-    return _poly_trim(q), _poly_trim(a)
-
-
 def cyclotomic_polynomial(m):
-    """Coefficient list of Phi_m, low degree first, exact."""
+    """Coefficient list of Phi_m, low degree first, as ints.
+
+    Since x^m - 1 is the product of Phi_d over the divisors d of m,
+    Moebius inversion gives
+
+      Phi_m = prod over d | m of (x^d - 1)^mu(m/d).
+
+    mu(m/d) is nonzero only when m/d is a product of distinct primes of
+    m, so the factors are d = m / prod(S) over the sets S of primes
+    dividing m, with exponent (-1)^|S|.  The product of the factors with
+    exponent +1 is Phi_m times the product of those with exponent -1.
+    So multiply by the first kind (a shift and a subtract), then divide
+    by the second kind one at a time: each division leaves Phi_m times
+    the factors still to divide, so it is exact.  If p = q (x^d - 1),
+    then p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i from the bottom
+    up: x^d - 1 is monic, and every step stays in the integers.
+    """
     if m in _cyclo_cache:
         return _cyclo_cache[m]
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
+    if m < 1:
+        raise PreconditionError(f"conductor {m} is not positive")
+    factors = [(m, 1)]  # (d, mu(m/d)) over squarefree m/d
+    rest, p = m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is a prime
+        if rest % p == 0:
+            factors += [(d // p, -mu) for d, mu in factors]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for d, mu in factors:
+        if mu == 1:
+            shifted = [0] * d + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= c
+            poly = shifted
+    for d, mu in factors:
+        if mu == -1:
+            quotient = []
+            for i in range(len(poly) - d):
+                quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
+            poly = quotient
     _cyclo_cache[m] = poly
     return poly
 
@@ -58,12 +79,10 @@ def _table(m):
     x^k mod Phi_m for k < m.  Built once per conductor."""
     if m in _table_cache:
         return _table_cache[m]
-    if m < 1:
-        raise PreconditionError(f"conductor {m} is not positive")
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     # x^deg = -(phi_0 + ... + phi_{deg-1} x^(deg-1)); Phi_m is monic.
-    top = [-int(c) for c in phi[:-1]]
+    top = [-c for c in phi[:-1]]
     rows = []
     dense = [0] * deg
     for k in range(m):
@@ -151,15 +170,29 @@ class Cyc:
         lifted[::step] = self.coeffs
         return _new(big, _reduce(lifted, big))
 
-    def _pair(self, other):
+    def _rational_side(self, other):
+        """(z, c) when one operand is rational of conductor 1: c is its
+        one coefficient and z the other operand.  None when both are
+        scalars of larger conductor."""
         if not isinstance(other, Cyc):
-            other = Cyc.rational(other)
+            return self, _coerce(other)
+        if other.m == 1:
+            return self, other.coeffs[0]
+        if self.m == 1:
+            return other, self.coeffs[0]
+        return None
+
+    def _pair(self, other):
         if other.m == self.m:
             return self, other
         m = self.m * other.m // gcd(self.m, other.m)
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
+        split = self._rational_side(other)
+        if split:
+            z, c = split
+            return _new(z.m, (z.coeffs[0] + c,) + z.coeffs[1:])
         a, b = self._pair(other)
         return _new(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -169,6 +202,13 @@ class Cyc:
         return _new(self.m, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
+        split = self._rational_side(other)
+        if split:
+            z, c = split
+            if z is self:
+                return _new(z.m, (z.coeffs[0] - c,) + z.coeffs[1:])
+            return _new(z.m, (c - z.coeffs[0],)
+                        + tuple(-x for x in z.coeffs[1:]))
         a, b = self._pair(other)
         return _new(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -176,6 +216,11 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
+        split = self._rational_side(other)
+        if split:
+            # A zero factor leaves the int 0, as the convolution below does.
+            z, c = split
+            return _new(z.m, tuple(x * c if x and c else 0 for x in z.coeffs))
         a, b = self._pair(other)
         bc = b.coeffs
         product = [0] * (len(a.coeffs) + len(bc) - 1)
@@ -197,10 +242,12 @@ class Cyc:
         return _new(self.m, tuple(_coerce(x * inv) for x in self.coeffs))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other)
-        if not isinstance(other, Cyc):
+        if not isinstance(other, (int, Fraction, Cyc)):
             return NotImplemented
+        split = self._rational_side(other)
+        if split:
+            z, c = split
+            return z.coeffs[0] == c and not any(z.coeffs[1:])
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 

@@ -6,7 +6,8 @@ discriminant as a product of Laurent polynomials, a Weyl element
 multiplied out letter by letter and inverted by transposes, the reduced
 word of each conjugate a coset generator makes, the coset geometry's
 tables from full Weyl lifts and Schreier products, the Witt zero from
-its components.
+its components, and Phi_m by Fraction long division of x^m - 1 by each
+Phi_d, d a proper divisor of m.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
@@ -191,3 +192,40 @@ def coset_tables(datum, J):
 
 def witt_zero(p, m):
     return witt.WittScalar(p, m, (0,) * m)
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of Fraction long division, low degree
+    first, each without trailing zeros."""
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1, 1) / b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        coeff = a[i + len(b) - 1] * inv
+        if coeff:
+            q[i] = coeff
+            for j, y in enumerate(b):
+                a[i + j] -= coeff * y
+    return _poly_trim(q), _poly_trim(a)
+
+
+_by_division = {}
+
+
+def cyclotomic_by_division(m):
+    """Phi_m, low degree first: x^m - 1 divided by Phi_d for every
+    proper divisor d of m, each by long division."""
+    if m not in _by_division:
+        poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+        for d in range(1, m):
+            if m % d == 0:
+                poly, rem = poly_divmod(poly, cyclotomic_by_division(d))
+                assert not rem, "cyclotomic division left a remainder"
+        _by_division[m] = poly
+    return _by_division[m]

@@ -1,8 +1,11 @@
+import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit.cyclotomic import Cyc, _poly_divmod, _reduce, cyclotomic_polynomial
+from weylkit.cyclotomic import Cyc, _new, _reduce, _table, cyclotomic_polynomial
+from reference_routes import cyclotomic_by_division, poly_divmod
 
 
 def test_cyclotomic_polynomials():
@@ -11,6 +14,17 @@ def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(4)) == [1, 0, 1]
     assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
     assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
+
+
+def test_phi_matches_long_division_in_ints():
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}: a -2.
+    for m in range(1, 111):
+        phi = cyclotomic_polynomial(m)
+        assert phi == cyclotomic_by_division(m), m
+        assert all(type(c) is int for c in phi), m
+    assert -2 in cyclotomic_polynomial(105)
+    assert all(abs(c) <= 1 for m in range(1, 105)
+               for c in cyclotomic_polynomial(m))
 
 
 def test_root_of_unity_relations():
@@ -91,8 +105,8 @@ _coefficients = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_table_reduce_matches_division_by_phi(m, data):
     coeffs = data.draw(st.lists(_coefficients, max_size=2 * m))
-    phi = cyclotomic_polynomial(m)
-    _, rem = _poly_divmod(coeffs, phi)
+    phi = cyclotomic_by_division(m)
+    _, rem = poly_divmod(coeffs, phi)
     deg = len(phi) - 1
     assert _reduce(coeffs, m) == tuple(rem) + (0,) * (deg - len(rem))
 
@@ -109,3 +123,88 @@ def test_to_fraction_returns_a_fraction(x):
     value = (Cyc.rational(x) * Cyc.zeta(4) * Cyc.zeta(4)).to_fraction()
     assert type(value) is Fraction
     assert value == -x
+
+
+def _one_conductor(op, a, b):
+    """op on two scalars of one conductor by the route that promotion
+    feeds: + and - coefficient by coefficient, * a convolution reduced
+    by the table, == on the coefficient tuples."""
+    if op is operator.eq:
+        return a.coeffs == b.coeffs
+    if op is not operator.mul:
+        return _new(a.m, tuple(op(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+    product = [0] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs, i):
+                if y:
+                    product[j] += x * y
+    return _new(a.m, _reduce(product, a.m))
+
+
+def _typed(value):
+    """A result with the type of each coefficient, so that 2 and
+    Fraction(2, 1) differ."""
+    if isinstance(value, bool):
+        return value
+    return value.m, tuple((type(c), c) for c in value.coeffs)
+
+
+# Coefficients as arithmetic leaves them: ints, Fractions, and Fractions
+# that are integers (Fraction(1, 2) + Fraction(1, 2) stays a Fraction).
+_raw_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+_OPS = (operator.add, operator.sub, operator.mul, operator.eq)
+
+
+def _rational_operands(m, data):
+    """A scalar a of conductor m and a rational r: a is r itself in one
+    draw of four, so that == can hold."""
+    deg, _ = _table(m)
+    r = data.draw(_rationals)
+    if data.draw(st.integers(0, 3)) == 0:
+        a = Cyc.rational(r).promote(m)
+    else:
+        a = _new(m, tuple(data.draw(
+            st.lists(_raw_coefficients, min_size=deg, max_size=deg))))
+    return a, r
+
+
+@given(st.integers(1, 24), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_rational_operand_acts_as_its_promotion(m, data):
+    a, r = _rational_operands(m, data)
+    promoted = Cyc.rational(r).promote(m)
+    for op in _OPS:
+        for operand in (r, Cyc.rational(r)):
+            assert _typed(op(a, operand)) == _typed(
+                _one_conductor(op, a, promoted))
+            assert _typed(op(operand, a)) == _typed(
+                _one_conductor(op, promoted, a))
+
+
+def test_a_rational_operand_is_never_promoted(monkeypatch):
+    def refuse(self, big):
+        raise AssertionError("promoted")
+
+    rationals = (0, 1, -3, Fraction(2, 3), Fraction(4, 2), Cyc.rational(5))
+    elements = [Cyc.zeta(m, 1) + Cyc.zeta(m, m - 1) / 2 for m in range(1, 25)]
+    monkeypatch.setattr(Cyc, "promote", refuse)
+    for a in elements:
+        for r in rationals:
+            for op in _OPS:
+                op(a, r)
+                op(r, a)
+    total = Cyc.rational(0)
+    for m in (5, 5, 5):
+        total = total + Cyc.zeta(m) * -1
+    assert total == -3 * Cyc.zeta(5)
+    with pytest.raises(AssertionError, match="promoted"):
+        Cyc.zeta(3) + Cyc.zeta(4)
