@@ -10,8 +10,10 @@ conductor: the rows of x^k mod Phi_m for k < m.  A rational operand
 operand's coefficients in the basis 1, zeta, ..., zeta^(phi-1): it
 shifts coefficient 0 under + and -, scales every coefficient under *,
 and under == it must equal coefficient 0 while every other coefficient
-is zero.  Two scalars of larger conductor are unified to the least
-common multiple; equality is then coefficient equality.  Only the
+is zero.  Any other operand, a float or a str say, is refused: the
+operators return NotImplemented and the constructors raise
+PreconditionError.  Two scalars of larger conductor are unified to the
+least common multiple; equality is then coefficient equality.  Only the
 operations the character computations need are provided: ring
 arithmetic, complex conjugation, and division by rationals.
 """
@@ -119,11 +121,16 @@ def _reduce(coeffs, m):
 
 
 def _coerce(c):
-    """An int, or a Fraction that is not an integer."""
+    """An exact rational as an int, or a Fraction that is not an integer.
+    Exact means an int (a bool is one, and gives 0 or 1) or a Fraction;
+    anything else, a float or a str say, raises PreconditionError."""
     if type(c) is int:
         return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise PreconditionError(f"{type(c).__name__} is not an exact rational")
 
 
 def _new(m, coeffs):
@@ -173,7 +180,9 @@ class Cyc:
     def _rational_side(self, other):
         """(z, c) when one operand is rational of conductor 1: c is its
         one coefficient and z the other operand.  None when both are
-        scalars of larger conductor."""
+        scalars of larger conductor.  An operand that is neither a Cyc
+        nor exact raises PreconditionError, which the operators turn into
+        NotImplemented."""
         if not isinstance(other, Cyc):
             return self, _coerce(other)
         if other.m == 1:
@@ -189,7 +198,10 @@ class Cyc:
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
-        split = self._rational_side(other)
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
         if split:
             z, c = split
             return _new(z.m, (z.coeffs[0] + c,) + z.coeffs[1:])
@@ -202,7 +214,10 @@ class Cyc:
         return _new(self.m, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
-        split = self._rational_side(other)
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
         if split:
             z, c = split
             if z is self:
@@ -213,10 +228,13 @@ class Cyc:
         return _new(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        split = self._rational_side(other)
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
         if split:
             # A zero factor leaves the int 0, as the convolution below does.
             z, c = split
@@ -238,6 +256,8 @@ class Cyc:
             if not other.is_rational():
                 raise PreconditionError("division only by rational scalars")
             other = other.to_fraction()
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
         inv = Fraction(1, 1) / Fraction(other)
         return _new(self.m, tuple(_coerce(x * inv) for x in self.coeffs))
 

@@ -29,7 +29,8 @@ for containing p^(2n) Z^3 are ever formed, and `SCAN_BUDGET` bounds how
 many are tested.  Membership of a vector in such a lattice ([u, v] in
 p^n Lam for bracket closure) is one integer back-substitution, d is read
 from the Hermite diagonal, and `sharp` is a triangular
-back-substitution followed by a Hermite form modulo p^(2n).  Both strata
+back-substitution whose rows, each divided by a p-unit, are the dual's
+Hermite form once the entries above the pivots are reduced.  Both strata
 routes read a single pass over the candidates.  At (p, n) = (3, 1) the
 pass sees 445 candidates and at (3, 2) 67,969, which run in seconds;
 (5, 2) has 2,890,693 and stops at `SCAN_BUDGET`'s 200,000, while the tree
@@ -206,29 +207,54 @@ def _exact(num, den):
 def sharp(z):
     """The dual submodule under the Killing pairing; an involution.
 
-    Row j of the dual is column j of p^(2n) (B GRAM)^-1, that is row j of
-    p^(2n) B^-T GRAM^-1.  B^-T is lower triangular and GRAM^-1 =
+    Row j of the dual is column j of D (B GRAM)^-1, D = p^(2n), that is
+    row j of D B^-T GRAM^-1.  B^-T is lower triangular and GRAM^-1 =
     [[0,0,1/4],[0,1/8,0],[1/4,0,0]] reverses columns, so the dual rows
-    read bottom-up are upper triangular: with y_j = p^(2n) B^-1 e_j,
-    found by back-substitution, they are (y_2[2]/4, y_2[1]/8, y_2[0]/4),
-    (0, y_1[1]/8, y_1[0]/4) and (0, 0, y_0[0]/4), with the units 1/4 and
-    1/8 taken modulo p^(2n).  The basis is upper triangular with
-    p-power diagonal, as every canonical basis is; a back-substitution
-    that is not integral raises PreconditionError."""
+    read bottom-up are upper triangular: with y_j = D B^-1 e_j, found by
+    back-substitution, they are (y_2[2]/4, y_2[1]/8, y_2[0]/4),
+    (0, y_1[1]/8, y_1[0]/4) and (0, 0, y_0[0]/4).  A back-substitution
+    that is not integral raises PreconditionError: Lam does not contain
+    D Z^3, so its dual is not inside Z^3.
+
+    The Hermite basis is read off these rows, with no elimination:
+    - The rows span the dual over Z_(p), where 1/4 and 1/8 are units,
+      and the dual contains D Z_(p)^3: Lam <= Z^3 gives
+      Z^3 <= Z^3 B^-T, and GRAM, of determinant -128, is a p-unit, so
+      Z_(p)^3 GRAM^-1 = Z_(p)^3.
+    - Multiplying a row by a p-unit keeps the span, so rows 4, 8 and 4
+      times the above, (y_2[2], y_2[1]/2, y_2[0]), (0, y_1[1],
+      2 y_1[0]) and (0, 0, y_0[0]), span it too.  The entry y_2[1]/2 is
+      taken as y_2[1] (D + 1)/2, equal modulo D, and a change by a
+      multiple of D keeps each row in the dual.
+    - Call these integer rows T.  The diagonal of T is D/d2, D/d1, D/d0,
+      p-powers in [1, D], so T spans a lattice of the dual's index; it
+      lies in the dual, so over Z_(p) it is the dual and contains
+      D Z_(p)^3.  The back-substitution of D e_c against T divides only
+      by those p-powers, so it is integral: T spans the dual's preimage
+      in Z^3 with no help from D Z^3.  A pivot that is 0 modulo D stands
+      as D; then d_i = 1 makes the entries of B above it 0 (B is a
+      Hermite basis), so y_2[1] = y_2[0] = 0 when d2 = 1, y_1[0] = 0
+      when d1 = 1, and the row is 0 modulo D apart from its pivot.
+    - Reducing the entries above each pivot into [0, pivot), column 1
+      and then column 2 as `canonical` does, subtracts multiples of a
+      lower row, which keeps the span.  The result is upper triangular
+      with positive diagonal and reduced entries: the unique Hermite
+      basis of the dual, the one `canonical` returns."""
     (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
     scale = z.p ** (2 * z.n)
-    quarter = pow(4, -1, scale)
-    eighth = pow(8, -1, scale)
     y22 = _exact(scale, d2)
     y21 = _exact(-x12 * y22, d1)
     y20 = _exact(-x01 * y21 - x02 * y22, d0)
     y11 = _exact(scale, d1)
     y10 = _exact(-x01 * y11, d0)
     y00 = _exact(scale, d0)
-    return canonical(z.p, z.n, (
-        (y22 * quarter, y21 * eighth, y20 * quarter),
-        (0, y11 * eighth, y10 * quarter),
-        (0, 0, y00 * quarter)))
+    a01 = y21 * ((scale + 1) // 2)
+    a12 = 2 * y10
+    q = a01 // y11
+    return LatticeSubmodule(p=z.p, n=z.n, basis=(
+        (y22, a01 - q * y11, (y20 - q * a12) % y00),
+        (0, y11, a12 % y00),
+        (0, 0, y00)))
 
 
 def _in_lattice(rows, v, mult=1):

@@ -6,8 +6,9 @@ discriminant as a product of Laurent polynomials, a Weyl element
 multiplied out letter by letter and inverted by transposes, the reduced
 word of each conjugate a coset generator makes, the coset geometry's
 tables from full Weyl lifts and Schreier products, the Witt zero from
-its components, and Phi_m by Fraction long division of x^m - 1 by each
-Phi_d, d a proper divisor of m.
+its components, Phi_m by Fraction long division of x^m - 1 by each
+Phi_d, d a proper divisor of m, and the Hermite form of a lattice's dual
+by the general modular elimination.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
@@ -15,7 +16,7 @@ tests that read them.
 from fractions import Fraction
 from math import gcd
 
-from weylkit import laurent, linalg, pgl2, weyl, witt
+from weylkit import lattices, laurent, linalg, pgl2, weyl, witt
 from weylkit.laurent import LaurentScalar
 
 
@@ -229,3 +230,24 @@ def cyclotomic_by_division(m):
                 assert not rem, "cyclotomic division left a remainder"
         _by_division[m] = poly
     return _by_division[m]
+
+
+def sharp_by_canonical(z):
+    """The dual of z by back-substitution, its rows reduced modulo
+    p^(2n) with the units 1/4 and 1/8, then `lattices.canonical`'s
+    extended-gcd elimination over every row and column."""
+    (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
+    scale = z.p ** (2 * z.n)
+    quarter = pow(4, -1, scale)
+    eighth = pow(8, -1, scale)
+    exact = lattices._exact
+    y22 = exact(scale, d2)
+    y21 = exact(-x12 * y22, d1)
+    y20 = exact(-x01 * y21 - x02 * y22, d0)
+    y11 = exact(scale, d1)
+    y10 = exact(-x01 * y11, d0)
+    y00 = exact(scale, d0)
+    return lattices.canonical(z.p, z.n, (
+        (y22 * quarter, y21 * eighth, y20 * quarter),
+        (0, y11 * eighth, y10 * quarter),
+        (0, 0, y00 * quarter)))

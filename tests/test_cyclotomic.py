@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit.cyclotomic import Cyc, _new, _reduce, _table, cyclotomic_polynomial
+from weylkit.errors import PreconditionError
 from reference_routes import cyclotomic_by_division, poly_divmod
 
 
@@ -208,3 +209,30 @@ def test_a_rational_operand_is_never_promoted(monkeypatch):
     assert total == -3 * Cyc.zeta(5)
     with pytest.raises(AssertionError, match="promoted"):
         Cyc.zeta(3) + Cyc.zeta(4)
+
+
+@pytest.mark.parametrize("value", ["1/2", 0.1, 0.5, 1j, None])
+def test_an_inexact_operand_is_refused(value):
+    # a str would go through Fraction(str) and a float would bring its
+    # binary value; == already refused both
+    z = Cyc.zeta(3)
+    arithmetic = (operator.add, operator.sub, operator.mul)
+    for op in (*arithmetic, operator.truediv):
+        with pytest.raises(TypeError):
+            op(z, value)
+    for op in arithmetic:
+        with pytest.raises(TypeError):
+            op(value, z)
+    with pytest.raises(PreconditionError):
+        Cyc(3, (value, 1))
+    with pytest.raises(PreconditionError):
+        Cyc.rational(value)
+    assert z != value
+
+
+def test_a_bool_is_an_int_operand():
+    z = Cyc.zeta(3)
+    assert (z + True).coeffs == (1, 1)
+    assert (z * False).coeffs == (0, 0)
+    assert Cyc(3, (True, False)).coeffs == (1, 0)
+    assert all(type(c) is int for c in Cyc.rational(True).coeffs)

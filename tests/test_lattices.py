@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import lattices, linalg
 from weylkit.errors import BudgetError, PreconditionError, StructuralError
+from reference_routes import sharp_by_canonical
 
 
 def test_datum_self_checks():
@@ -261,6 +263,43 @@ def test_triangular_sharp_matches_the_cofactor_route():
     for p in (3, 5):
         for z in lattices.candidates(p, 1):
             assert lattices.sharp(z).basis == _sharp_by_cofactors(z).basis
+
+
+def _dual_or_refusal(route, z):
+    try:
+        return route(z).basis
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_sharp_matches_the_route_through_canonical():
+    # every candidate at (3, 1), (5, 1) and (7, 1), and a seeded sample
+    # of the 67,969 at (3, 2)
+    sample = random.Random(0).sample(list(lattices.candidates(3, 2)), 4000)
+    for z in itertools.chain(*(lattices.candidates(p, 1) for p in (3, 5, 7)),
+                             sample):
+        assert lattices.sharp(z).basis == sharp_by_canonical(z).basis
+
+
+@st.composite
+def triangular_bases(draw):
+    """An upper-triangular basis with p-power diagonal and each entry in
+    [0, pivot below it).  Exponents run to 2n + 1, and most entries break
+    the congruences for containing p^(2n) Z^3, so many duals leave the
+    window."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 2))
+    d0, d1, d2 = (p ** draw(st.integers(0, 2 * n + 1)) for _ in range(3))
+    x01, x02, x12 = (draw(st.integers(0, pivot - 1)) for pivot in (d1, d2, d2))
+    return lattices.LatticeSubmodule(p=p, n=n, basis=(
+        (d0, x01, x02), (0, d1, x12), (0, 0, d2)))
+
+
+@given(triangular_bases())
+@settings(max_examples=300, deadline=None)
+def test_sharp_matches_the_route_through_canonical_or_refuses_with_it(z):
+    assert (_dual_or_refusal(lattices.sharp, z)
+            == _dual_or_refusal(sharp_by_canonical, z))
 
 
 @st.composite

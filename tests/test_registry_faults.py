@@ -340,6 +340,28 @@ def _kernel_closed_on_u_and_u(phi, q):
     return sum(a * b for a, b in zip(phi, lattices.bracket(u, u))) % q == 0
 
 
+def _sharp_without_the_reduction_above_the_pivots(z):
+    """The dual's rows divided by their units, each entry taken modulo
+    p^(2n) but not reduced below the pivot under it."""
+    (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
+    scale = z.p ** (2 * z.n)
+    exact = lattices._exact
+    y22 = exact(scale, d2)
+    y21 = exact(-x12 * y22, d1)
+    y20 = exact(-x01 * y21 - x02 * y22, d0)
+    y11 = exact(scale, d1)
+    y10 = exact(-x01 * y11, d0)
+    y00 = exact(scale, d0)
+    return lattices.LatticeSubmodule(p=z.p, n=z.n, basis=(
+        (y22, y21 * ((scale + 1) // 2) % scale, y20 % scale),
+        (0, y11, 2 * y10 % scale),
+        (0, 0, y00)))
+
+
+_TREE_POINT = lattices.LatticeSubmodule(p=3, n=1, basis=(
+    (1, 1, 8), (0, 3, 3), (0, 0, 9)))
+
+
 # name: ((module, attribute, fault) for each patch, the checks the fault
 # should fail, and a probe whose value it changes, so it is no
 # equivalent mutant)
@@ -387,6 +409,9 @@ FAULTS = {
     "lattices._kernel_closed reads [u, u]": (
         [(lattices, "_kernel_closed", _kernel_closed_on_u_and_u)], {"C11"},
         lambda: lattices.borel_fiber_count(3)),
+    "lattices.sharp skips the reduction above the pivots": (
+        [(lattices, "sharp", _sharp_without_the_reduction_above_the_pivots)],
+        {"C10"}, lambda: lattices.sharp(_TREE_POINT)),
     "alcove.torus_stabilizer drops an element": (
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"}, _base_vertex_lift_check),
