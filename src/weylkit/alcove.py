@@ -14,11 +14,10 @@ ss_k maps it into itself (so there is nothing to check), and a product
 of the ss_k acts on it by the product of their integer Jc x Jc blocks
 G_k.
 The breadth-first search that builds the finite quotient W_Jc carries
-each element's lift as its block along its word (B_j = G_k B_i), reads
-the element r_i, the restriction of lift_i to z_J, off B_i (column u_k
-is block column k minus n_k / n_k0 times block column k0, at the rows
-of Jc - {k0}), and records the coset of ss_k lift_i as
-t = quotient_left[k][i].
+each element's lift as its block along its word (B_j = G_k B_i), keys
+the element r_i, the restriction of lift_i to z_J, on the integer
+matrix n_k0 r_i (`weyl.level_restriction` of B_i), and records the
+coset of ss_k lift_i as t = quotient_left[k][i].
 
 The translation lattice L' inside z_J is spanned by the Schreier
 generators lift_t^-1 ss_k lift_i of the kernel of the quotient map.
@@ -33,9 +32,13 @@ inv(t) = quotient_inverse[t] does:
 
 in coordinates on Jc.  The vector x = B_inv(t) (G_k B_i e_k0 - B_t e_k0)
 is integral and of level 0, so the translation's u-coordinates are x's
-entries at Jc - {k0}, over n_k0.  L' is therefore 1/n_k0 times the lattice of those
-integer rows, and since HNF(c M) = c HNF(M), its Hermite basis is their
-integer Hermite basis over n_k0.
+entries at Jc - {k0}, over n_k0.  L' is therefore 1/n_k0 times the
+lattice of those integer rows, and since HNF(c M) = c HNF(M), its
+Hermite basis is the rows of their integer Hermite form H over n_k0.
+H is upper triangular, so forward substitution solves x H = n_k0 u for
+the coordinates x of u over it, and x H = (n_k0 r_k) H_c / n_k0 for
+column c of r_k's action, integral exactly when r_k preserves L'.  When
+J leaves one node out, z_J = 0 and every matrix is empty.
 `CosetGeometry.stabilizer` computes the stabilizer of a torus point for
 the lift check `torus_stabilizer` (C2); `reps` reads a module's
 stabilizer off the orbit it computes anyway (C3), and both compare it
@@ -47,7 +50,7 @@ are, with no wrapper.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg, weyl
 from .errors import (
@@ -107,10 +110,7 @@ class TorusPoint:
 
     @property
     def order(self):
-        out = 1
-        for v in self.values:
-            out = out * v.denominator // gcd(out, v.denominator)
-        return out
+        return lcm(*(v.denominator for v in self.values))
 
 
 class CosetGeometry:
@@ -122,7 +122,7 @@ class CosetGeometry:
         self.J = tuple(sorted(set(J)))
         self.generators = weyl.min_coset_generators(datum, self.J)
         self.jcheck = tuple(k for k in range(datum.n + 1) if k not in self.J)
-        self.k0 = self.jcheck[0]
+        self.marks = tuple(datum.marks[k] for k in self.jcheck)
         self.dim = len(self.jcheck) - 1
         self.generator_blocks = {k: self.block(w.mat)
                                  for k, w in self.generators}
@@ -134,39 +134,27 @@ class CosetGeometry:
         return tuple(tuple(mat[r][c] for c in self.jcheck)
                      for r in self.jcheck)
 
-    def restriction(self, block):
-        """Matrix on z_J, in the u-basis, of a map whose Jc-block is
-        `block`."""
-        marks = self.datum.marks
-        n0 = marks[self.k0]
-        return tuple(tuple(Fraction(n0 * row[c] - marks[k] * row[0], n0)
-                           for c, k in enumerate(self.jcheck[1:], 1))
-                     for row in block[1:])
-
     def _build_quotient(self):
         eye = linalg.identity_mat(self.dim + 1)
         blocks = [eye]
-        elements = [self.restriction(eye)]
         words = [()]
-        index = {elements[0]: 0}
+        index = {weyl.level_restriction(eye, self.marks): 0}
         left = {k: [] for k in self.generator_blocks}
         head = 0
-        while head < len(elements):
+        while head < len(blocks):
             for k, g in self.generator_blocks.items():
                 block = linalg.mat_mul(g, blocks[head])
-                new = self.restriction(block)
-                if new not in index:
-                    index[new] = len(elements)
-                    elements.append(new)
+                key = weyl.level_restriction(block, self.marks)
+                if key not in index:
+                    index[key] = len(blocks)
                     blocks.append(block)
                     words.append((k,) + words[head])
-                    if len(elements) > _QUOTIENT_CAP:
+                    if len(blocks) > _QUOTIENT_CAP:
                         raise BudgetError("finite quotient exceeds the size cap")
-                left[k].append(index[new])
+                left[k].append(index[key])
             head += 1
-        self.quotient = elements
-        # words[i] multiplies left-to-right: elements[i] = prod of the
-        # letters, and blocks[i] is the same product of the G_k.
+        # words[i] multiplies left-to-right: element i is the product of
+        # the letters, and blocks[i] is the same product of the G_k.
         self.quotient_words = words
         self.quotient_blocks = blocks
         self.quotient_index = index
@@ -174,9 +162,7 @@ class CosetGeometry:
         # element j, a permutation of the indices, so products and
         # inverses follow the words without a size^2 table.
         self.quotient_left = {k: tuple(perm) for k, perm in left.items()}
-        # Each r_k is an involution: ss_k permutes the simple roots of J,
-        # so w0(J+k) sends them to minus a permutation of them, as w0(J)
-        # does; the two commute, and ss_k^2 = 1.  The inverse of
+        # Each r_k is an involution, as ss_k is, so the inverse of
         # r_k1 r_k2 ... is ... r_k2 r_k1, read off the same tables.
         inverse = []
         for word in self.quotient_words:
@@ -207,28 +193,22 @@ class CosetGeometry:
         return rows
 
     def _build_lattice(self):
-        if self.dim == 0:
-            self.torus_actions = [()] * len(self.quotient)
-            return
-        n0 = self.datum.marks[self.k0]
-        basis = linalg.hnf(self._schreier_translations())
+        n0 = self.marks[0]
+        self._hermite = basis = linalg.hnf(self._schreier_translations())
         if len(basis) != self.dim:
             raise StructuralError("translation lattice has deficient rank")
-        bmat = tuple(tuple(Fraction(basis[c][r], n0) for c in range(self.dim))
-                     for r in range(self.dim))
-        binv = linalg.mat_inv(bmat)
-        self._binv = binv
         # Integer matrices of the quotient action in the L'-basis: each
         # r_k's, then each element's as r_k times its BFS parent's, so
         # every action preserves L' when the generators' do.
         acts = {}
         for k, g in self.generator_blocks.items():
-            nmat = linalg.mat_mul(binv,
-                                  linalg.mat_mul(self.restriction(g), bmat))
-            if any(x.denominator != 1 for row in nmat for x in row):
+            scaled = weyl.level_restriction(g, self.marks)
+            cols = [tuple(x / n0 for x in linalg.solve_upper(
+                basis, linalg.mat_vec(scaled, row))) for row in basis]
+            if any(x.denominator != 1 for col in cols for x in col):
                 raise StructuralError("quotient action does not preserve L'")
-            acts[k] = tuple(tuple(int(x) for x in row) for row in nmat)
-        actions = [None] * len(self.quotient)
+            acts[k] = tuple(tuple(int(x) for x in row) for row in zip(*cols))
+        actions = [None] * len(self.quotient_words)
         actions[0] = linalg.identity_mat(self.dim)
         for i, action in enumerate(actions):
             for k, perm in self.quotient_left.items():
@@ -238,20 +218,17 @@ class CosetGeometry:
 
     def lattice_coords(self, ucoords):
         """Coordinates over the L'-basis of a z_J vector in u-coordinates."""
-        if self.dim == 0:
-            return ()
-        return linalg.mat_vec(self._binv, ucoords)
+        n0 = self.marks[0]
+        return linalg.solve_upper(self._hermite, [n0 * u for u in ucoords])
 
     def torus_act(self, element_index, t):
         action = self.torus_actions[element_index]
-        if not action:
-            return t
         values = tuple(v % 1 for v in linalg.mat_vec(action, t.values))
         return TorusPoint(values=values)
 
     def stabilizer(self, t):
         """Indices of the quotient elements that fix the torus point t."""
-        return tuple(i for i in range(len(self.quotient))
+        return tuple(i for i in range(len(self.quotient_words))
                      if self.torus_act(i, t) == t)
 
 
@@ -298,7 +275,8 @@ def torus_stabilizer(datum, J, t, S):
                     raise StructuralError("lift subgroup is not finite")
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[geo.restriction(geo.block(w.mat))]
+    images = {geo.quotient_index[weyl.level_restriction(geo.block(w.mat),
+                                                        geo.marks)]
               for w in elements}
     return (len(images) == len(elements)
             and images == set(geo.stabilizer(t)))
@@ -332,13 +310,11 @@ def sample_grid(datum, J, max_denominator):
             f" candidate points, more than the budget of {GRID_WORK_BUDGET}")
     na, nb = datum.marks[ka], datum.marks[kb]
     points = []
-    seen = set()
     for q in range(1, max_denominator + 1):
         for p in range(0, q + 1):
-            a = Fraction(p, q)
-            if a in seen:
+            if gcd(p, q) != 1:  # p/q was formed at a smaller q
                 continue
-            seen.add(a)
+            a = Fraction(p, q)
             coords = [Fraction(0)] * (datum.n + 1)
             coords[ka] = a / na
             coords[kb] = (1 - a) / nb

@@ -21,7 +21,7 @@ arithmetic, complex conjugation, and division by rationals.
 from fractions import Fraction
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_int
 
 _cyclo_cache = {}
 _table_cache = {}
@@ -148,6 +148,7 @@ class Cyc:
     __hash__ = None
 
     def __init__(self, m, coeffs):
+        require_int("conductor", m)
         deg, _ = _table(m)
         coeffs = tuple(_coerce(c) for c in coeffs)
         if len(coeffs) != deg:
@@ -161,6 +162,8 @@ class Cyc:
 
     @staticmethod
     def zeta(m, k=1):
+        require_int("conductor", m)
+        require_int("exponent", k)
         deg, rows = _table(m)
         coeffs = [0] * deg
         for i, c in rows[k % m]:
@@ -258,6 +261,8 @@ class Cyc:
             other = other.to_fraction()
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if not other:
+            raise PreconditionError("division by zero")
         inv = Fraction(1, 1) / Fraction(other)
         return _new(self.m, tuple(_coerce(x * inv) for x in self.coeffs))
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and `require_int`.
 
 There is a class per failure that a caller distinguishes: the command
 line, the verification suite or a test.  The command line maps
@@ -49,3 +49,11 @@ class BudgetError(WeylkitError):
 
 class ConfigError(WeylkitError):
     """A command-line flag value the command cannot use (exit 2)."""
+
+
+def require_int(what, *values):
+    """PreconditionError naming `what` for a value that is not an int (a
+    float or a Fraction, say); a bool is an int, the 0 or 1 it is."""
+    for value in values:
+        if not isinstance(value, int):
+            raise PreconditionError(f"{what} {value!r} is not an int")

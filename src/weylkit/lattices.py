@@ -44,7 +44,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .errors import BudgetError, PreconditionError, StructuralError
+from .errors import (
+    BudgetError,
+    PreconditionError,
+    StructuralError,
+    require_int,
+)
 
 RANK = 3
 
@@ -94,6 +99,7 @@ def check_datum(p):
     """Constructor checks: Killing nondegeneracy mod p, recomputed Gram
     matrix.  GRAM has determinant -128 = -2^7, so the form degenerates
     mod p exactly when p = 2."""
+    require_int("prime", p)
     if p < 3:
         raise PreconditionError(
             "the Killing form degenerates in characteristic 2")

@@ -19,7 +19,12 @@ scalars over one q, such as pgl2's random elements, tests it once with
 import math
 import re
 
-from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
+from .errors import (
+    BudgetError,
+    PreconditionError,
+    UnsupportedRegimeError,
+    require_int,
+)
 
 # Trial division tries at most 10^6 divisors: it decides integers to 10^12.
 TRIAL_DIVISION_LIMIT = 10 ** 12
@@ -40,6 +45,7 @@ def is_prime(k):
 
 
 def _require_prime(q):
+    require_int("prime", q)
     if not is_prime(q):
         raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
                                      " fields are supported")
@@ -70,6 +76,8 @@ class LaurentScalar:
 
     def __new__(cls, q, coeffs):
         _require_prime(q)
+        require_int("exponent", *coeffs)
+        require_int("coefficient", *coeffs.values())
         return _new(q, coeffs)
 
     def valuation(self):

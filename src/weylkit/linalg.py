@@ -10,8 +10,8 @@ entries, denominators cleared on entry) is reduced against the stored
 primitive pivot rows by cross-multiplication, fraction-free in the
 manner of Bareiss (1968), so a query costs one pass over the stored rows
 instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
-over it.  The Fraction Gauss-Jordan `row_reduce` remains behind
-`mat_inv`, which needs the reduced form itself.
+over it; `solve_upper` reads coordinates over a full-rank `hnf` basis.
+`mat_inv` and the Gauss-Jordan `row_reduce` behind it have no library caller.
 """
 
 import bisect
@@ -33,6 +33,16 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def solve_upper(rows, v):
+    """The Fraction x with x H = v, H = `rows` square upper triangular with
+    a nonzero diagonal: x_j = (v_j - sum_{i<j} x_i H_ij) / H_jj."""
+    x = []
+    for j, row in enumerate(rows):
+        x.append(Fraction(v[j] - sum(x[i] * rows[i][j] for i in range(j)),
+                          row[j]))
+    return tuple(x)
 
 
 def mat_inv(a):
@@ -155,6 +165,8 @@ def hnf(rows):
             if done:
                 break
         if r < nrows and mat[r][c] != 0:
+            # Reduce above the pivot once: a later pivot row is zero in
+            # every column before its own, so it leaves this one alone.
             for i in range(r):
                 q = mat[i][c] // mat[r][c]
                 if q:
@@ -162,16 +174,6 @@ def hnf(rows):
             r += 1
             if r == nrows:
                 break
-    # Reduce entries above pivots (needed when later pivots appear).
-    pivots = []
-    for i in range(r):
-        c = next(j for j in range(ncols) if mat[i][j] != 0)
-        pivots.append((i, c))
-    for i, c in pivots:
-        for k in range(i):
-            q = mat[k][c] // mat[i][c]
-            if q:
-                mat[k] = [x - q * y for x, y in zip(mat[k], mat[i])]
     return tuple(tuple(row) for row in mat[:r])
 
 

@@ -109,7 +109,7 @@ def _induced(geo, S, t, rho):
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
         raise PreconditionError("rho must be given exactly on Sc - J")
-    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient))]
+    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient_words))]
     sub_words = _subgroup(geo, letters)
     # The inducing subgroup must be the full stabilizer of t, the indices
     # whose orbit point is t.
@@ -129,7 +129,7 @@ def _induced(geo, S, t, rho):
             coset_of[point] = len(reps_list)
             reps_list.append(i)
     dim = len(reps_list)
-    if dim * len(sub_words) != len(geo.quotient):
+    if dim * len(sub_words) != len(geo.quotient_words):
         raise InternalConsistencyError("coset representatives do not tile")
 
     # A finite generator g sends the coset of r_c to the coset of
@@ -193,7 +193,7 @@ def character_values(rep, t_order):
                   for point in rep.points]
     zetas = [Cyc.zeta(M, k) for k in range(M)]
     fin_diagonals = []
-    for i in range(len(rep.geometry.quotient)):
+    for i in range(len(rep.geometry.quotient_words)):
         perm, scalars = rep.finite_image(i)
         fin_diagonals.append([(pos, scalars[pos])
                               for pos in range(rep.dimension)

@@ -3,12 +3,10 @@
 An element w of the affine Weyl group W' acts linearly on V-dagger in
 the b'-basis; that integer matrix is the canonical form (the affine
 translation behaviour is encoded by the level-1 slice, so no separate
-translation vector is needed).  The contragredient action on V is
-carried alongside so descent sets on either side are sign checks.
-The pair keeps the invariant dual = mat^-T: it holds for every simple
-reflection (dual = mat^T and mat^2 = 1), and products keep it.
-`check_node_subset` is the one node-subset refusal that
-`longest_element`, `min_coset_generators` and `alcove.grid_nodes` share.
+translation vector is needed); it is the only matrix an element carries.
+`level_restriction` is the one formula for a level-0 part, and
+`check_node_subset` the one node-subset refusal that `longest_element`,
+`min_coset_generators` and `alcove.grid_nodes` share.
 
 Simple reflections: s_i(b'_j) = b'_j - delta_ij h_i with h_i the i-th
 column of the pairing matrix, and s_i(b_j) = b_j - a_ji b_i on V.
@@ -30,8 +28,7 @@ _STEP_CAP = 100000
 @dataclass(frozen=True, eq=False)
 class WeylElement:
     datum: object
-    mat: tuple   # action on V-dagger (b'-basis)
-    dual: tuple  # action on V (b-basis)
+    mat: tuple  # action on V-dagger (b'-basis)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -67,57 +64,36 @@ class WeylElement:
 
 
 def identity(datum):
-    eye = linalg.identity_mat(datum.n + 1)
-    return WeylElement(datum, eye, eye)
+    return WeylElement(datum, linalg.identity_mat(datum.n + 1))
 
 
 def simple_reflection(datum, i):
     size = datum.n + 1
     a = datum.pairing
-    mat = tuple(
+    return WeylElement(datum, tuple(
         tuple((1 if k == j else 0) - (a[k][i] if j == i else 0)
               for j in range(size))
-        for k in range(size)
-    )
-    dual = tuple(
-        tuple((1 if k == j else 0) - (a[j][i] if k == i else 0)
-              for j in range(size))
-        for k in range(size)
-    )
-    return WeylElement(datum, mat, dual)
+        for k in range(size)))
 
 
 def multiply(a, b):
     if a.datum.label != b.datum.label:
         raise PreconditionError(
             f"cannot multiply over {a.datum.label} and {b.datum.label}")
-    return WeylElement(a.datum, linalg.mat_mul(a.mat, b.mat),
-                       linalg.mat_mul(a.dual, b.dual))
-
-
-def _negative_roots(roots, what):
-    """Indices i whose root roots[i], a sign-coherent nonzero integer
-    vector, is negative; `what` names the vectors for the error."""
-    out = []
-    for i, root in enumerate(roots):
-        low, high = min(root), max(root)
-        if low < 0 < high or low == high == 0:
-            raise InternalConsistencyError(
-                f"matrix {what} is not a root vector")
-        if high <= 0:
-            out.append(i)
-    return out
+    return WeylElement(a.datum, linalg.mat_mul(a.mat, b.mat))
 
 
 def left_descents(w):
-    """Nodes i with l(s_i w) < l(w): row i of the V-dagger matrix is <= 0."""
-    return _negative_roots(w.mat, "row")
-
-
-def right_descents(w):
-    """Nodes i with l(w s_i) < l(w): w(b_i), column i of the V matrix, is
-    a negative root."""
-    return _negative_roots(tuple(zip(*w.dual)), "column")
+    """Nodes i with l(s_i w) < l(w): row i of the V-dagger matrix, a
+    sign-coherent nonzero root vector, is <= 0."""
+    out = []
+    for i, root in enumerate(w.mat):
+        low, high = min(root), max(root)
+        if low < 0 < high or low == high == 0:
+            raise InternalConsistencyError("matrix row is not a root vector")
+        if high <= 0:
+            out.append(i)
+    return out
 
 
 def word_str(w):
@@ -135,25 +111,26 @@ def check_node_subset(datum, J):
 
 
 def longest_element(datum, J):
-    """Longest element of the finite parabolic W_J, J a proper node subset."""
+    """Longest element of the finite parabolic W_J, J a proper node subset:
+    w -> s_j w, j the first of J that is not a left descent, lengthens w
+    in the finite W_J until every j in J is one, which only w0(J) has."""
     check_node_subset(datum, J)
     J = sorted(set(J))
     w = identity(datum)
     for _ in range(_STEP_CAP):
-        descents = right_descents(w)
+        descents = left_descents(w)
         ascent = next((j for j in J if j not in descents), None)
         if ascent is None:
             return w
-        w = multiply(w, simple_reflection(datum, ascent))
+        w = multiply(simple_reflection(datum, ascent), w)
     raise InternalConsistencyError("longest-element climb exceeded the step cap")
 
 
-def _permutes_simple_roots(w, J):
-    """Whether w permutes the simple roots of J: for each j in J, column j
-    of w.dual, the root w(alpha_j), is a unit vector e_j' with j' in J."""
-    simple = {tuple(int(i == j) for i in range(w.datum.n + 1)) for j in J}
-    columns = tuple(zip(*w.dual))
-    return all(columns[j] in simple for j in J)
+def _permutes_simple_roots(inv, J):
+    """Whether w = inv^-1 permutes the simple roots of J: for each j in J,
+    row j of inv.mat, the root w(alpha_j), is some e_j' with j' in J."""
+    simple = {tuple(int(i == j) for i in range(inv.datum.n + 1)) for j in J}
+    return all(inv.mat[j] in simple for j in J)
 
 
 def min_coset_generators(datum, J):
@@ -171,6 +148,14 @@ def min_coset_generators(datum, J):
     leaves one node out has no candidate, since J + k would be every
     node, so it returns () before w0(J) is built.
 
+    w(alpha_j) is column j of w's matrix on V, which is mat(w)^-T (each
+    s_i acts on V by mat(s_i)^T = mat(s_i)^-1), so it is row j of
+    mat(w^-1), and ss_k^-1 = w0(J) w0(J+k).  A qualifying ss_k equals it:
+    w0(J+k) then sends the simple roots of J to minus a permutation of
+    them, as w0(J) does, so it normalizes W_J and, under conjugation,
+    fixes w0(J), the one element of W_J that negates every positive root
+    of J; the two commute, and ss_k^2 = 1.
+
     Raises NodeSubsetError naming every k whose candidate fails, since
     some J genuinely admit none.
     """
@@ -184,7 +169,7 @@ def min_coset_generators(datum, J):
     for k in range(datum.n + 1):
         if k in J:
             continue
-        ss = multiply(longest_element(datum, J + (k,)), w0J)
+        ss = multiply(w0J, longest_element(datum, J + (k,)))  # ss_k^-1
         if _permutes_simple_roots(ss, J):
             generators.append((k, ss))
         else:
@@ -195,16 +180,15 @@ def min_coset_generators(datum, J):
     return tuple(generators)
 
 
-def level_restriction(datum, mat):
-    """Linear part of a level-preserving map, restricted to the level-0
-    subspace in the basis t_k = b'_k - n_k b'_0 (k = 1..n)."""
-    n = datum.n
-    marks = datum.marks
-    cols = []
-    for k in range(1, n + 1):
-        img = tuple(mat[j][k] - marks[k] * mat[j][0] for j in range(n + 1))
-        cols.append(img[1:])
-    return tuple(tuple(cols[k][j] for k in range(n)) for j in range(n))
+def level_restriction(mat, marks):
+    """n_0 times the level-0 part of a level-preserving map `mat` on the
+    span of b'_k over nodes of marks `marks`, base node first: an image of
+    u_k = b'_k - (n_k / n_0) b'_0 has its other entries as u-coordinates,
+    so column k is n_0 (column k of mat) - n_k (column 0), base row off."""
+    n0 = marks[0]
+    return tuple(tuple(n0 * row[c] - n * row[0]
+                       for c, n in enumerate(marks[1:], 1))
+                 for row in mat[1:])
 
 
 def element_order(w):
@@ -223,7 +207,8 @@ def element_order(w):
     for k in range(1, _STEP_CAP + 1):
         if power == eye:
             return k
-        if level_restriction(datum, power) == small_eye:
+        # the affine node's mark is 1, so this is the linear part itself
+        if level_restriction(power, datum.marks) == small_eye:
             return math.inf
         power = linalg.mat_mul(power, w.mat)
     raise InternalConsistencyError("order search exceeded the step cap")

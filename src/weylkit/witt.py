@@ -52,7 +52,12 @@ phi(y)) computed with the oracle's own code, and the oracle would be
 true by construction.
 """
 
-from .errors import BudgetError, PreconditionError, UnsupportedRegimeError
+from .errors import (
+    BudgetError,
+    PreconditionError,
+    UnsupportedRegimeError,
+    require_int,
+)
 from .laurent import _require_prime
 
 # Pairs oracle_check may walk; the size of the lattice candidate-scan budget.
@@ -96,10 +101,12 @@ class WittScalar:
 
     def __init__(self, p, m, components):
         _require_prime(p)
+        require_int("Witt length", m)
         if m < 1:
             raise PreconditionError(f"Witt length m={m} is not positive")
         if len(components) != m:
             raise PreconditionError("wrong number of components")
+        require_int("component", *components)
         if any(not (0 <= c < p) for c in components):
             raise UnsupportedRegimeError(
                 "components must be prime-field elements")
@@ -178,6 +185,7 @@ def oracle_check(p, m):
     PreconditionError for m < 1 and BudgetError when the p^(2m) pairs
     exceed ORACLE_PAIR_BUDGET, both before any image is built."""
     _require_prime(p)
+    require_int("Witt length", m)
     if m < 1:
         raise PreconditionError(f"Witt length m={m} is not positive")
     pairs = 1

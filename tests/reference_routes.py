@@ -94,22 +94,34 @@ def from_word(datum, word):
     return w
 
 
+def contragredient(w):
+    """The matrix of w on V in the b-basis: s_i acts on V by the
+    transpose of its V-dagger matrix, so this is the product of those
+    transposes along w's reduced word."""
+    out = linalg.identity_mat(w.datum.n + 1)
+    for i in w.word():
+        s = weyl.simple_reflection(w.datum, i).mat
+        out = linalg.mat_mul(out, tuple(zip(*s)))
+    return out
+
+
 def inverse(w):
-    """w^-1 = (dual^T, mat^T): the pair keeps dual = mat^-T, so no
-    elimination is needed."""
-    return weyl.WeylElement(w.datum, tuple(zip(*w.dual)), tuple(zip(*w.mat)))
+    """w^-1, whose V-dagger matrix is the transpose of w's contragredient
+    (mat(w)^-1 = dual(w)^T), so no elimination is needed."""
+    return weyl.WeylElement(w.datum, tuple(zip(*contragredient(w))))
 
 
 def is_min_coset_generator(w, J):
     """Whether w normalizes W_J and is minimal in its coset w W_J, by word
     extraction: the reduced word of each w s_j w^-1, j in J, uses only
-    letters of J, and w has no right descent in J."""
+    letters of J, and w has no right descent in J, that is, w^-1 has no
+    left descent in J."""
     winv = inverse(w)
     for j in J:
         conj = w * weyl.simple_reflection(w.datum, j) * winv
         if any(letter not in J for letter in conj.word()):
             return False
-    return not any(j in J for j in weyl.right_descents(w))
+    return not any(j in J for j in weyl.left_descents(winv))
 
 
 def coset_tables(datum, J):

@@ -200,15 +200,26 @@ def _lift_of_word(geo, word):
     return w
 
 
+def _elements(geo):
+    """Each quotient element's key, n_k0 r_i, in index order."""
+    keys = {i: key for key, i in geo.quotient_index.items()}
+    return [keys[i] for i in range(len(keys))]
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])
 def test_quotient_tables_match_the_matrices(label):
-    # Products and inverses against the quotient's own Fraction matrices,
-    # and the integer lattice actions multiply as the elements do.
+    # Products and inverses against the quotient's own integer matrices,
+    # and the integer lattice actions multiply as the elements do.  With
+    # J = () the base node is the affine one, of mark 1, so each key is
+    # its element r_i and the key of a product is the product of keys.
     geo = alcove.geometry(cartan_datum(label), ())
-    size = len(geo.quotient)
+    assert geo.marks[0] == 1
+    elements = _elements(geo)
+    size = len(elements)
+    assert size == len(geo.quotient_words)
     assert size == {"A1": 2, "A2": 6, "C2": 8, "G2": 12}[label]
-    for i, a in enumerate(geo.quotient):
-        for j, b in enumerate(geo.quotient):
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
             assert geo.quotient_product(i, j) \
                 == geo.quotient_index[linalg.mat_mul(a, b)]
             assert geo.torus_actions[geo.quotient_product(i, j)] \
@@ -217,7 +228,8 @@ def test_quotient_tables_match_the_matrices(label):
         assert geo.quotient_product(geo.quotient_inverse[i], i) == 0
         # the block the search carried restricts to its element, and is
         # the Jc-block of the product of the ss_k along its word
-        assert geo.restriction(geo.quotient_blocks[i]) == a
+        assert weyl.level_restriction(geo.quotient_blocks[i],
+                                      geo.marks) == a
         lift = _lift_of_word(geo, geo.quotient_words[i])
         assert geo.block(lift.mat) == geo.quotient_blocks[i]
     # quotient_left[k][i] is the coset of ss_k lift_i, found again by
@@ -225,41 +237,63 @@ def test_quotient_tables_match_the_matrices(label):
     for k, g in geo.generator_blocks.items():
         assert g == geo.block(dict(geo.generators)[k].mat)
         for i, block in enumerate(geo.quotient_blocks):
-            assert geo.quotient_index[
-                geo.restriction(linalg.mat_mul(g, block))] \
+            assert geo.quotient_index[weyl.level_restriction(
+                linalg.mat_mul(g, block), geo.marks)] \
                 == geo.quotient_left[k][i]
 
 
 # Every geometry that builds over these types: 26 of them, 6 with a base
 # node of mark 2 (B3/{0, 1}, C2/{0} and four of C3's).
 _REFERENCE_LABELS = ("A1", "A2", "A3", "B3", "C2", "C3", "G2")
+# And the 23 rank-1 geometries of these types, 11 with a base node of
+# mark 2 and F4/{0, 1, 2} with one of mark 4: the scale n_k0 of the keys
+# and of the lattice coordinates is largest there.
+_RANK_ONE_LABELS = ("B4", "C4", "F4")
+
+
+def _reference_geometries():
+    """(datum, J) for every geometry the reference comparison builds."""
+    for label in _REFERENCE_LABELS + _RANK_ONE_LABELS:
+        datum = cartan_datum(label)
+        nodes = range(datum.n + 1)
+        sizes = (range(datum.n) if label in _REFERENCE_LABELS
+                 else (datum.n - 1,))
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(nodes, r) for r in sizes):
+            yield datum, J
 
 
 def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
     # The library's integer blocks and Schreier cocycle against full
     # Weyl lifts, u-basis restrictions, Schreier elements multiplied out
     # and the rational Hermite form (reference_routes.coset_tables).
+    # The keys are n_k0 times the reference's restrictions, and the
+    # lattice coordinates of the unit vectors are the columns of the
+    # inverse of the reference's L'-basis matrix.
     # The cocycle's rows are compared too, not only the lattice they
     # span: a cocycle that reads B_t for B_inv(t) spans the same lattice
     # on every geometry here.
-    built = marked = 0
-    for label in _REFERENCE_LABELS:
-        datum = cartan_datum(label)
-        nodes = range(datum.n + 1)
-        for J in itertools.chain.from_iterable(
-                itertools.combinations(nodes, r) for r in range(datum.n)):
-            try:
-                geo = alcove.CosetGeometry(datum, J)
-            except NodeSubsetError:
-                continue
-            ref = coset_tables(datum, J)
-            assert geo.quotient == ref["quotient"], (label, J)
-            assert geo.quotient_left == ref["quotient_left"], (label, J)
-            assert geo.quotient_inverse == ref["quotient_inverse"], (label, J)
-            assert geo.torus_actions == ref["torus_actions"], (label, J)
-            assert geo._binv == ref["binv"], (label, J)
-            assert geo._schreier_translations() == ref["translations"], \
-                (label, J)
-            built += 1
-            marked += datum.marks[geo.k0] > 1
-    assert (built, marked) == (26, 6)
+    built, marks = 0, []
+    for datum, J in _reference_geometries():
+        try:
+            geo = alcove.CosetGeometry(datum, J)
+        except NodeSubsetError:
+            continue
+        ref = coset_tables(datum, J)
+        n0 = geo.marks[0]
+        assert _elements(geo) == [
+            tuple(tuple(n0 * x for x in row) for row in r)
+            for r in ref["quotient"]], (datum.label, J)
+        assert geo.quotient_left == ref["quotient_left"], (datum.label, J)
+        assert geo.quotient_inverse == ref["quotient_inverse"], \
+            (datum.label, J)
+        assert geo.torus_actions == ref["torus_actions"], (datum.label, J)
+        units = [tuple(Fraction(int(i == c)) for i in range(geo.dim))
+                 for c in range(geo.dim)]
+        columns = [geo.lattice_coords(u) for u in units]
+        assert tuple(zip(*columns)) == (ref["binv"] or ()), (datum.label, J)
+        assert geo._schreier_translations() == ref["translations"], \
+            (datum.label, J)
+        built += 1
+        marks.append(n0)
+    assert (built, marks.count(2), marks.count(4)) == (49, 17, 1)

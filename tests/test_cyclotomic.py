@@ -236,3 +236,10 @@ def test_a_bool_is_an_int_operand():
     assert (z * False).coeffs == (0, 0)
     assert Cyc(3, (True, False)).coeffs == (1, 0)
     assert all(type(c) is int for c in Cyc.rational(True).coeffs)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Cyc.rational(0)])
+def test_division_by_zero_is_refused(zero):
+    # Fraction(1, 0) would escape as a bare ZeroDivisionError
+    with pytest.raises(PreconditionError, match="division by zero"):
+        Cyc.zeta(3) / zero

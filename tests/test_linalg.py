@@ -76,3 +76,37 @@ def test_zero_vectors_and_empty_spans():
     assert linalg.in_span([], (0, 0))
     assert not linalg.in_span([], (0, 1))
     assert not linalg.in_span([(0, 0)], (Fraction(1, 3), 0))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hnf_is_reduced_and_spans_the_input(data):
+    # echelon rows with positive pivots, each entry above a pivot in
+    # [0, pivot), spanning the input lattice: hnf of its own output and
+    # of the input with its rows appended agree
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.tuples(*(st.integers(-30, 30)
+                                          for _ in range(ncols))),
+                              max_size=5))
+    h = linalg.hnf(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(h, pivots)):
+        assert row[c] > 0
+        assert all(0 <= h[k][c] < row[c] for k in range(i))
+    assert linalg.hnf(h) == h
+    assert linalg.hnf(list(h) + list(rows)) == h
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_upper_undoes_the_product(data):
+    # x H = v for an upper triangular H with a nonzero diagonal
+    n = data.draw(st.integers(0, 5))
+    nonzero = st.integers(-6, 6).filter(bool)
+    h = tuple(tuple(data.draw(nonzero) if j == i else
+                    data.draw(_ints) if j > i else 0 for j in range(n))
+              for i in range(n))
+    x = tuple(data.draw(_fractions) for _ in range(n))
+    v = tuple(sum(x[i] * h[i][j] for i in range(n)) for j in range(n))
+    assert linalg.solve_upper(h, v) == x

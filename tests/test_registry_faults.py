@@ -192,6 +192,14 @@ def _cocycle_rows(geo, x):
             for i, t in enumerate(geo.quotient_left[k])}
 
 
+def _unit_lattice_coords(datum, J):
+    """The L'-coordinates of each unit u-vector of a geometry built
+    afresh: the inverse of its L'-basis matrix, by columns."""
+    geo = alcove.CosetGeometry(datum, J)
+    return [geo.lattice_coords(tuple(int(i == c) for i in range(geo.dim)))
+            for c in range(geo.dim)]
+
+
 def _base(geo, i):
     """B_i e_k0: column k0 of lift i's block."""
     return tuple(row[0] for row in geo.quotient_blocks[i])
@@ -212,19 +220,20 @@ def _schreier_translations_through_b_t(geo):
                                _base(geo, t))]))
 
 
-def _permutes_simple_roots_read_off_mat(w, J):
-    """The coset-generator predicate on the columns of w.mat, the action
-    on V-dagger, instead of w.dual's, the roots w(alpha_j)."""
-    simple = {tuple(int(i == j) for i in range(w.datum.n + 1)) for j in J}
-    columns = tuple(zip(*w.mat))
+def _permutes_simple_roots_read_off_mat(inv, J):
+    """The coset-generator predicate on the columns of ss^-1's V-dagger
+    matrix instead of its rows, the roots ss(alpha_j).  A qualifying ss is
+    an involution, so these are the columns of ss.mat."""
+    simple = {tuple(int(i == j) for i in range(inv.datum.n + 1)) for j in J}
+    columns = tuple(zip(*inv.mat))
     return all(columns[j] in simple for j in J)
 
 
-def _fixes_each_simple_root(w, J):
-    """The coset-generator predicate asking w(alpha_j) = alpha_j for each
-    j in J, so a w that swaps two simple roots of J is refused."""
-    columns = tuple(zip(*w.dual))
-    return all(columns[j] == tuple(int(i == j) for i in range(w.datum.n + 1))
+def _fixes_each_simple_root(inv, J):
+    """The coset-generator predicate asking ss(alpha_j) = alpha_j for each
+    j in J, so an ss that swaps two simple roots of J is refused."""
+    return all(inv.mat[j] == tuple(int(i == j)
+                                   for i in range(inv.datum.n + 1))
                for j in J)
 
 
@@ -243,7 +252,7 @@ def _character_values_without_the_first_fixed_point(rep, t_order):
     for x in itertools.product(range(M), repeat=rep.geometry.dim):
         lat = [Cyc.zeta(M, (sum(a * v for a, v in zip(x, p.values)) * M)
                         .numerator) for p in rep.points]
-        for i in range(len(rep.geometry.quotient)):
+        for i in range(len(rep.geometry.quotient_words)):
             perm, scalars = rep.finite_image(i)
             fixed = [pos for pos in range(rep.dimension) if perm[pos] == pos]
             yield sum((lat[pos] * scalars[pos] for pos in fixed[1:]),
@@ -265,7 +274,8 @@ def _stabilizer_without_its_last_element(datum, J, t, S):
             if new not in elements:
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[geo.restriction(geo.block(w.mat))]
+    images = {geo.quotient_index[weyl.level_restriction(geo.block(w.mat),
+                                                        geo.marks)]
               for w in elements}
     return len(images) == len(elements) and images == set(stabilizer)
 
@@ -418,11 +428,11 @@ FAULTS = {
     "alcove Schreier translations doubled": (
         [(alcove.CosetGeometry, "_schreier_translations",
           _schreier_translations_doubled)], {"C2", "C3"},
-        lambda: alcove.CosetGeometry(A1, ())._binv),
+        lambda: _unit_lattice_coords(A1, ())),
     "alcove Schreier cocycle drops G_k": (
         [(alcove.CosetGeometry, "_schreier_translations",
           _schreier_translations_without_g)], {"C2", "C3"},
-        lambda: alcove.CosetGeometry(D4, (0, 1))._binv),
+        lambda: _unit_lattice_coords(D4, (0, 1))),
     "alcove Schreier cocycle reads B_t for B_inv(t)": (
         [(alcove.CosetGeometry, "_schreier_translations",
           _schreier_translations_through_b_t)], {"C2", "C3"},

@@ -186,7 +186,7 @@ def test_module_points_are_the_orbit_of_t():
         assert rep.points[0] == t
         assert len(set(rep.points)) == len(rep.points) == rep.dimension
         assert set(rep.points) \
-            == {geo.torus_act(i, t) for i in range(len(geo.quotient))}
+            == {geo.torus_act(i, t) for i in range(len(geo.quotient_words))}
 
 
 def test_character_values_need_a_multiple_of_the_points_order():
