@@ -18,8 +18,8 @@ from .errors import (
     UnsupportedLabelError,
     UnsupportedRegimeError,
     WeylkitError,
+    is_prime,
 )
-from .laurent import is_prime
 
 
 def _emit(rows, header):

@@ -21,9 +21,8 @@ arithmetic, complex conjugation, and division by rationals.
 from fractions import Fraction
 from math import gcd
 
-from .errors import PreconditionError, require_int
+from .errors import PreconditionError, least_prime_factor, require_int
 
-_cyclo_cache = {}
 _table_cache = {}
 
 
@@ -45,20 +44,15 @@ def cyclotomic_polynomial(m):
     then p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i from the bottom
     up: x^d - 1 is monic, and every step stays in the integers.
     """
-    if m in _cyclo_cache:
-        return _cyclo_cache[m]
     if m < 1:
         raise PreconditionError(f"conductor {m} is not positive")
     factors = [(m, 1)]  # (d, mu(m/d)) over squarefree m/d
-    rest, p = m, 2
+    rest = m
     while rest > 1:
-        if p * p > rest:
-            p = rest  # what is left is a prime
-        if rest % p == 0:
-            factors += [(d // p, -mu) for d, mu in factors]
-            while rest % p == 0:
-                rest //= p
-        p += 1
+        p = least_prime_factor(rest)
+        factors += [(d // p, -mu) for d, mu in factors]
+        while rest % p == 0:
+            rest //= p
     poly = [1]
     for d, mu in factors:
         if mu == 1:
@@ -72,7 +66,6 @@ def cyclotomic_polynomial(m):
             for i in range(len(poly) - d):
                 quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
             poly = quotient
-    _cyclo_cache[m] = poly
     return poly
 
 

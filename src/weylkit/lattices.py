@@ -49,6 +49,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
     require_int,
+    require_prime,
 )
 
 RANK = 3
@@ -96,11 +97,11 @@ def pairing(u, v):
 
 
 def check_datum(p):
-    """Constructor checks: Killing nondegeneracy mod p, recomputed Gram
-    matrix.  GRAM has determinant -128 = -2^7, so the form degenerates
-    mod p exactly when p = 2."""
-    require_int("prime", p)
-    if p < 3:
+    """Constructor checks: p prime, Killing nondegeneracy mod p, recomputed
+    Gram matrix.  GRAM has determinant -128 = -2^7, so the form
+    degenerates mod p exactly when p = 2."""
+    require_prime(p)
+    if p == 2:
         raise PreconditionError(
             "the Killing form degenerates in characteristic 2")
     if killing_gram() != GRAM:
@@ -354,11 +355,19 @@ SCAN_BUDGET = 200000
 VERTEX_BUDGET = 10000
 
 
+def _check_window(p, n):
+    """check_datum(p), and the window's radius n a nonnegative int."""
+    check_datum(p)
+    require_int("lattice radius", n)
+    if n < 0:
+        raise PreconditionError(f"lattice radius n={n} is negative")
+
+
 def _scan(p, n):
     """The candidates, raising BudgetError past SCAN_BUDGET of them.  The
     candidate stream forms no tuple it does not yield, so counting the
     candidates here bounds the work."""
-    check_datum(p)
+    _check_window(p, n)
     for count, z in enumerate(candidates(p, n), start=1):
         if count > SCAN_BUDGET:
             raise BudgetError("lattice enumeration budget exceeded")
@@ -401,7 +410,7 @@ def tree_points(p, n):
     whose canonical diagonal is not p^(3n), the index of every self-dual
     lattice in the window, or two vertices with one canonical basis,
     raise StructuralError."""
-    check_datum(p)
+    _check_window(p, n)
     budget = VERTEX_BUDGET
     farthest = 1
     for _ in range(n):  # stops once p^k passes the budget, whatever n is

@@ -10,45 +10,16 @@ nonzero coefficient; the valuation of zero is +infinity.
 Every scalar keeps one invariant: each stored coefficient lies in
 [1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
 negation (c -> q - c) and `shift` preserve it, so they build their
-result directly without that pass.  The constructor tests q for
-primality and `_new` and `_raw` do not, so a caller that builds many
-scalars over one q, such as pgl2's random elements, tests it once with
-`_require_prime` and builds through them.
+result directly without that pass.  `_new` and `_raw` check nothing, so
+a caller that builds many scalars over one q, such as pgl2's random
+elements, checks q once and builds through them.  An operator takes a
+scalar over the same q or an int, and returns NotImplemented otherwise.
 """
 
 import math
 import re
 
-from .errors import (
-    BudgetError,
-    PreconditionError,
-    UnsupportedRegimeError,
-    require_int,
-)
-
-# Trial division tries at most 10^6 divisors: it decides integers to 10^12.
-TRIAL_DIVISION_LIMIT = 10 ** 12
-
-
-def least_prime_factor(k):
-    """The least prime factor of an integer k >= 2, by trial division; past
-    TRIAL_DIVISION_LIMIT, BudgetError before any division."""
-    if k > TRIAL_DIVISION_LIMIT:
-        raise BudgetError(f"trial division decides integers up to 10^12; a"
-                          f" {k.bit_length()}-bit integer is past that budget")
-    return next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
-
-
-def is_prime(k):
-    """True iff the integer k is a prime."""
-    return k >= 2 and least_prime_factor(k) == k
-
-
-def _require_prime(q):
-    require_int("prime", q)
-    if not is_prime(q):
-        raise UnsupportedRegimeError(f"{q} is not prime; only prime base"
-                                     " fields are supported")
+from .errors import PreconditionError, require_int, require_prime
 
 
 def _new(q, coeffs):
@@ -75,7 +46,7 @@ class LaurentScalar:
     __hash__ = None
 
     def __new__(cls, q, coeffs):
-        _require_prime(q)
+        require_prime(q)
         require_int("exponent", *coeffs)
         require_int("coefficient", *coeffs.values())
         return _new(q, coeffs)
@@ -86,14 +57,18 @@ class LaurentScalar:
 
     # -- arithmetic ----------------------------------------------------
     def _compat(self, other):
-        if not isinstance(other, LaurentScalar):
+        if isinstance(other, LaurentScalar):
+            if other.q != self.q:
+                raise PreconditionError("mismatched base fields")
+            return other
+        if isinstance(other, int):
             return _new(self.q, {0: other})
-        if other.q != self.q:
-            raise PreconditionError("mismatched base fields")
-        return other
+        return NotImplemented
 
     def __add__(self, other):
         other = self._compat(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) + c
@@ -107,16 +82,20 @@ class LaurentScalar:
 
     def __sub__(self, other):
         other = self._compat(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) - c
         return _new(self.q, out)
 
     def __rsub__(self, other):
-        return self._compat(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._compat(other)
+        if other is NotImplemented:
+            return other
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -139,7 +118,10 @@ class LaurentScalar:
         return _raw(self.q, {e + n: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        return self.coeffs == self._compat(other).coeffs
+        other = self._compat(other)
+        if other is NotImplemented:
+            return other
+        return self.coeffs == other.coeffs
 
     # -- text ------------------------------------------------------------
     def render(self):
@@ -207,7 +189,7 @@ def mat_det(M):
 def parse_matrix(text, q):
     """Parse "a,b;c,d" with scalar entries over F_q, testing once that
     q is prime."""
-    _require_prime(q)
+    require_prime(q)
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise PreconditionError("matrix needs two rows")

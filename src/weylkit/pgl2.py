@@ -77,8 +77,12 @@ import math
 from dataclasses import dataclass
 
 from . import laurent, linalg
-from .errors import BudgetError, InternalConsistencyError, PreconditionError
-from .laurent import least_prime_factor
+from .errors import (
+    BudgetError,
+    InternalConsistencyError,
+    PreconditionError,
+    require_prime,
+)
 
 # The nodes a fixed-point walk may classify: the size of
 # witt.ORACLE_PAIR_BUDGET.
@@ -282,7 +286,7 @@ def random_i2(q, rng, degree=6):
     then the shift m, giving [[e^(m+1) c, e^m d], [e^(m+1) a, e^(m+1) b]].
     q is tested for primality once, and each entry is built once, at its
     shifted exponents."""
-    laurent._require_prime(q)
+    require_prime(q)
 
     def unit():
         first = rng.randrange(1, q)
@@ -312,7 +316,7 @@ def random_i1(q, rng, length=4):
     the second column gains x times the first, the first gains x times
     the second, or the first is scaled by u.  q is tested for primality
     once."""
-    laurent._require_prime(q)
+    require_prime(q)
     one, zero = laurent._raw(q, {0: 1}), laurent._raw(q, {})
     (a, b), (c, d) = (one, zero), (zero, one)
     for _ in range(length):
@@ -419,21 +423,3 @@ def recurrence_solution_space(N=4):
         raise InternalConsistencyError("closed forms are dependent")
     return dim, tuple(name for name, _ in basis)
 
-
-def _is_prime_power(q):
-    """True iff q = p^k for a prime p and k >= 1."""
-    if q < 2:
-        return False
-    p = least_prime_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def almost_char_44(q):
-    """The almost-character value 2q: the recurrence solution dimension
-    scaled by the declared weight-q Frobenius convention."""
-    if not _is_prime_power(q):
-        raise PreconditionError(f"{q} is not a prime power")
-    dim, _ = recurrence_solution_space()
-    return q * dim

@@ -57,8 +57,8 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
     require_int,
+    require_prime,
 )
-from .laurent import _require_prime
 
 # Pairs oracle_check may walk; the size of the lattice candidate-scan budget.
 ORACLE_PAIR_BUDGET = 200000
@@ -100,7 +100,7 @@ class WittScalar:
     __slots__ = ("p", "m", "ghost")
 
     def __init__(self, p, m, components):
-        _require_prime(p)
+        require_prime(p)
         require_int("Witt length", m)
         if m < 1:
             raise PreconditionError(f"Witt length m={m} is not positive")
@@ -134,11 +134,15 @@ class WittScalar:
             raise PreconditionError("mismatched Witt parameters")
 
     def __add__(self, other):
+        if not isinstance(other, WittScalar):
+            return NotImplemented
         self._compat(other)
         return _new(self.p, self.m,
                     (self.ghost + other.ghost) % self.p ** self.m)
 
     def __mul__(self, other):
+        if not isinstance(other, WittScalar):
+            return NotImplemented
         self._compat(other)
         return _new(self.p, self.m,
                     self.ghost * other.ghost % self.p ** self.m)
@@ -184,7 +188,7 @@ def oracle_check(p, m):
     True, False on a value or a pair that disagrees, or raises;
     PreconditionError for m < 1 and BudgetError when the p^(2m) pairs
     exceed ORACLE_PAIR_BUDGET, both before any image is built."""
-    _require_prime(p)
+    require_prime(p)
     require_int("Witt length", m)
     if m < 1:
         raise PreconditionError(f"Witt length m={m} is not positive")

@@ -124,12 +124,11 @@ def test_pgl2_subcommand():
 def test_pgl2_tests_q_for_primality_once(monkeypatch, op):
     # parse_matrix tests q once for all four entries, the command reads
     # its verdict, and no scalar formed after that tests it again
-    from weylkit import laurent, pgl2
+    from weylkit import errors
     calls = []
-    least_prime_factor = laurent.least_prime_factor
-    for module in (laurent, pgl2):
-        monkeypatch.setattr(module, "least_prime_factor",
-                            lambda k: calls.append(k) or least_prime_factor(k))
+    least_prime_factor = errors.least_prime_factor
+    monkeypatch.setattr(errors, "least_prime_factor",
+                        lambda k: calls.append(k) or least_prime_factor(k))
     code, out, _ = run_cli(["pgl2", "--q", "3", "--op", op])
     assert code == 0
     assert calls == [3]

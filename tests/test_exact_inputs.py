@@ -1,15 +1,23 @@
 """Public constructors refuse an input that is not an int where an int is
 meant: each raises PreconditionError naming the input, not a bare
-TypeError from deeper in, and builds nothing that renders a float."""
+TypeError from deeper in, and builds nothing that renders a float.  Every
+entry that takes a prime p or q runs the one prime gate of `errors`, and
+the arithmetic operators refuse a foreign operand with NotImplemented."""
 
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 
-from weylkit import lattices
+from weylkit import errors, lattices, pgl2
 from weylkit.cyclotomic import Cyc
-from weylkit.errors import PreconditionError
-from weylkit.laurent import LaurentScalar
+from weylkit.errors import (
+    BudgetError,
+    PreconditionError,
+    UnsupportedRegimeError,
+)
+from weylkit.laurent import LaurentScalar, parse_matrix
 from weylkit.witt import WittScalar, oracle_check
 
 
@@ -35,3 +43,101 @@ def test_a_non_int_input_is_refused(build, what):
 def test_a_bool_counts_as_its_int():
     assert WittScalar(3, 2, (True, False)) == WittScalar(3, 2, (1, 0))
     assert LaurentScalar(3, {0: True}).render() == "1"
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 500
+    sieve = [False, False] + [True] * (limit - 2)
+    for k in range(2, limit):
+        if sieve[k]:
+            for j in range(k * k, limit, k):
+                sieve[j] = False
+    assert [k for k in range(-3, limit) if errors.is_prime(k)] == \
+        [k for k in range(limit) if sieve[k]]
+
+
+def test_trial_division_stops_at_its_budget():
+    # 999999999989 is the largest prime below 10^12; past 10^12 the test
+    # refuses before any division
+    assert errors.is_prime(999999999989)
+    assert not errors.is_prime(10 ** 12)
+    assert errors.least_prime_factor(10 ** 12) == 2
+    assert errors.least_prime_factor(3 ** 25) == 3
+    assert errors.least_prime_factor(999983 ** 2) == 999983
+    assert errors.least_prime_factor(999979 * 999983) == 999979
+    for k in (10 ** 12 + 1, 1000000007 * 1000000009, 10 ** 399 + 1, 2 ** 60):
+        with pytest.raises(BudgetError, match="past that budget"):
+            errors.is_prime(k)
+        with pytest.raises(BudgetError, match="past that budget"):
+            errors.least_prime_factor(k)
+
+
+# Every public entry that takes a prime, as a function of it.
+PRIME_ENTRIES = {
+    "LaurentScalar": lambda p: LaurentScalar(p, {0: 1}),
+    "parse_matrix": lambda p: parse_matrix("0,1;e,0", p),
+    "random_i2": lambda p: pgl2.random_i2(p, random.Random(1)),
+    "random_i1": lambda p: pgl2.random_i1(p, random.Random(1)),
+    "WittScalar": lambda p: WittScalar(p, 2, (1, 1)),
+    "oracle_check": lambda p: oracle_check(p, 1),
+    "enumerate_X_n": lambda p: lattices.enumerate_X_n(p, 1),
+    "scan_points": lambda p: lattices.scan_points(p, 1),
+    "tree_points": lambda p: lattices.tree_points(p, 1),
+    "borel_fiber_count": lambda p: lattices.borel_fiber_count(p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRIME_ENTRIES))
+@pytest.mark.parametrize("p, error", [
+    (9, UnsupportedRegimeError),
+    (15, UnsupportedRegimeError),
+    (3.0, PreconditionError),
+])
+def test_every_prime_entry_refuses_a_non_prime(entry, p, error):
+    with pytest.raises(error, match="is not prime|is not an int"):
+        PRIME_ENTRIES[entry](p)
+
+
+@pytest.mark.parametrize("walk", [lattices.enumerate_X_n,
+                                  lattices.scan_points,
+                                  lattices.tree_points])
+@pytest.mark.parametrize("n, what", [
+    (1.0, "lattice radius 1.0 is not an int"),
+    (Fraction(1), "lattice radius Fraction"),
+    (-1, "lattice radius n=-1 is negative"),
+])
+def test_a_bad_lattice_radius_is_refused(walk, n, what):
+    with pytest.raises(PreconditionError, match=f"^{what}"):
+        walk(3, n)
+
+
+@pytest.mark.parametrize("other", [0.5, "a", Fraction(1, 2), None])
+def test_a_foreign_operand_is_refused(other):
+    x = LaurentScalar(3, {0: 1})
+    for a, b in ((x, other), (other, x)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert x != other
+
+
+@pytest.mark.parametrize("other", [1, 0.5, "a", LaurentScalar(3, {0: 1})])
+def test_a_witt_scalar_refuses_a_foreign_operand(other):
+    w = WittScalar(3, 2, (1, 1))
+    for a, b in ((w, other), (other, w)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert w != other
+
+
+def test_an_int_operand_is_the_constant_it_names():
+    x = LaurentScalar(3, {1: 1})
+    assert (x + 4).coeffs == {0: 1, 1: 1}
+    assert (4 + x).coeffs == {0: 1, 1: 1}
+    assert (x - 1).coeffs == {0: 2, 1: 1}
+    assert (1 - x).coeffs == {0: 1, 1: 2}
+    assert (x * 2).coeffs == (2 * x).coeffs == {1: 2}
+    assert x * True == x and LaurentScalar(3, {0: 2}) == -1
+    with pytest.raises(PreconditionError, match="mismatched base fields"):
+        x + LaurentScalar(5, {0: 1})

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import laurent
-from weylkit.errors import (
-    BudgetError,
-    PreconditionError,
-    UnsupportedRegimeError,
-)
+from weylkit.errors import PreconditionError, UnsupportedRegimeError
 from weylkit.laurent import LaurentScalar
 
 
@@ -89,28 +85,6 @@ def test_exact_division_of_monomials():
     e2 = LaurentScalar(q, {2: 1})
     e5 = LaurentScalar(q, {5: 1})
     assert e5 * e2.inverse() == LaurentScalar(q, {3: 1})
-
-
-def test_is_prime_matches_a_sieve():
-    limit = 500
-    sieve = [False, False] + [True] * (limit - 2)
-    for k in range(2, limit):
-        if sieve[k]:
-            for j in range(k * k, limit, k):
-                sieve[j] = False
-    assert [k for k in range(-3, limit) if laurent.is_prime(k)] == \
-        [k for k in range(limit) if sieve[k]]
-
-
-def test_trial_division_stops_at_its_budget():
-    # 999999999989 is the largest prime below 10^12; past 10^12 the test
-    # refuses before any division
-    assert laurent.is_prime(999999999989)
-    assert not laurent.is_prime(10 ** 12)
-    assert laurent.least_prime_factor(10 ** 12) == 2
-    for k in (10 ** 12 + 1, 1000000007 * 1000000009, 10 ** 399 + 1):
-        with pytest.raises(BudgetError, match="past that budget"):
-            laurent.is_prime(k)
 
 
 def test_non_prime_field_is_rejected():

@@ -679,23 +679,3 @@ def test_recurrence_solution_space():
     # the nullity of the window's relations is 2 on every window
     for n in range(1, 8):
         assert pgl2.recurrence_solution_space(n) == (dim, basis)
-
-
-def test_counting_values():
-    for q in (2, 3, 5, 7):
-        assert pgl2.almost_char_44(q) == 2 * q
-
-
-def test_prime_power_detector():
-    assert pgl2._is_prime_power(2)
-    assert pgl2._is_prime_power(9)
-    assert pgl2._is_prime_power(8)
-    assert not pgl2._is_prime_power(1)
-    assert not pgl2._is_prime_power(6)
-    assert not pgl2._is_prime_power(12)
-    # the least factor is found by trial division up to its budget
-    assert pgl2._is_prime_power(3 ** 25)
-    assert pgl2._is_prime_power(999983 ** 2)
-    assert not pgl2._is_prime_power(999979 * 999983)
-    with pytest.raises(BudgetError, match="past that budget"):
-        pgl2._is_prime_power(2 ** 60)
