@@ -151,11 +151,14 @@ def _cmd_witt(args):
     p = args.p
     if args.enum:
         n = 1 if args.n is None else args.n
-        if p == 2 or not is_prime(p):
+        if p == 2:
             raise ConfigError(f"p={p} is not an odd prime")
         if n < 0:
             raise ConfigError(f"n={n} is negative")
-        points, direct = lattices.enumerate_X_n(p, n)
+        try:
+            points, direct = lattices.enumerate_X_n(p, n)
+        except UnsupportedRegimeError:
+            raise ConfigError(f"p={p} is not an odd prime")
         rows.append(("count", len(points)))
         rows.append(("direct_count", direct))
         for z in points:

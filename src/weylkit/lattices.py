@@ -43,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from . import linalg
 from .errors import (
     BudgetError,
     PreconditionError,
@@ -65,17 +64,16 @@ GRAM = ((0, 0, 4), (0, 8, 0), (4, 0, 0))
 
 
 def killing_gram():
-    """Killing Gram matrix recomputed from the structure constants."""
-    def ad(i):
-        return tuple(tuple(BRACKET[i][j][k] for j in range(RANK))
-                     for k in range(RANK))
-
-    mats = [ad(i) for i in range(RANK)]
+    """Killing Gram matrix recomputed from the structure constants: the
+    matrix of ad(b_i) has the entry BRACKET[i][m][k] in row k and column
+    m, so tr(ad(b_i) ad(b_j)) is the sum over k and m of
+    BRACKET[i][m][k] * BRACKET[j][k][m], read with no matrix product."""
+    span = range(RANK)
     return tuple(
-        tuple(sum(linalg.mat_mul(mats[i], mats[j])[k][k]
-                  for k in range(RANK))
-              for j in range(RANK))
-        for i in range(RANK))
+        tuple(sum(BRACKET[i][m][k] * BRACKET[j][k][m]
+                  for k in span for m in span)
+              for j in span)
+        for i in span)
 
 
 def bracket(u, v):
@@ -112,7 +110,10 @@ def check_datum(p):
 @dataclass(frozen=True)
 class LatticeSubmodule:
     """A submodule of the rank-3 truncation, stored as the canonical
-    Hermite basis matrix of its integer-lattice preimage."""
+    Hermite basis matrix of its integer-lattice preimage.  It checks
+    nothing: `tree_points` and `candidates`, which form every submodule
+    the library builds, check the window (p, n) before either forms
+    one."""
     p: int
     n: int
     basis: tuple  # canonical upper-triangular integer matrix, rows
@@ -132,7 +133,9 @@ def canonical(p, n, rows):
     there by an extended-gcd step, a unimodular change of two generators,
     so the spanned lattice never changes and entries past column c stay
     reducible modulo D.  The pivots divide D; last, the entries above each
-    pivot are reduced into [0, pivot)."""
+    pivot are reduced into [0, pivot).  It checks nothing: `tree_points`,
+    its one caller, and `candidates` check the window (p, n) before
+    either forms a lattice."""
     scale = p ** (2 * n)
     work = [[int(x) % scale for x in row] for row in rows]
     basis = []
@@ -315,11 +318,21 @@ def _hermite_candidates(p, n):
                     yield row0, (0, d1, x12), row2
 
 
+def _check_window(p, n):
+    """check_datum(p), and the window's radius n a nonnegative int."""
+    check_datum(p)
+    require_int("lattice radius", n)
+    if n < 0:
+        raise PreconditionError(f"lattice radius n={n} is negative")
+
+
 def candidates(p, n):
     """Every lattice p^(2n) Z^3 <= Lam <= Z^3, one submodule per
-    canonical basis."""
-    for rows in _hermite_candidates(p, n):
-        yield LatticeSubmodule(p=p, n=n, basis=rows)
+    canonical basis.  The window (p, n) is checked when candidates is
+    called, before the first candidate is formed."""
+    _check_window(p, n)
+    return (LatticeSubmodule(p=p, n=n, basis=rows)
+            for rows in _hermite_candidates(p, n))
 
 
 def _is_self_dual(z):
@@ -355,19 +368,10 @@ SCAN_BUDGET = 200000
 VERTEX_BUDGET = 10000
 
 
-def _check_window(p, n):
-    """check_datum(p), and the window's radius n a nonnegative int."""
-    check_datum(p)
-    require_int("lattice radius", n)
-    if n < 0:
-        raise PreconditionError(f"lattice radius n={n} is negative")
-
-
 def _scan(p, n):
     """The candidates, raising BudgetError past SCAN_BUDGET of them.  The
     candidate stream forms no tuple it does not yield, so counting the
     candidates here bounds the work."""
-    _check_window(p, n)
     for count, z in enumerate(candidates(p, n), start=1):
         if count > SCAN_BUDGET:
             raise BudgetError("lattice enumeration budget exceeded")

@@ -3,17 +3,19 @@
 A scalar is an element of F_q[e, e^-1] inside F_q((e)): finitely many
 nonzero coefficients indexed by exponents of the uniformizer e.  Every
 element of G(K), K = F_q((e)), that the library forms has such entries:
-parsed matrices, the random Iwahori elements and their conjugates.  So
-arithmetic is exact, and a valuation is the least exponent with a
-nonzero coefficient; the valuation of zero is +infinity.
+parsed matrices, random elements of the odd Iwahori coset and the
+conjugates of a matrix by random elements of I1.  So arithmetic is
+exact, and a valuation is the least exponent with a nonzero
+coefficient; the valuation of zero is +infinity.
 
 Every scalar keeps one invariant: each stored coefficient lies in
 [1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
 negation (c -> q - c) and `shift` preserve it, so they build their
 result directly without that pass.  `_new` and `_raw` check nothing, so
 a caller that builds many scalars over one q, such as pgl2's random
-elements, checks q once and builds through them.  An operator takes a
-scalar over the same q or an int, and returns NotImplemented otherwise.
+elements, checks q once, or takes it from scalars already checked, and
+builds through them.  An operator takes a scalar over the same q or an
+int, and returns NotImplemented otherwise.
 """
 
 import math

@@ -81,6 +81,7 @@ from .errors import (
     BudgetError,
     InternalConsistencyError,
     PreconditionError,
+    require_int,
     require_prime,
 )
 
@@ -176,13 +177,6 @@ def discriminant_valuation(M):
 
 
 # -- coset enumeration -------------------------------------------------
-
-def _exact_inverse(M):
-    """Inverse of a matrix whose determinant is a monomial c e^v: the
-    adjugate times det^-1."""
-    inv = laurent.mat_det(M).inverse()
-    return ((M[1][1] * inv, -M[0][1] * inv), (-M[1][0] * inv, M[0][0] * inv))
-
 
 def _tau_conjugate(C):
     """tau^-1 C tau = [[d, c/e], [e b, a]] for tau = [[0, 1], [e, 0]]."""
@@ -284,58 +278,93 @@ def random_i2(q, rng, degree=6):
     """A random matrix in the odd Iwahori coset, exact entries: units a,
     d and integers b, c with `degree` digits each, drawn in that order,
     then the shift m, giving [[e^(m+1) c, e^m d], [e^(m+1) a, e^(m+1) b]].
-    q is tested for primality once, and each entry is built once, at its
-    shifted exponents."""
+
+    The law is uniform on digit strings: each of b and c on the q^degree
+    strings of `degree` digits in range(q), each of a and d on the
+    (q - 1) q^(degree - 1) strings whose lowest digit is nonzero, and m
+    on range(-2, 3), all independent.  Each entry takes one draw.  An
+    integer is n = rng.randrange(q^degree), whose base-q digits, lowest
+    first, are its digits: n -> (n mod q, n // q mod q, ...) is a
+    bijection from range(q^degree) onto the digit strings.  A unit is
+    divmod(rng.randrange((q - 1) q^(degree - 1)), q - 1) = (h, r), a
+    bijection onto range(q^(degree - 1)) x range(q - 1), read as the
+    lowest digit 1 + r, which ranges over the nonzero digits, and the
+    base-q digits of h above it.  So five draws make a matrix.  q is
+    tested for primality once, and each entry is built once, at its
+    shifted exponents, from its nonzero digits."""
     require_prime(q)
+    require_int("degree", degree)
+    if degree < 1:
+        raise PreconditionError(f"degree {degree} is less than 1")
 
-    def unit():
-        first = rng.randrange(1, q)
-        return [first] + [rng.randrange(q) for _ in range(1, degree)]
-
-    def integer():
-        return [rng.randrange(q) for _ in range(degree)]
-
-    def entry(digits, shift):
-        return laurent._new(q, {k + shift: c for k, c in enumerate(digits)})
-
-    a, d = unit(), unit()
-    b, c = integer(), integer()
+    a, d = (divmod(rng.randrange((q - 1) * q ** (degree - 1)), q - 1)
+            for _ in range(2))
+    b, c = (rng.randrange(q ** degree) for _ in range(2))
     m = rng.randrange(-2, 3)
+
+    def digits(n, low):
+        """The nonzero base-q digits of n at exponents low, low + 1, ..."""
+        out = {}
+        while n:
+            n, r = divmod(n, q)
+            if r:
+                out[low] = r
+            low += 1
+        return out
+
+    def unit(high_r, low):
+        high, r = high_r
+        return laurent._raw(q, {low: 1 + r, **digits(high, low + 1)})
+
     return (
-        (entry(c, m + 1), entry(d, m)),
-        (entry(a, m + 1), entry(b, m + 1)),
+        (laurent._raw(q, digits(c, m + 1)), unit(d, m)),
+        (unit(a, m + 1), laurent._raw(q, digits(b, m + 1))),
     )
 
 
-def random_i1(q, rng, length=4):
-    """A random element of I1 with exactly invertible determinant: the
-    identity times `length` generators, each drawn with its kind,
-    [[1, x], [0, 1]] with x at e^0..e^2, [[1, 0], [x, 1]] with x at
-    e^1..e^3, or [[u, 0], [0, 1]] with u a nonzero constant.  A generator
-    changes one column of the product, so each step forms two products:
-    the second column gains x times the first, the first gains x times
-    the second, or the first is scaled by u.  q is tested for primality
-    once."""
-    require_prime(q)
-    one, zero = laurent._raw(q, {0: 1}), laurent._raw(q, {})
-    (a, b), (c, d) = (one, zero), (zero, one)
+def random_i1_conjugate(g, rng, length=4):
+    """h^-1 g h for a random h in I1: h = s_1 ... s_length, each s_i a
+    generator drawn with its kind, [[1, x], [0, 1]] with x at e^0..e^2,
+    [[1, 0], [x, 1]] with x at e^1..e^3, or [[u, 0], [0, 1]] with u a
+    nonzero constant.  Each generator draws its kind and then its x or u,
+    and g is conjugated by it as soon as it is drawn:
+    h^-1 g h = s_length^-1 (... (s_1^-1 g s_1) ...) s_length.
+
+    For g = [[a, b], [c, d]] the three steps are these.  The upper
+    generator has inverse [[1, -x], [0, 1]], and
+
+        g s = [[a, a x + b], [c, c x + d]],
+        s^-1 g s = [[a - x c, b + x (a - d) - x^2 c], [c, d + x c]],
+
+    so with y = x c the entries become (a - y, b + x (a - d - y), c,
+    d + y).  The lower generator has inverse [[1, 0], [-x, 1]], and
+
+        g s = [[a + b x, b], [c + d x, d]],
+        s^-1 g s = [[a + x b, b], [c + x (d - a) - x^2 b, d - x b]],
+
+    so with y = x b they become (a + y, b, c + x (d - a - y), d - y).
+    The diagonal one gives [[a, b u^-1], [c u, d]]: u is a unit of F_q,
+    so scaling each coefficient of b by u^-1 and of c by u modulo q
+    keeps them in [1, q).  A step forms at most two products and no
+    inverse.  q is that of g's entries, checked when they were built."""
+    (a, b), (c, d) = g
+    q = a.q
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
             x = laurent._new(q, {k: rng.randrange(q) for k in range(3)})
-            b, d = a * x + b, c * x + d
+            y = x * c
+            a, b, d = a - y, b + x * (a - d - y), d + y
         elif kind == 1:
             x = laurent._new(q, {k: rng.randrange(q) for k in range(1, 4)})
-            a, c = a + b * x, c + d * x
+            y = x * b
+            a, c, d = a + y, c + x * (d - a - y), d - y
         else:
-            u = laurent._raw(q, {0: rng.randrange(1, q)})
-            a, c = a * u, c * u
+            u = rng.randrange(1, q)
+            v = pow(u, -1, q)
+            b = laurent._raw(q, {k: t * v % q for k, t in b.coeffs.items()})
+            c = laurent._raw(q, {k: t * u % q for k, t in c.coeffs.items()})
     return ((a, b), (c, d))
-
-
-def conjugate_exact(g, h):
-    """h^-1 g h for h with monomial-unit determinant."""
-    return laurent.mat_mul(_exact_inverse(h), laurent.mat_mul(g, h))
 
 
 # -- homology window models --------------------------------------------

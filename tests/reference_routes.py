@@ -2,7 +2,8 @@
 
 Each builds what the library's own route avoids building: every matrix
 of a level of the fixed-point walk as a product of matrices, the
-discriminant as a product of Laurent polynomials, a Weyl element
+discriminant as a product of Laurent polynomials, an I1-conjugate as a
+random element of I1 and two 2x2 products with its inverse, a Weyl element
 multiplied out letter by letter and inverted by transposes, the reduced
 word of each conjugate a coset generator makes, the coset geometry's
 tables from full Weyl lifts and Schreier products, the Witt zero from
@@ -17,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from weylkit import lattices, laurent, linalg, pgl2, weyl, witt
+from weylkit.errors import require_prime
 from weylkit.laurent import LaurentScalar
 
 
@@ -84,6 +86,44 @@ def discriminant_by_products(M):
     d = LaurentScalar(q, D).shift(-m)
     expr = ((b + c) * (b + c) - b * c * 4).shift(2) - (a * d).shift(1)
     return expr.valuation()
+
+
+def random_i1(q, rng, length=4):
+    """A random element of I1 with exactly invertible determinant: the
+    identity times `length` generators, each drawn with its kind,
+    [[1, x], [0, 1]] with x at e^0..e^2, [[1, 0], [x, 1]] with x at
+    e^1..e^3, or [[u, 0], [0, 1]] with u a nonzero constant.  A generator
+    changes one column of the product, so each step forms two products:
+    the second column gains x times the first, the first gains x times
+    the second, or the first is scaled by u.  q is tested for primality
+    once."""
+    require_prime(q)
+    one, zero = laurent._raw(q, {0: 1}), laurent._raw(q, {})
+    (a, b), (c, d) = (one, zero), (zero, one)
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(3)})
+            b, d = a * x + b, c * x + d
+        elif kind == 1:
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(1, 4)})
+            a, c = a + b * x, c + d * x
+        else:
+            u = laurent._raw(q, {0: rng.randrange(1, q)})
+            a, c = a * u, c * u
+    return ((a, b), (c, d))
+
+
+def exact_inverse(M):
+    """Inverse of a matrix whose determinant is a monomial c e^v: the
+    adjugate times det^-1."""
+    inv = laurent.mat_det(M).inverse()
+    return ((M[1][1] * inv, -M[0][1] * inv), (-M[1][0] * inv, M[0][0] * inv))
+
+
+def conjugate_exact(g, h):
+    """h^-1 g h for h with monomial-unit determinant, multiplied out."""
+    return _conjugate(g, h, exact_inverse(h))
 
 
 def from_word(datum, word):

@@ -134,6 +134,19 @@ def test_pgl2_tests_q_for_primality_once(monkeypatch, op):
     assert calls == [3]
 
 
+def test_witt_enum_tests_p_for_primality_once(monkeypatch):
+    # enumerate_X_n's gate decides p once; the command keeps only its
+    # own p = 2 refusal
+    from weylkit import errors
+    calls = []
+    least_prime_factor = errors.least_prime_factor
+    monkeypatch.setattr(errors, "least_prime_factor",
+                        lambda k: calls.append(k) or least_prime_factor(k))
+    code, out, _ = run_cli(["witt", "--enum", "--p", "3", "--n", "1"])
+    assert code == 0
+    assert calls == [3]
+
+
 def test_witt_subcommand():
     code, out, _ = run_cli(["witt", "--p", "3", "--m", "2"])
     assert code == 0
@@ -151,6 +164,8 @@ def test_witt_enum_subcommand():
 @pytest.mark.parametrize("argv", [
     ["witt", "--enum", "--p", "0"],
     ["witt", "--enum", "--p", "2"],
+    ["witt", "--enum", "--p", "9"],
+    ["witt", "--enum", "--p", "-3"],
     ["witt", "--enum", "--n", "-1"],
     ["witt", "--p", "0"],
     ["witt", "--p", "4"],

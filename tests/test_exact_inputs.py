@@ -31,6 +31,7 @@ from weylkit.witt import WittScalar, oracle_check
     (lambda: WittScalar(3, 2.0, (1, 1)), "Witt length 2.0"),
     (lambda: oracle_check(3, 2.0), "Witt length 2.0"),
     (lambda: lattices.enumerate_X_n(3.0, 1), "prime 3.0"),
+    (lambda: pgl2.random_i2(3, random.Random(1), 2.0), "degree 2.0"),
     (lambda: Cyc.zeta(2.0), "conductor 2.0"),
     (lambda: Cyc.zeta(3, 1.0), "exponent 1.0"),
     (lambda: Cyc(3.0, (1, 0)), "conductor 3.0"),
@@ -38,6 +39,12 @@ from weylkit.witt import WittScalar, oracle_check
 def test_a_non_int_input_is_refused(build, what):
     with pytest.raises(PreconditionError, match=f"^{what}.* is not an int$"):
         build()
+
+
+def test_a_random_odd_coset_element_has_at_least_one_digit():
+    for degree in (0, -1):
+        with pytest.raises(PreconditionError, match="is less than 1"):
+            pgl2.random_i2(3, random.Random(1), degree)
 
 
 def test_a_bool_counts_as_its_int():
@@ -77,13 +84,13 @@ PRIME_ENTRIES = {
     "LaurentScalar": lambda p: LaurentScalar(p, {0: 1}),
     "parse_matrix": lambda p: parse_matrix("0,1;e,0", p),
     "random_i2": lambda p: pgl2.random_i2(p, random.Random(1)),
-    "random_i1": lambda p: pgl2.random_i1(p, random.Random(1)),
     "WittScalar": lambda p: WittScalar(p, 2, (1, 1)),
     "oracle_check": lambda p: oracle_check(p, 1),
     "enumerate_X_n": lambda p: lattices.enumerate_X_n(p, 1),
     "scan_points": lambda p: lattices.scan_points(p, 1),
     "tree_points": lambda p: lattices.tree_points(p, 1),
     "borel_fiber_count": lambda p: lattices.borel_fiber_count(p),
+    "candidates": lambda p: lattices.candidates(p, 1),
 }
 
 
@@ -100,7 +107,8 @@ def test_every_prime_entry_refuses_a_non_prime(entry, p, error):
 
 @pytest.mark.parametrize("walk", [lattices.enumerate_X_n,
                                   lattices.scan_points,
-                                  lattices.tree_points])
+                                  lattices.tree_points,
+                                  lattices.candidates])
 @pytest.mark.parametrize("n, what", [
     (1.0, "lattice radius 1.0 is not an int"),
     (Fraction(1), "lattice radius Fraction"),

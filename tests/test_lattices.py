@@ -24,6 +24,39 @@ def test_gram_matrix_matches_structure_constants():
     assert lattices.killing_gram() == lattices.GRAM
 
 
+def _killing_gram_by_products():
+    """tr(ad(b_i) ad(b_j)) from the ad matrices and their products."""
+    mats = [tuple(tuple(lattices.BRACKET[i][j][k] for j in range(3))
+                  for k in range(3)) for i in range(3)]
+    return tuple(tuple(sum(linalg.mat_mul(x, y)[k][k] for k in range(3))
+                       for y in mats) for x in mats)
+
+
+def test_killing_gram_is_the_trace_of_the_ad_products(monkeypatch):
+    # On random integer structure constants, Lie or not, the traces read
+    # entry by entry are those of the multiplied-out ad matrices.
+    rng = random.Random(5)
+    for _ in range(50):
+        table = tuple(tuple(tuple(rng.randrange(-3, 4) for _ in range(3))
+                            for _ in range(3)) for _ in range(3))
+        monkeypatch.setattr(lattices, "BRACKET", table)
+        assert lattices.killing_gram() == _killing_gram_by_products()
+
+
+@pytest.mark.parametrize("i, j, k, value", [
+    (2, 0, 1, -2),   # [f, e] = -2h
+    (1, 0, 0, 3),    # [h, e] = 3e
+    (0, 2, 1, 0),    # [e, f] = 0
+])
+def test_a_corrupted_bracket_entry_fails_the_datum_check(
+        monkeypatch, i, j, k, value):
+    table = [[list(v) for v in row] for row in lattices.BRACKET]
+    table[i][j][k] = value
+    monkeypatch.setattr(lattices, "BRACKET", table)
+    with pytest.raises(StructuralError, match="stored Gram matrix"):
+        lattices.check_datum(3)
+
+
 def test_bracket_antisymmetry_and_jacobi():
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for u in basis:

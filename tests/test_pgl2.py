@@ -14,9 +14,12 @@ from weylkit.errors import (
 from weylkit.laurent import LaurentScalar
 from reference_routes import (
     children,
+    conjugate_exact,
     conjugate_levels,
     discriminant_by_products,
     edge,
+    exact_inverse,
+    random_i1,
     tau_conjugate,
 )
 
@@ -39,8 +42,8 @@ def test_random_i1_closed_under_multiplication():
     rng = random.Random(11)
     for q in (2, 3):
         for _ in range(15):
-            a = pgl2.random_i1(q, rng)
-            b = pgl2.random_i1(q, rng)
+            a = random_i1(q, rng)
+            b = random_i1(q, rng)
             assert pgl2.iwahori_class(laurent.mat_mul(a, b)) == "I1"
 
 
@@ -49,8 +52,7 @@ def test_conjugation_preserves_class_and_discriminant():
     for q in (2, 3):
         g = laurent.parse_matrix("0,1;e,0", q)
         for _ in range(10):
-            h = pgl2.random_i1(q, rng)
-            gp = pgl2.conjugate_exact(g, h)
+            gp = pgl2.random_i1_conjugate(g, rng)
             assert pgl2.iwahori_class(gp) == "I2"
             assert pgl2.discriminant_valuation(gp) == 1
 
@@ -66,8 +68,8 @@ def test_fixed_point_count_stable_under_conjugation():
     for q in (2, 3):
         g = laurent.parse_matrix("0,1;e,0", q)
         for _ in range(5):
-            h = pgl2.random_i1(q, rng)
-            assert pgl2.fixed_point_count(pgl2.conjugate_exact(g, h)) == 2
+            assert pgl2.fixed_point_count(
+                pgl2.random_i1_conjugate(g, rng)) == 2
 
 
 # -- an independent route to the coset conjugates ------------------------
@@ -188,7 +190,7 @@ def test_i2_nodes_occur_only_at_level_0():
     rng = random.Random(43)
     for q in (2, 3):
         tau = laurent.parse_matrix("0,1;e,0", q)
-        elements = [tau] + [pgl2.conjugate_exact(tau, pgl2.random_i1(q, rng))
+        elements = [tau] + [pgl2.random_i1_conjugate(tau, rng)
                             for _ in range(4)]
         for g in elements:
             counts = [sum(pgl2.iwahori_class(m) == "I2" for m in level)
@@ -225,8 +227,7 @@ def test_fixed_point_count_matches_build_then_classify():
         rng = random.Random(41 + q)
         base = laurent.parse_matrix("0,1;e,0", q)
         sources = [pgl2.random_i2(q, rng, degree=12) for _ in range(3)]
-        sources += [pgl2.conjugate_exact(base, pgl2.random_i1(q, rng))
-                    for _ in range(2)]
+        sources += [pgl2.random_i1_conjugate(base, rng) for _ in range(2)]
         sources += [_random_exact_matrix(q, rng) for _ in range(20)]
         for source in sources:
             got = _full_outcome(pgl2.fixed_point_count, source)
@@ -331,8 +332,8 @@ def test_exact_i2_children_read_b_and_c_before_a_and_d():
         sources = [laurent.parse_matrix(text, q) for text in
                    ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
         sources += [_random_exact_matrix(q, rng) for _ in range(12)]
-        sources += [pgl2.conjugate_exact(
-                        base, pgl2._exact_inverse(_word_matrix(q, word)))
+        sources += [conjugate_exact(
+                        base, exact_inverse(_word_matrix(q, word)))
                     for word in (((1, 1),), ((0, q - 1),),
                                  ((1, 0), (0, 1)))]
         for g in sources:
@@ -498,16 +499,20 @@ def test_tau_turns_the_letter_1_edges_into_the_letter_0_edges():
 
 
 def _random_i2_by_shifts(q, rng, degree=6):
-    """`pgl2.random_i2` by its former route: each entry built at
-    exponents 0..degree-1, then shifted."""
+    """`pgl2.random_i2` through the public constructor: one draw per
+    entry, its base-q digits read by powers of q, each entry built at
+    exponents 0..degree-1 and then shifted."""
+    def digits(n, count):
+        return [n // q ** k % q for k in range(count)]
+
     def unit():
-        coeffs = {0: rng.randrange(1, q)}
-        for k in range(1, degree):
-            coeffs[k] = rng.randrange(q)
-        return LaurentScalar(q, coeffs)
+        high, r = divmod(rng.randrange((q - 1) * q ** (degree - 1)), q - 1)
+        return LaurentScalar(q, dict(enumerate([1 + r]
+                                               + digits(high, degree - 1))))
 
     def integer():
-        return LaurentScalar(q, {k: rng.randrange(q) for k in range(degree)})
+        return LaurentScalar(
+            q, dict(enumerate(digits(rng.randrange(q ** degree), degree))))
 
     a, d = unit(), unit()
     b, c = integer(), integer()
@@ -525,8 +530,58 @@ def test_random_i2_matches_construct_then_shift():
             assert got.random() == want.random()
 
 
+class _ScriptedRandom:
+    """A stand-in for random.Random whose randrange returns the next
+    value of a script, recording the range asked for each."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+        self.ranges = []
+
+    def randrange(self, start, stop=None):
+        self.ranges.append((start, stop))
+        value = next(self.script)
+        assert value in (range(start) if stop is None
+                         else range(start, stop))
+        return value
+
+
+def test_random_i2_draws_each_digit_string_once():
+    # Scripted to return every integer of each range once, random_i2
+    # makes each unit digit string (lowest digit nonzero) and each
+    # integer digit string exactly once, and each shift once: the draws
+    # are bijections onto the strings, so the law is uniform on them.
+    for q in (2, 3, 5):
+        for degree in (1, 2, 3):
+            units, integers = (q - 1) * q ** (degree - 1), q ** degree
+            strings = list(itertools.product(range(q), repeat=degree))
+            unit_strings = [s for s in strings if s[0]]
+            seen = {"a": [], "d": [], "b": [], "c": [], "m": []}
+            scripts = ([(u, u, 0, 0, 0) for u in range(units)]
+                       + [(0, 0, n, n, 0) for n in range(integers)]
+                       + [(0, 0, 0, 0, m) for m in range(-2, 3)])
+            for script in scripts:
+                rng = _ScriptedRandom(script)
+                m, A, B, C, D = pgl2.i2_normal_form(
+                    pgl2.random_i2(q, rng, degree))
+                assert rng.ranges == [(units, None)] * 2 \
+                    + [(integers, None)] * 2 + [(-2, 3)]
+                for name, X, low in (("a", A, m + 1), ("d", D, m),
+                                     ("b", B, m + 1), ("c", C, m + 1)):
+                    assert min(X, default=low) >= low
+                    assert max(X, default=low) < low + degree
+                    seen[name].append(
+                        tuple(X.get(low + k, 0) for k in range(degree)))
+                seen["m"].append(m)
+            for name in "ad":
+                assert sorted(seen[name][:units]) == unit_strings
+            for name in "bc":
+                assert sorted(seen[name][units:units + integers]) == strings
+            assert seen["m"][-5:] == [-2, -1, 0, 1, 2]
+
+
 def _random_i1_by_mat_mul(q, rng, length=4):
-    """`pgl2.random_i1` by its former route: each generator a whole
+    """The reference `random_i1` by its former route: each generator a whole
     matrix, multiplied onto the product with the generic
     `laurent.mat_mul`."""
     one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
@@ -547,15 +602,32 @@ def _random_i1_by_mat_mul(q, rng, length=4):
 
 
 def test_random_i1_matches_generic_mat_mul():
-    # The same matrices from the same draws, and the generator left in
-    # the same state.
+    # The reference random_i1 gives the same matrices from the same
+    # draws, and leaves the generator in the same state.
     for q in (2, 3, 5, 7):
         for length in (1, 4, 8):
             got, want = random.Random(q), random.Random(q)
             for _ in range(30):
-                assert _key(pgl2.random_i1(q, got, length)) \
+                assert _key(random_i1(q, got, length)) \
                     == _key(_random_i1_by_mat_mul(q, want, length))
             assert got.random() == want.random()
+
+
+def test_random_i1_conjugate_matches_conjugate_exact():
+    # One conjugation step per generator gives h^-1 g h for the h the
+    # reference random_i1 multiplies out from the same draws, and leaves
+    # the generator in the same state: tau, an I2 element and an element
+    # of neither coset.
+    for q in (2, 3, 5, 7):
+        for text in ("0,1;e,0", "e,1+e;e+e2,e2", "1+e,2e+e3;e2,1"):
+            g = laurent.parse_matrix(text, q)
+            for length in (1, 4, 8):
+                got, want = random.Random(q), random.Random(q)
+                for _ in range(30):
+                    assert _key(pgl2.random_i1_conjugate(g, got, length)) \
+                        == _key(conjugate_exact(g, random_i1(q, want,
+                                                             length)))
+                assert got.random() == want.random()
 
 
 def _discriminant_outcome(M):
@@ -585,7 +657,7 @@ def test_discriminant_scan_matches_the_product_formula():
         tau = laurent.parse_matrix("0,1;e,0", q)
         sources = [pgl2.random_i2(q, rng, degree)
                    for degree in (1, 4, 8, 12) for _ in range(10)]
-        sources += [pgl2.conjugate_exact(tau, pgl2.random_i1(q, rng, length))
+        sources += [pgl2.random_i1_conjugate(tau, rng, length)
                     for length in (1, 4, 8) for _ in range(5)]
         for M in sources:
             assert _discriminant_outcome(M) == _product_outcome(M) == 1
@@ -629,10 +701,11 @@ def test_discriminant_scan_reads_coefficients_past_the_normal_form(
 def test_discriminant_forms_no_product_and_builds_no_scalar(monkeypatch):
     # C6 formed four Laurent products per discriminant, 1,200 in all, and
     # now forms none: it builds the four entries of each of its 300
-    # inputs and nothing else.  C7 formed 2,160, 32 in each of its 40
-    # `random_i1` (four generic 2x2 products) and 22 in each
-    # `conjugate_exact`; each generator now forms two, so 8 + 22 per
-    # input.
+    # inputs and nothing else.  C7 formed 1,200, 8 in each of its 40
+    # random elements of I1 and 22 in each conjugation by one, and now
+    # conjugates by each generator as it is drawn: two products for an
+    # upper or lower generator, none for a diagonal one, and 104 of its
+    # 160 generators are upper or lower.
     mul, new, raw = LaurentScalar.__mul__, laurent._new, laurent._raw
     products, constructed = [], []
 
@@ -661,7 +734,7 @@ def test_discriminant_forms_no_product_and_builds_no_scalar(monkeypatch):
     assert len(constructed) == 4 * 300
     assert checks._c7_fixed_points() \
         == "42 elements, every fixed-point count is 2"
-    assert len(products) == 40 * (8 + 22) == 1200
+    assert len(products) == 2 * 104 == 208
 
 
 def test_module_generation_and_coinvariants():

@@ -36,9 +36,12 @@ _OMEGA = ("the extended group Omega; ROADMAP item 5 makes it a registry"
 # Unreached names, each with the reason it stays.  mat_inv and
 # row_reduce lost their last src/ caller when the coset geometry's
 # lattice basis became an integer forward substitution; tests still use
-# mat_inv as a reference.
+# mat_inv as a reference.  laurent.mat_mul lost its last one when C7
+# began conjugating by each generator as it is drawn; the reference
+# routes still multiply with it.
 KEPT = {
     "__init__.__version__": "the package version",
+    "laurent.mat_mul": _LAYERTRACE,
     "linalg.mat_inv": _LAYERTRACE,
     "linalg.row_reduce": _LAYERTRACE,
     "linalg.snf_diag": _LAYERTRACE,
