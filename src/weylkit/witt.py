@@ -186,8 +186,11 @@ def oracle_check(p, m):
     """Exhaustively verify that phi: W_m(F_p) -> Z/p^m is a ring
     isomorphism, in the three passes of the module docstring.  Returns
     True, False on a value or a pair that disagrees, or raises;
-    PreconditionError for m < 1 and BudgetError when the p^(2m) pairs
-    exceed ORACLE_PAIR_BUDGET, both before any image is built."""
+    UnsupportedRegimeError for a p that is not a prime, PreconditionError
+    for m < 1 and BudgetError when the p^(2m) pairs exceed
+    ORACLE_PAIR_BUDGET, all before any image is built.  (p, m) is gated
+    once: each image is built from its ghost, since digits[k] are m ints
+    in [0, p)."""
     require_prime(p)
     require_int("Witt length", m)
     if m < 1:
@@ -200,7 +203,7 @@ def oracle_check(p, m):
                               f" exceeds the budget of {ORACLE_PAIR_BUDGET}")
     order = p ** m
     digits = [_digits(k, p, m) for k in range(order)]
-    images = [WittScalar(p, m, xs) for xs in digits]
+    images = [_new(p, m, _ghost(p, m, xs)) for xs in digits]
     if any(w.ghost != k for k, w in enumerate(images)):
         return False
     if any(w.components != xs for w, xs in zip(images, digits)):

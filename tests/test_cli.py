@@ -147,6 +147,24 @@ def test_witt_enum_tests_p_for_primality_once(monkeypatch):
     assert calls == [3]
 
 
+@pytest.mark.parametrize("p, m, code, calls", [
+    ("3", "2", 0, 3),
+    ("11", "2", 0, 3),
+    # the pair budget refuses after the one trial division
+    ("999999999989", "1", 1, 1),
+])
+def test_witt_tests_p_for_primality_once(monkeypatch, p, m, code, calls):
+    # oracle_check gates p once and builds its images without the gate;
+    # witt_one and from_integer each gate once more
+    from weylkit import errors
+    seen = []
+    least_prime_factor = errors.least_prime_factor
+    monkeypatch.setattr(errors, "least_prime_factor",
+                        lambda k: seen.append(k) or least_prime_factor(k))
+    assert run_cli(["witt", "--p", p, "--m", m])[0] == code
+    assert seen == [int(p)] * calls
+
+
 def test_witt_subcommand():
     code, out, _ = run_cli(["witt", "--p", "3", "--m", "2"])
     assert code == 0
@@ -181,6 +199,21 @@ def test_witt_bad_values_are_usage_errors(argv):
     assert out == ""
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p, m, message", [
+    # a p that is not a prime wins over a bad m
+    ("4", "0", "p=4 is not a prime"),
+    ("1", "2", "p=1 is not a prime"),
+    ("-3", "2", "p=-3 is not a prime"),
+    ("3", "0", "m=0 is not positive"),
+    ("2", "0", "m=0 is not positive"),
+])
+def test_witt_oracle_usage_lines(p, m, message):
+    code, out, err = run_cli(["witt", "--p", p, "--m", m])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

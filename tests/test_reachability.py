@@ -1,5 +1,6 @@
 """Every top-level name in src/weylkit is reached, or KEPT says why not;
-every class member is read, or KEPT_MEMBERS says why not.
+every module has a reached name; every class member is read, or
+KEPT_MEMBERS says why not.
 
 A name is reached when a reached definition or a module-level statement
 (other than a definition or an import) of src/weylkit references it, or
@@ -30,8 +31,6 @@ BENCH = ROOT / "perfbench"
 
 _LAYERTRACE = ("perfbench/layertrace.py wraps it by name: LayerTrace.install"
                " raises KeyError when a target is missing")
-_OMEGA = ("the extended group Omega; ROADMAP item 5 makes it a registry"
-          " row, and no src/ module imports omega yet")
 
 # Unreached names, each with the reason it stays.  mat_inv and
 # row_reduce lost their last src/ caller when the coset geometry's
@@ -48,7 +47,6 @@ KEPT = {
     "lattices.enumerate_isotropic": _LAYERTRACE,
     "lattices.enumerate_self_dual": _LAYERTRACE,
 }
-KEPT_MODULES = {"omega": _OMEGA}
 
 # Unread class members, "module.Class.member", each with the reason it
 # stays.
@@ -204,13 +202,14 @@ def package_members():
 
 def test_the_unreached_names_are_exactly_the_kept_ones():
     names, gaps = unreached()
-    modules = {n.partition(".")[0] for n in names}
-    assert set(KEPT_MODULES) <= modules, "KEPT modules that no longer exist"
-    kept = set(KEPT) | {n for n in names
-                        if n.partition(".")[0] in KEPT_MODULES}
-    assert gaps - kept == set(), "unreached and not KEPT"
+    assert gaps - set(KEPT) == set(), "unreached and not KEPT"
     assert set(KEPT) - names == set(), "KEPT names that no longer exist"
-    assert kept - gaps == set(), "KEPT names that are now reached"
+    assert set(KEPT) - gaps == set(), "KEPT names that are now reached"
+    # every module has a reached name; __init__ runs on every import of
+    # the package, and its one name is KEPT
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules - {n.partition(".")[0] for n in names - gaps} == set(), \
+        "modules that nothing reaches"
 
 
 def test_the_walk_starts_at_the_cli_and_follows_calls():
