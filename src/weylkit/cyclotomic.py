@@ -12,12 +12,15 @@ shifts coefficient 0 under + and -, scales every coefficient under *,
 and under == it must equal coefficient 0 while every other coefficient
 is zero.  Any other operand, a float or a str say, is refused: the
 operators return NotImplemented and the constructors raise
-PreconditionError.  Two scalars of larger conductor are unified to the
-least common multiple; equality is then coefficient equality.  Only the
-operations the character computations need are provided: ring
-arithmetic, complex conjugation, and division by rationals.
+PreconditionError, as Cyc does for coefficients that are not a sequence
+(None, an int, or a dict, whose keys iteration would read).  Two scalars
+of larger conductor are unified to the least common multiple; equality
+is then coefficient equality.  Only the operations the character
+computations need are provided: ring arithmetic, complex conjugation,
+and division by rationals.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
@@ -142,6 +145,9 @@ class Cyc:
 
     def __init__(self, m, coeffs):
         require_int("conductor", m)
+        if not isinstance(coeffs, Sequence):
+            raise PreconditionError(f"coefficients {coeffs!r} are not a"
+                                    f" sequence")
         deg, _ = _table(m)
         coeffs = tuple(_coerce(c) for c in coeffs)
         if len(coeffs) != deg:

@@ -41,6 +41,17 @@ def test_a_non_int_input_is_refused(build, what):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda value: Cyc(3, value),
+    lambda value: WittScalar(3, 2, value),
+])
+@pytest.mark.parametrize("value", [None, 5, {1: 2}, {0: 1, 1: 1}])
+def test_coefficients_that_are_not_a_sequence_are_refused(build, value):
+    # None and an int are not iterable, and a dict would give its keys
+    with pytest.raises(PreconditionError, match="are not a sequence$"):
+        build(value)
+
+
 def test_a_random_odd_coset_element_has_at_least_one_digit():
     for degree in (0, -1):
         with pytest.raises(PreconditionError, match="is less than 1"):

@@ -131,6 +131,19 @@ def _readout_with_exponent_one_after_the_first_term(p, m, g):
     return tuple(out)
 
 
+def _lift_sum_without_its_first_term(p, xs, ys):
+    """The Witt sum over Z with the i = 0 term of sum_{i<n} p^i
+    s_i^(p^(n-i)) dropped: wrong from n = 1."""
+    out = []
+    for n in range(len(xs)):
+        total = sum(p ** i * (x ** p ** (n - i) + y ** p ** (n - i))
+                    for i, (x, y) in enumerate(zip(xs[:n + 1], ys)))
+        total -= sum(p ** i * s ** p ** (n - i)
+                     for i, s in enumerate(out) if i > 0)
+        out.append(total // p ** n)
+    return out
+
+
 def _rows_that_backtrack(root, q):
     """The walk's rows, and below each level-1 node X the letter-1
     children of X itself as well, so a word may undo its last step: the
@@ -395,6 +408,9 @@ FAULTS = {
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
+    "witt successor walk drops the i = 0 term": (
+        [(witt, "_lift_sum", _lift_sum_without_its_first_term)], {"C9"},
+        lambda: witt._lift_sum(3, (2, 0), (1, 0))),
     "weyl coset generators read ss.mat's columns": (
         [(weyl, "_permutes_simple_roots",
           _permutes_simple_roots_read_off_mat)], {"C1"},

@@ -81,6 +81,27 @@ def _assert_matches_structure_polynomials(p, m):
                 tuple(_eval_mod(s, values, p) for s in prods)
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_the_walks_integer_sums_reduce_to_the_structure_polynomials(p, m):
+    # the oracle's sum over Z, reduced mod p, is S_n of every pair
+    sums, _ = _structure_polynomials(p, m)
+    vectors = list(itertools.product(range(p), repeat=m))
+    for xs in vectors:
+        for ys in vectors:
+            assert [s % p for s in witt._lift_sum(p, xs, ys)] == \
+                [_eval_mod(s, xs + ys, p) for s in sums]
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (7, 3)])
+def test_the_walks_integers_stay_within_the_derived_bound(p, m):
+    # every component of t_k + 1 over Z is at most p^(p^n) in size, the
+    # bound the module docstring derives for the budget
+    one = (1,) + (0,) * (m - 1)
+    for k in range(p ** m):
+        sums = witt._lift_sum(p, witt._digits(k, p, m), one)
+        assert all(abs(s) <= p ** p ** n for n, s in enumerate(sums))
+
+
 def test_structure_polynomials_p3_m2_first_components():
     add, mul = _structure_polynomials(3, 2)
     # first component of the sum is plain addition of the first coordinates
@@ -173,6 +194,16 @@ def test_oracle_rejects_a_ring_relabelled_by_base_p_digits(monkeypatch):
     assert witt.oracle_check(p, m) is False
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_the_successor_walk_rejects_base_p_digits(p, m):
+    # k -> the base-p digits of k is a bijection onto F_p^m, but k + 1
+    # under the Witt sum law leaves it at the first carry
+    digits = [witt._digits(k, p, m) for k in range(p ** m)]
+    assert witt._successor_walk(p, m, digits)
+    base_p = [tuple(k // p ** i % p for i in range(m)) for k in range(p ** m)]
+    assert not witt._successor_walk(p, m, base_p)
+
+
 def test_from_integer_is_additive():
     p, m = 3, 2
     for a in range(9):
@@ -238,12 +269,22 @@ def test_a_scalar_is_its_ghost(p, m, data):
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (2, 4)])
 def test_the_oracle_reads_each_value_once_and_operations_never(
         monkeypatch, p, m):
+    # and it runs p^m sums and 2 p^m products, a linear pass, not one
+    # over pairs
     readouts = []
     readout = witt._readout
     monkeypatch.setattr(witt, "_readout",
                         lambda *args: readouts.append(args) or readout(*args))
+    calls = []
+    for name in ("__add__", "__mul__"):
+        op = getattr(witt.WittScalar, name)
+        monkeypatch.setattr(
+            witt.WittScalar, name,
+            lambda x, y, name=name, op=op: calls.append(name) or op(x, y))
     assert witt.oracle_check(p, m)
     assert sorted(readouts) == [(p, m, k) for k in range(p ** m)]
+    assert calls.count("__add__") == p ** m
+    assert calls.count("__mul__") == 2 * p ** m
     x, y = witt.from_integer(p + 1, p, m), witt.from_integer(-1, p, m)
     readouts.clear()
     x + y
