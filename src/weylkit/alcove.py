@@ -54,10 +54,10 @@ from math import gcd, lcm
 
 from . import linalg, weyl
 from .errors import (
-    BudgetError,
     NodeSubsetError,
     PreconditionError,
     StructuralError,
+    charge,
 )
 
 _QUOTIENT_CAP = 200000
@@ -149,8 +149,7 @@ class CosetGeometry:
                     index[key] = len(blocks)
                     blocks.append(block)
                     words.append((k,) + words[head])
-                    if len(blocks) > _QUOTIENT_CAP:
-                        raise BudgetError("finite quotient exceeds the size cap")
+                    charge("finite quotient", len(blocks), _QUOTIENT_CAP)
                 left[k].append(index[key])
             head += 1
         # words[i] multiplies left-to-right: element i is the product of
@@ -257,7 +256,8 @@ def p_J(datum, J, d):
 def torus_stabilizer(datum, J, t, S):
     """The lift check: whether the subgroup generated by
     {ss_k : k in Sc - J} maps injectively onto the stabilizer of the
-    torus point t in W_Jc."""
+    torus point t in W_Jc.  The subgroup is finite on correct data, so its
+    _QUOTIENT_CAP is no budget: passing it is a StructuralError."""
     geo = geometry(datum, J)
     lift_letters = [k for k in geo.jcheck if k not in set(S)]
     # Enumerate the subgroup of the full minimal-coset group generated by
@@ -299,15 +299,12 @@ def sample_grid(datum, J, max_denominator):
     Only implemented for complements of size 2 (the configurations the
     verification suite samples, see `grid_nodes`); returns
     LevelOnePoints lying in cells C_S with S inside the complement of J.
-    A grid of more than GRID_WORK_BUDGET candidates raises BudgetError
-    before it forms a point.
+    Its candidates are charged against GRID_WORK_BUDGET before any point.
     """
     ka, kb = grid_nodes(datum, J)
     candidates = max_denominator * (max_denominator + 3) // 2
-    if candidates > GRID_WORK_BUDGET:
-        raise BudgetError(
-            f"grid to denominator {max_denominator} would visit {candidates}"
-            f" candidate points, more than the budget of {GRID_WORK_BUDGET}")
+    charge(f"grid to denominator {max_denominator} of {candidates} candidate"
+           " points", candidates, GRID_WORK_BUDGET)
     na, nb = datum.marks[ka], datum.marks[kb]
     points = []
     for q in range(1, max_denominator + 1):

@@ -46,7 +46,7 @@ class UnsupportedLabelError(WeylkitError):
 
 
 class BudgetError(WeylkitError):
-    """Requested enumeration exceeds its fixed budget."""
+    """Requested work exceeds its fixed budget; raised only by `charge`."""
 
 
 class ConfigError(WeylkitError):
@@ -61,6 +61,24 @@ def require_int(what, *values):
             raise PreconditionError(f"{what} {value!r} is not an int")
 
 
+def charge(work, count, limit):
+    """The one budget gate: BudgetError when `count` units of `work` pass
+    `limit`.  Callers charge before the work that the count measures."""
+    if count > limit:
+        raise BudgetError(f"{work} exceeds the budget of {limit}")
+
+
+def capped_power(base, exponent, cap):
+    """base^exponent, or (for base >= 2) the first base^k past cap if any:
+    past cap exactly when base^exponent is, whatever the exponent."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > cap:
+            break
+    return power
+
+
 # Trial division tries at most 10^6 divisors: it decides integers to 10^12.
 TRIAL_DIVISION_LIMIT = 10 ** 12
 
@@ -68,9 +86,8 @@ TRIAL_DIVISION_LIMIT = 10 ** 12
 def least_prime_factor(k):
     """The least prime factor of an integer k >= 2, by trial division; past
     TRIAL_DIVISION_LIMIT, BudgetError before any division."""
-    if k > TRIAL_DIVISION_LIMIT:
-        raise BudgetError(f"trial division decides integers up to 10^12; a"
-                          f" {k.bit_length()}-bit integer is past that budget")
+    charge(f"a {k.bit_length()}-bit integer to decide by trial division", k,
+           TRIAL_DIVISION_LIMIT)
     return next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
 
 

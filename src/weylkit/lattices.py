@@ -17,7 +17,7 @@ II.1): they are the lattices ad(g) L_0 for the vertices g L_0 within
 distance n of the base vertex.  The Killing form is ad-invariant, so each
 is self-dual and bracket-closed, and `tree_points` forms each vertex once
 from an upper-triangular representative, integer-only, with
-`VERTEX_BUDGET` bounding the vertices formed.  `enumerate_X_n` tests
+`VERTEX_BUDGET` bounding the ball it forms.  `enumerate_X_n` tests
 every tree point by both routes, the isotropic stratum (d, the pairing,
 the trilinear form) and the direct one (a fixed point of the dual
 `sharp`, bracket closure), and certifies the points on which they agree.
@@ -35,8 +35,8 @@ routes read a single pass over the candidates.  At (p, n) = (3, 1) the
 pass sees 445 candidates and at (3, 2) 67,969, which run in seconds;
 (5, 2) has 2,890,693 and stops at `SCAN_BUDGET`'s 200,000, while the tree
 has 37 vertices there.
-Both budgets are module constants, read when a walk starts, as
-`pgl2.WALK_NODE_BUDGET` and `alcove.GRID_WORK_BUDGET` are.
+Both budgets are module constants, read at each call and charged through
+`errors.charge` before the work they bound, as every budget is.
 """
 
 import itertools
@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
-    BudgetError,
     PreconditionError,
     StructuralError,
+    capped_power,
+    charge,
     require_int,
     require_prime,
 )
@@ -369,12 +370,12 @@ VERTEX_BUDGET = 10000
 
 
 def _scan(p, n):
-    """The candidates, raising BudgetError past SCAN_BUDGET of them.  The
-    candidate stream forms no tuple it does not yield, so counting the
-    candidates here bounds the work."""
+    """The candidates, each charged against SCAN_BUDGET before it is
+    yielded.  The candidate stream forms no tuple it does not yield, so
+    counting the candidates here bounds the work."""
+    work = f"lattice candidate scan at p={p}, n={n}"
     for count, z in enumerate(candidates(p, n), start=1):
-        if count > SCAN_BUDGET:
-            raise BudgetError("lattice enumeration budget exceeded")
+        charge(work, count, SCAN_BUDGET)
         yield z
 
 
@@ -408,34 +409,24 @@ def tree_points(p, n):
     means a = 0, c = 0 or p does not divide b (Serre, Trees, II.1).
     ad(g) sends e, h, f to p^(a-c) e, h - 2b p^-c e and
     p^(c-a) f + b p^-a h - b^2 p^-k e; scaled by p^n the rows are
-    integral for k <= n.  VERTEX_BUDGET bounds the vertices formed: the
-    walk refuses before it starts when the p^n vertices with c = 0 at distance
-    n exceed it, and otherwise charges every vertex it forms.  A vertex
-    whose canonical diagonal is not p^(3n), the index of every self-dual
-    lattice in the window, or two vertices with one canonical basis,
-    raise StructuralError."""
+    integral for k <= n.  Distance k >= 1 has (p+1) p^(k-1) vertices, so
+    the walk forms the ball's 1 + (p+1)(p^n - 1)/(p - 1), charged against
+    VERTEX_BUDGET before the first.  A vertex whose canonical diagonal is
+    not p^(3n), the index of every self-dual lattice in the window, or two
+    vertices with one canonical basis, raise StructuralError."""
     _check_window(p, n)
-    budget = VERTEX_BUDGET
-    farthest = 1
-    for _ in range(n):  # stops once p^k passes the budget, whatever n is
-        farthest *= p
-        if farthest > budget:
-            raise BudgetError(f"lattice tree walk of more than {p}^{n}"
-                              f" vertices exceeds the budget of {budget}")
+    charge(f"lattice tree walk of 1 + {p + 1}({p}^{n} - 1)/{p - 1} vertices",
+           1 + (p + 1) * (capped_power(p, n, VERTEX_BUDGET) - 1) // (p - 1),
+           VERTEX_BUDGET)
     pn = p ** n
     window = p ** (3 * n)
     points = []
-    formed = 0
     for k in range(n + 1):
         for a in range(k + 1):
             c = k - a
             for b in range(p ** a):
                 if a and c and b % p == 0:
                     continue
-                formed += 1
-                if formed > budget:
-                    raise BudgetError("lattice tree walk exceeds the budget"
-                                      f" of {budget} vertices")
                 z = canonical(p, n, (
                     (p ** (n + a - c), 0, 0),
                     (-2 * b * p ** (n - c), pn, 0),

@@ -78,9 +78,9 @@ from dataclasses import dataclass
 
 from . import laurent, linalg
 from .errors import (
-    BudgetError,
     InternalConsistencyError,
     PreconditionError,
+    charge,
     require_int,
     require_prime,
 )
@@ -259,17 +259,14 @@ def fixed_point_count(g, prec=None):
     valuations come from the roots' coefficients.  `prec` is accepted
     and unused: `perfbench/worker.py` passes it.
 
-    Levels 1 and 2 hold 2q and 2q^2 nodes.  Before it classifies any of
-    them the count raises BudgetError if the 1 + 2q + 2q^2 nodes pass
-    WALK_NODE_BUDGET."""
+    Levels 1 and 2 hold 2q and 2q^2 nodes; the count charges all 1 + 2q +
+    2q^2 against WALK_NODE_BUDGET before it classifies any."""
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
     nodes = 1 + 2 * q + 2 * q * q
-    if nodes > WALK_NODE_BUDGET:
-        raise BudgetError(
-            f"fixed-point walk to word length 2 would classify {nodes}"
-            f" nodes, more than the budget of {WALK_NODE_BUDGET}")
+    charge(f"fixed-point walk to word length 2 of {nodes} nodes", nodes,
+           WALK_NODE_BUDGET)
     return 2 + 2 * sum(_i2_nodes(row, q) for root in (g, _tau_conjugate(g))
                        for row in _rows(root, q))
 

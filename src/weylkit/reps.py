@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from . import alcove
 from .cyclotomic import Cyc
 from .errors import (
-    BudgetError,
     InternalConsistencyError,
     PreconditionError,
     StructuralError,
+    charge,
 )
 
 
@@ -236,15 +236,12 @@ def grid_modules(datum, J, denominator):
     index and the induced module, built from the walk's t.  Built lazily,
     so a consumer that stops early builds nothing further.  After the
     node-subset refusals and before the grid, the candidates p/k weighted
-    by k must stay within alcove.GRID_WORK_BUDGET, or BudgetError is
-    raised."""
+    by k are charged against alcove.GRID_WORK_BUDGET."""
     alcove.grid_nodes(datum, J)
     work = denominator * (denominator + 1) * (denominator + 2) // 3
-    if work > alcove.GRID_WORK_BUDGET:
-        raise BudgetError(
-            f"induced modules to denominator {denominator} would weigh"
-            f" {work} (grid candidates times their denominators), more than"
-            f" the budget of {alcove.GRID_WORK_BUDGET}")
+    charge(f"induced-module grid to denominator {denominator}, which would"
+           f" weigh {work} (grid candidates times their denominators),", work,
+           alcove.GRID_WORK_BUDGET)
     geo = alcove.geometry(datum, J)
     for d, cell, t in alcove.grid_points(datum, J, denominator):
         letters = [k for k in geo.jcheck if k not in set(cell.S)]

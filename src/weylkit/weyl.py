@@ -10,6 +10,10 @@ translation vector is needed); it is the only matrix an element carries.
 
 Simple reflections: s_i(b'_j) = b'_j - delta_ij h_i with h_i the i-th
 column of the pairing matrix, and s_i(b_j) = b_j - a_ji b_i on V.
+
+`_STEP_CAP` is not a budget: `word` and `longest_element` stop within the
+longest length in a finite parabolic, `element_order` within an order in
+the finite W0, so only a bug reaches it (InternalConsistencyError).
 """
 
 import math

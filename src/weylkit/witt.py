@@ -105,9 +105,10 @@ budget is at most 144 bits (at p = 7, m = 3).
 from collections.abc import Sequence
 
 from .errors import (
-    BudgetError,
     PreconditionError,
     UnsupportedRegimeError,
+    capped_power,
+    charge,
     require_int,
     require_prime,
 )
@@ -276,13 +277,8 @@ def oracle_check(p, m):
     require_int("Witt length", m)
     if m < 1:
         raise PreconditionError(f"Witt length m={m} is not positive")
-    pairs = 1
-    for _ in range(2 * m):  # stops by the 18th factor, whatever m is
-        pairs *= p
-        if pairs > ORACLE_PAIR_BUDGET:
-            raise BudgetError(f"Witt oracle of {p}^{m} elements, {p}^{2 * m}"
-                              f" pairs, exceeds the budget of"
-                              f" {ORACLE_PAIR_BUDGET} pairs")
+    charge(f"Witt oracle of {p}^{2 * m} pairs of {p}^{m} elements",
+           capped_power(p, 2 * m, ORACLE_PAIR_BUDGET), ORACLE_PAIR_BUDGET)
     order = p ** m
     digits = [_digits(k, p, m) for k in range(order)]
     images = [_new(p, m, _ghost(p, m, xs)) for xs in digits]

@@ -216,68 +216,64 @@ def test_witt_oracle_usage_lines(p, m, message):
     assert err == f"usage error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["witt", "--p", "3", "--m", "6"],
-    ["witt", "--p", "2", "--m", "9"],
-    ["witt", "--p", "2", "--m", "1000000000000"],
-])
-def test_witt_oracle_over_the_pair_budget_fails_fast(argv):
-    start = time.perf_counter()
-    code, out, err = run_cli(argv)
-    assert time.perf_counter() - start < 5
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "budget" in err
-    assert err.count("\n") == 1
-
-
-def test_pgl2_count_over_the_walk_budget_fails_fast():
-    # level 2 of the walk at q = 10007 has about 2 * 10^8 nodes
-    start = time.perf_counter()
-    code, out, err = run_cli(["pgl2", "--q", "10007", "--op", "count"])
-    assert time.perf_counter() - start < 1
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "budget" in err
-    assert err.count("\n") == 1
-
-
 _DIGITS_400 = str(10 ** 399 + 1)
+_TREE = "lattice tree walk of 1 + 4(3^{} - 1)/2 vertices"
+_ORACLE = "Witt oracle of {}^{} pairs of {}^{} elements"
+_WALK = "fixed-point walk to word length 2 of {} nodes"
+_GRID = "grid to denominator {} of {} candidate points"
+_TRIAL = "a {}-bit integer to decide by trial division"
 
 
-@pytest.mark.parametrize("argv", [
-    ["pgl2", "--q", _DIGITS_400],
-    ["witt", "--p", _DIGITS_400],
-    ["witt", "--enum", "--p", _DIGITS_400],
-    ["pgl2", "--q", "1000000016000000063"],
-])
-def test_a_prime_test_past_the_trial_division_budget_fails_fast(argv):
+# (argv, seconds, work, limit): each refusal within its own time bound
+_PAST_THE_BUDGET = [
+    # 3^8 = 6,561 vertices at distance 8 alone fit; the ball's 13,121 do
+    # not, and the walk is refused before its first vertex
+    (["witt", "--enum", "--p", "3", "--n", "8"], 1, _TREE.format(8), 10000),
+    (["witt", "--enum", "--p", "3", "--n", "9"], 1, _TREE.format(9), 10000),
+    (["witt", "--enum", "--p", "3", "--n", "1000000000000"], 1,
+     _TREE.format(1000000000000), 10000),
+    (["witt", "--p", "3", "--m", "6"], 5, _ORACLE.format(3, 12, 3, 6),
+     200000),
+    (["witt", "--p", "2", "--m", "9"], 5, _ORACLE.format(2, 18, 2, 9),
+     200000),
+    (["witt", "--p", "2", "--m", "1000000000000"], 5,
+     _ORACLE.format(2, 2000000000000, 2, 1000000000000), 200000),
+    (["witt", "--p", "999999999989", "--m", "1"], 5,
+     _ORACLE.format(999999999989, 2, 999999999989, 1), 200000),
+    # level 2 of the walk at q = 10007 has about 2 * 10^8 nodes
+    (["pgl2", "--q", "317", "--op", "count"], 1, _WALK.format(201613),
+     200000),
+    (["pgl2", "--q", "10007", "--op", "count"], 1, _WALK.format(200300113),
+     200000),
+    (["reps", "--type", "A1", "--denominator", "100"], 5,
+     "induced-module grid to denominator 100, which would weigh 343400"
+     " (grid candidates times their denominators),", 20000),
+    (["cells", "--type", "A1", "--denominator", "800"], 5,
+     _GRID.format(800, 321200), 20000),
+    (["cells", "--type", "A1", "--denominator", "199"], 5,
+     _GRID.format(199, 20099), 20000),
+    (["pgl2", "--q", _DIGITS_400], 1, _TRIAL.format(1326), 10 ** 12),
+    (["witt", "--p", _DIGITS_400], 1, _TRIAL.format(1326), 10 ** 12),
+    (["witt", "--enum", "--p", _DIGITS_400], 1, _TRIAL.format(1326),
+     10 ** 12),
     # 1000000016000000063 is 1000000007 * 1000000009, whose least factor
     # is past 10^6
+    (["pgl2", "--q", "1000000016000000063"], 1, _TRIAL.format(60), 10 ** 12),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, seconds, work, limit", _PAST_THE_BUDGET,
+    ids=[" ".join(case[0]).replace(_DIGITS_400, "10^399+1")
+         for case in _PAST_THE_BUDGET])
+def test_a_command_past_its_budget_stops_with_the_gates_one_line(
+        argv, seconds, work, limit):
+    # every budget refusal is the one line of errors.charge
     start = time.perf_counter()
     code, out, err = run_cli(argv)
-    assert time.perf_counter() - start < 1
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "budget" in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command,denominator", [
-    ("reps", 100), ("cells", 800), ("cells", 199)])
-def test_a_grid_over_the_work_budget_fails_fast(command, denominator):
-    start = time.perf_counter()
-    code, out, err = run_cli([command, "--type", "A1",
-                              "--denominator", str(denominator)])
-    assert time.perf_counter() - start < 5
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "budget" in err
-    assert err.count("\n") == 1
+    assert time.perf_counter() - start < seconds
+    assert (code, out, err) == (
+        1, "", f"error: {work} exceeds the budget of {limit}\n")
 
 
 def test_reps_at_denominator_20_stays_within_the_budget():

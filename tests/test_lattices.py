@@ -182,9 +182,21 @@ def test_budget_bounds_the_tree_vertices_formed(monkeypatch):
     with pytest.raises(BudgetError):
         lattices.enumerate_X_n(3, 2)
     monkeypatch.undo()
-    # refused before the walk: the 3^9 vertices at distance 9 alone
+    # refused before the walk: the ball of radius 9 holds 3^9 vertices
+    # at distance 9 alone
     with pytest.raises(BudgetError, match=r"3\^9"):
         lattices.enumerate_X_n(3, 9)
+
+
+def test_the_tree_ball_is_charged_before_any_vertex(monkeypatch):
+    # 3^8 = 6,561 vertices at distance 8 alone fit VERTEX_BUDGET, but the
+    # ball of 13,121 does not, so no vertex is formed
+    def no_vertex(p, n, rows):
+        raise AssertionError("a tree vertex was formed")
+
+    monkeypatch.setattr(lattices, "canonical", no_vertex)
+    with pytest.raises(BudgetError, match=r"1 \+ 4\(3\^8 - 1\)/2 vertices"):
+        lattices.enumerate_X_n(3, 8)
 
 
 def _scaled_up(canonical):
