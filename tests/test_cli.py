@@ -245,13 +245,6 @@ _PAST_THE_BUDGET = [
      200000),
     (["pgl2", "--q", "10007", "--op", "count"], 1, _WALK.format(200300113),
      200000),
-    (["reps", "--type", "A1", "--denominator", "100"], 5,
-     "induced-module grid to denominator 100, which would weigh 343400"
-     " (grid candidates times their denominators),", 20000),
-    (["cells", "--type", "A1", "--denominator", "800"], 5,
-     _GRID.format(800, 321200), 20000),
-    (["cells", "--type", "A1", "--denominator", "199"], 5,
-     _GRID.format(199, 20099), 20000),
     (["pgl2", "--q", _DIGITS_400], 1, _TRIAL.format(1326), 10 ** 12),
     (["witt", "--p", _DIGITS_400], 1, _TRIAL.format(1326), 10 ** 12),
     (["witt", "--enum", "--p", _DIGITS_400], 1, _TRIAL.format(1326),
@@ -274,6 +267,28 @@ def test_a_command_past_its_budget_stops_with_the_gates_one_line(
     assert time.perf_counter() - start < seconds
     assert (code, out, err) == (
         1, "", f"error: {work} exceeds the budget of {limit}\n")
+
+
+# the work each grid command is refused for, against a limit of 20000
+_GRID_WORK = {
+    ("reps", 100): "induced-module grid to denominator 100, which would"
+                   " weigh 343400 (grid candidates times their"
+                   " denominators),",
+    ("cells", 800): _GRID.format(800, 321200),
+    ("cells", 199): _GRID.format(199, 20099),
+}
+
+
+@pytest.mark.parametrize("command,denominator", [
+    ("reps", 100), ("cells", 800), ("cells", 199)])
+def test_a_grid_over_the_work_budget_fails_fast(command, denominator):
+    start = time.perf_counter()
+    code, out, err = run_cli([command, "--type", "A1",
+                              "--denominator", str(denominator)])
+    assert time.perf_counter() - start < 5
+    work = _GRID_WORK[command, denominator]
+    assert (code, out, err) == (
+        1, "", f"error: {work} exceeds the budget of 20000\n")
 
 
 def test_reps_at_denominator_20_stays_within_the_budget():
