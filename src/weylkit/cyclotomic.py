@@ -1,28 +1,37 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A scalar is a polynomial residue modulo the m-th cyclotomic polynomial,
-stored as its phi(m) coefficients.  Coefficients are ints; a Fraction
-appears only where division by a rational creates one.  Phi_m is an
-integer product of the binomials x^d - 1 (see `cyclotomic_polynomial`)
-and is monic, so reduction goes through one integer table per
-conductor: the rows of x^k mod Phi_m for k < m.  A rational operand
-(an int, a Fraction, or a scalar of conductor 1) acts on the other
-operand's coefficients in the basis 1, zeta, ..., zeta^(phi-1): it
-shifts coefficient 0 under + and -, scales every coefficient under *,
-and under == it must equal coefficient 0 while every other coefficient
-is zero.  Any other operand, a float or a str say, is refused: the
-operators return NotImplemented and the constructors raise
+stored as (m, nums, den): phi(m) integer numerators, the coefficients of
+1, zeta, ..., zeta^(phi-1) times den, over one positive integer
+denominator, as FLINT's fmpq_poly stores a rational polynomial.  The
+form is canonical: gcd(content of nums, den) = 1, so zero is stored
+with den 1.  A residue has exactly one coefficient vector v, and that
+gcd is 1 exactly when den is the least positive d with d v integral (a
+prime p dividing both leaves (den / p) v integral, and a larger den is
+that least d times a factor of both), so within one conductor two
+scalars are equal exactly when their (nums, den) tuples are.  Every
+result is divided by that gcd once, when it is built (`_new`).  Phi_m is
+an integer product of the binomials x^d - 1 (see
+`cyclotomic_polynomial`) and is monic, so reduction goes through one
+integer table per conductor: the rows of x^k mod Phi_m for k < m.
+
+A rational operand (an int, a Fraction, or a scalar of conductor 1) acts
+on the other operand's coefficients: it shifts coefficient 0 under + and
+-, scales every coefficient under *, and under == it must equal
+coefficient 0 while every other coefficient is zero.  A bool is the
+int it is.  Any other operand, a float, a complex or a str say, is
+refused: the operators return NotImplemented and the constructors raise
 PreconditionError, as Cyc does for coefficients that are not a sequence
-(None, an int, or a dict, whose keys iteration would read).  Two scalars
-of larger conductor are unified to the least common multiple; equality
-is then coefficient equality.  Only the operations the character
-computations need are provided: ring arithmetic, complex conjugation,
-and division by rationals.
+(None, an int, or a dict, whose keys iteration would read).  Two
+scalars of larger conductor are unified to the least common multiple.
+Only the operations the character computations need are provided: ring
+arithmetic, complex conjugation, division by rationals, and
+`norm_sum`.
 """
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError, least_prime_factor, require_int
 
@@ -116,58 +125,134 @@ def _reduce(coeffs, m):
     return tuple(out)
 
 
-def _coerce(c):
-    """An exact rational as an int, or a Fraction that is not an integer.
-    Exact means an int (a bool is one, and gives 0 or 1) or a Fraction;
-    anything else, a float or a str say, raises PreconditionError."""
-    if type(c) is int:
-        return c
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise PreconditionError(f"{type(c).__name__} is not an exact rational")
+def _lowest(nums, den):
+    """nums/den divided by gcd(content of nums, den): the canonical form."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple(n // g for n in nums), den // g
 
 
-def _new(m, coeffs):
-    """A Cyc from an already reduced tuple of int/Fraction coefficients."""
+def _new(m, nums, den=1):
+    """The Cyc nums/den of conductor m, from a reduced tuple of ints and a
+    positive int den."""
+    if den != 1:
+        nums, den = _lowest(nums, den)
     z = object.__new__(Cyc)
     z.m = m
-    z.coeffs = coeffs
+    z.nums = nums
+    z.den = den
     return z
 
 
-class Cyc:
-    """An element of Q(zeta_m)."""
+def _pad(r, z):
+    """The rational scalar r (of conductor 1) at the conductor of z, built
+    without `promote`: its one numerator becomes coefficient 0."""
+    return _new(z.m, r.nums + (0,) * (len(z.nums) - 1), r.den)
 
-    __slots__ = ("m", "coeffs")
+
+def norm_sum(values):
+    """The sum of z * conj(z) over the scalars `values`, reduced modulo
+    Phi_m once per conductor m and denominator, not once per term.
+
+    Let R = Z[x]/(x^m - 1) and pi: R -> Q(zeta_m) the ring map x ->
+    zeta_m.  Inversion iota: x -> x^(m-1) = x^-1 is a ring automorphism
+    of R, and pi . iota and conj . pi are ring maps that agree on x (both
+    give zeta_m^-1), so they are equal.  A scalar z = nums/den lifts to
+    a = sum of nums[i] x^i in R with pi(a) = den * z, hence
+
+      pi(a * iota(a)) = den^2 * z * conj(z),
+
+    and a * iota(a) is the sum of nums[i] nums[j] x^((i - j) mod m), read
+    off the numerators with no reduction.  pi is additive, so applying
+    it once to the sum of these over the scalars of one (m, den) gives
+    den^2 times their part of the sum exactly."""
+    sums = {}  # (m, den^2) -> the running sum in R as m ints
+    for z in values:
+        key = z.m, z.den * z.den
+        row = sums.get(key)
+        if row is None:
+            row = sums[key] = [0] * z.m
+        nonzero = [(i, x) for i, x in enumerate(z.nums) if x]
+        for i, x in nonzero:
+            for j, y in nonzero:
+                row[i - j] += x * y  # a negative i - j is (i - j) mod m
+    total = Cyc.rational(0)
+    for (m, den), row in sums.items():
+        total = total + _new(m, _reduce(row, m), den)
+    return total
+
+
+def _ratio(x):
+    """(numerator, denominator) of an exact rational: an int (a bool is
+    one, and gives 0 or 1) or a Fraction; anything else, a float or a str
+    say, raises PreconditionError."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise PreconditionError(f"{type(x).__name__} is not an exact rational")
+
+
+_INT = {int}
+
+
+def _operand(x):
+    """x as a Cyc, an exact rational as one of conductor 1; None for
+    anything else."""
+    if isinstance(x, Cyc):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Cyc.rational(x)
+    return None
+
+
+class Cyc:
+    """An element of Q(zeta_m), nums/den in the basis 1, zeta, ...,
+    zeta^(phi(m)-1)."""
+
+    __slots__ = ("m", "nums", "den")
     __hash__ = None
 
     def __init__(self, m, coeffs):
         require_int("conductor", m)
-        if not isinstance(coeffs, Sequence):
+        # list and tuple first: they skip the slower ABC check
+        if not isinstance(coeffs, (list, tuple, Sequence)):
             raise PreconditionError(f"coefficients {coeffs!r} are not a"
                                     f" sequence")
-        deg, _ = _table(m)
-        coeffs = tuple(_coerce(c) for c in coeffs)
-        if len(coeffs) != deg:
-            coeffs = _reduce(coeffs, m)
-        self.m = m
-        self.coeffs = coeffs
+        if _INT.issuperset(map(type, coeffs)):
+            nums, den = coeffs, 1
+        else:
+            ratios = [_ratio(c) for c in coeffs]
+            den = lcm(*(d for _, d in ratios))
+            nums = [n * (den // d) for n, d in ratios]
+        nums = _reduce(nums, m)
+        if den != 1:
+            nums, den = _lowest(nums, den)
+        self.m, self.nums, self.den = m, nums, den
 
     @staticmethod
     def rational(x):
-        return _new(1, (_coerce(x),))
+        n, d = _ratio(x)
+        return _new(1, (n,), d)
 
     @staticmethod
     def zeta(m, k=1):
         require_int("conductor", m)
         require_int("exponent", k)
         deg, rows = _table(m)
-        coeffs = [0] * deg
+        nums = [0] * deg
         for i, c in rows[k % m]:
-            coeffs[i] = c
-        return _new(m, tuple(coeffs))
+            nums[i] = c
+        return _new(m, tuple(nums))
+
+    @property
+    def coeffs(self):
+        """The coefficients: the numerators when den is 1, else each
+        numerator over den as a Fraction."""
+        if self.den == 1:
+            return self.nums
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def promote(self, big):
         if big == self.m:
@@ -175,123 +260,107 @@ class Cyc:
         if big % self.m != 0:
             raise PreconditionError("conductor must divide the target")
         step = big // self.m
-        lifted = [0] * (len(self.coeffs) * step)
-        lifted[::step] = self.coeffs
-        return _new(big, _reduce(lifted, big))
-
-    def _rational_side(self, other):
-        """(z, c) when one operand is rational of conductor 1: c is its
-        one coefficient and z the other operand.  None when both are
-        scalars of larger conductor.  An operand that is neither a Cyc
-        nor exact raises PreconditionError, which the operators turn into
-        NotImplemented."""
-        if not isinstance(other, Cyc):
-            return self, _coerce(other)
-        if other.m == 1:
-            return self, other.coeffs[0]
-        if self.m == 1:
-            return other, self.coeffs[0]
-        return None
+        lifted = [0] * (len(self.nums) * step)
+        lifted[::step] = self.nums
+        return _new(big, _reduce(lifted, big), self.den)
 
     def _pair(self, other):
+        """self and the Cyc other at one conductor.  A rational side is
+        padded, not promoted; two scalars of larger conductor are promoted
+        to the least common multiple."""
         if other.m == self.m:
             return self, other
-        m = self.m * other.m // gcd(self.m, other.m)
+        if other.m == 1:
+            return self, _pad(other, self)
+        if self.m == 1:
+            return _pad(self, other), other
+        m = lcm(self.m, other.m)
         return self.promote(m), other.promote(m)
 
-    def __add__(self, other):
-        try:
-            split = self._rational_side(other)
-        except PreconditionError:
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the denominators, or
+        NotImplemented for an operand that is not exact."""
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if split:
-            z, c = split
-            return _new(z.m, (z.coeffs[0] + c,) + z.coeffs[1:])
         a, b = self._pair(other)
-        return _new(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        g = gcd(a.den, b.den)
+        sa, sb = b.den // g, sign * (a.den // g)
+        return _new(a.m, tuple(x * sa + y * sb
+                               for x, y in zip(a.nums, b.nums)), a.den * sa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.m, tuple(-x for x in self.coeffs))
+        return _new(self.m, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        try:
-            split = self._rational_side(other)
-        except PreconditionError:
-            return NotImplemented
-        if split:
-            z, c = split
-            if z is self:
-                return _new(z.m, (z.coeffs[0] - c,) + z.coeffs[1:])
-            return _new(z.m, (c - z.coeffs[0],)
-                        + tuple(-x for x in z.coeffs[1:]))
-        a, b = self._pair(other)
-        return _new(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
-        try:
-            split = self._rational_side(other)
-        except PreconditionError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if split:
-            # A zero factor leaves the int 0, as the convolution below does.
-            z, c = split
-            return _new(z.m, tuple(x * c if x and c else 0 for x in z.coeffs))
+        den = self.den * other.den
+        if self.m == 1 or other.m == 1:
+            z, r = (other, self) if self.m == 1 else (self, other)
+            c = r.nums[0]
+            return _new(z.m, tuple(x * c for x in z.nums), den)
         a, b = self._pair(other)
-        bc = b.coeffs
-        product = [0] * (len(a.coeffs) + len(bc) - 1)
-        for i, x in enumerate(a.coeffs):
+        bn = b.nums
+        product = [0] * (2 * len(bn) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(bc, i):
+                for j, y in enumerate(bn, i):
                     if y:
                         product[j] += x * y
-        return _new(a.m, _reduce(product, a.m))
+        return _new(a.m, _reduce(product, a.m), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Cyc):
-            if not other.is_rational():
-                raise PreconditionError("division only by rational scalars")
-            other = other.to_fraction()
-        elif not isinstance(other, (int, Fraction)):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not other:
+        if not other.is_rational():
+            raise PreconditionError("division only by rational scalars")
+        n, d = other.nums[0], other.den
+        if not n:
             raise PreconditionError("division by zero")
-        inv = Fraction(1, 1) / Fraction(other)
-        return _new(self.m, tuple(_coerce(x * inv) for x in self.coeffs))
+        if n < 0:
+            n, d = -n, -d
+        return _new(self.m, tuple(x * d for x in self.nums), self.den * n)
 
     def __eq__(self, other):
-        if not isinstance(other, (int, Fraction, Cyc)):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        split = self._rational_side(other)
-        if split:
-            z, c = split
-            return z.coeffs[0] == c and not any(z.coeffs[1:])
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def conjugate(self):
         m = self.m
         deg, rows = _table(m)
         out = [0] * deg
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c:
                 for i, r in rows[-k % m]:
                     out[i] += c * r
-        return _new(m, tuple(out))
+        return _new(m, tuple(out), self.den)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_fraction(self):
         if not self.is_rational():
             raise PreconditionError("value is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.nums[0], self.den)
 
     def render(self):
         """Human-readable polynomial in z{m}."""

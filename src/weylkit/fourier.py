@@ -216,7 +216,7 @@ def pairing(gamma, p, q):
             continue
         xgx = gamma.conjugate(gamma.inverse[g], p.x)
         total = total + sigma[ygy] * tau[xgx].conjugate()
-    return total / Fraction(len(zx) * len(zy))
+    return total / (len(zx) * len(zy))
 
 
 def pairing_matrix(gamma, pairs):

@@ -14,13 +14,22 @@ point is t, and checked against the subgroup the selected ss_k
 generate, and the coset representatives are the first index of each new
 point.  `grid_modules` and `build_irreducible` share one core,
 `_induced`.
+
+Characters are reduced modulo Phi_M once per value and once per norm.
+A value chi(x, w_i) is one integer row over the exponents mod M,
+reduced once (`character_values`).  A norm sums chi * conj(chi) on the
+numerators in Z[x]/(x^M - 1), where conjugation is x -> x^-1, and
+reduces once (`cyclotomic.norm_sum`): reduction x -> zeta_M is a ring
+map that carries x -> x^-1 to complex conjugation, so the reduced sum is
+the sum of the reduced products.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import alcove
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, norm_sum
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -175,6 +184,15 @@ def _verify_relations(rep):
                 "lattice conjugation relation fails")
 
 
+def _unit(f):
+    """The fixed-point scalar f as the int 1 or -1 that it must be (see
+    `character_values`)."""
+    if f == 1 or f == -1:
+        return f.nums[0]
+    raise InternalConsistencyError(
+        f"monomial scalar {f.render()} is not 1 or -1")
+
+
 def character_values(rep, t_order):
     """chi(x, w_i) for x in range(M)^rank, lexicographic, and for each x
     every quotient index i; M = max(1, t_order).
@@ -183,7 +201,15 @@ def character_values(rep, t_order):
     monomial, so its trace reads only the fixed points of F_i.  Each F_i
     is built once.  On the coset of r_c, x acts by exp(2 pi i <x, r_c . t>);
     r_c . t has the order of t, so with M a multiple of it <x, r_c . t> M
-    is an integer k and the scalar is zeta_M^k."""
+    is an integer k and the scalar is zeta_M^k.
+
+    Each scalar f of F_i is 1 or -1.  It is a product of values of rho on
+    H, and each generator ss_k is an involution, so the well-definedness
+    test of `_rho_on_subgroup` compares rho(k) rho(k), the value reached
+    from k by the letter k, with the value 1 stored at the identity:
+    rho(k)^2 = 1, whose only roots in a field are 1 and -1.  So chi(x, w_i)
+    is the integer row over exponents mod M with f added at the k of each
+    fixed point, reduced modulo Phi_M once."""
     M = max(1, t_order)
     if any(M % v.denominator for point in rep.points for v in point.values):
         raise PreconditionError(
@@ -191,29 +217,27 @@ def character_values(rep, t_order):
             f" divide {M}")
     numerators = [tuple((v * M).numerator for v in point.values)
                   for point in rep.points]
-    zetas = [Cyc.zeta(M, k) for k in range(M)]
     fin_diagonals = []
     for i in range(len(rep.geometry.quotient_words)):
         perm, scalars = rep.finite_image(i)
-        fin_diagonals.append([(pos, scalars[pos])
+        fin_diagonals.append([(pos, _unit(scalars[pos]))
                               for pos in range(rep.dimension)
                               if perm[pos] == pos])
-    zero = Cyc.rational(0)
     for x in itertools.product(range(M), repeat=rep.geometry.dim):
-        lat = [zetas[sum(a * b for a, b in zip(x, num)) % M]
-               for num in numerators]
+        ks = [sum(map(operator.mul, x, num)) % M for num in numerators]
         for entries in fin_diagonals:
-            yield sum((lat[pos] * f for pos, f in entries), zero)
+            row = [0] * M
+            for pos, f in entries:
+                row[ks[pos]] += f
+            yield Cyc(M, row)
 
 
 def character_norm(rep, t_order):
-    """<chi, chi> over the finite quotient (L / M L) . W_Jc, M = order of t."""
-    total = Cyc.rational(0)
-    count = 0
-    for chi in character_values(rep, t_order):
-        total = total + chi * chi.conjugate()
-        count += 1
-    return total / count
+    """<chi, chi> over the finite quotient (L / M L) . W_Jc, M = order of
+    t: `cyclotomic.norm_sum` of the character values, one reduction
+    modulo Phi_M for the whole sum, over their count."""
+    values = list(character_values(rep, t_order))
+    return norm_sum(values) / len(values)
 
 
 def lift_characters(geo, letters):

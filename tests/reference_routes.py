@@ -8,17 +8,20 @@ multiplied out letter by letter and inverted by transposes, the reduced
 word of each conjugate a coset generator makes, the coset geometry's
 tables from full Weyl lifts and Schreier products, the Witt zero from
 its components, Phi_m by Fraction long division of x^m - 1 by each
-Phi_d, d a proper divisor of m, and the Hermite form of a lattice's dual
-by the general modular elimination.
+Phi_d, d a proper divisor of m, a cyclotomic scalar with a Fraction per
+coefficient instead of one denominator, and the Hermite form of a
+lattice's dual by the general modular elimination.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
 from weylkit import lattices, laurent, linalg, pgl2, weyl, witt
-from weylkit.errors import require_prime
+from weylkit.cyclotomic import _reduce, _table
+from weylkit.errors import PreconditionError, require_int, require_prime
 from weylkit.laurent import LaurentScalar
 
 
@@ -282,6 +285,211 @@ def cyclotomic_by_division(m):
                 assert not rem, "cyclotomic division left a remainder"
         _by_division[m] = poly
     return _by_division[m]
+
+
+def _coerce(c):
+    """An exact rational as an int, or a Fraction that is not an integer.
+    Exact means an int (a bool is one, and gives 0 or 1) or a Fraction;
+    anything else, a float or a str say, raises PreconditionError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise PreconditionError(f"{type(c).__name__} is not an exact rational")
+
+
+def _frac(m, coeffs):
+    """A FractionCyc from an already reduced tuple of int/Fraction
+    coefficients."""
+    z = object.__new__(FractionCyc)
+    z.m = m
+    z.coeffs = coeffs
+    return z
+
+
+class FractionCyc:
+    """An element of Q(zeta_m) as phi(m) coefficients, each an int or a
+    Fraction: the scalar `cyclotomic.Cyc` stored before it kept one
+    denominator.  Reduction reads the library's table, which
+    `cyclotomic_by_division` checks."""
+
+    __slots__ = ("m", "coeffs")
+    __hash__ = None
+
+    def __init__(self, m, coeffs):
+        require_int("conductor", m)
+        if not isinstance(coeffs, Sequence):
+            raise PreconditionError(f"coefficients {coeffs!r} are not a"
+                                    f" sequence")
+        deg, _ = _table(m)
+        coeffs = tuple(_coerce(c) for c in coeffs)
+        if len(coeffs) != deg:
+            coeffs = _reduce(coeffs, m)
+        self.m = m
+        self.coeffs = coeffs
+
+    @staticmethod
+    def rational(x):
+        return _frac(1, (_coerce(x),))
+
+    @staticmethod
+    def zeta(m, k=1):
+        require_int("conductor", m)
+        require_int("exponent", k)
+        deg, rows = _table(m)
+        coeffs = [0] * deg
+        for i, c in rows[k % m]:
+            coeffs[i] = c
+        return _frac(m, tuple(coeffs))
+
+    def promote(self, big):
+        if big == self.m:
+            return self
+        if big % self.m != 0:
+            raise PreconditionError("conductor must divide the target")
+        step = big // self.m
+        lifted = [0] * (len(self.coeffs) * step)
+        lifted[::step] = self.coeffs
+        return _frac(big, _reduce(lifted, big))
+
+    def _rational_side(self, other):
+        """(z, c) when one operand is rational of conductor 1: c is its
+        one coefficient and z the other operand.  None when both are
+        scalars of larger conductor.  An operand that is neither a FractionCyc
+        nor exact raises PreconditionError, which the operators turn into
+        NotImplemented."""
+        if not isinstance(other, FractionCyc):
+            return self, _coerce(other)
+        if other.m == 1:
+            return self, other.coeffs[0]
+        if self.m == 1:
+            return other, self.coeffs[0]
+        return None
+
+    def _pair(self, other):
+        if other.m == self.m:
+            return self, other
+        m = self.m * other.m // gcd(self.m, other.m)
+        return self.promote(m), other.promote(m)
+
+    def __add__(self, other):
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
+        if split:
+            z, c = split
+            return _frac(z.m, (z.coeffs[0] + c,) + z.coeffs[1:])
+        a, b = self._pair(other)
+        return _frac(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _frac(self.m, tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
+        if split:
+            z, c = split
+            if z is self:
+                return _frac(z.m, (z.coeffs[0] - c,) + z.coeffs[1:])
+            return _frac(z.m, (c - z.coeffs[0],)
+                        + tuple(-x for x in z.coeffs[1:]))
+        a, b = self._pair(other)
+        return _frac(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        try:
+            split = self._rational_side(other)
+        except PreconditionError:
+            return NotImplemented
+        if split:
+            # A zero factor leaves the int 0, as the convolution below does.
+            z, c = split
+            return _frac(z.m, tuple(x * c if x and c else 0 for x in z.coeffs))
+        a, b = self._pair(other)
+        bc = b.coeffs
+        product = [0] * (len(a.coeffs) + len(bc) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(bc, i):
+                    if y:
+                        product[j] += x * y
+        return _frac(a.m, _reduce(product, a.m))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionCyc):
+            if not other.is_rational():
+                raise PreconditionError("division only by rational scalars")
+            other = other.to_fraction()
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise PreconditionError("division by zero")
+        inv = Fraction(1, 1) / Fraction(other)
+        return _frac(self.m, tuple(_coerce(x * inv) for x in self.coeffs))
+
+    def __eq__(self, other):
+        if not isinstance(other, (int, Fraction, FractionCyc)):
+            return NotImplemented
+        split = self._rational_side(other)
+        if split:
+            z, c = split
+            return z.coeffs[0] == c and not any(z.coeffs[1:])
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def conjugate(self):
+        m = self.m
+        deg, rows = _table(m)
+        out = [0] * deg
+        for k, c in enumerate(self.coeffs):
+            if c:
+                for i, r in rows[-k % m]:
+                    out[i] += c * r
+        return _frac(m, tuple(out))
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def to_fraction(self):
+        if not self.is_rational():
+            raise PreconditionError("value is not rational")
+        return Fraction(self.coeffs[0])
+
+    def render(self):
+        """Human-readable polynomial in z{m}."""
+        if self.is_rational():
+            return str(self.coeffs[0])
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                var = f"z{self.m}" + (f"^{k}" if k > 1 else "")
+                if c == 1:
+                    parts.append(var)
+                elif c == -1:
+                    parts.append(f"-{var}")
+                else:
+                    parts.append(f"{c}*{var}")
+        return "+".join(parts).replace("+-", "-") or "0"
+
+    def __repr__(self):
+        return f"FractionCyc({self.render()})"
 
 
 def sharp_by_canonical(z):

@@ -1,12 +1,19 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit.cyclotomic import Cyc, _new, _reduce, _table, cyclotomic_polynomial
-from weylkit.errors import PreconditionError
-from reference_routes import cyclotomic_by_division, poly_divmod
+from weylkit.cyclotomic import (
+    Cyc,
+    _reduce,
+    _table,
+    cyclotomic_polynomial,
+    norm_sum,
+)
+from weylkit.errors import PreconditionError, WeylkitError
+from reference_routes import FractionCyc, cyclotomic_by_division, poly_divmod
 
 
 def test_cyclotomic_polynomials():
@@ -112,11 +119,32 @@ def test_table_reduce_matches_division_by_phi(m, data):
     assert _reduce(coeffs, m) == tuple(rem) + (0,) * (deg - len(rem))
 
 
+def _assert_canonical(z):
+    """z stores int numerators over a positive int denominator with no
+    common factor, zero over 1."""
+    assert all(type(n) is int for n in z.nums)
+    assert type(z.den) is int and z.den > 0
+    assert gcd(z.den, *z.nums) == 1
+    assert len(z.nums) == _table(z.m)[0]
+
+
 def test_coefficients_stay_integers_without_division():
     z = Cyc.zeta(12, 5) * Cyc.zeta(8, 3) + Cyc.zeta(5).conjugate()
-    assert all(type(c) is int for c in z.coeffs)
-    assert all(type(c) is int for c in Cyc.rational(Fraction(4, 2)).coeffs)
-    assert (z / 3).coeffs == tuple(Fraction(c, 3) for c in z.coeffs)
+    assert z.den == 1 and all(type(c) is int for c in z.nums)
+    assert z.coeffs is z.nums
+    assert (Cyc.rational(Fraction(4, 2)).nums,
+            Cyc.rational(Fraction(4, 2)).den) == ((2,), 1)
+    third = z / 3
+    assert (third.nums, third.den) == (z.nums, 3)
+    assert third.coeffs == tuple(Fraction(c, 3) for c in z.nums)
+    # a common factor of the numerators and the denominator cancels
+    assert ((third * 3).nums, (third * 3).den) == (z.nums, 1)
+    w = Cyc(4, (Fraction(1, 6), Fraction(-1, 3)))
+    assert (w.nums, w.den) == ((1, -2), 6)
+    assert ((w * 4).nums, (w * 4).den) == ((2, -4), 3)
+    assert ((w - w).nums, (w - w).den) == ((0, 0), 1)
+    for value in (z, third, w, w * 4, w - w, w + third, w * third):
+        _assert_canonical(value)
 
 
 @given(_coefficients)
@@ -126,38 +154,15 @@ def test_to_fraction_returns_a_fraction(x):
     assert value == -x
 
 
-def _one_conductor(op, a, b):
-    """op on two scalars of one conductor by the route that promotion
-    feeds: + and - coefficient by coefficient, * a convolution reduced
-    by the table, == on the coefficient tuples."""
-    if op is operator.eq:
-        return a.coeffs == b.coeffs
-    if op is not operator.mul:
-        return _new(a.m, tuple(op(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-    product = [0] * (2 * len(a.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in enumerate(b.coeffs, i):
-                if y:
-                    product[j] += x * y
-    return _new(a.m, _reduce(product, a.m))
-
-
-def _typed(value):
-    """A result with the type of each coefficient, so that 2 and
-    Fraction(2, 1) differ."""
+def _stored(value):
+    """What a result stores: a bool, or its conductor, numerators and
+    denominator with the type of each number."""
     if isinstance(value, bool):
         return value
-    return value.m, tuple((type(c), c) for c in value.coeffs)
+    return (value.m, tuple((type(n), n) for n in value.nums),
+            (type(value.den), value.den))
 
 
-# Coefficients as arithmetic leaves them: ints, Fractions, and Fractions
-# that are integers (Fraction(1, 2) + Fraction(1, 2) stays a Fraction).
-_raw_coefficients = st.one_of(
-    st.just(0),
-    st.integers(-9, 9),
-    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
-)
 _rationals = st.one_of(
     st.integers(-6, 6),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
@@ -173,22 +178,83 @@ def _rational_operands(m, data):
     if data.draw(st.integers(0, 3)) == 0:
         a = Cyc.rational(r).promote(m)
     else:
-        a = _new(m, tuple(data.draw(
-            st.lists(_raw_coefficients, min_size=deg, max_size=deg))))
+        a = Cyc(m, data.draw(
+            st.lists(_coefficients, min_size=deg, max_size=deg)))
     return a, r
 
 
 @given(st.integers(1, 24), st.data())
 @settings(max_examples=300, deadline=None)
 def test_a_rational_operand_acts_as_its_promotion(m, data):
+    # Each result is stored exactly as the one-conductor result with the
+    # promoted operand: the same ints, canonical, whatever the operand's
+    # type (an int, a Fraction or a scalar of conductor 1).
     a, r = _rational_operands(m, data)
     promoted = Cyc.rational(r).promote(m)
     for op in _OPS:
         for operand in (r, Cyc.rational(r)):
-            assert _typed(op(a, operand)) == _typed(
-                _one_conductor(op, a, promoted))
-            assert _typed(op(operand, a)) == _typed(
-                _one_conductor(op, promoted, a))
+            assert _stored(op(a, operand)) == _stored(op(a, promoted))
+            assert _stored(op(operand, a)) == _stored(op(promoted, a))
+    if r:
+        assert _stored(a / r) == _stored(a / promoted)
+
+
+def _divisor_or_multiple(m):
+    """A conductor whose lcm with m is at most 60."""
+    return st.sampled_from([k for k in range(1, 61)
+                            if m % k == 0 or k % m == 0])
+
+
+def _both_routes(m, data):
+    """One draw of coefficients at conductor m as a Cyc and as the
+    Fraction-coefficient reference scalar."""
+    deg, _ = _table(m)
+    coeffs = data.draw(st.lists(_coefficients, min_size=deg, max_size=deg))
+    return Cyc(m, coeffs), FractionCyc(m, coeffs)
+
+
+def _same_value(z, ref):
+    _assert_canonical(z)
+    assert z.m == ref.m
+    assert z.coeffs == ref.coeffs
+    assert z.render() == ref.render()
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_the_integer_route_matches_the_fraction_route(m, data):
+    a, fa = _both_routes(m, data)
+    b, fb = _both_routes(data.draw(_divisor_or_multiple(m)), data)
+    r = data.draw(_rationals)
+    _same_value(a, fa)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same_value(op(a, b), op(fa, fb))
+        _same_value(op(a, r), op(fa, r))
+        _same_value(op(r, b), op(r, fb))
+    if r:
+        _same_value(a / r, fa / r)
+        _same_value(b / Cyc.rational(r), fb / FractionCyc.rational(r))
+    assert (a == b) == (fa == fb)
+    assert (a == r) == (fa == r)
+    assert a == Cyc(m, fa.coeffs) and a - b + b == a
+    _same_value(a.conjugate(), fa.conjugate())
+    big = m * data.draw(st.integers(1, 60 // m))
+    _same_value(a.promote(big), fa.promote(big))
+    assert a.promote(big) == a
+
+
+_scalars = st.builds(
+    lambda m, k, r: Cyc.zeta(m, k) * r + Cyc.rational(r) / 3,
+    st.integers(1, 12), st.integers(0, 11), _rationals)
+
+
+@given(st.lists(_scalars, max_size=6))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_norm_sum_is_the_sum_of_products_with_conjugates(values):
+    want = sum((z * z.conjugate() for z in values), Cyc.rational(0))
+    got = norm_sum(values)
+    _assert_canonical(got)
+    assert _stored(got) == _stored(want)
 
 
 def test_a_rational_operand_is_never_promoted(monkeypatch):
@@ -243,3 +309,85 @@ def test_division_by_zero_is_refused(zero):
     # Fraction(1, 0) would escape as a bare ZeroDivisionError
     with pytest.raises(PreconditionError, match="division by zero"):
         Cyc.zeta(3) / zero
+
+
+_BIG = 10 ** 399  # 400 digits
+_foreign = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(_BIG, 10 * _BIG - 1).flatmap(lambda n: st.sampled_from(
+        (n, -n, Fraction(n, 7), Fraction(3, n)))),
+    st.floats(),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+# each operator with the scalar's method for it, first operand and second
+_BINARY = {
+    operator.add: ("__add__", "__radd__"),
+    operator.sub: ("__sub__", "__rsub__"),
+    operator.mul: ("__mul__", "__rmul__"),
+    operator.truediv: ("__truediv__", "__rtruediv__"),
+    operator.eq: ("__eq__", "__eq__"),
+}
+
+
+def _contract_outcome(call, declined=None):
+    """The outcome of call(): a canonical scalar, a bool from ==, or a
+    WeylkitError; or, from a binary operator, a TypeError once declined()
+    shows that the scalar's own method returned NotImplemented, so that
+    Python raised it."""
+    try:
+        value = call()
+    except WeylkitError:
+        return "refused"
+    except TypeError:
+        if declined is None or not declined():
+            raise
+        return "unsupported"
+    if isinstance(value, bool):
+        return "bool"
+    assert isinstance(value, Cyc)
+    _assert_canonical(value)
+    return "scalar"
+
+
+def _declines(scalar, name, x):
+    """True when the scalar has no method `name` or it returns
+    NotImplemented for x."""
+    method = getattr(scalar, name, None)
+    return method is None or method(x) is NotImplemented
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_cyclotomic_surface_keeps_its_contract(data):
+    """The surface: Cyc(m, coeffs), Cyc.rational, Cyc.zeta, the operators
+    + - * / == either way round, unary -, and conjugate.  Every argument
+    is drawn from small and 400-digit ints, Fractions, bools (each is
+    the int it is), floats, complex numbers, strs and None, and coeffs
+    is a list or tuple of those or one of them alone.  A call gives a
+    canonical scalar (int numerators over a positive int denominator) or
+    a bool from ==, or raises a WeylkitError; a binary operator may also
+    end in the TypeError of two NotImplemented operands.  Nothing else
+    escapes.  Conductors stay small or pass 10^12, where the trial
+    division gate refuses them."""
+    m = data.draw(_foreign)
+    k = data.draw(_foreign)
+    coeffs = data.draw(st.one_of(_foreign, st.lists(_foreign, max_size=4),
+                                 st.lists(_foreign, max_size=4).map(tuple)))
+    x = data.draw(_foreign)
+    _contract_outcome(lambda: Cyc(m, coeffs))
+    _contract_outcome(lambda: Cyc.rational(x))
+    _contract_outcome(lambda: Cyc.zeta(m, k))
+    scalar = Cyc.zeta(data.draw(st.integers(1, 12)),
+                      data.draw(st.integers(0, 11))) / data.draw(
+                          st.sampled_from((1, 2, Fraction(-3, 4))))
+    for op, (name, reflected) in _BINARY.items():
+        _contract_outcome(lambda: op(scalar, x),
+                          lambda: _declines(scalar, name, x))
+        _contract_outcome(lambda: op(x, scalar),
+                          lambda: _declines(scalar, reflected, x))
+    for value in (-scalar, scalar.conjugate()):
+        assert _contract_outcome(lambda: value) == "scalar"

@@ -202,6 +202,44 @@ def test_character_values_need_a_multiple_of_the_points_order():
     assert reps.character_norm(rep, 6) == Cyc.rational(1)
 
 
+def _norm_by_operators(rep, t_order):
+    """<chi, chi> as the sum of chi * conj(chi) through the Cyc operators:
+    a conjugate, a product and a reduction per character value."""
+    values = list(reps.character_values(rep, t_order))
+    total = Cyc.rational(0)
+    for chi in values:
+        total = total + chi * chi.conjugate()
+    return total / len(values)
+
+
+@pytest.mark.parametrize("datum, J, denominator", [
+    (A1, (), 6), (A1, (), 10), (A1, (), 12),
+    (cartan_datum("C2"), (0,), 6),
+    (cartan_datum("G2"), (1,), 6),
+    (cartan_datum("B3"), (0, 1), 6),
+])
+def test_character_norm_is_the_sum_of_products_with_conjugates(
+        datum, J, denominator):
+    for _, _, t, _, rep in reps.grid_modules(datum, J, denominator):
+        got = reps.character_norm(rep, t.order)
+        want = _norm_by_operators(rep, t.order)
+        assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
+        assert got == 1
+
+
+def test_character_values_refuse_a_scalar_that_is_not_a_sign():
+    # a one-dimensional module: every F_i fixes its one coset, so the
+    # trace reads the patched scalar of the generator's image
+    _, _, t, _, rep = next(module for module in reps.grid_modules(A1, (), 6)
+                           if module[4].dimension == 1)
+    k = min(rep.finite_images)
+    perm, scalars = rep.finite_images[k]
+    patched = dataclasses.replace(rep, finite_images={
+        **rep.finite_images, k: (perm, (Cyc.zeta(3),) + scalars[1:])})
+    with pytest.raises(InternalConsistencyError, match="z3 is not 1 or -1"):
+        list(reps.character_values(patched, t.order))
+
+
 def test_grid_modules_follow_the_grid_and_the_lift_characters():
     geo = alcove.geometry(A1, ())
     want = []
