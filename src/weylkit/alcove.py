@@ -58,6 +58,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
     charge,
+    require_int,
 )
 
 _QUOTIENT_CAP = 200000
@@ -83,7 +84,13 @@ class LevelOnePoint:
 
 
 def level_one_point(datum, coords):
-    """Build a LevelOnePoint from rationals."""
+    """Build a LevelOnePoint from exact rationals: ints (a bool is the int
+    it is) and Fractions.  Anything else, a float or a str say, raises
+    PreconditionError, as Cyc does."""
+    for c in coords:
+        if not isinstance(c, (int, Fraction)):
+            raise PreconditionError(f"coordinate {c!r} is not an exact"
+                                    " rational")
     return LevelOnePoint(datum, tuple(Fraction(c) for c in coords))
 
 
@@ -293,15 +300,27 @@ def grid_nodes(datum, J):
     return jcheck
 
 
+def check_denominator(denominator):
+    """Refuse a grid denominator that is not an int >= 1.  The grid walks
+    (`sample_grid`, and so `grid_points`, and `reps.grid_modules`) run it
+    after the node-subset refusals and before the budget charge."""
+    require_int("grid denominator", denominator)
+    if denominator < 1:
+        raise PreconditionError(f"grid denominator {denominator} is not"
+                                " positive")
+
+
 def sample_grid(datum, J, max_denominator):
     """All rational points of D_J with denominators <= max_denominator.
 
     Only implemented for complements of size 2 (the configurations the
     verification suite samples, see `grid_nodes`); returns
     LevelOnePoints lying in cells C_S with S inside the complement of J.
-    Its candidates are charged against GRID_WORK_BUDGET before any point.
+    The denominator is checked by `check_denominator`, and the candidates
+    are charged against GRID_WORK_BUDGET, before any point.
     """
     ka, kb = grid_nodes(datum, J)
+    check_denominator(max_denominator)
     candidates = max_denominator * (max_denominator + 3) // 2
     charge(f"grid to denominator {max_denominator} of {candidates} candidate"
            " points", candidates, GRID_WORK_BUDGET)

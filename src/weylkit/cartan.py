@@ -202,6 +202,8 @@ def _affinize(label, cartan):
 
 def cartan_datum(label):
     """Affine Cartan datum for a type tag like "A1", "C2", "D6", "G2"."""
+    if not isinstance(label, str):
+        raise UnsupportedLabelError(f"bad type label {label!r}")
     text = label.strip().replace("~", "")
     if not text or text[0].upper() not in "ABCDEFG":
         raise UnsupportedLabelError(f"bad type label {label!r}")

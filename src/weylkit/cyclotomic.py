@@ -255,10 +255,16 @@ class Cyc:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def promote(self, big):
+        """self at the conductor big, a positive multiple of self.m.  big
+        is checked, and its reduction table read (trial division refuses
+        a big past its budget), before the lifted list is allocated."""
+        require_int("target conductor", big)
+        if big < 1 or big % self.m != 0:
+            raise PreconditionError(f"target conductor {big} is not a"
+                                    f" positive multiple of {self.m}")
         if big == self.m:
             return self
-        if big % self.m != 0:
-            raise PreconditionError("conductor must divide the target")
+        _table(big)
         step = big // self.m
         lifted = [0] * (len(self.nums) * step)
         lifted[::step] = self.nums

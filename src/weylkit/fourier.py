@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import StructuralError, UnsupportedLabelError
+from .errors import (
+    PreconditionError,
+    StructuralError,
+    UnsupportedLabelError,
+    require_int,
+)
 
 
 class FiniteGroupTable:
@@ -140,6 +145,11 @@ def group_trivial():
 
 
 def cyclic_group(n, labels=None):
+    """Z/n for an int n >= 1, its elements named by `labels` or c1, ...,
+    c(n-1) and 1."""
+    require_int("group order", n)
+    if n < 1:
+        raise PreconditionError(f"group order {n} is not positive")
     if labels is None:
         labels = tuple(f"c{k}" if k else "1" for k in range(n))
     mult = {(labels[a], labels[b]): labels[(a + b) % n]

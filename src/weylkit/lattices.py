@@ -8,9 +8,10 @@ brackets [h,e]=2e, [h,f]=-2f, [e,f]=h, and Killing Gram matrix
 All computations happen in scaled coordinates: a lattice L with
 p^n L_0 <= L <= p^-n L_0 is stored as the integer lattice
 Lam = p^n L (in the L_0 basis), so that p^(2n) Z^3 <= Lam <= Z^3, and is
-canonicalized as the Hermite form of its generators together with
-p^(2n) times the identity.  The quotient Z = L / p^n L_0 is Lam modulo
-p^(2n); the deeper quotient Z_1 is Lam modulo p^(3n).
+canonicalized by `canonical` as the Hermite form (`linalg.hnf`, the one
+the library has) of its generators together with p^(2n) times the
+identity.  The quotient Z = L / p^n L_0 is Lam modulo p^(2n); the
+deeper quotient Z_1 is Lam modulo p^(3n).
 
 The points come from the Bruhat-Tits tree of PGL2(Q_p) (Serre, Trees,
 II.1): they are the lattices ad(g) L_0 for the vertices g L_0 within
@@ -43,6 +44,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from . import linalg
 from .errors import (
     PreconditionError,
     StructuralError,
@@ -125,46 +127,14 @@ class LatticeSubmodule:
 
 
 def canonical(p, n, rows):
-    """Canonical basis of the lattice spanned by rows and p^(2n) Z^3.
-
-    Hermite normal form modulo D = p^(2n) (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4): the generators are the
-    rows reduced modulo D plus the implicit D e_c.  Column c starts its
-    pivot row at D e_c and folds in every generator with a nonzero entry
-    there by an extended-gcd step, a unimodular change of two generators,
-    so the spanned lattice never changes and entries past column c stay
-    reducible modulo D.  The pivots divide D; last, the entries above each
-    pivot are reduced into [0, pivot).  It checks nothing: `tree_points`,
-    its one caller, and `candidates` check the window (p, n) before
-    either forms a lattice."""
+    """The Hermite basis of the lattice rows and D Z^3 span, D = p^(2n):
+    `linalg.hnf` of D e_0, D e_1, D e_2, then the rows modulo D, so each
+    column's pivot starts at D e_c.  It checks nothing: `tree_points`, its
+    one caller, and `candidates` check the window before either forms one."""
     scale = p ** (2 * n)
-    work = [[int(x) % scale for x in row] for row in rows]
-    basis = []
-    for c in range(RANK):
-        pivot = [0] * RANK
-        pivot[c] = scale
-        for row in work:
-            a = row[c]
-            if not a:
-                continue
-            top = pivot[c]
-            g = gcd(top, a)
-            # s * top + t * a = g, and (top/g, a/g) is the rest of a
-            # unimodular 2x2 transform.
-            u, v = top // g, a // g
-            t = pow(v, -1, u)
-            s = (g - t * a) // top
-            for k in range(c + 1, RANK):
-                pivot[k], row[k] = ((s * pivot[k] + t * row[k]) % scale,
-                                    (u * row[k] - v * pivot[k]) % scale)
-            pivot[c], row[c] = g, 0
-        basis.append(pivot)
-    for c in range(1, RANK):
-        for k in range(c):
-            q = basis[k][c] // basis[c][c]
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[c])]
-    return LatticeSubmodule(p=p, n=n, basis=tuple(map(tuple, basis)))
+    return LatticeSubmodule(p=p, n=n, basis=linalg.hnf(
+        [[scale, 0, 0], [0, scale, 0], [0, 0, scale]]
+        + [[x % scale for x in row] for row in rows]))
 
 
 def d_invariant(z):
@@ -247,7 +217,7 @@ def sharp(z):
       Hermite basis), so y_2[1] = y_2[0] = 0 when d2 = 1, y_1[0] = 0
       when d1 = 1, and the row is 0 modulo D apart from its pivot.
     - Reducing the entries above each pivot into [0, pivot), column 1
-      and then column 2 as `canonical` does, subtracts multiples of a
+      and then column 2 as `linalg.hnf` does, subtracts multiples of a
       lower row, which keeps the span.  The result is upper triangular
       with positive diagonal and reduced entries: the unique Hermite
       basis of the dual, the one `canonical` returns."""

@@ -11,7 +11,12 @@ primitive pivot rows by cross-multiplication, fraction-free in the
 manner of Bareiss (1968), so a query costs one pass over the stored rows
 instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
 over it; `solve_upper` reads coordinates over a full-rank `hnf` basis.
-`mat_inv` and the Gauss-Jordan `row_reduce` behind it have no library caller.
+
+`hnf` is the one Hermite normal form, an extended-gcd elimination: `alcove`
+puts the translation lattice L' in it, and `lattices.canonical` each
+lattice of the Bruhat-Tits tree, with p^(2n) Z^3 among its generators.
+`mat_inv`, the Gauss-Jordan `row_reduce` behind it and `snf_diag` have no
+library caller.
 """
 
 import bisect
@@ -135,46 +140,47 @@ def in_span(rows, v):
 
 
 def hnf(rows):
-    """Row-style Hermite normal form of an integer matrix.
-
-    Returns the canonical basis (as rows, zero rows dropped) of the
-    lattice spanned by the input rows: row echelon, positive pivots,
-    entries above each pivot reduced into [0, pivot).
-    """
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    r = 0
+    """Row-style Hermite normal form of an integer matrix: the canonical
+    basis of the lattice the rows span, row echelon, positive pivots, each
+    entry above a pivot in [0, pivot).  Column by column (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4) the first remaining row
+    with a nonzero entry a is the pivot, made positive; each later row with
+    a nonzero entry b is folded in, right of the column only, by (pivot,
+    row) -> (s pivot + t row, u row - v pivot), g = gcd(a, b), u = a/g,
+    v = b/g, s u + t v = 1 (unimodular; g and 0 in the column), and dropped
+    if zero.  A finished pivot row reduces the rows above it."""
+    work = [list(row) for row in rows]
+    ncols = len(work[0]) if work else 0
+    basis = []
     for c in range(ncols):
-        # Clear column c below row r with the Euclidean algorithm.
-        while True:
-            nz = [i for i in range(r, nrows) if mat[i][c] != 0]
-            if not nz:
+        for at, pivot in enumerate(work):
+            if pivot[c]:
                 break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            done = True
-            for i in range(r + 1, nrows):
-                if mat[i][c] != 0:
-                    q = mat[i][c] // mat[r][c]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-                    if mat[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and mat[r][c] != 0:
-            # Reduce above the pivot once: a later pivot row is zero in
-            # every column before its own, so it leaves this one alone.
-            for i in range(r):
-                q = mat[i][c] // mat[r][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-            r += 1
-            if r == nrows:
-                break
-    return tuple(tuple(row) for row in mat[:r])
+        else:
+            continue
+        del work[at]
+        pivot = [-x for x in pivot] if pivot[c] < 0 else pivot
+        rest = work[:at]
+        for row in work[at:]:
+            if row[c]:
+                g = math.gcd(pivot[c], row[c])
+                u, v = pivot[c] // g, row[c] // g
+                t = pow(v, -1, u)
+                s = (1 - t * v) // u
+                for k in range(c + 1, ncols):
+                    pivot[k], row[k] = (s * pivot[k] + t * row[k],
+                                        u * row[k] - v * pivot[k])
+                pivot[c], row[c] = g, 0
+                if not any(row):
+                    continue
+            rest.append(row)
+        work = rest
+        for i, upper in enumerate(basis):
+            q = upper[c] // pivot[c]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(upper, pivot)]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
 
 
 def snf_diag(rows):

@@ -397,6 +397,7 @@ def module_generation_check(N):
     """True iff b_0 and b_1 generate the interior of the window, plus
     the coinvariant rank of the interior quotient (always 0 here, since
     -2 b_n lies in the augmentation image for every parity)."""
+    require_int("window", N)
     if N < 2:
         raise PreconditionError("window must extend at least two steps")
     module = RecurrenceModule(N)
@@ -430,7 +431,11 @@ def recurrence_solution_space(N=4):
     and reads -u_n = u_n + u_{n-1} + u_{n+1} otherwise.  The dimension is
     the nullity of those relations, through `linalg.rank`: 2N + 1
     unknowns, 2N - 1 independent relations.  The closed forms (-1)^n and
-    (-1)^n * n must satisfy every relation and be independent."""
+    (-1)^n * n must satisfy every relation and be independent; a window
+    N that is not an int >= 1 raises PreconditionError first."""
+    require_int("window", N)
+    if N < 1:
+        raise PreconditionError("window must extend at least one step")
     module = RecurrenceModule(N)
     size = 2 * N + 1
     relations = [tuple(mat[row][col] + (row == col) for row in range(size))

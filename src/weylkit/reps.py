@@ -259,9 +259,11 @@ def grid_modules(datum, J, denominator):
     at d, in grid order and then `lift_characters` order: the character's
     index and the induced module, built from the walk's t.  Built lazily,
     so a consumer that stops early builds nothing further.  After the
-    node-subset refusals and before the grid, the candidates p/k weighted
-    by k are charged against alcove.GRID_WORK_BUDGET."""
+    node-subset refusals and `alcove.check_denominator`, and before the
+    grid, the candidates p/k weighted by k are charged against
+    alcove.GRID_WORK_BUDGET."""
     alcove.grid_nodes(datum, J)
+    alcove.check_denominator(denominator)
     work = denominator * (denominator + 1) * (denominator + 2) // 3
     charge(f"induced-module grid to denominator {denominator}, which would"
            f" weigh {work} (grid candidates times their denominators),", work,

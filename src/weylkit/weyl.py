@@ -24,6 +24,7 @@ from .errors import (
     InternalConsistencyError,
     NodeSubsetError,
     PreconditionError,
+    require_int,
 )
 
 _STEP_CAP = 100000
@@ -72,7 +73,11 @@ def identity(datum):
 
 
 def simple_reflection(datum, i):
+    """s_i for a node i in 0..n; any other i raises PreconditionError."""
+    require_int("node", i)
     size = datum.n + 1
+    if not 0 <= i < size:
+        raise PreconditionError(f"node {i} is out of range 0..{datum.n}")
     a = datum.pairing
     return WeylElement(datum, tuple(
         tuple((1 if k == j else 0) - (a[k][i] if j == i else 0)

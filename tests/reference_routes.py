@@ -9,8 +9,9 @@ word of each conjugate a coset generator makes, the coset geometry's
 tables from full Weyl lifts and Schreier products, the Witt zero from
 its components, Phi_m by Fraction long division of x^m - 1 by each
 Phi_d, d a proper divisor of m, a cyclotomic scalar with a Fraction per
-coefficient instead of one denominator, and the Hermite form of a
-lattice's dual by the general modular elimination.
+coefficient instead of one denominator, the Hermite form of a lattice's
+dual by the general elimination, and the Hermite form itself by a
+Euclid minimum search instead of extended-gcd steps.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
@@ -167,6 +168,47 @@ def is_min_coset_generator(w, J):
     return not any(j in J for j in weyl.left_descents(winv))
 
 
+def hnf_by_euclid(rows):
+    """Row-style Hermite normal form by a Euclid minimum search: each
+    column is cleared below its pivot row by moving the remaining row of
+    least nonzero absolute entry up and subtracting quotients of it until
+    one nonzero entry is left, and the entries above the pivot are then
+    reduced into [0, pivot).  Zero rows are dropped."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, nrows) if mat[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            if mat[r][c] < 0:
+                mat[r] = [-x for x in mat[r]]
+            done = True
+            for i in range(r + 1, nrows):
+                if mat[i][c] != 0:
+                    q = mat[i][c] // mat[r][c]
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+                    if mat[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nrows and mat[r][c] != 0:
+            # a later pivot row is zero in every column before its own,
+            # so reducing above the pivot once is enough
+            for i in range(r):
+                q = mat[i][c] // mat[r][c]
+                if q:
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+            r += 1
+            if r == nrows:
+                break
+    return tuple(tuple(row) for row in mat[:r])
+
+
 def coset_tables(datum, J):
     """The tables of `alcove.CosetGeometry(datum, J)` by full Weyl
     elements: each quotient element restricted to z_J through the
@@ -234,7 +276,7 @@ def coset_tables(datum, J):
     for v in vectors:
         for x in v:
             denom = denom * x.denominator // gcd(denom, x.denominator)
-    rows = linalg.hnf([[int(x * denom) for x in v] for v in vectors])
+    rows = hnf_by_euclid([[int(x * denom) for x in v] for v in vectors])
     assert len(rows) == dim, "deficient rank"
     bmat = tuple(tuple(Fraction(rows[c][r], denom) for c in range(dim))
                  for r in range(dim))
@@ -494,8 +536,8 @@ class FractionCyc:
 
 def sharp_by_canonical(z):
     """The dual of z by back-substitution, its rows reduced modulo
-    p^(2n) with the units 1/4 and 1/8, then `lattices.canonical`'s
-    extended-gcd elimination over every row and column."""
+    p^(2n) with the units 1/4 and 1/8, then `lattices.canonical`, the
+    general Hermite form over every row and column."""
     (d0, x01, x02), (_, d1, x12), (_, _, d2) = z.basis
     scale = z.p ** (2 * z.n)
     quarter = pow(4, -1, scale)

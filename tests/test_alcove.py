@@ -86,6 +86,30 @@ def test_the_grid_budget_counts_candidates_before_any_point(monkeypatch):
     assert len(alcove.sample_grid(A1, (), 20)) == 129
 
 
+def _first_module(datum, J, denominator):
+    return next(reps.grid_modules(datum, J, denominator))
+
+
+@pytest.mark.parametrize("walk", [alcove.sample_grid, alcove.grid_points,
+                                  _first_module])
+@pytest.mark.parametrize("denominator, what", [
+    (0, "0 is not positive"),
+    (-2, "-2 is not positive"),
+    (-3, "-3 is not positive"),
+    (2.5, "2.5 is not an int"),
+    (None, "None is not an int"),
+])
+def test_a_grid_denominator_must_be_a_positive_int(monkeypatch, walk,
+                                                   denominator, what):
+    # after the node-subset refusals and before the budget, which here
+    # refuses any grid at all
+    with pytest.raises(NodeSubsetError):
+        walk(A1, (0,), denominator)
+    monkeypatch.setattr(alcove, "GRID_WORK_BUDGET", -1)
+    with pytest.raises(PreconditionError, match=f"^grid denominator {what}$"):
+        walk(A1, (), denominator)
+
+
 def test_unusable_node_subsets_raise_node_subset_error():
     with pytest.raises(NodeSubsetError, match="rank-1 configuration"):
         alcove.sample_grid(A1, (0,), 4)

@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit import errors, lattices, pgl2
+from weylkit import alcove, errors, fourier, lattices, pgl2, weyl
+from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
 from weylkit.errors import (
     BudgetError,
     PreconditionError,
+    UnsupportedLabelError,
     UnsupportedRegimeError,
 )
 from weylkit.laurent import LaurentScalar, parse_matrix
@@ -162,3 +164,50 @@ def test_an_int_operand_is_the_constant_it_names():
     assert x * True == x and LaurentScalar(3, {0: 2}) == -1
     with pytest.raises(PreconditionError, match="mismatched base fields"):
         x + LaurentScalar(5, {0: 1})
+
+
+A1 = cartan_datum("A1")
+
+
+@pytest.mark.parametrize("build, error, what", [
+    (lambda: weyl.simple_reflection(A1, 5), PreconditionError,
+     "node 5 is out of range 0..1"),
+    (lambda: weyl.simple_reflection(A1, -1), PreconditionError,
+     "node -1 is out of range 0..1"),
+    (lambda: fourier.cyclic_group(0), PreconditionError,
+     "group order 0 is not positive"),
+    (lambda: fourier.cyclic_group(-1), PreconditionError,
+     "group order -1 is not positive"),
+    (lambda: alcove.level_one_point(A1, (0.5, 0.5)), PreconditionError,
+     "coordinate 0.5 is not an exact rational"),
+    (lambda: alcove.level_one_point(A1, ("1/2", "1/2")), PreconditionError,
+     "coordinate '1/2' is not an exact rational"),
+    (lambda: cartan_datum(None), UnsupportedLabelError,
+     "bad type label None"),
+    (lambda: pgl2.recurrence_solution_space(0), PreconditionError,
+     "window must extend at least one step"),
+    (lambda: pgl2.module_generation_check(2.5), PreconditionError,
+     "window 2.5 is not an int"),
+])
+def test_a_library_input_out_of_its_domain_is_refused(build, error, what):
+    with pytest.raises(error, match=f"^{what}$"):
+        build()
+
+
+def test_inputs_at_the_edges_of_those_domains_work():
+    assert weyl.simple_reflection(A1, 1).word() == (1,)
+    assert fourier.cyclic_group(1).elements == ("1",)
+    assert alcove.level_one_point(A1, (True, 0)).coords == (1, 0)
+    assert pgl2.recurrence_solution_space(1)[0] == 2
+
+
+@pytest.mark.parametrize("big, error, what", [
+    (6.0, PreconditionError, "target conductor 6.0 is not an int"),
+    (0, PreconditionError, "target conductor 0 is not a positive multiple"),
+    (-6, PreconditionError, "target conductor -6 is not a positive multiple"),
+    # a positive multiple whose table trial division refuses to build
+    (3 * 10 ** 400, BudgetError, "a 1331-bit integer"),
+])
+def test_promote_refuses_a_target_before_lifting(big, error, what):
+    with pytest.raises(error, match=f"^{what}"):
+        Cyc.zeta(3).promote(big)

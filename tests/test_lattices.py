@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylkit import lattices, linalg
 from weylkit.errors import BudgetError, PreconditionError, StructuralError
-from reference_routes import sharp_by_canonical
+from reference_routes import hnf_by_euclid, sharp_by_canonical
 
 
 def test_datum_self_checks():
@@ -272,9 +272,29 @@ def test_d_rejects_an_index_prime_to_p():
 
 
 def _hnf_canonical(p, n, rows):
+    """The Hermite basis of rows and p^(2n) Z^3 by the Euclid route, from
+    the rows as they are, not reduced modulo p^(2n)."""
     scale = p ** (2 * n)
-    return linalg.hnf(tuple(rows) + tuple(
+    return hnf_by_euclid(tuple(rows) + tuple(
         tuple(scale * (i == j) for j in range(3)) for i in range(3)))
+
+
+def test_canonical_matches_the_euclid_route_on_every_tree_vertex(
+        monkeypatch):
+    canonical = lattices.canonical
+    seen = []
+
+    def recorded(p, n, rows):
+        z = canonical(p, n, rows)
+        assert z.basis == _hnf_canonical(p, n, rows)
+        seen.append(z.basis)
+        return z
+
+    monkeypatch.setattr(lattices, "canonical", recorded)
+    for p, n in ((3, 1), (5, 1), (3, 2)):
+        lattices.tree_points(p, n)
+    # the balls hold 1 + 4, 1 + 6 and 1 + 4 + 12 vertices
+    assert len(seen) == 5 + 7 + 17
 
 
 def _sharp_by_cofactors(z, gram=lattices.GRAM):

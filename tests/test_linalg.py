@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylkit import linalg
+from reference_routes import hnf_by_euclid
 
 _ints = st.integers(-4, 4)
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -96,6 +97,32 @@ def test_hnf_is_reduced_and_spans_the_input(data):
         assert all(0 <= h[k][c] < row[c] for k in range(i))
     assert linalg.hnf(h) == h
     assert linalg.hnf(list(h) + list(rows)) == h
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer rows with negative entries, some columns zero throughout,
+    and often a row that is an integer combination of the others."""
+    ncols = draw(st.integers(1, 5))
+    zero = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols,
+                                  max_size=ncols), max_size=5))
+    rows = [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                               max_size=len(rows)))
+        rows.append(list(_combination(coeffs, rows, ncols)))
+    return draw(st.permutations(rows))
+
+
+@given(_integer_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_hnf_matches_the_euclid_route(rows):
+    # the extended-gcd elimination against the Euclid minimum search: a
+    # Hermite basis is unique, so the two must return the same rows
+    assert linalg.hnf(rows) == hnf_by_euclid(rows)
 
 
 @given(st.data())
