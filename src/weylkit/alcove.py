@@ -46,11 +46,24 @@ with the subgroup the selected ss_k generate.
 `grid_points` is the one walk from grid points to their cells and torus
 points; `reps` reads it, `torus_act` and the quotient tables as they
 are, with no wrapper.
+
+A torus point of finite order is stored in integers, as (order, nums):
+order is the least M with M t integral, and nums = M t reduced into
+[0, M).  That M is least exactly when gcd(M, content of nums) = 1, so
+the form is canonical, and two points are equal exactly when their
+int tuples are.  `p_J` forms it once per point from the Fraction
+coordinates that `solve_upper` returns.  `torus_act` multiplies nums by
+the element's integer matrix A and reduces modulo order, with no
+renormalisation: A lies in GL(L), so A and A^-1 are integral, and for
+any integer M', M' A t is integral exactly when M' t is.  So A t has the
+order of t, its numerators A nums are again coprime to it, and reducing
+them modulo the order only picks the representative in [0, M).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import linalg, weyl
 from .errors import (
@@ -111,13 +124,17 @@ def cell_of(x):
     return CellLabel(tuple(i for i, c in enumerate(x.coords) if c))
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    values: tuple  # Fractions in [0,1), values on the dual basis of L
+class TorusPoint(NamedTuple):
+    """A torus point of finite order, canonical (see the module
+    docstring): its values on the dual basis of L are nums[i] / order."""
+
+    order: int   # the least M with M t integral
+    nums: tuple  # M t, ints in [0, order)
 
     @property
-    def order(self):
-        return lcm(*(v.denominator for v in self.values))
+    def values(self):
+        """The values on the dual basis of L, as Fractions in [0, 1)."""
+        return tuple(Fraction(n, self.order) for n in self.nums)
 
 
 class CosetGeometry:
@@ -228,9 +245,13 @@ class CosetGeometry:
         return linalg.solve_upper(self._hermite, [n0 * u for u in ucoords])
 
     def torus_act(self, element_index, t):
-        action = self.torus_actions[element_index]
-        values = tuple(v % 1 for v in linalg.mat_vec(action, t.values))
-        return TorusPoint(values=values)
+        """The quotient element's action on t: an integer matrix on its
+        numerators, modulo its order, which the action keeps."""
+        order = t.order
+        return TorusPoint(order, tuple(
+            x % order
+            for x in linalg.mat_vec(self.torus_actions[element_index],
+                                    t.nums)))
 
     def stabilizer(self, t):
         """Indices of the quotient elements that fix the torus point t."""
@@ -257,7 +278,9 @@ def p_J(datum, J, d):
     # d - b'_k0 / n_k0 is level 0 and supported on Jc, so its
     # u-coordinates are d's at Jc - {k0}
     gamma = geo.lattice_coords(tuple(d.coords[k] for k in geo.jcheck[1:]))
-    return TorusPoint(values=tuple(g % 1 for g in gamma))
+    order = lcm(*(g.denominator for g in gamma))
+    return TorusPoint(order, tuple(g.numerator * (order // g.denominator)
+                                   % order for g in gamma))
 
 
 def torus_stabilizer(datum, J, t, S):

@@ -25,17 +25,35 @@ PreconditionError, as Cyc does for coefficients that are not a sequence
 (None, an int, or a dict, whose keys iteration would read).  Two
 scalars of larger conductor are unified to the least common multiple.
 Only the operations the character computations need are provided: ring
-arithmetic, complex conjugation, division by rationals, and
-`norm_sum`.
+arithmetic, complex conjugation and division by rationals.
 """
 
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PreconditionError, least_prime_factor, require_int
+from .errors import PreconditionError, charge, least_prime_factor, require_int
 
 _table_cache = {}
+
+# The entries a reduction table may hold: `_table(m)` builds m rows of
+# phi(m) entries.  The largest conductor a command reaches, 76 (`reps
+# --denominator 38`), costs 2,736.  A sum of scalars is formed at the lcm
+# of their conductors: 1980 = lcm(9, 11, 20) costs 950,400 (about 0.04 s
+# here), and the prime 2003 would cost 4,010,006.
+TABLE_ENTRY_BUDGET = 1000000
+
+
+def _prime_factors(m):
+    """The distinct primes dividing m, least first, by trial division."""
+    primes = []
+    rest = m
+    while rest > 1:
+        p = least_prime_factor(rest)
+        primes.append(p)
+        while rest % p == 0:
+            rest //= p
+    return primes
 
 
 def cyclotomic_polynomial(m):
@@ -59,12 +77,8 @@ def cyclotomic_polynomial(m):
     if m < 1:
         raise PreconditionError(f"conductor {m} is not positive")
     factors = [(m, 1)]  # (d, mu(m/d)) over squarefree m/d
-    rest = m
-    while rest > 1:
-        p = least_prime_factor(rest)
+    for p in _prime_factors(m):
         factors += [(d // p, -mu) for d, mu in factors]
-        while rest % p == 0:
-            rest //= p
     poly = [1]
     for d, mu in factors:
         if mu == 1:
@@ -83,9 +97,17 @@ def cyclotomic_polynomial(m):
 
 def _table(m):
     """(phi(m), rows): rows[k] lists the nonzero (index, int) terms of
-    x^k mod Phi_m for k < m.  Built once per conductor."""
+    x^k mod Phi_m for k < m.  Built once per conductor, after its m phi(m)
+    entries are charged against TABLE_ENTRY_BUDGET; phi(m) is read off
+    the primes of m, which trial division finds within its own budget."""
     if m in _table_cache:
         return _table_cache[m]
+    entries = m
+    for p in _prime_factors(m):
+        entries = entries // p * (p - 1)
+    entries *= m
+    charge(f"a reduction table for conductor {m} of {entries} entries",
+           entries, TABLE_ENTRY_BUDGET)
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     # x^deg = -(phi_0 + ... + phi_{deg-1} x^(deg-1)); Phi_m is monic.
@@ -149,38 +171,6 @@ def _pad(r, z):
     """The rational scalar r (of conductor 1) at the conductor of z, built
     without `promote`: its one numerator becomes coefficient 0."""
     return _new(z.m, r.nums + (0,) * (len(z.nums) - 1), r.den)
-
-
-def norm_sum(values):
-    """The sum of z * conj(z) over the scalars `values`, reduced modulo
-    Phi_m once per conductor m and denominator, not once per term.
-
-    Let R = Z[x]/(x^m - 1) and pi: R -> Q(zeta_m) the ring map x ->
-    zeta_m.  Inversion iota: x -> x^(m-1) = x^-1 is a ring automorphism
-    of R, and pi . iota and conj . pi are ring maps that agree on x (both
-    give zeta_m^-1), so they are equal.  A scalar z = nums/den lifts to
-    a = sum of nums[i] x^i in R with pi(a) = den * z, hence
-
-      pi(a * iota(a)) = den^2 * z * conj(z),
-
-    and a * iota(a) is the sum of nums[i] nums[j] x^((i - j) mod m), read
-    off the numerators with no reduction.  pi is additive, so applying
-    it once to the sum of these over the scalars of one (m, den) gives
-    den^2 times their part of the sum exactly."""
-    sums = {}  # (m, den^2) -> the running sum in R as m ints
-    for z in values:
-        key = z.m, z.den * z.den
-        row = sums.get(key)
-        if row is None:
-            row = sums[key] = [0] * z.m
-        nonzero = [(i, x) for i, x in enumerate(z.nums) if x]
-        for i, x in nonzero:
-            for j, y in nonzero:
-                row[i - j] += x * y  # a negative i - j is (i - j) mod m
-    total = Cyc.rational(0)
-    for (m, den), row in sums.items():
-        total = total + _new(m, _reduce(row, m), den)
-    return total
 
 
 def _ratio(x):
@@ -256,8 +246,9 @@ class Cyc:
 
     def promote(self, big):
         """self at the conductor big, a positive multiple of self.m.  big
-        is checked, and its reduction table read (trial division refuses
-        a big past its budget), before the lifted list is allocated."""
+        is checked, and its reduction table read (trial division and
+        TABLE_ENTRY_BUDGET refuse a big past their budgets), before the
+        lifted list is allocated."""
         require_int("target conductor", big)
         if big < 1 or big % self.m != 0:
             raise PreconditionError(f"target conductor {big} is not a"

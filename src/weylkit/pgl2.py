@@ -89,6 +89,11 @@ from .errors import (
 # witt.ORACLE_PAIR_BUDGET.
 WALK_NODE_BUDGET = 200000
 
+# The elimination work a recurrence window |n| <= N may start: the cube
+# of its 2N + 1 basis vectors.  C8's windows N = 4, 6 and 10 weigh 729,
+# 2,197 and 9,261; N = 28, the largest admitted, weighs 185,193.
+WINDOW_WORK_BUDGET = 200000
+
 
 def _classify(a, b, c, d):
     """"I1", "I2", or "neither" for [[a, b], [c, d]] given by the
@@ -393,13 +398,24 @@ class RecurrenceModule:
         return tuple(int(k == self._index(n)) for k in range(2 * self.N + 1))
 
 
+def _charge_window(N):
+    """Charge the window |n| <= N against WINDOW_WORK_BUDGET."""
+    size = 2 * N + 1
+    charge(f"recurrence window N={N} of {size} basis vectors, which would"
+           f" weigh {size ** 3} (their number cubed),", size ** 3,
+           WINDOW_WORK_BUDGET)
+
+
 def module_generation_check(N):
     """True iff b_0 and b_1 generate the interior of the window, plus
     the coinvariant rank of the interior quotient (always 0 here, since
-    -2 b_n lies in the augmentation image for every parity)."""
+    -2 b_n lies in the augmentation image for every parity).  A window N
+    that is not an int >= 2 raises PreconditionError, and one past
+    WINDOW_WORK_BUDGET BudgetError, before the module is built."""
     require_int("window", N)
     if N < 2:
         raise PreconditionError("window must extend at least two steps")
+    _charge_window(N)
     module = RecurrenceModule(N)
     mats = [module.action_matrix(1), module.action_matrix(2)]
     # Closure under both involutions: every vector that enlarges the
@@ -432,10 +448,12 @@ def recurrence_solution_space(N=4):
     the nullity of those relations, through `linalg.rank`: 2N + 1
     unknowns, 2N - 1 independent relations.  The closed forms (-1)^n and
     (-1)^n * n must satisfy every relation and be independent; a window
-    N that is not an int >= 1 raises PreconditionError first."""
+    N that is not an int >= 1 raises PreconditionError first, and then
+    one past WINDOW_WORK_BUDGET BudgetError."""
     require_int("window", N)
     if N < 1:
         raise PreconditionError("window must extend at least one step")
+    _charge_window(N)
     module = RecurrenceModule(N)
     size = 2 * N + 1
     relations = [tuple(mat[row][col] + (row == col) for row in range(size))

@@ -15,13 +15,18 @@ generate, and the coset representatives are the first index of each new
 point.  `grid_modules` and `build_irreducible` share one core,
 `_induced`.
 
-Characters are reduced modulo Phi_M once per value and once per norm.
-A value chi(x, w_i) is one integer row over the exponents mod M,
-reduced once (`character_values`).  A norm sums chi * conj(chi) on the
-numerators in Z[x]/(x^M - 1), where conjugation is x -> x^-1, and
-reduces once (`cyclotomic.norm_sum`): reduction x -> zeta_M is a ring
-map that carries x -> x^-1 to complex conjugation, so the reduced sum is
-the sum of the reduced products.
+A character norm is reduced modulo Phi_M once per module.  The image of
+(x, w_i) has one diagonal term f zeta_M^k per fixed coset of F_i, with f
+= 1 or -1, and `_trace_rows` lists those terms (k, f): the lift of
+chi(x, w_i) to R = Z[x]/(x^M - 1) is their sum of f x^k.
+`character_norm` adds f f' x^((k - k') mod M) over each pair of terms of
+each row into one integer row of R and reduces that row once.  That is
+exact: let pi: R -> Q(zeta_M) be the ring map x -> zeta_M.  Inversion
+iota: x -> x^(M-1) = x^-1 is a ring automorphism of R, and pi . iota
+and conj . pi are ring maps that agree on x (both give zeta_M^-1), so
+they are equal.  So pi(a iota(a)) = chi conj(chi) for the lift a of a
+value chi, and pi is additive, so pi of the summed row is the sum of
+the chi conj(chi).
 """
 
 import itertools
@@ -29,7 +34,7 @@ import operator
 from dataclasses import dataclass
 
 from . import alcove
-from .cyclotomic import Cyc, norm_sum
+from .cyclotomic import Cyc
 from .errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -186,36 +191,36 @@ def _verify_relations(rep):
 
 def _unit(f):
     """The fixed-point scalar f as the int 1 or -1 that it must be (see
-    `character_values`)."""
+    `_trace_rows`)."""
     if f == 1 or f == -1:
         return f.nums[0]
     raise InternalConsistencyError(
         f"monomial scalar {f.render()} is not 1 or -1")
 
 
-def character_values(rep, t_order):
-    """chi(x, w_i) for x in range(M)^rank, lexicographic, and for each x
-    every quotient index i; M = max(1, t_order).
+def _trace_rows(rep, M):
+    """The terms (k, f) of chi(x, w_i) = sum of f zeta_M^k, one list per
+    (x, w_i): x in range(M)^rank, lexicographic, and for each x every
+    quotient index i.  M must be a multiple of the order of the module's
+    torus points.
 
     The image of (x, w_i) is diag(x) F_i with diag(x) diagonal and F_i
     monomial, so its trace reads only the fixed points of F_i.  Each F_i
     is built once.  On the coset of r_c, x acts by exp(2 pi i <x, r_c . t>);
     r_c . t has the order of t, so with M a multiple of it <x, r_c . t> M
-    is an integer k and the scalar is zeta_M^k.
+    is the integer k = <x, nums> M / order, nums the numerators of
+    r_c . t, and the scalar is zeta_M^k.
 
     Each scalar f of F_i is 1 or -1.  It is a product of values of rho on
     H, and each generator ss_k is an involution, so the well-definedness
     test of `_rho_on_subgroup` compares rho(k) rho(k), the value reached
     from k by the letter k, with the value 1 stored at the identity:
-    rho(k)^2 = 1, whose only roots in a field are 1 and -1.  So chi(x, w_i)
-    is the integer row over exponents mod M with f added at the k of each
-    fixed point, reduced modulo Phi_M once."""
-    M = max(1, t_order)
-    if any(M % v.denominator for point in rep.points for v in point.values):
+    rho(k)^2 = 1, whose only roots in a field are 1 and -1."""
+    if any(M % point.order for point in rep.points):
         raise PreconditionError(
             f"the module's torus points have an order that does not"
             f" divide {M}")
-    numerators = [tuple((v * M).numerator for v in point.values)
+    numerators = [tuple(n * (M // point.order) for n in point.nums)
                   for point in rep.points]
     fin_diagonals = []
     for i in range(len(rep.geometry.quotient_words)):
@@ -226,18 +231,24 @@ def character_values(rep, t_order):
     for x in itertools.product(range(M), repeat=rep.geometry.dim):
         ks = [sum(map(operator.mul, x, num)) % M for num in numerators]
         for entries in fin_diagonals:
-            row = [0] * M
-            for pos, f in entries:
-                row[ks[pos]] += f
-            yield Cyc(M, row)
+            yield [(ks[pos], f) for pos, f in entries]
 
 
 def character_norm(rep, t_order):
-    """<chi, chi> over the finite quotient (L / M L) . W_Jc, M = order of
-    t: `cyclotomic.norm_sum` of the character values, one reduction
-    modulo Phi_M for the whole sum, over their count."""
-    values = list(character_values(rep, t_order))
-    return norm_sum(values) / len(values)
+    """<chi, chi> over the finite quotient (L / M L) . W_Jc, M =
+    max(1, t_order) a multiple of the order of t: the sum of
+    f f' x^((k - k') mod M) over each pair of terms of each trace row, as
+    one integer row in Z[x]/(x^M - 1), reduced modulo Phi_M once (see the
+    module docstring), over the number of rows."""
+    M = max(1, t_order)
+    row = [0] * M
+    count = 0
+    for terms in _trace_rows(rep, M):
+        count += 1
+        for k, f in terms:
+            for k2, f2 in terms:
+                row[k - k2] += f * f2  # a negative k - k2 is (k - k2) mod M
+    return Cyc(M, row) / count
 
 
 def lift_characters(geo, letters):

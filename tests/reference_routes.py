@@ -10,18 +10,22 @@ tables from full Weyl lifts and Schreier products, the Witt zero from
 its components, Phi_m by Fraction long division of x^m - 1 by each
 Phi_d, d a proper divisor of m, a cyclotomic scalar with a Fraction per
 coefficient instead of one denominator, the Hermite form of a lattice's
-dual by the general elimination, and the Hermite form itself by a
-Euclid minimum search instead of extended-gcd steps.
+dual by the general elimination, the Hermite form itself by a
+Euclid minimum search instead of extended-gcd steps, a torus point as
+one Fraction per coordinate taken mod 1, and a character norm as one
+reduced Cyc per character value, summed on their numerators.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
 
+import itertools
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from weylkit import lattices, laurent, linalg, pgl2, weyl, witt
-from weylkit.cyclotomic import _reduce, _table
+from weylkit import alcove, lattices, laurent, linalg, pgl2, reps, weyl, witt
+from weylkit.cyclotomic import Cyc, _new, _reduce, _table
 from weylkit.errors import PreconditionError, require_int, require_prime
 from weylkit.laurent import LaurentScalar
 
@@ -553,3 +557,76 @@ def sharp_by_canonical(z):
         (y22 * quarter, y21 * eighth, y20 * quarter),
         (0, y11 * eighth, y10 * quarter),
         (0, 0, y00 * quarter)))
+
+
+def p_J_by_fractions(datum, J, d):
+    """The torus point p_J(d) as one Fraction in [0, 1) per coordinate:
+    its L'-coordinates, each taken mod 1."""
+    geo = alcove.geometry(datum, J)
+    if any(c < 0 for c in d.coords) or any(d.coords[j] for j in geo.J):
+        raise PreconditionError("d must lie in a cell C_S with S inside Jc")
+    gamma = geo.lattice_coords(tuple(d.coords[k] for k in geo.jcheck[1:]))
+    return tuple(g % 1 for g in gamma)
+
+
+def order_by_fractions(values):
+    """The order of a torus point of Fraction values: the lcm of their
+    denominators."""
+    return lcm(*(v.denominator for v in values))
+
+
+def torus_act_by_fractions(geo, element_index, values):
+    """The quotient element's integer matrix on the Fraction values, each
+    taken mod 1."""
+    return tuple(v % 1 for v in linalg.mat_vec(
+        geo.torus_actions[element_index], values))
+
+
+def character_values(rep, t_order):
+    """chi(x, w_i) for x in range(M)^rank, lexicographic, and for each x
+    every quotient index i, M = max(1, t_order), in the order of
+    `reps._trace_rows`: each value one integer row over the exponents
+    mod M, read off the points' Fraction values and reduced modulo Phi_M
+    once."""
+    M = max(1, t_order)
+    if any(M % v.denominator for point in rep.points for v in point.values):
+        raise PreconditionError(
+            f"the module's torus points have an order that does not"
+            f" divide {M}")
+    numerators = [tuple((v * M).numerator for v in point.values)
+                  for point in rep.points]
+    fin_diagonals = []
+    for i in range(len(rep.geometry.quotient_words)):
+        perm, scalars = rep.finite_image(i)
+        fin_diagonals.append([(pos, reps._unit(scalars[pos]))
+                              for pos in range(rep.dimension)
+                              if perm[pos] == pos])
+    for x in itertools.product(range(M), repeat=rep.geometry.dim):
+        ks = [sum(map(operator.mul, x, num)) % M for num in numerators]
+        for entries in fin_diagonals:
+            row = [0] * M
+            for pos, f in entries:
+                row[ks[pos]] += f
+            yield Cyc(M, row)
+
+
+def norm_sum(values):
+    """The sum of z * conj(z) over the Cyc scalars `values`, reduced
+    modulo Phi_m once per conductor m and denominator: a scalar nums/den
+    lifts to a = sum of nums[i] x^i in Z[x]/(x^m - 1), and a * iota(a),
+    iota: x -> x^-1, is the sum of nums[i] nums[j] x^((i - j) mod m),
+    which x -> zeta_m carries to den^2 z conj(z) (see `reps`)."""
+    sums = {}  # (m, den^2) -> the running sum in Z[x]/(x^m - 1) as m ints
+    for z in values:
+        key = z.m, z.den * z.den
+        row = sums.get(key)
+        if row is None:
+            row = sums[key] = [0] * z.m
+        nonzero = [(i, x) for i, x in enumerate(z.nums) if x]
+        for i, x in nonzero:
+            for j, y in nonzero:
+                row[i - j] += x * y  # a negative i - j is (i - j) mod m
+    total = Cyc.rational(0)
+    for (m, den), row in sums.items():
+        total = total + _new(m, _reduce(row, m), den)
+    return total

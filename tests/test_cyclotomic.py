@@ -5,15 +5,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylkit.cyclotomic import (
-    Cyc,
-    _reduce,
-    _table,
-    cyclotomic_polynomial,
+from weylkit import cyclotomic
+from weylkit.cyclotomic import Cyc, _reduce, _table, cyclotomic_polynomial
+from weylkit.errors import BudgetError, PreconditionError, WeylkitError
+from reference_routes import (
+    FractionCyc,
+    cyclotomic_by_division,
     norm_sum,
+    poly_divmod,
 )
-from weylkit.errors import PreconditionError, WeylkitError
-from reference_routes import FractionCyc, cyclotomic_by_division, poly_divmod
 
 
 def test_cyclotomic_polynomials():
@@ -391,3 +391,30 @@ def test_the_cyclotomic_surface_keeps_its_contract(data):
                           lambda: _declines(scalar, reflected, x))
     for value in (-scalar, scalar.conjugate()):
         assert _contract_outcome(lambda: value) == "scalar"
+
+
+def test_a_reduction_table_past_its_budget_is_refused_before_it_is_built(
+        monkeypatch):
+    # m phi(m) entries: 2,736 at 76, the largest conductor a command
+    # reaches, 950,400 at 1980 and 4,010,006 at the prime 2003
+    for m in (*range(1, 77), 1980):
+        _table(m)
+    z = Cyc.zeta(3)
+
+    def no_polynomial(m):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cyclotomic, "_table_cache", {})
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", no_polynomial)
+    for m, entries in ((2003, 4010006), (10 ** 6, 4 * 10 ** 11)):
+        with pytest.raises(BudgetError, match=f"conductor {m} of {entries}"
+                                              " entries .* budget of 1000000"):
+            Cyc.zeta(m)
+    with pytest.raises(BudgetError, match="conductor 6009 of 24060036"):
+        z.promote(3 * 2003)
+    monkeypatch.setattr(cyclotomic, "TABLE_ENTRY_BUDGET", 2735)
+    with pytest.raises(BudgetError, match="conductor 76 of 2736 entries"):
+        Cyc.zeta(76)
+    monkeypatch.setattr(cyclotomic, "TABLE_ENTRY_BUDGET", 2736)
+    with pytest.raises(AssertionError, match="built"):
+        Cyc.zeta(76)

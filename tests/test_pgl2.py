@@ -752,3 +752,27 @@ def test_recurrence_solution_space():
     # the nullity of the window's relations is 2 on every window
     for n in range(1, 8):
         assert pgl2.recurrence_solution_space(n) == (dim, basis)
+
+
+def test_a_window_past_its_budget_is_refused_before_the_module(monkeypatch):
+    # (2N + 1)^3: 9,261 at C8's N = 10, 185,193 at N = 28 and 205,379 at
+    # N = 29, charged before any action matrix is built
+    def no_module(N):
+        raise AssertionError("the module was built")
+
+    monkeypatch.setattr(pgl2, "RecurrenceModule", no_module)
+    for check in (pgl2.module_generation_check,
+                  pgl2.recurrence_solution_space):
+        for N, work in ((29, 205379), (100, 8120601)):
+            with pytest.raises(BudgetError, match=f"N={N} .* weigh {work}"
+                                                  " .* budget of 200000"):
+                check(N)
+        with pytest.raises(AssertionError, match="built"):
+            check(28)
+        monkeypatch.setattr(pgl2, "WINDOW_WORK_BUDGET", 9260)
+        with pytest.raises(BudgetError, match="weigh 9261"):
+            check(10)
+        monkeypatch.setattr(pgl2, "WINDOW_WORK_BUDGET", 200000)
+    monkeypatch.undo()
+    assert pgl2.module_generation_check(28) == (True, 0)
+    assert pgl2.recurrence_solution_space(28)[0] == 2

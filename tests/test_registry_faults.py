@@ -3,8 +3,6 @@ checks exercise, never of a check, and the checks it names must FAIL
 while every other check PASSes.  A fault that every check passes is a
 gap, named in BLIND."""
 
-import itertools
-
 import pytest
 
 from weylkit import (
@@ -21,7 +19,6 @@ from weylkit import (
     witt,
 )
 from weylkit.cartan import cartan_datum
-from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
 from reference_routes import children
 from test_pgl2 import _row_valuations
@@ -258,18 +255,21 @@ def _coset_generators_or_refusal(datum, J):
         return str(exc)
 
 
-def _character_values_without_the_first_fixed_point(rep, t_order):
-    """Each trace chi(x, w_i) with the term of the first fixed point of
-    the monomial F_i dropped."""
-    M = max(1, t_order)
-    for x in itertools.product(range(M), repeat=rep.geometry.dim):
-        lat = [Cyc.zeta(M, (sum(a * v for a, v in zip(x, p.values)) * M)
-                        .numerator) for p in rep.points]
-        for i in range(len(rep.geometry.quotient_words)):
-            perm, scalars = rep.finite_image(i)
-            fixed = [pos for pos in range(rep.dimension) if perm[pos] == pos]
-            yield sum((lat[pos] * scalars[pos] for pos in fixed[1:]),
-                      Cyc.rational(0))
+_TRACE_ROWS = reps._trace_rows
+
+
+def _trace_rows_without_the_first_fixed_point(rep, M):
+    """Each trace row of chi(x, w_i) with the term of the first fixed
+    point of the monomial F_i dropped."""
+    for terms in _TRACE_ROWS(rep, M):
+        yield terms[1:]
+
+
+def _torus_act_without_the_reduction(geo, element_index, t):
+    """The integer action on t's numerators, not reduced modulo its
+    order."""
+    return alcove.TorusPoint(t.order, tuple(linalg.mat_vec(
+        geo.torus_actions[element_index], t.nums)))
 
 
 def _stabilizer_without_its_last_element(datum, J, t, S):
@@ -313,9 +313,18 @@ def _base_vertex_stabilizer():
     return alcove.geometry(A1, ()).stabilizer(t)
 
 
-def _first_module_characters():
+def _first_module_trace_rows():
     _, _, t, _, rep = next(reps.grid_modules(A1, (), 6))
-    return list(reps.character_values(rep, t.order))
+    return list(reps._trace_rows(rep, t.order))
+
+
+_OTHER_VERTEX = alcove.level_one_point(A1, (0, 1))
+
+
+def _other_vertex_orbit():
+    geo = alcove.geometry(A1, ())
+    t = alcove.p_J(A1, (), _OTHER_VERTEX)
+    return [geo.torus_act(i, t) for i in range(len(geo.quotient_words))]
 
 
 # -- C4, C5 and C11 faults ----------------------------------------------
@@ -419,9 +428,8 @@ FAULTS = {
         [(weyl, "_permutes_simple_roots", _fixes_each_simple_root)],
         {"C1"}, lambda: _coset_generators_or_refusal(D4, (0, 1))),
     "reps.character_values drops a trace term": (
-        [(reps, "character_values",
-          _character_values_without_the_first_fixed_point)], {"C3"},
-        _first_module_characters),
+        [(reps, "_trace_rows", _trace_rows_without_the_first_fixed_point)],
+        {"C3"}, _first_module_trace_rows),
     "costandard.layer_labels swaps sign and unit": (
         [(costandard, "layer_labels",
           _layer_labels_with_sign_and_unit_swapped)], {"C4"},
@@ -453,6 +461,10 @@ FAULTS = {
         [(alcove.CosetGeometry, "_schreier_translations",
           _schreier_translations_through_b_t)], {"C2", "C3"},
         lambda: sorted(alcove.CosetGeometry(A2, ())._schreier_translations())),
+    "alcove.CosetGeometry.torus_act skips the reduction mod the order": (
+        [(alcove.CosetGeometry, "torus_act",
+          _torus_act_without_the_reduction)], {"C2", "C3"},
+        _other_vertex_orbit),
     "alcove.CosetGeometry.stabilizer drops its last element": (
         [(alcove.CosetGeometry, "stabilizer",
           _geometry_stabilizer_without_its_last_element)], {"C2"},

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,13 @@ from weylkit.errors import (
     BudgetError,
     InternalConsistencyError,
     PreconditionError,
+)
+from reference_routes import (
+    character_values,
+    norm_sum,
+    order_by_fractions,
+    p_J_by_fractions,
+    torus_act_by_fractions,
 )
 
 
@@ -121,7 +129,7 @@ def _a2_modules(coords):
 
 
 def _reference_characters(rep, t_order):
-    """chi(x, w_i) in the order of `character_values`, by the direct
+    """chi(x, w_i) in the order of `reps._trace_rows`, by the direct
     route: the finite image as a product of dense generator matrices over
     its word, the lattice image by repeated multiplication of the basis
     vectors' diagonals exp(2 pi i points[c]_j), the whole matrix
@@ -165,8 +173,22 @@ def test_character_values_match_the_direct_route():
         t, built = _a2_modules(coords)
         modules += [(rep, t.order) for rep in built]
     for rep, order in modules:
-        got = list(reps.character_values(rep, order))
-        assert got == _reference_characters(rep, order)
+        want = _reference_characters(rep, order)
+        assert _trace_row_values(rep, order) == want
+        assert list(character_values(rep, order)) == want
+
+
+def _trace_row_values(rep, t_order):
+    """Each trace row of `reps._trace_rows` as the Cyc sum of its terms
+    f zeta_M^k."""
+    M = max(1, t_order)
+    values = []
+    for terms in reps._trace_rows(rep, M):
+        row = [0] * M
+        for k, f in terms:
+            row[k] += f
+        values.append(Cyc(M, row))
+    return values
 
 
 C2 = cartan_datum("C2")
@@ -197,7 +219,7 @@ def test_character_values_need_a_multiple_of_the_points_order():
     assert {p.order for p in rep.points} == {3}
     for t_order in (1, 2, 4):
         with pytest.raises(PreconditionError, match=f"divide {t_order}"):
-            next(reps.character_values(rep, t_order))
+            reps.character_norm(rep, t_order)
     # a multiple of the order reads the same module over a larger quotient
     assert reps.character_norm(rep, 6) == Cyc.rational(1)
 
@@ -205,19 +227,22 @@ def test_character_values_need_a_multiple_of_the_points_order():
 def _norm_by_operators(rep, t_order):
     """<chi, chi> as the sum of chi * conj(chi) through the Cyc operators:
     a conjugate, a product and a reduction per character value."""
-    values = list(reps.character_values(rep, t_order))
+    values = list(character_values(rep, t_order))
     total = Cyc.rational(0)
     for chi in values:
         total = total + chi * chi.conjugate()
     return total / len(values)
 
 
-@pytest.mark.parametrize("datum, J, denominator", [
+_GRIDS = [
     (A1, (), 6), (A1, (), 10), (A1, (), 12),
     (cartan_datum("C2"), (0,), 6),
     (cartan_datum("G2"), (1,), 6),
     (cartan_datum("B3"), (0, 1), 6),
-])
+]
+
+
+@pytest.mark.parametrize("datum, J, denominator", _GRIDS)
 def test_character_norm_is_the_sum_of_products_with_conjugates(
         datum, J, denominator):
     for _, _, t, _, rep in reps.grid_modules(datum, J, denominator):
@@ -225,6 +250,50 @@ def test_character_norm_is_the_sum_of_products_with_conjugates(
         want = _norm_by_operators(rep, t.order)
         assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
         assert got == 1
+
+
+def _grid_and_a2_points():
+    """(datum, J, d) for each point of the grids of _GRIDS and each
+    point of A2_POINTS."""
+    points = [(datum, J, d) for datum, J, denominator in _GRIDS
+              for d in alcove.sample_grid(datum, J, denominator)]
+    return points + [(A2, (), alcove.level_one_point(A2, coords))
+                     for coords, _ in A2_POINTS]
+
+
+def test_the_integer_torus_route_matches_the_fraction_route():
+    # p_J, the order, the values and each orbit point against one
+    # Fraction per coordinate taken mod 1, the order the lcm of their
+    # denominators
+    for datum, J, d in _grid_and_a2_points():
+        geo = alcove.geometry(datum, J)
+        t = alcove.p_J(datum, J, d)
+        values = p_J_by_fractions(datum, J, d)
+        assert t.values == values
+        assert t.order == order_by_fractions(values)
+        assert all(type(n) is int and 0 <= n < t.order for n in t.nums)
+        assert gcd(t.order, *t.nums) == 1
+        for i in range(len(geo.quotient_words)):
+            point = geo.torus_act(i, t)
+            moved = torus_act_by_fractions(geo, i, values)
+            assert point.values == moved
+            assert point.order == order_by_fractions(moved) == t.order
+
+
+def test_character_norm_is_the_norm_sum_of_the_character_values():
+    # one reduction per module against one reduced Cyc per value, summed
+    # on their numerators and reduced once
+    modules = [(t, rep) for datum, J, denominator in _GRIDS
+               for _, _, t, _, rep in reps.grid_modules(datum, J,
+                                                        denominator)]
+    for coords, _ in A2_POINTS:
+        t, built = _a2_modules(coords)
+        modules += [(t, rep) for rep in built]
+    for t, rep in modules:
+        values = list(character_values(rep, t.order))
+        want = norm_sum(values) / len(values)
+        got = reps.character_norm(rep, t.order)
+        assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
 
 
 def test_character_values_refuse_a_scalar_that_is_not_a_sign():
@@ -237,7 +306,7 @@ def test_character_values_refuse_a_scalar_that_is_not_a_sign():
     patched = dataclasses.replace(rep, finite_images={
         **rep.finite_images, k: (perm, (Cyc.zeta(3),) + scalars[1:])})
     with pytest.raises(InternalConsistencyError, match="z3 is not 1 or -1"):
-        list(reps.character_values(patched, t.order))
+        reps.character_norm(patched, t.order)
 
 
 def test_grid_modules_follow_the_grid_and_the_lift_characters():
