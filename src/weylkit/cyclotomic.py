@@ -39,13 +39,16 @@ _table_cache = {}
 # The entries a reduction table may hold: `_table(m)` builds m rows of
 # phi(m) entries.  The largest conductor a command reaches, 76 (`reps
 # --denominator 38`), costs 2,736.  A sum of scalars is formed at the lcm
-# of their conductors: 1980 = lcm(9, 11, 20) costs 950,400 (about 0.04 s
-# here), and the prime 2003 would cost 4,010,006.
+# of their conductors: 1980 = lcm(9, 11, 20) costs 950,400, and the
+# prime 2003 would cost 4,010,006.
 TABLE_ENTRY_BUDGET = 1000000
 
 
 def _prime_factors(m):
-    """The distinct primes dividing m, least first, by trial division."""
+    """The distinct primes dividing the conductor m, least first, by trial
+    division; PreconditionError for an m that is not positive."""
+    if m < 1:
+        raise PreconditionError(f"conductor {m} is not positive")
     primes = []
     rest = m
     while rest > 1:
@@ -74,8 +77,6 @@ def cyclotomic_polynomial(m):
     then p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i from the bottom
     up: x^d - 1 is monic, and every step stays in the integers.
     """
-    if m < 1:
-        raise PreconditionError(f"conductor {m} is not positive")
     factors = [(m, 1)]  # (d, mu(m/d)) over squarefree m/d
     for p in _prime_factors(m):
         factors += [(d // p, -mu) for d, mu in factors]

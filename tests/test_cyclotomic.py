@@ -412,6 +412,9 @@ def test_a_reduction_table_past_its_budget_is_refused_before_it_is_built(
             Cyc.zeta(m)
     with pytest.raises(BudgetError, match="conductor 6009 of 24060036"):
         z.promote(3 * 2003)
+    # a conductor below 1 is refused as one, whatever its size
+    with pytest.raises(PreconditionError, match="-10000000 is not positive"):
+        Cyc(-10 ** 7, (1,))
     monkeypatch.setattr(cyclotomic, "TABLE_ENTRY_BUDGET", 2735)
     with pytest.raises(BudgetError, match="conductor 76 of 2736 entries"):
         Cyc.zeta(76)
