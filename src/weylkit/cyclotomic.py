@@ -12,7 +12,7 @@ that least d times a factor of both), so within one conductor two
 scalars are equal exactly when their (nums, den) tuples are.  Every
 result is divided by that gcd once, when it is built (`_new`).  Phi_m is
 an integer product of the binomials x^d - 1 (see
-`cyclotomic_polynomial`) and is monic, so reduction goes through one
+`_cyclotomic_polynomial`) and is monic, so reduction goes through one
 integer table per conductor: the rows of x^k mod Phi_m for k < m.
 
 A rational operand (an int, a Fraction, or a scalar of conductor 1) acts
@@ -59,8 +59,9 @@ def _prime_factors(m):
     return primes
 
 
-def cyclotomic_polynomial(m):
-    """Coefficient list of Phi_m, low degree first, as ints.
+def _cyclotomic_polynomial(m):
+    """Coefficient list of Phi_m, low degree first, as ints; `_table`
+    calls it once the table's m phi(m) entries are charged.
 
     Since x^m - 1 is the product of Phi_d over the divisors d of m,
     Moebius inversion gives
@@ -109,7 +110,7 @@ def _table(m):
     entries *= m
     charge(f"a reduction table for conductor {m} of {entries} entries",
            entries, TABLE_ENTRY_BUDGET)
-    phi = cyclotomic_polynomial(m)
+    phi = _cyclotomic_polynomial(m)
     deg = len(phi) - 1
     # x^deg = -(phi_0 + ... + phi_{deg-1} x^(deg-1)); Phi_m is monic.
     top = [-c for c in phi[:-1]]

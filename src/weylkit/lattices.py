@@ -19,23 +19,44 @@ distance n of the base vertex.  The Killing form is ad-invariant, so each
 is self-dual and bracket-closed, and `tree_points` forms each vertex once
 from an upper-triangular representative, integer-only, with
 `VERTEX_BUDGET` bounding the ball it forms.  `enumerate_X_n` tests
-every tree point by both routes, the isotropic stratum (d, the pairing,
-the trilinear form) and the direct one (a fixed point of the dual
-`sharp`, bracket closure), and certifies the points on which they agree.
+every tree point for self-duality by two routes and certifies the points
+on which they agree: the isotropic stratum reads d off the Hermite
+diagonal and the pairing on the basis rows (`is_self_dual_isotropic`),
+and the direct route asks for a fixed point of the dual, `sharp`.
+Neither route tests the bracket, since on a self-dual lattice closure
+under it cannot fail:
+
+(a) K([u, v], w) is alternating in u, v, as the bracket is, and by
+    invariance it is K(u, [v, w]), alternating in v, w.  On a rank-3
+    module it is then its value on the basis times the determinant:
+    K([u, v], w) = K([e, h], f) det(u, v, w) = -8 det(u, v, w).  On the
+    isotropic stratum d = 3n, so the Hermite basis has det p^(3n), and the
+    27 values on basis rows that `is_lie_closed` tests, 0 or +-8 p^(3n),
+    vanish modulo p^(3n) by construction.
+(b) For odd p, GRAM has the unit determinant -128, so L_0 and every
+    self-dual L = p^-n Lam are unimodular Z_p-lattices on one ternary
+    quadratic space, and over a non-dyadic field those are classified by
+    rank and discriminant (O'Meara, Introduction to Quadratic Forms,
+    §92): some isometry s has s L_0 = L, and -s too, as -L = L; the rank
+    is odd, so one of them lies in SO(sl2, K).  Ad: PGL2(Q_p) ->
+    SO(sl2, K) is an isomorphism, so L = ad(g) L_0, a tree vertex, and
+    bracket-closed, as ad(g) is a Lie automorphism.  With the Cartan
+    decomposition g = k diag(p^a, 1) k', k and k' in PGL2(Z_p), L is
+    ad(k)(p^a Z_p e + Z_p h + p^-a Z_p f), in the window exactly when
+    the vertex's distance |a| is at most n: the scan's self-dual
+    lattices are the tree points.
 
 The exhaustive scan is the independent route the registry checks the
 tree against.  Its candidates are upper-triangular Hermite bases with
 p-power diagonal; only off-diagonal entries that satisfy the congruences
 for containing p^(2n) Z^3 are ever formed, and `SCAN_BUDGET` bounds how
-many are tested.  Membership of a vector in such a lattice ([u, v] in
-p^n Lam for bracket closure) is one integer back-substitution, d is read
-from the Hermite diagonal, and `sharp` is a triangular
-back-substitution whose rows, each divided by a p-unit, are the dual's
-Hermite form once the entries above the pivots are reduced.  Both strata
-routes read a single pass over the candidates.  At (p, n) = (3, 1) the
-pass sees 445 candidates and at (3, 2) 67,969, which run in seconds;
-(5, 2) has 2,890,693 and stops at `SCAN_BUDGET`'s 200,000, while the tree
-has 37 vertices there.
+many are tested.  d is read from the Hermite diagonal, and `sharp` is a
+triangular back-substitution whose rows, each divided by a p-unit, are
+the dual's Hermite form once the entries above the pivots are reduced.
+Both self-duality routes read a single pass over the candidates.  At
+(p, n) = (3, 1) the pass sees 445 candidates and at (3, 2) 67,969, which
+run in under a second; (5, 2) has 2,890,693 and stops at `SCAN_BUDGET`'s
+200,000, while the tree has 37 vertices there.
 Both budgets are module constants, read at each call and charged through
 `errors.charge` before the work they bound, as every budget is.
 """
@@ -238,22 +259,6 @@ def sharp(z):
         (0, 0, y00)))
 
 
-def _in_lattice(rows, v, mult=1):
-    """Whether v lies in the Z-span of mult * rows, for an upper-triangular
-    integer basis with nonzero diagonal: the back-substitution solving
-    x (mult B) = v must stay integral."""
-    coeffs = []
-    for j in range(RANK):
-        rest = v[j]
-        for i, c in enumerate(coeffs):
-            rest -= mult * c * rows[i][j]
-        q, r = divmod(rest, mult * rows[j][j])
-        if r:
-            return False
-        coeffs.append(q)
-    return True
-
-
 def _hermite_candidates(p, n):
     """All upper-triangular Hermite bases B = [[d0, x01, x02], [0, d1,
     x12], [0, 0, d2]] with p-power diagonal whose lattice contains
@@ -316,14 +321,16 @@ def _is_self_dual(z):
 
 def _certify(vertices):
     """(points, direct_count) for an iterable of lattices: the points
-    that pass the isotropic route, sorted by basis, cross-checked against
-    those that pass the direct one."""
+    that pass the isotropic route (d and the pairing), sorted by basis,
+    cross-checked against those that pass the direct one (`sharp` fixes
+    the lattice).  Neither tests the bracket, which cannot fail on a
+    self-dual lattice (lemmas (a) and (b) of the module docstring)."""
     points = []
     direct = []
     for z in vertices:
-        if is_self_dual_isotropic(z) and is_lie_closed(z):
+        if is_self_dual_isotropic(z):
             points.append(z)
-        if _is_self_dual(z) and _lattice_bracket_closed(z):
+        if _is_self_dual(z):
             direct.append(z)
     if {z.basis for z in direct} != {z.basis for z in points}:
         raise StructuralError("the two enumeration routes disagree")
@@ -335,7 +342,7 @@ def _certify(vertices):
 SCAN_BUDGET = 200000
 
 # Tree vertices enumerate_X_n forms: the largest sizes it admits, such as
-# (97, 2) with 9,605 vertices, take a few seconds.
+# (97, 2) with 9,605 vertices, take under a second.
 VERTEX_BUDGET = 10000
 
 
@@ -364,9 +371,9 @@ def enumerate_isotropic(p, n):
 
 
 def scan_points(p, n):
-    """Certified bracket-closed points from the exhaustive candidate
-    scan; returns (points, direct_count).  SCAN_BUDGET counts
-    candidates."""
+    """`_certify` on the exhaustive candidate scan: the isotropic route
+    tests d and the pairing, the direct route `sharp`; returns (points,
+    direct_count).  SCAN_BUDGET counts candidates."""
     return _certify(_scan(p, n))
 
 
@@ -414,20 +421,10 @@ def tree_points(p, n):
 
 
 def enumerate_X_n(p, n):
-    """Certified bracket-closed points: the tree points that pass the
-    isotropic route, cross-checked against those that pass the direct
-    one; returns (points, direct_count).  VERTEX_BUDGET counts tree
-    vertices."""
+    """`_certify` on the tree points: the isotropic route tests d and the
+    pairing, the direct route `sharp`; returns (points, direct_count).
+    VERTEX_BUDGET counts tree vertices."""
     return _certify(tree_points(p, n))
-
-
-def _lattice_bracket_closed(z):
-    """[L, L] <= L for L = p^-n Lam: every [u, v] of basis rows must lie
-    in p^n Lam.  The index of Lam is a power of p, so integral membership
-    is the p-adic one: no prime-to-p denominator can occur."""
-    pn = z.p ** z.n
-    return all(_in_lattice(z.basis, bracket(u, v), pn)
-               for u in z.basis for v in z.basis)
 
 
 def _kernel_closed(phi, q):

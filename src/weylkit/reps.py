@@ -6,7 +6,7 @@ selected ss_k.  By Clifford-Mackey theory its lattice part is the
 W_Jc-orbit of t: a module carries the orbit point r_c . t of each coset
 r_c H, and the lattice acts on that coset by that character.  The finite
 generators permute cosets with rho-scalars, so every image is a monomial
-matrix with exact cyclotomic scalars.  Products, inverses and the
+matrix whose scalars are the ints 1 and -1.  Products, inverses and the
 lattice action are read straight from the tables of
 `alcove.CosetGeometry`.  Each module acts on t once per quotient
 element: the stabilizer H is read off that orbit, as the indices whose
@@ -59,7 +59,7 @@ def _subgroup(geo, letters):
 
 
 def _identity(dim):
-    return tuple(range(dim)), (Cyc.rational(1),) * dim
+    return tuple(range(dim)), (1,) * dim
 
 
 def _compose(a, b):
@@ -90,7 +90,7 @@ def _rho_on_subgroup(geo, words, rho):
     None when rho is not well defined on the subgroup."""
     values = {}
     for idx, word in words.items():
-        value = Cyc.rational(1)
+        value = 1
         for k in word:
             value = value * rho[k]
         values[idx] = value
@@ -106,8 +106,8 @@ def _rho_on_subgroup(geo, words, rho):
 
 def build_irreducible(datum, J, S, d, rho):
     """Induced module Ind([p_J(d)] x rho) of L . W_Jc for a rational point
-    d of the cell C_S; rho maps each generator letter k in Sc - J to a Cyc
-    scalar."""
+    d of the cell C_S; rho maps each generator letter k in Sc - J to 1 or
+    -1."""
     cell = alcove.cell_of(d)
     if cell is None or tuple(sorted(S)) != cell.S:
         raise PreconditionError("d does not lie in the cell C_S")
@@ -119,10 +119,14 @@ def _induced(geo, S, t, rho):
     """Induced module Ind([t] x rho) of L . W_Jc, geo = geometry(datum, J),
     for the torus point t of a point of the cell C_S.  Each finite
     generator moves every coset to one coset and multiplies by one value
-    of rho, so its image is a monomial matrix."""
+    of rho, so its image is a monomial matrix.  A value of rho that is not
+    the int 1 or -1 (a bool is its int) is refused."""
     letters = [k for k in geo.jcheck if k not in set(S)]
     if set(rho) != set(letters):
         raise PreconditionError("rho must be given exactly on Sc - J")
+    for value in rho.values():
+        if not isinstance(value, int) or value not in (1, -1):
+            raise PreconditionError(f"rho value {value!r} is not 1 or -1")
     orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient_words))]
     sub_words = _subgroup(geo, letters)
     # The inducing subgroup must be the full stabilizer of t, the indices
@@ -189,15 +193,6 @@ def _verify_relations(rep):
                 "lattice conjugation relation fails")
 
 
-def _unit(f):
-    """The fixed-point scalar f as the int 1 or -1 that it must be (see
-    `_trace_rows`)."""
-    if f == 1 or f == -1:
-        return f.nums[0]
-    raise InternalConsistencyError(
-        f"monomial scalar {f.render()} is not 1 or -1")
-
-
 def _trace_rows(rep, M):
     """The terms (k, f) of chi(x, w_i) = sum of f zeta_M^k, one list per
     (x, w_i): x in range(M)^rank, lexicographic, and for each x every
@@ -211,11 +206,8 @@ def _trace_rows(rep, M):
     is the integer k = <x, nums> M / order, nums the numerators of
     r_c . t, and the scalar is zeta_M^k.
 
-    Each scalar f of F_i is 1 or -1.  It is a product of values of rho on
-    H, and each generator ss_k is an involution, so the well-definedness
-    test of `_rho_on_subgroup` compares rho(k) rho(k), the value reached
-    from k by the letter k, with the value 1 stored at the identity:
-    rho(k)^2 = 1, whose only roots in a field are 1 and -1."""
+    Each scalar f of F_i is the int 1 or -1: a product of values of rho,
+    each of which `_induced` requires to be 1 or -1."""
     if any(M % point.order for point in rep.points):
         raise PreconditionError(
             f"the module's torus points have an order that does not"
@@ -225,7 +217,7 @@ def _trace_rows(rep, M):
     fin_diagonals = []
     for i in range(len(rep.geometry.quotient_words)):
         perm, scalars = rep.finite_image(i)
-        fin_diagonals.append([(pos, _unit(scalars[pos]))
+        fin_diagonals.append([(pos, scalars[pos])
                               for pos in range(rep.dimension)
                               if perm[pos] == pos])
     for x in itertools.product(range(M), repeat=rep.geometry.dim):
@@ -258,7 +250,7 @@ def lift_characters(geo, letters):
     words = _subgroup(geo, letters)
     out = []
     for signs in itertools.product((1, -1), repeat=len(letters)):
-        rho = {k: Cyc.rational(s) for k, s in zip(sorted(letters), signs)}
+        rho = dict(zip(sorted(letters), signs))
         if _rho_on_subgroup(geo, words, rho) is not None:
             out.append(rho)
     return out

@@ -598,7 +598,7 @@ def character_values(rep, t_order):
     fin_diagonals = []
     for i in range(len(rep.geometry.quotient_words)):
         perm, scalars = rep.finite_image(i)
-        fin_diagonals.append([(pos, reps._unit(scalars[pos]))
+        fin_diagonals.append([(pos, scalars[pos])
                               for pos in range(rep.dimension)
                               if perm[pos] == pos])
     for x in itertools.product(range(M), repeat=rep.geometry.dim):

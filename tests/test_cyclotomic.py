@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit import cyclotomic
-from weylkit.cyclotomic import Cyc, _reduce, _table, cyclotomic_polynomial
+from weylkit.cyclotomic import Cyc, _cyclotomic_polynomial, _reduce, _table
 from weylkit.errors import BudgetError, PreconditionError, WeylkitError
 from reference_routes import (
     FractionCyc,
@@ -17,22 +17,22 @@ from reference_routes import (
 
 
 def test_cyclotomic_polynomials():
-    assert list(cyclotomic_polynomial(1)) == [-1, 1]
-    assert list(cyclotomic_polynomial(2)) == [1, 1]
-    assert list(cyclotomic_polynomial(4)) == [1, 0, 1]
-    assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
-    assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
+    assert list(_cyclotomic_polynomial(1)) == [-1, 1]
+    assert list(_cyclotomic_polynomial(2)) == [1, 1]
+    assert list(_cyclotomic_polynomial(4)) == [1, 0, 1]
+    assert list(_cyclotomic_polynomial(6)) == [1, -1, 1]
+    assert list(_cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
 
 
 def test_phi_matches_long_division_in_ints():
     # Phi_105 is the first with a coefficient outside {-1, 0, 1}: a -2.
     for m in range(1, 111):
-        phi = cyclotomic_polynomial(m)
+        phi = _cyclotomic_polynomial(m)
         assert phi == cyclotomic_by_division(m), m
         assert all(type(c) is int for c in phi), m
-    assert -2 in cyclotomic_polynomial(105)
+    assert -2 in _cyclotomic_polynomial(105)
     assert all(abs(c) <= 1 for m in range(1, 105)
-               for c in cyclotomic_polynomial(m))
+               for c in _cyclotomic_polynomial(m))
 
 
 def test_root_of_unity_relations():
@@ -405,7 +405,7 @@ def test_a_reduction_table_past_its_budget_is_refused_before_it_is_built(
         raise AssertionError("the table was built")
 
     monkeypatch.setattr(cyclotomic, "_table_cache", {})
-    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", no_polynomial)
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_polynomial", no_polynomial)
     for m, entries in ((2003, 4010006), (10 ** 6, 4 * 10 ** 11)):
         with pytest.raises(BudgetError, match=f"conductor {m} of {entries}"
                                               " entries .* budget of 1000000"):

@@ -225,6 +225,22 @@ def test_candidates_are_already_canonical():
         assert lattices.canonical(3, 1, rows).basis == rows
 
 
+def _in_lattice(rows, v, mult=1):
+    """Whether v lies in the Z-span of mult * rows, for an upper-triangular
+    integer basis with nonzero diagonal: the back-substitution solving
+    x (mult B) = v must stay integral."""
+    coeffs = []
+    for j in range(3):
+        rest = v[j]
+        for i, c in enumerate(coeffs):
+            rest -= mult * c * rows[i][j]
+        q, r = divmod(rest, mult * rows[j][j])
+        if r:
+            return False
+        coeffs.append(q)
+    return True
+
+
 def _brute_candidates(p, n):
     """Reference stream: every upper-triangular matrix with p-power
     diagonal and off-diagonal entries below the pivot under them, in
@@ -236,7 +252,7 @@ def _brute_candidates(p, n):
         for x01, x02, x12 in itertools.product(range(d1), range(d2),
                                                range(d2)):
             rows = ((d0, x01, x02), (0, d1, x12), (0, 0, d2))
-            if all(lattices._in_lattice(rows, t) for t in targets):
+            if all(_in_lattice(rows, t) for t in targets):
                 yield rows
 
 
@@ -417,8 +433,50 @@ def membership_queries(draw):
 @settings(max_examples=300, deadline=None)
 def test_integer_membership_matches_fraction_inverse(query):
     rows, v, mult = query
-    assert (lattices._in_lattice(rows, v, mult)
+    assert (_in_lattice(rows, v, mult)
             == _in_lattice_by_inverse(rows, v, mult))
+
+
+def _det(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+_vectors = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3)
+
+
+@given(_vectors, _vectors, _vectors)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_trilinear_form_is_minus_eight_times_the_determinant(u, v, w):
+    # lemma (a) of the lattices docstring: K([u, v], w) is alternating
+    assert (lattices.pairing(lattices.bracket(u, v), w)
+            == -8 * _det(u, v, w))
+
+
+def _bracket_closed(z):
+    """[L, L] <= L for L = p^-n Lam: every [u, v] of basis rows lies in
+    p^n Lam."""
+    return all(_in_lattice(z.basis, lattices.bracket(u, v), z.p ** z.n)
+               for u in z.basis for v in z.basis)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
+def test_the_self_dual_candidates_are_the_bracket_closed_tree_points(p, n):
+    # lemma (b) of the lattices docstring, on the direct route alone
+    scanned = lattices.enumerate_self_dual(p, n)
+    assert ([z.basis for z in scanned]
+            == [z.basis for z in lattices.tree_points(p, n)])
+    for z in scanned:
+        assert _bracket_closed(z)
+        assert abs(_det(*z.basis)) == p ** (3 * n)
+
+
+def test_the_bracket_closure_test_can_fail():
+    # Z 9e + Z h + Z f at (3, 1) is not self-dual, and [h, f] = -2f is
+    # not in 3 Lam
+    z = lattices.canonical(3, 1, [(9, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert not _bracket_closed(z)
 
 
 def test_routes_agree_at_p7():

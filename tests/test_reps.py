@@ -297,16 +297,19 @@ def test_character_norm_is_the_norm_sum_of_the_character_values():
 
 
 def test_character_values_refuse_a_scalar_that_is_not_a_sign():
-    # a one-dimensional module: every F_i fixes its one coset, so the
-    # trace reads the patched scalar of the generator's image
-    _, _, t, _, rep = next(module for module in reps.grid_modules(A1, (), 6)
-                           if module[4].dimension == 1)
-    k = min(rep.finite_images)
-    perm, scalars = rep.finite_images[k]
-    patched = dataclasses.replace(rep, finite_images={
-        **rep.finite_images, k: (perm, (Cyc.zeta(3),) + scalars[1:])})
-    with pytest.raises(InternalConsistencyError, match="z3 is not 1 or -1"):
-        reps.character_norm(patched, t.order)
+    # the vertex point's stabilizer has one letter, so rho has one value;
+    # only the ints 1 and -1 pass, and a bool counts as its int
+    d = _point(1)
+    cell = alcove.cell_of(d)
+    geo = alcove.geometry(A1, ())
+    t = alcove.p_J(A1, (), d)
+    (k,) = [k for k in geo.jcheck if k not in set(cell.S)]
+    for bad in (Cyc.zeta(3), Cyc.rational(-1), Fraction(1), 1.0, 2, 0,
+                None):
+        with pytest.raises(PreconditionError, match="is not 1 or -1"):
+            reps._induced(geo, cell.S, t, {k: bad})
+    assert _module_data(reps._induced(geo, cell.S, t, {k: True})) \
+        == _module_data(reps._induced(geo, cell.S, t, {k: 1}))
 
 
 def test_grid_modules_follow_the_grid_and_the_lift_characters():
