@@ -10,11 +10,11 @@ coefficient; the valuation of zero is +infinity.
 
 Every scalar keeps one invariant: each stored coefficient lies in
 [1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
-negation (c -> q - c) and `shift` preserve it, so they build their
-result directly without that pass.  `_new` and `_raw` check nothing, so
-a caller that builds many scalars over one q, such as pgl2's random
-elements, checks q once, or takes it from scalars already checked, and
-builds through them.  An operator takes a scalar over the same q or an
+negation (c -> q - c) preserves it, so it builds its result directly
+without that pass.  `_new` and `_raw` check nothing, so a caller that
+builds many scalars over one q, such as pgl2's random elements, checks
+q once, or takes it from scalars already checked, and builds through
+them.  An operator takes a scalar over the same q or an
 int, and returns NotImplemented otherwise.
 """
 
@@ -114,10 +114,6 @@ class LaurentScalar:
                                     " not a unit of the Laurent polynomials")
         ((v, c),) = self.coeffs.items()
         return _raw(self.q, {-v: pow(c, -1, self.q)})
-
-    def shift(self, n):
-        """Multiply by e^n."""
-        return _raw(self.q, {e + n: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         other = self._compat(other)

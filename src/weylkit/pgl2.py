@@ -42,7 +42,8 @@ and s_0(t)^-1 C s_0(t) = tau^-1 (s_1(t)^-1 (tau^-1 C tau) s_1(t)) tau.
 So the words that start with letter 0 below C are the tau-conjugates of
 the words that start with letter 1 below tau^-1 C tau.  Class is
 tau-invariant, so each level has the I2 count of the letter-1 words
-below g and below g' = tau^-1 g tau.
+below g and below g' = tau^-1 g tau, whose coefficient dicts are g's
+shifted: A' = D, B'(k) = C(k+1), C'(k) = B(k-1), D' = A.
 
 Below a root C = [[a, b], [c, d]], conjugation by s_1(t), whose inverse
 is [[0, -1], [1, -t]], gives the level-1 node
@@ -58,19 +59,34 @@ left entry of X_t:
      [e^-1 (b + t (a - d) - t^2 c) + s (d - a) + 2 s t c - s^2 e c,
       a - t c + s e c]].
 
-So the nodes come in rows of q, level 1 over t and level 2 over s for
-each t, and the coefficient of e^k in an entry of a row's node x is
-k0 + x k1 + x^2 k2, a column (k0, k1, k2) of integer sums of the root's
-coefficients of e^(k-1), e^k and e^(k+1).  The count scans the root's
-stored exponents shifted by -1, 0 and +1 in increasing order, never the
-range between them, and settles each node's entry at the first exponent
-where its coefficient is nonzero modulo q: its valuation.  The b-entry
-is -c or e c, whose valuation the root stores, and the I2 rule decides
-on v(c) = v(b) + 1 before it reads a or d, so the scan reads a and d
-only at the nodes that pass, and the count builds no scalar past the
-entries of g and g'.  A walk that undoes its last letter first returns
-to the base coset at level 2, so a backtracking walk shows there as a
-false I2 node.
+So level L's nodes are the points of F_q^L, and the coefficient of e^k
+in a node's a-, c- or d-entry is a polynomial in its letters over the
+monomials 1, t, t^2 (level 1) or 1, t, t^2, s, s t, s^2 (level 2): its
+column, of integer sums of the root's coefficients of e^(k-1), e^k and
+e^(k+1), read modulo q at the node.  The b-entry is -c or e c, so v(b) =
+v(c) + L - 1.  The count scans each level once, by two rules.
+
+(a) A bounded scan.  The I2 rule reads c only as v(c) = v(b) + 1, and a
+and d only as v(a), v(d) >= v(b) + 1.  So a node is in I2 iff v(b) is
+finite, its a-, c- and d-columns vanish at every e^k, k <= v(b), and its
+c-column at e^(v(b)+1) does not: the scan stops at v(b) + 1, reading no
+root coefficient above e^(v(c)+3).  It starts at the least exponent j
+the root stores (j - 1 at level 2), below which every column is 0, and
+crosses no long gap: below e^(v(c)+1-L) no column reads c, so the a- and
+d-columns are the constants d_k and a_k and the c-column is -b_k or
+b_(k+1) unless a or d is stored at k or k + 1.  So if j < v(c) + 1 - L,
+a constant a- or d-column at e^j, or else the unit c-column at
+e^(j+1-L), drops every node; otherwise a level reads at most 5 keys.
+
+(b) A constant column settles every node at once: if its non-constant
+coefficients are 0 modulo q, it has one value at all pending nodes and
+drops all or none.  Only a column that depends on the node lists nodes.
+
+An I2 root has j = v(b) = m, v(c) = m + 1 and v(a), v(d) >= m + 1, so
+each level reads a zero a-column and then the constant c-column -b_m (at
+e^m) or b_m (at e^(m-1)), a unit, which drops every node unlisted.  A
+walk that undoes its last letter first returns to the base coset at
+level 2, so a backtracking walk shows there as a false I2 node.
 """
 
 import math
@@ -183,97 +199,81 @@ def discriminant_valuation(M):
 
 # -- coset enumeration -------------------------------------------------
 
-def _tau_conjugate(C):
-    """tau^-1 C tau = [[d, c/e], [e b, a]] for tau = [[0, 1], [e, 0]]."""
-    (a, b), (c, d) = C
-    return ((d, c.shift(-1)), (b.shift(1), a))
-
-
-def _child_c(A, B, C, D, k):
-    """The (k0, k1, k2) with k0 + t k1 + t^2 k2 the coefficient of e^k
-    in -b + t (d - a) + t^2 c, for a root whose entries a, b, c, d have
-    the coefficient dicts A, B, C, D."""
-    return -B.get(k, 0), D.get(k, 0) - A.get(k, 0), C.get(k, 0)
-
-
-def _rows(root, q):
-    """The rows of q nodes below root, level 1 and then level 2 for each
-    t in range(q): (keys, v(b), a-column, c-column, d-column).  A column
-    maps k to the (k0, k1, k2) with k0 + x k1 + x^2 k2 the coefficient of
-    e^k in the entry of the row's node x; keys hold every exponent where
-    one may be nonzero, in increasing order."""
-    (a, b), (c, d) = root
+def _roots(g):
+    """The coefficient dicts (A, B, C, D) of g = [[a, b], [c, d]] and, by
+    index shift, of tau^-1 g tau = [[d, c/e], [e b, a]]."""
+    (a, b), (c, d) = g
     A, B, C, D = a.coeffs, b.coeffs, c.coeffs, d.coeffs
-    keys = sorted({k + i for k in (*A, *B, *C, *D) for i in (-1, 0, 1)})
-    v = min(C, default=math.inf)
-    yield (keys, v, lambda k: (D.get(k, 0), C.get(k, 0), 0),
-           lambda k: _child_c(A, B, C, D, k),
-           lambda k: (A.get(k, 0), -C.get(k, 0), 0))
-    for t in range(q):
-        def c_column(k, t=t):
-            x0, x1, x2 = _child_c(A, B, C, D, k + 1)
-            _, y1, y2 = _child_c(A, B, C, D, k)
-            return (-(x0 + t * (x1 + t * x2)), y1 + 2 * t * y2,
-                    -C.get(k - 1, 0))
-        yield (keys, v + 1,
-               lambda k, t=t: (D.get(k, 0) + t * C.get(k, 0),
-                               -C.get(k - 1, 0), 0),
-               c_column,
-               lambda k, t=t: (A.get(k, 0) - t * C.get(k, 0),
-                               C.get(k - 1, 0), 0))
+    return ((A, B, C, D), (D, {k - 1: x for k, x in C.items()},
+                           {k + 1: x for k, x in B.items()}, A))
 
 
-def _scan(keys, column, points, q):
-    """A row's entry's valuations at the nodes x in points, in a list
-    over range(q): the first k in keys where k0 + x k1 + x^2 k2 is
-    nonzero modulo q, (k0, k1, k2) = column(k), else inf."""
-    found = [math.inf] * q
-    for k in keys:
-        if not points:
-            break
-        k0, k1, k2 = column(k)
-        pending = []
-        for x in points:
-            if (k0 + x * (k1 + x * k2)) % q:
-                found[x] = k
-            else:
-                pending.append(x)
-        points = pending
-    return found
+def _columns(level, root, k):
+    """The columns of a level's a-, c- and d-entries at e^k below a root
+    given by its coefficient dicts (A, B, C, D)."""
+    A, B, C, D = root
+    a, b, c, d = A.get(k, 0), B.get(k, 0), C.get(k, 0), D.get(k, 0)
+    if level == 1:
+        return (d, c, 0), (-b, d - a, c), (a, -c, 0)
+    a1, b1, d1 = A.get(k + 1, 0), B.get(k + 1, 0), D.get(k + 1, 0)
+    c0, c1 = C.get(k - 1, 0), C.get(k + 1, 0)
+    return ((d, c, 0, -c0, 0, 0), (b1, a1 - d1, -c1, d - a, 2 * c, -c0),
+            (a, -c, 0, c0, 0, 0))
 
 
-def _i2_nodes(row, q):
-    """The I2 nodes of a row of `_rows`, scanning a and d only at the
-    nodes where v(c) = v(b) + 1."""
-    keys, v, a_column, c_column, d_column = row
-    cs = _scan(keys, c_column, range(q), q)
-    passing = [x for x in range(q) if v != math.inf and cs[x] == v + 1]
-    if not passing:
+def _vanishing_nodes(column, pending, q, level):
+    """The nodes of `pending` where a column is 0 modulo q, listed: node
+    n has letters t = n at level 1 and (t, s) = divmod(n, q) at 2."""
+    out = []
+    for n in pending:
+        t, s = divmod(n, q) if level == 2 else (n, 0)
+        if sum(w * y for w, y in zip(
+                column, (1, t, t * t, s, s * t, s * s))) % q == 0:
+            out.append(n)
+    return out
+
+
+def _vanishing(column, pending, q, level):
+    """The pending nodes where a column is 0 modulo q.  A column whose
+    non-constant coefficients are 0 modulo q keeps them all or none
+    (rule (b)); only one that depends on the node lists them."""
+    if any(w % q for w in column[1:]):
+        return _vanishing_nodes(column, pending, q, level)
+    return pending if column[0] % q == 0 else ()
+
+
+def _level_count(root, level, q):
+    """The I2 nodes of a level below a root, by the scan of rule (a) from
+    the unlisted nodes range(q^level)."""
+    if not root[2]:
         return 0
-    as_ = _scan(keys, a_column, passing, q)
-    ds = _scan(keys, d_column, passing, q)
-    return sum(_classify(as_[x], v, cs[x], ds[x]) == "I2" for x in passing)
+    top = min(root[2]) + level  # v(b) + 1
+    pending = range(q ** level)
+    for k in range(min(map(min, filter(None, root))) + 1 - level, top):
+        for column in _columns(level, root, k):
+            pending = _vanishing(column, pending, q, level)
+            if not pending:
+                return 0
+    c = _columns(level, root, top)[1]
+    return len(pending) - len(_vanishing(c, pending, q, level))
 
 
 def fixed_point_count(g, prec=None):
     """Number of cosets x I1 with x^-1 g x in I2, for g in I2: the 2 of
     level 0 (g and its tau-conjugate) plus twice the I2 nodes of word
-    lengths 1 and 2 in the rows below g and g' = tau^-1 g tau.  The
-    module docstring shows why that covers the words of both letters,
-    that the answer is 2, why the walk goes to level 2 and how the rows'
-    valuations come from the roots' coefficients.  `prec` is accepted
-    and unused: `perfbench/worker.py` passes it.
-
-    Levels 1 and 2 hold 2q and 2q^2 nodes; the count charges all 1 + 2q +
-    2q^2 against WALK_NODE_BUDGET before it classifies any."""
+    lengths 1 and 2 below g and g' = tau^-1 g tau, each level read by the
+    module docstring's scan.  `prec` is accepted and unused:
+    `perfbench/worker.py` passes it.  Levels 1 and 2 hold 2q and 2q^2
+    nodes; the count charges all 1 + 2q + 2q^2, the most its scans may
+    list, against WALK_NODE_BUDGET before it classifies any."""
     if iwahori_class(g) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
     nodes = 1 + 2 * q + 2 * q * q
     charge(f"fixed-point walk to word length 2 of {nodes} nodes", nodes,
            WALK_NODE_BUDGET)
-    return 2 + 2 * sum(_i2_nodes(row, q) for root in (g, _tau_conjugate(g))
-                       for row in _rows(root, q))
+    return 2 + 2 * sum(_level_count(root, level, q)
+                       for root in _roots(g) for level in (1, 2))
 
 
 def random_i2(q, rng, degree=6):

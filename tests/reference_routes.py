@@ -18,6 +18,7 @@ No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
 
+import functools
 import itertools
 import operator
 from collections.abc import Sequence
@@ -30,10 +31,11 @@ from weylkit.errors import PreconditionError, require_int, require_prime
 from weylkit.laurent import LaurentScalar
 
 
+@functools.cache
 def edge(letter, t, q):
     """The edge s_letter(t) of the word tree: [[-t, 1], [-1, 0]] for
     letter 1 and [[0, e^-1], [-e, t]] for letter 0, both of determinant
-    1."""
+    1.  Built once per (letter, t, q): no caller changes a scalar."""
     one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
     scalar = LaurentScalar(q, {0: t})
     if letter == 1:
@@ -58,13 +60,19 @@ def children(C, letter, q):
     return out
 
 
+@functools.cache
+def _tau_and_inverse(q):
+    """tau = [[0, 1], [e, 0]] and tau^-1 = [[0, e^-1], [1, 0]] over F_q,
+    built once per q."""
+    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
+    return (((zero, one), (LaurentScalar(q, {1: 1}), zero)),
+            ((zero, LaurentScalar(q, {-1: 1})), (one, zero)))
+
+
 def tau_conjugate(C):
     """tau^-1 C tau for the normalizing element tau = [[0, 1], [e, 0]],
-    with tau^-1 = [[0, e^-1], [1, 0]], multiplied out."""
-    q = C[0][0].q
-    one, zero = LaurentScalar(q, {0: 1}), LaurentScalar(q, {})
-    tau = ((zero, one), (LaurentScalar(q, {1: 1}), zero))
-    return _conjugate(C, tau, ((zero, LaurentScalar(q, {-1: 1})), (one, zero)))
+    multiplied out."""
+    return _conjugate(C, *_tau_and_inverse(C[0][0].q))
 
 
 def conjugate_levels(g):
@@ -84,15 +92,22 @@ def conjugate_levels(g):
                     for child in children(conj, letter, q)]
 
 
+def monomial(q, n):
+    """e^n over F_q, which multiplies a scalar's exponents up by n."""
+    return LaurentScalar(q, {n: 1})
+
+
 def discriminant_by_products(M):
     """The valuation of e^2(b+c)^2 - 4e^2 bc - e a d for the normal form
     `pgl2.i2_normal_form` gives M, each entry shifted to its normal-form
-    exponents and the formula multiplied out."""
+    exponents by a power of e and the formula multiplied out."""
     q = M[0][0].q
     m, A, B, C, D = pgl2.i2_normal_form(M)
-    a, b, c = (LaurentScalar(q, X).shift(-(m + 1)) for X in (A, B, C))
-    d = LaurentScalar(q, D).shift(-m)
-    expr = ((b + c) * (b + c) - b * c * 4).shift(2) - (a * d).shift(1)
+    a, b, c = (LaurentScalar(q, X) * monomial(q, -(m + 1))
+               for X in (A, B, C))
+    d = LaurentScalar(q, D) * monomial(q, -m)
+    expr = ((b + c) * (b + c) - b * c * 4) * monomial(q, 2) \
+        - a * d * monomial(q, 1)
     return expr.valuation()
 
 

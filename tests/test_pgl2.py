@@ -19,6 +19,7 @@ from reference_routes import (
     discriminant_by_products,
     edge,
     exact_inverse,
+    monomial,
     random_i1,
     tau_conjugate,
 )
@@ -241,43 +242,71 @@ def _valuations(M):
     return tuple(x.valuation() for row in M for x in row)
 
 
-def _row_valuations(row, q):
-    """(v(a), v(b), v(c), v(d)) of each node of a row of `pgl2._rows`,
-    every entry scanned at every node."""
-    keys, v, *columns = row
-    a, c, d = (pgl2._scan(keys, column, range(q), q) for column in columns)
-    return [(a[x], v, c[x], d[x]) for x in range(q)]
+def _dicts(M):
+    """The coefficient dicts (A, B, C, D) of M = [[a, b], [c, d]]."""
+    return tuple(x.coeffs for row in M for x in row)
 
 
-def _rows_beside_built(g):
-    """Each row of `pgl2._rows` below tau^-1 g tau and below g, beside
-    the q matrices of levels 1 and 2 of `conjugate_levels(g)` its nodes
-    are.  Those levels list the words that start with letter 0 and then
-    those that start with letter 1, each node followed by its
-    tau-conjugate.  Below g the scan's level-1 node X_t is the built
-    letter-1 child, and its level-2 node (t, s) is the tau-conjugate of
-    the built letter-0 child s of X_t.  Below tau^-1 g tau it is the
-    other way round: level 1 has the tau-conjugates of g's built
-    letter-0 children, level 2 the built letter-1 children of those."""
+def _nodes(q, level):
+    """A level's nodes as their monomials 1, t, t^2, s, s t, s^2 (s = 0
+    at level 1), in the order of the scan's index n = t at level 1 and
+    n = q t + s at level 2."""
+    return [(1, t, t * t, s, s * t, s * s)
+            for t, s in itertools.product(range(q), range(q ** (level - 1)))]
+
+
+def _column_at(column, node, q):
+    """A column's value modulo q at a node given by its monomials."""
+    return sum(w * y for w, y in zip(column, node)) % q
+
+
+def _unbounded_keys(root):
+    """Every exponent within 1 of one the root stores: where a column may
+    be nonzero, with no bound."""
+    return sorted({k + i for X in root for k in X for i in (-1, 0, 1)})
+
+
+def _level_valuations(root, level, q):
+    """(v(a), v(b), v(c), v(d)) of each node of a level below a root,
+    read from the library's columns at every exponent of
+    `_unbounded_keys`: the scan with no bound, on the test side."""
+    keys = _unbounded_keys(root)
+    columns = [pgl2._columns(level, root, k) for k in keys]
+    v = min(root[2]) + level - 1 if root[2] else math.inf
+    out = []
+    for x in _nodes(q, level):
+        a, c, d = (next((k for k, col in zip(keys, columns)
+                         if _column_at(col[j], x, q)), math.inf)
+                   for j in range(3))
+        out.append((a, v, c, d))
+    return out
+
+
+def _levels_beside_built(g):
+    """Each level below tau^-1 g tau and below g, as (root, level, built):
+    the coefficient dicts of the root, built by products, and the q^level
+    matrices its nodes are, built by `children` in the scan's order.
+    Below g the level-1 node X_t is the built letter-1 child t, and the
+    level-2 node (t, s) is the tau-conjugate of the built letter-0 child s
+    of X_t.  Below tau^-1 g tau it is the other way round: level 1 has
+    the tau-conjugates of g's letter-0 children, level 2 the letter-1
+    children of those."""
     q = g[0][0].q
-    levels = conjugate_levels(g)
-    next(levels)
-    built = (next(levels), next(levels))
-    for half, root in enumerate((pgl2._tau_conjugate(g), g)):
-        for k, row in enumerate(pgl2._rows(root, q)):
-            length = 1 if k == 0 else 2
-            level = built[length - 1]
-            start = (half * len(level) // 2 + (length + half) % 2
-                     + 2 * q * max(k - 1, 0))
-            yield row, level[start:start + 2 * q:2]
+    zero, one = children(g, 0, q), children(g, 1, q)
+    root = _dicts(tau_conjugate(g))
+    yield root, 1, [tau_conjugate(x) for x in zero]
+    yield root, 2, [y for x in zero for y in children(x, 1, q)]
+    yield _dicts(g), 1, one
+    yield _dicts(g), 2, [tau_conjugate(y) for x in one
+                         for y in children(x, 0, q)]
 
 
 def test_level_classes_from_valuations_match_the_built_matrices():
-    # The scan's (v(a), v(b), v(c), v(d)) of every node of levels 1 and 2
-    # are the valuations of the matrix `conjugate_levels` builds: the
-    # unipotent elements of `test_walk_cumulative_counts_per_level`, the
-    # base I2 element and random matrices of every class, zero entries
-    # included.  I1, I2 and "neither" all occur among the nodes.
+    # The unbounded scan's (v(a), v(b), v(c), v(d)) of every node of
+    # levels 1 and 2 are the valuations of the matrix built by products:
+    # the unipotent elements of `test_walk_cumulative_counts_per_level`,
+    # the base I2 element and random matrices of every class, zero
+    # entries included.  I1, I2 and "neither" all occur among the nodes.
     seen = set()
     for q in (2, 3, 5, 7):
         rng = random.Random(53 + q)
@@ -285,8 +314,8 @@ def test_level_classes_from_valuations_match_the_built_matrices():
                    ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
         sources += [_random_exact_matrix(q, rng) for _ in range(40)]
         for g in sources:
-            for row, built in _rows_beside_built(g):
-                scanned = _row_valuations(row, q)
+            for root, level, built in _levels_beside_built(g):
+                scanned = _level_valuations(root, level, q)
                 assert scanned == [_valuations(m) for m in built]
                 seen.update(pgl2._classify(*v) for v in scanned)
     assert seen == {"I1", "I2", "neither"}
@@ -295,7 +324,7 @@ def test_level_classes_from_valuations_match_the_built_matrices():
 def test_valuation_classes_match_on_truncated_entries():
     # Entries of any class, zero or with zero digits below their top one:
     # on levels 1 and 2 the class of every node and of its tau-conjugate,
-    # read from the scanned valuations (v(a), v(b), v(c), v(d)) and
+    # read from the unbounded scan's (v(a), v(b), v(c), v(d)) and
     # (v(d), v(c) - 1, v(b) + 1, v(a)), is that of the built matrix.
     seen = set()
     for q in (2, 3, 5, 7):
@@ -308,8 +337,9 @@ def test_valuation_classes_match_on_truncated_entries():
                     q, {v + k: rng.randrange(q)
                         for k in range(rng.randrange(3))}))
             g = ((entries[0], entries[1]), (entries[2], entries[3]))
-            for row, built in _rows_beside_built(g):
-                for (a, b, c, d), m in zip(_row_valuations(row, q), built):
+            for root, level, built in _levels_beside_built(g):
+                for (a, b, c, d), m in zip(_level_valuations(root, level, q),
+                                           built):
                     got = [pgl2._classify(*exps)
                            for exps in ((a, b, c, d), (d, c - 1, b + 1, a))]
                     assert got == [pgl2.iwahori_class(x)
@@ -318,46 +348,53 @@ def test_valuation_classes_match_on_truncated_entries():
     assert seen == {"I1", "I2", "neither"}
 
 
-def test_exact_i2_children_read_b_and_c_before_a_and_d():
-    # Per row, the I2 count that scans a and d only at the nodes that pass
-    # v(c) = v(b) + 1 equals the count over every node's four valuations
-    # and the count of the built matrices: the elements above, random
-    # exact matrices of every class, and x tau x^-1 for words x of length
-    # 1 and 2, whose walk meets tau itself at x.  Both kinds of node
-    # occur, in I2 and past b and c but not in I2, so the a/d path runs.
-    in_i2 = past_b_and_c_only = 0
+def _word_conjugates_of_tau(q, words):
+    """x tau x^-1 for the words x, whose walk meets tau itself at x."""
+    base = laurent.parse_matrix("0,1;e,0", q)
+    return [conjugate_exact(base, exact_inverse(_word_matrix(q, word)))
+            for word in words]
+
+
+def test_level_i2_counts_match_build_then_classify():
+    # Per level, the bounded scan's I2 count equals the count over every
+    # node's unbounded valuations and the count of the built matrices:
+    # the elements above, random exact matrices of every class, zero
+    # entries included, and x tau x^-1 for words x of length 1 and 2,
+    # which put I2 nodes on both levels.  Nodes that pass v(c) = v(b) + 1
+    # but not a and d occur too, so the a- and d-columns decide some.
+    in_i2 = {1: 0, 2: 0}
+    past_b_and_c_only = 0
     for q in (2, 3, 5, 7):
         rng = random.Random(67 + q)
-        base = laurent.parse_matrix("0,1;e,0", q)
         sources = [laurent.parse_matrix(text, q) for text in
                    ("1,1;0,1", "1,0;e,1", "1+e,1;e2,1", "0,1;e,0")]
         sources += [_random_exact_matrix(q, rng) for _ in range(12)]
-        sources += [conjugate_exact(
-                        base, exact_inverse(_word_matrix(q, word)))
-                    for word in (((1, 1),), ((0, q - 1),),
-                                 ((1, 0), (0, 1)))]
+        sources += _word_conjugates_of_tau(
+            q, (((1, 1),), ((0, q - 1),), ((1, 0), (0, 1))))
         for g in sources:
-            for row, built in _rows_beside_built(g):
-                count = pgl2._i2_nodes(row, q)
-                exps = _row_valuations(row, q)
+            for root, level, built in _levels_beside_built(g):
+                count = pgl2._level_count(root, level, q)
+                exps = _level_valuations(root, level, q)
                 assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
                 assert count == sum(pgl2.iwahori_class(m) == "I2"
                                     for m in built)
-                in_i2 += count
+                in_i2[level] += count
                 past_b_and_c_only += sum(
                     b != math.inf and c == b + 1
                     and pgl2._classify(a, b, c, d) != "I2"
                     for a, b, c, d in exps)
-    assert in_i2 and past_b_and_c_only
+    assert in_i2[1] and in_i2[2] and past_b_and_c_only
 
 
 def test_child_route_pieces_match_the_built_children():
-    # The pieces the scan reads are whole coefficients, not only the
-    # lowest: at every exponent k of a row's keys, the column of each of
-    # the a-, c- and d-entries gives the built node's coefficient of e^k
-    # modulo q, and the built entries store no exponent outside the
-    # keys.  The b-entry is read as the valuation of -c or e c.  Random
-    # roots of every class and the walk's own nodes.
+    # The columns are whole coefficients, not only the lowest: at every
+    # node of levels 1 and 2 and every exponent k of the unbounded keys,
+    # the column of each of the a-, c- and d-entries, evaluated at the
+    # node, gives the built node's coefficient of e^k modulo q, and the
+    # built entries store no exponent outside the keys.  The b-entry has
+    # the valuation v(c) + level - 1, and the library's node list keeps
+    # exactly the nodes where a column vanishes.  Random roots of every
+    # class and the walk's own nodes.
     for q in (2, 3, 5, 7):
         rng = random.Random(71 + q)
         sources = [_random_exact_matrix(q, rng) for _ in range(12)]
@@ -365,22 +402,30 @@ def test_child_route_pieces_match_the_built_children():
                 pgl2.random_i2(q, rng))):
             sources.extend(level[::2])
         for g in sources:
-            for (keys, v, *columns), built in _rows_beside_built(g):
-                for x, ((a, b), (c, d)) in enumerate(built):
-                    assert b.valuation() == v
-                    for entry, column in zip((a, c, d), columns):
-                        assert set(entry.coeffs) <= set(keys)
-                        assert [sum(w * x ** i for i, w in
-                                    enumerate(column(k))) % q
-                                for k in keys] \
-                            == [entry.coeffs.get(k, 0) for k in keys]
+            for root, level, built in _levels_beside_built(g):
+                keys = _unbounded_keys(root)
+                nodes = _nodes(q, level)
+                v = min(root[2]) + level - 1 if root[2] else math.inf
+                assert [b.valuation() for (_, b), _ in built] \
+                    == [v] * len(nodes)
+                entries = [(a, c, d) for (a, _), (c, d) in built]
+                assert all(set(x.coeffs) <= set(keys)
+                           for node in entries for x in node)
+                for k in keys:
+                    for j, column in enumerate(pgl2._columns(level, root, k)):
+                        values = [_column_at(column, x, q) for x in nodes]
+                        assert values == [node[j].coeffs.get(k, 0)
+                                          for node in entries]
+                        assert pgl2._vanishing_nodes(
+                            column, range(len(nodes)), q, level) \
+                            == [n for n, y in enumerate(values) if y == 0]
 
 
 def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     # C7's 42 elements and 60 random odd-coset elements at each of
-    # q = 2, 3, 5: a count constructs no scalar but the entries of
-    # tau^-1 g tau, which it scans beside those of g, through either
-    # constructor of `laurent`.
+    # q = 2, 3, 5: a count constructs no scalar through either
+    # constructor of `laurent`, since it reads tau^-1 g tau off g's
+    # coefficient dicts by index shift.
     count, new, raw = pgl2.fixed_point_count, laurent._new, laurent._raw
     counted, made, active, constructed = [], [], [], []
 
@@ -413,11 +458,8 @@ def test_a_count_that_settles_at_level_2_builds_no_matrix(monkeypatch):
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 180
     assert len(counted) == len(made) == 42 + 180
     # the recording sees C7 build its elements between the counts
-    assert len(constructed) > sum(map(len, made))
-    for g, scalars in zip(counted, made):
-        entries = [_scalar_key(x) for row in tau_conjugate(g) for x in row]
-        assert len(scalars) <= 4
-        assert all(_scalar_key(x) in entries for x in scalars)
+    assert constructed
+    assert made == [[]] * (42 + 180)
 
 
 def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
@@ -436,19 +478,99 @@ def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
 
 
 def test_the_scan_skips_the_gaps_between_stored_exponents():
-    # Entries whose stored exponents lie about 10^9 apart: the count
-    # answers 2 in milliseconds, and a node whose first nonzero
-    # coefficient is that of e^999999999 settles there, since the scan
-    # reads the stored exponents and their neighbours, never the range
-    # between them.
+    # Entries whose stored exponents lie about 10^9 apart, below the
+    # scan's first key, between its keys and above its bound: the count
+    # answers 2, and every level's count equals the built matrices', with
+    # I2 nodes among them, in milliseconds of library time, since the
+    # scan drops every node within two keys of a low stored exponent and
+    # stops at v(b) + 1.
+    far = 999999999
+    found = 0
     for q in (2, 3, 5, 7):
-        g = laurent.parse_matrix("0,1+e999999999;e,0", q)
-        root = laurent.parse_matrix("1,e999999999;0,1", q)
+        sources = [laurent.parse_matrix(text, q) for text in (
+            "1,e999999999;0,1", "1+e-999999999,1;e,e999999999",
+            "e999999999,e-999999999;e999999998,1", "e2,1+e999999999;e,e")]
+        sources += [tuple(tuple(x + LaurentScalar(q, {far: 1}) for x in row)
+                          for row in g)
+                    for g in _word_conjugates_of_tau(q, (((1, 1),),
+                                                         ((1, 0), (0, 1))))]
+        spent = 0
         start = time.perf_counter()
-        assert pgl2.fixed_point_count(g) == 2
-        assert _row_valuations(next(pgl2._rows(root, q)), q) \
-            == [(0, math.inf, 999999999, 0)] * q
-        assert time.perf_counter() - start < 0.25
+        assert pgl2.fixed_point_count(
+            laurent.parse_matrix("0,1+e999999999;e,0", q)) == 2
+        spent += time.perf_counter() - start
+        for g in sources:
+            for root, level, built in _levels_beside_built(g):
+                start = time.perf_counter()
+                count = pgl2._level_count(root, level, q)
+                spent += time.perf_counter() - start
+                assert count == sum(pgl2.iwahori_class(m) == "I2"
+                                    for m in built)
+                found += count
+        assert spent < 0.25
+    assert found
+
+
+def test_the_scan_reads_no_root_coefficient_above_e_v_c_plus_3():
+    # Rule (a): the scan stops at v(b) + 1 = v(c) + level, where level
+    # 2's columns read the root at one exponent higher.  Changing, adding
+    # or dropping any root coefficient above e^(v(c)+3) leaves every
+    # level's count unchanged, on random roots of every class and on
+    # roots with I2 nodes; changing the coefficients at e^(v(c)+3) itself
+    # moves some count, so the bound is no higher than it needs to be.
+    moved = 0
+    for q in (2, 3, 5, 7):
+        rng = random.Random(107 + q)
+        sources = [_random_exact_matrix(q, rng) for _ in range(30)]
+        sources += _word_conjugates_of_tau(
+            q, [((1, t), (0, s)) for t in range(q) for s in range(q)])
+        for g in sources:
+            for root in (_dicts(g), _dicts(tau_conjugate(g))):
+                if not root[2]:
+                    continue
+                bound = min(root[2]) + 3
+                counts = [pgl2._level_count(root, level, q)
+                          for level in (1, 2)]
+
+                def redrawn(low):
+                    """The root with its coefficients from e^low up drawn
+                    afresh, each one present or not."""
+                    return tuple(
+                        {**{k: x for k, x in X.items() if k < low},
+                         **{k: rng.randrange(1, q)
+                            for k in range(low, bound + 4)
+                            if rng.randrange(2)}}
+                        for X in root)
+
+                for _ in range(4):
+                    changed = redrawn(bound + 1)
+                    assert [pgl2._level_count(changed, level, q)
+                            for level in (1, 2)] == counts
+                changed = redrawn(bound)
+                moved += [pgl2._level_count(changed, level, q)
+                          for level in (1, 2)] != counts
+    assert moved
+
+
+def test_the_count_of_an_i2_element_lists_no_node(monkeypatch):
+    # Rule (b): on an I2 root every column the scan reads is constant, so
+    # at q = 313, where level 2 has 97,969 nodes, the count of tau and of
+    # random odd-coset elements lists none; a root whose walk meets tau
+    # at level 1 has a column that depends on the node, and lists them.
+    def no_node_list(column, pending, q, level):
+        raise AssertionError(f"listed the nodes of level {level}")
+
+    q = 313
+    rng = random.Random(109)
+    elements = [laurent.parse_matrix("0,1;e,0", q)]
+    elements += [pgl2.random_i2(q, rng, degree) for degree in (1, 8, 12)]
+    elements += [pgl2.random_i1_conjugate(elements[0], rng)]
+    (meets_tau,) = _word_conjugates_of_tau(q, (((1, 5),),))
+    monkeypatch.setattr(pgl2, "_vanishing_nodes", no_node_list)
+    assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 5
+    with pytest.raises(AssertionError, match="nodes of level 1"):
+        for root in pgl2._roots(meets_tau):
+            pgl2._level_count(root, 1, q)
 
 
 def _random_exact_matrix(q, rng):
@@ -484,8 +606,9 @@ def test_tau_conjugate_has_the_same_class_on_exact_entries():
 def test_tau_turns_the_letter_1_edges_into_the_letter_0_edges():
     # The walk's one-letter step rests on tau^-1 s_1(t) tau = -s_0(t),
     # with tau^2 = e I central, so conjugating twice by tau is the
-    # identity; and on `_tau_conjugate` being tau^-1 C tau, here against
-    # the product of three matrices on random matrices of every class.
+    # identity; and on `_roots` reading tau^-1 C tau off C's coefficient
+    # dicts by index shift, here against the product of three matrices
+    # on random matrices of every class.
     for q in (2, 3, 5, 7):
         for t in range(q):
             (a, b), (c, d) = edge(0, t, q)
@@ -494,14 +617,14 @@ def test_tau_turns_the_letter_1_edges_into_the_letter_0_edges():
         rng = random.Random(89 + q)
         for _ in range(40):
             m = _random_exact_matrix(q, rng)
-            assert _key(pgl2._tau_conjugate(m)) == _key(tau_conjugate(m))
+            assert pgl2._roots(m) == (_dicts(m), _dicts(tau_conjugate(m)))
             assert _key(tau_conjugate(tau_conjugate(m))) == _key(m)
 
 
 def _random_i2_by_shifts(q, rng, degree=6):
     """`pgl2.random_i2` through the public constructor: one draw per
     entry, its base-q digits read by powers of q, each entry built at
-    exponents 0..degree-1 and then shifted."""
+    exponents 0..degree-1 and then multiplied by a power of e."""
     def digits(n, count):
         return [n // q ** k % q for k in range(count)]
 
@@ -517,7 +640,8 @@ def _random_i2_by_shifts(q, rng, degree=6):
     a, d = unit(), unit()
     b, c = integer(), integer()
     m = rng.randrange(-2, 3)
-    return ((c.shift(m + 1), d.shift(m)), (a.shift(m + 1), b.shift(m + 1)))
+    low, high = monomial(q, m), monomial(q, m + 1)
+    return ((c * high, d * low), (a * high, b * high))
 
 
 def test_random_i2_matches_construct_then_shift():

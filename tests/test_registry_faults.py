@@ -20,8 +20,9 @@ from weylkit import (
 )
 from weylkit.cartan import cartan_datum
 from weylkit.errors import NodeSubsetError
+from weylkit.laurent import LaurentScalar
 from reference_routes import children
-from test_pgl2 import _row_valuations
+from test_pgl2 import _dicts, _level_valuations
 
 
 def _statuses():
@@ -99,21 +100,23 @@ def test_ghost_exponents_shifted_up_are_an_equivalent_mutant(p, m):
 
 # -- C7, C8 and C9 faults, with the gaps they show ---------------------
 
-_ROWS = pgl2._rows
-_SCAN = pgl2._scan
+_COLUMNS = pgl2._columns
+_LEVEL_COUNT = pgl2._level_count
 
 
-def _child_c_with_a_minus_d(A, B, C, D, k):
-    """The column of -b + t (a - d) + t^2 c instead of -b + t (d - a) +
-    t^2 c.  Level 2's c-column reads this one, so the fault reaches both
-    levels."""
-    return -B.get(k, 0), A.get(k, 0) - D.get(k, 0), C.get(k, 0)
+def _columns_with_a_minus_d(level, root, k):
+    """The c-column of -b + t (a - d) + t^2 c instead of -b + t (d - a) +
+    t^2 c at level 1, and at level 2, whose c-entry is built from level
+    1's, its t- and s-terms (a - d) at k + 1 and (d - a) at k negated."""
+    a, c, d = _COLUMNS(level, root, k)
+    c = tuple(-w if i in (1, 3) else w for i, w in enumerate(c))
+    return a, c, d
 
 
-def _scan_without_x2(keys, column, points, q):
-    """The scan of k0 + x k1, dropping the t^2 term of level 1's c-entry
-    and the s^2 term of level 2's."""
-    return _SCAN(keys, lambda k: (*column(k)[:2], 0), points, q)
+def _columns_without_t2_and_s2(level, root, k):
+    """Every column with its t^2 and s^2 monomials dropped."""
+    return tuple(tuple(0 if i in (2, 5) else w for i, w in enumerate(column))
+                 for column in _COLUMNS(level, root, k))
 
 
 def _readout_with_exponent_one_after_the_first_term(p, m, g):
@@ -141,13 +144,16 @@ def _lift_sum_without_its_first_term(p, xs, ys):
     return out
 
 
-def _rows_that_backtrack(root, q):
-    """The walk's rows, and below each level-1 node X the letter-1
-    children of X itself as well, so a word may undo its last step: the
-    rows of letter 1 again come from the built children."""
-    yield from _ROWS(root, q)
-    for child in children(root, 1, q):
-        yield next(_ROWS(child, q))
+def _level_count_that_backtracks(root, level, q):
+    """The level's count, and at level 2 also the level-1 I2 nodes below
+    each built letter-1 child of the root, so a word may undo its last
+    step: the letter-1 children of the level-1 nodes X themselves."""
+    count = _LEVEL_COUNT(root, level, q)
+    if level == 2:
+        A, B, C, D = (LaurentScalar(q, X) for X in root)
+        count += sum(_LEVEL_COUNT(_dicts(child), 1, q)
+                     for child in children(((A, B), (C, D)), 1, q))
+    return count
 
 
 _ACTION_MATRIX = pgl2.RecurrenceModule.action_matrix
@@ -172,11 +178,18 @@ def _action_dropping_b1_from_s1_b0(module, i):
 
 
 def _walk_valuations(text, q):
-    """The scanned valuations of the nodes of every row below g and
-    tau^-1 g tau."""
+    """The unbounded scan's valuations of the nodes of both levels below
+    g and tau^-1 g tau."""
     g = laurent.parse_matrix(text, q)
-    return [_row_valuations(row, q) for root in (g, pgl2._tau_conjugate(g))
-            for row in pgl2._rows(root, q)]
+    return [_level_valuations(root, level, q) for root in pgl2._roots(g)
+            for level in (1, 2)]
+
+
+def _walk_counts(text, q):
+    """The I2 count of both levels below g and tau^-1 g tau."""
+    g = laurent.parse_matrix(text, q)
+    return [pgl2._level_count(root, level, q) for root in pgl2._roots(g)
+            for level in (1, 2)]
 
 
 # -- Weyl, alcove and reps faults --------------------------------------
@@ -399,13 +412,13 @@ _TREE_POINT = lattices.LatticeSubmodule(p=3, n=1, basis=(
 # equivalent mutant)
 FAULTS = {
     "pgl2 walk backtracks": (
-        [(pgl2, "_rows", _rows_that_backtrack)], {"C7"},
-        lambda: _walk_valuations("1+e,1;e2,1", 3)),
+        [(pgl2, "_level_count", _level_count_that_backtracks)], {"C7"},
+        lambda: _walk_counts("0,1;e,0", 3)),
     "pgl2 scan c-entry a - d": (
-        [(pgl2, "_child_c", _child_c_with_a_minus_d)], {"C7"},
+        [(pgl2, "_columns", _columns_with_a_minus_d)], {"C7"},
         lambda: _walk_valuations("1+e,e;e2,1", 3)),
     "pgl2 scan drops t^2 and s^2": (
-        [(pgl2, "_scan", _scan_without_x2)], {"C7"},
+        [(pgl2, "_columns", _columns_without_t2_and_s2)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3)),
     "pgl2.RecurrenceModule fixes same-parity b_n": (
         [(pgl2.RecurrenceModule, "action_matrix", _action_fixing_same_parity)],
@@ -473,9 +486,10 @@ FAULTS = {
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
 # elements, so it sees a walk fault only when the fault puts a node in
-# I2, as the backtracking walk does at level 2; the a - d fault (on
-# level 1's c-column, which level 2's reads) and the fault that drops
-# the t^2 and s^2 terms change nodes outside I2 only.  C9 runs the
+# I2, as the backtracking walk does at level 2; the a - d fault (on the
+# c-columns of both levels) and the fault that drops the t^2 and s^2
+# monomials change no column the scan reads on an I2 root, each a
+# constant that leaves them alone.  C9 runs the
 # oracle only at m = 2.  The checks build coset geometries only for A1
 # with J = (), whose quotient has two elements, each its own inverse,
 # so B_t is B_inv(t) there; the cocycle without G_k spans the same L'
