@@ -26,6 +26,15 @@ PreconditionError, as Cyc does for coefficients that are not a sequence
 scalars of larger conductor are unified to the least common multiple.
 Only the operations the character computations need are provided: ring
 arithmetic, complex conjugation and division by rationals.
+
+A sum of terms s zeta_M^i conj(t zeta_M^j) is formed in integers: let
+pi: R = Z[x]/(x^M - 1) -> Q(zeta_M) be the ring map x -> zeta_M, which
+`Cyc(M, row)` evaluates on a row of M ints.  Inversion iota: x -> x^-1 =
+x^(M-1) is a ring automorphism of R, and pi . iota and conj . pi are
+ring maps that agree on x (both give zeta_M^-1), so they are equal.  So
+s t x^((i - j) mod M) lifts the term, pi is additive, and a sum of terms
+is one row, reduced modulo Phi_M once (`reps.character_norm`,
+`fourier.pairing`).
 """
 
 from collections.abc import Sequence
@@ -355,11 +364,6 @@ class Cyc:
 
     def is_rational(self):
         return not any(self.nums[1:])
-
-    def to_fraction(self):
-        if not self.is_rational():
-            raise PreconditionError("value is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def render(self):
         """Human-readable polynomial in z{m}."""

@@ -4,12 +4,19 @@ For a finite group the pairing is
 
     {(x,s),(y,t)} = |Z(x)|^-1 |Z(y)|^-1
         * sum over g in Gamma with x g y g^-1 = g y g^-1 x
-          of s(g y g^-1) * conjugate(t(g^-1 x g)),
+          of s(g y g^-1) * conjugate(t(g^-1 x g)).
 
-computed with exact cyclotomic scalars.  Character tables of the
-centralizers are enumerated by brute force for abelian groups and
-supplied structurally for the one nonabelian curated case (the
-symmetric group on three letters).
+A group is its display labels and the permutations of range(d) they
+name, so its product, composition, is associative, and closure is the
+one check.  N, the lcm of the element orders, is one conductor for the
+whole group: every character value of every centralizer is integer
+terms {k: c} for sum c zeta_N^k.  An abelian centralizer's characters
+are its exponent maps, k(ab) = k(a) + k(b) mod N, found by brute force;
+the one nonabelian curated case, the symmetric group on three letters,
+has a table of ints.  A pairing adds s t x^((i - j) mod N) over the
+terms s zeta_N^i and t zeta_N^j of the two values into one integer row
+of Z[x]/(x^N - 1), reduced once: x -> x^-1 lifts complex conjugation
+(see the `cyclotomic` docstring).
 
 The transform of the infinite group C* . <r> of the rank-2
 verification factors through the Z/2 component matrix (the four
@@ -19,6 +26,7 @@ displayed half-sum identities), which C5 compares with the Z/2 pairing.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Cyc
 from .errors import (
@@ -28,42 +36,47 @@ from .errors import (
     require_int,
 )
 
+# Character values of the symmetric group on three letters by element
+# order: the trivial, sign and standard characters.
+_S3_TABLE = {1: (1, 1, 2), 2: (1, -1, 0), 3: (1, 1, -1)}
+
 
 class FiniteGroupTable:
-    def __init__(self, elements, mult):
-        self.elements = tuple(elements)
-        self.mult = dict(mult)
-        self._validate()
-        self.identity = next(
-            e for e in self.elements
-            if all(self.mult[e, x] == x for x in self.elements))
-        self.inverse = {
-            a: next(b for b in self.elements if self.mult[a, b] == self.identity)
-            for a in self.elements
-        }
-        self.order_of = {a: self._element_order(a) for a in self.elements}
+    """The permutations `perms` of range(d), each named by the label in
+    the same place of `labels`; a b is the composition i -> a(b(i))."""
+
+    def __init__(self, labels, perms):
+        self.elements = tuple(labels)
+        perms = tuple(map(tuple, perms))
+        n = len(perms)
+        if len(self.elements) != n or not n:
+            raise StructuralError(f"{len(self.elements)} labels for {n}"
+                                  f" permutations")
+        points = list(range(len(perms[0])))
+        if any(sorted(p) != points for p in perms):
+            raise StructuralError("not all permutations of one range(d)")
+        label = dict(zip(perms, self.elements))
+        if len(label) != n or len(set(self.elements)) != n:
+            raise StructuralError("a label or a permutation is repeated")
+        self.mult = {}
+        for a, p in zip(self.elements, perms):
+            for b, q in zip(self.elements, perms):
+                product = tuple(p[i] for i in q)
+                if product not in label:
+                    raise StructuralError(
+                        "the permutations are not closed under composition")
+                self.mult[a, b] = label[product]
+        self.identity = label[tuple(points)]
+        self.inverse = {a: b for (a, b), c in self.mult.items()
+                        if c == self.identity}
+        self.order_of = {}
+        for a in self.elements:
+            power, k = a, 1
+            while power != self.identity:
+                power, k = self.mult[power, a], k + 1
+            self.order_of[a] = k
+        self.exponent = lcm(*self.order_of.values())
         self.classes = self._conjugacy_classes()
-
-    def _validate(self):
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) not in self.mult or self.mult[a, b] not in self.elements:
-                    raise StructuralError("multiplication table incomplete")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    left = self.mult[self.mult[a, b], c]
-                    right = self.mult[a, self.mult[b, c]]
-                    if left != right:
-                        raise StructuralError("multiplication is not associative")
-
-    def _element_order(self, a):
-        power = a
-        k = 1
-        while not all(self.mult[power, x] == x for x in self.elements):
-            power = self.mult[power, a]
-            k += 1
-        return k
 
     def conjugate(self, g, x):
         return self.mult[self.mult[g, x], self.inverse[g]]
@@ -85,76 +98,55 @@ class FiniteGroupTable:
         return tuple(g for g in self.elements
                      if self.mult[g, x] == self.mult[x, g])
 
-    def subgroup_table(self, members):
-        members = tuple(members)
-        return FiniteGroupTable(
-            members,
-            {(a, b): self.mult[a, b] for a in members for b in members})
-
-    def is_abelian(self):
-        return all(self.mult[a, b] == self.mult[b, a]
-                   for a in self.elements for b in self.elements)
-
-    def characters(self):
-        """Irreducible complex characters, deterministically ordered."""
-        if self.is_abelian():
-            chars = self._abelian_characters()
-        elif len(self.elements) == 6:
-            chars = self._s3_characters()
+    def characters(self, members):
+        """Irreducible characters of the subgroup `members`, each a dict
+        member -> terms {k: c}, ordered by degree, then by how many
+        members they send to 1, then by the `render` of each value at its
+        member's own order."""
+        n, order = self.exponent, self.order_of
+        if all(self.mult[a, b] == self.mult[b, a]
+               for a in members for b in members):
+            chars = []  # k(a) is a multiple of N / order(a)
+            for ks in itertools.product(*(range(0, n, n // order[a])
+                                          for a in members)):
+                k = dict(zip(members, ks))
+                if all(k[self.mult[a, b]] == (k[a] + k[b]) % n
+                       for a in members for b in members):
+                    chars.append({a: {k[a]: 1} for a in members})
+        elif len(members) == 6:
+            chars = [{a: {0: _S3_TABLE[order[a]][i]} for a in members}
+                     for i in range(3)]
         else:
             raise UnsupportedLabelError(
                 "character tables are curated for abelian groups and S3")
+
+        def render(a, terms):
+            row = [0] * order[a]
+            for k, c in terms.items():
+                row[k * order[a] // n] += c
+            return Cyc(order[a], row).render()
+
         def key(chi):
-            ones = sum(1 for e in self.elements if chi[e] == 1)
-            return (chi[self.identity].to_fraction(), -ones,
-                    tuple(chi[e].render() for e in self.elements))
+            ones = sum(1 for a in members if chi[a] == {0: 1})
+            return (chi[self.identity][0], -ones,
+                    tuple(render(a, chi[a]) for a in members))
         return tuple(sorted(chars, key=key))
-
-    def _abelian_characters(self):
-        options = []
-        for a in self.elements:
-            m = self.order_of[a]
-            options.append([Cyc.zeta(m, k) for k in range(m)])
-        found = []
-        for values in itertools.product(*options):
-            chi = dict(zip(self.elements, values))
-            if all(chi[self.mult[a, b]] == chi[a] * chi[b]
-                   for a in self.elements for b in self.elements):
-                found.append(chi)
-        if len(found) != len(self.elements):
-            raise StructuralError("abelian character count mismatch")
-        return found
-
-    def _s3_characters(self):
-        triv = {e: Cyc.rational(1) for e in self.elements}
-        sign = {e: Cyc.rational(1 if self.order_of[e] in (1, 3) else -1)
-                for e in self.elements}
-        std = {}
-        for e in self.elements:
-            if self.order_of[e] == 1:
-                std[e] = Cyc.rational(2)
-            elif self.order_of[e] == 3:
-                std[e] = Cyc.rational(-1)
-            else:
-                std[e] = Cyc.rational(0)
-        return [triv, sign, std]
 
 
 def group_trivial():
-    return FiniteGroupTable(("1",), {("1", "1"): "1"})
+    return FiniteGroupTable(("1",), ((0,),))
 
 
 def cyclic_group(n, labels=None):
     """Z/n for an int n >= 1, its elements named by `labels` or c1, ...,
-    c(n-1) and 1."""
+    c(n-1) and 1: c_k rotates range(n) by k."""
     require_int("group order", n)
     if n < 1:
         raise PreconditionError(f"group order {n} is not positive")
     if labels is None:
         labels = tuple(f"c{k}" if k else "1" for k in range(n))
-    mult = {(labels[a], labels[b]): labels[(a + b) % n]
-            for a in range(n) for b in range(n)}
-    return FiniteGroupTable(labels, mult)
+    return FiniteGroupTable(
+        labels, (tuple((i + k) % n for i in range(n)) for k in range(n)))
 
 
 def group_z2():
@@ -163,25 +155,16 @@ def group_z2():
 
 
 def group_z2xz2():
-    labels = ("1", "a", "b", "ab")
-    bits = {"1": (0, 0), "a": (1, 0), "b": (0, 1), "ab": (1, 1)}
-    back = {v: k for k, v in bits.items()}
-    mult = {}
-    for x in labels:
-        for y in labels:
-            mult[x, y] = back[tuple((p + q) % 2 for p, q in zip(bits[x], bits[y]))]
-    return FiniteGroupTable(labels, mult)
+    """Z/2 x Z/2, a = (1, 0), b = (0, 1): v acts on the bit pairs
+    range(4) by i -> i xor v."""
+    return FiniteGroupTable(("1", "a", "b", "ab"),
+                            (tuple(i ^ v for i in range(4))
+                             for v in range(4)))
 
 
 def group_s3():
-    perms = list(itertools.permutations((0, 1, 2)))
-    labels = {p: "".join(str(i) for i in p) for p in perms}
-    mult = {}
-    for p in perms:
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(3))
-            mult[labels[p], labels[q]] = labels[comp]
-    return FiniteGroupTable(tuple(labels[p] for p in perms), mult)
+    perms = tuple(itertools.permutations(range(3)))
+    return FiniteGroupTable(("".join(map(str, p)) for p in perms), perms)
 
 
 GROUPS = {
@@ -197,10 +180,7 @@ GROUPS = {
 class MPair:
     x: str          # class representative
     sigma: int      # index into the centralizer character list
-    chi: tuple      # character values as ((element, Cyc), ...) for lookup
-
-    def chi_dict(self):
-        return dict(self.chi)
+    chi: dict       # centralizer element -> terms {k: c} of the value
 
 
 def m_set(gamma):
@@ -208,25 +188,24 @@ def m_set(gamma):
     out = []
     for cl in gamma.classes:
         x = cl[0]
-        z = gamma.subgroup_table(gamma.centralizer(x))
-        for i, chi in enumerate(z.characters()):
-            out.append(MPair(x=x, sigma=i, chi=tuple(chi.items())))
+        for i, chi in enumerate(gamma.characters(gamma.centralizer(x))):
+            out.append(MPair(x=x, sigma=i, chi=chi))
     return out
 
 
 def pairing(gamma, p, q):
-    zx = gamma.centralizer(p.x)
-    zy = gamma.centralizer(q.x)
-    sigma = p.chi_dict()
-    tau = q.chi_dict()
-    total = Cyc.rational(0)
+    """{p, q}, summed as one row of Z[x]/(x^N - 1) (module docstring)."""
+    row = [0] * gamma.exponent
     for g in gamma.elements:
         ygy = gamma.conjugate(g, q.x)
         if gamma.mult[p.x, ygy] != gamma.mult[ygy, p.x]:
             continue
         xgx = gamma.conjugate(gamma.inverse[g], p.x)
-        total = total + sigma[ygy] * tau[xgx].conjugate()
-    return total / (len(zx) * len(zy))
+        for i, s in p.chi[ygy].items():
+            for j, t in q.chi[xgx].items():
+                row[i - j] += s * t  # a negative i - j is (i - j) mod N
+    return (Cyc(gamma.exponent, row)
+            / (len(gamma.centralizer(p.x)) * len(gamma.centralizer(q.x))))
 
 
 def pairing_matrix(gamma, pairs):

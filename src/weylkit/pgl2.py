@@ -80,7 +80,9 @@ e^(j+1-L), drops every node; otherwise a level reads at most 5 keys.
 
 (b) A constant column settles every node at once: if its non-constant
 coefficients are 0 modulo q, it has one value at all pending nodes and
-drops all or none.  Only a column that depends on the node lists nodes.
+drops all or none.  Only a column that depends on the node lists nodes,
+so a level reads its constant columns, at every key, before the others:
+a nonzero one drops every node before any is listed.
 
 An I2 root has j = v(b) = m, v(c) = m + 1 and v(a), v(d) >= m + 1, so
 each level reads a zero a-column and then the constant c-column -b_m (at
@@ -233,29 +235,32 @@ def _vanishing_nodes(column, pending, q, level):
     return out
 
 
-def _vanishing(column, pending, q, level):
-    """The pending nodes where a column is 0 modulo q.  A column whose
-    non-constant coefficients are 0 modulo q keeps them all or none
-    (rule (b)); only one that depends on the node lists them."""
-    if any(w % q for w in column[1:]):
-        return _vanishing_nodes(column, pending, q, level)
-    return pending if column[0] % q == 0 else ()
+def _varies(column, q):
+    """Whether a column depends on the node (rule (b))."""
+    return any(w % q for w in column[1:])
 
 
 def _level_count(root, level, q):
     """The I2 nodes of a level below a root, by the scan of rule (a) from
-    the unlisted nodes range(q^level)."""
+    the unlisted nodes range(q^level), constant columns first (rule
+    (b))."""
     if not root[2]:
         return 0
     top = min(root[2]) + level  # v(b) + 1
-    pending = range(q ** level)
+    varying = []
     for k in range(min(map(min, filter(None, root))) + 1 - level, top):
         for column in _columns(level, root, k):
-            pending = _vanishing(column, pending, q, level)
-            if not pending:
+            if _varies(column, q):
+                varying.append(column)
+            elif column[0] % q:
                 return 0
+    pending = range(q ** level)
+    for column in varying:
+        pending = _vanishing_nodes(column, pending, q, level)
     c = _columns(level, root, top)[1]
-    return len(pending) - len(_vanishing(c, pending, q, level))
+    if not _varies(c, q):
+        return len(pending) if c[0] % q else 0
+    return len(pending) - len(_vanishing_nodes(c, pending, q, level))
 
 
 def fixed_point_count(g, prec=None):

@@ -20,13 +20,9 @@ A character norm is reduced modulo Phi_M once per module.  The image of
 = 1 or -1, and `_trace_rows` lists those terms (k, f): the lift of
 chi(x, w_i) to R = Z[x]/(x^M - 1) is their sum of f x^k.
 `character_norm` adds f f' x^((k - k') mod M) over each pair of terms of
-each row into one integer row of R and reduces that row once.  That is
-exact: let pi: R -> Q(zeta_M) be the ring map x -> zeta_M.  Inversion
-iota: x -> x^(M-1) = x^-1 is a ring automorphism of R, and pi . iota
-and conj . pi are ring maps that agree on x (both give zeta_M^-1), so
-they are equal.  So pi(a iota(a)) = chi conj(chi) for the lift a of a
-value chi, and pi is additive, so pi of the summed row is the sum of
-the chi conj(chi).
+each row into one integer row of R and reduces that row once, which
+gives the sum of the chi conj(chi) exactly (x -> x^-1 lifts complex
+conjugation; see the `cyclotomic` docstring).
 """
 
 import itertools

@@ -111,8 +111,9 @@ def word_str(w):
 
 
 def check_node_subset(datum, J):
-    """Refuse a J that is every node, or that names a node outside
-    0..n."""
+    """Refuse a J that names a node that is not an int (a bool is the
+    int it is) or lies outside 0..n, or that is every node."""
+    require_int("node", *J)
     if len(set(J)) == datum.n + 1:
         raise NodeSubsetError("J must be a proper node subset")
     if any(j < 0 or j > datum.n for j in J):

@@ -12,8 +12,10 @@ Phi_d, d a proper divisor of m, a cyclotomic scalar with a Fraction per
 coefficient instead of one denominator, the Hermite form of a lattice's
 dual by the general elimination, the Hermite form itself by a
 Euclid minimum search instead of extended-gcd steps, a torus point as
-one Fraction per coordinate taken mod 1, and a character norm as one
-reduced Cyc per character value, summed on their numerators.
+one Fraction per coordinate taken mod 1, a character norm as one
+reduced Cyc per character value, summed on their numerators, and the
+Fourier pairing as a sum of Cyc products, each with a conjugate, over
+characters whose values are Cyc.zeta at each element's own order.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
@@ -630,7 +632,7 @@ def norm_sum(values):
     modulo Phi_m once per conductor m and denominator: a scalar nums/den
     lifts to a = sum of nums[i] x^i in Z[x]/(x^m - 1), and a * iota(a),
     iota: x -> x^-1, is the sum of nums[i] nums[j] x^((i - j) mod m),
-    which x -> zeta_m carries to den^2 z conj(z) (see `reps`)."""
+    which x -> zeta_m carries to den^2 z conj(z) (see `cyclotomic`)."""
     sums = {}  # (m, den^2) -> the running sum in Z[x]/(x^m - 1) as m ints
     for z in values:
         key = z.m, z.den * z.den
@@ -645,3 +647,53 @@ def norm_sum(values):
     for (m, den), row in sums.items():
         total = total + _new(m, _reduce(row, m), den)
     return total
+
+
+def cyc_characters(gamma, members):
+    """The irreducible characters of the subgroup `members` of the
+    `fourier` group gamma, as dicts member -> Cyc: the abelian ones by
+    trying every Cyc.zeta value at each member's order, the symmetric
+    group on three letters by its table.  Ordered by degree, then by how
+    many members go to 1, then by the render of each value."""
+    mult, order = gamma.mult, gamma.order_of
+    if all(mult[a, b] == mult[b, a] for a in members for b in members):
+        chars = []
+        for values in itertools.product(*(
+                [Cyc.zeta(order[a], k) for k in range(order[a])]
+                for a in members)):
+            chi = dict(zip(members, values))
+            if all(chi[mult[a, b]] == chi[a] * chi[b]
+                   for a in members for b in members):
+                chars.append(chi)
+    else:
+        table = {1: (1, 1, 2), 2: (1, -1, 0), 3: (1, 1, -1)}
+        chars = [{a: Cyc.rational(table[order[a]][i]) for a in members}
+                 for i in range(3)]
+
+    def key(chi):
+        ones = sum(1 for a in members if chi[a] == 1)
+        return (chi[gamma.identity].coeffs[0], -ones,
+                tuple(chi[a].render() for a in members))
+    return sorted(chars, key=key)
+
+
+def cyc_pairing_matrix(gamma):
+    """The (x, sigma) labels of M(gamma) and its pairing matrix, each
+    entry a sum of Cyc products s(g y g^-1) conj(t(g^-1 x g)) over
+    |Z(x)| |Z(y)|."""
+    pairs = [(cl[0], i, chi) for cl in gamma.classes
+             for i, chi in enumerate(
+                 cyc_characters(gamma, gamma.centralizer(cl[0])))]
+
+    def entry(x, s, y, t):
+        total = Cyc.rational(0)
+        for g in gamma.elements:
+            ygy = gamma.conjugate(g, y)
+            if gamma.mult[x, ygy] != gamma.mult[ygy, x]:
+                continue
+            xgx = gamma.conjugate(gamma.inverse[g], x)
+            total = total + s[ygy] * t[xgx].conjugate()
+        return total / (len(gamma.centralizer(x)) * len(gamma.centralizer(y)))
+    return ([(x, i) for x, i, _ in pairs],
+            tuple(tuple(entry(x, s, y, t) for y, _, t in pairs)
+                  for x, _, s in pairs))

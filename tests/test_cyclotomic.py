@@ -147,13 +147,6 @@ def test_coefficients_stay_integers_without_division():
         _assert_canonical(value)
 
 
-@given(_coefficients)
-def test_to_fraction_returns_a_fraction(x):
-    value = (Cyc.rational(x) * Cyc.zeta(4) * Cyc.zeta(4)).to_fraction()
-    assert type(value) is Fraction
-    assert value == -x
-
-
 def _stored(value):
     """What a result stores: a bool, or its conductor, numerators and
     denominator with the type of each number."""

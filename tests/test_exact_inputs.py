@@ -6,6 +6,7 @@ the arithmetic operators refuse a foreign operand with NotImplemented."""
 
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,9 +195,24 @@ def test_a_library_input_out_of_its_domain_is_refused(build, error, what):
         build()
 
 
+@pytest.mark.parametrize("entry", [
+    weyl.min_coset_generators,
+    weyl.longest_element,
+    alcove.grid_nodes,
+    pytest.param(lambda datum, J: alcove.grid_points(datum, J, 6),
+                 id="grid_points"),
+])
+@pytest.mark.parametrize("node", [0.5, "a", None])
+def test_a_node_that_is_not_an_int_is_refused(entry, node):
+    with pytest.raises(PreconditionError,
+                       match=f"^node {re.escape(repr(node))} is not an int$"):
+        entry(A1, (node,))
+
+
 def test_inputs_at_the_edges_of_those_domains_work():
     assert weyl.simple_reflection(A1, 1).word() == (1,)
     assert fourier.cyclic_group(1).elements == ("1",)
+    assert weyl.longest_element(A1, (True,)) == weyl.simple_reflection(A1, 1)
     assert alcove.level_one_point(A1, (True, 0)).coords == (1, 0)
     assert pgl2.recurrence_solution_space(1)[0] == 2
 

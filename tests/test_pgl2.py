@@ -573,6 +573,21 @@ def test_the_count_of_an_i2_element_lists_no_node(monkeypatch):
             pgl2._level_count(root, 1, q)
 
 
+def test_a_nonzero_constant_column_drops_every_node_before_any_is_listed(
+        monkeypatch):
+    # Rule (b) read first: below [[1, 0], [e, 0]] the c-column at the
+    # first key depends on the node while the d-column is the constant 1,
+    # so the key drops every node, and no level lists one.
+    def no_node_list(column, pending, q, level):
+        raise AssertionError(f"listed the nodes of level {level}")
+
+    q = 313
+    g = laurent.parse_matrix("1,0;e,0", q)
+    monkeypatch.setattr(pgl2, "_vanishing_nodes", no_node_list)
+    assert [pgl2._level_count(root, level, q) for root in pgl2._roots(g)
+            for level in (1, 2)] == [0, 0, 0, 0]
+
+
 def _random_exact_matrix(q, rng):
     """Four exact entries with small valuations, some of them zero."""
     def entry():
