@@ -4,6 +4,13 @@ Every input is a flag of its command; there is no configuration file.
 Reports are TSV with a fixed header per command and are byte-identical
 across runs with the same flags.  Exit codes: 0 ok, 1 check failure or
 library error, 2 a flag or flag value the command cannot use.
+
+`main` builds the parser of the one command its first argument names
+(`_COMMANDS` maps each name to the builder of its subparser), since
+building all seven cost several times a small command's own work
+(`witt --enum --p 3 --n 1`).  Its usage line still names all seven, so
+an error such as `witt --bogus` prints what the full parser prints.  Any
+other argv (help, no argument, an unknown command) builds all seven.
 """
 
 import argparse
@@ -178,58 +185,97 @@ def _cmd_witt(args):
     return 0
 
 
-def build_parser():
+def _add_verify(sub):
+    p = sub.add_parser("verify", help="run the check registry")
+    p.add_argument("--suite", action="append", choices=checks.SUITES)
+    p.set_defaults(func=_cmd_verify)
+
+
+def _add_weyl(sub):
+    p = sub.add_parser("weyl", help="quotient Coxeter data")
+    p.add_argument("--type", default="C2")
+    p.add_argument("--j", default="")
+    p.set_defaults(func=_cmd_weyl)
+
+
+def _add_cells(sub):
+    p = sub.add_parser("cells", help="grid points, cells, torus data")
+    p.add_argument("--type", default="A1")
+    p.add_argument("--j", default="")
+    p.add_argument("--denominator", type=int, default=6)
+    p.set_defaults(func=_cmd_cells)
+
+
+def _add_reps(sub):
+    p = sub.add_parser("reps", help="induced modules over the grid")
+    p.add_argument("--type", default="A1")
+    p.add_argument("--j", default="")
+    p.add_argument("--denominator", type=int, default=6)
+    p.set_defaults(func=_cmd_reps)
+
+
+def _add_fourier(sub):
+    p = sub.add_parser("fourier", help="pairing matrices")
+    p.add_argument("--group", default="z2")
+    p.set_defaults(func=_cmd_fourier)
+
+
+def _add_pgl2(sub):
+    p = sub.add_parser("pgl2", help="Iwahori class and counts")
+    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--matrix", default="0,1;e,0")
+    p.add_argument("--op", default="all",
+                   choices=("class", "disc", "count", "all"))
+    p.set_defaults(func=_cmd_pgl2)
+
+
+def _add_witt(sub):
+    p = sub.add_parser("witt", help="Witt arithmetic and lattices")
+    p.add_argument("--p", type=int, default=3)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--enum", action="store_true",
+                   help="enumerate certified lattice points")
+    p.set_defaults(func=_cmd_witt)
+
+
+# Each command's name and the builder that adds its subparser, in the
+# order the usage line and the help list them.
+_COMMANDS = {
+    "verify": _add_verify,
+    "weyl": _add_weyl,
+    "cells": _add_cells,
+    "reps": _add_reps,
+    "fourier": _add_fourier,
+    "pgl2": _add_pgl2,
+    "witt": _add_witt,
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or, for a command name, the parser
+    of that one command, whose usage line still names all seven."""
     parser = argparse.ArgumentParser(
         prog="weylkit", description="exact verification suites")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the check registry")
-    p_verify.add_argument("--suite", action="append",
-                          choices=checks.SUITES)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_weyl = sub.add_parser("weyl", help="quotient Coxeter data")
-    p_weyl.add_argument("--type", default="C2")
-    p_weyl.add_argument("--j", default="")
-    p_weyl.set_defaults(func=_cmd_weyl)
-
-    p_cells = sub.add_parser("cells", help="grid points, cells, torus data")
-    p_cells.add_argument("--type", default="A1")
-    p_cells.add_argument("--j", default="")
-    p_cells.add_argument("--denominator", type=int, default=6)
-    p_cells.set_defaults(func=_cmd_cells)
-
-    p_reps = sub.add_parser("reps", help="induced modules over the grid")
-    p_reps.add_argument("--type", default="A1")
-    p_reps.add_argument("--j", default="")
-    p_reps.add_argument("--denominator", type=int, default=6)
-    p_reps.set_defaults(func=_cmd_reps)
-
-    p_fourier = sub.add_parser("fourier", help="pairing matrices")
-    p_fourier.add_argument("--group", default="z2")
-    p_fourier.set_defaults(func=_cmd_fourier)
-
-    p_pgl2 = sub.add_parser("pgl2", help="Iwahori class and counts")
-    p_pgl2.add_argument("--q", type=int, default=2)
-    p_pgl2.add_argument("--matrix", default="0,1;e,0")
-    p_pgl2.add_argument("--op", default="all",
-                        choices=("class", "disc", "count", "all"))
-    p_pgl2.set_defaults(func=_cmd_pgl2)
-
-    p_witt = sub.add_parser("witt", help="Witt arithmetic and lattices")
-    p_witt.add_argument("--p", type=int, default=3)
-    p_witt.add_argument("--m", type=int)
-    p_witt.add_argument("--n", type=int)
-    p_witt.add_argument("--enum", action="store_true",
-                        help="enumerate certified lattice points")
-    p_witt.set_defaults(func=_cmd_witt)
-
+    if command in _COMMANDS:
+        # unset, argparse derives the metavar from the choices, here one;
+        # the full build leaves it unset, since a metavar also renames
+        # the argument in "argument command: invalid choice"
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(_COMMANDS) + "}")
+        _COMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, NodeSubsetError) as exc:

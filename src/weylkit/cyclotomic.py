@@ -18,7 +18,8 @@ integer table per conductor: the rows of x^k mod Phi_m for k < m.
 A rational operand (an int, a Fraction, or a scalar of conductor 1) acts
 on the other operand's coefficients: it shifts coefficient 0 under + and
 -, scales every coefficient under *, and under == it must equal
-coefficient 0 while every other coefficient is zero.  A bool is the
+coefficient 0 while every other coefficient is zero.  Under * so does a
+rational scalar whose conductor divides the other's.  A bool is the
 int it is.  Any other operand, a float, a complex or a str say, is
 refused: the operators return NotImplemented and the constructors raise
 PreconditionError, as Cyc does for coefficients that are not a sequence
@@ -316,10 +317,11 @@ class Cyc:
         if other is None:
             return NotImplemented
         den = self.den * other.den
-        if self.m == 1 or other.m == 1:
-            z, r = (other, self) if self.m == 1 else (self, other)
-            c = r.nums[0]
-            return _new(z.m, tuple(x * c for x in z.nums), den)
+        # a rational side whose conductor divides the other's scales it
+        for z, r in ((self, other), (other, self)):
+            if r.is_rational() and z.m % r.m == 0:
+                c = r.nums[0]
+                return _new(z.m, tuple(x * c for x in z.nums), den)
         a, b = self._pair(other)
         bn = b.nums
         product = [0] * (2 * len(bn) - 1)

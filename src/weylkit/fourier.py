@@ -77,6 +77,9 @@ class FiniteGroupTable:
             self.order_of[a] = k
         self.exponent = lcm(*self.order_of.values())
         self.classes = self._conjugacy_classes()
+        # |Z(x)| = |G| / |class of x|, orbit and stabilizer
+        self.centralizer_order = {x: n // len(cl)
+                                  for cl in self.classes for x in cl}
 
     def conjugate(self, g, x):
         return self.mult[self.mult[g, x], self.inverse[g]]
@@ -204,8 +207,8 @@ def pairing(gamma, p, q):
         for i, s in p.chi[ygy].items():
             for j, t in q.chi[xgx].items():
                 row[i - j] += s * t  # a negative i - j is (i - j) mod N
-    return (Cyc(gamma.exponent, row)
-            / (len(gamma.centralizer(p.x)) * len(gamma.centralizer(q.x))))
+    z = gamma.centralizer_order
+    return Cyc(gamma.exponent, row) / (z[p.x] * z[q.x])
 
 
 def pairing_matrix(gamma, pairs):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import time
 from dataclasses import replace
@@ -410,3 +411,68 @@ def test_registry_covers_all_suites():
     assert set(checks.SUITES) == {c.suite for c in checks.REGISTRY}
     ids = [c.check_id for c in checks.REGISTRY]
     assert ids == [f"C{i}" for i in range(1, 12)]
+
+
+# For every command: a valid run, -h, an unknown flag, a bad flag value
+# and an extra positional; then the argv that name no command.
+_COMMAND_CASES = {
+    "verify": (["--suite", "coxeter"], ["-h"], ["--bogus"],
+               ["--suite", "bogus"], ["extra"]),
+    "weyl": (["--type", "G2", "--j", "1"], ["-h"], ["--bogus"], ["--j"],
+             ["extra"]),
+    "cells": (["--denominator", "12"], ["-h"], ["--bogus"],
+              ["--denominator", "x"], ["extra"]),
+    "reps": (["--type", "C2", "--j", "0"], ["-h"], ["--bogus"],
+             ["--denominator", "1.5"], ["extra"]),
+    "fourier": (["--group", "s3"], ["-h"], ["--bogus"], ["--group"],
+                ["extra"]),
+    "pgl2": (["--q", "3", "--op", "count"], ["-h"], ["--bogus"],
+             ["--op", "bogus"], ["extra"]),
+    "witt": (["--enum", "--p", "3", "--n", "1"], ["-h"], ["--bogus"],
+             ["--p", "x"], ["extra"]),
+}
+_PARITY = ([[name, *rest] for name, cases in _COMMAND_CASES.items()
+            for rest in cases]
+           + [["-h"], [], ["bogus"], ["-h", "witt"]])
+
+
+def _parse(parser, argv, capsys):
+    """The Namespace parser gives argv, or its SystemExit code with what
+    it wrote."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _PARITY,
+                         ids=lambda argv: " ".join(argv) or "no argument")
+def test_the_parser_main_builds_parses_as_the_full_parser(argv, capsys):
+    command = argv[0] if argv else None
+    assert _parse(cli.build_parser(command), argv, capsys) \
+        == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["witt", "--enum", "--p", "3", "--n", "1"]) == 0
+    assert built == ["weylkit", "weylkit witt"]
+    built.clear()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["-h"])
+    assert info.value.code == 0
+    assert len(built) == 1 + 7
+    # the one-command usage line still names all seven commands
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["witt", "--bogus"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage: weylkit [-h] {verify,weyl,cells,reps,fourier,pgl2,witt} ...\n")

@@ -236,6 +236,46 @@ def test_the_integer_route_matches_the_fraction_route(m, data):
     assert a.promote(big) == a
 
 
+def _maybe_rational(m, data):
+    """_both_routes at conductor m, or, in one draw of two, a rational
+    stored at conductor m: coefficient 0 and zeros."""
+    if data.draw(st.booleans()):
+        return _both_routes(m, data)
+    deg, _ = _table(m)
+    coeffs = [data.draw(_rationals)] + [0] * (deg - 1)
+    return Cyc(m, coeffs), FractionCyc(m, coeffs)
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_rational_at_any_conductor_multiplies_as_the_fraction_route(
+        m, data):
+    # Rational and non-rational operands at equal and at different
+    # conductors: each product has the reference's conductor and value,
+    # stored canonically, either way round.
+    a, fa = _maybe_rational(m, data)
+    n = data.draw(st.sampled_from((m, data.draw(_divisor_or_multiple(m)))))
+    b, fb = _maybe_rational(n, data)
+    _same_value(a * b, fa * fb)
+    _same_value(b * a, fb * fa)
+    _same_value(a * a, fa * fa)
+
+
+def test_a_rational_factor_at_a_dividing_conductor_is_not_convolved(
+        monkeypatch):
+    def refuse(coeffs, m):
+        raise AssertionError("convolved")
+
+    half = Cyc(6, (Fraction(1, 2), 0))
+    z = Cyc.zeta(12) + Cyc.zeta(12, 5) / 3
+    monkeypatch.setattr(cyclotomic, "_reduce", refuse)
+    for a, b in ((half, Cyc.zeta(6)), (half, z), (half, half), (half, 3)):
+        assert _stored(a * b) == _stored(b * a)
+    assert (half * z).m == 12 and half * z == z / 2
+    with pytest.raises(AssertionError, match="convolved"):
+        Cyc.zeta(6) * Cyc.zeta(6)
+
+
 _scalars = st.builds(
     lambda m, k, r: Cyc.zeta(m, k) * r + Cyc.rational(r) / 3,
     st.integers(1, 12), st.integers(0, 11), _rationals)

@@ -118,6 +118,27 @@ def test_the_pairing_matrix_matches_the_cyc_product_route():
                 assert got[i][j] == value, (name, i, j)
 
 
+def test_centralizer_orders_are_the_centralizers_sizes():
+    for name, build in sorted(fourier.GROUPS.items()):
+        gamma = build()
+        assert gamma.centralizer_order == {
+            x: len(gamma.centralizer(x)) for x in gamma.elements}, name
+
+
+def test_m_set_finds_each_centralizer_once_and_the_pairing_none(
+        monkeypatch):
+    calls = []
+    centralizer = fourier.FiniteGroupTable.centralizer
+    monkeypatch.setattr(fourier.FiniteGroupTable, "centralizer",
+                        lambda self, x: calls.append(x)
+                        or centralizer(self, x))
+    s3 = fourier.group_s3()
+    pairs = fourier.m_set(s3)
+    assert len(calls) == 3  # one per conjugacy class
+    fourier.pairing_matrix(s3, pairs)
+    assert len(calls) == 3
+
+
 def test_group_exponents():
     assert [fourier.GROUPS[name]().exponent
             for name in ("trivial", "z2", "z3", "z2xz2", "s3")] \

@@ -217,9 +217,11 @@ def test_the_unreached_names_are_exactly_the_kept_ones():
 
 def test_the_walk_starts_at_the_cli_and_follows_calls():
     names, gaps = unreached()
-    # cli.main is reached from the __main__ block, the commands from
-    # build_parser, and linalg.in_span only through costandard's layers.
-    assert {"cli.main", "cli._cmd_fourier", "linalg.in_span"} <= names - gaps
+    # cli.main is reached from the __main__ block, the commands through
+    # build_parser's table of subparser builders, and linalg.in_span only
+    # through costandard's layers.
+    assert {"cli.main", "cli._add_fourier", "cli._cmd_fourier",
+            "linalg.in_span"} <= names - gaps
 
 
 def test_references_resolve_through_the_imports():
