@@ -9,57 +9,69 @@ negative and S is its support.
 For a node subset J with complement Jc, the subspace z_J is the
 level-0 part of span{b'_k : k in Jc}, with basis
 u_k = b'_k - (n_k / n_k0) b'_k0 for k in Jc - {k0}, k0 = min Jc.
-That span is the fixed space of W_J, which each ss_k normalizes, so
-ss_k maps it into itself (so there is nothing to check), and a product
-of the ss_k acts on it by the product of their integer Jc x Jc blocks
-G_k.
-The breadth-first search that builds the finite quotient W_Jc carries
-each element's lift as its block along its word (B_j = G_k B_i), keys
-the element r_i, the restriction of lift_i to z_J, on the integer
-matrix n_k0 r_i (`weyl.level_restriction` of B_i), and records the
-coset of ss_k lift_i as t = quotient_left[k][i].
+That span is the fixed space of W_J, which each ss_k normalizes, so a
+product lift_i of the ss_k maps it into itself by the product B_i of
+their integer Jc x Jc blocks G_k, and restricts to z_J as an element
+r_i of the quotient W_Jc.  The breadth-first search keeps r_i as its
+word and two vectors, each G_k times its parent's: B_i v and
+B_i e_k0 = n_k0 lift_i p0, p0 = b'_k0 / n_k0.  It records the coset of
+ss_k lift_i as t = quotient_left[k][i].
 
-The translation lattice L' inside z_J is spanned by the Schreier
-generators lift_t^-1 ss_k lift_i of the kernel of the quotient map.
-Each acts trivially on z_J, so it is the translation by its
-displacement of the base point p0 = b'_k0 / n_k0.  Since lift_t p0 and
-ss_k lift_i p0 are level-1 points of the span, their difference lies in
-z_J, where lift_t^-1 acts as r_t^-1, as the lift of t's inverse
-inv(t) = quotient_inverse[t] does:
+The key v is the level-0 integer vector on Jc with v_k = n_k0 B^j at
+the j-th node k of Jc - {k0} and v_k0 = -sum_j n_k B^j, B = 2 m^2 + 1
+for the largest mark m on Jc.  lift_i acts on v by its linear part w in
+W0, and by Steinberg's theorem (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12) a w that fixes v is a product of reflections
+s_alpha with <alpha, v> = 0.  A root alpha = sum c_k alpha_k has c_0 = 0
+and, up to sign, 0 <= c_k <= n_k, so each coefficient of
 
-  lift_t^-1 ss_k lift_i p0 - p0 = lift_t^-1 (ss_k lift_i p0 - lift_t p0)
-                                = B_inv(t) (G_k B_i e_k0 - B_t e_k0) / n_k0
+  n_k0 <alpha, v> = sum_j (n_k0 c_k - c_k0 n_k) B^j
 
-in coordinates on Jc.  The vector x = B_inv(t) (G_k B_i e_k0 - B_t e_k0)
-is integral and of level 0, so the translation's u-coordinates are x's
-entries at Jc - {k0}, over n_k0.  L' is therefore 1/n_k0 times the
-lattice of those integer rows, and since HNF(c M) = c HNF(M), its
-Hermite basis is the rows of their integer Hermite form H over n_k0.
-H is upper triangular, so forward substitution solves x H = n_k0 u for
-the coordinates x of u over it, and x H = (n_k0 r_k) H_c / n_k0 for
-column c of r_k's action, integral exactly when r_k preserves L'.  When
-J leaves one node out, z_J = 0 and every matrix is empty.
-`CosetGeometry.stabilizer` computes the stabilizer of a torus point for
-the lift check `torus_stabilizer` (C2); `reps` reads a module's
-stabilizer off the orbit it computes anyway (C3), and both compare it
-with the subgroup the selected ss_k generate.
-`grid_points` is the one walk from grid points to their cells and torus
-points; `reps` reads it, `torus_act` and the quotient tables as they
-are, with no wrapper.
+is at most m^2 < B/2 in size, and the sum is 0 only when each is:
+alpha(u_k) = c_k - c_k0 n_k / n_k0 = 0, so w fixes z_J pointwise.  So
+r_i v = v forces r_i = 1, and the search keys element i on r_i v = B_i v.
+
+The translation lattice L' inside z_J is spanned by the displacements
+tau of p0 by the Schreier generators lift_t^-1 ss_k lift_i, each a
+translation.  On each edge the search forms the level-0 integer vector
+
+  y = G_k B_i e_k0 - B_t e_k0 = n_k0 lift_t (lift_t^-1 ss_k lift_i p0 - p0)
+    = n_k0 r_t tau,
+
+whose entries at Jc - {k0} are n_k0 times r_t tau's u-coordinates.
+lift_t conjugates the translation by tau to the one by r_t tau, so L' is
+W_Jc-stable and the y / n_k0 span a sublattice of L'; it contains each
+tau, so is L', exactly when every r_k preserves it.  It does (the edge
+of ss_k from t back to i has the row -G_k y), and the "quotient action
+does not preserve L'" check certifies it.  As HNF(c M) = c HNF(M), the
+Hermite basis of L' is the integer Hermite form H of the y over n_k0.
+Forward substitution solves x H = n_k0 u for u's coordinates x over it,
+and x H = (n_k0 r_k) H_c / n_k0 for column c of r_k's action, integral
+exactly when r_k preserves L'.  When J leaves one node out, z_J = 0
+and every matrix is empty.
+
+Only the generators' integer actions on L' are kept: `act(k, t)`
+applies r_k's to a torus point, and `orbit(t)` walks the search's
+edges, the point of left[k][i] being act(k, .) of i's.
+`torus_stabilizer` (C2) and `reps` (C3) read t's stabilizer off its
+orbit.  `grid_points` is the one walk from grid points to their cells
+and torus points; `reps` reads it, `act`, `orbit` and the quotient
+tables as they are.
 
 A torus point of finite order is stored in integers, as (order, nums):
 order is the least M with M t integral, and nums = M t reduced into
 [0, M).  That M is least exactly when gcd(M, content of nums) = 1, so
 the form is canonical, and two points are equal exactly when their
 int tuples are.  `p_J` forms it once per point from the Fraction
-coordinates that `solve_upper` returns.  `torus_act` multiplies nums by
-the element's integer matrix A and reduces modulo order, with no
+coordinates that `solve_upper` returns.  `act` multiplies nums by the
+generator's integer matrix A and reduces modulo order, with no
 renormalisation: A lies in GL(L), so A and A^-1 are integral, and for
 any integer M', M' A t is integral exactly when M' t is.  So A t has the
 order of t, its numerators A nums are again coprime to it, and reducing
 them modulo the order only picks the representative in [0, M).
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -150,8 +162,11 @@ class CosetGeometry:
         self.dim = len(self.jcheck) - 1
         self.generator_blocks = {k: self.block(w.mat)
                                  for k, w in self.generators}
-        self._build_quotient()
-        self._build_lattice()
+        # the key v of the module docstring, from B^j for j < dim
+        powers = [(2 * max(self.marks) ** 2 + 1) ** j for j in range(self.dim)]
+        self.key_vector = (-sum(map(operator.mul, self.marks[1:], powers)),
+                           *(self.marks[0] * b for b in powers))
+        self._build_lattice(self._build_quotient())
 
     def block(self, mat):
         """The Jc x Jc block of a V-dagger matrix, in jcheck order."""
@@ -159,27 +174,30 @@ class CosetGeometry:
                      for r in self.jcheck)
 
     def _build_quotient(self):
-        eye = linalg.identity_mat(self.dim + 1)
-        blocks = [eye]
-        words = [()]
-        index = {weyl.level_restriction(eye, self.marks): 0}
+        """The search (see the module docstring); returns its rows y[1:]."""
+        e_k0 = tuple(int(c == 0) for c in range(self.dim + 1))
+        keys, base_points, words = [self.key_vector], [e_k0], [()]
+        index = {self.key_vector: 0}
         left = {k: [] for k in self.generator_blocks}
+        rows = set()
         head = 0
-        while head < len(blocks):
+        while head < len(words):
             for k, g in self.generator_blocks.items():
-                block = linalg.mat_mul(g, blocks[head])
-                key = weyl.level_restriction(block, self.marks)
+                key = linalg.mat_vec(g, keys[head])
+                moved = linalg.mat_vec(g, base_points[head])
                 if key not in index:
-                    index[key] = len(blocks)
-                    blocks.append(block)
+                    index[key] = len(words)
+                    keys.append(key)
+                    base_points.append(moved)
                     words.append((k,) + words[head])
-                    charge("finite quotient", len(blocks), _QUOTIENT_CAP)
-                left[k].append(index[key])
+                    charge("finite quotient", len(words), _QUOTIENT_CAP)
+                t = index[key]
+                left[k].append(t)
+                rows.add(tuple(map(operator.sub, moved, base_points[t]))[1:])
             head += 1
         # words[i] multiplies left-to-right: element i is the product of
-        # the letters, and blocks[i] is the same product of the G_k.
+        # the letters, and lift_i is the same product of the ss_k.
         self.quotient_words = words
-        self.quotient_blocks = blocks
         self.quotient_index = index
         # Multiplication: quotient_left[k][j] is the index of r_k times
         # element j, a permutation of the indices, so products and
@@ -194,6 +212,7 @@ class CosetGeometry:
                 x = self.quotient_left[k][x]
             inverse.append(x)
         self.quotient_inverse = tuple(inverse)
+        return rows
 
     def quotient_product(self, i, j):
         """Index of quotient element i times quotient element j."""
@@ -201,28 +220,12 @@ class CosetGeometry:
             j = self.quotient_left[k][j]
         return j
 
-    def _schreier_translations(self):
-        """The integer rows n_k0 times the u-coordinates of the Schreier
-        generators' translations (see the module docstring), each once."""
-        blocks = self.quotient_blocks
-        base = [tuple(row[0] for row in b) for b in blocks]  # B_i e_k0
-        rows = set()
-        for k, g in self.generator_blocks.items():
-            for i, t in enumerate(self.quotient_left[k]):
-                moved = [a - b for a, b in zip(linalg.mat_vec(g, base[i]),
-                                               base[t])]
-                x = linalg.mat_vec(blocks[self.quotient_inverse[t]], moved)
-                rows.add(x[1:])
-        return rows
-
-    def _build_lattice(self):
+    def _build_lattice(self, rows):
+        """L' from the displacement rows, and each r_k's action on it."""
         n0 = self.marks[0]
-        self._hermite = basis = linalg.hnf(self._schreier_translations())
+        self._hermite = basis = linalg.hnf(rows)
         if len(basis) != self.dim:
             raise StructuralError("translation lattice has deficient rank")
-        # Integer matrices of the quotient action in the L'-basis: each
-        # r_k's, then each element's as r_k times its BFS parent's, so
-        # every action preserves L' when the generators' do.
         acts = {}
         for k, g in self.generator_blocks.items():
             scaled = weyl.level_restriction(g, self.marks)
@@ -231,32 +234,30 @@ class CosetGeometry:
             if any(x.denominator != 1 for col in cols for x in col):
                 raise StructuralError("quotient action does not preserve L'")
             acts[k] = tuple(tuple(int(x) for x in row) for row in zip(*cols))
-        actions = [None] * len(self.quotient_words)
-        actions[0] = linalg.identity_mat(self.dim)
-        for i, action in enumerate(actions):
-            for k, perm in self.quotient_left.items():
-                if actions[perm[i]] is None:
-                    actions[perm[i]] = linalg.mat_mul(acts[k], action)
-        self.torus_actions = actions
+        self.generator_actions = acts
 
     def lattice_coords(self, ucoords):
         """Coordinates over the L'-basis of a z_J vector in u-coordinates."""
         n0 = self.marks[0]
         return linalg.solve_upper(self._hermite, [n0 * u for u in ucoords])
 
-    def torus_act(self, element_index, t):
-        """The quotient element's action on t: an integer matrix on its
+    def act(self, k, t):
+        """r_k's action on the torus point t: an integer matrix on its
         numerators, modulo its order, which the action keeps."""
         order = t.order
         return TorusPoint(order, tuple(
             x % order
-            for x in linalg.mat_vec(self.torus_actions[element_index],
-                                    t.nums)))
+            for x in linalg.mat_vec(self.generator_actions[k], t.nums)))
 
-    def stabilizer(self, t):
-        """Indices of the quotient elements that fix the torus point t."""
-        return tuple(i for i in range(len(self.quotient_words))
-                     if self.torus_act(i, t) == t)
+    def orbit(self, t):
+        """The point r_i . t for each quotient index i, walked along the
+        search's edges: each element's parent comes before it."""
+        points = [t] + [None] * (len(self.quotient_words) - 1)
+        for i, point in enumerate(points):
+            for k, perm in self.quotient_left.items():
+                if points[perm[i]] is None:
+                    points[perm[i]] = self.act(k, point)
+        return points
 
 
 _geometry_cache = {}
@@ -305,11 +306,12 @@ def torus_stabilizer(datum, J, t, S):
                     raise StructuralError("lift subgroup is not finite")
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[weyl.level_restriction(geo.block(w.mat),
-                                                        geo.marks)]
+    images = {geo.quotient_index[linalg.mat_vec(geo.block(w.mat),
+                                                geo.key_vector)]
               for w in elements}
     return (len(images) == len(elements)
-            and images == set(geo.stabilizer(t)))
+            and images == {i for i, point in enumerate(geo.orbit(t))
+                           if point == t})
 
 
 def grid_nodes(datum, J):

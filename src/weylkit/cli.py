@@ -6,11 +6,13 @@ across runs with the same flags.  Exit codes: 0 ok, 1 check failure or
 library error, 2 a flag or flag value the command cannot use.
 
 `main` builds the parser of the one command its first argument names
-(`_COMMANDS` maps each name to the builder of its subparser), since
+(`_COMMANDS` maps each name to its help and the builder of its flags), since
 building all seven cost several times a small command's own work
 (`witt --enum --p 3 --n 1`).  Its usage line still names all seven, so
 an error such as `witt --bogus` prints what the full parser prints.  Any
 other argv (help, no argument, an unknown command) builds all seven.
+No parser expands a prefix of a flag (allow_abbrev=False): `witt --e`
+is an unknown flag, not `--enum`.
 """
 
 import argparse
@@ -185,43 +187,37 @@ def _cmd_witt(args):
     return 0
 
 
-def _add_verify(sub):
-    p = sub.add_parser("verify", help="run the check registry")
+def _add_verify(p):
     p.add_argument("--suite", action="append", choices=checks.SUITES)
     p.set_defaults(func=_cmd_verify)
 
 
-def _add_weyl(sub):
-    p = sub.add_parser("weyl", help="quotient Coxeter data")
+def _add_weyl(p):
     p.add_argument("--type", default="C2")
     p.add_argument("--j", default="")
     p.set_defaults(func=_cmd_weyl)
 
 
-def _add_cells(sub):
-    p = sub.add_parser("cells", help="grid points, cells, torus data")
+def _add_cells(p):
     p.add_argument("--type", default="A1")
     p.add_argument("--j", default="")
     p.add_argument("--denominator", type=int, default=6)
     p.set_defaults(func=_cmd_cells)
 
 
-def _add_reps(sub):
-    p = sub.add_parser("reps", help="induced modules over the grid")
+def _add_reps(p):
     p.add_argument("--type", default="A1")
     p.add_argument("--j", default="")
     p.add_argument("--denominator", type=int, default=6)
     p.set_defaults(func=_cmd_reps)
 
 
-def _add_fourier(sub):
-    p = sub.add_parser("fourier", help="pairing matrices")
+def _add_fourier(p):
     p.add_argument("--group", default="z2")
     p.set_defaults(func=_cmd_fourier)
 
 
-def _add_pgl2(sub):
-    p = sub.add_parser("pgl2", help="Iwahori class and counts")
+def _add_pgl2(p):
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--matrix", default="0,1;e,0")
     p.add_argument("--op", default="all",
@@ -229,8 +225,7 @@ def _add_pgl2(sub):
     p.set_defaults(func=_cmd_pgl2)
 
 
-def _add_witt(sub):
-    p = sub.add_parser("witt", help="Witt arithmetic and lattices")
+def _add_witt(p):
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -239,16 +234,16 @@ def _add_witt(sub):
     p.set_defaults(func=_cmd_witt)
 
 
-# Each command's name and the builder that adds its subparser, in the
-# order the usage line and the help list them.
+# Each command's name, its help and the builder that adds its flags to
+# its subparser, in the order the usage line and the help list them.
 _COMMANDS = {
-    "verify": _add_verify,
-    "weyl": _add_weyl,
-    "cells": _add_cells,
-    "reps": _add_reps,
-    "fourier": _add_fourier,
-    "pgl2": _add_pgl2,
-    "witt": _add_witt,
+    "verify": ("run the check registry", _add_verify),
+    "weyl": ("quotient Coxeter data", _add_weyl),
+    "cells": ("grid points, cells, torus data", _add_cells),
+    "reps": ("induced modules over the grid", _add_reps),
+    "fourier": ("pairing matrices", _add_fourier),
+    "pgl2": ("Iwahori class and counts", _add_pgl2),
+    "witt": ("Witt arithmetic and lattices", _add_witt),
 }
 
 
@@ -256,7 +251,8 @@ def build_parser(command=None):
     """The parser of every command, or, for a command name, the parser
     of that one command, whose usage line still names all seven."""
     parser = argparse.ArgumentParser(
-        prog="weylkit", description="exact verification suites")
+        prog="weylkit", description="exact verification suites",
+        allow_abbrev=False)
     if command in _COMMANDS:
         # unset, argparse derives the metavar from the choices, here one;
         # the full build leaves it unset, since a metavar also renames
@@ -264,11 +260,13 @@ def build_parser(command=None):
         sub = parser.add_subparsers(
             dest="command", required=True,
             metavar="{" + ",".join(_COMMANDS) + "}")
-        _COMMANDS[command](sub)
+        names = (command,)
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-        for add in _COMMANDS.values():
-            add(sub)
+        names = _COMMANDS
+    for name in names:
+        help_text, add = _COMMANDS[name]
+        add(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 

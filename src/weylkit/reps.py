@@ -123,7 +123,7 @@ def _induced(geo, S, t, rho):
     for value in rho.values():
         if not isinstance(value, int) or value not in (1, -1):
             raise PreconditionError(f"rho value {value!r} is not 1 or -1")
-    orbit = [geo.torus_act(i, t) for i in range(len(geo.quotient_words))]
+    orbit = geo.orbit(t)
     sub_words = _subgroup(geo, letters)
     # The inducing subgroup must be the full stabilizer of t, the indices
     # whose orbit point is t.
@@ -182,8 +182,7 @@ def _verify_relations(rep):
     # inverses, so the relation holds for every X exactly when g_k moves
     # points[c] to points[perm[c]].
     for k, (perm, _) in rep.finite_images.items():
-        g = geo.quotient_left[k][0]
-        if any(geo.torus_act(g, point) != rep.points[p]
+        if any(geo.act(k, point) != rep.points[p]
                for point, p in zip(rep.points, perm)):
             raise InternalConsistencyError(
                 "lattice conjugation relation fails")

@@ -592,11 +592,11 @@ def order_by_fractions(values):
     return lcm(*(v.denominator for v in values))
 
 
-def torus_act_by_fractions(geo, element_index, values):
-    """The quotient element's integer matrix on the Fraction values, each
-    taken mod 1."""
+def torus_act_by_fractions(tables, element_index, values):
+    """The quotient element's integer matrix from `coset_tables` on the
+    Fraction values, each taken mod 1."""
     return tuple(v % 1 for v in linalg.mat_vec(
-        geo.torus_actions[element_index], values))
+        tables["torus_actions"][element_index], values))
 
 
 def character_values(rep, t_order):

@@ -159,7 +159,8 @@ def test_stabilizer_lift_on_grid():
 def test_stabilizer_without_lift_check():
     d = alcove.level_one_point(A1, (1, 0))
     t = alcove.p_J(A1, (), d)
-    assert alcove.geometry(A1, ()).stabilizer(t) == (0, 1)
+    orbit = alcove.geometry(A1, ()).orbit(t)
+    assert [i for i, point in enumerate(orbit) if point == t] == [0, 1]
 
 
 @pytest.mark.parametrize("label,J", [("A1", ()), ("C2", (0,))])
@@ -224,46 +225,68 @@ def _lift_of_word(geo, word):
     return w
 
 
-def _elements(geo):
-    """Each quotient element's key, n_k0 r_i, in index order."""
+def _keys(geo):
+    """Each quotient element's key, r_i v, in index order."""
     keys = {i: key for key, i in geo.quotient_index.items()}
     return [keys[i] for i in range(len(keys))]
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])
 def test_quotient_tables_match_the_matrices(label):
-    # Products and inverses against the quotient's own integer matrices,
-    # and the integer lattice actions multiply as the elements do.  With
-    # J = () the base node is the affine one, of mark 1, so each key is
-    # its element r_i and the key of a product is the product of keys.
+    # Products and inverses against the reference's restriction
+    # matrices, each key against the block of the full lift along its
+    # word, and quotient_left found again by the generators' blocks on
+    # the keys.
     geo = alcove.geometry(cartan_datum(label), ())
-    assert geo.marks[0] == 1
-    elements = _elements(geo)
+    elements = coset_tables(geo.datum, ())["quotient"]
+    index = {r: i for i, r in enumerate(elements)}
     size = len(elements)
     assert size == len(geo.quotient_words)
-    assert size == {"A1": 2, "A2": 6, "C2": 8, "G2": 12}[label]
+    keys = _keys(geo)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
-            assert geo.quotient_product(i, j) \
-                == geo.quotient_index[linalg.mat_mul(a, b)]
-            assert geo.torus_actions[geo.quotient_product(i, j)] \
-                == linalg.mat_mul(geo.torus_actions[i], geo.torus_actions[j])
+            assert geo.quotient_product(i, j) == index[linalg.mat_mul(a, b)]
         assert geo.quotient_product(i, geo.quotient_inverse[i]) == 0
         assert geo.quotient_product(geo.quotient_inverse[i], i) == 0
-        # the block the search carried restricts to its element, and is
-        # the Jc-block of the product of the ss_k along its word
-        assert weyl.level_restriction(geo.quotient_blocks[i],
-                                      geo.marks) == a
         lift = _lift_of_word(geo, geo.quotient_words[i])
-        assert geo.block(lift.mat) == geo.quotient_blocks[i]
-    # quotient_left[k][i] is the coset of ss_k lift_i, found again by
-    # restricting the product of the blocks and looking it up
+        assert keys[i] == linalg.mat_vec(geo.block(lift.mat),
+                                         geo.key_vector)
     for k, g in geo.generator_blocks.items():
         assert g == geo.block(dict(geo.generators)[k].mat)
-        for i, block in enumerate(geo.quotient_blocks):
-            assert geo.quotient_index[weyl.level_restriction(
-                linalg.mat_mul(g, block), geo.marks)] \
+        for i, key in enumerate(keys):
+            assert geo.quotient_index[linalg.mat_vec(g, key)] \
                 == geo.quotient_left[k][i]
+
+
+@pytest.mark.parametrize("label, size", [
+    ("A1", 2), ("A2", 6), ("A3", 24), ("A4", 120), ("B3", 48), ("C2", 8),
+    ("G2", 12), ("D4", 192), ("F4", 1152)])
+def test_the_quotient_of_the_empty_j_is_the_finite_weyl_group(label, size):
+    # For J = () the quotient is W0, so a key vector with a nontrivial
+    # stabilizer would merge elements and fall short of |W0|
+    geo = alcove.CosetGeometry(cartan_datum(label), ())
+    assert len(geo.quotient_words) == len(geo.quotient_index) == size
+
+
+@pytest.mark.parametrize("label, J", [("D4", (0, 1)), ("D5", (0, 1, 2))])
+def test_the_key_separates_quotients_a_key_of_equal_digits_merges(label, J):
+    # with every B^j replaced by 1 the key vector is fixed by a
+    # nontrivial element of each of these quotients, which then has only
+    # 4 elements; B = 2 m^2 + 1 keeps them apart, as the reference does
+    datum = cartan_datum(label)
+    geo = alcove.CosetGeometry(datum, J)
+    assert geo.quotient_left == coset_tables(datum, J)["quotient_left"]
+
+
+def test_rows_that_no_generator_action_preserves_are_refused():
+    # rows spanning a full-rank sublattice of L' that some r_k moves
+    geo = alcove.CosetGeometry(A2, ())
+    (a, b), (c, d) = geo._hermite
+    with pytest.raises(StructuralError, match="does not preserve L'"):
+        geo._build_lattice({(a, b), (2 * c, 2 * d)})
+    # 2L', which every r_k preserves, passes
+    geo._build_lattice({(2 * a, 2 * b), (2 * c, 2 * d)})
+    assert geo._hermite == ((2 * a, 2 * b), (2 * c, 2 * d))
 
 
 # Every geometry that builds over these types: 26 of them, 6 with a base
@@ -287,16 +310,21 @@ def _reference_geometries():
             yield datum, J
 
 
+def _torus_points(dim):
+    """A few nonzero torus points of several orders."""
+    return [alcove.TorusPoint(order, tuple((step * c + 1) % order
+                                           for c in range(dim)))
+            for order, step in ((2, 1), (5, 2), (12, 5))]
+
+
 def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
-    # The library's integer blocks and Schreier cocycle against full
-    # Weyl lifts, u-basis restrictions, Schreier elements multiplied out
-    # and the rational Hermite form (reference_routes.coset_tables).
-    # The keys are n_k0 times the reference's restrictions, and the
-    # lattice coordinates of the unit vectors are the columns of the
-    # inverse of the reference's L'-basis matrix.
-    # The cocycle's rows are compared too, not only the lattice they
-    # span: a cocycle that reads B_t for B_inv(t) spans the same lattice
-    # on every geometry here.
+    # The library's search, lattice and orbits against full Weyl lifts,
+    # u-basis restrictions, Schreier elements multiplied out and the
+    # rational Hermite form (reference_routes.coset_tables).  Each key
+    # is the key vector under the reference's restriction, the lattice
+    # coordinates of the unit vectors are the columns of the inverse of
+    # the reference's L'-basis matrix, and each orbit point is the
+    # reference's integer action on t, reduced modulo t's order.
     built, marks = 0, []
     for datum, J in _reference_geometries():
         try:
@@ -305,19 +333,21 @@ def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
             continue
         ref = coset_tables(datum, J)
         n0 = geo.marks[0]
-        assert _elements(geo) == [
-            tuple(tuple(n0 * x for x in row) for row in r)
-            for r in ref["quotient"]], (datum.label, J)
+        v = geo.key_vector[1:]
+        assert [key[1:] for key in _keys(geo)] == [
+            linalg.mat_vec(r, v) for r in ref["quotient"]], (datum.label, J)
         assert geo.quotient_left == ref["quotient_left"], (datum.label, J)
         assert geo.quotient_inverse == ref["quotient_inverse"], \
             (datum.label, J)
-        assert geo.torus_actions == ref["torus_actions"], (datum.label, J)
         units = [tuple(Fraction(int(i == c)) for i in range(geo.dim))
                  for c in range(geo.dim)]
         columns = [geo.lattice_coords(u) for u in units]
         assert tuple(zip(*columns)) == (ref["binv"] or ()), (datum.label, J)
-        assert geo._schreier_translations() == ref["translations"], \
-            (datum.label, J)
+        for t in _torus_points(geo.dim):
+            assert geo.orbit(t) == [
+                alcove.TorusPoint(t.order, tuple(
+                    x % t.order for x in linalg.mat_vec(action, t.nums)))
+                for action in ref["torus_actions"]], (datum.label, J, t)
         built += 1
         marks.append(n0)
     assert (built, marks.count(2), marks.count(4)) == (49, 17, 1)

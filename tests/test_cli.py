@@ -431,8 +431,12 @@ _COMMAND_CASES = {
     "witt": (["--enum", "--p", "3", "--n", "1"], ["-h"], ["--bogus"],
              ["--p", "x"], ["extra"]),
 }
+# Prefixes of a command's flags, which no parser expands.
+_ABBREVIATIONS = [["witt", "--e"], ["witt", "--enu"], ["pgl2", "--m", "X"],
+                  ["cells", "--den", "4"]]
 _PARITY = ([[name, *rest] for name, cases in _COMMAND_CASES.items()
             for rest in cases]
+           + _ABBREVIATIONS + [["pgl2", "--matrix=0,1;e,0"]]
            + [["-h"], [], ["bogus"], ["-h", "witt"]])
 
 
@@ -476,3 +480,21 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     assert info.value.code == 2
     assert capsys.readouterr().err.startswith(
         "usage: weylkit [-h] {verify,weyl,cells,reps,fourier,pgl2,witt} ...\n")
+
+
+@pytest.mark.parametrize("argv", _ABBREVIATIONS, ids=" ".join)
+def test_an_abbreviated_flag_is_an_unknown_flag(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "usage: weylkit [-h] {verify,weyl,cells,reps,fourier,pgl2,witt} ...\n")
+    assert err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+def test_a_flag_joined_to_its_value_is_the_flag():
+    assert run_cli(["pgl2", "--q", "3", "--matrix=e,1+e;e+e2,e2"]) \
+        == run_cli(["pgl2", "--q", "3", "--matrix", "e,1+e;e+e2,e2"])

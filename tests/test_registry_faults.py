@@ -200,19 +200,33 @@ C2 = cartan_datum("C2")
 D4 = cartan_datum("D4")
 
 
-_SCHREIER = alcove.CosetGeometry._schreier_translations
+_BUILD_LATTICE = alcove.CosetGeometry._build_lattice
 
 
-def _schreier_translations_doubled(geo):
-    """Each cocycle row times 2, so L' is 2L'."""
-    return {tuple(2 * x for x in row) for row in _SCHREIER(geo)}
+def _lattice_from_doubled_rows(geo, rows):
+    """L' from each displacement row times 2, so L' is 2L'."""
+    return _BUILD_LATTICE(geo, {tuple(2 * x for x in row) for row in rows})
 
 
-def _cocycle_rows(geo, x):
-    """The rows x(G_k, i, t)[1:] over every k and i, t =
-    quotient_left[k][i]: the library's loop with its cocycle replaced."""
-    return {x(g, i, t)[1:] for k, g in geo.generator_blocks.items()
-            for i, t in enumerate(geo.quotient_left[k])}
+def _base_images(geo):
+    """B_i e_k0 for each quotient index i: the blocks of its word applied
+    to e_k0, its last letter first, as the search carries them."""
+    images = []
+    for word in geo.quotient_words:
+        x = tuple(int(c == 0) for c in range(geo.dim + 1))
+        for k in reversed(word):
+            x = linalg.mat_vec(geo.generator_blocks[k], x)
+        images.append(x)
+    return images
+
+
+def _lattice_from_rows_without_g(geo, rows):
+    """L' from the rows (B_i e_k0 - B_t e_k0)[1:]: the displacements with
+    G_k dropped."""
+    base = _base_images(geo)
+    return _BUILD_LATTICE(geo, {
+        tuple(a - b for a, b in zip(base[i][1:], base[t][1:]))
+        for perm in geo.quotient_left.values() for i, t in enumerate(perm)})
 
 
 def _unit_lattice_coords(datum, J):
@@ -221,26 +235,6 @@ def _unit_lattice_coords(datum, J):
     geo = alcove.CosetGeometry(datum, J)
     return [geo.lattice_coords(tuple(int(i == c) for i in range(geo.dim)))
             for c in range(geo.dim)]
-
-
-def _base(geo, i):
-    """B_i e_k0: column k0 of lift i's block."""
-    return tuple(row[0] for row in geo.quotient_blocks[i])
-
-
-def _schreier_translations_without_g(geo):
-    """B_inv(t) (B_i e_k0 - B_t e_k0): the cocycle with G_k dropped."""
-    return _cocycle_rows(geo, lambda g, i, t: linalg.mat_vec(
-        geo.quotient_blocks[geo.quotient_inverse[t]],
-        [a - b for a, b in zip(_base(geo, i), _base(geo, t))]))
-
-
-def _schreier_translations_through_b_t(geo):
-    """B_t (G_k B_i e_k0 - B_t e_k0): lift_t in place of its inverse."""
-    return _cocycle_rows(geo, lambda g, i, t: linalg.mat_vec(
-        geo.quotient_blocks[t],
-        [a - b for a, b in zip(linalg.mat_vec(g, _base(geo, i)),
-                               _base(geo, t))]))
 
 
 def _permutes_simple_roots_read_off_mat(inv, J):
@@ -278,18 +272,18 @@ def _trace_rows_without_the_first_fixed_point(rep, M):
         yield terms[1:]
 
 
-def _torus_act_without_the_reduction(geo, element_index, t):
-    """The integer action on t's numerators, not reduced modulo its
-    order."""
+def _act_without_the_reduction(geo, k, t):
+    """The generator's integer action on t's numerators, not reduced
+    modulo its order."""
     return alcove.TorusPoint(t.order, tuple(linalg.mat_vec(
-        geo.torus_actions[element_index], t.nums)))
+        geo.generator_actions[k], t.nums)))
 
 
 def _stabilizer_without_its_last_element(datum, J, t, S):
     """torus_stabilizer with the stabilizer's last element dropped
     before the lift comparison."""
     geo = alcove.geometry(datum, J)
-    stabilizer = geo.stabilizer(t)[:-1]
+    stabilizer = [i for i, point in enumerate(geo.orbit(t)) if point == t]
     gens = [g for k, g in geo.generators if k not in S]
     elements = {weyl.identity(datum)}
     frontier = list(elements)
@@ -300,17 +294,17 @@ def _stabilizer_without_its_last_element(datum, J, t, S):
             if new not in elements:
                 elements.add(new)
                 frontier.append(new)
-    images = {geo.quotient_index[weyl.level_restriction(geo.block(w.mat),
-                                                        geo.marks)]
+    images = {geo.quotient_index[linalg.mat_vec(geo.block(w.mat),
+                                                geo.key_vector)]
               for w in elements}
-    return len(images) == len(elements) and images == set(stabilizer)
+    return len(images) == len(elements) and images == set(stabilizer[:-1])
 
 
-_STABILIZER = alcove.CosetGeometry.stabilizer
+_ORBIT = alcove.CosetGeometry.orbit
 
 
-def _geometry_stabilizer_without_its_last_element(geo, t):
-    return _STABILIZER(geo, t)[:-1]
+def _orbit_without_its_last_point(geo, t):
+    return _ORBIT(geo, t)[:-1]
 
 
 _BASE_VERTEX = alcove.level_one_point(A1, (1, 0))
@@ -321,9 +315,9 @@ def _base_vertex_lift_check():
     return alcove.torus_stabilizer(A1, (), t, alcove.cell_of(_BASE_VERTEX).S)
 
 
-def _base_vertex_stabilizer():
+def _base_vertex_orbit():
     t = alcove.p_J(A1, (), _BASE_VERTEX)
-    return alcove.geometry(A1, ()).stabilizer(t)
+    return alcove.geometry(A1, ()).orbit(t)
 
 
 def _first_module_trace_rows():
@@ -337,7 +331,7 @@ _OTHER_VERTEX = alcove.level_one_point(A1, (0, 1))
 def _other_vertex_orbit():
     geo = alcove.geometry(A1, ())
     t = alcove.p_J(A1, (), _OTHER_VERTEX)
-    return [geo.torus_act(i, t) for i in range(len(geo.quotient_words))]
+    return geo.orbit(t)
 
 
 # -- C4, C5 and C11 faults ----------------------------------------------
@@ -463,25 +457,19 @@ FAULTS = {
         [(alcove, "torus_stabilizer", _stabilizer_without_its_last_element)],
         {"C2"}, _base_vertex_lift_check),
     "alcove Schreier translations doubled": (
-        [(alcove.CosetGeometry, "_schreier_translations",
-          _schreier_translations_doubled)], {"C2", "C3"},
+        [(alcove.CosetGeometry, "_build_lattice",
+          _lattice_from_doubled_rows)], {"C2", "C3"},
         lambda: _unit_lattice_coords(A1, ())),
     "alcove Schreier cocycle drops G_k": (
-        [(alcove.CosetGeometry, "_schreier_translations",
-          _schreier_translations_without_g)], {"C2", "C3"},
+        [(alcove.CosetGeometry, "_build_lattice",
+          _lattice_from_rows_without_g)], {"C2", "C3"},
         lambda: _unit_lattice_coords(D4, (0, 1))),
-    "alcove Schreier cocycle reads B_t for B_inv(t)": (
-        [(alcove.CosetGeometry, "_schreier_translations",
-          _schreier_translations_through_b_t)], {"C2", "C3"},
-        lambda: sorted(alcove.CosetGeometry(A2, ())._schreier_translations())),
-    "alcove.CosetGeometry.torus_act skips the reduction mod the order": (
-        [(alcove.CosetGeometry, "torus_act",
-          _torus_act_without_the_reduction)], {"C2", "C3"},
-        _other_vertex_orbit),
-    "alcove.CosetGeometry.stabilizer drops its last element": (
-        [(alcove.CosetGeometry, "stabilizer",
-          _geometry_stabilizer_without_its_last_element)], {"C2"},
-        _base_vertex_stabilizer),
+    "alcove.CosetGeometry.act skips the reduction mod the order": (
+        [(alcove.CosetGeometry, "act", _act_without_the_reduction)],
+        {"C2", "C3"}, _other_vertex_orbit),
+    "alcove.CosetGeometry.orbit drops its last point": (
+        [(alcove.CosetGeometry, "orbit", _orbit_without_its_last_point)],
+        {"C2", "C3"}, _base_vertex_orbit),
 }
 
 # The faults every check passes.  C7 counts 2 on each of its 42 exact
@@ -491,22 +479,17 @@ FAULTS = {
 # monomials change no column the scan reads on an I2 root, each a
 # constant that leaves them alone.  C9 runs the
 # oracle only at m = 2.  The checks build coset geometries only for A1
-# with J = (), whose quotient has two elements, each its own inverse,
-# so B_t is B_inv(t) there; the cocycle without G_k spans the same L'
-# on A1 (D4/{0, 1} and D5/{0, 1} see it).  On every geometry of
-# A1-A5, B3-B5, C2-C4, D4, D5, G2 and F4 the B_t cocycle spans the same
-# L' as the right one, so only the equivalence test in test_alcove,
-# which compares the rows, sees it.  The checks build coset generators
-# only for J = () and J = (1,), where no ss_k can move a simple root of
-# J to another, so a predicate that asks ss_k to fix each one is right
-# there.  F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two
+# with J = (), where the displacement rows without G_k span the same L';
+# D4/{0, 1}, D5/{0, 1} and D5/{0, 1, 2} see it.  The checks build coset
+# generators only for J = () and J = (1,), where no ss_k can move a
+# simple root of J to another, so a predicate that asks ss_k to fix each
+# one is right there.  F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two
 # simple roots of J; ROADMAP item 16's finite-bond C1 rows close it.
 BLIND = {
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
     "alcove Schreier cocycle drops G_k",
-    "alcove Schreier cocycle reads B_t for B_inv(t)",
     "weyl coset generators require ss to fix each simple root of J",
 }
 

@@ -15,6 +15,7 @@ from weylkit.errors import (
 )
 from reference_routes import (
     character_values,
+    coset_tables,
     norm_sum,
     order_by_fractions,
     p_J_by_fractions,
@@ -207,8 +208,7 @@ def test_module_points_are_the_orbit_of_t():
         geo = rep.geometry
         assert rep.points[0] == t
         assert len(set(rep.points)) == len(rep.points) == rep.dimension
-        assert set(rep.points) \
-            == {geo.torus_act(i, t) for i in range(len(geo.quotient_words))}
+        assert set(rep.points) == set(geo.orbit(t))
 
 
 def test_character_values_need_a_multiple_of_the_points_order():
@@ -265,17 +265,19 @@ def test_the_integer_torus_route_matches_the_fraction_route():
     # p_J, the order, the values and each orbit point against one
     # Fraction per coordinate taken mod 1, the order the lcm of their
     # denominators
+    tables = {}
     for datum, J, d in _grid_and_a2_points():
-        geo = alcove.geometry(datum, J)
+        key = (datum.label, J)
+        if key not in tables:
+            tables[key] = coset_tables(datum, J)
         t = alcove.p_J(datum, J, d)
         values = p_J_by_fractions(datum, J, d)
         assert t.values == values
         assert t.order == order_by_fractions(values)
         assert all(type(n) is int and 0 <= n < t.order for n in t.nums)
         assert gcd(t.order, *t.nums) == 1
-        for i in range(len(geo.quotient_words)):
-            point = geo.torus_act(i, t)
-            moved = torus_act_by_fractions(geo, i, values)
+        for i, point in enumerate(alcove.geometry(datum, J).orbit(t)):
+            moved = torus_act_by_fractions(tables[key], i, values)
             assert point.values == moved
             assert point.order == order_by_fractions(moved) == t.order
 
