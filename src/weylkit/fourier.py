@@ -10,13 +10,24 @@ A group is its display labels and the permutations of range(d) they
 name, so its product, composition, is associative, and closure is the
 one check.  N, the lcm of the element orders, is one conductor for the
 whole group: every character value of every centralizer is integer
-terms {k: c} for sum c zeta_N^k.  An abelian centralizer's characters
-are its exponent maps, k(ab) = k(a) + k(b) mod N, found by brute force;
-the one nonabelian curated case, the symmetric group on three letters,
-has a table of ints.  A pairing adds s t x^((i - j) mod N) over the
-terms s zeta_N^i and t zeta_N^j of the two values into one integer row
-of Z[x]/(x^N - 1), reduced once: x -> x^-1 lifts complex conjugation
-(see the `cyclotomic` docstring).
+terms {k: c} for sum c zeta_N^k.  A pairing adds s t x^((i - j) mod N)
+over the terms s zeta_N^i and t zeta_N^j of the two values into one
+integer row of Z[x]/(x^N - 1), reduced once: x -> x^-1 lifts complex
+conjugation (see the `cyclotomic` docstring).
+
+The characters of a subgroup H come from its class sums by Dixon's
+method modulo a prime.  With classes C_0 = {1}, ..., C_(k-1), K_i K_j =
+sum_l a_ijl K_l (a_ijl counts the x in C_i with x^-1 y in C_j, y in C_l),
+and chi irreducible sends K_l to w(l) = |C_l| chi(C_l) / chi(1): w is an
+eigenvector of each (a_ijl)_jl, of eigenvalue w(i).  Take the least prime
+p = 1 mod N with p^2 > 4|H|, and zeta_N -> z of order N mod p.  Primes of
+|H| divide N < p, so sum_l |C_l| chi(C_l) psi(C_l^-1) = |H| [chi = psi]
+keeps the k vectors w independent mod p, so distinct: the class matrices
+split the identity's class, sum_chi chi(1)^2 / |H| w_chi, into k lines.
+On one, chi(C_l) / chi(1) = w(l) / |C_l|, psi = chi gives chi(1)^2 <= |H|
+< p^2 / 4, and chi(1) is its root below p/2.  x of order o has eigenvalue
+zeta_o^e m_e <= chi(1) < p times, chi(x^j) = sum_e m_e zeta_o^je, so m_e
+= (1/o) sum_j chi(x^j) z_o^-je mod p, z_o = z^(N/o): the term {e N/o: m_e}.
 
 The transform of the infinite group C* . <r> of the rank-2
 verification factors through the Z/2 component matrix (the four
@@ -24,21 +35,23 @@ displayed half-sum identities), which C5 compares with the Z/2 pairing.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import Cyc
 from .errors import (
+    InternalConsistencyError,
     PreconditionError,
     StructuralError,
-    UnsupportedLabelError,
+    charge,
+    is_prime,
     require_int,
 )
 
-# Character values of the symmetric group on three letters by element
-# order: the trivial, sign and standard characters.
-_S3_TABLE = {1: (1, 1, 2), 2: (1, -1, 0), 3: (1, 1, -1)}
+# Tables cost |G|^2 products, characters a constant times (|H| + p + N^2) k^2.
+GROUP_WORK_BUDGET = 10 ** 6
 
 
 class FiniteGroupTable:
@@ -58,6 +71,7 @@ class FiniteGroupTable:
         label = dict(zip(perms, self.elements))
         if len(label) != n or len(set(self.elements)) != n:
             raise StructuralError("a label or a permutation is repeated")
+        charge(f"a group table of {n}^2 products", n * n, GROUP_WORK_BUDGET)
         self.mult = {}
         for a, p in zip(self.elements, perms):
             for b, q in zip(self.elements, perms):
@@ -76,7 +90,7 @@ class FiniteGroupTable:
                 power, k = self.mult[power, a], k + 1
             self.order_of[a] = k
         self.exponent = lcm(*self.order_of.values())
-        self.classes = self._conjugacy_classes()
+        self.classes = self._conjugacy_classes(self.elements)
         # |Z(x)| = |G| / |class of x|, orbit and stabilizer
         self.centralizer_order = {x: n // len(cl)
                                   for cl in self.classes for x in cl}
@@ -84,13 +98,13 @@ class FiniteGroupTable:
     def conjugate(self, g, x):
         return self.mult[self.mult[g, x], self.inverse[g]]
 
-    def _conjugacy_classes(self):
+    def _conjugacy_classes(self, members):
         seen = set()
         classes = []
-        for x in self.elements:
+        for x in members:
             if x in seen:
                 continue
-            orbit = {self.conjugate(g, x) for g in self.elements}
+            orbit = {self.conjugate(g, x) for g in members}
             seen |= orbit
             classes.append(tuple(sorted(orbit, key=self.elements.index)))
         classes.sort(key=lambda cl: (self.order_of[cl[0]],
@@ -105,35 +119,80 @@ class FiniteGroupTable:
         """Irreducible characters of the subgroup `members`, each a dict
         member -> terms {k: c}, ordered by degree, then by how many
         members they send to 1, then by the `render` of each value at its
-        member's own order."""
-        n, order = self.exponent, self.order_of
-        if all(self.mult[a, b] == self.mult[b, a]
-               for a in members for b in members):
-            chars = []  # k(a) is a multiple of N / order(a)
-            for ks in itertools.product(*(range(0, n, n // order[a])
-                                          for a in members)):
-                k = dict(zip(members, ks))
-                if all(k[self.mult[a, b]] == (k[a] + k[b]) % n
-                       for a in members for b in members):
-                    chars.append({a: {k[a]: 1} for a in members})
-        elif len(members) == 6:
-            chars = [{a: {0: _S3_TABLE[order[a]][i]} for a in members}
-                     for i in range(3)]
-        else:
-            raise UnsupportedLabelError(
-                "character tables are curated for abelian groups and S3")
+        member's own order (Dixon's method, module docstring)."""
+        n, mult, inv, h = self.exponent, self.mult, self.inverse, len(members)
+        classes = self._conjugacy_classes(members)
+        k = len(classes)
+        index = {a: l for l, cl in enumerate(classes) for a in cl}
+        p = next(q for q in itertools.count(n + 1, n)
+                 if q * q > 4 * h and is_prime(q))
+        charge(f"a table of {k} classes", (h + p + n * n) * k * k,
+               GROUP_WORK_BUDGET)
+        z = next(w for w in (pow(c, (p - 1) // n, p) for c in range(1, p))
+                 if len({pow(w, j, p) for j in range(n)}) == n)
+        lines = [[int(l == 0) for l in range(k)]]
+        for cl in classes[1:]:
+            if len(lines) == k:
+                break
+            step = [[l for l, (y, *_) in enumerate(classes) for x in cl
+                     if index[mult[inv[x], y]] == j] for j in range(k)]
+            lines = [part for u in lines for part in _components(step, u, p)]
+        if len(lines) != k:
+            raise InternalConsistencyError(f"{len(lines)} lines, {k} classes")
+        powers = [[index[y] for y in itertools.accumulate(
+            range(self.order_of[x] - 1), lambda y, _: mult[y, x],
+            initial=self.identity)] for x, *_ in classes]
+        tables = [[[pow(z, -j * e * n // o, p) * pow(o, -1, p) % p
+                    for j in range(o)] for e in range(o)]
+                  for o in map(len, powers)]  # m_e = table[e] . chi(x^j)
+        keyed = []
+        for w in lines:
+            ratio = [c * pow(w[0] * len(cl), -1, p) % p
+                     for c, cl in zip(w, classes)]
+            square = h * pow(sum(len(cl) * r * ratio[index[inv[cl[0]]]]
+                                 for cl, r in zip(classes, ratio)), -1, p) % p
+            d, rows = _readback(ratio, square, powers, tables, p)
+            terms = [{e * n // len(m): c for e, c in enumerate(m) if c}
+                     for m in rows]
+            shown = [Cyc(len(m), m).render() for m in rows]
+            values = tuple(shown[index[a]] for a in members)
+            keyed.append(((d, -values.count("1"), values),
+                          {a: terms[index[a]] for a in members}))
+        if sum(key[0] ** 2 for key, _ in keyed) != h:
+            raise InternalConsistencyError(f"sum of squared degrees != {h}")
+        return tuple(chi for _, chi in sorted(keyed, key=lambda kc: kc[0]))
 
-        def render(a, terms):
-            row = [0] * order[a]
-            for k, c in terms.items():
-                row[k * order[a] // n] += c
-            return Cyc(order[a], row).render()
 
-        def key(chi):
-            ones = sum(1 for a in members if chi[a] == {0: 1})
-            return (chi[self.identity][0], -ones,
-                    tuple(render(a, chi[a]) for a in members))
-        return tuple(sorted(chars, key=key))
+def _components(step, u, p):
+    """u's parts mod p in the eigenspaces of M, (M w)_j = sum of w over
+    `step`[j]: (f / (x - t))(M) u for the roots t of u's minimal f."""
+    k = len(u)
+    krylov, pivots = [u], []
+    while True:  # row: M^r u reduced, then its combination of the M^j u
+        row = krylov[-1] + [int(j == len(krylov) - 1) for j in range(k + 1)]
+        for col, pivot in pivots:
+            if row[col]:
+                row = [(a - row[col] * b) % p for a, b in zip(row, pivot)]
+        col = next((c for c in range(k) if row[c]), None)
+        if col is None:
+            break
+        inverse = pow(row[col], -1, p)
+        pivots.append((col, [a * inverse % p for a in row]))
+        krylov.append([sum(map(krylov[-1].__getitem__, ls)) % p
+                       for ls in step])
+    # Horner at each t: f / (x - t) from its leading coefficient, then f(t)
+    horner = (list(itertools.accumulate(reversed(row[k:k + len(krylov)]),
+                                        lambda a, c, t=t: (a * t + c) % p))
+              for t in range(p))
+    return [[sum(map(operator.mul, q, column)) % p for column in zip(*krylov)]
+            for q in (q[-2::-1] for q in horner if q[-1] == 0)]
+
+
+def _readback(ratio, square, powers, tables, p):
+    """chi(1), the root of `square` below p/2, and each class's m_e."""
+    d = next(d for d in range(1, p) if d * d % p == square)
+    return d, [[d * sum(map(operator.mul, f, map(ratio.__getitem__, row))) % p
+                for f in table] for row, table in zip(powers, tables)]
 
 
 def group_trivial():

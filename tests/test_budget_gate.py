@@ -8,7 +8,10 @@ gate a size that grows with an exponent without forming it.
 import ast
 from pathlib import Path
 
-from weylkit.errors import capped_power
+import pytest
+
+from weylkit import fourier
+from weylkit.errors import BudgetError, capped_power
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weylkit"
 
@@ -46,3 +49,26 @@ def test_capped_power_stops_at_the_first_power_past_the_cap():
     for exponent in (9, 10, 10 ** 12):
         assert capped_power(3, exponent, 10000) == 3 ** 9
     assert capped_power(999999999989, 2, 200000) == 999999999989
+
+
+def test_a_group_table_past_the_budget_is_refused_before_its_products():
+    # Z/1001 would form 1001^2 = 1,002,001 products
+    with pytest.raises(BudgetError, match=r"1001\^2 products exceeds the"
+                                          r" budget of 1000000"):
+        fourier.cyclic_group(1001)
+
+
+def test_characters_past_the_budget_are_refused_before_the_split(
+        monkeypatch):
+    # Z/31 has 31 classes, its exponent is 31 and p = 311 is the least
+    # prime = 1 mod 31: (31 + 311 + 31^2) 31^2 = 1,252,183 steps, while its
+    # table is 961 products; Z/30, with p = 31, weighs 864,900
+    z31 = fourier.cyclic_group(31)
+    splits = []
+    monkeypatch.setattr(fourier, "_components",
+                        lambda *args: splits.append(args))
+    with pytest.raises(BudgetError, match="^a table of 31 classes exceeds"
+                                          " the budget of 1000000$"):
+        z31.characters(z31.elements)
+    assert splits == []
+

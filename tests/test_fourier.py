@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from weylkit import fourier
 from weylkit.cyclotomic import Cyc
-from weylkit.errors import StructuralError
+from weylkit.errors import InternalConsistencyError, StructuralError
 from reference_routes import cyc_characters, cyc_pairing_matrix
 
 
@@ -159,3 +160,103 @@ def test_group_exponents():
 def test_a_table_that_is_not_a_group_is_refused(labels, perms, what):
     with pytest.raises(StructuralError, match=what):
         fourier.FiniteGroupTable(labels, perms)
+
+
+def _permutation_group(perms):
+    """The group of the permutations `perms`, each named by its images."""
+    perms = tuple(perms)
+    return fourier.FiniteGroupTable((" ".join(map(str, q)) for q in perms),
+                                    perms)
+
+
+def _signed_permutations(n):
+    """W(B_n): w and the signs s send +-e_i to +-(-1)^s_i e_w(i), acting on
+    range(2n), where i and i + n stand for e_i and -e_i."""
+    return _permutation_group(
+        tuple(w[i % n] + n * ((s[i % n] + i // n) % 2) for i in range(2 * n))
+        for w in itertools.permutations(range(n))
+        for s in itertools.product((0, 1), repeat=n))
+
+
+def _dihedral(m):
+    """The symmetries of an m-gon: i -> k + i and i -> k - i mod m."""
+    return _permutation_group(
+        [tuple((k + i) % m for i in range(m)) for k in range(m)]
+        + [tuple((k - i) % m for i in range(m)) for k in range(m)])
+
+
+# groups beyond the five named ones, each with its number of classes
+LARGER_GROUPS = {
+    "S4": (lambda: _permutation_group(itertools.permutations(range(4))), 5),
+    "S5": (lambda: _permutation_group(itertools.permutations(range(5))), 7),
+    "W(B2)": (lambda: _signed_permutations(2), 5),
+    "W(G2)": (lambda: _dihedral(6), 6),
+    "W(B3)": (lambda: _signed_permutations(3), 10),
+    "Z/12": (lambda: fourier.cyclic_group(12), 12),
+    "(Z/2)^5": (lambda: _permutation_group(
+        tuple(i ^ v for i in range(32)) for v in range(32)), 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_GROUPS))
+def test_characters_of_larger_groups_are_orthonormal(name):
+    # rows and columns orthogonal, integer degrees whose squares sum to |G|
+    build, classes = LARGER_GROUPS[name]
+    gamma = build()
+    chars = gamma.characters(gamma.elements)
+    reps = [cl[0] for cl in gamma.classes]
+    assert len(chars) == len(reps) == classes
+    degrees = [chi[gamma.identity] for chi in chars]
+    assert all(set(d) == {0} for d in degrees)
+    assert sum(d[0] ** 2 for d in degrees) == len(gamma.elements)
+    table = [[_value(gamma, chi[x]) for x in reps] for chi in chars]
+    sizes = [len(cl) for cl in gamma.classes]
+    for i, a in enumerate(table):
+        for j, b in enumerate(table):
+            inner = sum((size * x * y.conjugate()
+                         for size, x, y in zip(sizes, a, b)), Cyc.rational(0))
+            assert inner == (len(gamma.elements) if i == j else 0), (i, j)
+    for i, x in enumerate(reps):
+        for j in range(len(reps)):
+            inner = sum((row[i] * row[j].conjugate() for row in table),
+                        Cyc.rational(0))
+            assert inner == (gamma.centralizer_order[x] if i == j else 0)
+
+
+def test_the_s4_pairing_matrix_is_a_symmetric_involution_on_21_pairs():
+    s4 = LARGER_GROUPS["S4"][0]()
+    matrix = fourier.pairing_matrix(s4, fourier.m_set(s4))
+    assert len(matrix) == 21
+    assert all(matrix[i][j] == matrix[j][i]
+               for i in range(21) for j in range(i))
+    assert _squares_to_identity(matrix)
+
+
+def test_a_value_one_held_as_two_terms_counts_as_a_one():
+    # rotation by 60 degrees has trace zeta6 + zeta6^5 = 1 on the plane of
+    # the hexagon, so that character sends two members to 1 and sorts
+    # before the other degree-2 character, whose renders come first
+    g2 = _dihedral(6)
+    first, second = g2.characters(g2.elements)[4:]
+    rotation = "1 2 3 4 5 0"
+    assert first[rotation] == {1: 1, 5: 1}
+    assert [sum(_value(g2, chi[a]) == 1 for a in g2.elements)
+            for chi in (first, second)] == [2, 0]
+    assert _value(g2, second[rotation]).render() \
+        < _value(g2, first[rotation]).render()
+
+
+def test_a_split_short_of_k_lines_or_off_degrees_is_an_internal_error(
+        monkeypatch):
+    s3 = fourier.group_s3()
+    readback = fourier._readback
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "_components", lambda step, u, p: [u])
+        with pytest.raises(InternalConsistencyError,
+                           match="^1 lines, 3 classes$"):
+            s3.characters(s3.elements)
+    monkeypatch.setattr(fourier, "_readback",
+                        lambda *args: (1, readback(*args)[1]))
+    with pytest.raises(InternalConsistencyError,
+                       match="^sum of squared degrees != 6$"):
+        s3.characters(s3.elements)

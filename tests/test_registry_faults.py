@@ -361,6 +361,42 @@ def _z2_pairing_matrix():
     return fourier.pairing_matrix(z2, fourier.m_set(z2))
 
 
+_READBACK = fourier._readback
+
+
+def _readback_with_the_root_above_half(ratio, square, powers, tables, p):
+    """chi(1) taken as the other square root of `square`, p - d, so every
+    value chi(x^j) = chi(1) ratio and every multiplicity is negated."""
+    d, rows = _READBACK(ratio, square, powers, tables, p)
+    return p - d, [[-m % p for m in row] for row in rows]
+
+
+def _readback_of_exponent_minus_e(ratio, square, powers, tables, p):
+    """Each multiplicity m_e read as m_-e, the eigenvalue exponent negated."""
+    d, rows = _READBACK(ratio, square, powers, tables, p)
+    return d, [row[:1] + row[:0:-1] for row in rows]
+
+
+def _z3_readback():
+    """_readback on the character c_j -> 2^j mod 7 of Z/3 (2 has order 3
+    mod 7): degree 1, and c1 and c2 each of one eigenvalue."""
+    table = [[pow(2, -j * e, 7) * pow(3, -1, 7) % 7 for j in range(3)]
+             for e in range(3)]
+    return fourier._readback([1, 2, 4], 1, [[0], [0, 1, 2], [0, 2, 1]],
+                             [[[1]], table, table], 7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fourier.cyclic_group(3), lambda: fourier.cyclic_group(12),
+    fourier.group_s3])
+def test_the_minus_e_readback_is_an_equivalent_mutant(monkeypatch, build):
+    # it conjugates every character, and conjugation permutes the table
+    gamma = build()
+    want = gamma.characters(gamma.elements)
+    monkeypatch.setattr(fourier, "_readback", _readback_of_exponent_minus_e)
+    assert gamma.characters(gamma.elements) == want
+
+
 def _bracket_with_e_f_twice_h():
     """[e, f] = 2h and [f, e] = -2h instead of h and -h."""
     rows = [list(row) for row in lattices.BRACKET]
@@ -444,6 +480,12 @@ FAULTS = {
     "fourier.pairing negates the sigma = 1 diagonal": (
         [(fourier, "pairing", _pairing_negated_on_the_sigma_one_diagonal)],
         {"C5"}, _z2_pairing_matrix),
+    "fourier._readback takes the degree root above p/2": (
+        [(fourier, "_readback", _readback_with_the_root_above_half)], {"C5"},
+        _z3_readback),
+    "fourier._readback reads the eigenvalue exponent as -e": (
+        [(fourier, "_readback", _readback_of_exponent_minus_e)], {"C5"},
+        _z3_readback),
     "lattices.BRACKET with [e, f] = 2h": (
         [(lattices, "BRACKET", _bracket_with_e_f_twice_h())], {"C10", "C11"},
         lattices.killing_gram),
@@ -485,12 +527,17 @@ FAULTS = {
 # simple root of J to another, so a predicate that asks ss_k to fix each
 # one is right there.  F4/{3, 4} and D4/{0, 1} see it, since each ss_2 swaps the two
 # simple roots of J; ROADMAP item 16's finite-bond C1 rows close it.
+# Reading m_e as m_-e reads each character through z^-1, another root of
+# order N mod p, so each comes out as its complex conjugate; the
+# irreducibles are closed under conjugation, so the sorted table of every
+# group is the same, and no input to `characters` can show this fault.
 BLIND = {
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
     "alcove Schreier cocycle drops G_k",
     "weyl coset generators require ss to fix each simple root of J",
+    "fourier._readback reads the eigenvalue exponent as -e",
 }
 
 
