@@ -92,12 +92,10 @@ def _c5_fourier():
             if not (got[i][j] == expected[i][j]):
                 raise WeylkitError(f"entry ({i},{j}) differs")
     s3 = fourier.group_s3()
-    m = fourier.pairing_matrix(s3, fourier.m_set(s3))
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            entry = sum((m[i][k] * m[k][j] for k in range(n)),
-                        Cyc.rational(0))
+    square = fourier.matrix_square(
+        fourier.pairing_matrix(s3, fourier.m_set(s3)))
+    for i, row in enumerate(square):
+        for j, entry in enumerate(row):
             if not (entry == (1 if i == j else 0)):
                 raise WeylkitError("S3 matrix does not square to identity")
     return "Z/2 matrix matches the displayed half-sums; S3 matrix squares to 1"

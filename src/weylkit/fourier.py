@@ -15,6 +15,16 @@ over the terms s zeta_N^i and t zeta_N^j of the two values into one
 integer row of Z[x]/(x^N - 1), reduced once: x -> x^-1 lifts complex
 conjugation (see the `cyclotomic` docstring).
 
+A matrix is squared the same way.  Write each entry as pi(A)/D, with pi:
+R = Z[x]/(x^N - 1) -> Q(zeta_N) the ring map x -> zeta_N, N the lcm of
+the entries' conductors, D the lcm of their denominators and A the
+entry's numerators times D over its own denominator, read as a
+polynomial of degree < phi(N).  pi is additive and multiplicative, so
+sum_k pi(A_ik) pi(A_kj) / D^2 = pi(sum_k A_ik A_kj) / D^2: the integer
+products of the numerator vectors, a term at x^s times one at x^t added
+at x^((s + t) mod N), summed into one row of R per entry (i, j), and
+that row is reduced modulo Phi_N and divided by D^2 once.
+
 The characters of a subgroup H come from its class sums by Dixon's
 method modulo a prime.  With classes C_0 = {1}, ..., C_(k-1), K_i K_j =
 sum_l a_ijl K_l (a_ijl counts the x in C_i with x^-1 y in C_j, y in C_l),
@@ -246,11 +256,17 @@ class MPair:
 
 
 def m_set(gamma):
-    """One MPair per (conjugacy class, centralizer irreducible)."""
+    """One MPair per (conjugacy class, centralizer irreducible).  Equal
+    centralizers share one table: each distinct member tuple's characters
+    are computed once per call."""
+    tables = {}
     out = []
     for cl in gamma.classes:
         x = cl[0]
-        for i, chi in enumerate(gamma.characters(gamma.centralizer(x))):
+        members = gamma.centralizer(x)
+        if members not in tables:
+            tables[members] = gamma.characters(members)
+        for i, chi in enumerate(tables[members]):
             out.append(MPair(x=x, sigma=i, chi=chi))
     return out
 
@@ -275,6 +291,32 @@ def pairing_matrix(gamma, pairs):
     return tuple(
         tuple(pairing(gamma, p, q) for q in pairs) for p in pairs
     )
+
+
+def matrix_square(matrix):
+    """The square of a square matrix of Cyc entries, each entry one row of
+    Z[x]/(x^N - 1) reduced once and divided by D^2 (module docstring)."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise PreconditionError("the matrix is not square")
+    entries = [e for row in matrix for e in row]
+    n = lcm(*(e.m for e in entries))
+    d = lcm(*(e.den for e in entries))
+    terms = [[[(s, c * (d // e.den)) for s, c in enumerate(e.promote(n).nums)
+               if c] for e in row] for row in matrix]
+    columns = list(zip(*terms))
+    square = []
+    for row in terms:
+        line = []
+        for column in columns:
+            acc = [0] * n
+            for a, b in zip(row, column):
+                for s, x in a:
+                    for t, y in b:
+                        acc[s + t - n] += x * y  # s + t < 2N: (s + t) mod N
+            line.append(Cyc(n, acc) / (d * d))
+        square.append(tuple(line))
+    return tuple(square)
 
 
 def b2_component_matrix():

@@ -62,7 +62,6 @@ Both budgets are module constants, read at each call and charged through
 """
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
@@ -131,16 +130,32 @@ def check_datum(p):
     return True
 
 
-@dataclass(frozen=True)
 class LatticeSubmodule:
     """A submodule of the rank-3 truncation, stored as the canonical
     Hermite basis matrix of its integer-lattice preimage.  It checks
     nothing: `tree_points` and `candidates`, which form every submodule
     the library builds, check the window (p, n) before either forms
-    one."""
-    p: int
-    n: int
-    basis: tuple  # canonical upper-triangular integer matrix, rows
+    one.  A slotted record, equal and hashed by (p, n, basis), and
+    immutable by convention: nothing assigns to one after `__init__`."""
+
+    __slots__ = ("p", "n", "basis")
+
+    def __init__(self, p, n, basis):
+        self.p = p
+        self.n = n
+        self.basis = basis  # canonical upper-triangular integer matrix, rows
+
+    def __eq__(self, other):
+        if type(other) is not LatticeSubmodule:
+            return NotImplemented
+        return (self.p, self.n, self.basis) == (other.p, other.n, other.basis)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.basis))
+
+    def __repr__(self):
+        return (f"LatticeSubmodule(p={self.p}, n={self.n},"
+                f" basis={self.basis})")
 
     @property
     def modulus(self):

@@ -380,27 +380,37 @@ def random_i1_conjugate(g, rng, length=4):
 class RecurrenceModule:
     """Window model of the degree -2 homology: basis b_n for |n| <= N,
     s_i b_n = -b_n when n and i have the same parity, and
-    s_i b_n = b_n + b_{n-1} + b_{n+1} otherwise (interior n only)."""
+    s_i b_n = b_n + b_{n-1} + b_{n+1} otherwise (interior n only; s_i
+    sends b_-N and b_N to 0).  `act` applies this rule to a coordinate
+    vector, and the matrix of s_i is read off it, one basis vector per
+    column, so the closure and the relations read the one rule."""
     N: int
 
-    def _index(self, n):
-        return n + self.N
+    def act(self, i, vec):
+        """s_i applied to the coordinates `vec` of sum vec[n + N] b_n, by
+        the rule, in one pass over the interior."""
+        out = [0] * len(vec)
+        for col in range(1, 2 * self.N):
+            c = vec[col]
+            if not c:
+                continue
+            if (col - self.N - i) % 2 == 0:
+                out[col] -= c
+            else:
+                out[col - 1] += c
+                out[col] += c
+                out[col + 1] += c
+        return tuple(out)
 
     def action_matrix(self, i):
-        size = 2 * self.N + 1
-        mat = [[0] * size for _ in range(size)]
-        for n in range(-self.N + 1, self.N):
-            col = self._index(n)
-            if (n - i) % 2 == 0:
-                mat[col][col] = -1
-            else:
-                mat[col][col] = 1
-                mat[self._index(n - 1)][col] = 1
-                mat[self._index(n + 1)][col] = 1
-        return tuple(tuple(row) for row in mat)
+        """The matrix of s_i: column n + N is act(i, b_n)."""
+        return tuple(zip(*(self.act(i, self.basis_vector(n))
+                           for n in range(-self.N, self.N + 1))))
 
     def basis_vector(self, n):
-        return tuple(int(k == self._index(n)) for k in range(2 * self.N + 1))
+        vec = [0] * (2 * self.N + 1)
+        vec[n + self.N] = 1
+        return tuple(vec)
 
 
 def _charge_window(N):
@@ -422,15 +432,14 @@ def module_generation_check(N):
         raise PreconditionError("window must extend at least two steps")
     _charge_window(N)
     module = RecurrenceModule(N)
-    mats = [module.action_matrix(1), module.action_matrix(2)]
     # Closure under both involutions: every vector that enlarges the
-    # span is mapped through each action matrix exactly once.
+    # span is mapped through each of them exactly once.
     span = linalg.EchelonBasis()
     pending = [module.basis_vector(0), module.basis_vector(1)]
     while pending:
         vec = pending.pop()
         if span.add(vec):
-            pending.extend(linalg.mat_vec(mat, vec) for mat in mats)
+            pending.extend(module.act(i, vec) for i in (1, 2))
     generated = all(span.contains(module.basis_vector(n))
                     for n in range(-N + 1, N))
     # Coinvariants of the interior: quotient by (s_i - 1) images,
@@ -439,7 +448,8 @@ def module_generation_check(N):
     eye = linalg.identity_mat(2 * N + 1)
     relations = [
         tuple(mat[row][col] - eye[row][col] for row in interior)
-        for mat in mats for col in interior
+        for mat in (module.action_matrix(1), module.action_matrix(2))
+        for col in interior
     ]
     coinvariant_rank = len(interior) - linalg.rank(relations)
     return generated, coinvariant_rank

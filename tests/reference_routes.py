@@ -15,7 +15,8 @@ Euclid minimum search instead of extended-gcd steps, a torus point as
 one Fraction per coordinate taken mod 1, a character norm as one
 reduced Cyc per character value, summed on their numerators, and the
 Fourier pairing as a sum of Cyc products, each with a conjugate, over
-characters whose values are Cyc.zeta at each element's own order.
+characters whose values are Cyc.zeta at each element's own order, and
+the square of a matrix by Cyc products and sums, one operation each.
 No command, check or benchmark runs them, so they live here, beside the
 tests that read them.
 """
@@ -697,3 +698,20 @@ def cyc_pairing_matrix(gamma):
     return ([(x, i) for x, i, _ in pairs],
             tuple(tuple(entry(x, s, y, t) for y, _, t in pairs)
                   for x, _, s in pairs))
+
+
+def cyc_matrix_square(matrix):
+    """matrix times itself, each entry a sum of Cyc products, one
+    operator call per product and per sum."""
+    n = len(matrix)
+    return tuple(tuple(sum((matrix[i][k] * matrix[k][j] for k in range(n)),
+                           Cyc.rational(0))
+                       for j in range(n))
+                 for i in range(n))
+
+
+def squares_to_identity(matrix):
+    """Whether the Cyc-operator square of `matrix` is the identity."""
+    return all(entry == (1 if i == j else 0)
+               for i, row in enumerate(cyc_matrix_square(matrix))
+               for j, entry in enumerate(row))

@@ -5,8 +5,17 @@ import pytest
 
 from weylkit import fourier
 from weylkit.cyclotomic import Cyc
-from weylkit.errors import InternalConsistencyError, StructuralError
-from reference_routes import cyc_characters, cyc_pairing_matrix
+from weylkit.errors import (
+    InternalConsistencyError,
+    PreconditionError,
+    StructuralError,
+)
+from reference_routes import (
+    cyc_characters,
+    cyc_matrix_square,
+    cyc_pairing_matrix,
+    squares_to_identity,
+)
 
 
 def _value(gamma, terms):
@@ -15,17 +24,6 @@ def _value(gamma, terms):
     for k, c in terms.items():
         row[k] += c
     return Cyc(gamma.exponent, row)
-
-
-def _squares_to_identity(matrix):
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            entry = sum((matrix[i][k] * matrix[k][j] for k in range(n)),
-                        Cyc.rational(0))
-            if not (entry == (1 if i == j else 0)):
-                return False
-    return True
 
 
 def test_m_set_sizes():
@@ -40,7 +38,7 @@ def test_all_curated_matrices_are_involutions():
     for name, build in sorted(fourier.GROUPS.items()):
         gamma = build()
         matrix = fourier.pairing_matrix(gamma, fourier.m_set(gamma))
-        assert _squares_to_identity(matrix), name
+        assert squares_to_identity(matrix), name
 
 
 def test_matrices_are_symmetric():
@@ -140,6 +138,28 @@ def test_m_set_finds_each_centralizer_once_and_the_pairing_none(
     assert len(calls) == 3
 
 
+def test_m_set_computes_each_distinct_centralizers_table_once(monkeypatch):
+    # Z/2 and Z/12 are abelian, so every centralizer is the whole group;
+    # the three classes of S3 have three different centralizers
+    calls = []
+    characters = fourier.FiniteGroupTable.characters
+    monkeypatch.setattr(fourier.FiniteGroupTable, "characters",
+                        lambda self, members: calls.append(members)
+                        or characters(self, members))
+    for build, want in ((fourier.group_z2, 1),
+                        (lambda: fourier.cyclic_group(12), 1),
+                        (fourier.group_s3, 3)):
+        gamma = build()
+        calls.clear()
+        pairs = fourier.m_set(gamma)
+        assert len(calls) == len(set(calls)) == want
+        # the same pairs as one table per class representative
+        assert [(p.x, p.sigma, p.chi) for p in pairs] == [
+            (cl[0], i, chi) for cl in gamma.classes
+            for i, chi in enumerate(characters(
+                gamma, gamma.centralizer(cl[0])))]
+
+
 def test_group_exponents():
     assert [fourier.GROUPS[name]().exponent
             for name in ("trivial", "z2", "z3", "z2xz2", "s3")] \
@@ -229,7 +249,57 @@ def test_the_s4_pairing_matrix_is_a_symmetric_involution_on_21_pairs():
     assert len(matrix) == 21
     assert all(matrix[i][j] == matrix[j][i]
                for i in range(21) for j in range(i))
-    assert _squares_to_identity(matrix)
+    assert squares_to_identity(matrix)
+
+
+def _s4():
+    return LARGER_GROUPS["S4"][0]()
+
+
+@pytest.mark.parametrize("name", sorted(fourier.GROUPS) + ["S4"])
+def test_matrix_square_equals_the_cyc_operator_square(name):
+    gamma = _s4() if name == "S4" else fourier.GROUPS[name]()
+    matrix = fourier.pairing_matrix(gamma, fourier.m_set(gamma))
+    got, want = fourier.matrix_square(matrix), cyc_matrix_square(matrix)
+    assert len(got) == len(want) == len(matrix)
+    for i, row in enumerate(want):
+        assert len(got[i]) == len(row)
+        for j, value in enumerate(row):
+            assert got[i][j] == value, (i, j)
+            assert got[i][j] == (1 if i == j else 0), (i, j)
+
+
+def test_matrix_square_of_mixed_conductors_and_denominators():
+    matrix = (
+        (Cyc.zeta(3) / 2, Cyc.rational(Fraction(1, 3)), Cyc(4, [1, 1]) / 5),
+        (Cyc.zeta(4), Cyc.rational(7), Cyc.zeta(12, 5) / 6),
+        (Cyc.rational(0), Cyc.zeta(6) / 4, Cyc(1, [Fraction(-2, 9)])),
+    )
+    got, want = fourier.matrix_square(matrix), cyc_matrix_square(matrix)
+    assert all(got[i][j] == want[i][j] for i in range(3) for j in range(3))
+    assert got[1][1] == want[1][1] != 0
+    assert fourier.matrix_square(()) == ()
+    assert fourier.matrix_square(((Cyc.zeta(5, 2) / 3,),)) \
+        == ((Cyc.zeta(5, 4) / 9,),)
+
+
+@pytest.mark.parametrize("name", ["s3", "z2xz2", "S4"])
+def test_matrix_square_is_no_identity_once_an_entry_is_negated(name):
+    gamma = _s4() if name == "S4" else fourier.GROUPS[name]()
+    matrix = [list(row) for row in
+              fourier.pairing_matrix(gamma, fourier.m_set(gamma))]
+    i, j = next((i, j) for i, row in enumerate(matrix)
+                for j, x in enumerate(row) if i != j and not x == 0)
+    matrix[i][j] = -matrix[i][j]
+    got = fourier.matrix_square(matrix)
+    assert not squares_to_identity(matrix)
+    assert not all(got[a][b] == (1 if a == b else 0)
+                   for a in range(len(got)) for b in range(len(got)))
+
+
+def test_matrix_square_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(PreconditionError, match="not square"):
+        fourier.matrix_square(((Cyc.rational(1), Cyc.rational(0)),))
 
 
 def test_a_value_one_held_as_two_terms_counts_as_a_one():

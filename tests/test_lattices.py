@@ -98,6 +98,28 @@ def test_sharp_rejects_a_dual_outside_the_window():
         lattices.sharp(z)
 
 
+def test_submodules_are_equal_and_hashed_by_p_n_and_basis():
+    basis = ((1, 1, 8), (0, 3, 3), (0, 0, 9))
+    z = lattices.LatticeSubmodule(p=3, n=1, basis=basis)
+    same = lattices.LatticeSubmodule(3, 1, tuple(map(tuple, basis)))
+    assert z == same and not z != same
+    assert hash(z) == hash(same) == hash((3, 1, basis))
+    assert len({z, same}) == 1
+    others = [lattices.LatticeSubmodule(p=5, n=1, basis=basis),
+              lattices.LatticeSubmodule(p=3, n=2, basis=basis),
+              lattices.LatticeSubmodule(p=3, n=1, basis=(
+                  (1, 0, 8), (0, 3, 3), (0, 0, 9)))]
+    assert all(z != other for other in others)
+    assert len({z, *others}) == 4
+    assert z != (3, 1, basis) and z != basis
+    assert (z.p, z.n, z.basis, z.modulus) == (3, 1, basis, 9)
+    assert repr(z) == ("LatticeSubmodule(p=3, n=1,"
+                       " basis=((1, 1, 8), (0, 3, 3), (0, 0, 9)))")
+    assert lattices.sharp(z) == z  # a tree point, fixed by its dual
+    with pytest.raises(AttributeError):
+        z.extra = 0  # slotted: no field beyond p, n and basis
+
+
 def test_sharp_is_an_involution_on_enumerated_points():
     # every candidate, not only the fixed points of sharp
     for z in lattices.candidates(3, 1):

@@ -884,6 +884,56 @@ def test_module_generation_and_coinvariants():
         pgl2.module_generation_check(1)
 
 
+def _dense_action(N, i):
+    """The matrix of s_i on the window |n| <= N, row and column n + N,
+    entered one basis vector b_n at a time from the rule: -b_n for n of
+    i's parity, else b_n + b_(n-1) + b_(n+1), for interior n only."""
+    size = 2 * N + 1
+    mat = [[0] * size for _ in range(size)]
+    for n in range(-N + 1, N):
+        if (n - i) % 2 == 0:
+            mat[n + N][n + N] = -1
+        else:
+            for m in (n - 1, n, n + 1):
+                mat[m + N][n + N] = 1
+    return mat
+
+
+def test_act_is_the_dense_transcription_of_the_rule():
+    rng = random.Random(20261021)
+    for N in range(2, 29):
+        module = pgl2.RecurrenceModule(N)
+        size = 2 * N + 1
+        for i in (1, 2):
+            dense = _dense_action(N, i)
+            assert module.action_matrix(i) == tuple(map(tuple, dense))
+            vectors = [module.basis_vector(n) for n in (-N, 0, 1, N)]
+            vectors += [tuple(rng.randint(-9, 9) for _ in range(size))
+                        for _ in range(5)]
+            for vec in vectors:
+                want = tuple(sum(a * x for a, x in zip(row, vec))
+                             for row in dense)
+                assert module.act(i, vec) == want, (N, i, vec)
+
+
+def test_the_closure_applies_each_involution_by_its_rule(monkeypatch):
+    # C8's windows map each vector that enlarges the span through act,
+    # never through a matrix product
+    acts = []
+    act = pgl2.RecurrenceModule.act
+    monkeypatch.setattr(pgl2.RecurrenceModule, "act",
+                        lambda self, i, vec: acts.append(i)
+                        or act(self, i, vec))
+    monkeypatch.setattr(pgl2.linalg, "mat_vec", None)
+    for n in (6, 10):
+        acts.clear()
+        assert pgl2.module_generation_check(n) == (True, 0)
+        # two for each of the 2N + 1 vectors that enlarge the span (it
+        # ends as the whole window), and one per column of each of the
+        # two matrices the coinvariants read
+        assert len(acts) == 2 * (2 * n + 1) + 2 * (2 * n + 1)
+
+
 def test_recurrence_solution_space():
     dim, basis = pgl2.recurrence_solution_space()
     assert dim == 2

@@ -3,6 +3,8 @@ checks exercise, never of a check, and the checks it names must FAIL
 while every other check PASSes.  A fault that every check passes is a
 gap, named in BLIND."""
 
+from math import lcm
+
 import pytest
 
 from weylkit import (
@@ -19,6 +21,7 @@ from weylkit import (
     witt,
 )
 from weylkit.cartan import cartan_datum
+from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
 from weylkit.laurent import LaurentScalar
 from reference_routes import children
@@ -156,25 +159,25 @@ def _level_count_that_backtracks(root, level, q):
     return count
 
 
-_ACTION_MATRIX = pgl2.RecurrenceModule.action_matrix
+_ACT = pgl2.RecurrenceModule.act
 
 
-def _action_fixing_same_parity(module, i):
+def _act_fixing_same_parity(module, i, vec):
     """s_i b_n = +b_n instead of -b_n when n and i have the same
     parity."""
-    mat = [list(row) for row in _ACTION_MATRIX(module, i)]
-    for n in range(-module.N + 1, module.N):
-        if (n - i) % 2 == 0:
-            mat[module._index(n)][module._index(n)] = 1
-    return tuple(tuple(row) for row in mat)
+    out = list(_ACT(module, i, vec))
+    for col in range(1, 2 * module.N):
+        if (col - module.N - i) % 2 == 0:
+            out[col] += 2 * vec[col]
+    return tuple(out)
 
 
-def _action_dropping_b1_from_s1_b0(module, i):
+def _act_dropping_b1_from_s1_b0(module, i, vec):
     """s_1 b_0 = b_0 + b_-1, the b_1 term dropped."""
-    mat = [list(row) for row in _ACTION_MATRIX(module, i)]
+    out = list(_ACT(module, i, vec))
     if i == 1:
-        mat[module._index(1)][module._index(0)] = 0
-    return tuple(tuple(row) for row in mat)
+        out[module.N + 1] -= vec[module.N]
+    return tuple(out)
 
 
 def _walk_valuations(text, q):
@@ -361,6 +364,44 @@ def _z2_pairing_matrix():
     return fourier.pairing_matrix(z2, fourier.m_set(z2))
 
 
+_MATRIX_SQUARE = fourier.matrix_square
+
+
+def _matrix_square_without_the_d2_scale(matrix):
+    """Each entry of the square left D^2 times too large, D the lcm of
+    the entries' denominators."""
+    d = lcm(*(e.den for row in matrix for e in row))
+    return tuple(tuple(e * (d * d) for e in row)
+                 for row in _MATRIX_SQUARE(matrix))
+
+
+def _matrix_square_at_s_minus_t(matrix):
+    """The square with each product of a term at x^s and one at x^t added
+    at x^(s - t) instead of x^(s + t)."""
+    entries = [e for row in matrix for e in row]
+    n = lcm(*(e.m for e in entries))
+    d = lcm(*(e.den for e in entries))
+    terms = [[[(s, c * (d // e.den)) for s, c in enumerate(e.promote(n).nums)
+               if c] for e in row] for row in matrix]
+    square = []
+    for row in terms:
+        line = []
+        for column in zip(*terms):
+            acc = [0] * n
+            for a, b in zip(row, column):
+                for s, x in a:
+                    for t, y in b:
+                        acc[s - t] += x * y
+            line.append(Cyc(n, acc) / (d * d))
+        square.append(tuple(line))
+    return tuple(square)
+
+
+def _z3_pairing_square():
+    z3 = fourier.cyclic_group(3)
+    return fourier.matrix_square(fourier.pairing_matrix(z3, fourier.m_set(z3)))
+
+
 _READBACK = fourier._readback
 
 
@@ -451,11 +492,10 @@ FAULTS = {
         [(pgl2, "_columns", _columns_without_t2_and_s2)], {"C7"},
         lambda: _walk_valuations("1+e,1;e2,1", 3)),
     "pgl2.RecurrenceModule fixes same-parity b_n": (
-        [(pgl2.RecurrenceModule, "action_matrix", _action_fixing_same_parity)],
+        [(pgl2.RecurrenceModule, "act", _act_fixing_same_parity)],
         {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
     "pgl2.RecurrenceModule drops b_1 from s_1 b_0": (
-        [(pgl2.RecurrenceModule, "action_matrix",
-          _action_dropping_b1_from_s1_b0)],
+        [(pgl2.RecurrenceModule, "act", _act_dropping_b1_from_s1_b0)],
         {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
@@ -480,6 +520,12 @@ FAULTS = {
     "fourier.pairing negates the sigma = 1 diagonal": (
         [(fourier, "pairing", _pairing_negated_on_the_sigma_one_diagonal)],
         {"C5"}, _z2_pairing_matrix),
+    "fourier.matrix_square drops the D^2 scale": (
+        [(fourier, "matrix_square", _matrix_square_without_the_d2_scale)],
+        {"C5"}, lambda: fourier.matrix_square(_z2_pairing_matrix())),
+    "fourier.matrix_square adds x^s x^t at x^(s - t)": (
+        [(fourier, "matrix_square", _matrix_square_at_s_minus_t)],
+        {"C5"}, _z3_pairing_square),
     "fourier._readback takes the degree root above p/2": (
         [(fourier, "_readback", _readback_with_the_root_above_half)], {"C5"},
         _z3_readback),
@@ -531,6 +577,9 @@ FAULTS = {
 # order N mod p, so each comes out as its complex conjugate; the
 # irreducibles are closed under conjugation, so the sorted table of every
 # group is the same, and no input to `characters` can show this fault.
+# C5 squares only the S3 matrix, whose entries are rational: each is one
+# term at x^0, where s + t = s - t, so placing products at x^(s - t) is
+# seen only on a matrix with an irrational entry, as Z/3's.
 BLIND = {
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
@@ -538,6 +587,7 @@ BLIND = {
     "alcove Schreier cocycle drops G_k",
     "weyl coset generators require ss to fix each simple root of J",
     "fourier._readback reads the eigenvalue exponent as -e",
+    "fourier.matrix_square adds x^s x^t at x^(s - t)",
 }
 
 
