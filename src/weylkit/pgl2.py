@@ -77,6 +77,9 @@ d-columns are the constants d_k and a_k and the c-column is -b_k or
 b_(k+1) unless a or d is stored at k or k + 1.  So if j < v(c) + 1 - L,
 a constant a- or d-column at e^j, or else the unit c-column at
 e^(j+1-L), drops every node; otherwise a level reads at most 5 keys.
+Both bounds are read off the root's four entry valuations, j as their
+least and v(b) + 1 as v(c) + L, and the count reads only g's: those of
+tau^-1 g tau are their shift (v(d), v(c) - 1, v(b) + 1, v(a)).
 
 (b) A constant column settles every node at once: if its non-constant
 coefficients are 0 modulo q, it has one value at all pending nodes and
@@ -126,11 +129,15 @@ def _classify(a, b, c, d):
     return "neither"
 
 
+def _valuations(M):
+    """(v(a), v(b), v(c), v(d)) for M = [[a, b], [c, d]]."""
+    (a, b), (c, d) = M
+    return a.valuation(), b.valuation(), c.valuation(), d.valuation()
+
+
 def iwahori_class(M):
     """"I1", "I2", or "neither" per the two membership displays."""
-    (a, b), (c, d) = M
-    return _classify(a.valuation(), b.valuation(), c.valuation(),
-                     d.valuation())
+    return _classify(*_valuations(M))
 
 
 def i2_normal_form(M):
@@ -139,10 +146,11 @@ def i2_normal_form(M):
     M = e^m * [[e*c, d], [e*a, e*b]], a and d units.  The normal-form
     entry a has the coefficient A[k + m + 1] at e^k, and so do b and c
     with B and C; d has D[k + m].  No entry is shifted."""
-    if iwahori_class(M) != "I2":
+    valuations = _valuations(M)
+    if _classify(*valuations) != "I2":
         raise PreconditionError("matrix is not in the odd Iwahori coset")
     (C, D), (A, B) = M
-    return D.valuation(), A.coeffs, B.coeffs, C.coeffs, D.coeffs
+    return valuations[1], A.coeffs, B.coeffs, C.coeffs, D.coeffs
 
 
 def _product_sum_valuation(terms, q):
@@ -240,15 +248,20 @@ def _varies(column, q):
     return any(w % q for w in column[1:])
 
 
-def _level_count(root, level, q):
+def _scan_bounds(a, b, c, d):
+    """The (start, v(c)) of the scans below g and below tau^-1 g tau, by
+    rule (a), from g's entry valuations (a, b, c, d)."""
+    return (min(a, b, c, d), c), (min(d, c - 1, b + 1, a), b + 1)
+
+
+def _level_count(root, start, vc, level, q):
     """The I2 nodes of a level below a root, by the scan of rule (a) from
     the unlisted nodes range(q^level), constant columns first (rule
-    (b))."""
-    if not root[2]:
-        return 0
-    top = min(root[2]) + level  # v(b) + 1
+    (b)).  `start` is the least exponent the root stores and `vc` the
+    valuation of its c, which must be finite."""
+    top = vc + level  # v(b) + 1
     varying = []
-    for k in range(min(map(min, filter(None, root))) + 1 - level, top):
+    for k in range(start + 1 - level, top):
         for column in _columns(level, root, k):
             if _varies(column, q):
                 varying.append(column)
@@ -271,14 +284,18 @@ def fixed_point_count(g, prec=None):
     `perfbench/worker.py` passes it.  Levels 1 and 2 hold 2q and 2q^2
     nodes; the count charges all 1 + 2q + 2q^2, the most its scans may
     list, against WALK_NODE_BUDGET before it classifies any."""
-    if iwahori_class(g) != "I2":
+    valuations = _valuations(g)
+    if _classify(*valuations) != "I2":
         raise PreconditionError("element must lie in the odd Iwahori coset")
     q = g[0][0].q
     nodes = 1 + 2 * q + 2 * q * q
     charge(f"fixed-point walk to word length 2 of {nodes} nodes", nodes,
            WALK_NODE_BUDGET)
-    return 2 + 2 * sum(_level_count(root, level, q)
-                       for root in _roots(g) for level in (1, 2))
+    # g in I2 has a finite v(b) and v(c) = v(b) + 1, the v(c) of both roots
+    return 2 + 2 * sum(_level_count(root, start, vc, level, q)
+                       for root, (start, vc) in zip(
+                           _roots(g), _scan_bounds(*valuations))
+                       for level in (1, 2))
 
 
 def random_i2(q, rng, degree=6):

@@ -247,6 +247,21 @@ def _dicts(M):
     return tuple(x.coeffs for row in M for x in row)
 
 
+def _dict_bounds(root):
+    """A root's scan bounds (start, v(c)) read off its coefficient dicts:
+    the least exponent any of them stores, and that of C; inf for none."""
+    return (min(map(min, filter(None, root)), default=math.inf),
+            min(root[2], default=math.inf))
+
+
+def _level_count(root, level, q):
+    """`pgl2._level_count` with the bounds of `_dict_bounds`; a root
+    whose c is 0 has no I2 node."""
+    if not root[2]:
+        return 0
+    return pgl2._level_count(root, *_dict_bounds(root), level, q)
+
+
 def _nodes(q, level):
     """A level's nodes as their monomials 1, t, t^2, s, s t, s^2 (s = 0
     at level 1), in the order of the scan's index n = t at level 1 and
@@ -373,7 +388,7 @@ def test_level_i2_counts_match_build_then_classify():
             q, (((1, 1),), ((0, q - 1),), ((1, 0), (0, 1))))
         for g in sources:
             for root, level, built in _levels_beside_built(g):
-                count = pgl2._level_count(root, level, q)
+                count = _level_count(root, level, q)
                 exps = _level_valuations(root, level, q)
                 assert count == sum(pgl2._classify(*v) == "I2" for v in exps)
                 assert count == sum(pgl2.iwahori_class(m) == "I2"
@@ -477,38 +492,82 @@ def test_the_walk_budget_bounds_the_nodes_classified(monkeypatch):
         pgl2.fixed_point_count(laurent.parse_matrix("0,1;e,0", 317))
 
 
-def test_the_scan_skips_the_gaps_between_stored_exponents():
-    # Entries whose stored exponents lie about 10^9 apart, below the
-    # scan's first key, between its keys and above its bound: the count
-    # answers 2, and every level's count equals the built matrices', with
-    # I2 nodes among them, in milliseconds of library time, since the
-    # scan drops every node within two keys of a low stored exponent and
-    # stops at v(b) + 1.
+def _gap_sources(q):
+    """Matrices whose entries store exponents about 10^9 apart, below the
+    scan's first key, between its keys and above its bound: four parsed
+    ones, and two x tau x^-1 whose walks meet tau, e^999999999 added to
+    each entry."""
     far = 999999999
+    sources = [laurent.parse_matrix(text, q) for text in (
+        "1,e999999999;0,1", "1+e-999999999,1;e,e999999999",
+        "e999999999,e-999999999;e999999998,1", "e2,1+e999999999;e,e")]
+    return sources + [
+        tuple(tuple(x + LaurentScalar(q, {far: 1}) for x in row) for row in g)
+        for g in _word_conjugates_of_tau(q, (((1, 1),), ((1, 0), (0, 1))))]
+
+
+def test_the_scan_skips_the_gaps_between_stored_exponents():
+    # On `_gap_sources` the count answers 2, and every level's count
+    # equals the built matrices', with I2 nodes among them, in
+    # milliseconds of library time, since the scan drops every node
+    # within two keys of a low stored exponent and stops at v(b) + 1.
     found = 0
     for q in (2, 3, 5, 7):
-        sources = [laurent.parse_matrix(text, q) for text in (
-            "1,e999999999;0,1", "1+e-999999999,1;e,e999999999",
-            "e999999999,e-999999999;e999999998,1", "e2,1+e999999999;e,e")]
-        sources += [tuple(tuple(x + LaurentScalar(q, {far: 1}) for x in row)
-                          for row in g)
-                    for g in _word_conjugates_of_tau(q, (((1, 1),),
-                                                         ((1, 0), (0, 1))))]
         spent = 0
         start = time.perf_counter()
         assert pgl2.fixed_point_count(
             laurent.parse_matrix("0,1+e999999999;e,0", q)) == 2
         spent += time.perf_counter() - start
-        for g in sources:
+        for g in _gap_sources(q):
             for root, level, built in _levels_beside_built(g):
                 start = time.perf_counter()
-                count = pgl2._level_count(root, level, q)
+                count = _level_count(root, level, q)
                 spent += time.perf_counter() - start
                 assert count == sum(pgl2.iwahori_class(m) == "I2"
                                     for m in built)
                 found += count
         assert spent < 0.25
     assert found
+
+
+def test_the_scan_bounds_read_off_g_are_those_of_the_dicts():
+    # fixed_point_count reads g's four valuations once and gives each
+    # root's scan (start, v(c)) from them, tau^-1 g tau's by the shift
+    # (d, c - 1, b + 1, a): on random odd-coset elements of degrees 1-8,
+    # their I1 conjugates and the gap matrices, with zero entries, both
+    # equal the least exponent any of the root's dicts stores and that
+    # of its C.
+    checked = 0
+    for q in (2, 3, 5, 7):
+        rng = random.Random(113 + q)
+        sources = [pgl2.random_i2(q, rng, degree) for degree in range(1, 9)]
+        sources += [pgl2.random_i1_conjugate(g, rng) for g in sources]
+        sources += _gap_sources(q)
+        sources.append(laurent.parse_matrix("0,1+e999999999;e,0", q))
+        for g in sources:
+            got = pgl2._scan_bounds(*pgl2._valuations(g))
+            assert got == tuple(map(_dict_bounds, pgl2._roots(g)))
+            checked += 1
+    assert checked == 4 * (16 + 6 + 1)
+
+
+def test_a_count_and_a_normal_form_read_four_valuations(monkeypatch):
+    # one read per entry: the I2 test, the shift m and every scan bound
+    # come from the same four valuations
+    valuation, reads = LaurentScalar.valuation, []
+
+    def counting_valuation(x):
+        reads.append(x)
+        return valuation(x)
+
+    rng = random.Random(127)
+    elements = [pgl2.random_i2(q, rng) for q in (2, 3, 313)]
+    monkeypatch.setattr(LaurentScalar, "valuation", counting_valuation)
+    for g in elements:
+        for call in (pgl2.fixed_point_count, pgl2.i2_normal_form):
+            reads.clear()
+            call(g)
+            assert reads == [x for row in g for x in row]
 
 
 def test_the_scan_reads_no_root_coefficient_above_e_v_c_plus_3():
@@ -529,7 +588,7 @@ def test_the_scan_reads_no_root_coefficient_above_e_v_c_plus_3():
                 if not root[2]:
                     continue
                 bound = min(root[2]) + 3
-                counts = [pgl2._level_count(root, level, q)
+                counts = [_level_count(root, level, q)
                           for level in (1, 2)]
 
                 def redrawn(low):
@@ -544,10 +603,10 @@ def test_the_scan_reads_no_root_coefficient_above_e_v_c_plus_3():
 
                 for _ in range(4):
                     changed = redrawn(bound + 1)
-                    assert [pgl2._level_count(changed, level, q)
+                    assert [_level_count(changed, level, q)
                             for level in (1, 2)] == counts
                 changed = redrawn(bound)
-                moved += [pgl2._level_count(changed, level, q)
+                moved += [_level_count(changed, level, q)
                           for level in (1, 2)] != counts
     assert moved
 
@@ -570,7 +629,7 @@ def test_the_count_of_an_i2_element_lists_no_node(monkeypatch):
     assert [pgl2.fixed_point_count(g) for g in elements] == [2] * 5
     with pytest.raises(AssertionError, match="nodes of level 1"):
         for root in pgl2._roots(meets_tau):
-            pgl2._level_count(root, 1, q)
+            _level_count(root, 1, q)
 
 
 def test_a_nonzero_constant_column_drops_every_node_before_any_is_listed(
@@ -584,7 +643,7 @@ def test_a_nonzero_constant_column_drops_every_node_before_any_is_listed(
     q = 313
     g = laurent.parse_matrix("1,0;e,0", q)
     monkeypatch.setattr(pgl2, "_vanishing_nodes", no_node_list)
-    assert [pgl2._level_count(root, level, q) for root in pgl2._roots(g)
+    assert [_level_count(root, level, q) for root in pgl2._roots(g)
             for level in (1, 2)] == [0, 0, 0, 0]
 
 

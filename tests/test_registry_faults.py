@@ -25,7 +25,7 @@ from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
 from weylkit.laurent import LaurentScalar
 from reference_routes import children
-from test_pgl2 import _dicts, _level_valuations
+from test_pgl2 import _dict_bounds, _dicts, _level_count, _level_valuations
 
 
 def _statuses():
@@ -147,16 +147,24 @@ def _lift_sum_without_its_first_term(p, xs, ys):
     return out
 
 
-def _level_count_that_backtracks(root, level, q):
+def _level_count_that_backtracks(root, start, vc, level, q):
     """The level's count, and at level 2 also the level-1 I2 nodes below
     each built letter-1 child of the root, so a word may undo its last
     step: the letter-1 children of the level-1 nodes X themselves."""
-    count = _LEVEL_COUNT(root, level, q)
+    count = _LEVEL_COUNT(root, start, vc, level, q)
     if level == 2:
         A, B, C, D = (LaurentScalar(q, X) for X in root)
-        count += sum(_LEVEL_COUNT(_dicts(child), 1, q)
-                     for child in children(((A, B), (C, D)), 1, q))
+        for child in children(((A, B), (C, D)), 1, q):
+            below = _dicts(child)
+            if below[2]:
+                count += _LEVEL_COUNT(below, *_dict_bounds(below), 1, q)
     return count
+
+
+def _scan_bounds_unshifted(a, b, c, d):
+    """tau^-1 g tau's bounds read off (d, c, b, a), g's valuations
+    unshifted, instead of (d, c - 1, b + 1, a)."""
+    return (min(a, b, c, d), c), (min(d, c, b, a), b)
 
 
 _ACT = pgl2.RecurrenceModule.act
@@ -189,9 +197,20 @@ def _walk_valuations(text, q):
 
 
 def _walk_counts(text, q):
-    """The I2 count of both levels below g and tau^-1 g tau."""
+    """The I2 count of both levels below g and tau^-1 g tau, each scan
+    bounded by its root's dicts."""
     g = laurent.parse_matrix(text, q)
-    return [pgl2._level_count(root, level, q) for root in pgl2._roots(g)
+    return [_level_count(root, level, q) for root in pgl2._roots(g)
+            for level in (1, 2)]
+
+
+def _walk_counts_from_valuations(text, q):
+    """The I2 count of both levels below g and tau^-1 g tau, each scan
+    bounded as `fixed_point_count` bounds it, from g's valuations."""
+    g = laurent.parse_matrix(text, q)
+    bounds = pgl2._scan_bounds(*pgl2._valuations(g))
+    return [pgl2._level_count(root, start, vc, level, q)
+            for root, (start, vc) in zip(pgl2._roots(g), bounds)
             for level in (1, 2)]
 
 
@@ -485,6 +504,9 @@ FAULTS = {
     "pgl2 walk backtracks": (
         [(pgl2, "_level_count", _level_count_that_backtracks)], {"C7"},
         lambda: _walk_counts("0,1;e,0", 3)),
+    "pgl2 scan reads tau^-1 g tau's bounds unshifted": (
+        [(pgl2, "_scan_bounds", _scan_bounds_unshifted)], {"C7"},
+        lambda: _walk_counts_from_valuations("0,1;1,0", 3)),
     "pgl2 scan c-entry a - d": (
         [(pgl2, "_columns", _columns_with_a_minus_d)], {"C7"},
         lambda: _walk_valuations("1+e,e;e2,1", 3)),
@@ -565,7 +587,9 @@ FAULTS = {
 # I2, as the backtracking walk does at level 2; the a - d fault (on the
 # c-columns of both levels) and the fault that drops the t^2 and s^2
 # monomials change no column the scan reads on an I2 root, each a
-# constant that leaves them alone.  C9 runs the
+# constant that leaves them alone.  Unshifted bounds end tau^-1 g tau's
+# scans one key early, after its first, where every I2 root drops all its
+# nodes (ROADMAP item 6).  C9 runs the
 # oracle only at m = 2.  The checks build coset geometries only for A1
 # with J = (), where the displacement rows without G_k span the same L';
 # D4/{0, 1}, D5/{0, 1} and D5/{0, 1, 2} see it.  The checks build coset
@@ -581,6 +605,7 @@ FAULTS = {
 # term at x^0, where s + t = s - t, so placing products at x^(s - t) is
 # seen only on a matrix with an irrational entry, as Z/3's.
 BLIND = {
+    "pgl2 scan reads tau^-1 g tau's bounds unshifted",
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
     "witt._readout exponent 1 after the first term",
