@@ -9,7 +9,10 @@ exact, and a valuation is the least exponent with a nonzero
 coefficient; the valuation of zero is +infinity.
 
 Every scalar keeps one invariant: each stored coefficient lies in
-[1, q).  `_new` establishes it by reducing modulo q and dropping zeros;
+[1, q).  The operators add and multiply coefficient dicts as integers
+(`_plus`, `_product`), which pgl2's I1-conjugation calls on dicts too,
+and `_new` establishes the invariant by reducing modulo q and dropping
+zeros (`_reduced`);
 negation (c -> q - c) preserves it, so it builds its result directly
 without that pass.  `_new` and `_raw` check nothing, so a caller that
 builds many scalars over one q, such as pgl2's random elements, checks
@@ -24,12 +27,36 @@ import re
 from .errors import PreconditionError, require_int, require_prime
 
 
+def _reduced(q, coeffs):
+    """{exponent: integer} modulo q, its zeros dropped, in one loop."""
+    return {e: r for e, c in coeffs.items() if (r := c % q)}
+
+
+def _plus(X, Y, w=1):
+    """The integer coefficients of X + w Y for {exponent: integer}
+    dicts X and Y."""
+    out = dict(X)
+    for e, c in Y.items():
+        out[e] = out.get(e, 0) + w * c
+    return out
+
+
+def _product(X, Y):
+    """The integer coefficients of X Y for {exponent: integer} dicts X
+    and Y."""
+    out = {}
+    for e1, c1 in X.items():
+        for e2, c2 in Y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
 def _new(q, coeffs):
     """A LaurentScalar for an already validated q from
-    {exponent: integer}: reduces mod q and drops zeros in one loop."""
+    {exponent: integer}: reduced mod q, zeros dropped."""
     x = object.__new__(LaurentScalar)
     x.q = q
-    x.coeffs = {e: r for e, c in coeffs.items() if (r := c % q)}
+    x.coeffs = _reduced(q, coeffs)
     return x
 
 
@@ -71,10 +98,7 @@ class LaurentScalar:
         other = self._compat(other)
         if other is NotImplemented:
             return other
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0) + c
-        return _new(self.q, out)
+        return _new(self.q, _plus(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -86,10 +110,7 @@ class LaurentScalar:
         other = self._compat(other)
         if other is NotImplemented:
             return other
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0) - c
-        return _new(self.q, out)
+        return _new(self.q, _plus(self.coeffs, other.coeffs, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -98,11 +119,7 @@ class LaurentScalar:
         other = self._compat(other)
         if other is NotImplemented:
             return other
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return _new(self.q, out)
+        return _new(self.q, _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -5,12 +5,17 @@ dictionary keys; vectors are tuples.  Everything is dense and intended
 for ranks up to about nine.
 
 Span and rank questions go through `EchelonBasis`, an incremental row
-echelon basis over the integers: each incoming vector (int or Fraction
-entries, denominators cleared on entry) is reduced against the stored
-primitive pivot rows by cross-multiplication, fraction-free in the
-manner of Bareiss (1968), so a query costs one pass over the stored rows
-instead of a fresh elimination.  `rank` and `in_span` are thin wrappers
-over it; `solve_upper` reads coordinates over a full-rank `hnf` basis.
+echelon basis over the integers: each incoming vector is reduced against
+the stored primitive pivot rows, fraction-free in the manner of Bareiss
+(1968), so a query costs one pass over the stored rows instead of a
+fresh elimination.  A vector of ints (a bool is its int) is taken as it
+is, one with a Fraction entry has its denominators cleared, and any
+other entry is refused.  A step whose pivot divides the vector's entry
+subtracts the multiple of the row in place, from the pivot column on,
+where the row starts; any other step cross-multiplies and divides by
+the gcd, so the vector stays primitive.  `rank` and `in_span` are thin
+wrappers over it; `solve_upper` reads coordinates over a full-rank
+`hnf` basis.
 
 `hnf` is the one Hermite normal form, an extended-gcd elimination: `alcove`
 puts the translation lattice L' in it, and `lattices.canonical` each
@@ -22,6 +27,11 @@ library caller.
 import bisect
 import math
 from fractions import Fraction
+
+from .errors import PreconditionError
+
+# The entry types a vector is taken in as it is: a bool is its int.
+_INTS = frozenset((int, bool))
 
 
 def identity_mat(n):
@@ -90,7 +100,19 @@ class EchelonBasis:
 
     `add(v)` reduces v against the stored rows and stores the remainder
     when it is nonzero; `contains(v)` reduces without storing; `len` is
-    the rank of everything added so far.
+    the rank of everything added so far.  v has int or Fraction entries;
+    an int vector is reduced as it is.
+
+    A stored row (p at its pivot column) meets an entry c of v.  When p
+    divides c, the unit step subtracts (c / p) row from v, from the pivot
+    column on, since the row is 0 left of it, with no gcd: v may leave
+    it not primitive.  Otherwise it replaces v by (p v - c row) / g, p and
+    c first divided by their gcd and g the gcd of the result.  Either
+    way v becomes a positive multiple of itself less a multiple of the
+    row.  So the remainder is a positive multiple of the one vector v less
+    multiples of the rows that is 0 at every pivot column, and its
+    primitive form with a positive lead, which `add` stores, does not
+    depend on the factors the steps took.
     """
 
     def __init__(self, rows=()):
@@ -102,17 +124,30 @@ class EchelonBasis:
         return len(self._rows)
 
     def _reduce(self, v):
-        den = math.lcm(*(x.denominator for x in v))
-        vec = [x.numerator * (den // x.denominator) for x in v]
+        if set(map(type, v)) <= _INTS:
+            vec = list(v)
+        else:
+            for x in v:
+                if not isinstance(x, (int, Fraction)):
+                    raise PreconditionError(
+                        f"vector entry {x!r} is not an int or a Fraction")
+            den = math.lcm(*(x.denominator for x in v))
+            vec = [x.numerator * (den // x.denominator) for x in v]
         for col, row in self._rows:
             c = vec[col]
             if c:
-                g = math.gcd(row[col], c)
-                p, c = row[col] // g, c // g
-                vec = [p * x - c * y for x, y in zip(vec, row)]
-                g = math.gcd(*vec)
-                if g > 1:
-                    vec = [x // g for x in vec]
+                p = row[col]
+                if c % p:
+                    g = math.gcd(p, c)
+                    p, c = p // g, c // g
+                    vec = [p * x - c * y for x, y in zip(vec, row)]
+                    g = math.gcd(*vec)
+                    if g > 1:
+                        vec = [x // g for x in vec]
+                else:
+                    c //= p
+                    vec[col:] = [x - c * y
+                                 for x, y in zip(vec[col:], row[col:])]
         return vec
 
     def contains(self, v):

@@ -13,8 +13,12 @@ the two Iwahori-type subsets are
 
 Membership reads each entry only through its valuation, and the
 discriminant is read the same way: `discriminant_valuation` scans the
-coefficients of its expansion from the least possible exponent up and
-stops at the first nonzero one, with no product of Laurent polynomials.
+coefficients of its expansion, B^2 - 2BC + C^2 - AD, from the least
+possible exponent up and stops at the first nonzero one, with no
+product of Laurent polynomials.  It reads that first coefficient off
+the entries' least keys, one product per term.  A random I1-conjugate
+is formed on the entries' coefficient dicts as well, and its four
+scalars are built at the end.
 
 tau = [[0, 1], [e, 0]] normalizes the Iwahori subgroup (Iwahori and
 Matsumoto, 1965): tau^-1 [[a,b],[c,d]] tau = [[d, c/e], [e b, a]], and
@@ -157,16 +161,34 @@ def _product_sum_valuation(terms, q):
     """The valuation of the sum of w * X * Y over the terms (w, X, Y), w
     an integer and X, Y coefficient dicts over F_q, read one coefficient
     at a time: the least exponent whose coefficient is nonzero modulo q,
-    else inf."""
-    terms = [(w, X, Y) for w, X, Y in terms if X and Y]
-    k = min((min(X) + min(Y) for _, X, Y in terms), default=math.inf)
-    while k != math.inf:
-        if sum(w * x * Y.get(k - i, 0)
-               for w, X, Y in terms for i, x in X.items()) % q:
-            return k
+    else inf.
+
+    The coefficient of e^k is the residue of the integer sum of
+    w * X[i] * Y[k - i] over the terms and the stored exponents i of X,
+    so it is 0 unless k = i + j for stored i of X and j of Y in some
+    term.  The least such sum is k0, the least min(X) + min(Y) over the
+    terms, and a stored pair (i, j) with i + j = k0 has i = min(X) and
+    j = min(Y), since i >= min(X), j >= min(Y) and min(X) + min(Y) >=
+    k0.  So the coefficient at k0 is the sum of w * X[min X] * Y[min Y]
+    over the terms that reach k0, one product each.  Only when it is 0
+    modulo q does the scan go on, trying the later sums i + j in
+    increasing order."""
+    k, first = math.inf, 0
+    for w, X, Y in terms:
+        if X and Y:
+            i, j = min(X), min(Y)
+            if i + j < k:
+                k, first = i + j, 0
+            if i + j == k:
+                first += w * X[i] * Y[j]
+    if k == math.inf or first % q:
+        return k
+    while True:
         k = min((i + j for _, X, Y in terms for i in X for j in Y
                  if i + j > k), default=math.inf)
-    return math.inf
+        if k == math.inf or sum(w * x * Y.get(k - i, 0) for w, X, Y in terms
+                                for i, x in X.items()) % q:
+            return k
 
 
 def discriminant_valuation(M):
@@ -183,24 +205,24 @@ def discriminant_valuation(M):
         (B + C)^2 - 4 B C - A D = e^(2m) (e^2 (b+c)^2 - 4 e^2 bc - e a d),
 
     so the valuation is that of the left side, read off M's entries,
-    minus 2m.  Reduction modulo q is a ring map, so the coefficient of
-    e^k on the left is the residue of the integer sum over its three
-    terms w * X * Y, (1, S, S), (-4, B, C) and (-1, A, D) with S the
-    integer coefficients of B + C, of w * X[i] * Y[k - i] over the
-    stored exponents i of X.  It is 0 unless k = i + j for stored
-    exponents i of X and j of Y in some term, so the scan tries those
-    sums in increasing order, from the least one, and the first whose
-    residue is nonzero is the least exponent of a nonzero coefficient:
-    the valuation of the product formula.  When none is nonzero the
-    formula is 0, of valuation inf.  So the scan returns the same
-    valuation for every input, and builds no scalar.  On an I2 matrix it
-    stops at its first exponent, 2m + 1, where the coefficient is
-    -a_0 d_0, a product of units.
+    minus 2m.  (B + C)^2 - 4 B C = B^2 - 2 B C + C^2 is one integer
+    polynomial in the integer coefficients of B and C, so the left side
+    is the sum of w * X * Y over the terms (1, B, B), (-2, B, C), (1, C,
+    C) and (-1, A, D).  Reduction modulo q is a ring map, so the
+    coefficient of e^k on the left is the residue of the integer sum over
+    those terms of w * X[i] * Y[k - i] over the stored exponents i of X.
+    It is 0 unless k = i + j for stored exponents i of X and j of Y in
+    some term, so the scan tries those sums in increasing order, from the
+    least one, and the first whose residue is nonzero is the least
+    exponent of a nonzero coefficient: the valuation of the product
+    formula.  When none is nonzero the formula is 0, of valuation inf.
+    So the scan returns the same valuation for every input, and builds
+    no scalar.  On an I2 matrix it stops at its first exponent, 2m + 1,
+    where the coefficient is -a_0 d_0, a product of units.
     """
     m, A, B, C, D = i2_normal_form(M)
-    S = {k: B.get(k, 0) + C.get(k, 0) for k in (*B, *C)}
-    v = _product_sum_valuation(((1, S, S), (-4, B, C), (-1, A, D)),
-                               M[0][0].q) - 2 * m
+    v = _product_sum_valuation(((1, B, B), (-2, B, C), (1, C, C),
+                                (-1, A, D)), M[0][0].q) - 2 * m
     if v != 1:
         raise InternalConsistencyError(
             f"discriminant valuation {v} != 1 for an I2 matrix")
@@ -369,26 +391,44 @@ def random_i1_conjugate(g, rng, length=4):
     so with y = x b they become (a + y, b, c + x (d - a - y), d - y).
     The diagonal one gives [[a, b u^-1], [c u, d]]: u is a unit of F_q,
     so scaling each coefficient of b by u^-1 and of c by u modulo q
-    keeps them in [1, q).  A step forms at most two products and no
-    inverse.  q is that of g's entries, checked when they were built."""
+    keeps them in [1, q).
+
+    Each step works on the entries' coefficient dicts, with no Laurent
+    operator.  An upper step forms y = x c as integer sums, then a - y,
+    reduced modulo q, then b + x (a' - d) from that new a' = a - y,
+    since a - d - y = a' - d, and d + y, each entry reduced once; a lower
+    step forms y = x b, a' = a + y, c + x (d - a') and d - y the same
+    way.  Reduction modulo q is a ring map, so each entry is the one the
+    operators, which reduce after every sum and product, would give.  x
+    keeps only its nonzero draws, which it still draws in order, so the
+    generator ends in the same state.  A step forms at most two products
+    and no inverse, and the four scalars are built once, at the end.  q
+    is that of g's entries, checked when they were built."""
     (a, b), (c, d) = g
     q = a.q
+    A, B, C, D = a.coeffs, b.coeffs, c.coeffs, d.coeffs
+    plus, product, reduced = laurent._plus, laurent._product, laurent._reduced
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
-            x = laurent._new(q, {k: rng.randrange(q) for k in range(3)})
-            y = x * c
-            a, b, d = a - y, b + x * (a - d - y), d + y
+            x = {k: t for k in range(3) if (t := rng.randrange(q))}
+            y = product(x, C)
+            A = reduced(q, plus(A, y, -1))
+            B = reduced(q, plus(B, product(x, plus(A, D, -1))))
+            D = reduced(q, plus(D, y))
         elif kind == 1:
-            x = laurent._new(q, {k: rng.randrange(q) for k in range(1, 4)})
-            y = x * b
-            a, c, d = a + y, c + x * (d - a - y), d - y
+            x = {k: t for k in range(1, 4) if (t := rng.randrange(q))}
+            y = product(x, B)
+            A = reduced(q, plus(A, y))
+            C = reduced(q, plus(C, product(x, plus(D, A, -1))))
+            D = reduced(q, plus(D, y, -1))
         else:
             u = rng.randrange(1, q)
             v = pow(u, -1, q)
-            b = laurent._raw(q, {k: t * v % q for k, t in b.coeffs.items()})
-            c = laurent._raw(q, {k: t * u % q for k, t in c.coeffs.items()})
-    return ((a, b), (c, d))
+            B = {k: t * v % q for k, t in B.items()}
+            C = {k: t * u % q for k, t in C.items()}
+    return ((laurent._raw(q, A), laurent._raw(q, B)),
+            (laurent._raw(q, C), laurent._raw(q, D)))
 
 
 # -- homology window models --------------------------------------------

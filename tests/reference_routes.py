@@ -17,8 +17,12 @@ reduced Cyc per character value, summed on their numerators, and the
 Fourier pairing as a sum of Cyc products, each with a conjugate, over
 characters whose values are Cyc.zeta at each element's own order, and
 the square of a matrix by Cyc products and sums, one operation each.
-No command, check or benchmark runs them, so they live here, beside the
-tests that read them.
+Some are a routine's former route, kept to test the new one against:
+an echelon basis that clears denominators and takes a gcd at every
+step, an I1-conjugation by Laurent operators, and the discriminant scan
+over (B + C)^2 - 4BC that sums every stored exponent at its first
+candidate.  No command, check or benchmark runs them, so they live here,
+beside the tests that read them.
 """
 
 import functools
@@ -26,6 +30,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
+import math
 from math import gcd, lcm
 
 from weylkit import alcove, lattices, laurent, linalg, pgl2, reps, weyl, witt
@@ -114,6 +119,55 @@ def discriminant_by_products(M):
     return expr.valuation()
 
 
+def product_sum_valuation_by_full_scan(terms, q):
+    """The valuation of the sum of w * X * Y over the terms (w, X, Y), each
+    candidate exponent i + j read as a full sum over every stored i of
+    every X, the first one included."""
+    terms = [(w, X, Y) for w, X, Y in terms if X and Y]
+    k = min((min(X) + min(Y) for _, X, Y in terms), default=math.inf)
+    while k != math.inf:
+        if sum(w * x * Y.get(k - i, 0)
+               for w, X, Y in terms for i, x in X.items()) % q:
+            return k
+        k = min((i + j for _, X, Y in terms for i in X for j in Y
+                 if i + j > k), default=math.inf)
+    return math.inf
+
+
+def discriminant_by_sum_square(M):
+    """The valuation of (B + C)^2 - 4 B C - A D for M = [[C, D], [A, B]],
+    less 2m: the terms (1, S, S), (-4, B, C) and (-1, A, D), S the integer
+    coefficients of B + C, read by the full scan."""
+    m, A, B, C, D = pgl2.i2_normal_form(M)
+    S = {k: B.get(k, 0) + C.get(k, 0) for k in (*B, *C)}
+    return product_sum_valuation_by_full_scan(
+        ((1, S, S), (-4, B, C), (-1, A, D)), M[0][0].q) - 2 * m
+
+
+def random_i1_conjugate_by_operators(g, rng, length=4):
+    """`pgl2.random_i1_conjugate` on Laurent scalars: each conjugation
+    step by the `LaurentScalar` operators, which reduce modulo q at every
+    sum and product, from the same draws in the same order."""
+    (a, b), (c, d) = g
+    q = a.q
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(3)})
+            y = x * c
+            a, b, d = a - y, b + x * (a - d - y), d + y
+        elif kind == 1:
+            x = laurent._new(q, {k: rng.randrange(q) for k in range(1, 4)})
+            y = x * b
+            a, c, d = a + y, c + x * (d - a - y), d - y
+        else:
+            u = rng.randrange(1, q)
+            v = pow(u, -1, q)
+            b = laurent._raw(q, {k: t * v % q for k, t in b.coeffs.items()})
+            c = laurent._raw(q, {k: t * u % q for k, t in c.coeffs.items()})
+    return ((a, b), (c, d))
+
+
 def random_i1(q, rng, length=4):
     """A random element of I1 with exactly invertible determinant: the
     identity times `length` generators, each drawn with its kind,
@@ -188,6 +242,27 @@ def is_min_coset_generator(w, J):
         if any(letter not in J for letter in conj.word()):
             return False
     return not any(j in J for j in weyl.left_descents(winv))
+
+
+class EchelonBasisByClearing(linalg.EchelonBasis):
+    """`linalg.EchelonBasis` reducing by its former route: each vector's
+    denominators cleared by their lcm, int entries included, and each step
+    a cross-multiplication over the full width followed by a division by
+    the gcd of the result."""
+
+    def _reduce(self, v):
+        den = lcm(*(x.denominator for x in v))
+        vec = [x.numerator * (den // x.denominator) for x in v]
+        for col, row in self._rows:
+            c = vec[col]
+            if c:
+                g = gcd(row[col], c)
+                p, c = row[col] // g, c // g
+                vec = [p * x - c * y for x, y in zip(vec, row)]
+                g = gcd(*vec)
+                if g > 1:
+                    vec = [x // g for x in vec]
+        return vec
 
 
 def hnf_by_euclid(rows):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylkit import linalg
-from reference_routes import hnf_by_euclid
+from weylkit import linalg, pgl2
+from weylkit.errors import PreconditionError
+from reference_routes import EchelonBasisByClearing, hnf_by_euclid
 
 _ints = st.integers(-4, 4)
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -69,6 +71,77 @@ def test_add_reports_exactly_the_rank_increases(matrix):
         assert basis.add(row) == grew
         assert basis.contains(row)
         assert len(basis) == _pivot_count(rows[:k + 1])
+
+
+@given(_matrices(), st.data())
+@example((2, [(2, 1), (4, 2), (0, 3)]), None)
+@example((3, [(1, 2, 3), (2, 3, 4), (3, 5, 1)]), None)
+@settings(max_examples=300, deadline=None)
+def test_the_echelon_rows_match_the_clearing_route(matrix, data):
+    # an int vector taken as it is, unit steps in place from the pivot and
+    # non-unit steps kept primitive store the rows the former route
+    # stores, which clears denominators and takes a gcd at every step
+    ncols, rows = matrix
+    got, want = linalg.EchelonBasis(), EchelonBasisByClearing()
+    for row in rows:
+        assert got.add(row) == want.add(row)
+        assert got._rows == want._rows
+        assert len(got) == len(want)
+    assert all(type(x) is int for _, row in got._rows for x in row)
+    vectors = list(rows)
+    if data is not None:
+        vectors.append(data.draw(st.tuples(*(st.one_of(_ints, _fractions)
+                                             for _ in range(ncols)))))
+    for v in vectors:
+        assert got.contains(v) == want.contains(v)
+
+
+def test_the_window_models_store_the_clearing_route_rows(monkeypatch):
+    # every basis C8's window models build, at its three windows and at
+    # N = 28, the largest WINDOW_WORK_BUDGET admits, replayed through the
+    # former route
+    bases = []
+
+    class Recording(linalg.EchelonBasis):
+        def __init__(self, rows=()):
+            self.added = []
+            bases.append(self)
+            super().__init__(rows)
+
+        def add(self, v):
+            self.added.append(v)
+            return super().add(v)
+
+    monkeypatch.setattr(linalg, "EchelonBasis", Recording)
+    for n in (4, 6, 10, 28):
+        assert pgl2.module_generation_check(n) == (True, 0)
+        assert pgl2.recurrence_solution_space(n)[0] == 2
+    assert len(bases) == 4 * 4
+    for basis in bases:
+        assert EchelonBasisByClearing(basis.added)._rows == basis._rows
+
+
+@pytest.mark.parametrize("call,entry", [
+    (lambda: linalg.rank([(0.5, 1)]), "0.5"),
+    (lambda: linalg.in_span([(1, 2)], (1.0, 2.0)), "1.0"),
+    (lambda: linalg.rank([(1, "2")]), "'2'"),
+    (lambda: linalg.in_span([(1, 0)], (None, 0)), "None"),
+    (lambda: linalg.rank([(Fraction(1, 2), 0.25)]), "0.25"),
+])
+def test_an_entry_that_is_not_an_int_or_a_fraction_is_refused(call, entry):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert str(info.value) == \
+        f"vector entry {entry} is not an int or a Fraction"
+
+
+def test_a_bool_entry_counts_as_its_int():
+    assert linalg.rank([(True, False), (False, True)]) == 2
+    assert linalg.in_span([(True, True)], (2, 2))
+    assert not linalg.in_span([(True, False)], (False, True))
+    basis = linalg.EchelonBasis([(True, True, False), (0, 2, True)])
+    assert basis._rows == [(0, [1, 1, 0]), (1, [0, 2, 1])]
+    assert all(type(x) is int for _, row in basis._rows for x in row)
 
 
 def test_zero_vectors_and_empty_spans():

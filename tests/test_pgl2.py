@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit import checks, laurent, pgl2
 from weylkit.errors import (
@@ -17,10 +18,13 @@ from reference_routes import (
     conjugate_exact,
     conjugate_levels,
     discriminant_by_products,
+    discriminant_by_sum_square,
     edge,
     exact_inverse,
     monomial,
+    product_sum_valuation_by_full_scan,
     random_i1,
+    random_i1_conjugate_by_operators,
     tau_conjugate,
 )
 
@@ -828,6 +832,75 @@ def test_random_i1_conjugate_matches_conjugate_exact():
                 assert got.random() == want.random()
 
 
+def test_random_i1_conjugate_matches_the_operator_route():
+    # The conjugation on coefficient dicts gives the matrices the Laurent
+    # operators give from the same draws, and leaves the generator in the
+    # same state: random odd-coset elements, each entry of several
+    # digits, and tau.
+    for q in (2, 3, 5, 7, 313):
+        rng = random.Random(q)
+        sources = [laurent.parse_matrix("0,1;e,0", q)]
+        sources += [pgl2.random_i2(q, rng, degree) for degree in (1, 3, 8)]
+        for g in sources:
+            for length in range(8):
+                got, want = random.Random(length), random.Random(length)
+                for _ in range(10):
+                    assert _key(pgl2.random_i1_conjugate(g, got, length)) \
+                        == _key(random_i1_conjugate_by_operators(
+                            g, want, length))
+                assert got.getstate() == want.getstate()
+
+
+def _dicts_over(q):
+    """Coefficient dicts over F_q: exponents in -3..3, coefficients in
+    [1, q)."""
+    return st.dictionaries(st.integers(-3, 3), st.integers(1, q - 1),
+                           max_size=4)
+
+
+@st.composite
+def _product_sum_terms(draw):
+    """(terms, q): up to four terms (w, X, Y), and, half the time, one
+    more that makes the first candidate's coefficient 0 (an integer sum
+    of 0, or of q)."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 313)))
+    weights = st.one_of(st.integers(-4, 4), st.sampled_from((q, -2 * q)))
+    terms = draw(st.lists(st.tuples(weights, _dicts_over(q), _dicts_over(q)),
+                          max_size=4))
+    reached = [(min(X) + min(Y), w * X[min(X)] * Y[min(Y)])
+               for w, X, Y in terms if X and Y]
+    if reached and draw(st.booleans()):
+        k = min(s for s, _ in reached)
+        first = sum(c for s, c in reached if s == k)
+        cancel = -first + draw(st.sampled_from((0, q)))
+        terms.append((cancel, {k: 1}, {0: 1}))
+    return draw(st.permutations(terms)), q
+
+
+@given(_product_sum_terms())
+@settings(max_examples=500, deadline=None)
+def test_the_product_sum_scan_matches_the_full_scan(terms_q):
+    # the first coefficient read off the least keys, one product per
+    # term, and the later ones by the full scan, against the scan that
+    # sums every stored exponent at every candidate
+    terms, q = terms_q
+    assert pgl2._product_sum_valuation(terms, q) \
+        == product_sum_valuation_by_full_scan(terms, q)
+
+
+def test_the_product_sum_scan_reads_on_past_a_cancelled_first_term():
+    # e^0 (1 - 1) + 2 e^1 and e^0 (1 + 2) + e^1 at q = 3: the coefficient
+    # at k0 = 0 is 0 as an integer and modulo q
+    for terms, want in ((((1, {0: 1}, {0: 1}), (-1, {0: 1}, {0: 1}),
+                          (2, {1: 1}, {0: 1})), 1),
+                        (((1, {0: 1}, {0: 1}), (2, {0: 1}, {0: 1}),
+                          (1, {0: 1}, {1: 1})), 1),
+                        (((1, {0: 1}, {0: 1}), (-1, {0: 1}, {0: 1})),
+                         math.inf)):
+        assert pgl2._product_sum_valuation(terms, 3) == want \
+            == product_sum_valuation_by_full_scan(terms, 3)
+
+
 def _discriminant_outcome(M):
     """The scan's discriminant valuation, or the exception's class and
     message."""
@@ -837,14 +910,19 @@ def _discriminant_outcome(M):
         return type(exc), str(exc)
 
 
-def _product_outcome(M):
-    """The product formula's valuation, as `discriminant_valuation`
-    reports it: 1, or the error naming any other valuation."""
-    v = discriminant_by_products(M)
+def _valuation_outcome(v):
+    """A discriminant valuation as `discriminant_valuation` reports it: 1,
+    or the error naming any other valuation."""
     if v == 1:
         return v
     return (InternalConsistencyError,
             f"discriminant valuation {v} != 1 for an I2 matrix")
+
+
+def _product_outcome(M):
+    """The product formula's valuation, as `discriminant_valuation`
+    reports it."""
+    return _valuation_outcome(discriminant_by_products(M))
 
 
 def test_discriminant_scan_matches_the_product_formula():
@@ -859,6 +937,7 @@ def test_discriminant_scan_matches_the_product_formula():
                     for length in (1, 4, 8) for _ in range(5)]
         for M in sources:
             assert _discriminant_outcome(M) == _product_outcome(M) == 1
+            assert discriminant_by_sum_square(M) == 1
 
 
 def test_discriminant_scan_reads_coefficients_past_the_normal_form(
@@ -892,6 +971,7 @@ def test_discriminant_scan_reads_coefficients_past_the_normal_form(
         M = laurent.parse_matrix("0,1;e,0", q)
         got = _discriminant_outcome(M)
         assert got == _product_outcome(M)
+        assert got == _valuation_outcome(discriminant_by_sum_square(M))
         seen.add(got if got == 1 else got[1].split()[2])
     assert {1, "inf", "0", "2", "3"} <= seen
 
@@ -900,10 +980,11 @@ def test_discriminant_forms_no_product_and_builds_no_scalar(monkeypatch):
     # C6 formed four Laurent products per discriminant, 1,200 in all, and
     # now forms none: it builds the four entries of each of its 300
     # inputs and nothing else.  C7 formed 1,200, 8 in each of its 40
-    # random elements of I1 and 22 in each conjugation by one, and now
-    # conjugates by each generator as it is drawn: two products for an
-    # upper or lower generator, none for a diagonal one, and 104 of its
-    # 160 generators are upper or lower.
+    # random elements of I1 and 22 in each conjugation by one, then 208,
+    # two for each of the 104 upper or lower generators of its 160, and
+    # now forms none: it conjugates on coefficient dicts and builds the
+    # four entries of each of its 40 conjugates, and its two parsed
+    # matrices build four each.
     mul, new, raw = LaurentScalar.__mul__, laurent._new, laurent._raw
     products, constructed = [], []
 
@@ -932,7 +1013,8 @@ def test_discriminant_forms_no_product_and_builds_no_scalar(monkeypatch):
     assert len(constructed) == 4 * 300
     assert checks._c7_fixed_points() \
         == "42 elements, every fixed-point count is 2"
-    assert len(products) == 2 * 104 == 208
+    assert len(products) == 0
+    assert len(constructed) == 4 * 300 + 4 * 40 + 2 * 4
 
 
 def test_module_generation_and_coinvariants():

@@ -3,7 +3,8 @@ checks exercise, never of a check, and the checks it names must FAIL
 while every other check PASSes.  A fault that every check passes is a
 gap, named in BLIND."""
 
-from math import lcm
+import random
+from math import gcd, lcm
 
 import pytest
 
@@ -25,7 +26,13 @@ from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
 from weylkit.laurent import LaurentScalar
 from reference_routes import children
-from test_pgl2 import _dict_bounds, _dicts, _level_count, _level_valuations
+from test_pgl2 import (
+    _dict_bounds,
+    _dicts,
+    _key,
+    _level_count,
+    _level_valuations,
+)
 
 
 def _statuses():
@@ -186,6 +193,67 @@ def _act_dropping_b1_from_s1_b0(module, i, vec):
     if i == 1:
         out[module.N + 1] -= vec[module.N]
     return tuple(out)
+
+
+def _reduce_without_the_pivot_division(basis, v):
+    """EchelonBasis._reduce whose unit step subtracts c row, not (c / p)
+    row, p the pivot: right only where p = 1."""
+    vec = [x.numerator * (lcm(*(y.denominator for y in v)) // x.denominator)
+           for x in v]
+    for col, row in basis._rows:
+        c = vec[col]
+        if c:
+            p = row[col]
+            if c % p:
+                g = gcd(p, c)
+                p, c = p // g, c // g
+                vec = [p * x - c * y for x, y in zip(vec, row)]
+                g = gcd(*vec)
+                if g > 1:
+                    vec = [x // g for x in vec]
+            else:
+                vec[col:] = [x - c * y for x, y in zip(vec[col:], row[col:])]
+    return vec
+
+
+def _i1_conjugate(upper_y, lower_a):
+    """pgl2.random_i1_conjugate with the upper step's y = x * upper_y(b,
+    c) and the lower step's c formula reading lower_a(old a, new a)."""
+    plus, product, reduced = laurent._plus, laurent._product, laurent._reduced
+
+    def conjugate(g, rng, length=4):
+        (a, b), (c, d) = g
+        q = a.q
+        A, B, C, D = a.coeffs, b.coeffs, c.coeffs, d.coeffs
+        for _ in range(length):
+            kind = rng.randrange(3)
+            if kind == 0:
+                x = {k: t for k in range(3) if (t := rng.randrange(q))}
+                y = product(x, upper_y(B, C))
+                A = reduced(q, plus(A, y, -1))
+                B = reduced(q, plus(B, product(x, plus(A, D, -1))))
+                D = reduced(q, plus(D, y))
+            elif kind == 1:
+                x = {k: t for k in range(1, 4) if (t := rng.randrange(q))}
+                y = product(x, B)
+                old, A = A, reduced(q, plus(A, y))
+                C = reduced(q, plus(C, product(x, plus(D, lower_a(old, A),
+                                                       -1))))
+                D = reduced(q, plus(D, y, -1))
+            else:
+                u = rng.randrange(1, q)
+                v = pow(u, -1, q)
+                B = {k: t * v % q for k, t in B.items()}
+                C = {k: t * u % q for k, t in C.items()}
+        return ((laurent._raw(q, A), laurent._raw(q, B)),
+                (laurent._raw(q, C), laurent._raw(q, D)))
+    return conjugate
+
+
+def _conjugates_of_tau(q, seed):
+    rng = random.Random(seed)
+    tau = laurent.parse_matrix("0,1;e,0", q)
+    return [_key(pgl2.random_i1_conjugate(tau, rng)) for _ in range(20)]
 
 
 def _walk_valuations(text, q):
@@ -519,6 +587,18 @@ FAULTS = {
     "pgl2.RecurrenceModule drops b_1 from s_1 b_0": (
         [(pgl2.RecurrenceModule, "act", _act_dropping_b1_from_s1_b0)],
         {"C8"}, lambda: pgl2.RecurrenceModule(2).action_matrix(1)),
+    "pgl2.random_i1_conjugate upper step forms y from b": (
+        [(pgl2, "random_i1_conjugate",
+          _i1_conjugate(lambda B, C: B, lambda old, new: new))], {"C7"},
+        lambda: _conjugates_of_tau(3, 1)),
+    "pgl2.random_i1_conjugate lower step reads the old a in c": (
+        [(pgl2, "random_i1_conjugate",
+          _i1_conjugate(lambda B, C: C, lambda old, new: old))], {"C7"},
+        lambda: _conjugates_of_tau(3, 1)),
+    "linalg.EchelonBasis unit step skips the pivot division": (
+        [(linalg.EchelonBasis, "_reduce", _reduce_without_the_pivot_division)],
+        {"C4", "C8"},
+        lambda: linalg.EchelonBasis([(2, 1)]).contains((4, 2))),
     "witt._readout exponent 1 after the first term": (
         [(witt, "_readout", _readout_with_exponent_one_after_the_first_term)],
         {"C9"}, lambda: witt.oracle_check(3, 3)),
@@ -603,7 +683,13 @@ FAULTS = {
 # group is the same, and no input to `characters` can show this fault.
 # C5 squares only the S3 matrix, whose entries are rational: each is one
 # term at x^0, where s + t = s - t, so placing products at x^(s - t) is
-# seen only on a matrix with an irrational entry, as Z/3's.
+# seen only on a matrix with an irrational entry, as Z/3's.  C7 sees a
+# conjugation fault only when it takes a conjugate of tau out of I2, as
+# forming the upper step's y from the unit b does (v(a) drops to 0):
+# reading the old a in the lower step's c changes c by x^2 b, of
+# valuation at least 2 > v(c) = 1, so the conjugate stays in I2 and
+# counts 2.  Every pivot C4 and C8 reduce by is 1, where c = c / p, so
+# the unit step without its pivot division is right there.
 BLIND = {
     "pgl2 scan reads tau^-1 g tau's bounds unshifted",
     "pgl2 scan c-entry a - d",
@@ -613,6 +699,8 @@ BLIND = {
     "weyl coset generators require ss to fix each simple root of J",
     "fourier._readback reads the eigenvalue exponent as -e",
     "fourier.matrix_square adds x^s x^t at x^(s - t)",
+    "pgl2.random_i1_conjugate lower step reads the old a in c",
+    "linalg.EchelonBasis unit step skips the pivot division",
 }
 
 
