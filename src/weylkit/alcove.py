@@ -1,10 +1,16 @@
 """Level-1 geometry: cells C_S, the lattices L' and L, the torus T, the
 map p_J and stabilizer computations.
 
-Points of the level-1 hyperplane carry rational coordinates c_i, one
-Fraction per node: the torus point p_J(d) has finite order only when d
-is rational.  A point lies in the cell C_S when no coordinate is
-negative and S is its support.
+The torus point p_J(d) has finite order only when d is rational, so a
+point of the level-1 hyperplane is stored in integers: numerators nums
+over one denominator den > 0, c_i = nums[i] / den, with
+gcd(den, nums) = 1.  That form is canonical, so two points are equal
+exactly when their ints are, and the point is level 1 exactly when
+sum_i n_i nums[i] = den.  It lies in the cell C_S when no numerator is
+negative and S is its support.  `coords`, the Fractions, is for reports
+and error messages.  The grid forms p/q at node a and 1 - p/q at node b
+as numerators over q lcm(n_a, n_b), and sorts by the numerators over the
+lcm of all the denominators, which is the order of the coordinates.
 
 For a node subset J with complement Jc, the subspace z_J is the
 level-0 part of span{b'_k : k in Jc}, with basis
@@ -50,6 +56,16 @@ and x H = (n_k0 r_k) H_c / n_k0 for column c of r_k's action, integral
 exactly when r_k preserves L'.  When J leaves one node out, z_J = 0
 and every matrix is empty.
 
+Each solve is x H = w / den with w integral and den > 0, and runs in
+integers over D = den prod_j H_jj.  Multiplying x_j H_jj =
+w_j / den - sum_{i<j} x_i H_ij by den H_00 ... H_(j-1)(j-1) gives
+
+  den H_00 ... H_jj x_j = H_00 ... H_(j-1)(j-1) w_j
+                          - sum_{i<j} (den H_00 ... H_(j-1)(j-1) x_i) H_ij,
+
+an integer by induction on j.  So each y_j = D x_j is an integer, and
+y_j H_jj = (D / den) w_j - sum_{i<j} y_i H_ij divides exactly.
+
 Only the generators' integer actions on L' are kept: `act(k, t)`
 applies r_k's to a torus point, and `orbit(t)` walks the search's
 edges, the point of left[k][i] being act(k, .) of i's.
@@ -62,19 +78,19 @@ A torus point of finite order is stored in integers, as (order, nums):
 order is the least M with M t integral, and nums = M t reduced into
 [0, M).  That M is least exactly when gcd(M, content of nums) = 1, so
 the form is canonical, and two points are equal exactly when their
-int tuples are.  `p_J` forms it once per point from the Fraction
-coordinates that `solve_upper` returns.  `act` multiplies nums by the
-generator's integer matrix A and reduces modulo order, with no
-renormalisation: A lies in GL(L), so A and A^-1 are integral, and for
-any integer M', M' A t is integral exactly when M' t is.  So A t has the
-order of t, its numerators A nums are again coprime to it, and reducing
-them modulo the order only picks the representative in [0, M).
+int tuples are.  `p_J` forms it once per point from the solve's y over
+D: with g = gcd(D, y), M = D / g and nums = y / g reduced modulo M.
+`act` multiplies nums by the generator's integer matrix A and reduces
+modulo order, with no renormalisation: A lies in GL(L), so A and A^-1
+are integral, and for any integer M', M' A t is integral exactly when
+M' t is.  So A t has the order of t, its numerators A nums are again
+coprime to it, and reducing them modulo the order only picks the
+representative in [0, M).
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from . import linalg, weyl
@@ -96,44 +112,89 @@ _QUOTIENT_CAP = 200000
 GRID_WORK_BUDGET = 20000
 
 
-@dataclass(frozen=True)
 class LevelOnePoint:
-    datum: object
-    coords: tuple  # Fractions, one per node
+    """A point of the level-1 hyperplane: coordinate i is nums[i] / den,
+    canonical (see the module docstring), den > 0.  A slotted record,
+    equal and hashed by (datum, nums, den), and immutable by convention:
+    nothing assigns to one after `__init__`."""
 
-    def __post_init__(self):
-        if len(self.coords) != self.datum.n + 1:
+    __slots__ = ("datum", "nums", "den")
+
+    def __init__(self, datum, nums, den):
+        if len(nums) != datum.n + 1:
             raise StructuralError("wrong number of coordinates")
-        if sum(m * c for m, c in zip(self.datum.marks, self.coords)) != 1:
+        if sum(map(operator.mul, datum.marks, nums)) != den:
             raise StructuralError("point does not lie on the level-1 hyperplane")
+        g = gcd(den, *nums)
+        self.datum = datum
+        self.nums = tuple(x // g for x in nums)
+        self.den = den // g
+
+    def __eq__(self, other):
+        if type(other) is not LevelOnePoint:
+            return NotImplemented
+        return ((self.datum, self.nums, self.den)
+                == (other.datum, other.nums, other.den))
+
+    def __hash__(self):
+        return hash((self.datum, self.nums, self.den))
+
+    def __repr__(self):
+        return (f"LevelOnePoint({self.datum!r}, nums={self.nums},"
+                f" den={self.den})")
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions, one per node, for reports."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
 
-def level_one_point(datum, coords):
-    """Build a LevelOnePoint from exact rationals: ints (a bool is the int
-    it is) and Fractions.  Anything else, a float or a str say, raises
+def level_one_point(datum, coords, den=1):
+    """Build the LevelOnePoint with coordinates c / den, c in coords, from
+    exact rationals: ints (a bool is the int it is) and Fractions, over an
+    int den >= 1.  Anything else, a float or a str say, raises
     PreconditionError, as Cyc does."""
+    require_int("point denominator", den)
+    if den < 1:
+        raise PreconditionError(f"point denominator {den} is not positive")
     for c in coords:
         if not isinstance(c, (int, Fraction)):
             raise PreconditionError(f"coordinate {c!r} is not an exact"
                                     " rational")
-    return LevelOnePoint(datum, tuple(Fraction(c) for c in coords))
+    scale = lcm(*(c.denominator for c in coords))
+    return LevelOnePoint(datum, tuple(c.numerator * (scale // c.denominator)
+                                      for c in coords), den * scale)
 
 
-@dataclass(frozen=True)
 class CellLabel:
-    S: tuple
+    """The support S of a point of the cell C_S.  A slotted record, equal
+    and hashed by S."""
 
-    def __post_init__(self):
-        if not self.S:
+    __slots__ = ("S",)
+
+    def __init__(self, S):
+        if not S:
             raise StructuralError("cell label must be nonempty")
+        self.S = S
+
+    def __eq__(self, other):
+        if type(other) is not CellLabel:
+            return NotImplemented
+        return self.S == other.S
+
+    def __hash__(self):
+        return hash(self.S)
+
+    def __repr__(self):
+        return f"CellLabel(S={self.S})"
 
 
 def cell_of(x):
     """Cell label of a level-1 point: None if any coordinate is negative,
     else its support."""
-    if any(c < 0 for c in x.coords):
+    if any(c < 0 for c in x.nums):
         return None
-    return CellLabel(tuple(i for i, c in enumerate(x.coords) if c))
+    return CellLabel(tuple(i for i, c in enumerate(x.nums) if c))
 
 
 class TorusPoint(NamedTuple):
@@ -229,17 +290,16 @@ class CosetGeometry:
         acts = {}
         for k, g in self.generator_blocks.items():
             scaled = weyl.level_restriction(g, self.marks)
-            cols = [tuple(x / n0 for x in linalg.solve_upper(
-                basis, linalg.mat_vec(scaled, row))) for row in basis]
-            if any(x.denominator != 1 for col in cols for x in col):
-                raise StructuralError("quotient action does not preserve L'")
-            acts[k] = tuple(tuple(int(x) for x in row) for row in zip(*cols))
+            cols = []
+            for row in basis:
+                den, col = _forward_substitution(
+                    basis, linalg.mat_vec(scaled, row), n0)
+                if any(x % den for x in col):
+                    raise StructuralError("quotient action does not preserve"
+                                          " L'")
+                cols.append([x // den for x in col])
+            acts[k] = tuple(zip(*cols))
         self.generator_actions = acts
-
-    def lattice_coords(self, ucoords):
-        """Coordinates over the L'-basis of a z_J vector in u-coordinates."""
-        n0 = self.marks[0]
-        return linalg.solve_upper(self._hermite, [n0 * u for u in ucoords])
 
     def act(self, k, t):
         """r_k's action on the torus point t: an integer matrix on its
@@ -270,18 +330,34 @@ def geometry(datum, J):
     return _geometry_cache[key]
 
 
+def _forward_substitution(rows, w, den):
+    """(D, y) with x = y / D solving x H = w / den, for H = `rows` square
+    upper triangular with a positive diagonal, w ints and den > 0:
+    D = den prod_j H_jj and y_j = ((D / den) w_j - sum_{i<j} y_i H_ij) / H_jj,
+    each division exact (see the module docstring).  Not reduced."""
+    scale = prod(row[j] for j, row in enumerate(rows))
+    y = []
+    for j, row in enumerate(rows):
+        y.append((scale * w[j] - sum(y[i] * rows[i][j] for i in range(j)))
+                 // row[j])
+    return den * scale, y
+
+
 def p_J(datum, J, d):
     """Finite-order torus point attached to d in D_J, measured from the
     base node k0 = min Jc."""
     geo = geometry(datum, J)
-    if any(c < 0 for c in d.coords) or any(d.coords[j] for j in geo.J):
+    nums = d.nums
+    if any(c < 0 for c in nums) or any(nums[j] for j in geo.J):
         raise PreconditionError("d must lie in a cell C_S with S inside Jc")
     # d - b'_k0 / n_k0 is level 0 and supported on Jc, so its
-    # u-coordinates are d's at Jc - {k0}
-    gamma = geo.lattice_coords(tuple(d.coords[k] for k in geo.jcheck[1:]))
-    order = lcm(*(g.denominator for g in gamma))
-    return TorusPoint(order, tuple(g.numerator * (order // g.denominator)
-                                   % order for g in gamma))
+    # u-coordinates are d's at Jc - {k0}, and x H = n_k0 u
+    n0 = geo.marks[0]
+    den, y = _forward_substitution(
+        geo._hermite, [n0 * nums[k] for k in geo.jcheck[1:]], d.den)
+    g = gcd(den, *y)
+    order = den // g
+    return TorusPoint(order, tuple(x // g % order for x in y))
 
 
 def torus_stabilizer(datum, J, t, S):
@@ -349,18 +425,21 @@ def sample_grid(datum, J, max_denominator):
     candidates = max_denominator * (max_denominator + 3) // 2
     charge(f"grid to denominator {max_denominator} of {candidates} candidate"
            " points", candidates, GRID_WORK_BUDGET)
+    # p/q at node ka over its mark, the rest at kb, over q lcm(n_a, n_b)
     na, nb = datum.marks[ka], datum.marks[kb]
+    common = lcm(na, nb)
+    sa, sb = common // na, common // nb
     points = []
     for q in range(1, max_denominator + 1):
         for p in range(0, q + 1):
             if gcd(p, q) != 1:  # p/q was formed at a smaller q
                 continue
-            a = Fraction(p, q)
-            coords = [Fraction(0)] * (datum.n + 1)
-            coords[ka] = a / na
-            coords[kb] = (1 - a) / nb
-            points.append(level_one_point(datum, coords))
-    points.sort(key=lambda d: d.coords)
+            nums = [0] * (datum.n + 1)
+            nums[ka], nums[kb] = p * sa, (q - p) * sb
+            points.append(level_one_point(datum, nums, q * common))
+    # the coordinates' order: their numerators over one denominator
+    den = lcm(*(d.den for d in points))
+    points.sort(key=lambda d: [x * (den // d.den) for x in d.nums])
     return points
 
 

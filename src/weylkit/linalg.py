@@ -13,9 +13,9 @@ is, one with a Fraction entry has its denominators cleared, and any
 other entry is refused.  A step whose pivot divides the vector's entry
 subtracts the multiple of the row in place, from the pivot column on,
 where the row starts; any other step cross-multiplies and divides by
-the gcd, so the vector stays primitive.  `rank` and `in_span` are thin
-wrappers over it; `solve_upper` reads coordinates over a full-rank
-`hnf` basis.
+the gcd, so the vector stays primitive.  A basis with a pivot row for
+every column spans Q^w and answers without reducing.  `rank` and
+`in_span` are thin wrappers over it.
 
 `hnf` is the one Hermite normal form, an extended-gcd elimination: `alcove`
 puts the translation lattice L' in it, and `lattices.canonical` each
@@ -48,16 +48,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def solve_upper(rows, v):
-    """The Fraction x with x H = v, H = `rows` square upper triangular with
-    a nonzero diagonal: x_j = (v_j - sum_{i<j} x_i H_ij) / H_jj."""
-    x = []
-    for j, row in enumerate(rows):
-        x.append(Fraction(v[j] - sum(x[i] * rows[i][j] for i in range(j)),
-                          row[j]))
-    return tuple(x)
 
 
 def mat_inv(a):
@@ -113,6 +103,14 @@ class EchelonBasis:
     multiples of the rows that is 0 at every pivot column, and its
     primitive form with a positive lead, which `add` stores, does not
     depend on the factors the steps took.
+
+    A basis of w-wide rows with a row for every column needs no steps.
+    Its w pivot columns are distinct, so they are 0, ..., w - 1, and the
+    rows, in pivot order, form a square upper triangular matrix with a
+    nonzero diagonal.  That matrix is invertible, so the rows span Q^w,
+    and every v of width w lies in the span: the remainder is 0, the
+    vector that `contains` reads as True and `add` as nothing to store.
+    The entry types are still checked first.
     """
 
     def __init__(self, rows=()):
@@ -133,6 +131,8 @@ class EchelonBasis:
                         f"vector entry {x!r} is not an int or a Fraction")
             den = math.lcm(*(x.denominator for x in v))
             vec = [x.numerator * (den // x.denominator) for x in v]
+        if len(self._rows) == len(vec):  # full rank: the span is Q^w
+            return [0] * len(vec)
         for col, row in self._rows:
             c = vec[col]
             if c:

@@ -11,8 +11,9 @@ its components, Phi_m by Fraction long division of x^m - 1 by each
 Phi_d, d a proper divisor of m, a cyclotomic scalar with a Fraction per
 coefficient instead of one denominator, the Hermite form of a lattice's
 dual by the general elimination, the Hermite form itself by a
-Euclid minimum search instead of extended-gcd steps, a torus point as
-one Fraction per coordinate taken mod 1, a character norm as one
+Euclid minimum search instead of extended-gcd steps, a grid point, its
+cell and its torus point as one Fraction per coordinate, lattice
+coordinates by Fraction forward substitution, a character norm as one
 reduced Cyc per character value, summed on their numerators, and the
 Fourier pairing as a sum of Cyc products, each with a conjugate, over
 characters whose values are Cyc.zeta at each element's own order, and
@@ -652,13 +653,56 @@ def sharp_by_canonical(z):
         (0, 0, y00 * quarter)))
 
 
+def solve_upper(rows, v):
+    """The Fraction x with x H = v, H = `rows` square upper triangular with
+    a nonzero diagonal: x_j = (v_j - sum_{i<j} x_i H_ij) / H_jj."""
+    x = []
+    for j, row in enumerate(rows):
+        x.append(Fraction(v[j] - sum(x[i] * rows[i][j] for i in range(j)),
+                          row[j]))
+    return tuple(x)
+
+
+def lattice_coords(geo, ucoords):
+    """Coordinates over the L'-basis of a coset geometry of a z_J vector
+    in u-coordinates: `solve_upper` of n_k0 u over its Hermite basis."""
+    n0 = geo.marks[0]
+    return solve_upper(geo._hermite, [n0 * u for u in ucoords])
+
+
+def sample_grid_by_fractions(datum, J, max_denominator):
+    """The coordinates of the points of `alcove.sample_grid`, one Fraction
+    per node: p/q over the mark of the first grid node and 1 - p/q over
+    the second's, for p/q in lowest terms in [0, 1] with
+    q <= max_denominator, sorted as Fraction tuples."""
+    ka, kb = alcove.grid_nodes(datum, J)
+    na, nb = datum.marks[ka], datum.marks[kb]
+    grid = []
+    for q in range(1, max_denominator + 1):
+        for p in range(q + 1):
+            if gcd(p, q) == 1:
+                a = Fraction(p, q)
+                coords = [Fraction(0)] * (datum.n + 1)
+                coords[ka], coords[kb] = a / na, (1 - a) / nb
+                grid.append(tuple(coords))
+    return sorted(grid)
+
+
+def support_by_fractions(coords):
+    """The support of Fraction coordinates, or None when one is
+    negative."""
+    if any(c < 0 for c in coords):
+        return None
+    return tuple(i for i, c in enumerate(coords) if c)
+
+
 def p_J_by_fractions(datum, J, d):
     """The torus point p_J(d) as one Fraction in [0, 1) per coordinate:
-    its L'-coordinates, each taken mod 1."""
+    its L'-coordinates by `lattice_coords`, each taken mod 1."""
     geo = alcove.geometry(datum, J)
     if any(c < 0 for c in d.coords) or any(d.coords[j] for j in geo.J):
         raise PreconditionError("d must lie in a cell C_S with S inside Jc")
-    gamma = geo.lattice_coords(tuple(d.coords[k] for k in geo.jcheck[1:]))
+    gamma = lattice_coords(geo, tuple(d.coords[k] for k in geo.jcheck[1:]))
     return tuple(g % 1 for g in gamma)
 
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,14 @@ from weylkit.errors import (
     PreconditionError,
     StructuralError,
 )
-from reference_routes import coset_tables
+from reference_routes import (
+    coset_tables,
+    lattice_coords,
+    p_J_by_fractions,
+    sample_grid_by_fractions,
+    solve_upper,
+    support_by_fractions,
+)
 
 
 A1 = cartan_datum("A1")
@@ -72,11 +80,14 @@ def test_sample_grid_refuses_before_building_geometry(monkeypatch):
 def test_the_grid_budget_counts_candidates_before_any_point(monkeypatch):
     # denominator d visits d (d + 3) / 2 candidates p/k: 230 at d = 20,
     # 252 at d = 21 and 321,200 at d = 800
-    def no_point(datum, coords):
+    def no_point(*args):
         raise AssertionError("a grid point was formed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(alcove, "level_one_point", no_point)
+        # every point is formed by the record's constructor
+        patch.setattr(alcove, "LevelOnePoint", no_point)
+        with pytest.raises(AssertionError, match="a grid point was formed"):
+            alcove.sample_grid(A1, (), 1)
         with pytest.raises(BudgetError, match="321200 candidate points"):
             alcove.sample_grid(A1, (), 800)
         patch.setattr(alcove, "GRID_WORK_BUDGET", 230)
@@ -341,7 +352,7 @@ def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
             (datum.label, J)
         units = [tuple(Fraction(int(i == c)) for i in range(geo.dim))
                  for c in range(geo.dim)]
-        columns = [geo.lattice_coords(u) for u in units]
+        columns = [lattice_coords(geo, u) for u in units]
         assert tuple(zip(*columns)) == (ref["binv"] or ()), (datum.label, J)
         for t in _torus_points(geo.dim):
             assert geo.orbit(t) == [
@@ -351,3 +362,137 @@ def test_blocks_and_the_cocycle_match_full_lifts_and_schreier_products():
         built += 1
         marks.append(n0)
     assert (built, marks.count(2), marks.count(4)) == (49, 17, 1)
+
+
+# Grid configurations `grid_nodes` accepts, each complement two nodes:
+# those of the checks and the goldens, and C2's other two.
+_GRID_CONFIGURATIONS = [("A1", ()), ("C2", (0,)), ("C2", (1,)),
+                        ("C2", (2,)), ("G2", (1,)), ("B3", (0, 1)),
+                        ("F4", (0, 1, 2))]
+
+
+def _is_canonical(d):
+    return (d.den > 0 and all(type(x) is int for x in (d.den, *d.nums))
+            and gcd(d.den, *d.nums) == 1)
+
+
+@pytest.mark.parametrize("label, J", _GRID_CONFIGURATIONS)
+def test_the_integer_grid_matches_the_fraction_route(label, J):
+    # the grid at every denominator 1-20, its cells and its torus points
+    # against one Fraction per coordinate
+    datum = cartan_datum(label)
+    for denominator in range(1, 21):
+        grid = alcove.sample_grid(datum, J, denominator)
+        assert [d.coords for d in grid] == sample_grid_by_fractions(
+            datum, J, denominator), denominator
+        assert all(map(_is_canonical, grid))
+    for d, cell, t in alcove.grid_points(datum, J, 20):
+        assert cell.S == support_by_fractions(d.coords)
+        assert t.values == p_J_by_fractions(datum, J, d)
+        assert t.order == lcm(*(v.denominator for v in t.values))
+
+
+def _rank_two_points(datum):
+    """Every level-1 point of datum with nonnegative coordinates over a
+    denominator up to 6, and a few with a negative one."""
+    points = set()
+    for q in range(1, 7):
+        for a in range(q + 1):
+            for b in range(q + 1):
+                rest = q - datum.marks[1] * a - datum.marks[2] * b
+                if rest >= 0:
+                    points.add((Fraction(rest, q), Fraction(a, q),
+                                Fraction(b, q)))
+    extra = (1 - datum.marks[1] - datum.marks[2], 1, 1)
+    points |= {extra, (2, Fraction(-1, datum.marks[1]), 0),
+               (Fraction(3, 2), 0, Fraction(-1, 2 * datum.marks[2]))}
+    return sorted(points)
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_rank_two_points_match_the_fraction_route(label):
+    # J = () on the three rank-2 types: the cell and the torus point of
+    # each point against the Fraction route, which refuses the points
+    # with a negative coordinate as p_J does
+    datum = cartan_datum(label)
+    refused = 0
+    for coords in _rank_two_points(datum):
+        d = alcove.level_one_point(datum, coords)
+        assert d.coords == coords and _is_canonical(d)
+        S = support_by_fractions(coords)
+        cell = alcove.cell_of(d)
+        assert (cell and cell.S) == S
+        if S is None:
+            refused += 1
+            for route in (alcove.p_J, p_J_by_fractions):
+                with pytest.raises(PreconditionError):
+                    route(datum, (), d)
+            continue
+        t = alcove.p_J(datum, (), d)
+        assert t.values == p_J_by_fractions(datum, (), d), coords
+        assert gcd(t.order, *t.nums) == 1
+    assert refused == 3
+
+
+_exact = st.one_of(st.integers(-5, 5), st.booleans(),
+                   st.fractions(min_value=-3, max_value=3,
+                                max_denominator=12))
+
+
+@given(st.sampled_from(["A1", "A2", "C2", "G2", "B3"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_level_one_point_is_its_coordinates_in_canonical_form(label,
+                                                                 data):
+    # n free coordinates of exact types and the last one chosen to put
+    # the point on the level-1 hyperplane: coords gives the Fractions
+    # back, the integer form is canonical and equal points are equal
+    # records; off the hyperplane, or with a float or a str, it refuses
+    datum = cartan_datum(label)
+    free = data.draw(st.lists(_exact, min_size=datum.n, max_size=datum.n))
+    last = (1 - sum(m * c for m, c in zip(datum.marks, free))) / Fraction(
+        datum.marks[-1])
+    if last.denominator == 1 and data.draw(st.booleans()):
+        last = int(last)
+    coords = (*free, last)
+    d = alcove.level_one_point(datum, coords)
+    assert d.coords == tuple(Fraction(c) for c in coords)
+    den = data.draw(st.integers(1, 12))
+    assert alcove.level_one_point(
+        datum, tuple(den * c for c in coords), den) == d
+    assert _is_canonical(d)
+    assert sum(m * x for m, x in zip(datum.marks, d.nums)) == d.den
+    same = alcove.level_one_point(datum, d.coords)
+    assert (same, hash(same)) == (d, hash(d))
+    assert (same.nums, same.den) == (d.nums, d.den)
+    with pytest.raises(StructuralError, match="level-1 hyperplane"):
+        alcove.level_one_point(datum, (*free, last + 1))
+    with pytest.raises(StructuralError, match="wrong number"):
+        alcove.level_one_point(datum, free)
+    bad_den = data.draw(st.one_of(st.integers(-3, 0), st.just(2.0),
+                                  st.just(Fraction(1, 2))))
+    with pytest.raises(PreconditionError, match="^point denominator .* is"
+                                                " not (positive|an int)$"):
+        alcove.level_one_point(datum, coords, bad_den)
+    bad = data.draw(st.one_of(st.floats(allow_nan=False), st.text(max_size=3)))
+    at = data.draw(st.integers(0, datum.n))
+    with pytest.raises(PreconditionError,
+                       match=r"^coordinate .* is not an exact rational$"):
+        alcove.level_one_point(datum, coords[:at] + (bad,) + coords[at + 1:])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_integer_forward_substitution_is_the_fraction_solve(data):
+    # (D, y) over D = den prod H_jj against the Fraction solve of
+    # x H = w / den, H upper triangular with a positive diagonal
+    n = data.draw(st.integers(0, 4))
+    h = tuple(tuple(data.draw(st.integers(1, 9)) if j == i else
+                    data.draw(st.integers(-9, 9)) if j > i else 0
+                    for j in range(n)) for i in range(n))
+    w = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    den = data.draw(st.integers(1, 30))
+    D, y = alcove._forward_substitution(h, w, den)
+    assert D == den * prod(h[j][j] for j in range(n))
+    assert all(type(x) is int for x in y)
+    assert tuple(Fraction(x, D) for x in y) == solve_upper(
+        h, [Fraction(x, den) for x in w])

